@@ -105,25 +105,10 @@ def enumerate_separations_at(g, u):
 
 
 def _minimal_of(cands):
-    """Subgraph-minimal candidate; ties by (|ea|, edges, boundary).
-
-    Also walks one strictly decreasing chain and checks it stabilizes
-    within the family size, which is what makes the search safe.
-    """
+    """Subgraph-minimal candidate; ties by (|ea|, edges, boundary)."""
     minimals = [c for c in cands
                 if not any(d.key != c.key and d.subgraph_leq(c)
                            for d in cands)]
-    cur = min(cands, key=lambda s: s.sort_key())
-    steps = 0
-    while True:
-        nxt = next((d for d in sorted(cands, key=lambda s: s.sort_key())
-                    if d.key != cur.key and d.subgraph_leq(cur)), None)
-        if nxt is None:
-            break
-        cur = nxt
-        steps += 1
-        assert steps <= len(cands), "decreasing chain exceeds family size"
-    assert any(cur.key == m.key for m in minimals)
     return min(minimals, key=lambda s: s.sort_key())
 
 

@@ -127,10 +127,14 @@ def _parse_word(text):
 
 
 def _parse_relator(tok):
-    """One relator token: name, name^n, or (word)^n -> (word, exponent)."""
+    """One relator token: name, name^n, (word)^n, or a bare word such as
+    a*b^-1, which has exponent 1 -> (word, exponent)."""
     mm = _ATOM.match(tok.strip())
     if not mm:
-        raise MalformedInput("cannot parse relator", witness=tok)
+        try:
+            return _parse_word(tok), 1
+        except MalformedInput:
+            raise MalformedInput("cannot parse relator", witness=tok) from None
     inner, name, exp = mm.groups()
     n = int(exp) if exp is not None else 1
     word = _parse_word(inner) if inner is not None else ((name, 1),)

@@ -59,12 +59,6 @@ def tree_dot(labels, edges, name="tree"):
     return "\n".join(lines) + "\n"
 
 
-def separation_payload(a):
-    return {"vertices": list(a.va),
-            "edges": [list(e) for e in sorted(a.ea)],
-            "boundary": list(a.boundary)}
-
-
 def blocks_payload(bct):
     nodes = []
     for ci in range(bct.tree.vertex_count):

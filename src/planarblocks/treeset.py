@@ -7,22 +7,40 @@ distinct elements with identical subgraphs (which happens when a cut
 vertex leaves exactly two components, so a minimal element coincides
 with the complement of its twin) are ordered by an explicit rank so
 that the order stays a strict partial order reversed by complementation.
+The family computes this order once: bit j of the int ``up[i]`` is set
+when element i lies strictly below element j.
 
 Two elements are equivalent, A ~ B, when A < B* with nothing of the
-family strictly between (and A ~ A).  The tree has the equivalence
+family strictly between (and A ~ A), so class(A) is A plus the
+complements of the elements covering A.  The tree has the equivalence
 classes as vertices and one edge per complement pair; the directed edge
 of A runs from class(A*) to class(A), so A <= B exactly when the edge
-of A lies on the directed path toward the edge of B.
+of A lies on the directed path toward the edge of B.  In a tree that
+holds when up[A] is the successors of A (the complements of the other
+members of class(A)) and everything above them, which verification
+checks per element.  For n elements the order costs one n-bit AND per
+vertex and edge of each element; the nesting check, the classes and the
+verification each cost O(n^2) operations on n-bit ints.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import MalformedInput, NotNested
-from .graph import Graph
-from .separation import Separation, separation_complement
+from .graph import Graph, connected_components, edge_key
+from .separation import separation_complement
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class NestedFamily:
@@ -51,36 +69,43 @@ class NestedFamily:
             if self.elements[j].key != want.key:
                 raise NotNested("paired element is not the complement",
                                 witness={"element": i, "partner": j})
+        self.up = self._order()
+        full = (1 << n) - 1
         for i in range(n):
-            for j in range(i + 1, n):
-                if not (self.leq(i, j) or self.leq(i, self.comp[j])
-                        or self.leq(self.comp[i], j)
-                        or self.leq(self.comp[i], self.comp[j])):
+            # j > i is nested with i when j or j* lies at or above i or i*
+            ci = self.comp[i]
+            near = self.up[i] | self.up[ci] | 1 << i | 1 << ci
+            for j in _bits(full & ~near & ~((2 << i) - 1)):
+                if not near >> self.comp[j] & 1:
                     raise NotNested(
                         "pair fails the nesting condition",
                         witness={"a": list(self.elements[i].key),
                                  "b": list(self.elements[j].key)})
 
+    def _order(self):
+        """up[i]: bitmask of the elements strictly above element i."""
+        holders = {}    # vertex or edge -> elements containing it
+        twins = {}      # subgraph -> elements equal to it as subgraphs
+        for j, s in enumerate(self.elements):
+            for x in chain(s.va, s.ea):
+                holders[x] = holders.get(x, 0) | 1 << j
+            twins[s.va, s.ea] = twins.get((s.va, s.ea), 0) | 1 << j
+        up = []
+        for i, s in enumerate(self.elements):
+            above = (1 << len(self.elements)) - 1
+            for x in chain(s.va, s.ea):
+                above &= holders[x]
+            for j in _bits(twins[s.va, s.ea]):
+                if j == i or j == self.comp[i] or self.rank[i] >= self.rank[j]:
+                    above &= ~(1 << j)
+            up.append(above)
+        return tuple(up)
+
     def strict(self, i, j):
-        if i == j:
-            return False
-        a, b = self.elements[i], self.elements[j]
-        if a.subgraph_eq(b):
-            return j != self.comp[i] and self.rank[i] < self.rank[j]
-        return a.subgraph_leq(b)
+        return bool(self.up[i] >> j & 1)
 
     def leq(self, i, j):
         return i == j or self.strict(i, j)
-
-    def sim(self, i, j):
-        """A ~ B: A < B* with no family element strictly between."""
-        if i == j:
-            return True
-        jc = self.comp[j]
-        if not self.strict(i, jc):
-            return False
-        return not any(self.strict(i, k) and self.strict(k, jc)
-                       for k in range(len(self.elements)))
 
 
 @dataclass(frozen=True)
@@ -90,20 +115,18 @@ class StructureTree:
     pairs: tuple            # (i, comp[i]) with i < comp[i]
     class_of: tuple = field(init=False, repr=False, compare=False, hash=False,
                             default=None)
-    _adj: dict = field(init=False, repr=False, compare=False, hash=False,
-                       default=None)
+    _graph: Graph = field(init=False, repr=False, compare=False, hash=False,
+                          default=None)
 
     def __post_init__(self):
         lookup = [None] * len(self.family.elements)
         for ci, cls in enumerate(self.classes):
             for i in cls:
                 lookup[i] = ci
-        adj = {ci: [] for ci in range(len(self.classes))}
-        for i, j in self.pairs:
-            adj[lookup[i]].append(lookup[j])
-            adj[lookup[j]].append(lookup[i])
+        edges = {edge_key(lookup[i], lookup[j]) for i, j in self.pairs}
         object.__setattr__(self, "class_of", tuple(lookup))
-        object.__setattr__(self, "_adj", {c: tuple(sorted(n)) for c, n in adj.items()})
+        object.__setattr__(self, "_graph", Graph(tuple(range(len(self.classes))),
+                                                 tuple(sorted(edges))))
 
     @property
     def vertex_count(self):
@@ -118,26 +141,7 @@ class StructureTree:
         return (self.class_of[self.family.comp[i]], self.class_of[i])
 
     def neighbors(self, ci):
-        return self._adj[ci]
-
-    def path(self, a, b):
-        """Vertex path between two tree vertices."""
-        prev = {a: None}
-        queue = deque([a])
-        while queue:
-            x = queue.popleft()
-            if x == b:
-                break
-            for y in self._adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        if b not in prev:
-            return None
-        out = [b]
-        while out[-1] != a:
-            out.append(prev[out[-1]])
-        return tuple(reversed(out))
+        return self._graph.neighbors(ci)
 
     def region(self, ci):
         """Intersection of the complements of the class members.
@@ -156,65 +160,56 @@ class StructureTree:
         return Graph(tuple(sorted(va)), tuple(sorted(ea)))
 
 
-def _sim_classes(family):
-    n = len(family.elements)
-    parent = list(range(n))
+def _unreached(tree):
+    """Least class not connected to class 0, or None."""
+    parts = connected_components(tree._graph)
+    return parts[1][0] if len(parts) > 1 else None
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if family.sim(i, j)]
-    for i, j in pairs:
-        parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    classes = sorted((frozenset(g) for g in groups.values()), key=min)
-    for cls in classes:
-        for i in cls:
-            for j in cls:
-                if not family.sim(i, j):
-                    raise NotNested("equivalence closure is inconsistent",
-                                    witness={"a": i, "b": j})
-    return tuple(classes)
+def _classes(family):
+    """The ~-classes, ordered by least member.
+
+    class(i) is i plus the complements of the elements covering i; two
+    members that disagree on their class make the family not nested.
+    """
+    up, comp = family.up, family.comp
+    cls = []
+    for i in range(len(up)):
+        beyond = 0
+        for k in _bits(up[i]):
+            beyond |= up[k]
+        mask = 1 << i
+        for k in _bits(up[i] & ~beyond):
+            mask |= 1 << comp[k]
+        cls.append(mask)
+    out = []
+    done = 0
+    for i, mask in enumerate(cls):
+        if done >> i & 1:
+            continue
+        for j in _bits(mask):
+            if cls[j] != mask:
+                raise NotNested("equivalence closure is inconsistent",
+                                witness={"a": i, "b": j})
+        done |= mask
+        out.append(frozenset(_bits(mask)))
+    return tuple(out)
 
 
 def build_structure_tree(family):
     """Build the tree of ~-classes; the edge of A joins class(A) to class(A*)."""
     if not family.elements:
         return StructureTree(family, (frozenset(),), ())
-    classes = _sim_classes(family)
-    lookup = {}
-    for ci, cls in enumerate(classes):
-        for i in cls:
-            lookup[i] = ci
-    pairs = tuple(sorted((i, family.comp[i]) for i in range(len(family.elements))
-                         if i < family.comp[i]))
-    tree = StructureTree(family, classes, pairs)
+    pairs = tuple((i, j) for i, j in enumerate(family.comp) if i < j)
+    tree = StructureTree(family, _classes(family), pairs)
     if tree.edge_count != tree.vertex_count - 1:
         raise NotNested("class graph is not a tree",
                         witness={"vertices": tree.vertex_count,
                                  "edges": tree.edge_count})
-    for ci in range(tree.vertex_count):
-        if tree.path(0, ci) is None:
-            raise NotNested("class graph is disconnected", witness=ci)
+    ci = _unreached(tree)
+    if ci is not None:
+        raise NotNested("class graph is disconnected", witness=ci)
     return tree
-
-
-def _coherent(tree, i, j):
-    """Edge of i lies on the directed path toward the edge of j."""
-    if i == j:
-        return True
-    fam = tree.family
-    if j == fam.comp[i]:
-        return False
-    ti, hi = tree.directed_edge(i)
-    tj, hj = tree.directed_edge(j)
-    path = tree.path(ti, hj)
-    return path is not None and len(path) >= 2 and path[1] == hi and path[-2] == tj
 
 
 def verify_tree_correspondence(tree):
@@ -242,24 +237,26 @@ def verify_tree_correspondence(tree):
     if seen != set(range(n)):
         violations.append("some element is missing from the edge pairing")
     try:
-        classes = _sim_classes(fam)
+        classes = _classes(fam)
     except NotNested as exc:
         violations.append("equivalence classes inconsistent: %s" % exc)
         classes = None
     if classes is not None and classes != tree.classes:
         violations.append("stored classes differ from recomputed ~-classes")
-    for ci in range(tree.vertex_count):
-        if tree.path(0, ci) is None:
-            violations.append("tree is disconnected at class %d" % ci)
-            break
+    ci = _unreached(tree)
+    if ci is not None:
+        violations.append("tree is disconnected at class %d" % ci)
+    members = [sum(1 << i for i in cls) for cls in tree.classes]
     for i in range(n):
-        for j in range(n):
-            want = fam.leq(i, j)
-            got = _coherent(tree, i, j)
-            if want != got:
-                violations.append(
-                    "order/path mismatch for elements %d,%d (leq=%s path=%s)"
-                    % (i, j, want, got))
+        reach = 0
+        for b in _bits(members[tree.class_of[i]] & ~(1 << i)):
+            reach |= 1 << fam.comp[b] | fam.up[fam.comp[b]]
+        diff = (fam.up[i] ^ reach) & ~(1 << i)
+        if diff:
+            j = (diff & -diff).bit_length() - 1
+            violations.append(
+                "order/path mismatch for elements %d,%d (leq=%s path=%s)"
+                % (i, j, fam.leq(i, j), bool(reach >> j & 1)))
     return {"ok": not violations, "violations": violations}
 
 

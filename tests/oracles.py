@@ -89,6 +89,90 @@ def brute_automorphisms(g):
     return out
 
 
+# ------------------------------------------------------- structure trees
+
+def family_strict(family, i, j):
+    """A < B from the definition: subgraph containment, with the rank
+    ordering equal subgraphs that are not a complement pair."""
+    if i == j:
+        return False
+    a, b = family.elements[i], family.elements[j]
+    if a.va == b.va and a.ea == b.ea:
+        return j != family.comp[i] and family.rank[i] < family.rank[j]
+    return a.va <= b.va and a.ea <= b.ea
+
+
+def sim_classes(family):
+    """The ~-classes from the definition, ordered by least member.
+
+    A ~ B when A < B* with no element strictly between; the classes are
+    the closure of that relation under union.
+    """
+    n = len(family.elements)
+    label = list(range(n))
+    for i in range(n):
+        for j in range(n):
+            jc = family.comp[j]
+            if i == j or not family_strict(family, i, jc):
+                continue
+            if any(family_strict(family, i, k) and family_strict(family, k, jc)
+                   for k in range(n)):
+                continue
+            old, new = label[j], label[i]
+            label = [new if x == old else x for x in label]
+    groups = {}
+    for i, x in enumerate(label):
+        groups.setdefault(x, set()).add(i)
+    return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+
+
+def _class_edges(tree):
+    """Class of every element, and the class graph's adjacency."""
+    class_of = {i: ci for ci, cls in enumerate(tree.classes) for i in cls}
+    adj = {ci: set() for ci in range(len(tree.classes))}
+    for i, j in tree.pairs:
+        adj[class_of[i]].add(class_of[j])
+        adj[class_of[j]].add(class_of[i])
+    return class_of, adj
+
+
+def tree_path(tree, a, b):
+    """Vertex path between two classes of the tree by BFS, or None."""
+    _, adj = _class_edges(tree)
+    prev = {a: None}
+    frontier = [a]
+    while frontier and b not in prev:
+        nxt = []
+        for x in frontier:
+            for y in sorted(adj[x]):
+                if y not in prev:
+                    prev[y] = x
+                    nxt.append(y)
+        frontier = nxt
+    if b not in prev:
+        return None
+    out = [b]
+    while out[-1] != a:
+        out.append(prev[out[-1]])
+    return tuple(reversed(out))
+
+
+def path_coherent(tree, i, j):
+    """The edge of element i lies on the directed path toward the edge of
+    element j; the edge of A runs from class(A*) to class(A)."""
+    if i == j:
+        return True
+    comp = tree.family.comp
+    if j == comp[i]:
+        return False
+    class_of, _ = _class_edges(tree)
+    ti, hi = class_of[comp[i]], class_of[i]
+    tj, hj = class_of[comp[j]], class_of[j]
+    path = tree_path(tree, ti, hj)
+    return path is not None and len(path) >= 2 and path[1] == hi \
+        and path[-2] == tj
+
+
 # ------------------------------------------------------------ separations
 
 def edge_subset_separations(g, boundary_size):

@@ -93,6 +93,15 @@ def test_parse_accepts_comments_and_semicolons():
     assert p.power_relators == (("e1", 6),)
 
 
+def test_parse_bare_relator_product():
+    bare = parse_presentation("gens: a b\nrels: a^3, b^3, a*b*a^-1*b^-1")
+    paren = parse_presentation("gens: a b\nrels: a^3, b^3, (a*b*a^-1*b^-1)")
+    assert bare == paren
+    assert coset_enumerate(bare).order == coset_enumerate(paren).order == 9
+    with pytest.raises(MalformedInput):
+        parse_presentation("gens: a b\nrels: a*(b")
+
+
 def test_parse_surface_shorthand():
     p = parse_presentation("surface(0, [2,3,4], 0)")
     assert p.generators == ("e1", "e2", "e3")

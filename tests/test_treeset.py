@@ -1,14 +1,21 @@
 import random
+import time
 
 import pytest
 
 from planarblocks.blocks1 import b1_family
+from planarblocks.blocks2 import triblock_tree
 from planarblocks.errors import MalformedInput, NotNested
+from planarblocks.graph import build_graph
 from planarblocks.separation import make_separation, separation_complement
-from planarblocks.treeset import (NestedFamily, build_structure_tree,
-                                  family_from_sides, verify_tree_correspondence)
+from planarblocks.treeset import (NestedFamily, StructureTree,
+                                  build_structure_tree, family_from_sides,
+                                  verify_tree_correspondence)
 
-from oracles import random_path_family
+from conftest import path_graph
+from oracles import (family_strict, path_coherent, random_connected_graph,
+                     random_path_family, random_two_connected_graph,
+                     sim_classes)
 
 
 def _interval(host, lo, hi, n_edges):
@@ -19,7 +26,6 @@ def _interval(host, lo, hi, n_edges):
 
 @pytest.fixture
 def path8_family():
-    from planarblocks.graph import build_graph
     host = build_graph(range(9), [(i, i + 1) for i in range(8)])
     sides = [_interval(host, 0, 3, 8), _interval(host, 0, 1, 8),
              _interval(host, 2, 3, 8), _interval(host, 4, 6, 8)]
@@ -96,13 +102,7 @@ def test_order_coherence_on_tree(path8_family):
     n = len(fam.elements)
     for i in range(n):
         for j in range(n):
-            if fam.leq(i, j):
-                ta, ha = tree.directed_edge(i)
-                tb, hb = tree.directed_edge(j)
-                path = tree.path(ha, tb)
-                assert path is not None
-                if i != j:
-                    assert ta not in path or ta == ha
+            assert fam.leq(i, j) == path_coherent(tree, i, j), (i, j)
 
 
 def test_empty_family_single_vertex(k4):
@@ -140,3 +140,107 @@ def test_random_path_families_verify():
         tree = build_structure_tree(fam)
         report = verify_tree_correspondence(tree)
         assert report["ok"], report["violations"]
+
+
+def _glued_two_connected(rng, parts=3):
+    """Random 2-connected graphs glued along an edge or at a vertex.
+
+    A lone random 2-connected graph is nearly always 3-connected or
+    series-parallel, so its tri-block family is empty; the gluing seams
+    give hinges and cut vertices.
+    """
+    g = random_two_connected_graph(rng)
+    for _ in range(parts - 1):
+        b = random_two_connected_graph(rng)
+        rename = {w: w + max(g.vertices) + 1 for w in b.vertices}
+        u, v = rng.choice(g.edges)
+        x, y = rng.choice(b.edges)
+        rename[x] = u
+        if rng.random() < 0.7:
+            rename[y] = v
+        g = build_graph(set(g.vertices) | set(rename.values()),
+                        list(g.edges) + [(rename[p], rename[q])
+                                         for p, q in b.edges])
+    return g
+
+
+def _random_families(source, count):
+    rng = random.Random("%s:20261018" % source)
+    for _ in range(count):
+        if source == "path":
+            yield random_path_family(rng, max_elements=40)
+        elif source == "blocks":
+            yield b1_family(random_connected_graph(rng))
+        else:
+            # the default automorphism bound of 12 vertices refuses most
+            # of these hosts, whatever their symmetry
+            yield triblock_tree(_glued_two_connected(rng), max_aut=32).family
+
+
+@pytest.mark.parametrize("source", ["path", "blocks", "triblocks"])
+def test_order_classes_and_coherence_match_oracles(source):
+    for fam in _random_families(source, 20):
+        n = len(fam.elements)
+        for i in range(n):
+            for j in range(n):
+                assert fam.strict(i, j) == family_strict(fam, i, j), (i, j)
+        tree = build_structure_tree(fam)
+        # an empty family gives the one-vertex tree
+        assert tree.classes == (sim_classes(fam) or (frozenset(),))
+        coherent = all((i == j or family_strict(fam, i, j))
+                       == path_coherent(tree, i, j)
+                       for i in range(n) for j in range(n))
+        report = verify_tree_correspondence(tree)
+        assert report["ok"] == coherent, report["violations"]
+        assert coherent
+
+
+def _bowtie_tree(bowtie, classes=None, pairs=None):
+    tree = build_structure_tree(b1_family(bowtie))
+    assert tree.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
+    return StructureTree(tree.family, classes or tree.classes,
+                         pairs or tree.pairs)
+
+
+def test_verify_reports_a_moved_element(bowtie):
+    tree = _bowtie_tree(bowtie, classes=(frozenset({0}), frozenset({1, 2}),
+                                         frozenset({3})))
+    report = verify_tree_correspondence(tree)
+    assert not report["ok"]
+    assert "stored classes differ from recomputed ~-classes" \
+        in report["violations"]
+    assert "order/path mismatch for elements 0,3 (leq=True path=False)" \
+        in report["violations"]
+    assert not path_coherent(tree, 0, 3)
+
+
+def test_verify_reports_a_non_complement_pair(bowtie):
+    tree = _bowtie_tree(bowtie, pairs=((0, 3), (1, 2)))
+    report = verify_tree_correspondence(tree)
+    assert not report["ok"]
+    assert "pair (0,3) is not a complement pair" in report["violations"]
+    assert "pair (1,2) is not a complement pair" in report["violations"]
+
+
+def test_verify_reports_a_disconnected_class_graph(bowtie):
+    # the pair (2, 3) becomes a loop at class 2, so the edge count still
+    # matches a tree while class 2 hangs apart
+    tree = _bowtie_tree(bowtie, classes=(frozenset({0}), frozenset({1}),
+                                         frozenset({2, 3})))
+    report = verify_tree_correspondence(tree)
+    assert not report["ok"]
+    assert "tree is disconnected at class 2" in report["violations"]
+    assert "edge count is not vertex count minus one" \
+        not in report["violations"]
+
+
+def test_path_200_tree_builds_and_verifies_fast():
+    fam = b1_family(path_graph(200))
+    assert len(fam.elements) == 792
+    t0 = time.monotonic()
+    tree = build_structure_tree(fam)
+    report = verify_tree_correspondence(tree)
+    elapsed = time.monotonic() - t0
+    assert report["ok"], report["violations"][:3]
+    assert tree.vertex_count == 199 + 198
+    assert elapsed < 5.0, elapsed
