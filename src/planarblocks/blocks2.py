@@ -281,12 +281,12 @@ def _family_of(host, entries):
     return NestedFamily(host, elements, comp, rank)
 
 
-def _add_orbit(entries, sep, aut_elements):
+def _add_orbit(entries, sep, aut_gens):
     """Append the orbit of sep (with complements) to the entry list,
     skipping images already present as rank-0 members."""
     present = {s.sort_key() for s, r in entries if r == 0}
     added = 0
-    for img in orbit_of_separation(sep, aut_elements):
+    for img in orbit_of_separation(sep, aut_gens):
         if img.sort_key() in present:
             continue
         entries.append((img, 0))
@@ -325,22 +325,24 @@ def _lift_torso_separation(host, tree, ci, zsep):
     return make_separation(host, va, ea, (x, y))
 
 
-def _enlarge_to_conforming(host, entries, max_aut, aut_elements=None):
+def _enlarge_to_conforming(host, entries, max_aut):
     """Grow the family until every class torso is a cycle, tiny, or
     3-connected by cutsets.  Mutates and consumes `entries`.
 
     Every round adds at least one fresh orbit of hinge separations, so
     the loop is bounded by the (finite) number of hinge separations.
     """
+    aut_gens = None
     for _ in range(10000):
         if not entries:
             if _conforming(host):
                 return _family_of(host, entries)
             seed = minimal_separation_containing(host, min(host.vertices))
-            if aut_elements is None:
-                aut_elements = automorphism_group(
-                    host, max_vertices=max_aut).elements
-            assert _add_orbit(entries, seed, aut_elements)
+            if aut_gens is None:
+                aut_gens = automorphism_group(
+                    host, max_vertices=max_aut).generators
+            added = _add_orbit(entries, seed, aut_gens)
+            assert added, "the seed orbit must be new"
             continue
         fam = _family_of(host, entries)
         tree = build_structure_tree(fam)
@@ -359,10 +361,10 @@ def _enlarge_to_conforming(host, entries, max_aut, aut_elements=None):
         assert cands, "non-conforming torso must admit a hinge separation"
         zsep = _minimal_of(cands)
         lifted = _lift_torso_separation(host, tree, ci, zsep)
-        if aut_elements is None:
-            aut_elements = automorphism_group(
-                host, max_vertices=max_aut).elements
-        added = _add_orbit(entries, lifted, aut_elements)
+        if aut_gens is None:
+            aut_gens = automorphism_group(
+                host, max_vertices=max_aut).generators
+        added = _add_orbit(entries, lifted, aut_gens)
         assert added, "enlargement made no progress"
     raise AssertionError("enlargement failed to stabilize")
 

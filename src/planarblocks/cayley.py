@@ -413,12 +413,20 @@ def regular_action(tbl):
     the Cayley edges, so each is a graph automorphism; the action is
     free and transitive (checked by callers on the graph side).
     """
-    words = tbl.element_words()
+    # h.g for g = p.x is (h.p).x: walk the breadth-first word tree, one
+    # letter per element, parents first
+    steps = []
+    for g, word in tbl.element_words().items():
+        if word:
+            s, p = word[-1]
+            steps.append((g, tbl.act_letter(g, (s, -p)), word[-1]))
     perms = []
     for h in range(tbl.order):
-        perm = {g: tbl.act_word(h, words[g]) for g in range(tbl.order)}
-        assert perm[tbl.identity] == h
-        perms.append(perm)
+        image = [None] * tbl.order
+        image[tbl.identity] = h
+        for g, parent, letter in steps:
+            image[g] = tbl.act_letter(image[parent], letter)
+        perms.append(dict(enumerate(image)))
     return tuple(perms)
 
 

@@ -25,6 +25,10 @@ class Graph:
     vertices: tuple
     edges: tuple
     _adj: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    vertex_set: frozenset = field(init=False, repr=False, compare=False,
+                                  hash=False, default=None)
+    edge_set: frozenset = field(init=False, repr=False, compare=False,
+                                hash=False, default=None)
 
     def __post_init__(self):
         adj = {v: [] for v in self.vertices}
@@ -34,17 +38,11 @@ class Graph:
         for v in adj:
             adj[v] = tuple(sorted(adj[v]))
         object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "vertex_set", frozenset(self.vertices))
+        object.__setattr__(self, "edge_set", frozenset(self.edges))
 
     def __hash__(self):
         return hash((self.vertices, self.edges))
-
-    @property
-    def vertex_set(self):
-        return frozenset(self.vertices)
-
-    @property
-    def edge_set(self):
-        return frozenset(self.edges)
 
     def neighbors(self, v):
         return self._adj[v]

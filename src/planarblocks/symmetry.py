@@ -1,13 +1,20 @@
 """Automorphism groups, orbits, quotient graphs, and tree actions.
 
-Groups are materialized as explicit permutation lists, which is fine at
-desk scale (the search bound keeps hosts small).  Permutations are dicts
-vertex -> vertex over the host's vertex set.
+A group is held as strong generators along the base ``g.vertices``
+(Sims 1970): the generators fixing the first i vertices generate the
+pointwise stabiliser of those vertices, so the group order is the
+product of the basic orbit lengths.  The search adds a generator only
+for an orbit point the generators so far do not reach, and never lists
+the group.  Orbits of vertices, edges and separations are closures
+under the generators; the full element list is built only on request,
+by the stabiliser checks.  Permutations are dicts vertex -> vertex over
+the host's vertex set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotAnAutomorphism, TooLarge
 from .graph import Graph, edge_key
@@ -47,18 +54,42 @@ def perm_key(g, perm):
     return tuple(perm[v] for v in g.vertices)
 
 
+def _closure(start, perms, image, key=lambda x: x):
+    """Everything reachable from start by applying perms: key -> item."""
+    seen = {key(start): start}
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
+        for p in perms:
+            y = image(x, p)
+            k = key(y)
+            if k not in seen:
+                seen[k] = y
+                frontier.append(y)
+    return seen
+
+
 @dataclass(frozen=True)
 class AutGroup:
     host: Graph
-    generators: tuple  # small generating set, identity omitted
-    elements: tuple    # every automorphism, identity first
+    generators: tuple  # strong generators along host.vertices, lex order
     order: int
 
     def orbit_of_vertex(self, v):
-        return frozenset(p[v] for p in self.elements)
+        return frozenset(_closure(v, self.generators, lambda x, p: p[x]))
 
     def orbit_of_edge(self, e):
-        return frozenset(apply_to_edge(p, e) for p in self.elements)
+        return frozenset(_closure(e, self.generators,
+                                  lambda x, p: apply_to_edge(p, x)))
+
+    @cached_property
+    def elements(self):
+        """Every automorphism, identity first, sorted by perm_key.  Built
+        by closing the generators, so it costs the group order."""
+        ident = {v: v for v in self.host.vertices}
+        found = _closure(ident, self.generators, lambda q, r: compose(r, q),
+                         key=lambda p: perm_key(self.host, p))
+        return tuple(found[k] for k in sorted(found))
 
     def stabilizer_of_vertex(self, v):
         return tuple(p for p in self.elements if p[v] == v)
@@ -75,78 +106,75 @@ class AutGroup:
 
 
 def automorphism_group(g, max_vertices=DEFAULT_AUT_BOUND):
-    """All adjacency-preserving vertex permutations, by backtracking.
+    """Strong generators of Aut(g) along the base g.vertices.
 
-    The search maps vertices one at a time, pruning candidates by degree
-    and by adjacency to the already-mapped prefix.  Hosts above the
-    vertex bound are refused rather than risking an exponential blowup.
+    Levels run from the last vertex to the first.  At level i, for each
+    later vertex w of the same degree outside the orbit of vs[i] under
+    the generators so far, one backtracking search looks for an
+    automorphism fixing vs[:i] and sending vs[i] to w; the first found
+    becomes a generator.  Candidates are tried in vertex order, so each
+    generator is the lex-least element of its coset, and the list is the
+    greedy generating subset of the lex-sorted element list.  The
+    searches walk disjoint subtrees of the full search tree.  Hosts
+    above the vertex bound are refused rather than risking an
+    exponential blowup.
     """
     n = len(g.vertices)
     if n > max_vertices:
         raise TooLarge("automorphism search bound exceeded",
                        witness={"vertices": n, "bound": max_vertices})
-    vs = list(g.vertices)
-    deg = {v: g.degree(v) for v in vs}
-    found = []
-
-    def extend(i, partial):
-        if i == n:
-            found.append(dict(partial))
-            return
-        v = vs[i]
-        used = set(partial.values())
-        for w in vs:
-            if w in used or deg[w] != deg[v]:
-                continue
-            ok = True
-            for j in range(i):
-                u = vs[j]
-                if g.has_edge(u, v) != g.has_edge(partial[u], w):
-                    ok = False
-                    break
-            if ok:
-                partial[v] = w
-                extend(i + 1, partial)
-                del partial[v]
-
-    extend(0, {})
-    found.sort(key=lambda p: perm_key(g, p))
-    ident = {v: v for v in vs}
-    assert found and found[0] == ident
-    gens = _generating_subset(g, found)
-    return AutGroup(g, tuple(gens), tuple(found), len(found))
-
-
-def _generating_subset(g, elements):
-    """Greedy small generating set reproducing every element."""
-    ident = {v: v for v in g.vertices}
-    have = {perm_key(g, ident)}
+    vs = g.vertices
+    nbrs = {v: frozenset(g.neighbors(v)) for v in vs}
     gens = []
-    for p in elements:
-        if perm_key(g, p) in have:
+    order = 1
+    for i in range(n - 1, -1, -1):
+        orbit = _closure(vs[i], gens, lambda x, p: p[x])
+        for w in vs[i + 1:]:
+            if w in orbit:
+                continue
+            perm = _coset_leader(vs, nbrs, i, w)
+            if perm is not None:
+                gens.append(perm)
+                orbit = _closure(vs[i], gens, lambda x, p: p[x])
+        order *= len(orbit)
+    return AutGroup(g, tuple(gens), order)
+
+
+def _coset_leader(vs, nbrs, i, w):
+    """The lex-least automorphism fixing vs[:i] and sending vs[i] to w,
+    or None.  Vertices are mapped in order; an image must be unused, of
+    equal degree, and adjacent to exactly the images of the already
+    mapped neighbours."""
+    perm = {u: u for u in vs[:i]}
+    image = set(perm)
+
+    def options(k, pool):
+        want = {perm[u] for u in nbrs[vs[k]] if u in perm}
+        d = len(nbrs[vs[k]])
+        return iter([x for x in pool if x not in image
+                     and len(nbrs[x]) == d and nbrs[x] & image == want])
+
+    stack = [options(i, (w,))]   # stack[j] holds the images left for vs[i + j]
+    while stack:
+        v = vs[i + len(stack) - 1]
+        if v in perm:
+            image.discard(perm.pop(v))
+        x = next(stack[-1], None)
+        if x is None:
+            stack.pop()
             continue
-        gens.append(p)
-        frontier = [ident]
-        have = {perm_key(g, ident)}
-        while frontier:
-            q = frontier.pop()
-            for r in gens:
-                s = compose(r, q)
-                k = perm_key(g, s)
-                if k not in have:
-                    have.add(k)
-                    frontier.append(s)
-        if len(have) == len(elements):
-            break
-    return gens
+        perm[v] = x
+        image.add(x)
+        if len(perm) == len(vs):
+            return perm
+        stack.append(options(i + len(stack), vs))
+    return None
 
 
-def orbit_of_separation(a, elements):
-    """Field-distinct images of a under a list of automorphisms, sorted."""
-    seen = {}
-    for p in elements:
-        img = apply_to_separation(a, p)
-        seen.setdefault(img.sort_key(), img)
+def orbit_of_separation(a, perms):
+    """Field-distinct images of a under the group generated by perms,
+    sorted; every image is validated as a separation."""
+    seen = _closure(a, perms, apply_to_separation, key=lambda s: s.sort_key())
     return [seen[k] for k in sorted(seen)]
 
 

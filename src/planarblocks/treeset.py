@@ -65,8 +65,9 @@ class NestedFamily:
             if j == i or not (0 <= j < n) or self.comp[j] != i:
                 raise MalformedInput("complement map is not a fixed-point-free "
                                      "involution", witness=i)
-            want = separation_complement(self.elements[i])
-            if self.elements[j].key != want.key:
+            a, b = self.elements[i], self.elements[j]
+            if (b.boundary != a.boundary or b.ea != a.host.edge_set - a.ea
+                    or b.va != (a.host.vertex_set - a.va) | a.boundary):
                 raise NotNested("paired element is not the complement",
                                 witness={"element": i, "partner": j})
         self.up = self._order()

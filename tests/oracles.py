@@ -89,6 +89,33 @@ def brute_automorphisms(g):
     return out
 
 
+def greedy_generators(g, elements):
+    """Greedy generating subset: scan the elements in lexicographic order
+    of their images of g.vertices and keep each one that the elements
+    kept so far do not generate."""
+    vs = g.vertices
+
+    def key(p):
+        return tuple(p[v] for v in vs)
+
+    gens = []
+    have = {vs}
+    for p in sorted(elements, key=key):
+        if key(p) in have:
+            continue
+        gens.append(p)
+        have = {vs}
+        frontier = [{v: v for v in vs}]
+        while frontier:
+            q = frontier.pop()
+            for r in gens:
+                s = {v: r[q[v]] for v in vs}
+                if key(s) not in have:
+                    have.add(key(s))
+                    frontier.append(s)
+    return gens
+
+
 # ------------------------------------------------------- structure trees
 
 def family_strict(family, i, j):

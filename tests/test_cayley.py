@@ -1,5 +1,7 @@
 """Presentations, coset enumeration, and Cayley graphs."""
 
+import time
+
 import pytest
 
 from conftest import fixture_path
@@ -213,6 +215,17 @@ def test_regular_action_is_free_transitive_automorphic():
     action = check_regular_action(tbl, g)
     assert len(action) == tbl.order
     assert action[0] == {v: v for v in g.vertices}
+
+
+def test_regular_action_of_z500_is_fast():
+    pr = parse_presentation("gens: a\nrels: a^500\n")
+    tbl = coset_enumerate(pr)
+    g = cayley_graph(tbl, pr)
+    t0 = time.monotonic()
+    action = check_regular_action(tbl, g)
+    elapsed = time.monotonic() - t0
+    assert [perm[tbl.identity] for perm in action] == list(range(500))
+    assert elapsed < 5.0, elapsed
 
 
 def test_pipeline_spherical_groups_are_planar_and_conforming():

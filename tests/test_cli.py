@@ -1,6 +1,9 @@
 """Command line behavior: exit codes, formats, limits, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -207,3 +210,15 @@ def test_dot_outputs_parse_as_graphviz():
         assert out.rstrip().endswith("}"), cmd
 
 
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarblocks", "autos", fx("k4.edges")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("order: 24\n")

@@ -25,6 +25,16 @@ def test_build_graph_rejects_loops_and_strays():
         build_graph([], [])
 
 
+def test_vertex_and_edge_sets_are_cached(k4e):
+    assert k4e.edge_set is k4e.edge_set
+    assert k4e.vertex_set is k4e.vertex_set
+    assert k4e.edge_set == frozenset(k4e.edges)
+    assert k4e.vertex_set == frozenset(k4e.vertices)
+    for u in range(-1, 5):
+        for v in range(-1, 5):
+            assert k4e.has_edge(u, v) == (edge_key(u, v) in k4e.edges)
+
+
 def test_build_graph_collapses_duplicates():
     g = build_graph([0, 1, 1], [(1, 0), (0, 1)])
     assert g.vertices == (0, 1)

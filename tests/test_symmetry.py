@@ -2,12 +2,14 @@
 structure trees."""
 
 import random
+import time
 
 import pytest
 
 from conftest import complete_graph, cycle_graph, g_of, path_graph
-from oracles import brute_automorphisms, random_connected_graph
+from oracles import brute_automorphisms, greedy_generators, random_connected_graph
 from planarblocks import (
+    all_separations,
     automorphism_group,
     b1_family,
     build_structure_tree,
@@ -25,6 +27,7 @@ from planarblocks.symmetry import (
     is_automorphism,
 )
 from planarblocks.errors import TooLarge
+from planarblocks.graph import build_graph, is_k_connected
 from planarblocks.treeset import NestedFamily
 
 
@@ -51,6 +54,63 @@ def test_group_matches_brute_force_on_random_graphs():
         assert got.order == len(want)
         keys = {tuple(sorted(p.items())) for p in want}
         assert {tuple(sorted(p.items())) for p in got.elements} == keys
+
+
+def k4_book(pages):
+    """K4 pages sharing the spine edge 0-1."""
+    es = [(0, 1)]
+    for i in range(pages):
+        a, b = 2 + 2 * i, 3 + 2 * i
+        es += [(0, a), (0, b), (1, a), (1, b), (a, b)]
+    return build_graph(range(2 + 2 * pages), es)
+
+
+def test_strong_generators_and_orbits_match_brute_force():
+    rng = random.Random(4)
+    # the book's page orbits need products of generators
+    samples = [k4_book(3)] + [random_connected_graph(rng, max_vertices=8)
+                              for _ in range(120)]
+    hinge_hosts = 0
+    for g in samples:
+        want = brute_automorphisms(g)
+        got = automorphism_group(g)
+        assert got.order == len(want)
+        assert list(got.generators) == greedy_generators(g, want)
+        for v in g.vertices:
+            assert got.orbit_of_vertex(v) == {p[v] for p in want}
+        for u, v in g.edges:
+            assert got.orbit_of_edge((u, v)) == {
+                tuple(sorted((p[u], p[v]))) for p in want}
+        if is_k_connected(g, 2) and len(g.edges) > len(g.vertices):
+            hinge_hosts += 1
+            for s in all_separations(g):
+                orbit = orbit_of_separation(s, got.generators)
+                assert [x.sort_key() for x in orbit] == sorted(
+                    {apply_to_separation(s, p).sort_key() for p in want})
+    assert hinge_hosts >= 10
+
+
+def test_star_group_is_found_from_generators_alone():
+    star = build_graph(range(12), [(0, v) for v in range(1, 12)])
+    t0 = time.monotonic()
+    gr = automorphism_group(star)
+    elapsed = time.monotonic() - t0
+    assert gr.order == 39916800
+    assert len(gr.generators) == 10
+    assert gr.orbit_of_vertex(1) == frozenset(range(1, 12))
+    assert "elements" not in vars(gr)
+    assert elapsed < 1.0, elapsed
+
+
+def test_six_page_book_triblock_tree_is_fast():
+    # 14 vertices, |Aut| = 2 * 2^6 * 6!
+    book = k4_book(6)
+    t0 = time.monotonic()
+    t = triblock_tree(book, max_aut=14)
+    elapsed = time.monotonic() - t0
+    assert t.vertex_count == 7
+    assert automorphism_group(book, max_vertices=14).order == 2 * 2 ** 6 * 720
+    assert elapsed < 2.0, elapsed
 
 
 def test_group_elements_form_a_group(bowtie):

@@ -46,6 +46,12 @@ def test_family_rejects_broken_complement_map(k4e):
         NestedFamily(k4e, [a, a], [0, 1])
     with pytest.raises(NotNested):
         NestedFamily(k4e, [a, a], [1, 0])
+    # a valid separation on the same hinge, but not the other side of a
+    b = make_separation(k4e, {0, 1, 3}, {(0, 3), (1, 3)}, {0, 1})
+    assert b.key != separation_complement(a).key
+    with pytest.raises(NotNested) as err:
+        NestedFamily(k4e, [a, b], [1, 0])
+    assert err.value.witness == {"element": 0, "partner": 1}
 
 
 def test_family_rejects_crossing_pair(c6_chord):
