@@ -8,9 +8,10 @@ from .blocks2 import (TriBlockTree, Torso, all_separations, build_nested_family,
 from .cayley import (GroupTable, Presentation, cayley_graph,
                      check_regular_action, coset_enumerate, invert_word,
                      parse_presentation, regular_action, surface_presentation)
-from .errors import (BadExponent, HingeVertex, MalformedInput, NoSeparationExists,
-                     NotAnAutomorphism, NotConnected, NotNested, Overflow,
-                     PlanarBlocksError, PreconditionViolated, TooLarge)
+from .errors import (BadExponent, HingeVertex, InvariantViolated, MalformedInput,
+                     NoSeparationExists, NotAnAutomorphism, NotConnected,
+                     NotNested, Overflow, PlanarBlocksError,
+                     PreconditionViolated, TooLarge)
 from .graph import (Graph, ReducedGraph, build_graph, connected_components,
                     edge_key, format_edge_list, homeomorphic_reduce,
                     induced_subgraph, is_connected, parse_edge_list)

@@ -4,7 +4,8 @@ The decomposition works over one host graph throughout.  Hinge (two
 boundary vertex) separations are enumerated from component subsets at
 each vertex pair; a nested, automorphism-closed subfamily is grown by
 repeatedly splitting the first structure-tree class whose torso is
-neither a cycle, nor tiny, nor 3-connected by cutsets.  A torso
+neither a cycle, nor tiny, nor 3-connected by cutsets.  Each split uses
+a subgraph-minimal side, found among the single-component sides alone.  A torso
 separation is carried back to the host by routing each side through the
 components behind the class's virtual edges, so the same loop serves
 both 2-connected hosts and hosts with cut vertices (where the
@@ -104,23 +105,41 @@ def enumerate_separations_at(g, u):
     return tuple(s for s in _all_hinge_separations(g) if u in s.boundary)
 
 
-def _minimal_of(cands):
-    """Subgraph-minimal candidate; ties by (|ea|, edges, boundary)."""
-    minimals = [c for c in cands
-                if not any(d.key != c.key and d.subgraph_leq(c)
-                           for d in cands)]
-    return min(minimals, key=lambda s: s.sort_key())
+def _component_sides(g):
+    """One hinge side per component C of g - {u, w}, for every pair
+    {u, w} that leaves at least two: C plus u and w, without the edge uw.
+
+    In a 2-connected host every hinge side at {u, w} contains such a
+    side, and a strictly smaller side has strictly fewer edges, so the
+    least of these by sort key is a subgraph-minimal hinge separation.
+    O(n^2) pairs, one component search each.
+    """
+    sides = []
+    vs = g.vertices
+    for i, u in enumerate(vs):
+        for w in vs[i + 1:]:
+            comps = connected_components(remove_vertices(g, (u, w)))
+            if len(comps) < 2:
+                continue
+            uw = edge_key(u, w)
+            for comp in comps:
+                va = set(comp) | {u, w}
+                ea = [e for e in g.edges
+                      if e[0] in va and e[1] in va and e != uw]
+                sides.append(make_separation(g, va, ea, (u, w)))
+    return sides
 
 
 def minimal_separation_containing(g, x0):
-    """A subgraph-minimal hinge separation with x0 among its vertices."""
+    """A subgraph-minimal hinge separation with x0 among its vertices;
+    of those, the least by sort key."""
     _require_two_connected(g)
     if x0 not in g:
         raise MalformedInput("no such vertex", witness=x0)
-    cands = [s for s in _all_hinge_separations(g) if x0 in s.va]
+    cands = [s for s in _component_sides(g) if x0 in s.va]
     if not cands:
         raise NoSeparationExists("host has no hinge separations", witness=x0)
-    return _minimal_of(cands)
+    return min(cands, key=lambda s: s.sort_key())
 
 
 def nested(a, b):
@@ -357,9 +376,9 @@ def _enlarge_to_conforming(host, entries, max_aut):
             return fam
         ci, z = target
         assert is_k_connected(z, 2), "split target must be 2-connected"
-        cands = _all_hinge_separations(z)
+        cands = _component_sides(z)
         assert cands, "non-conforming torso must admit a hinge separation"
-        zsep = _minimal_of(cands)
+        zsep = min(cands, key=lambda s: s.sort_key())
         lifted = _lift_torso_separation(host, tree, ci, zsep)
         if aut_gens is None:
             aut_gens = automorphism_group(

@@ -66,3 +66,9 @@ class Overflow(PlanarBlocksError):
     """Coset enumeration exceeded its table limit."""
 
     kind = "overflow"
+
+
+class InvariantViolated(PlanarBlocksError):
+    """A result failed one of its own correctness checks."""
+
+    kind = "invariant-violated"

@@ -1,20 +1,22 @@
 """Automorphism groups, orbits, quotient graphs, and tree actions.
 
-A group is held as strong generators along the base ``g.vertices``
-(Sims 1970): the generators fixing the first i vertices generate the
-pointwise stabiliser of those vertices, so the group order is the
-product of the basic orbit lengths.  The search adds a generator only
-for an orbit point the generators so far do not reach, and never lists
-the group.  Orbits of vertices, edges and separations are closures
-under the generators; the full element list is built only on request,
-by the stabiliser checks.  Permutations are dicts vertex -> vertex over
-the host's vertex set.
+A group is held only as strong generators along a base (Sims 1970):
+the generators fixing the first i base vertices generate the pointwise
+stabiliser of those vertices, so the group order is the product of the
+basic orbit lengths.  The search adds a generator only for an orbit
+point the generators so far do not reach, and never lists the group.
+``automorphism_group`` uses the base ``g.vertices``; the stabiliser of
+a vertex v is the same search along a base that starts at v, read from
+its second level: a stabiliser chain along another base (Seress,
+*Permutation Group Algorithms*, 2003).  Orbits of
+vertices, edges and separations are closures under the generators, and
+the tree action is checked generator by generator.  Permutations are
+dicts vertex -> vertex over the host's vertex set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import NotAnAutomorphism, TooLarge
 from .graph import Graph, edge_key
@@ -41,19 +43,6 @@ def apply_to_separation(a, perm):
                            {perm[b] for b in a.boundary})
 
 
-def compose(p, q):
-    """p after q."""
-    return {v: p[q[v]] for v in q}
-
-
-def invert(p):
-    return {w: v for v, w in p.items()}
-
-
-def perm_key(g, perm):
-    return tuple(perm[v] for v in g.vertices)
-
-
 def _closure(start, perms, image, key=lambda x: x):
     """Everything reachable from start by applying perms: key -> item."""
     seen = {key(start): start}
@@ -72,7 +61,7 @@ def _closure(start, perms, image, key=lambda x: x):
 @dataclass(frozen=True)
 class AutGroup:
     host: Graph
-    generators: tuple  # strong generators along host.vertices, lex order
+    generators: tuple  # strong generators along the search base, lex order
     order: int
 
     def orbit_of_vertex(self, v):
@@ -82,81 +71,78 @@ class AutGroup:
         return frozenset(_closure(e, self.generators,
                                   lambda x, p: apply_to_edge(p, x)))
 
-    @cached_property
-    def elements(self):
-        """Every automorphism, identity first, sorted by perm_key.  Built
-        by closing the generators, so it costs the group order."""
-        ident = {v: v for v in self.host.vertices}
-        found = _closure(ident, self.generators, lambda q, r: compose(r, q),
-                         key=lambda p: perm_key(self.host, p))
-        return tuple(found[k] for k in sorted(found))
-
     def stabilizer_of_vertex(self, v):
-        return tuple(p for p in self.elements if p[v] == v)
+        """The stabiliser of v, searched along the base v, then the other
+        vertices in order, from the level after v."""
+        g = self.host
+        base = (v,) + tuple(u for u in g.vertices if u != v)
+        return AutGroup(g, *_strong_generators(g, base, 1))
 
     def is_free(self):
         """True iff no non-identity element fixes a vertex."""
-        ident = {v: v for v in self.host.vertices}
-        for p in self.elements:
-            if p == ident:
-                continue
-            if any(p[v] == v for v in self.host.vertices):
-                return False
-        return True
+        return all(self.stabilizer_of_vertex(v).order == 1
+                   for v in self.host.vertices)
 
 
 def automorphism_group(g, max_vertices=DEFAULT_AUT_BOUND):
     """Strong generators of Aut(g) along the base g.vertices.
 
-    Levels run from the last vertex to the first.  At level i, for each
-    later vertex w of the same degree outside the orbit of vs[i] under
-    the generators so far, one backtracking search looks for an
-    automorphism fixing vs[:i] and sending vs[i] to w; the first found
-    becomes a generator.  Candidates are tried in vertex order, so each
-    generator is the lex-least element of its coset, and the list is the
-    greedy generating subset of the lex-sorted element list.  The
-    searches walk disjoint subtrees of the full search tree.  Hosts
-    above the vertex bound are refused rather than risking an
+    Hosts above the vertex bound are refused rather than risking an
     exponential blowup.
     """
     n = len(g.vertices)
     if n > max_vertices:
         raise TooLarge("automorphism search bound exceeded",
                        witness={"vertices": n, "bound": max_vertices})
-    vs = g.vertices
-    nbrs = {v: frozenset(g.neighbors(v)) for v in vs}
+    return AutGroup(g, *_strong_generators(g, g.vertices, 0))
+
+
+def _strong_generators(g, base, first):
+    """(generators, order) of the pointwise stabiliser of base[:first].
+
+    Levels run from the last base vertex to base[first].  At level i,
+    for each later vertex w outside the orbit of base[i] under the
+    generators so far, one backtracking search looks for an automorphism
+    fixing base[:i] and sending base[i] to w; the first found becomes a
+    generator.  Candidates are tried in base order, so each generator is
+    the lex-least element of its coset, and the list is the greedy
+    generating subset of the element list sorted by images of the base.
+    The searches walk disjoint subtrees of the full search tree.  The
+    order is the product of the basic orbit lengths.
+    """
+    nbrs = {v: frozenset(g.neighbors(v)) for v in base}
     gens = []
     order = 1
-    for i in range(n - 1, -1, -1):
-        orbit = _closure(vs[i], gens, lambda x, p: p[x])
-        for w in vs[i + 1:]:
+    for i in range(len(base) - 1, first - 1, -1):
+        orbit = _closure(base[i], gens, lambda x, p: p[x])
+        for w in base[i + 1:]:
             if w in orbit:
                 continue
-            perm = _coset_leader(vs, nbrs, i, w)
+            perm = _coset_leader(base, nbrs, i, w)
             if perm is not None:
                 gens.append(perm)
-                orbit = _closure(vs[i], gens, lambda x, p: p[x])
+                orbit = _closure(base[i], gens, lambda x, p: p[x])
         order *= len(orbit)
-    return AutGroup(g, tuple(gens), order)
+    return tuple(gens), order
 
 
-def _coset_leader(vs, nbrs, i, w):
-    """The lex-least automorphism fixing vs[:i] and sending vs[i] to w,
-    or None.  Vertices are mapped in order; an image must be unused, of
-    equal degree, and adjacent to exactly the images of the already
-    mapped neighbours."""
-    perm = {u: u for u in vs[:i]}
+def _coset_leader(base, nbrs, i, w):
+    """The lex-least automorphism fixing base[:i] and sending base[i] to
+    w, or None.  Vertices are mapped in base order; an image must be
+    unused, of equal degree, and adjacent to exactly the images of the
+    already mapped neighbours."""
+    perm = {u: u for u in base[:i]}
     image = set(perm)
 
     def options(k, pool):
-        want = {perm[u] for u in nbrs[vs[k]] if u in perm}
-        d = len(nbrs[vs[k]])
+        want = {perm[u] for u in nbrs[base[k]] if u in perm}
+        d = len(nbrs[base[k]])
         return iter([x for x in pool if x not in image
                      and len(nbrs[x]) == d and nbrs[x] & image == want])
 
-    stack = [options(i, (w,))]   # stack[j] holds the images left for vs[i + j]
+    stack = [options(i, (w,))]  # stack[j]: images left for base[i + j]
     while stack:
-        v = vs[i + len(stack) - 1]
+        v = base[i + len(stack) - 1]
         if v in perm:
             image.discard(perm.pop(v))
         x = next(stack[-1], None)
@@ -165,9 +151,9 @@ def _coset_leader(vs, nbrs, i, w):
             continue
         perm[v] = x
         image.add(x)
-        if len(perm) == len(vs):
+        if len(perm) == len(base):
             return perm
-        stack.append(options(i + len(stack), vs))
+        stack.append(options(i + len(stack), base))
     return None
 
 
@@ -212,6 +198,11 @@ def tree_action_check(tree, group):
     """Check that the group permutes the family, induces tree
     automorphisms, and that vertex stabilizers fix their torsos.
 
+    Everything is checked on the generators.  Each generator must map
+    the region of every class onto the region of the image class; as
+    the generators generate the group, every element fixing a class then
+    fixes its region.
+
     Returns {"ok": bool, "violations": [...]}; never raises.
     """
     fam = tree.family
@@ -219,6 +210,7 @@ def tree_action_check(tree, group):
     index = {}
     for i, a in enumerate(fam.elements):
         index[(a.sort_key(), fam.rank[i])] = i
+    regions = [tree.region(ci) for ci in range(len(tree.classes))]
     for gi, perm in enumerate(group.generators):
         image = {}
         for i, a in enumerate(fam.elements):
@@ -250,6 +242,13 @@ def tree_action_check(tree, group):
                 continue
             if imgs:
                 cmap[ci] = imgs.pop()
+        for ci, cj in cmap.items():
+            reg, target = regions[ci], regions[cj]
+            if {perm[v] for v in reg.vertices} != target.vertex_set or \
+                    {apply_to_edge(perm, e) for e in reg.edges} \
+                    != target.edge_set:
+                violations.append({"kind": "stabilizer-moves-torso",
+                                   "generator": gi, "class": ci})
         if ok and cmap:
             before = {tuple(sorted((tree.class_of[i], tree.class_of[j])))
                       for i, j in tree.pairs}
@@ -258,30 +257,14 @@ def tree_action_check(tree, group):
             if before != after:
                 violations.append({"kind": "not-a-tree-automorphism",
                                    "generator": gi})
-    for ci in range(len(tree.classes)):
-        reg = tree.region(ci)
-        for p in group.elements:
-            if not tree.classes[ci]:
-                continue
-            stays = all(
-                index.get((apply_to_separation(fam.elements[i], p).sort_key(),
-                           fam.rank[i])) in tree.classes[ci]
-                for i in tree.classes[ci])
-            if stays:
-                mapped_vs = {p[v] for v in reg.vertices}
-                mapped_es = {apply_to_edge(p, e) for e in reg.edges}
-                if mapped_vs != set(reg.vertices) or mapped_es != set(reg.edges):
-                    violations.append({"kind": "stabilizer-moves-torso",
-                                       "class": ci})
-                    break
     return {"ok": not violations, "violations": violations}
 
 
 def check_orbit_stabilizer(g, group):
     """Assert |orbit(v)| * |stab(v)| = |G| for every vertex."""
     for v in g.vertices:
-        if len(group.orbit_of_vertex(v)) * len(group.stabilizer_of_vertex(v)) \
-                != group.order:
+        if len(group.orbit_of_vertex(v)) \
+                * group.stabilizer_of_vertex(v).order != group.order:
             raise NotAnAutomorphism("orbit-stabilizer identity fails",
                                     witness=v)
     return True

@@ -34,6 +34,15 @@ def path_graph(n):
     return build_graph(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
+def k4_book(pages):
+    """K4 pages sharing the spine edge 0-1."""
+    es = [(0, 1)]
+    for i in range(pages):
+        a, b = 2 + 2 * i, 3 + 2 * i
+        es += [(0, a), (0, b), (1, a), (1, b), (a, b)]
+    return build_graph(range(2 + 2 * pages), es)
+
+
 def wheel_graph(n):
     """Hub 0 plus a rim cycle on 1..n-1 (n vertices total)."""
     rim = [(i, i % (n - 1) + 1) for i in range(1, n)]

@@ -89,6 +89,24 @@ def brute_automorphisms(g):
     return out
 
 
+def group_closure(g, gens):
+    """Every product of the generators, as dicts over g.vertices, keyed
+    by the tuple of images of g.vertices; the identity is always in."""
+    vs = g.vertices
+    ident = {v: v for v in vs}
+    seen = {vs: ident}
+    frontier = [ident]
+    while frontier:
+        q = frontier.pop()
+        for r in gens:
+            s = {v: r[q[v]] for v in vs}
+            k = tuple(s[v] for v in vs)
+            if k not in seen:
+                seen[k] = s
+                frontier.append(s)
+    return seen
+
+
 def greedy_generators(g, elements):
     """Greedy generating subset: scan the elements in lexicographic order
     of their images of g.vertices and keep each one that the elements
@@ -104,16 +122,41 @@ def greedy_generators(g, elements):
         if key(p) in have:
             continue
         gens.append(p)
-        have = {vs}
-        frontier = [{v: v for v in vs}]
-        while frontier:
-            q = frontier.pop()
-            for r in gens:
-                s = {v: r[q[v]] for v in vs}
-                if key(s) not in have:
-                    have.add(key(s))
-                    frontier.append(s)
+        have = set(group_closure(g, gens))
     return gens
+
+
+def element_tree_action_violations(tree, elements):
+    """The action of a group on a structure tree, checked element by
+    element: each element must map every family member onto a member of
+    the same rank, and each element that maps the members of a class
+    into that class must map the class's region (the intersection of
+    the members' complements) onto itself."""
+    fam = tree.family
+    host = fam.host
+    index = {(a.va, a.ea, fam.rank[i]): i for i, a in enumerate(fam.elements)}
+    violations = []
+    for k, p in enumerate(elements):
+        images = []
+        for i, a in enumerate(fam.elements):
+            images.append(index.get((
+                frozenset(p[v] for v in a.va),
+                frozenset(edge_key(p[u], p[v]) for u, v in a.ea),
+                fam.rank[i])))
+        if None in images:
+            violations.append(("missing-image", k))
+            continue
+        for ci, cls in enumerate(tree.classes):
+            if not cls or any(images[i] not in cls for i in cls):
+                continue
+            va, ea = set(host.vertices), set(host.edges)
+            for i in cls:
+                va &= fam.elements[fam.comp[i]].va
+                ea &= fam.elements[fam.comp[i]].ea
+            if {p[v] for v in va} != va or \
+                    {edge_key(p[u], p[v]) for u, v in ea} != ea:
+                violations.append(("stabilizer-moves-torso", k, ci))
+    return violations
 
 
 # ------------------------------------------------------- structure trees

@@ -14,6 +14,7 @@ import time
 
 from conftest import complete_graph, fixture_path, g_of, wheel_graph
 from oracles import (
+    group_closure,
     kuratowski_kind,
     lowpoint_blocks,
     perm_compose,
@@ -184,7 +185,9 @@ def test_a5_facial_preservation_and_uniqueness():
     for name, g in fixtures.items():
         emb = planarity_test(g).embedding
         group = automorphism_group(g, max_vertices=10)
-        for sigma in group.elements:
+        elements = group_closure(g, group.generators).values()
+        assert len(elements) == group.order, name
+        for sigma in elements:
             assert facial_preservation_check(emb, sigma), name
         report = face_multiset_uniqueness_check(g)
         assert report["ok"], name

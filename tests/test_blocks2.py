@@ -2,6 +2,7 @@
 combined cut-point / cycle / 3-connected tree."""
 
 import random
+import time
 
 import pytest
 
@@ -37,7 +38,7 @@ from planarblocks.errors import (
     PreconditionViolated,
 )
 
-from conftest import g_of
+from conftest import g_of, k4_book
 from oracles import edge_subset_separations, random_two_connected_graph
 
 
@@ -96,6 +97,41 @@ def test_minimal_separation_frozen(k4e, twosquares):
     assert minimal_separation_containing(twosquares, 0).sort_key() == \
         (2, ((0, 2), (2, 3)), (0, 3))
     assert len(all_separations(twosquares)) == 12
+
+
+def test_minimal_separation_matches_edge_subset_oracle():
+    rng = random.Random(406)
+    checked = 0
+    for _ in range(30):
+        g = random_two_connected_graph(rng, max_vertices=7)
+        if len(g.vertices) < 4 or is_simple_cycle(g):
+            continue
+        sides = edge_subset_separations(g, boundary_size=2)
+        for x0 in g.vertices:
+            cands = [c for c in sides if x0 in c[0]]
+            minimal = [c for c in cands
+                       if not any(d != c and d[0] <= c[0] and d[1] <= c[1]
+                                  for d in cands)]
+            if not minimal:
+                with pytest.raises(NoSeparationExists):
+                    minimal_separation_containing(g, x0)
+                continue
+            want = min((len(ea), tuple(sorted(ea)), tuple(sorted(border)))
+                       for va, ea, border in minimal)
+            assert minimal_separation_containing(g, x0).sort_key() == want, \
+                (g.edges, x0)
+            checked += 1
+    assert checked >= 30
+
+
+def test_sixteen_page_book_triblock_tree_is_fast():
+    # 34 vertices; enumerating every hinge side would take about 31 s
+    book = k4_book(16)
+    t0 = time.monotonic()
+    t = triblock_tree(book, max_aut=34)
+    elapsed = time.monotonic() - t0
+    assert t.vertex_count == 17
+    assert elapsed < 2.0, elapsed
 
 
 def test_minimal_separation_contains_vertex(prism, k4e):

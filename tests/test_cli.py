@@ -4,10 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 from planarblocks.cli import run
 
 
@@ -210,15 +211,91 @@ def test_dot_outputs_parse_as_graphviz():
         assert out.rstrip().endswith("}"), cmd
 
 
+# ---------------------------------------------------------------------------
+# cost of the symmetry commands
 
 
-def test_python_dash_m_runs_the_cli():
+def test_star_autos_and_check_do_not_list_the_group(tmp_path):
+    # K1,8 has 40,320 automorphisms; listing them takes seconds
+    path = tmp_path / "star.edges"
+    path.write_text("".join("0 %d\n" % v for v in range(1, 9)))
+    for cmd, head in (("autos", "order: 40320\n"),
+                      ("check", "graph-canonical-order")):
+        t0 = time.monotonic()
+        code, out = run([cmd, str(path)])
+        elapsed = time.monotonic() - t0
+        assert code == 0, out
+        assert out.startswith(head), out
+        assert elapsed < 0.5, (cmd, elapsed)
+
+
+# ---------------------------------------------------------------------------
+# python -O
+
+
+def _python(args, **kw):
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "planarblocks", "autos", fx("k4.edges")],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable] + args, capture_output=True,
+                          text=True, env=env, timeout=120, **kw)
+
+
+FORCED_FAILURE = """
+import json, sys
+from planarblocks import cli
+assert False, "this script must run under -O"
+cli.verify_tree_correspondence = lambda tree: {"ok": False,
+                                               "violations": ["forced"]}
+print(json.dumps([cli.run([cmd, sys.argv[1]]) for cmd in ("check", "blocks")]))
+"""
+
+
+def test_failed_verification_is_reported_under_dash_o():
+    proc = _python(["-O", "-c", FORCED_FAILURE, fx("bowtie.edges")])
+    assert proc.returncode == 0, proc.stderr
+    (check_code, check_out), (blocks_code, blocks_out) = \
+        json.loads(proc.stdout)
+    assert check_code == 1
+    assert "block-cut-tree             FAIL" in check_out
+    assert check_out.endswith("result: FAIL\n")
+    assert blocks_code == 1
+    err = json.loads(blocks_out)["error"]
+    assert err["kind"] == "invariant-violated"
+    assert err["witness"] == ["forced"]
+
+
+def _every_command_line():
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.endswith(".pres"):
+            cmds = ("cayley",)
+        else:
+            cmds = ("blocks", "triblocks", "planar", "faces", "autos",
+                    "quotient", "check")
+        for cmd in cmds:
+            for fmt in ("text", "json"):
+                yield [cmd, fx(name), "--format", fmt]
+
+
+RUN_ALL = """
+import json, sys
+from planarblocks.cli import run
+print(json.dumps([run(argv) for argv in json.loads(sys.stdin.read())]))
+"""
+
+
+def test_dash_o_gives_the_same_output_on_every_fixture():
+    argvs = list(_every_command_line())
+    proc = _python(["-O", "-c", RUN_ALL], input=json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    optimized = json.loads(proc.stdout)
+    assert len(optimized) == len(argvs)
+    for argv, got in zip(argvs, optimized):
+        assert tuple(got) == run(argv), argv
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python(["-m", "planarblocks", "autos", fx("k4.edges")])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("order: 24\n")
