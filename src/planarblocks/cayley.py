@@ -4,10 +4,18 @@ graphs.
 A presentation carries generators a_i, b_i (handle pairs), e_j (cone
 generators with exponents m_j >= 2), f_k (boundary generators), optional
 extra relators w_t^{n_t}, and the surface relator
-[a1,b1]...[ap,bp] e1...er f1...fs.  Enumeration is a relator-tracing
-coset enumeration over the trivial subgroup with coincidence merging;
-the finished table is standardized by breadth-first renumbering so that
-equal presentations always yield the identical table.
+[a1,b1]...[ap,bp] e1...er f1...fs.
+
+Enumeration is HLT coset enumeration over the trivial subgroup (Holt,
+Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5):
+each relator is scanned from each live coset in turn, defining cosets
+along it, and coincidences are merged after the relator closes.  The
+scan reads table rows directly; only an entry that points at a coset
+merged away since it was written goes through the union-find.  The
+finished table is standardized by breadth-first renumbering so that
+equal presentations always yield the identical table, and certified by
+tracing every relator from every element at once, one permutation list
+per letter (`GroupTable.trace_word`).
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import BadExponent, MalformedInput, Overflow
+from .errors import BadExponent, MalformedInput, Overflow, invariant
 from .graph import Graph, edge_key
 
 DEFAULT_COSET_LIMIT = 10_000
@@ -211,23 +219,35 @@ class GroupTable:
     mult: dict    # (element, generator name) -> element, right action
 
     def __post_init__(self):
-        inv = {}
+        # letter -> list whose entry g is g.letter
+        perms = {}
         for s in self.generators:
             images = [self.mult[(g, s)] for g in range(self.order)]
-            assert sorted(images) == list(range(self.order)), \
-                "generator must act as a permutation"
+            invariant(sorted(images) == list(range(self.order)),
+                      "generator must act as a permutation",
+                      witness={"generator": s})
+            inverse = [0] * self.order
             for g, h in enumerate(images):
-                inv[(h, s)] = g
-        object.__setattr__(self, "_inv", inv)
+                inverse[h] = g
+            perms[(s, 1)] = images
+            perms[(s, -1)] = inverse
+        object.__setattr__(self, "_perms", perms)
 
     def act_letter(self, g, letter):
-        s, p = letter
-        return self.mult[(g, s)] if p == 1 else self._inv[(g, s)]
+        return self._perms[letter][g]
 
     def act_word(self, g, word):
         for letter in word:
-            g = self.act_letter(g, letter)
+            g = self._perms[letter][g]
         return g
+
+    def trace_word(self, word):
+        """The list whose entry g is g.word, one list pass per letter."""
+        cur = list(range(self.order))
+        for letter in word:
+            p = self._perms[letter]
+            cur = [p[x] for x in cur]
+        return cur
 
     def element_words(self):
         """Shortest right-multiplication word from the identity to each
@@ -245,7 +265,8 @@ class GroupTable:
                         words[h] = words[g] + (letter,)
                         nxt.append(h)
             frontier = nxt
-        assert len(words) == self.order, "generators must generate"
+        invariant(len(words) == self.order, "generators must generate",
+                  witness={"reached": len(words), "order": self.order})
         return words
 
 
@@ -266,9 +287,12 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
     for i, s in enumerate(gens):
         code[(s, 1)] = 2 * i
         code[(s, -1)] = 2 * i + 1
-    relators = [tuple(code[l] for l in w) for w in pr.relator_words()]
+    relators = [(tuple(code[l] for l in w[:-1]), code[w[-1]])
+                for w in pr.relator_words()]
 
     cap = 2 * limit + 32
+    # table[a][s] is a coset, possibly one merged away since it was
+    # written; parent[a] == a exactly when coset a is live
     table = [[None] * nsym]
     parent = [0]
 
@@ -282,11 +306,9 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
 
     def entry(a, s):
         v = table[a][s]
-        if v is None:
-            return None
-        r = find(v)
-        table[a][s] = r
-        return r
+        if v is not None and parent[v] != v:
+            v = table[a][s] = find(v)
+        return v
 
     pending = []
 
@@ -299,13 +321,16 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
             pending.append((back, a))
 
     def define(a, s):
-        if len(table) >= cap:
-            raise Overflow("coset limit exceeded",
-                           witness={"limit": limit, "defined": len(table)})
+        # a new row has no entries, so no coincidence can arise here
         b = len(table)
-        table.append([None] * nsym)
+        if b >= cap:
+            raise Overflow("coset limit exceeded",
+                           witness={"limit": limit, "defined": b})
+        row = [None] * nsym
+        row[s ^ 1] = a
+        table.append(row)
         parent.append(b)
-        set_entry(a, s, b)
+        table[a][s] = b
         return b
 
     def merge_queue():
@@ -326,66 +351,75 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
                 v = find(v)
                 u = entry(a, s)
                 if u is None:
-                    set_entry(a, s, v if v != b else a)
-                elif u != (a if v == b else v):
-                    pending.append((u, a if v == b else v))
+                    set_entry(a, s, v)
+                elif u != v:
+                    pending.append((u, v))
 
+    # HLT: scan every relator from each live coset in turn, defining
+    # cosets along it; no merge happens mid-scan, so the scan reads the
+    # table directly and resolves only entries that point at a coset
+    # merged away by an earlier coincidence
     alpha = 0
     while alpha < len(table):
-        if find(alpha) != alpha:
+        if parent[alpha] != alpha:
             alpha += 1
             continue
-        for w in relators:
-            a = find(alpha)
-            if a != alpha:
-                break
-            cur = a
-            for s in w[:-1]:
-                nxt = entry(cur, s)
+        for body, last in relators:
+            cur = alpha
+            for s in body:
+                row = table[cur]
+                nxt = row[s]
                 if nxt is None:
                     nxt = define(cur, s)
+                elif parent[nxt] != nxt:
+                    nxt = row[s] = find(nxt)
                 cur = nxt
-            cur, a = find(cur), find(alpha)
-            t = entry(cur, w[-1])
+            t = entry(cur, last)
             if t is None:
-                set_entry(cur, w[-1], a)
-            elif t != a:
-                pending.append((t, a))
-            merge_queue()
-        if find(alpha) == alpha:
+                set_entry(cur, last, alpha)
+            elif t != alpha:
+                pending.append((t, alpha))
+            if pending:
+                merge_queue()
+                if parent[alpha] != alpha:
+                    break
+        else:
+            row = table[alpha]
             for s in range(nsym):
-                if entry(alpha, s) is None:
+                if row[s] is None:
                     define(alpha, s)
-            merge_queue()
         alpha += 1
 
-    live = [a for a in range(len(table)) if find(a) == a]
+    live = [a for a in range(len(table)) if parent[a] == a]
     if len(live) > limit:
         raise Overflow("group order exceeds limit",
                        witness={"limit": limit, "order": len(live)})
 
     # breadth-first standardization from the identity coset
-    start = find(0)
-    label = {start: 0}
-    order_of = [start]
+    label = {0: 0}
+    order_of = [0]
     for a in order_of:
         for s in range(nsym):
             b = entry(a, s)
-            assert b is not None, "finished table must be complete"
+            invariant(b is not None, "finished table must be complete",
+                      witness={"coset": label[a]})
             if b not in label:
                 label[b] = len(order_of)
                 order_of.append(b)
-    assert len(order_of) == len(live), "table must be connected"
+    invariant(len(order_of) == len(live), "table must be connected",
+              witness={"reached": len(order_of), "live": len(live)})
 
     mult = {}
     for a in order_of:
         for i, s in enumerate(gens):
             mult[(label[a], s)] = label[entry(a, 2 * i)]
     tbl = GroupTable(len(live), gens, 0, mult)
-    for w in pr.relator_words():
-        for g in range(tbl.order):
-            assert tbl.act_word(g, w) == g, \
-                "relators must trace to the identity everywhere"
+    # certificate: every relator traces to the identity at every element
+    identity = list(range(tbl.order))
+    for i, w in enumerate(pr.relator_words()):
+        invariant(tbl.trace_word(w) == identity,
+                  "relators must trace to the identity everywhere",
+                  witness={"relator": i})
     return tbl
 
 
@@ -431,17 +465,21 @@ def regular_action(tbl):
 
 
 def check_regular_action(tbl, graph):
-    """Assert the left-regular action is simply transitive by graph
+    """Check the left-regular action is simply transitive by graph
     automorphisms; returns the action."""
     from .symmetry import is_automorphism
     perms = regular_action(tbl)
     for h, perm in enumerate(perms):
-        assert is_automorphism(graph, perm)
+        invariant(is_automorphism(graph, perm),
+                  "left translation must be a graph automorphism",
+                  witness={"element": h})
         fixed = [g for g in range(tbl.order) if perm[g] == g]
         if h == tbl.identity:
-            assert len(fixed) == tbl.order
+            invariant(len(fixed) == tbl.order,
+                      "the identity must translate trivially")
         else:
-            assert not fixed, "non-identity translation must be free"
-    assert {perm[tbl.identity] for perm in perms} == set(range(tbl.order)), \
-        "action must be transitive"
+            invariant(not fixed, "non-identity translation must be free",
+                      witness={"element": h})
+    invariant({perm[tbl.identity] for perm in perms} == set(range(tbl.order)),
+              "action must be transitive")
     return perms

@@ -18,7 +18,7 @@ from .blocks1 import block_cut_tree
 from .blocks2 import triblock_tree
 from .cayley import DEFAULT_COSET_LIMIT, cayley_graph, coset_enumerate, parse_presentation
 from .errors import (InvariantViolated, MalformedInput, PlanarBlocksError,
-                     PreconditionViolated)
+                     PreconditionViolated, invariant)
 from .graph import (connected_components, homeomorphic_reduce, induced_subgraph,
                     is_connected, parse_edge_list)
 from .planar import facial_walks, planarity_test
@@ -72,12 +72,6 @@ def _limit(args, fallback):
     return fallback
 
 
-def _require(ok, message, witness=None):
-    """Raise InvariantViolated unless ok; unlike assert, kept under -O."""
-    if not ok:
-        raise InvariantViolated(message, witness=witness)
-
-
 def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -109,8 +103,8 @@ def _run_blocks(args):
             comp = rg.graph
         bct = block_cut_tree(comp)
         report = verify_tree_correspondence(bct.tree)
-        _require(report["ok"], "tree verification failed",
-                 report["violations"])
+        invariant(report["ok"], "tree verification failed",
+                  report["violations"])
         part.update(serialize.blocks_payload(bct))
         results.append((part, bct))
     if args.format == "dot":
@@ -147,8 +141,8 @@ def _run_triblocks(args):
     for comp in _components(g, args.per_component):
         tbt = triblock_tree(comp, max_aut=bound)
         report = verify_tree_correspondence(tbt.tree)
-        _require(report["ok"], "tree verification failed",
-                 report["violations"])
+        invariant(report["ok"], "tree verification failed",
+                  report["violations"])
         results.append(tbt)
     if args.format == "dot":
         return "".join(serialize.triblocks_dot(t) for t in results)
@@ -297,26 +291,26 @@ def _check_invariants(g, bound):
             results.append((name, "fail", str(exc)))
 
     def canonical():
-        _require(list(g.vertices) == sorted(set(g.vertices)),
-                 "vertices are not sorted and distinct")
-        _require(list(g.edges) == sorted(set(g.edges)),
-                 "edges are not sorted and distinct")
+        invariant(list(g.vertices) == sorted(set(g.vertices)),
+                  "vertices are not sorted and distinct")
+        invariant(list(g.edges) == sorted(set(g.edges)),
+                  "edges are not sorted and distinct")
         return "%d vertices, %d edges" % (len(g.vertices), len(g.edges))
     attempt("graph-canonical-order", canonical)
 
     def blocks():
         bct = block_cut_tree(g)
         report = verify_tree_correspondence(bct.tree)
-        _require(report["ok"], "tree verification failed",
-                 report["violations"])
+        invariant(report["ok"], "tree verification failed",
+                  report["violations"])
         return "%d blocks, %d cuts" % (len(bct.blocks), len(bct.cuts))
     attempt("block-cut-tree", blocks)
 
     def reduction():
         rg = homeomorphic_reduce(g)
         covered = set(rg.edge_map())
-        _require(covered == g.edge_set, "reduction loses edges",
-                 sorted(g.edge_set - covered))
+        invariant(covered == g.edge_set, "reduction loses edges",
+                  sorted(g.edge_set - covered))
         return "reduced to %d vertices" % len(rg.graph.vertices)
     attempt("reduction-edge-cover", reduction)
 
@@ -325,8 +319,8 @@ def _check_invariants(g, bound):
     def triblocks():
         tbt = triblock_tree(g, max_aut=bound)
         report = verify_tree_correspondence(tbt.tree)
-        _require(report["ok"], "tree verification failed",
-                 report["violations"])
+        invariant(report["ok"], "tree verification failed",
+                  report["violations"])
         state["tbt"] = tbt
         return "%d tree vertices" % tbt.vertex_count
     attempt("triblock-tree", triblocks)
@@ -347,10 +341,10 @@ def _check_invariants(g, bound):
         torso_planar = [planarity_test(t.z).planar
                         for t in tbt.torsos.values()]
         if res.planar:
-            _require(all(torso_planar), "planar host with nonplanar torso")
+            invariant(all(torso_planar), "planar host with nonplanar torso")
             return "all %d torsos planar" % len(torso_planar)
-        _require(not all(torso_planar) or res.witness is not None,
-                 "nonplanar host without a witness")
+        invariant(not all(torso_planar) or res.witness is not None,
+                  "nonplanar host without a witness")
         return "nonplanar witnessed"
     attempt("planarity-inheritance", inheritance)
 
@@ -369,8 +363,8 @@ def _check_invariants(g, bound):
         # group must be computed there
         group = automorphism_group(tbt.graph, max_vertices=bound)
         report = tree_action_check(tbt.tree, group)
-        _require(report["ok"], "tree action check failed",
-                 report["violations"])
+        invariant(report["ok"], "tree action check failed",
+                  report["violations"])
         return "equivariant under order-%d group" % group.order
     attempt("tree-action", action)
 

@@ -72,3 +72,9 @@ class InvariantViolated(PlanarBlocksError):
     """A result failed one of its own correctness checks."""
 
     kind = "invariant-violated"
+
+
+def invariant(cond, message, witness=None):
+    """Raise InvariantViolated unless cond; unlike assert, kept under -O."""
+    if not cond:
+        raise InvariantViolated(message, witness=witness)

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-import networkx as nx
-
-from .errors import MalformedInput, NotAnAutomorphism, NotConnected, PreconditionViolated
+from .errors import (MalformedInput, NotAnAutomorphism, NotConnected,
+                     PreconditionViolated, invariant)
 from .graph import Graph, edge_key, is_connected, is_three_connected_by_cutsets
 from .symmetry import is_automorphism
 
@@ -50,17 +49,17 @@ def rotation_from_neighbors(g, neighbor_order):
 
 
 def canonical_face(walk):
-    """Cyclic sequence minimal under rotation and reversal."""
-    n = len(walk)
-    if n == 0:
+    """Cyclic sequence minimal under rotation and reversal.
+
+    The least rotation must begin at the walk's least vertex, so only
+    the rotations starting there are tried.
+    """
+    if not walk:
         return ()
-    best = None
-    for seq in (tuple(walk), tuple(reversed(walk))):
-        for i in range(n):
-            cand = seq[i:] + seq[:i]
-            if best is None or cand < best:
-                best = cand
-    return best
+    low = min(walk)
+    return min(seq[i:] + seq[:i]
+               for seq in (tuple(walk), tuple(reversed(walk)))
+               for i, v in enumerate(seq) if v == low)
 
 
 def facial_walks(r):
@@ -72,24 +71,24 @@ def facial_walks(r):
     g = r.host
     if not g.edges:
         return (((),) if len(g.vertices) else ())
-    remaining = set()
-    for u, v in g.edges:
-        remaining.add((u, v))
-        remaining.add((v, u))
+    # each walk starts at the least dart no earlier walk used
+    darts = sorted([(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges])
+    used = set()
     walks = []
-    while remaining:
-        start = min(remaining)
+    for start in darts:
+        if start in used:
+            continue
         dart = start
         walk = []
         while True:
-            remaining.remove(dart)
+            invariant(dart not in used, "faces must partition the darts",
+                      witness=dart)
+            used.add(dart)
             walk.append(dart[0])
             dart = r.next_dart(*dart)
             if dart == start:
                 break
         walks.append(tuple(walk))
-    total = sum(len(w) for w in walks)
-    assert total == 2 * len(g.edges), "faces must partition the darts"
     return tuple(walks)
 
 
@@ -99,7 +98,8 @@ def euler_genus(r):
     v = len(r.host.vertices)
     e = len(r.host.edges)
     two_minus_two_g = v - e + f
-    assert (2 - two_minus_two_g) % 2 == 0
+    invariant(two_minus_two_g % 2 == 0, "Euler characteristic must be even",
+              witness=two_minus_two_g)
     return (2 - two_minus_two_g) // 2
 
 
@@ -115,13 +115,6 @@ class PlanarityResult:
         return len(self.faces) if self.faces is not None else None
 
 
-def _to_networkx(g):
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edges)
-    return h
-
-
 def planarity_test(g):
     """Embed g in the sphere or refute with a Kuratowski subdivision.
 
@@ -129,20 +122,27 @@ def planarity_test(g):
     are returned as host subgraphs so callers can verify them on their
     own terms.
     """
+    # networkx costs most of the package's import time, so only the
+    # commands that test planarity load it
+    import networkx as nx
     if not is_connected(g):
         raise NotConnected("planarity certificates assume a connected host")
-    ok, cert = nx.check_planarity(_to_networkx(g), counterexample=True)
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    ok, cert = nx.check_planarity(h, counterexample=True)
     if not ok:
         ws = Graph(tuple(sorted(cert.nodes())),
                    tuple(sorted(edge_key(u, v) for u, v in cert.edges())))
-        assert ws.edge_set <= g.edge_set
+        invariant(ws.edge_set <= g.edge_set,
+                  "Kuratowski witness must live in the host")
         return PlanarityResult(False, None, None, ws)
     data = cert.get_data()  # vertex -> neighbors in clockwise order
     rot = rotation_from_neighbors(g, data)
     walks = facial_walks(rot)
     faces = tuple(sorted(canonical_face(w) for w in walks))
-    assert len(g.vertices) - len(g.edges) + len(faces) == 2, \
-        "sphere embeddings satisfy Euler's formula"
+    invariant(len(g.vertices) - len(g.edges) + len(faces) == 2,
+              "sphere embeddings satisfy Euler's formula")
     return PlanarityResult(True, rot, faces, None)
 
 
@@ -191,7 +191,7 @@ def face_multiset_uniqueness_check(g):
             continue
         seen[edges] = face_size_multiset(Graph(vs, edges))
     distinct = set(seen.values())
-    assert distinct == {base}, "face multiset must not depend on labels"
+    invariant(distinct == {base}, "face multiset must not depend on labels")
     return {
         "face_multiset": base,
         "relabelings": relabelings,

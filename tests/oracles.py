@@ -325,6 +325,23 @@ def kuratowski_kind(g):
     return None
 
 
+# ------------------------------------------------------------- faces
+
+def brute_canonical_face(walk):
+    """Cyclic sequence minimal under rotation and reversal, found by
+    trying all 2L rotations of the walk and of its reverse."""
+    n = len(walk)
+    if n == 0:
+        return ()
+    best = None
+    for seq in (tuple(walk), tuple(reversed(walk))):
+        for i in range(n):
+            cand = seq[i:] + seq[:i]
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
 # --------------------------------------------------- permutation groups
 
 def perm_compose(p, q):

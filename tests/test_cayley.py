@@ -3,9 +3,11 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_path
 from oracles import (
+    brute_canonical_face,
     perm_compose,
     perm_inverse,
     verify_table_isomorphism,
@@ -16,6 +18,7 @@ from planarblocks import (
     cayley_graph,
     check_regular_action,
     coset_enumerate,
+    facial_walks,
     invert_word,
     parse_presentation,
     planarity_test,
@@ -179,6 +182,98 @@ def test_infinite_group_overflows():
         coset_enumerate(read_pres("z6.pres"), limit=0)
 
 
+@pytest.mark.parametrize("text", ["surface(0, [2,3,7], 0)",
+                                  "surface(1, [], 0)"])
+def test_infinite_groups_stop_at_the_definition_cap(text):
+    # the cap is 2*limit + 32 = 20,032 cosets
+    with pytest.raises(Overflow) as info:
+        coset_enumerate(parse_presentation(text))
+    assert info.value.witness == {"limit": 10000, "defined": 20032}
+
+
+@pytest.mark.parametrize("text, order, least_limit", [
+    ("surface(0, [2,3,5], 0)", 60, 83),
+    ("surface(0, [2,2,250], 0)", 500, 980),
+])
+def test_least_sufficient_limit_pins_the_definition_order(text, order,
+                                                          least_limit):
+    # the table peaks at 2*least_limit + 31 or + 32 cosets; defining
+    # cosets in another order (say, scanning the relators in another
+    # order) moves the peak
+    pr = parse_presentation(text)
+    assert coset_enumerate(pr, limit=least_limit).order == order
+    with pytest.raises(Overflow) as info:
+        coset_enumerate(pr, limit=least_limit - 1)
+    assert info.value.witness == {"limit": least_limit - 1,
+                                  "defined": 2 * least_limit + 30}
+
+
+def test_long_power_relator_is_fast():
+    pr = parse_presentation("gens: a\nrels: a^2000\n")
+    t0 = time.monotonic()
+    tbl = coset_enumerate(pr)
+    elapsed = time.monotonic() - t0
+    assert tbl.order == 2000
+    assert elapsed < 1.0, elapsed
+
+
+# closed-form families: presentation text, order, generator images as
+# permutations of range(degree)
+
+
+def _rotation(n, start=0, degree=None):
+    """The cycle start -> start + 1 -> ... -> start + n - 1 -> start."""
+    image = list(range(degree or n))
+    for i in range(n):
+        image[start + i] = start + (i + 1) % n
+    return tuple(image)
+
+
+def _reflection(n, c=0):
+    return tuple((c - i) % n for i in range(n))
+
+
+def _cyclic(n):
+    return "gens: a\nrels: a^%d" % n, n, {"a": _rotation(n)}
+
+
+def _dihedral(n):
+    text = "gens: a b\nrels: a^%d, b^2, (a*b)^2" % n
+    return text, 2 * n, {"a": _rotation(n), "b": _reflection(n)}
+
+
+def _abelian(n, m):
+    text = "gens: a b\nrels: a^%d, b^%d, (a*b*a^-1*b^-1)" % (n, m)
+    return text, n * m, {"a": _rotation(n, degree=n + m),
+                         "b": _rotation(m, start=n, degree=n + m)}
+
+
+def _surface_22n(n):
+    x, y = _reflection(n), _reflection(n, 1)
+    z = perm_inverse(perm_compose(x, y))
+    return ("surface(0, [2,2,%d], 0)" % n, 2 * n,
+            {"e1": x, "e2": y, "e3": z})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([_cyclic, _dihedral, _surface_22n]),
+       st.integers(3, 40))
+def test_one_parameter_families_match_closed_forms(family, n):
+    text, order, images = family(n)
+    tbl = coset_enumerate(parse_presentation(text))
+    assert tbl.order == order
+    assert verify_table_isomorphism(tbl, images)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 12), st.integers(2, 12))
+def test_abelian_products_match_closed_forms(n, m):
+    text, order, images = _abelian(n, m)
+    tbl = coset_enumerate(parse_presentation(text))
+    assert tbl.order == order
+    assert verify_table_isomorphism(tbl, images)
+
+
 # ---------------------------------------------------------------------------
 # Cayley graphs
 
@@ -226,6 +321,19 @@ def test_regular_action_of_z500_is_fast():
     elapsed = time.monotonic() - t0
     assert [perm[tbl.identity] for perm in action] == list(range(500))
     assert elapsed < 5.0, elapsed
+
+
+@pytest.mark.parametrize("text", [
+    "gens: a b\nrels: a^6, b^2, (a*b)^2",                  # D_6
+    "gens: a b\nrels: a^4, b^2, (a*b*a^-1*b^-1)",          # Z_4 x Z_2
+    "surface(0, [2,3,4], 0)",
+])
+def test_planar_faces_match_the_all_rotations_oracle(text):
+    pr = parse_presentation(text)
+    res = planarity_test(cayley_graph(coset_enumerate(pr), pr))
+    assert res.planar
+    walks = facial_walks(res.embedding)
+    assert res.faces == tuple(sorted(brute_canonical_face(w) for w in walks))
 
 
 def test_pipeline_spherical_groups_are_planar_and_conforming():

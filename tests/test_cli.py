@@ -266,6 +266,56 @@ def test_failed_verification_is_reported_under_dash_o():
     assert err["witness"] == ["forced"]
 
 
+INVARIANTS_UNDER_O = """
+import json
+from planarblocks import (Graph, GroupTable, cayley_graph,
+                          check_regular_action, coset_enumerate,
+                          parse_presentation)
+from planarblocks.errors import InvariantViolated
+assert False, "this script must run under -O"
+caught = []
+try:
+    GroupTable(2, ("a",), 0, {(0, "a"): 0, (1, "a"): 0})
+except InvariantViolated as exc:
+    caught.append(str(exc))
+pr = parse_presentation("gens: a; rels: a^6")
+tbl = coset_enumerate(pr)
+g = cayley_graph(tbl, pr)
+cut = Graph(g.vertices, g.edges[1:])
+try:
+    check_regular_action(tbl, cut)
+except InvariantViolated as exc:
+    caught.append(str(exc))
+print(json.dumps(caught))
+"""
+
+
+def test_cayley_invariants_hold_under_dash_o():
+    proc = _python(["-O", "-c", INVARIANTS_UNDER_O])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        "generator must act as a permutation",
+        "left translation must be a graph automorphism"]
+
+
+NETWORKX_LOADED = """
+import json, sys
+import planarblocks.cli
+loaded = ["networkx" in sys.modules]
+planarblocks.cli.run(["blocks", sys.argv[1]])
+loaded.append("networkx" in sys.modules)
+planarblocks.cli.run(["planar", sys.argv[1]])
+loaded.append("networkx" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_networkx_is_imported_only_to_test_planarity():
+    proc = _python(["-c", NETWORKX_LOADED, fx("path4.edges")])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, False, True]
+
+
 def _every_command_line():
     for name in sorted(os.listdir(FIXTURES)):
         if name.endswith(".pres"):

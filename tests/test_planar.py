@@ -2,9 +2,10 @@
 facial symmetry checks."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import complete_graph, g_of, wheel_graph
-from oracles import brute_automorphisms, kuratowski_kind
+from oracles import brute_automorphisms, brute_canonical_face, kuratowski_kind
 from planarblocks import (
     RotationSystem,
     apply_to_face,
@@ -35,6 +36,12 @@ def test_canonical_face_rotation_and_reversal():
     assert canonical_face((1, 0, 2)) == (0, 1, 2)
     assert canonical_face((3, 1, 2, 0)) == (0, 2, 1, 3)
     assert canonical_face(()) == ()
+
+
+@given(st.lists(st.integers(0, 4), max_size=12))
+def test_canonical_face_agrees_with_all_rotations(walk):
+    # few labels, so most walks repeat their least vertex
+    assert canonical_face(tuple(walk)) == brute_canonical_face(walk)
 
 
 def test_rotation_system_validates():
