@@ -14,45 +14,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotConnected
-from .graph import Graph, connected_components, is_connected, remove_vertices
-from .separation import make_separation, separation_complement
+from .errors import NotConnected, invariant
+from .graph import Graph, connected_components, is_connected, separating_sets
+from .separation import component_side, separation_complement
 from .treeset import NestedFamily, StructureTree, build_structure_tree
+
+
+def _cut_pieces(g):
+    """(c, components of g - c) for every cut vertex c, in vertex order."""
+    if not is_connected(g):
+        raise NotConnected("cut vertices are defined for connected graphs",
+                           witness=[list(c) for c in connected_components(g)])
+    return [(c, pieces) for (c,), pieces in separating_sets(g, 1)]
 
 
 def cut_vertices(g):
     """Vertices whose removal disconnects the graph."""
-    if not is_connected(g):
-        raise NotConnected("cut vertices are defined for connected graphs",
-                           witness=[list(c) for c in connected_components(g)])
-    out = []
-    for v in g.vertices:
-        if len(g.vertices) > 1 and not is_connected(remove_vertices(g, {v})):
-            out.append(v)
-    return tuple(out)
-
-
-def _minimal_element(g, c, component):
-    comp = set(component)
-    va = comp | {c}
-    ea = [e for e in g.edges
-          if (e[0] in comp and e[1] in comp)
-          or (e[0] == c and e[1] in comp) or (e[1] == c and e[0] in comp)]
-    return make_separation(g, va, ea, {c})
+    return tuple(c for c, _ in _cut_pieces(g))
 
 
 def b1_family(g):
     """All single-component minimal elements at every cut vertex, plus
     complements.  Connected input; a 2-connected graph gives the empty
     family."""
-    cuts = cut_vertices(g)
     elements = []
     comp = []
     rank = []
-    for c in cuts:
-        pieces = connected_components(remove_vertices(g, {c}))
+    for c, pieces in _cut_pieces(g):
         for piece in pieces:
-            minimal = _minimal_element(g, c, piece)
+            minimal = component_side(g, (c,), (piece,))
             complement = separation_complement(minimal)
             i = len(elements)
             elements.extend((minimal, complement))
@@ -98,11 +88,12 @@ def block_cut_tree(g):
     # sanity: J/K split must be a bipartition of the tree
     for ci in cut_classes:
         for cj in tree.neighbors(ci):
-            assert cj in block_classes, "cut class adjacent to a cut class"
+            invariant(cj in block_classes, "cut class adjacent to a cut class")
     covered = {}
     for ci, blk in block_classes.items():
         for e in blk.edges:
-            assert e not in covered, "edge %r in two blocks" % (e,)
+            invariant(e not in covered, "edge in two blocks", list(e))
             covered[e] = ci
-    assert set(covered) == set(g.edges), "blocks do not cover the host edges"
+    invariant(set(covered) == set(g.edges),
+              "blocks do not cover the host edges")
     return BlockCutTree(g, family, tree, cut_classes, block_classes)

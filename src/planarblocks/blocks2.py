@@ -1,16 +1,19 @@
 """Hinge separations, the nested-family engine, torsos, tri-block trees.
 
-The decomposition works over one host graph throughout.  Hinge (two
-boundary vertex) separations are enumerated from component subsets at
-each vertex pair; a nested, automorphism-closed subfamily is grown by
-repeatedly splitting the first structure-tree class whose torso is
-neither a cycle, nor tiny, nor 3-connected by cutsets.  Each split uses
-a subgraph-minimal side, found among the single-component sides alone.  A torso
-separation is carried back to the host by routing each side through the
-components behind the class's virtual edges, so the same loop serves
-both 2-connected hosts and hosts with cut vertices (where the
-one-boundary family of blocks1 seeds the tree and hinge sides simply
-swallow the hanging pieces).
+The decomposition works over one host graph throughout.  Every hinge
+(two boundary vertex) side is made by `component_side` from components
+of the host minus a vertex pair, as `separating_sets` lists them.  A
+nested, automorphism-closed subfamily is grown by repeatedly splitting
+the first structure-tree class whose torso is neither tiny, nor a
+cycle, nor 3-connected by cutsets.  One scan of the torso's vertex
+pairs (`_split_sides`) both decides that and yields the single-component
+sides, and the split uses the least of them by sort key, which is
+subgraph-minimal.  A torso separation is carried back to the host by
+routing each side through the components behind the class's virtual
+edges, so the same loop serves both 2-connected hosts and hosts with
+cut vertices (where the one-boundary family of blocks1 seeds the tree
+and hinge sides simply swallow the hanging pieces).  The structure tree
+of the last round is the tree of the result.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (HingeVertex, MalformedInput, NoSeparationExists,
-                     NotConnected, PreconditionViolated)
+from .errors import (HingeVertex, InvariantViolated, MalformedInput,
+                     NoSeparationExists, NotConnected, PreconditionViolated,
+                     invariant)
 from .graph import (Graph, connected_components, edge_key, homeomorphic_reduce,
                     is_connected, is_k_connected, is_simple_cycle,
-                    is_three_connected_by_cutsets, remove_vertices)
-from .separation import Separation, make_separation, separation_complement
+                    is_three_connected_by_cutsets, separating_sets)
+from .separation import Separation, component_side, separation_complement
 from .treeset import NestedFamily, StructureTree, build_structure_tree
 from .blocks1 import b1_family
 from .symmetry import (DEFAULT_AUT_BOUND, automorphism_group,
@@ -48,47 +52,29 @@ def _require_two_connected(g):
         raise PreconditionViolated("cycles have no torso structure to find")
 
 
-def _sides_at_pair(g, u, w):
-    """Valid hinge separations with boundary {u, w}.
+def _all_hinge_separations(g):
+    """Every hinge separation of g, sorted.
 
     Sides are unions of components of g - {u, w} plus the boundary; when
     the edge uw exists each union is tried with and without it.  The
     separation validator filters out sides whose boundary vertex has no
     edge on one side, single edges, and whole-graph-minus-an-edge.
     """
-    comps = connected_components(remove_vertices(g, (u, w)))
-    if len(comps) < 2:
-        return []
-    uw = edge_key(u, w) if g.has_edge(u, w) else None
-    sides = []
-    for r in range(1, len(comps)):
-        for chosen in combinations(range(len(comps)), r):
-            interior = set()
-            for i in chosen:
-                interior.update(comps[i])
-            va = interior | {u, w}
-            base = [e for e in g.edges
-                    if e[0] in va and e[1] in va and e != uw]
-            for ea in ([base, base + [uw]] if uw else [base]):
-                try:
-                    s = make_separation(g, va, ea, (u, w))
-                except MalformedInput:
-                    continue
-                side = Graph(tuple(sorted(s.va)), tuple(sorted(s.ea)))
-                assert is_connected(side), \
-                    "hinge side of a 2-connected host must be connected"
-                sides.append(s)
-    return sides
-
-
-def _all_hinge_separations(g):
     out = {}
-    vs = g.vertices
-    for i, u in enumerate(vs):
-        for w in vs[i + 1:]:
-            for s in _sides_at_pair(g, u, w):
-                out.setdefault(s.key, s)
-    return tuple(sorted(out.values(), key=lambda s: s.sort_key()))
+    for pair, comps in separating_sets(g, 2):
+        edge_choices = (False, True) if g.has_edge(*pair) else (False,)
+        for r in range(1, len(comps)):
+            for chosen in combinations(comps, r):
+                for with_edge in edge_choices:
+                    try:
+                        s = component_side(g, pair, chosen, with_edge)
+                    except MalformedInput:
+                        continue
+                    side = Graph(tuple(sorted(s.va)), tuple(sorted(s.ea)))
+                    invariant(is_connected(side), "hinge side of a "
+                              "2-connected host must be connected")
+                    out.setdefault(s.key, s)
+    return tuple(sorted(out.values(), key=Separation.sort_key))
 
 
 def all_separations(g):
@@ -114,20 +100,8 @@ def _component_sides(g):
     least of these by sort key is a subgraph-minimal hinge separation.
     O(n^2) pairs, one component search each.
     """
-    sides = []
-    vs = g.vertices
-    for i, u in enumerate(vs):
-        for w in vs[i + 1:]:
-            comps = connected_components(remove_vertices(g, (u, w)))
-            if len(comps) < 2:
-                continue
-            uw = edge_key(u, w)
-            for comp in comps:
-                va = set(comp) | {u, w}
-                ea = [e for e in g.edges
-                      if e[0] in va and e[1] in va and e != uw]
-                sides.append(make_separation(g, va, ea, (u, w)))
-    return sides
+    return [component_side(g, pair, (comp,))
+            for pair, comps in separating_sets(g, 2) for comp in comps]
 
 
 def minimal_separation_containing(g, x0):
@@ -139,7 +113,7 @@ def minimal_separation_containing(g, x0):
     cands = [s for s in _component_sides(g) if x0 in s.va]
     if not cands:
         raise NoSeparationExists("host has no hinge separations", witness=x0)
-    return min(cands, key=lambda s: s.sort_key())
+    return min(cands, key=Separation.sort_key)
 
 
 def nested(a, b):
@@ -187,7 +161,7 @@ def _region_parts(tree, ci):
         e = fam.elements[i]
         if len(e.boundary) != 2:
             continue
-        assert e.boundary <= zvs, "hinge must survive into the region"
+        invariant(e.boundary <= zvs, "hinge must survive into the region")
         k = edge_key(*e.boundary)
         if k not in zes:
             zes.add(k)
@@ -197,9 +171,14 @@ def _region_parts(tree, ci):
     return zprime, z, tuple(sorted(virtuals)), gens
 
 
-def _conforming(z):
-    return (len(z.vertices) <= 3 or is_simple_cycle(z)
-            or is_three_connected_by_cutsets(z))
+def _split_sides(z):
+    """The single-component hinge sides of torso z, or None when z needs
+    no split: it is tiny, a cycle, or 3-connected by cutsets (it has no
+    such side)."""
+    if len(z.vertices) <= 3 or is_simple_cycle(z):
+        return None
+    invariant(is_k_connected(z, 2), "split target must be 2-connected")
+    return _component_sides(z) or None
 
 
 def _bfs_path(g, src, dst, avoid):
@@ -247,9 +226,9 @@ def torso(g, tree, v):
     if tree.classes[v] and len(zprime.vertices) == 1 and not zprime.edges:
         raise HingeVertex("single-vertex region has no torso",
                           witness=zprime.vertices[0])
-    assert is_connected(z)
+    invariant(is_connected(z), "torso must be connected")
     if len(z.vertices) >= 3:
-        assert is_k_connected(z, 2), "torso must be 2-connected"
+        invariant(is_k_connected(z, 2), "torso must be 2-connected")
     hinge_vertices = {x for k in virtuals for x in k}
     paths = {}
     for k in virtuals:
@@ -259,16 +238,16 @@ def torso(g, tree, v):
         if path is None:
             warnings.warn("witness path had to cross another hinge")
             path = _bfs_path(side, k[0], k[1], set())
-        assert path is not None, "member side must connect its hinge"
+        invariant(path is not None, "member side must connect its hinge")
         paths[k] = path
     interiors = []
     for k in virtuals:
         inner = set(paths[k][1:-1])
-        assert not inner & zprime.vertex_set, \
-            "witness path internals must avoid the region"
+        invariant(not inner & zprime.vertex_set,
+                  "witness path internals must avoid the region")
         interiors.append(inner)
     for a, b in combinations(interiors, 2):
-        assert not a & b, "witness paths must be internally disjoint"
+        invariant(not a & b, "witness paths must be internally disjoint")
     wvs = set(zprime.vertices)
     wes = set(zprime.edges)
     for k in virtuals:
@@ -277,13 +256,15 @@ def torso(g, tree, v):
         for i in range(len(walk) - 1):
             wes.add(edge_key(walk[i], walk[i + 1]))
     witness = Graph(tuple(sorted(wvs)), tuple(sorted(wes)))
-    assert set(witness.edges) <= g.edge_set, "witness must live in the host"
+    invariant(set(witness.edges) <= g.edge_set, "witness must live in the host")
     for inner in interiors:
         for w in inner:
-            assert witness.degree(w) == 2, "subdivision vertices have degree 2"
+            invariant(witness.degree(w) == 2,
+                      "subdivision vertices have degree 2")
     # contracting each path back to its virtual edge must give z exactly
-    assert Graph(zprime.vertices,
-                 tuple(sorted(set(zprime.edges) | set(virtuals)))) == z
+    invariant(Graph(zprime.vertices,
+                    tuple(sorted(set(zprime.edges) | set(virtuals)))) == z,
+              "witness paths must contract to the torso")
     return Torso(v, zprime, virtuals, z, witness, paths, gens)
 
 
@@ -324,8 +305,7 @@ def _lift_torso_separation(host, tree, ci, zsep):
     (which exists in the torso whenever the host edge does).
     """
     x, y = sorted(zsep.boundary)
-    bd = edge_key(x, y)
-    bd_taken = bd in zsep.ea
+    bd_taken = edge_key(x, y) in zsep.ea
     seeds = set(zsep.va) - set(zsep.boundary)
     if bd_taken:
         fam = tree.family
@@ -333,59 +313,40 @@ def _lift_torso_separation(host, tree, ci, zsep):
             e = fam.elements[i]
             if len(e.boundary) == 2 and e.boundary == zsep.boundary:
                 seeds |= set(e.va) - set(e.boundary)
-    va = {x, y}
-    for comp in connected_components(remove_vertices(host, (x, y))):
-        if seeds & set(comp):
-            va.update(comp)
-    ea = {e for e in host.edges
-          if e[0] in va and e[1] in va and e != bd}
-    if bd_taken and host.has_edge(x, y):
-        ea.add(bd)
-    return make_separation(host, va, ea, (x, y))
+    comps = [c for c in connected_components(host, (x, y))
+             if not seeds.isdisjoint(c)]
+    return component_side(host, (x, y), comps, bd_taken)
 
 
 def _enlarge_to_conforming(host, entries, max_aut):
     """Grow the family until every class torso is a cycle, tiny, or
-    3-connected by cutsets.  Mutates and consumes `entries`.
+    3-connected by cutsets, and return the structure tree of the final
+    family.  Mutates and consumes `entries`.
 
     Every round adds at least one fresh orbit of hinge separations, so
     the loop is bounded by the (finite) number of hinge separations.
+    An empty family is seeded with the least side that holds the least
+    host vertex.
     """
     aut_gens = None
     for _ in range(10000):
-        if not entries:
-            if _conforming(host):
-                return _family_of(host, entries)
-            seed = minimal_separation_containing(host, min(host.vertices))
-            if aut_gens is None:
-                aut_gens = automorphism_group(
-                    host, max_vertices=max_aut).generators
-            added = _add_orbit(entries, seed, aut_gens)
-            assert added, "the seed orbit must be new"
-            continue
-        fam = _family_of(host, entries)
-        tree = build_structure_tree(fam)
-        target = None
+        tree = build_structure_tree(_family_of(host, entries))
         for ci in range(tree.vertex_count):
-            z = _region_parts(tree, ci)[1]
-            if _conforming(z):
-                continue
-            target = (ci, z)
-            break
-        if target is None:
-            return fam
-        ci, z = target
-        assert is_k_connected(z, 2), "split target must be 2-connected"
-        cands = _component_sides(z)
-        assert cands, "non-conforming torso must admit a hinge separation"
-        zsep = min(cands, key=lambda s: s.sort_key())
+            sides = _split_sides(_region_parts(tree, ci)[1])
+            if sides is not None:
+                break
+        else:
+            return tree
+        if not entries:
+            sides = [s for s in sides if host.vertices[0] in s.va]
+        zsep = min(sides, key=Separation.sort_key)
         lifted = _lift_torso_separation(host, tree, ci, zsep)
         if aut_gens is None:
             aut_gens = automorphism_group(
                 host, max_vertices=max_aut).generators
-        added = _add_orbit(entries, lifted, aut_gens)
-        assert added, "enlargement made no progress"
-    raise AssertionError("enlargement failed to stabilize")
+        invariant(_add_orbit(entries, lifted, aut_gens),
+                  "enlargement made no progress")
+    raise InvariantViolated("enlargement failed to stabilize")
 
 
 def build_nested_family(g, max_aut=DEFAULT_AUT_BOUND):
@@ -398,8 +359,8 @@ def build_nested_family(g, max_aut=DEFAULT_AUT_BOUND):
     _require_two_connected(g)
     if is_three_connected_by_cutsets(g):
         raise PreconditionViolated("host is already 3-connected by cutsets")
-    fam = _enlarge_to_conforming(g, [], max_aut)
-    assert fam.elements, "a splittable host must yield a nonempty family"
+    fam = _enlarge_to_conforming(g, [], max_aut).family
+    invariant(fam.elements, "a splittable host must yield a nonempty family")
     return fam
 
 
@@ -428,13 +389,6 @@ class TriBlockTree:
     def vertex_count(self):
         return len(self.kinds)
 
-    def vertices_of_kind(self, kind):
-        return tuple(sorted(i for i, k in self.kinds.items() if k == kind))
-
-
-def _whole_graph_torso(h):
-    return Torso(0, h, (), h, h, {}, {})
-
 
 def triblock_tree(g, max_aut=DEFAULT_AUT_BOUND):
     """Decompose a connected graph into cut points, cycles, and
@@ -451,35 +405,23 @@ def triblock_tree(g, max_aut=DEFAULT_AUT_BOUND):
     red = homeomorphic_reduce(g)
     h = red.graph
     fam1 = b1_family(h)
-    entries = [(fam1.elements[i], fam1.rank[i])
-               for i in range(len(fam1.elements))]
-    fam = _enlarge_to_conforming(h, entries, max_aut)
+    tree = _enlarge_to_conforming(h, list(zip(fam1.elements, fam1.rank)),
+                                  max_aut)
     kinds = {}
     cut_classes = {}
     torsos = {}
-    if not fam.elements:
-        tree = build_structure_tree(fam)
-        t = _whole_graph_torso(h)
-        torsos[0] = t
-        kinds[0] = _classify(t.z)
-        edges = ()
-    else:
-        tree = build_structure_tree(fam)
-        for ci in range(tree.vertex_count):
-            reg = tree.region(ci)
-            if len(reg.vertices) == 1 and not reg.edges:
-                kinds[ci] = KIND_CUT_POINT
-                cut_classes[ci] = reg.vertices[0]
-                continue
-            t = torso(h, tree, ci)
-            torsos[ci] = t
-            kinds[ci] = _classify(t.z)
-        edges = tuple(sorted({
-            tuple(sorted((tree.class_of[i], tree.class_of[fam.comp[i]])))
-            for i in range(len(fam.elements))}))
+    for ci in range(tree.vertex_count):
+        reg = tree.region(ci)
+        if tree.classes[ci] and len(reg.vertices) == 1 and not reg.edges:
+            kinds[ci] = KIND_CUT_POINT
+            cut_classes[ci] = reg.vertices[0]
+            continue
+        t = torso(h, tree, ci)
+        torsos[ci] = t
+        kinds[ci] = _classify(t.z)
     _check_edge_partition(h, kinds, cut_classes, torsos)
-    return TriBlockTree(g, red, h, fam, tree, kinds, cut_classes, torsos,
-                        edges)
+    return TriBlockTree(g, red, h, tree.family, tree, kinds, cut_classes,
+                        torsos, tree.edges)
 
 
 def _classify(z):
@@ -487,8 +429,8 @@ def _classify(z):
         return KIND_CYCLE
     if len(z.vertices) <= 3:
         return KIND_THREE_CONNECTED
-    assert is_three_connected_by_cutsets(z), \
-        "non-cycle torso of the final tree must be 3-connected"
+    invariant(is_three_connected_by_cutsets(z),
+              "non-cycle torso of the final tree must be 3-connected")
     return KIND_THREE_CONNECTED
 
 
@@ -496,6 +438,6 @@ def _check_edge_partition(h, kinds, cut_classes, torsos):
     seen = {}
     for ci, t in torsos.items():
         for e in t.z_prime.edges:
-            assert e not in seen, "host edge claimed by two torsos"
+            invariant(e not in seen, "host edge claimed by two torsos")
             seen[e] = ci
-    assert set(seen) == h.edge_set, "torsos must cover every host edge"
+    invariant(set(seen) == h.edge_set, "torsos must cover every host edge")

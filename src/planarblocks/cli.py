@@ -57,6 +57,9 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _limit(args, fallback):
     if args.limit is not None:
         if args.limit < 1:
@@ -287,8 +290,6 @@ def _check_invariants(g, bound):
             results.append((name, "fail", detail))
         except PlanarBlocksError as exc:
             results.append((name, "skip", "%s: %s" % (exc.kind, exc)))
-        except AssertionError as exc:
-            results.append((name, "fail", str(exc)))
 
     def canonical():
         invariant(list(g.vertices) == sorted(set(g.vertices)),
@@ -402,9 +403,8 @@ _RUNNERS = {
 
 def run(argv):
     """Execute one command line; returns (exit code, output text)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.format == "dot" and args.command in ("faces", "autos", "check"):
             raise MalformedInput("dot output is not available for %r"
                                  % args.command)

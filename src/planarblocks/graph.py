@@ -4,11 +4,16 @@ Vertices are integers; edges are stored as (min, max) tuples.  All
 operations iterate vertices and edges in sorted order so that every
 downstream computation (decompositions, serializations) is reproducible
 byte for byte.
+
+The decomposition layers all ask one question: what is left of a graph
+once one or two vertices are removed?  `connected_components(g, drop)`
+answers it without copying the graph, and `separating_sets(g, size)`
+lists every vertex set of that size whose removal disconnects g, with
+the components it leaves.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -131,22 +136,22 @@ def format_edge_list(g):
     return "\n".join(lines) + "\n"
 
 
-def connected_components(g):
-    """Components as sorted vertex tuples, ordered by smallest member."""
-    seen = set()
+def connected_components(g, drop=()):
+    """Components of g minus the vertices in drop, as sorted vertex
+    tuples ordered by smallest member.  The BFS skips the dropped
+    vertices, so no copy of the graph is made."""
+    seen = set(drop)
     out = []
     for start in g.vertices:
         if start in seen:
             continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
+        seen.add(start)
+        comp = [start]
+        for x in comp:      # the list grows behind the scan: a BFS queue
             for y in g.neighbors(x):
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
         out.append(tuple(sorted(comp)))
     return out
 
@@ -172,14 +177,19 @@ def is_simple_cycle(g):
             and is_connected(g))
 
 
+def separating_sets(g, size):
+    """(drop, components of g - drop) for every `size`-subset drop of the
+    vertices whose removal leaves at least two components, in
+    `combinations` order."""
+    for drop in combinations(g.vertices, size):
+        comps = connected_components(g, drop)
+        if len(comps) > 1:
+            yield drop, comps
+
+
 def has_cutset(g, size):
     """True if removing some `size`-subset of vertices disconnects g."""
-    if len(g.vertices) <= size + 1:
-        return False
-    for drop in combinations(g.vertices, size):
-        if not is_connected(remove_vertices(g, drop)):
-            return True
-    return False
+    return next(separating_sets(g, size), None) is not None
 
 
 def is_k_connected(g, k):
@@ -221,10 +231,6 @@ class ReducedGraph:
     is_path: bool = False
     # reduced edge -> extra host walks whose suppression collapsed onto it
     parallels: dict = field(default_factory=dict)
-
-    def host_path_edges(self, reduced_edge):
-        walk = self.walks[reduced_edge]
-        return tuple(edge_key(walk[i], walk[i + 1]) for i in range(len(walk) - 1))
 
     def all_host_walks(self, reduced_edge):
         return (self.walks[reduced_edge],) + tuple(

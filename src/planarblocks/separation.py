@@ -93,6 +93,22 @@ def make_separation(host, va, ea, boundary):
     return Separation(host, va, ea, boundary)
 
 
+def component_side(host, boundary, comps, with_edge=False):
+    """The side spanned by some components of host - boundary.
+
+    Its vertices are those of the components plus the boundary, its
+    edges every host edge among them, except that the edge joining a
+    two-vertex boundary is kept only when with_edge.
+    """
+    va = set(boundary)
+    for c in comps:
+        va.update(c)
+    skip = edge_key(*boundary) if len(boundary) == 2 and not with_edge else None
+    ea = [(x, y) for x in va for y in host.neighbors(x)
+          if x < y and y in va and (x, y) != skip]
+    return make_separation(host, va, ea, boundary)
+
+
 def separation_complement(a):
     """A*: the other side across the same boundary."""
     va = (a.host.vertex_set - a.va) | a.boundary

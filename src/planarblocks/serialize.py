@@ -71,8 +71,7 @@ def blocks_payload(bct):
                           "graph": graph_payload(blk)})
     return {
         "tree_vertices": nodes,
-        "tree_edges": sorted({tuple(sorted((bct.tree.class_of[i], bct.tree.class_of[j])))
-                              for i, j in bct.tree.pairs}),
+        "tree_edges": bct.tree.edges,
         "blocks": [graph_payload(b) for b in bct.blocks],
         "cut_vertices": list(bct.cuts),
         "family_size": len(bct.family.elements),
@@ -87,9 +86,7 @@ def blocks_dot(bct):
         else:
             blk = bct.block_classes[ci]
             labels[ci] = "block {%s}" % ",".join(map(str, blk.vertices))
-    edges = {tuple(sorted((bct.tree.class_of[i], bct.tree.class_of[j])))
-             for i, j in bct.tree.pairs}
-    return tree_dot(labels, edges, name="blockcut")
+    return tree_dot(labels, bct.tree.edges, name="blockcut")
 
 
 def torso_payload(t):

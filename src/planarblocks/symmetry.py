@@ -250,8 +250,7 @@ def tree_action_check(tree, group):
                 violations.append({"kind": "stabilizer-moves-torso",
                                    "generator": gi, "class": ci})
         if ok and cmap:
-            before = {tuple(sorted((tree.class_of[i], tree.class_of[j])))
-                      for i, j in tree.pairs}
+            before = set(tree.edges)
             after = {tuple(sorted((cmap[a], cmap[b]))) for a, b in before
                      if a in cmap and b in cmap}
             if before != after:

@@ -137,6 +137,11 @@ class StructureTree:
     def edge_count(self):
         return len(self.pairs)
 
+    @property
+    def edges(self):
+        """Tree edges as sorted (ci, cj) pairs with ci < cj."""
+        return self._graph.edges
+
     def directed_edge(self, i):
         """Directed edge of element i: class(A*) -> class(A)."""
         return (self.class_of[self.family.comp[i]], self.class_of[i])

@@ -298,6 +298,34 @@ def test_cayley_invariants_hold_under_dash_o():
         "left translation must be a graph automorphism"]
 
 
+DECOMPOSITION_INVARIANTS = """
+import json, sys
+from planarblocks import blocks1, blocks2, cli
+from planarblocks.graph import Graph
+assert False, "this script must run under -O"
+# blocks1: a family on the host minus one edge leaves that edge uncovered
+b1_family = blocks1.b1_family
+blocks1.b1_family = lambda g: b1_family(Graph(g.vertices, g.edges[1:]))
+# blocks2: a torso that reads as not 2-connected cannot be split
+blocks2.is_k_connected = lambda g, k: False
+print(json.dumps([cli.run(["blocks", sys.argv[1]]),
+                  cli.run(["triblocks", sys.argv[2]])]))
+"""
+
+
+def test_decomposition_invariants_hold_under_dash_o():
+    proc = _python(["-O", "-c", DECOMPOSITION_INVARIANTS,
+                    fx("bowtie.edges"), fx("k4.edges")])
+    assert proc.returncode == 0, proc.stderr
+    (blocks_code, blocks_out), (tri_code, tri_out) = json.loads(proc.stdout)
+    assert blocks_code == tri_code == 1
+    blocks_err = json.loads(blocks_out)["error"]
+    tri_err = json.loads(tri_out)["error"]
+    assert blocks_err["kind"] == tri_err["kind"] == "invariant-violated"
+    assert blocks_err["message"] == "blocks do not cover the host edges"
+    assert tri_err["message"] == "split target must be 2-connected"
+
+
 NETWORKX_LOADED = """
 import json, sys
 import planarblocks.cli

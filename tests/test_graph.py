@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from planarblocks.errors import MalformedInput, NotConnected
@@ -6,9 +9,10 @@ from planarblocks.graph import (Graph, build_graph, connected_components, edge_k
                                 induced_subgraph, is_connected, is_k_connected,
                                 is_simple_cycle, is_simple_path,
                                 is_three_connected_by_cutsets, parse_edge_list,
-                                remove_vertices)
+                                remove_vertices, separating_sets)
 
 from conftest import complete_graph, cycle_graph, g_of, path_graph
+from oracles import lowpoint_blocks, random_connected_graph
 
 
 def test_edge_key_orients():
@@ -74,6 +78,24 @@ def test_connected_components():
     assert connected_components(g) == [(0, 1, 2), (3, 4)]
     assert not is_connected(g)
     assert is_connected(induced_subgraph(g, (0, 1, 2)))
+
+
+def test_component_search_matches_a_copy_without_the_dropped_vertices():
+    rng = random.Random(7)
+    for _ in range(150):
+        g = random_connected_graph(rng, 10)
+        for size in (0, 1, 2):
+            disconnecting = []
+            for drop in combinations(g.vertices, size):
+                rest = remove_vertices(g, drop)
+                assert connected_components(g, drop) == \
+                    connected_components(rest)
+                if rest.vertices and not is_connected(rest):
+                    disconnecting.append((drop, connected_components(rest)))
+            if size:
+                assert list(separating_sets(g, size)) == disconnecting
+        _, arts = lowpoint_blocks(g)
+        assert {c for (c,), _ in separating_sets(g, 1)} == arts
 
 
 def test_remove_vertices_keeps_labels(bowtie):
