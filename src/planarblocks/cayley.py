@@ -11,11 +11,18 @@ Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5):
 each relator is scanned from each live coset in turn, defining cosets
 along it, and coincidences are merged after the relator closes.  The
 scan reads table rows directly; only an entry that points at a coset
-merged away since it was written goes through the union-find.  The
-finished table is standardized by breadth-first renumbering so that
-equal presentations always yield the identical table, and certified by
-tracing every relator from every element at once, one permutation list
-per letter (`GroupTable.trace_word`).
+merged away since it was written goes through the union-find.  A power
+relator s^m is not scanned again from a coset already known to close it,
+so Z_n costs O(n), not O(n^2).  The finished table is standardized by
+breadth-first renumbering so that equal presentations always yield the
+identical table, and certified by tracing every relator w^n from every
+element at once: the permutation of w, one list per letter
+(`GroupTable.trace_word`), raised to the n-th power by repeated squaring
+(`GroupTable.trace_power`).
+
+The Cayley graph then goes to `planar.planarity_test`, where networkx
+gives only the yes/no answer and the embedding; a Kuratowski witness is
+extracted there, by this package.
 """
 
 from __future__ import annotations
@@ -78,16 +85,18 @@ class Presentation:
                 raise MalformedInput("bad letter in surface relator",
                                      witness=(s, p))
 
+    def relators(self):
+        """All defining relators as (word, exponent) pairs: the power
+        relators, the extra relators, then the surface relator."""
+        out = [(((s, 1),), m) for s, m in self.power_relators]
+        out += [(tuple(w), n) for w, n in self.extra_relators]
+        if self.surface_relator:
+            out.append((tuple(self.surface_relator), 1))
+        return tuple(out)
+
     def relator_words(self):
         """All defining relators, expanded to plain words."""
-        out = []
-        for s, m in self.power_relators:
-            out.append(((s, 1),) * m)
-        for w, n in self.extra_relators:
-            out.append(tuple(w) * n)
-        if self.surface_relator:
-            out.append(tuple(self.surface_relator))
-        return tuple(out)
+        return tuple(w * n for w, n in self.relators())
 
 
 def surface_presentation(p, m, s, extras=()):
@@ -249,6 +258,19 @@ class GroupTable:
             cur = [p[x] for x in cur]
         return cur
 
+    def trace_power(self, word, n):
+        """The list whose entry g is g.word^n, by repeated squaring of
+        the trace of word: O(len(word) + log n) list passes."""
+        base = self.trace_word(word)
+        cur = list(range(self.order))
+        while True:
+            if n & 1:
+                cur = [base[x] for x in cur]
+            n >>= 1
+            if not n:
+                return cur
+            base = [base[x] for x in base]
+
     def element_words(self):
         """Shortest right-multiplication word from the identity to each
         element, breadth-first in generator order (deterministic)."""
@@ -287,8 +309,13 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
     for i, s in enumerate(gens):
         code[(s, 1)] = 2 * i
         code[(s, -1)] = 2 * i + 1
-    relators = [(tuple(code[l] for l in w[:-1]), code[w[-1]])
-                for w in pr.relator_words()]
+    # a power relator s^m (all letters equal) carries the set of cosets
+    # known to close it (see the scan below); other relators carry None
+    relators = []
+    for w in pr.relator_words():
+        word = [code[l] for l in w]
+        closed = set() if len(set(word)) == 1 else None
+        relators.append((tuple(word[:-1]), word[-1], closed))
 
     cap = 2 * limit + 32
     # table[a][s] is a coset, possibly one merged away since it was
@@ -358,13 +385,23 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
     # HLT: scan every relator from each live coset in turn, defining
     # cosets along it; no merge happens mid-scan, so the scan reads the
     # table directly and resolves only entries that point at a coset
-    # merged away by an earlier coincidence
+    # merged away by an earlier coincidence.
+    #
+    # A scan of a power relator s^m that closes with no coincidence
+    # leaves a closed s-cycle: every coset c on it has c.s^m = c in the
+    # table.  Merging never erases a live coset's entry and hands a
+    # merged coset's entries to its survivor, so a live coset c keeps
+    # c.s^m = c through any later coincidence.  A scan of s^m from c
+    # would then define nothing and close where it began; it is
+    # skipped, and definitions and coincidences keep their order.
     alpha = 0
     while alpha < len(table):
         if parent[alpha] != alpha:
             alpha += 1
             continue
-        for body, last in relators:
+        for body, last, closed in relators:
+            if closed is not None and alpha in closed:
+                continue
             cur = alpha
             for s in body:
                 row = table[cur]
@@ -383,6 +420,13 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
                 merge_queue()
                 if parent[alpha] != alpha:
                     break
+            elif closed is not None:
+                cur = alpha
+                while True:
+                    closed.add(cur)
+                    cur = table[cur][last]
+                    if cur == alpha:
+                        break
         else:
             row = table[alpha]
             for s in range(nsym):
@@ -414,13 +458,19 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
         for i, s in enumerate(gens):
             mult[(label[a], s)] = label[entry(a, 2 * i)]
     tbl = GroupTable(len(live), gens, 0, mult)
-    # certificate: every relator traces to the identity at every element
+    check_relators(tbl, pr)
+    return tbl
+
+
+def check_relators(tbl, pr):
+    """Certificate: every relator w^n traces to the identity at every
+    element of the table.  Raises InvariantViolated naming the first
+    relator (its index in `pr.relators()`) that does not."""
     identity = list(range(tbl.order))
-    for i, w in enumerate(pr.relator_words()):
-        invariant(tbl.trace_word(w) == identity,
+    for i, (w, n) in enumerate(pr.relators()):
+        invariant(tbl.trace_power(w, n) == identity,
                   "relators must trace to the identity everywhere",
                   witness={"relator": i})
-    return tbl
 
 
 def cayley_graph(tbl, pr):

@@ -34,6 +34,10 @@ class Graph:
                                   hash=False, default=None)
     edge_set: frozenset = field(init=False, repr=False, compare=False,
                                 hash=False, default=None)
+    # vertex -> its incident edge keys, filled on first request so that
+    # short-lived subgraphs pay nothing for it
+    _incident: dict = field(init=False, repr=False, compare=False,
+                            hash=False, default=None)
 
     def __post_init__(self):
         adj = {v: [] for v in self.vertices}
@@ -45,6 +49,7 @@ class Graph:
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "vertex_set", frozenset(self.vertices))
         object.__setattr__(self, "edge_set", frozenset(self.edges))
+        object.__setattr__(self, "_incident", {})
 
     def __hash__(self):
         return hash((self.vertices, self.edges))
@@ -56,7 +61,11 @@ class Graph:
         return len(self._adj[v])
 
     def incident_edges(self, v):
-        return tuple(edge_key(v, w) for w in self._adj[v])
+        es = self._incident.get(v)
+        if es is None:
+            es = self._incident[v] = tuple(edge_key(v, w)
+                                           for w in self._adj[v])
+        return es
 
     def has_edge(self, u, v):
         return edge_key(u, v) in self.edge_set

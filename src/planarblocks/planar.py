@@ -2,9 +2,11 @@
 face-preservation test for graph automorphisms.
 
 Planarity itself is delegated to networkx (left-right algorithm), which
-yields either a clockwise rotation system or a Kuratowski subgraph; face
-tracing, Euler checking, and everything downstream is done here so the
-certificates stay independently checkable.
+gives the yes/no answer and, for a planar graph, a clockwise rotation
+system.  The Kuratowski subgraph of a nonplanar graph is extracted here,
+by greedy edge deletion in networkx's own order with batched planarity
+tests, and face tracing, Euler checking, and everything downstream is
+done here too, so the certificates stay independently checkable.
 """
 
 from __future__ import annotations
@@ -130,10 +132,11 @@ def planarity_test(g):
     h = nx.Graph()
     h.add_nodes_from(g.vertices)
     h.add_edges_from(g.edges)
-    ok, cert = nx.check_planarity(h, counterexample=True)
+    ok, cert = nx.check_planarity(h)
     if not ok:
-        ws = Graph(tuple(sorted(cert.nodes())),
-                   tuple(sorted(edge_key(u, v) for u, v in cert.edges())))
+        kept = _kuratowski_edges(h)
+        ws = Graph(tuple(sorted({v for e in kept for v in e})),
+                   tuple(sorted(edge_key(u, v) for u, v in kept)))
         invariant(ws.edge_set <= g.edge_set,
                   "Kuratowski witness must live in the host")
         return PlanarityResult(False, None, None, ws)
@@ -144,6 +147,41 @@ def planarity_test(g):
     invariant(len(g.vertices) - len(g.edges) + len(faces) == 2,
               "sphere embeddings satisfy Euler's formula")
     return PlanarityResult(True, rot, faces, None)
+
+
+def _kuratowski_edges(h):
+    """Edges of a Kuratowski subgraph of the nonplanar networkx graph h,
+    which is consumed.
+
+    Greedy deletion in the order of networkx's `get_counterexample`:
+    h's nodes in order, each one's edges in h's adjacency order, each
+    edge tried once from its earlier endpoint; an edge is deleted when
+    the graph stays nonplanar without it.  Planarity is monotone under
+    subgraphs, so a batch whose removal leaves h nonplanar removes
+    exactly the edges that one-by-one deletion would, and the result is
+    the same edge set.  Batches double after such a removal and halve
+    after one that makes h planar; a batch of one that makes h planar
+    keeps its edge.
+    """
+    from networkx import check_planarity
+    position = {v: i for i, v in enumerate(h)}
+    order = [(u, v) for u in h for v in h[u] if position[v] > position[u]]
+    kept = []
+    i, size = 0, 1
+    while i < len(order):
+        batch = order[i:i + size]
+        h.remove_edges_from(batch)
+        if not check_planarity(h)[0]:
+            i += len(batch)
+            size *= 2
+        else:
+            h.add_edges_from(batch)
+            if size == 1:
+                kept.append(batch[0])
+                i += 1
+            else:
+                size //= 2
+    return kept
 
 
 def apply_to_face(perm, face):

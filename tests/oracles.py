@@ -325,6 +325,20 @@ def kuratowski_kind(g):
     return None
 
 
+def networkx_kuratowski_edges(g):
+    """Sorted edge keys of the Kuratowski subgraph that networkx's own
+    one-edge-at-a-time extraction finds in the nonplanar g (networkx is
+    the reference implementation of the left-right test)."""
+    import networkx as nx
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    ok, cert = nx.check_planarity(h, counterexample=True)
+    if ok:
+        raise ValueError("graph is planar")
+    return tuple(sorted(edge_key(u, v) for u, v in cert.edges()))
+
+
 # ------------------------------------------------------------- faces
 
 def brute_canonical_face(walk):

@@ -14,6 +14,7 @@ from oracles import (
     von_dyck_permutation_group,
 )
 from planarblocks import (
+    GroupTable,
     Presentation,
     cayley_graph,
     check_regular_action,
@@ -26,7 +27,9 @@ from planarblocks import (
     triblock_tree,
 )
 from planarblocks.blocks2 import KIND_THREE_CONNECTED
-from planarblocks.errors import BadExponent, MalformedInput, Overflow
+from planarblocks.cayley import check_relators
+from planarblocks.errors import (BadExponent, InvariantViolated,
+                                 MalformedInput, Overflow)
 
 
 def read_pres(name):
@@ -194,18 +197,29 @@ def test_infinite_groups_stop_at_the_definition_cap(text):
 @pytest.mark.parametrize("text, order, least_limit", [
     ("surface(0, [2,3,5], 0)", 60, 83),
     ("surface(0, [2,2,250], 0)", 500, 980),
+    # these skip scans along closed power-relator cycles
+    ("gens: a b\nrels: a^50, b^2, (a*b)^2", 100, 100),
+    ("gens: a b\nrels: a^12, b^9, (a*b*a^-1*b^-1)", 108, 118),
+    ("gens: a\nrels: a^-30", 30, 30),
+    # the closed a-cycle of a^12 is broken by the coincidences of a^8
+    ("gens: a; rels: a^12, a^8", 4, 4),
 ])
 def test_least_sufficient_limit_pins_the_definition_order(text, order,
                                                           least_limit):
     # the table peaks at 2*least_limit + 31 or + 32 cosets; defining
     # cosets in another order (say, scanning the relators in another
-    # order) moves the peak
+    # order) moves the peak, and so does a skipped scan that would have
+    # defined a coset.  A table that peaks above the cap stops at the
+    # cap one limit lower; one that fits is refused there for its order.
     pr = parse_presentation(text)
     assert coset_enumerate(pr, limit=least_limit).order == order
     with pytest.raises(Overflow) as info:
         coset_enumerate(pr, limit=least_limit - 1)
-    assert info.value.witness == {"limit": least_limit - 1,
-                                  "defined": 2 * least_limit + 30}
+    if least_limit > order:
+        expected = {"defined": 2 * least_limit + 30}
+    else:
+        expected = {"order": order}
+    assert info.value.witness == dict(expected, limit=least_limit - 1)
 
 
 def test_long_power_relator_is_fast():
@@ -215,6 +229,53 @@ def test_long_power_relator_is_fast():
     elapsed = time.monotonic() - t0
     assert tbl.order == 2000
     assert elapsed < 1.0, elapsed
+
+
+def test_power_relator_scanned_once_per_cycle():
+    # one scan per coset would read 5000^2 letters, seconds of work
+    pr = parse_presentation("gens: a\nrels: a^5000\n")
+    t0 = time.monotonic()
+    tbl = coset_enumerate(pr, limit=5000)
+    elapsed = time.monotonic() - t0
+    assert tbl.order == 5000
+    assert elapsed < 1.0, elapsed
+
+
+# ---------------------------------------------------------------------------
+# the relator certificate
+
+
+@st.composite
+def _table_word_power(draw):
+    pr = parse_presentation(draw(st.sampled_from((
+        "gens: a\nrels: a^7",
+        "gens: a b\nrels: a^5, b^2, (a*b)^2",
+        "gens: a b\nrels: a^4, b^3, (a*b*a^-1*b^-1)",
+        "surface(0, [2,3,4], 0)"))))
+    tbl = coset_enumerate(pr)
+    letters = [(s, p) for s in pr.generators for p in (1, -1)]
+    word = []
+    for _ in range(draw(st.integers(1, 8))):
+        choices = [l for l in letters
+                   if not word or l != (word[-1][0], -word[-1][1])]
+        word.append(draw(st.sampled_from(choices)))
+    return tbl, tuple(word), draw(st.integers(1, 70))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_table_word_power())
+def test_power_trace_by_squaring_matches_the_letter_trace(case):
+    tbl, word, n = case
+    assert tbl.trace_power(word, n) == tbl.trace_word(word * n)
+
+
+def test_certificate_rejects_a_cycle_length_that_does_not_divide_m():
+    # a acts as a 6-cycle, which a^4 does not close
+    z6 = GroupTable(6, ("a",), 0, {(g, "a"): (g + 1) % 6 for g in range(6)})
+    check_relators(z6, parse_presentation("gens: a; rels: a^12"))
+    with pytest.raises(InvariantViolated) as info:
+        check_relators(z6, parse_presentation("gens: a; rels: a^12, a^4"))
+    assert info.value.witness == {"relator": 1}
 
 
 # closed-form families: presentation text, order, generator images as

@@ -271,6 +271,7 @@ import json
 from planarblocks import (Graph, GroupTable, cayley_graph,
                           check_regular_action, coset_enumerate,
                           parse_presentation)
+from planarblocks.cayley import check_relators
 from planarblocks.errors import InvariantViolated
 assert False, "this script must run under -O"
 caught = []
@@ -286,6 +287,11 @@ try:
     check_regular_action(tbl, cut)
 except InvariantViolated as exc:
     caught.append(str(exc))
+# a 6-cycle does not close a^4
+try:
+    check_relators(tbl, parse_presentation("gens: a; rels: a^4"))
+except InvariantViolated as exc:
+    caught.append(str(exc))
 print(json.dumps(caught))
 """
 
@@ -295,7 +301,8 @@ def test_cayley_invariants_hold_under_dash_o():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
         "generator must act as a permutation",
-        "left translation must be a graph automorphism"]
+        "left translation must be a graph automorphism",
+        "relators must trace to the identity everywhere"]
 
 
 DECOMPOSITION_INVARIANTS = """

@@ -1,21 +1,33 @@
 """Rotation systems, face tracing, planarity certificates, and the
 facial symmetry checks."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import complete_graph, g_of, wheel_graph
-from oracles import brute_automorphisms, brute_canonical_face, kuratowski_kind
+from oracles import (
+    brute_automorphisms,
+    brute_canonical_face,
+    kuratowski_kind,
+    networkx_kuratowski_edges,
+)
 from planarblocks import (
+    Graph,
     RotationSystem,
     apply_to_face,
     build_graph,
     canonical_face,
+    cayley_graph,
+    coset_enumerate,
     euler_genus,
     face_multiset_uniqueness_check,
     face_size_multiset,
     facial_preservation_check,
     facial_walks,
+    is_connected,
+    parse_presentation,
     planarity_test,
     rotation_from_neighbors,
 )
@@ -130,6 +142,48 @@ def test_petersen_witness_is_a_subdivision():
     assert not res.planar
     assert set(res.witness.edges) <= set(pet.edges)
     assert kuratowski_kind(res.witness) == "K33"
+
+
+def _random_nonplanar(rng, shuffled):
+    """A connected graph on 6 to 12 vertices with more than 3n - 6 edges,
+    so nonplanar; `shuffled` lists its vertices and edges out of order."""
+    while True:
+        n = rng.randint(6, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = sorted(rng.sample(pairs, rng.randint(3 * n - 5,
+                                                     min(len(pairs), 4 * n))))
+        g = Graph(tuple(range(n)), tuple(edges))
+        if is_connected(g):
+            break
+    if shuffled:
+        vs, es = list(g.vertices), list(g.edges)
+        rng.shuffle(vs)
+        rng.shuffle(es)
+        g = Graph(tuple(vs), tuple(es))
+    return g
+
+
+def _kuratowski_hosts():
+    rng = random.Random(20071)
+    for i in range(24):
+        yield _random_nonplanar(rng, shuffled=i % 4 == 0)
+    yield g_of("0-1,1-2,2-3,3-4,4-0,5-7,7-9,9-6,6-8,8-5,"
+               "0-5,1-6,2-7,3-8,4-9")
+    pr = parse_presentation("gens: a b\nrels: a^6, b^6, (a*b*a^-1*b^-1)")
+    yield cayley_graph(coset_enumerate(pr), pr)
+
+
+def test_kuratowski_witness_is_the_networkx_one():
+    # the batched extraction deletes exactly the edges networkx's
+    # one-at-a-time greedy deletion does, in the same order, also when
+    # the vertex and edge tuples are not sorted
+    for g in _kuratowski_hosts():
+        res = planarity_test(g)
+        assert not res.planar
+        assert res.witness.edges == networkx_kuratowski_edges(g)
+        assert res.witness.vertices == tuple(sorted(
+            {v for e in res.witness.edges for v in e}))
+        assert kuratowski_kind(res.witness) in ("K5", "K33")
 
 
 def test_planarity_requires_connected():
