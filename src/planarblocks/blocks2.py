@@ -329,10 +329,14 @@ def _enlarge_to_conforming(host, entries, max_aut):
     host vertex.
     """
     aut_gens = None
+    split = {}  # torso -> _split_sides(torso); most torsos recur unchanged
     for _ in range(10000):
         tree = build_structure_tree(_family_of(host, entries))
         for ci in range(tree.vertex_count):
-            sides = _split_sides(_region_parts(tree, ci)[1])
+            z = _region_parts(tree, ci)[1]
+            if z not in split:
+                split[z] = _split_sides(z)
+            sides = split[z]
             if sides is not None:
                 break
         else:

@@ -1,7 +1,10 @@
 """Stable serialization of pipeline results.
 
-JSON output carries a top-level ``schema: 1`` marker and is emitted with
-sorted keys so identical inputs produce identical bytes.  DOT output is
+Each command's result is one payload (built in ``cli``).  JSON output
+is the payload plus its ``command`` and a top-level ``schema: 1``
+marker, emitted with sorted keys so identical inputs produce identical
+bytes.  Text and DOT output are views rendered from the payload's JSON
+form alone, so every fact they show is in the JSON too.  DOT output is
 for eyeballing only and makes no stability promise beyond determinism.
 """
 
@@ -22,8 +25,9 @@ def jsonable(x):
         return [jsonable(v) for v in x]
     if isinstance(x, (str, int, float, bool)) or x is None:
         return x
-    if hasattr(x, "vertices") and hasattr(x, "edges"):
-        return graph_payload(x)
+    if hasattr(x, "vertices") and hasattr(x, "edges"):  # a graph
+        return {"vertices": list(x.vertices),
+                "edges": [list(e) for e in x.edges]}
     return repr(x)
 
 
@@ -33,158 +37,157 @@ def dumps(payload):
     return json.dumps(jsonable(body), sort_keys=True, indent=2) + "\n"
 
 
-def graph_payload(g):
-    return {"vertices": list(g.vertices),
-            "edges": [list(e) for e in g.edges]}
+# ---------------------------------------------------------------- views
+#
+# Each view takes one payload in its JSON form and returns output lines.
+
+def _vertex_set(vs):
+    return "{%s}" % ",".join(map(str, vs))
+
+
+def _face_lines(faces):
+    return ["  (%s)" % " ".join(map(str, f)) for f in faces]
+
+
+def _dot(name, nodes, edges):
+    return ["graph %s {" % name] + ["  %s;" % x for x in nodes + edges] + ["}"]
 
 
 def graph_dot(g, name="g"):
-    lines = ["graph %s {" % name]
-    for v in g.vertices:
-        lines.append("  %d;" % v)
-    for u, v in g.edges:
-        lines.append("  %d -- %d;" % (u, v))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(name, ["%d" % v for v in g["vertices"]],
+                ["%d -- %d" % tuple(e) for e in g["edges"]])
 
 
-def tree_dot(labels, edges, name="tree"):
-    """DOT for a tree with string node labels keyed by node id."""
-    lines = ["graph %s {" % name]
-    for ci in sorted(labels):
-        lines.append('  n%d [label="%s"];' % (ci, labels[ci]))
-    for i, j in sorted(edges):
-        lines.append("  n%d -- n%d;" % (i, j))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _tree_dot(name, p, label):
+    """A structure tree, each node labelled by ``label(node)``."""
+    return _dot(name, ['n%d [label="%s"]' % (n["id"], label(n))
+                       for n in p["tree_vertices"]],
+                ["n%d -- n%d" % tuple(e) for e in sorted(p["tree_edges"])])
 
 
-def blocks_payload(bct):
-    nodes = []
-    for ci in range(bct.tree.vertex_count):
-        if ci in bct.cut_classes:
-            nodes.append({"id": ci, "kind": "cut",
-                          "vertex": bct.cut_classes[ci]})
+def _tree_edge_lines(p):
+    return ["  tree %d -- %d" % tuple(e) for e in p["tree_edges"]]
+
+
+def blocks_text(p):
+    lines = ["blocks: %d  cuts: %d  tree edges: %d" % (
+        len(p["blocks"]), len(p["cut_vertices"]), len(p["tree_edges"]))]
+    for n in p["tree_vertices"]:
+        if n["kind"] == "cut":
+            lines.append("  [%d] cut vertex %d" % (n["id"], n["vertex"]))
         else:
-            blk = bct.block_classes[ci]
-            nodes.append({"id": ci, "kind": "block",
-                          "graph": graph_payload(blk)})
-    return {
-        "tree_vertices": nodes,
-        "tree_edges": bct.tree.edges,
-        "blocks": [graph_payload(b) for b in bct.blocks],
-        "cut_vertices": list(bct.cuts),
-        "family_size": len(bct.family.elements),
-    }
+            lines.append("  [%d] block %s, %d edges" % (
+                n["id"], _vertex_set(n["graph"]["vertices"]),
+                len(n["graph"]["edges"])))
+    return lines + _tree_edge_lines(p)
 
 
-def blocks_dot(bct):
-    labels = {}
-    for ci in range(bct.tree.vertex_count):
-        if ci in bct.cut_classes:
-            labels[ci] = "cut %d" % bct.cut_classes[ci]
+def blocks_dot(p):
+    return _tree_dot("blockcut", p, lambda n: (
+        "cut %d" % n["vertex"] if n["kind"] == "cut"
+        else "block " + _vertex_set(n["graph"]["vertices"])))
+
+
+def triblocks_text(p):
+    host = p["reduced"]
+    lines = ["tree vertices: %d  (reduced host: %d vertices, %d edges)" % (
+        len(p["tree_vertices"]), len(host["vertices"]), len(host["edges"]))]
+    for n in p["tree_vertices"]:
+        if "vertex" in n:
+            lines.append("  [%d] %s at vertex %d" % (n["id"], n["kind"],
+                                                     n["vertex"]))
         else:
-            blk = bct.block_classes[ci]
-            labels[ci] = "block {%s}" % ",".join(map(str, blk.vertices))
-    return tree_dot(labels, bct.tree.edges, name="blockcut")
+            lines.append("  [%d] %s on %s, %d edges (%d virtual)" % (
+                n["id"], n["kind"], _vertex_set(n["torso"]["vertices"]),
+                len(n["torso"]["edges"]), len(n["virtual_edges"])))
+    return lines + _tree_edge_lines(p)
 
 
-def torso_payload(t):
-    return {
-        "region": graph_payload(t.z_prime),
-        "virtual_edges": [list(e) for e in t.virtual_edges],
-        "torso": graph_payload(t.z),
-        "witness": graph_payload(t.witness),
-    }
+def triblocks_dot(p):
+    return _tree_dot("triblock", p, lambda n: (
+        "%s %d" % (n["kind"], n["vertex"]) if "vertex" in n
+        else "%s %s" % (n["kind"], _vertex_set(n["torso"]["vertices"]))))
 
 
-def triblocks_payload(tbt):
-    nodes = []
-    for ci in range(tbt.vertex_count):
-        kind = tbt.kinds[ci]
-        node = {"id": ci, "kind": kind}
-        if ci in tbt.cut_classes:
-            node["vertex"] = tbt.cut_classes[ci]
-        if ci in tbt.torsos:
-            node.update(torso_payload(tbt.torsos[ci]))
-        nodes.append(node)
-    return {
-        "input": graph_payload(tbt.original),
-        "reduced": graph_payload(tbt.graph),
-        "tree_vertices": nodes,
-        "tree_edges": [list(e) for e in tbt.edges],
-        "family_size": len(tbt.family.elements),
-    }
+def planar_text(p):
+    if not p["planar"]:
+        return (["planar: no", "witness edges:"]
+                + ["  %d %d" % tuple(e) for e in p["witness"]["edges"]])
+    return (["planar: yes", "faces: %d" % p["face_count"]]
+            + _face_lines(p["faces"]))
 
 
-def triblocks_dot(tbt):
-    labels = {}
-    for ci in range(tbt.vertex_count):
-        if ci in tbt.cut_classes:
-            labels[ci] = "%s %d" % (tbt.kinds[ci], tbt.cut_classes[ci])
-        else:
-            t = tbt.torsos[ci]
-            labels[ci] = "%s {%s}" % (tbt.kinds[ci],
-                                      ",".join(map(str, t.z.vertices)))
-    return tree_dot(labels, tbt.edges, name="triblock")
+def planar_dot(p):
+    """The Kuratowski witness, or the host rebuilt from its rotation."""
+    if not p["planar"]:
+        return graph_dot(p["witness"])
+    rotation = p["rotation"]
+    return graph_dot({"vertices": sorted(map(int, rotation)),
+                      "edges": sorted({tuple(e) for around in
+                                       rotation.values() for e in around})})
 
 
-def planar_payload(res):
-    if not res.planar:
-        return {"planar": False,
-                "witness": graph_payload(res.witness)}
-    return {
-        "planar": True,
-        "rotation": {v: [list(e) for e in around]
-                     for v, around in res.embedding.rotation.items()},
-        "faces": [list(f) for f in res.faces],
-        "face_count": res.face_count,
-    }
+def faces_text(p):
+    return ["faces: %d" % p["face_count"]] + _face_lines(p["faces"])
 
 
-def autos_payload(group):
-    vorbs = sorted({tuple(sorted(group.orbit_of_vertex(v)))
-                    for v in group.host.vertices})
-    eorbs = sorted({tuple(sorted(group.orbit_of_edge(e)))
-                    for e in group.host.edges})
-    return {
-        "order": group.order,
-        "generators": [[perm[v] for v in group.host.vertices]
-                       for perm in group.generators],
-        "vertex_order": list(group.host.vertices),
-        "vertex_orbits": [list(o) for o in vorbs],
-        "edge_orbits": [[list(e) for e in o] for o in eorbs],
-    }
+def autos_text(p):
+    return (["order: %d" % p["order"],
+             "generators: %d" % len(p["generators"])]
+            + ["  vertex orbit " + _vertex_set(o) for o in p["vertex_orbits"]]
+            + ["  edge orbit {%s}" % ",".join("%d-%d" % tuple(e) for e in o)
+               for o in p["edge_orbits"]])
 
 
-def quotient_payload(q):
-    return {
-        "vertex_orbits": [list(o) for o in q.vertex_orbits],
-        "edge_orbits": [[list(e) for e in o] for o in q.edge_orbits],
-        "edges": [{"from": i, "to": j, "multiplicity": m}
-                  for i, j, m in q.edges],
-    }
+def quotient_text(p):
+    return (["orbits: %d vertices, %d edges" % (len(p["vertex_orbits"]),
+                                                len(p["edge_orbits"]))]
+            + ["  orbit %d = %s" % (i, _vertex_set(o))
+               for i, o in enumerate(p["vertex_orbits"])]
+            + ["  %(from)d -- %(to)d  (multiplicity %(multiplicity)d)" % e
+               for e in p["edges"]])
 
 
-def quotient_dot(q):
-    lines = ["graph quotient {"]
-    for i, o in enumerate(q.vertex_orbits):
-        lines.append('  n%d [label="{%s}"];' % (i, ",".join(map(str, o))))
-    for i, j, m in q.edges:
-        lines.append('  n%d -- n%d [label="%d"];' % (i, j, m))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def quotient_dot(p):
+    return _dot("quotient", ['n%d [label="%s"]' % (i, _vertex_set(o))
+                             for i, o in enumerate(p["vertex_orbits"])],
+                ['n%(from)d -- n%(to)d [label="%(multiplicity)d"]' % e
+                 for e in p["edges"]])
 
 
-def cayley_payload(tbl, graph, res):
-    out = {
-        "order": tbl.order,
-        "generators": list(tbl.generators),
-        "graph": graph_payload(graph),
-        "planar": res.planar,
-    }
-    if res.planar:
-        out["face_count"] = res.face_count
-    else:
-        out["witness"] = graph_payload(res.witness)
-    return out
+def cayley_text(p):
+    g = p["graph"]
+    return ["order: %d" % p["order"],
+            "generators: %s" % " ".join(p["generators"]),
+            "cayley graph: %d vertices, %d edges" % (len(g["vertices"]),
+                                                     len(g["edges"])),
+            "planar: %s" % ("yes" if p["planar"] else "no")]
+
+
+def check_text(p):
+    return (["%-26s %s%s" % (r["name"], r["status"].upper(),
+                             " (%s)" % r["detail"] if r["detail"] else "")
+             for r in p["invariants"]]
+            + ["result: %s" % ("OK" if p["ok"] else "FAIL")])
+
+
+TEXT = {"blocks": blocks_text, "triblocks": triblocks_text,
+        "planar": planar_text, "faces": faces_text, "autos": autos_text,
+        "quotient": quotient_text, "cayley": cayley_text,
+        "check": check_text}
+# a command missing here has no DOT view
+DOT = {"blocks": blocks_dot, "triblocks": triblocks_dot,
+       "planar": planar_dot, "quotient": quotient_dot,
+       "cayley": lambda p: graph_dot(p["graph"], "cayley")}
+
+
+def render(command, fmt, payload):
+    """One command's stdout: its payload as JSON, or the text or DOT view
+    of the payload's JSON form, once per entry of ``components`` if the
+    payload holds one result per component."""
+    if fmt == "json":
+        return dumps({"command": command, **payload})
+    view = (TEXT if fmt == "text" else DOT)[command]
+    data = jsonable(payload)
+    return "".join("\n".join(view(part)) + "\n"
+                   for part in data.get("components", [data]))

@@ -75,6 +75,13 @@ def test_dot_rejected_where_unsupported():
         code, out = run([cmd, fx("k4.edges"), "--format", "dot"])
         assert code == 2, cmd
         assert "dot output" in json.loads(out)["error"]["message"]
+    # --limit exists only on the commands that read a bound
+    for cmd in ("blocks", "planar", "faces"):
+        code, out = run([cmd, fx("k4.edges"), "--limit", "3"])
+        assert code == 2, cmd
+        err = json.loads(out)["error"]
+        assert err["kind"] == "malformed-input", cmd
+        assert "unrecognized arguments: --limit 3" in err["message"], cmd
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +194,27 @@ def test_limit_flag_controls_aut_bound():
     assert json.loads(out)["error"]["kind"] == "too-large"
 
 
-def test_limit_env_variable(monkeypatch):
+LIMIT_ZERO = """{
+  "error": {
+    "kind": "malformed-input",
+    "message": "limit must be at least 1",
+    "witness": 0
+  },
+  "schema": 1
+}
+"""
+
+
+def test_limit_below_one_is_a_parse_error():
+    assert run(["autos", fx("k4.edges"), "--limit", "0"]) == (2, LIMIT_ZERO)
+    assert run(["cayley", fx("z6.pres"), "--limit", "0"]) == (2, LIMIT_ZERO)
+
+
+def test_limit_environment_variable_is_ignored(monkeypatch):
+    unset = run(["autos", fx("grid3x3.edges")])
+    assert unset[0] == 0
     monkeypatch.setenv("PLANAR_BLOCKS_LIMIT", "3")
-    code, out = run(["autos", fx("grid3x3.edges")])
-    assert code == 1
-    assert json.loads(out)["error"]["kind"] == "too-large"
-    # an explicit flag beats the environment
-    code, out = run(["autos", fx("grid3x3.edges"), "--limit", "12"])
-    assert code == 0
+    assert run(["autos", fx("grid3x3.edges")]) == unset
 
 
 # ---------------------------------------------------------------------------
