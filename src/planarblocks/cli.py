@@ -256,10 +256,10 @@ def _build_parser():
         p.add_argument("--format", choices=("json", "dot", "text"),
                        default="text")
         if bound is not None:
+            what = "coset count" if name == "cayley" else \
+                "automorphism search size"
             p.add_argument("--limit", type=int, default=bound,
-                           help="search bound (automorphism search size, "
-                                "or coset count for 'cayley'; default %d)"
-                                % bound)
+                           help="%s bound (default %d)" % (what, bound))
         if name in ("blocks", "triblocks"):
             p.add_argument("--per-component", action="store_true",
                            dest="per_component")

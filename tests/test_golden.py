@@ -16,6 +16,7 @@ import json
 import os
 import sys
 
+import networkx
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -69,7 +70,6 @@ def test_golden_file_covers_every_command_line():
 @pytest.mark.parametrize("command", EDGE_COMMANDS + ("cayley",))
 def test_output_matches_golden_bytes(command):
     golden = _load()
-    import networkx
     if command in PLANARITY_COMMANDS and \
             networkx.__version__ != golden["networkx"]:
         pytest.skip("%s runs a planarity test; its bytes were recorded "
@@ -83,7 +83,6 @@ def test_output_matches_golden_bytes(command):
 
 
 if __name__ == "__main__":
-    import networkx
     runs = ",\n".join(json.dumps([argv, outcome(argv)])
                       for argv in command_lines())
     with open(GOLDEN, "w", encoding="utf-8") as fh:
