@@ -2,16 +2,14 @@
 and Cayley graphs for finite simple graphs."""
 
 from .blocks1 import BlockCutTree, b1_family, block_cut_tree, cut_vertices
-from .blocks2 import (TriBlockTree, Torso, all_separations, build_nested_family,
-                      enumerate_separations_at, minimal_separation_containing,
-                      nested, torso, triblock_tree)
+from .blocks2 import (TriBlockTree, Torso, build_nested_family, nested, torso,
+                      triblock_tree)
 from .cayley import (GroupTable, Presentation, cayley_graph,
                      check_regular_action, coset_enumerate, invert_word,
                      parse_presentation, regular_action, surface_presentation)
 from .errors import (BadExponent, HingeVertex, InvariantViolated, MalformedInput,
-                     NoSeparationExists, NotAnAutomorphism, NotConnected,
-                     NotNested, Overflow, PlanarBlocksError,
-                     PreconditionViolated, TooLarge)
+                     NotAnAutomorphism, NotConnected, NotNested, Overflow,
+                     PlanarBlocksError, PreconditionViolated, TooLarge)
 from .graph import (Graph, ReducedGraph, build_graph, connected_components,
                     edge_key, format_edge_list, homeomorphic_reduce,
                     induced_subgraph, is_connected, parse_edge_list)

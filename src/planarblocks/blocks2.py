@@ -1,19 +1,23 @@
-"""Hinge separations, the nested-family engine, torsos, tri-block trees.
+"""Hinge separations, torsos, and the tri-block tree.
 
-The decomposition works over one host graph throughout.  Every hinge
-(two boundary vertex) side is made by `component_side` from components
-of the host minus a vertex pair, as `separating_sets` lists them.  A
-nested, automorphism-closed subfamily is grown by repeatedly splitting
-the first structure-tree class whose torso is neither tiny, nor a
-cycle, nor 3-connected by cutsets.  One scan of the torso's vertex
-pairs (`_split_sides`) both decides that and yields the single-component
-sides, and the split uses the least of them by sort key, which is
-subgraph-minimal.  A torso separation is carried back to the host by
-routing each side through the components behind the class's virtual
-edges, so the same loop serves both 2-connected hosts and hosts with
-cut vertices (where the one-boundary family of blocks1 seeds the tree
-and hinge sides simply swallow the hanging pieces).  The structure tree
-of the last round is the tree of the result.
+The tri-block tree of a connected graph is the structure tree of one
+nested family over its reduced host: the one-boundary family of
+`blocks1` at the cut vertices, and in each block the hinge (two
+boundary vertex) separations that no other hinge separation of the
+block crosses.  Those are the separations of Tutte's decomposition of
+the block into cycles, bonds and 3-connected pieces.  Their set is
+defined without reference to vertex names, so every automorphism
+preserves it and no group has to be computed.
+
+Each such separation is, up to complement, one component of the block
+minus a vertex pair, plus the pair, with or without the edge joining
+the pair (`component_side`).  One scan of the block's vertex pairs
+(`graph.separating_sets`) lists these candidates, one pairwise test
+keeps those that cross no other candidate, and each kept side is
+carried to the host through the components of the host minus its pair.
+Where a pair leaves two components and is joined by an edge, both
+sides with the edge are kept, so the pair and its edge form a bond
+tree vertex of their own.
 """
 
 from __future__ import annotations
@@ -23,21 +27,103 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (HingeVertex, InvariantViolated, MalformedInput,
-                     NoSeparationExists, NotConnected, PreconditionViolated,
-                     invariant)
+from .errors import (HingeVertex, MalformedInput, NotConnected,
+                     PreconditionViolated, invariant)
 from .graph import (Graph, connected_components, edge_key, homeomorphic_reduce,
                     is_connected, is_k_connected, is_simple_cycle,
                     is_three_connected_by_cutsets, separating_sets)
 from .separation import Separation, component_side, separation_complement
 from .treeset import NestedFamily, StructureTree, build_structure_tree
 from .blocks1 import b1_family
-from .symmetry import (DEFAULT_AUT_BOUND, automorphism_group,
-                       orbit_of_separation)
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# the canonical hinge family
+
+
+def _corners(a, ac, b, bc):
+    """The corner inclusions that hold between a and b, given their
+    complements ac and bc, yielded lazily in `nested` order."""
+    for name, x, y in (("A<=B", a, b), ("A<=B*", a, bc),
+                       ("A*<=B", ac, b), ("A*<=B*", ac, bc)):
+        if x.subgraph_leq(y):
+            yield name
+
+
+def nested(a, b):
+    """The corner inclusions that hold between two separations.
+
+    Returns a tuple drawn from ("A<=B", "A<=B*", "A*<=B", "A*<=B*");
+    empty means the pair is not nested.
+    """
+    if a.host != b.host:
+        raise MalformedInput("separations live on different hosts")
+    return tuple(_corners(a, separation_complement(a),
+                          b, separation_complement(b)))
+
+
+def _uncrossed_sides(z):
+    """The hinge sides of the 2-connected graph z that no hinge
+    separation of z crosses, sorted by sort key.
+
+    Candidates are the sides of single components of z minus a vertex
+    pair, with and without the edge joining the pair; a candidate is
+    kept when it crosses no other candidate.
+    """
+    cands = []
+    for pair, comps in separating_sets(z, 2):
+        for with_edge in (False, True) if z.has_edge(*pair) else (False,):
+            for comp in comps:
+                s = component_side(z, pair, (comp,), with_edge)
+                cands.append((s, separation_complement(s)))
+    crossed = set()
+    for i, j in combinations(range(len(cands)), 2):
+        if next(_corners(*cands[i], *cands[j]), None) is None:
+            crossed.update((i, j))
+    return sorted((s for i, (s, _) in enumerate(cands) if i not in crossed),
+                  key=Separation.sort_key)
+
+
+def _lift_torso_separation(host, zsep):
+    """Carry a hinge separation of a torso back to the host.
+
+    The host components of host - hinge that meet the interior of zsep
+    make up the side, and the host edge joining the hinge goes with it
+    when zsep holds the torso edge joining the hinge.
+    """
+    x, y = sorted(zsep.boundary)
+    seeds = zsep.va - zsep.boundary
+    comps = [c for c in connected_components(host, (x, y))
+             if not seeds.isdisjoint(c)]
+    return component_side(host, (x, y), comps, edge_key(x, y) in zsep.ea)
+
+
+def _canonical_tree(h):
+    """Structure tree of the one-boundary family of h together with the
+    uncrossed hinge separations of each of its blocks.
+
+    Blocks of at most three vertices and cycles have none.  Each kept
+    side enters with rank 0 and its complement with rank 1, unless the
+    complement was kept and entered first.
+    """
+    fam1 = b1_family(h)
+    elements, rank = list(fam1.elements), list(fam1.rank)
+    present = set()
+    blocks = build_structure_tree(fam1)
+    for ci in range(blocks.vertex_count):
+        z = blocks.region(ci)
+        if len(z.vertices) <= 3 or is_simple_cycle(z):
+            continue
+        for zsep in _uncrossed_sides(z):
+            s = _lift_torso_separation(h, zsep)
+            if s.key in present:
+                continue
+            sc = separation_complement(s)
+            present.update((s.key, sc.key))
+            elements += (s, sc)
+            rank += (0, 1)
+    comp = [i ^ 1 for i in range(len(elements))]
+    return build_structure_tree(NestedFamily(h, elements, comp, rank))
 
 
 def _require_two_connected(g):
@@ -52,90 +138,20 @@ def _require_two_connected(g):
         raise PreconditionViolated("cycles have no torso structure to find")
 
 
-def _all_hinge_separations(g):
-    """Every hinge separation of g, sorted.
+def build_nested_family(g):
+    """The hinge separations of g that no hinge separation crosses, with
+    complements: a nested, automorphism-invariant family whose structure
+    tree has only cycle, tiny and 3-connected torsos.
 
-    Sides are unions of components of g - {u, w} plus the boundary; when
-    the edge uw exists each union is tried with and without it.  The
-    separation validator filters out sides whose boundary vertex has no
-    edge on one side, single edges, and whole-graph-minus-an-edge.
+    The host must be 2-connected, not a cycle, and not already
+    3-connected by cutsets.
     """
-    out = {}
-    for pair, comps in separating_sets(g, 2):
-        edge_choices = (False, True) if g.has_edge(*pair) else (False,)
-        for r in range(1, len(comps)):
-            for chosen in combinations(comps, r):
-                for with_edge in edge_choices:
-                    try:
-                        s = component_side(g, pair, chosen, with_edge)
-                    except MalformedInput:
-                        continue
-                    side = Graph(tuple(sorted(s.va)), tuple(sorted(s.ea)))
-                    invariant(is_connected(side), "hinge side of a "
-                              "2-connected host must be connected")
-                    out.setdefault(s.key, s)
-    return tuple(sorted(out.values(), key=Separation.sort_key))
-
-
-def all_separations(g):
-    """Every hinge separation of a 2-connected, non-cycle host."""
     _require_two_connected(g)
-    return _all_hinge_separations(g)
-
-
-def enumerate_separations_at(g, u):
-    """Hinge separations whose boundary contains u, sorted."""
-    _require_two_connected(g)
-    if u not in g:
-        raise MalformedInput("no such vertex", witness=u)
-    return tuple(s for s in _all_hinge_separations(g) if u in s.boundary)
-
-
-def _component_sides(g):
-    """One hinge side per component C of g - {u, w}, for every pair
-    {u, w} that leaves at least two: C plus u and w, without the edge uw.
-
-    In a 2-connected host every hinge side at {u, w} contains such a
-    side, and a strictly smaller side has strictly fewer edges, so the
-    least of these by sort key is a subgraph-minimal hinge separation.
-    O(n^2) pairs, one component search each.
-    """
-    return [component_side(g, pair, (comp,))
-            for pair, comps in separating_sets(g, 2) for comp in comps]
-
-
-def minimal_separation_containing(g, x0):
-    """A subgraph-minimal hinge separation with x0 among its vertices;
-    of those, the least by sort key."""
-    _require_two_connected(g)
-    if x0 not in g:
-        raise MalformedInput("no such vertex", witness=x0)
-    cands = [s for s in _component_sides(g) if x0 in s.va]
-    if not cands:
-        raise NoSeparationExists("host has no hinge separations", witness=x0)
-    return min(cands, key=Separation.sort_key)
-
-
-def nested(a, b):
-    """The corner inclusions that hold between two separations.
-
-    Returns a tuple drawn from ("A<=B", "A<=B*", "A*<=B", "A*<=B*");
-    empty means the pair is not nested.
-    """
-    if a.host != b.host:
-        raise MalformedInput("separations live on different hosts")
-    ac = separation_complement(a)
-    bc = separation_complement(b)
-    out = []
-    if a.subgraph_leq(b):
-        out.append("A<=B")
-    if a.subgraph_leq(bc):
-        out.append("A<=B*")
-    if ac.subgraph_leq(b):
-        out.append("A*<=B")
-    if ac.subgraph_leq(bc):
-        out.append("A*<=B*")
-    return tuple(out)
+    if is_three_connected_by_cutsets(g):
+        raise PreconditionViolated("host is already 3-connected by cutsets")
+    fam = _canonical_tree(g).family
+    invariant(fam.elements, "a splittable host must yield a nonempty family")
+    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +185,6 @@ def _region_parts(tree, ci):
             gens[k] = e
     z = Graph(zprime.vertices, tuple(sorted(zes)))
     return zprime, z, tuple(sorted(virtuals)), gens
-
-
-def _split_sides(z):
-    """The single-component hinge sides of torso z, or None when z needs
-    no split: it is tiny, a cycle, or 3-connected by cutsets (it has no
-    such side)."""
-    if len(z.vertices) <= 3 or is_simple_cycle(z):
-        return None
-    invariant(is_k_connected(z, 2), "split target must be 2-connected")
-    return _component_sides(z) or None
 
 
 def _bfs_path(g, src, dst, avoid):
@@ -269,106 +275,6 @@ def torso(g, tree, v):
 
 
 # ---------------------------------------------------------------------------
-# the enlargement engine
-
-
-def _family_of(host, entries):
-    elements = [s for s, _ in entries]
-    rank = [r for _, r in entries]
-    comp = []
-    for i in range(0, len(entries), 2):
-        comp.extend((i + 1, i))
-    return NestedFamily(host, elements, comp, rank)
-
-
-def _add_orbit(entries, sep, aut_gens):
-    """Append the orbit of sep (with complements) to the entry list,
-    skipping images already present as rank-0 members."""
-    present = {s.sort_key() for s, r in entries if r == 0}
-    added = 0
-    for img in orbit_of_separation(sep, aut_gens):
-        if img.sort_key() in present:
-            continue
-        entries.append((img, 0))
-        entries.append((separation_complement(img), 1))
-        present.add(img.sort_key())
-        added += 1
-    return added
-
-
-def _lift_torso_separation(host, tree, ci, zsep):
-    """Carry a separation of the torso of class ci back to the host.
-
-    Host components behind a virtual edge follow the side of the torso
-    that took the edge; the component structure of host - hinge does the
-    rest, and a real hinge edge follows the torso edge joining the hinge
-    (which exists in the torso whenever the host edge does).
-    """
-    x, y = sorted(zsep.boundary)
-    bd_taken = edge_key(x, y) in zsep.ea
-    seeds = set(zsep.va) - set(zsep.boundary)
-    if bd_taken:
-        fam = tree.family
-        for i in tree.classes[ci]:
-            e = fam.elements[i]
-            if len(e.boundary) == 2 and e.boundary == zsep.boundary:
-                seeds |= set(e.va) - set(e.boundary)
-    comps = [c for c in connected_components(host, (x, y))
-             if not seeds.isdisjoint(c)]
-    return component_side(host, (x, y), comps, bd_taken)
-
-
-def _enlarge_to_conforming(host, entries, max_aut):
-    """Grow the family until every class torso is a cycle, tiny, or
-    3-connected by cutsets, and return the structure tree of the final
-    family.  Mutates and consumes `entries`.
-
-    Every round adds at least one fresh orbit of hinge separations, so
-    the loop is bounded by the (finite) number of hinge separations.
-    An empty family is seeded with the least side that holds the least
-    host vertex.
-    """
-    aut_gens = None
-    split = {}  # torso -> _split_sides(torso); most torsos recur unchanged
-    for _ in range(10000):
-        tree = build_structure_tree(_family_of(host, entries))
-        for ci in range(tree.vertex_count):
-            z = _region_parts(tree, ci)[1]
-            if z not in split:
-                split[z] = _split_sides(z)
-            sides = split[z]
-            if sides is not None:
-                break
-        else:
-            return tree
-        if not entries:
-            sides = [s for s in sides if host.vertices[0] in s.va]
-        zsep = min(sides, key=Separation.sort_key)
-        lifted = _lift_torso_separation(host, tree, ci, zsep)
-        if aut_gens is None:
-            aut_gens = automorphism_group(
-                host, max_vertices=max_aut).generators
-        invariant(_add_orbit(entries, lifted, aut_gens),
-                  "enlargement made no progress")
-    raise InvariantViolated("enlargement failed to stabilize")
-
-
-def build_nested_family(g, max_aut=DEFAULT_AUT_BOUND):
-    """Automorphism-closed nested family of hinge separations whose
-    structure tree has only cycle / tiny / 3-connected torsos.
-
-    The host must be 2-connected, not a cycle, and not already
-    3-connected by cutsets.
-    """
-    _require_two_connected(g)
-    if is_three_connected_by_cutsets(g):
-        raise PreconditionViolated("host is already 3-connected by cutsets")
-    fam = _enlarge_to_conforming(g, [], max_aut).family
-    invariant(fam.elements, "a splittable host must yield a nonempty family")
-    return fam
-
-
-# ---------------------------------------------------------------------------
 # the combined tree
 
 
@@ -394,23 +300,23 @@ class TriBlockTree:
         return len(self.kinds)
 
 
-def triblock_tree(g, max_aut=DEFAULT_AUT_BOUND):
+def triblock_tree(g):
     """Decompose a connected graph into cut points, cycles, and
     3-connected torsos after suppressing its degree-2 vertices.
 
-    The one-boundary family at cut vertices and the hinge families of
-    the 2-connected parts live in a single nested family over the
+    The one-boundary family at cut vertices and the uncrossed hinge
+    separations of the blocks live in a single nested family over the
     reduced host; hinge sides absorb hanging pieces through the
-    component structure, so no per-part bookkeeping is needed.
+    component structure, so no per-part bookkeeping is needed.  A pair
+    with two components joined by a host edge gives a bond: a
+    two-vertex torso holding the pair and that edge.
     """
     if not is_connected(g):
         raise NotConnected("decomposition needs a connected graph",
                            witness=[len(c) for c in connected_components(g)])
     red = homeomorphic_reduce(g)
     h = red.graph
-    fam1 = b1_family(h)
-    tree = _enlarge_to_conforming(h, list(zip(fam1.elements, fam1.rank)),
-                                  max_aut)
+    tree = _canonical_tree(h)
     kinds = {}
     cut_classes = {}
     torsos = {}

@@ -4,7 +4,8 @@ Every command reads one input file, writes one result to stdout, and
 exits 0 (success), 1 (structured domain error, or a failed ``check``),
 or 2 (parse error).  ``COMMANDS`` gives each command its input parser,
 the builder of its result payload, and its default search bound (or
-None: the command has no bound and takes no ``--limit``).  JSON
+None: the command has no bound and takes no ``--limit``, except that
+``triblocks`` still accepts one and ignores it).  JSON
 output is the payload; text and DOT output are views of it (see
 ``serialize``).  Output is deterministic: identical input and flags give
 identical bytes.  Domain errors are always emitted as schema-1 JSON
@@ -62,7 +63,7 @@ def _blocks(g, bound, args):
 
 
 def _triblocks(g, bound, args):
-    tbt = triblock_tree(g, max_aut=bound)
+    tbt = triblock_tree(g)
     _verify(tbt.tree)
     nodes = []
     for ci in range(tbt.vertex_count):
@@ -175,7 +176,7 @@ def _check(g, bound, args):
     state = {}
 
     def triblocks():
-        tbt = triblock_tree(g, max_aut=bound)
+        tbt = triblock_tree(g)
         _verify(tbt.tree)
         state["tbt"] = tbt
         return "%d tree vertices" % tbt.vertex_count
@@ -229,7 +230,7 @@ def _check(g, bound, args):
 
 COMMANDS = {
     "blocks": (parse_edge_list, _blocks, None),
-    "triblocks": (parse_edge_list, _triblocks, DEFAULT_AUT_BOUND),
+    "triblocks": (parse_edge_list, _triblocks, None),
     "planar": (parse_edge_list, _planar, None),
     "faces": (parse_edge_list, _faces, None),
     "autos": (parse_edge_list, _autos, DEFAULT_AUT_BOUND),
@@ -239,9 +240,16 @@ COMMANDS = {
 }
 
 
+class _Help(Exception):
+    """Carries the help text of ``-h`` back to `run`."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise MalformedInput("bad command line: %s" % message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _build_parser():
@@ -260,6 +268,10 @@ def _build_parser():
                 "automorphism search size"
             p.add_argument("--limit", type=int, default=bound,
                            help="%s bound (default %d)" % (what, bound))
+        elif name == "triblocks":
+            p.add_argument("--limit", type=int,
+                           help="accepted and ignored: the decomposition "
+                                "searches no automorphisms")
         if name in ("blocks", "triblocks"):
             p.add_argument("--per-component", action="store_true",
                            dest="per_component")
@@ -299,6 +311,8 @@ def run(argv):
             payload = build(source, bound, args)
         code = 0 if payload.get("ok", True) else 1
         return code, serialize.render(args.command, args.format, payload)
+    except _Help as exc:
+        return 0, exc.args[0]
     except MalformedInput as exc:
         return 2, serialize.dumps({"error": exc.payload()})
     except PlanarBlocksError as exc:

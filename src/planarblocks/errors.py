@@ -40,10 +40,6 @@ class NotNested(PlanarBlocksError):
     kind = "not-nested"
 
 
-class NoSeparationExists(PlanarBlocksError):
-    kind = "no-separation-exists"
-
-
 class HingeVertex(PlanarBlocksError):
     """Torso requested at a tree vertex that is a cut-point class."""
 

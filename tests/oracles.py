@@ -9,8 +9,12 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from planarblocks.graph import Graph, build_graph, edge_key
-from planarblocks.separation import make_separation
+from planarblocks.blocks2 import _require_two_connected
+from planarblocks.errors import MalformedInput
+from planarblocks.graph import (Graph, build_graph, edge_key, is_connected,
+                                separating_sets)
+from planarblocks.separation import (Separation, component_side,
+                                     make_separation, separation_complement)
 from planarblocks.treeset import family_from_sides
 
 
@@ -271,6 +275,60 @@ def edge_subset_separations(g, boundary_size):
     return out
 
 
+def _all_hinge_separations(g):
+    """Every hinge separation of g, sorted.
+
+    Sides are unions of components of g - {u, w} plus the boundary; when
+    the edge uw exists each union is tried with and without it.  The
+    separation validator filters out sides whose boundary vertex has no
+    edge on one side, single edges, and whole-graph-minus-an-edge.
+    """
+    out = {}
+    for pair, comps in separating_sets(g, 2):
+        edge_choices = (False, True) if g.has_edge(*pair) else (False,)
+        for r in range(1, len(comps)):
+            for chosen in combinations(comps, r):
+                for with_edge in edge_choices:
+                    try:
+                        s = component_side(g, pair, chosen, with_edge)
+                    except MalformedInput:
+                        continue
+                    side = Graph(tuple(sorted(s.va)), tuple(sorted(s.ea)))
+                    assert is_connected(side), "hinge side must be connected"
+                    out.setdefault(s.key, s)
+    return tuple(sorted(out.values(), key=Separation.sort_key))
+
+
+def all_separations(g):
+    """Every hinge separation of a 2-connected, non-cycle host."""
+    _require_two_connected(g)
+    return _all_hinge_separations(g)
+
+
+def enumerate_separations_at(g, u):
+    """Hinge separations whose boundary contains u, sorted."""
+    _require_two_connected(g)
+    if u not in g:
+        raise MalformedInput("no such vertex", witness=u)
+    return tuple(s for s in _all_hinge_separations(g) if u in s.boundary)
+
+
+def totally_nested_keys(g):
+    """Sorted keys of the hinge separations of g that no hinge separation
+    of g crosses.  Two separations cross when none of A<=B, A<=B*, A*<=B,
+    A*<=B* holds between them as subgraphs."""
+    seps = [(s, separation_complement(s)) for s in all_separations(g)]
+
+    def leq(x, y):
+        return x.va <= y.va and x.ea <= y.ea
+
+    def crosses(a, ac, b, bc):
+        return not (leq(a, b) or leq(a, bc) or leq(ac, b) or leq(ac, bc))
+
+    return sorted(a.key for a, ac in seps
+                  if not any(crosses(a, ac, b, bc) for b, bc in seps))
+
+
 # --------------------------------------------------- Kuratowski witnesses
 
 def kuratowski_kind(g):
@@ -492,6 +550,16 @@ def random_two_connected_graph(rng, max_vertices=10):
         g = build_graph(range(n), sorted(edges))
         if _two_connected(g):
             return g
+
+
+def chorded_cycle(rng, n=16, chords=9):
+    """An n-cycle plus `chords` distinct random chords: 2-connected, and
+    after suppressing its degree-2 vertices usually neither a cycle nor
+    3-connected."""
+    cycle = {edge_key(i, (i + 1) % n) for i in range(n)}
+    possible = [e for e in combinations(range(n), 2) if e not in cycle]
+    return build_graph(range(n), sorted(cycle | set(rng.sample(possible,
+                                                               chords))))
 
 
 def random_path_family(rng, max_elements=60):

@@ -1,28 +1,28 @@
-"""Hinge separations, the enlargement engine, torsos, and the
+"""Hinge separations, the canonical hinge family, torsos, and the
 combined cut-point / cycle / 3-connected tree."""
 
 import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from planarblocks import (
     NestedFamily,
-    all_separations,
     b1_family,
     build_graph,
     build_nested_family,
     build_structure_tree,
-    enumerate_separations_at,
+    homeomorphic_reduce,
     make_separation,
-    minimal_separation_containing,
     nested,
     separation_complement,
     torso,
     triblock_tree,
     verify_tree_correspondence,
 )
-from planarblocks.graph import is_simple_cycle
+from planarblocks.graph import (induced_subgraph, is_simple_cycle,
+                                is_three_connected_by_cutsets)
 from planarblocks.blocks2 import (
     KIND_CUT_POINT,
     KIND_CYCLE,
@@ -32,14 +32,14 @@ from planarblocks.blocks2 import (
 from planarblocks.errors import (
     HingeVertex,
     MalformedInput,
-    NoSeparationExists,
     NotConnected,
-    NotNested,
     PreconditionViolated,
 )
 
 from conftest import g_of, k4_book
-from oracles import edge_subset_separations, random_two_connected_graph
+from oracles import (all_separations, chorded_cycle, edge_subset_separations,
+                     enumerate_separations_at, random_two_connected_graph,
+                     totally_nested_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -90,62 +90,33 @@ def test_all_separations_closed_under_complement():
             assert separation_complement(s).sort_key() in keys
 
 
-def test_minimal_separation_frozen(k4e, twosquares):
-    assert minimal_separation_containing(k4e, 0).sort_key() == \
-        (2, ((0, 2), (1, 2)), (0, 1))
-    # the theta graph: smallest side holding vertex 0 is a corner path
-    assert minimal_separation_containing(twosquares, 0).sort_key() == \
-        (2, ((0, 2), (2, 3)), (0, 3))
-    assert len(all_separations(twosquares)) == 12
-
-
-def test_minimal_separation_matches_edge_subset_oracle():
-    rng = random.Random(406)
-    checked = 0
-    for _ in range(30):
-        g = random_two_connected_graph(rng, max_vertices=7)
-        if len(g.vertices) < 4 or is_simple_cycle(g):
-            continue
-        sides = edge_subset_separations(g, boundary_size=2)
-        for x0 in g.vertices:
-            cands = [c for c in sides if x0 in c[0]]
-            minimal = [c for c in cands
-                       if not any(d != c and d[0] <= c[0] and d[1] <= c[1]
-                                  for d in cands)]
-            if not minimal:
-                with pytest.raises(NoSeparationExists):
-                    minimal_separation_containing(g, x0)
-                continue
-            want = min((len(ea), tuple(sorted(ea)), tuple(sorted(border)))
-                       for va, ea, border in minimal)
-            assert minimal_separation_containing(g, x0).sort_key() == want, \
-                (g.edges, x0)
-            checked += 1
-    assert checked >= 30
-
-
 def test_sixteen_page_book_triblock_tree_is_fast():
     # 34 vertices; enumerating every hinge side would take about 31 s
     book = k4_book(16)
     t0 = time.monotonic()
-    t = triblock_tree(book, max_aut=34)
+    t = triblock_tree(book)
     elapsed = time.monotonic() - t0
     assert t.vertex_count == 17
     assert elapsed < 2.0, elapsed
 
 
-def test_minimal_separation_contains_vertex(prism, k4e):
-    s = minimal_separation_containing(k4e, 3)
-    assert 3 in s.va
-    with pytest.raises(NoSeparationExists):
-        minimal_separation_containing(prism, 0)
+@pytest.mark.parametrize("shape, vertices, tree_vertices", [
+    ("chain", 102, 99),    # 50 K4 torsos and the 49 bonds between them
+    ("book", 130, 65),     # 64 K4 torsos round one bond
+])
+def test_large_triblock_trees_are_fast(shape, vertices, tree_vertices):
+    g = _k4_chain(50) if shape == "chain" else k4_book(64)
+    assert len(g.vertices) == vertices
+    t0 = time.monotonic()
+    t = triblock_tree(g)
+    elapsed = time.monotonic() - t0
+    assert t.vertex_count == tree_vertices
+    assert elapsed < 2.0, elapsed
 
 
 def test_k4_has_no_hinge_separations(k4):
     assert enumerate_separations_at(k4, 0) == ()
     assert all_separations(k4) == ()
-    with pytest.raises(NoSeparationExists):
-        minimal_separation_containing(k4, 0)
 
 
 def test_all_separations_requires_connected():
@@ -185,7 +156,7 @@ def test_nested_requires_same_host(c6, c6_chord):
 
 
 # ---------------------------------------------------------------------------
-# the enlargement engine on 2-connected hosts
+# the canonical hinge family on 2-connected hosts
 
 
 def test_build_family_k4e_frozen(k4e):
@@ -218,17 +189,29 @@ def test_k4e_torsos(k4e):
 
 
 def test_build_family_c5chord(c5_chord):
+    # the chord's pair leaves two components and is an edge, so all four
+    # sides at {0, 2} are uncrossed, and the chord becomes a bond between
+    # the triangle and the square (Tutte's decomposition)
     fam = build_nested_family(c5_chord)
-    assert len(fam.elements) == 2
+    assert sorted(e.key for e in fam.elements) == totally_nested_keys(c5_chord)
+    assert [e.key[1] for e in fam.elements] == [
+        ((0, 1), (1, 2)),
+        ((0, 2), (0, 4), (2, 3), (3, 4)),
+        ((0, 1), (0, 2), (1, 2)),
+        ((0, 4), (2, 3), (3, 4))]
     tree = build_structure_tree(fam)
-    assert tree.vertex_count == 2
-    square = torso(c5_chord, tree, 0)
-    assert square.z.edges == ((0, 2), (0, 4), (2, 3), (3, 4))
-    assert square.virtual_edges == ()
+    assert tree.vertex_count == 3
+    assert tree.edges == ((0, 1), (0, 2))
+    bond = torso(c5_chord, tree, 0)
+    assert bond.z.edges == bond.z_prime.edges == ((0, 2),)
+    assert bond.virtual_edges == ()
     tri = torso(c5_chord, tree, 1)
     assert tri.z.edges == ((0, 1), (0, 2), (1, 2))
     assert tri.virtual_edges == ((0, 2),)
     assert tri.witness_paths == {(0, 2): (0, 2)}
+    square = torso(c5_chord, tree, 2)
+    assert square.z.edges == ((0, 2), (0, 4), (2, 3), (3, 4))
+    assert square.virtual_edges == ((0, 2),)
 
 
 def test_build_family_two_squares_sharing_a_pair():
@@ -278,11 +261,22 @@ def test_build_family_preconditions(prism, c6, k4):
         build_nested_family(disc)
 
 
-def test_build_family_crossing_orbit_fails_honestly(twosquares):
-    # the theta graph's automorphisms carry the seed separation onto a
-    # crossing image; the engine reports that instead of hiding it
-    with pytest.raises(NotNested):
-        build_nested_family(twosquares)
+def test_build_family_theta_keeps_the_spine_sides(twosquares):
+    # of the theta graph's 12 hinge separations, the paths round each
+    # square cross each other; only the four sides at the spine {0, 1}
+    # are uncrossed: a bond on the edge 0-1 between two 4-cycles
+    assert len(all_separations(twosquares)) == 12
+    fam = build_nested_family(twosquares)
+    assert sorted(e.key for e in fam.elements) == \
+        totally_nested_keys(twosquares)
+    assert {e.boundary for e in fam.elements} == {frozenset({0, 1})}
+    tree = build_structure_tree(fam)
+    assert tree.edges == ((0, 1), (0, 2))
+    assert torso(twosquares, tree, 0).z.edges == ((0, 1),)
+    for ci, square in ((1, (2, 3)), (2, (4, 5))):
+        t = torso(twosquares, tree, ci)
+        assert t.z.vertices == (0, 1) + square
+        assert t.virtual_edges == ((0, 1),)
 
 
 def test_family_verifies_on_random_hosts():
@@ -292,12 +286,58 @@ def test_family_verifies_on_random_hosts():
         g = random_two_connected_graph(rng, max_vertices=8)
         try:
             fam = build_nested_family(g)
-        except (PreconditionViolated, NotNested):
+        except PreconditionViolated:
             continue
         tree = build_structure_tree(fam)
         assert verify_tree_correspondence(tree)["ok"]
         checked += 1
     assert checked >= 5
+
+
+@st.composite
+def _two_connected_hosts(draw):
+    return random_two_connected_graph(draw(st.randoms(use_true_random=False)),
+                                      max_vertices=9)
+
+
+def _family_keys(g):
+    """Sorted element keys of build_nested_family(g), or [] when the host
+    is 3-connected by cutsets and so has no hinge family to build."""
+    try:
+        return sorted(e.key for e in build_nested_family(g).elements)
+    except PreconditionViolated:
+        assert is_three_connected_by_cutsets(g)
+        return []
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_connected_hosts())
+def test_family_is_the_totally_nested_hinge_separations(g):
+    assume(len(g.vertices) >= 4 and not is_simple_cycle(g))
+    assert _family_keys(g) == totally_nested_keys(g), g.edges
+
+
+def test_family_matches_oracle_on_chorded_cycles():
+    # 16-cycles with 9 random chords, reduced as triblocks reduces them:
+    # the kind of host on which an automorphism-orbit construction once
+    # produced a crossing family
+    rng = random.Random(185)
+    nonempty = 0
+    for _ in range(150):
+        h = homeomorphic_reduce(chorded_cycle(rng)).graph
+        want = totally_nested_keys(h)
+        assert _family_keys(h) == want, h.edges
+        nonempty += bool(want)
+    assert nonempty >= 10
+
+
+def test_triblock_tree_answers_on_chorded_cycles():
+    rng = random.Random(185)
+    for _ in range(900):
+        g = chorded_cycle(rng)
+        t = triblock_tree(g)
+        assert sum(len(to.z_prime.edges) for to in t.torsos.values()) == \
+            len(t.graph.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +393,13 @@ def _k4_chain(parts):
 
 def test_lift_is_identity_on_whole_graph_torso():
     host = g_of("0-1,0-2,0-3,1-2,1-3,2-6,6-7,2-7")
-    tree = build_structure_tree(NestedFamily(host, (), ()))
-    assert tree.classes == (frozenset(),)
     plain = make_separation(host, (0, 1, 3), ((0, 3), (1, 3)), (0, 1))
-    assert _lift_torso_separation(host, tree, 0, plain) == plain
+    assert _lift_torso_separation(host, plain) == plain
     # a separation that takes the hinge edge must keep it when lifted
     taken = make_separation(
         host, (0, 1, 2, 6, 7),
         ((0, 1), (0, 2), (1, 2), (2, 6), (2, 7), (6, 7)), (0, 1))
-    assert _lift_torso_separation(host, tree, 0, taken) == taken
+    assert _lift_torso_separation(host, taken) == taken
 
 
 def test_lift_pulls_in_material_behind_the_region():
@@ -375,7 +413,7 @@ def test_lift_pulls_in_material_behind_the_region():
     z = torso(host, tree, ci).z
     zsep = make_separation(z, (2, 3, 4, 5),
                            ((2, 3), (2, 4), (2, 5), (3, 4), (3, 5)), (4, 5))
-    lifted = _lift_torso_separation(host, tree, ci, zsep)
+    lifted = _lift_torso_separation(host, zsep)
     # the side behind the region hinge {2,3} rides along with it
     assert lifted.sort_key() == (
         10,
@@ -441,32 +479,54 @@ def test_triblock_two_k4s_at_a_vertex(bowtie_k4s):
 
 def test_triblock_book_with_pendant_k4(book_k4):
     t = triblock_tree(book_k4)
+    # the hinge elements are the uncrossed sides of the two-page block,
+    # each carrying the pendant K4 when it holds vertex 2
+    block = induced_subgraph(book_k4, range(6))
+    hinges = [e for e in t.family.elements if len(e.boundary) == 2]
+    assert sorted((tuple(sorted(e.ea & block.edge_set)), e.key[2])
+                  for e in hinges) == \
+        sorted(k[1:] for k in totally_nested_keys(block))
     assert t.kinds == {0: KIND_CUT_POINT,
                        1: KIND_THREE_CONNECTED,
                        2: KIND_THREE_CONNECTED,
-                       3: KIND_THREE_CONNECTED}
+                       3: KIND_THREE_CONNECTED,
+                       4: KIND_THREE_CONNECTED}
     assert t.cut_classes == {0: 2}
-    assert t.edges == ((0, 1), (0, 2), (1, 3))
-    assert len(t.family.elements) == 6
+    assert t.edges == ((0, 1), (0, 2), (1, 3), (3, 4))
+    assert len(t.family.elements) == 8
     assert t.torsos[1].z.vertices == (0, 1, 2, 3)
     assert t.torsos[1].virtual_edges == ((0, 1),)
     assert t.torsos[2].z.vertices == (2, 6, 7, 8)
     assert t.torsos[2].virtual_edges == ()
-    assert t.torsos[3].z.vertices == (0, 1, 4, 5)
+    # the bond: the spine and its real edge
+    assert t.torsos[3].z.vertices == (0, 1)
+    assert t.torsos[3].z_prime.edges == ((0, 1),)
     assert t.torsos[3].virtual_edges == ()
+    assert t.torsos[4].z.vertices == (0, 1, 4, 5)
+    assert t.torsos[4].virtual_edges == ((0, 1),)
 
 
 def test_triblock_k4_chain():
-    t = triblock_tree(_k4_chain(3))
-    assert t.kinds == {0: KIND_THREE_CONNECTED,
-                       1: KIND_THREE_CONNECTED,
-                       2: KIND_THREE_CONNECTED}
-    assert t.edges == ((0, 1), (0, 2))
-    assert t.torsos[0].z.vertices == (2, 3, 4, 5)
-    assert t.torsos[0].virtual_edges == ()
+    # three K4s glued along 2-3 and 4-5: a bond at each glued edge
+    # between the K4 torsos, as in Tutte's decomposition
+    host = _k4_chain(3)
+    t = triblock_tree(host)
+    assert sorted(e.key for e in t.family.elements) == \
+        totally_nested_keys(host)
+    assert t.kinds == {ci: KIND_THREE_CONNECTED for ci in range(5)}
+    assert t.edges == ((0, 1), (0, 4), (2, 3), (2, 4))
+    for bond, pair in ((0, (2, 3)), (2, (4, 5))):
+        assert t.torsos[bond].z.vertices == pair
+        assert t.torsos[bond].z_prime.edges == (pair,)
+        assert t.torsos[bond].virtual_edges == ()
+    assert t.torsos[1].z.vertices == (0, 1, 2, 3)
     assert t.torsos[1].virtual_edges == ((2, 3),)
     assert t.torsos[1].witness_paths == {(2, 3): (2, 3)}
-    assert t.torsos[2].virtual_edges == ((4, 5),)
+    assert t.torsos[3].z.vertices == (4, 5, 6, 7)
+    assert t.torsos[3].virtual_edges == ((4, 5),)
+    assert t.torsos[4].z.vertices == (2, 3, 4, 5)
+    assert t.torsos[4].z_prime.edges == ((2, 4), (2, 5), (3, 4), (3, 5))
+    assert t.torsos[4].virtual_edges == ((2, 3), (4, 5))
 
 
 def test_triblock_edge_partition(book_k4, bowtie_k4s, grid3x3):

@@ -1,5 +1,7 @@
 """Command line behavior: exit codes, formats, limits, determinism."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -48,6 +50,18 @@ def test_domain_errors_exit_one_with_json_error():
     err = json.loads(out)["error"]
     assert err["kind"] == "not-connected"
     assert err["witness"]
+
+
+def test_help_is_returned_not_printed(capsys):
+    code, out = run(["autos", "--help"])
+    assert code == 0
+    assert out.startswith("usage: planarblocks autos")
+    assert "--limit" in out
+    code, out = run(["--help"])
+    assert code == 0
+    assert out.startswith("usage: planarblocks")
+    assert "triblocks" in out
+    assert capsys.readouterr().out == ""
 
 
 def test_parse_errors_exit_two():
@@ -207,6 +221,8 @@ LIMIT_ZERO = """{
 
 def test_limit_below_one_is_a_parse_error():
     assert run(["autos", fx("k4.edges"), "--limit", "0"]) == (2, LIMIT_ZERO)
+    assert run(["triblocks", fx("k4.edges"), "--limit", "0"]) == \
+        (2, LIMIT_ZERO)
     assert run(["cayley", fx("z6.pres"), "--limit", "0"]) == (2, LIMIT_ZERO)
 
 
@@ -215,6 +231,36 @@ def test_limit_environment_variable_is_ignored(monkeypatch):
     assert unset[0] == 0
     monkeypatch.setenv("PLANAR_BLOCKS_LIMIT", "3")
     assert run(["autos", fx("grid3x3.edges")]) == unset
+
+
+def _edge_file(tmp_path, edges):
+    path = tmp_path / "g.edges"
+    path.write_text("".join("%d %d\n" % e for e in edges))
+    return str(path)
+
+
+def test_triblocks_needs_no_bound(tmp_path):
+    # a reduced host that an automorphism-orbit construction turned into
+    # a crossing family ("not-nested")
+    found = _edge_file(tmp_path, (
+        (0, 1), (0, 2), (0, 11), (0, 15), (1, 2), (1, 15), (2, 3), (2, 11),
+        (3, 5), (3, 7), (5, 7), (5, 10), (7, 10), (10, 11), (11, 15)))
+    code, out = run(["triblocks", found, "--format", "json"])
+    assert code == 0, out
+    assert [v["kind"] for v in json.loads(out)["tree_vertices"]] == \
+        ["Cycle", "ThreeConnected", "ThreeConnected", "ThreeConnected"]
+    # six K4s glued along edges: 14 vertices, above the automorphism
+    # bound that --limit still sets for autos
+    chain = _edge_file(tmp_path, sorted(
+        {(2 * i + a, 2 * i + b) for i in range(6)
+         for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))}))
+    code, out = run(["triblocks", chain, "--format", "json"])
+    assert code == 0, out
+    kinds = [v["kind"] for v in json.loads(out)["tree_vertices"]]
+    assert kinds == ["ThreeConnected"] * 11
+    assert run(["triblocks", chain, "--limit", "3", "--format", "json"]) == \
+        (code, out)
+    assert run(["autos", chain])[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +379,7 @@ assert False, "this script must run under -O"
 # blocks1: a family on the host minus one edge leaves that edge uncovered
 b1_family = blocks1.b1_family
 blocks1.b1_family = lambda g: b1_family(Graph(g.vertices, g.edges[1:]))
-# blocks2: a torso that reads as not 2-connected cannot be split
+# blocks2: a torso that reads as not 2-connected fails its check
 blocks2.is_k_connected = lambda g, k: False
 print(json.dumps([cli.run(["blocks", sys.argv[1]]),
                   cli.run(["triblocks", sys.argv[2]])]))
@@ -350,7 +396,22 @@ def test_decomposition_invariants_hold_under_dash_o():
     tri_err = json.loads(tri_out)["error"]
     assert blocks_err["kind"] == tri_err["kind"] == "invariant-violated"
     assert blocks_err["message"] == "blocks do not cover the host edges"
-    assert tri_err["message"] == "split target must be 2-connected"
+    assert tri_err["message"] == "torso must be 2-connected"
+
+
+def test_src_has_no_assert():
+    # python -O strips assert statements; library checks must use
+    # errors.invariant so that they hold in every mode
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    files = sorted(glob.glob(os.path.join(src, "planarblocks", "*.py")))
+    assert files
+    found = []
+    for path in files:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 NETWORKX_LOADED = """

@@ -178,9 +178,7 @@ def _random_families(source, count):
         elif source == "blocks":
             yield b1_family(random_connected_graph(rng))
         else:
-            # the default automorphism bound of 12 vertices refuses most
-            # of these hosts, whatever their symmetry
-            yield triblock_tree(_glued_two_connected(rng), max_aut=32).family
+            yield triblock_tree(_glued_two_connected(rng)).family
 
 
 @pytest.mark.parametrize("source", ["path", "blocks", "triblocks"])
