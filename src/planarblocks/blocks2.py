@@ -17,7 +17,10 @@ keeps those that cross no other candidate, and each kept side is
 carried to the host through the components of the host minus its pair.
 Where a pair leaves two components and is joined by an edge, both
 sides with the edge are kept, so the pair and its edge form a bond
-tree vertex of their own.
+tree vertex of their own.  A piece of the host that meets a block
+only at a cut vertex of a hinge goes with the sides that hold the
+centre of the block's tree vertices through that cut vertex
+(`_pendant_homes`), so the lifted sides stay nested.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import (HingeVertex, MalformedInput, NotConnected,
 from .graph import (Graph, connected_components, edge_key, homeomorphic_reduce,
                     is_connected, is_k_connected, is_simple_cycle,
                     is_three_connected_by_cutsets, separating_sets)
-from .separation import Separation, component_side, separation_complement
+from .separation import component_side, separation_complement
 from .treeset import NestedFamily, StructureTree, build_structure_tree
 from .blocks1 import b1_family
 
@@ -64,7 +67,8 @@ def nested(a, b):
 
 def _uncrossed_sides(z):
     """The hinge sides of the 2-connected graph z that no hinge
-    separation of z crosses, sorted by sort key.
+    separation of z crosses, as (side, complement) pairs sorted by the
+    side's sort key.
 
     Candidates are the sides of single components of z minus a vertex
     pair, with and without the edge joining the pair; a candidate is
@@ -80,21 +84,53 @@ def _uncrossed_sides(z):
     for i, j in combinations(range(len(cands)), 2):
         if next(_corners(*cands[i], *cands[j]), None) is None:
             crossed.update((i, j))
-    return sorted((s for i, (s, _) in enumerate(cands) if i not in crossed),
-                  key=Separation.sort_key)
+    return sorted((c for i, c in enumerate(cands) if i not in crossed),
+                  key=lambda c: c[0].sort_key())
 
 
-def _lift_torso_separation(host, zsep):
+def _pendant_homes(pairs, cuts):
+    """Each kept side of a block with the cut vertices of its hinge whose
+    pendant pieces it takes, then its complement where the two do not
+    lift to complements.
+
+    A pendant piece meets the block only at a cut vertex v and belongs
+    at the centre of the block tree vertices that hold v.  That centre
+    lies on the side of A exactly when the longest chain of sides with v
+    in their hinge is longer strictly inside A than inside A*.  On a tie
+    the centre is the edge of A itself: neither side takes the piece, A
+    and A* lift to two separations, and the two-vertex tree vertex
+    between them holds it.
+    """
+    sides = {s.key: s for pair in pairs for s in pair}
+    reach = {}      # (side, v) -> longest chain through v strictly inside
+    for v in cuts:
+        at_v = sorted((s for s in sides.values() if v in s.boundary),
+                      key=lambda s: len(s.va) + len(s.ea))
+        for n, s in enumerate(at_v):
+            reach[s.key, v] = max((1 + reach[t.key, v] for t in at_v[:n]
+                                   if t.subgraph_leq(s)), default=0)
+    for s, sc in pairs:
+        hinge = s.boundary & cuts
+        take = {v for v in hinge if reach[s.key, v] > reach[sc.key, v]}
+        give = {v for v in hinge if reach[sc.key, v] > reach[s.key, v]}
+        yield s, take
+        if take | give != hinge:
+            yield sc, give
+
+
+def _lift_torso_separation(host, zsep, hang=()):
     """Carry a hinge separation of a torso back to the host.
 
     The host components of host - hinge that meet the interior of zsep
-    make up the side, and the host edge joining the hinge goes with it
+    make up the side, with those that meet no torso vertex and hang at
+    a vertex of `hang`.  The host edge joining the hinge goes with it
     when zsep holds the torso edge joining the hinge.
     """
     x, y = sorted(zsep.boundary)
     seeds = zsep.va - zsep.boundary
+    near = {u for v in hang for u in host.neighbors(v)} - zsep.host.vertex_set
     comps = [c for c in connected_components(host, (x, y))
-             if not seeds.isdisjoint(c)]
+             if not seeds.isdisjoint(c) or not near.isdisjoint(c)]
     return component_side(host, (x, y), comps, edge_key(x, y) in zsep.ea)
 
 
@@ -102,20 +138,23 @@ def _canonical_tree(h):
     """Structure tree of the one-boundary family of h together with the
     uncrossed hinge separations of each of its blocks.
 
-    Blocks of at most three vertices and cycles have none.  Each kept
+    Blocks of at most three vertices and cycles have none.  Each lifted
     side enters with rank 0 and its complement with rank 1, unless the
-    complement was kept and entered first.
+    side is already present.  A side and its complement lift to
+    complements unless a pendant piece goes with neither.
     """
     fam1 = b1_family(h)
     elements, rank = list(fam1.elements), list(fam1.rank)
+    cuts = {v for s in fam1.elements for v in s.boundary}
     present = set()
     blocks = build_structure_tree(fam1)
     for ci in range(blocks.vertex_count):
         z = blocks.region(ci)
         if len(z.vertices) <= 3 or is_simple_cycle(z):
             continue
-        for zsep in _uncrossed_sides(z):
-            s = _lift_torso_separation(h, zsep)
+        pairs = _uncrossed_sides(z)
+        for zsep, hang in _pendant_homes(pairs, cuts & z.vertex_set):
+            s = _lift_torso_separation(h, zsep, hang)
             if s.key in present:
                 continue
             sc = separation_complement(s)

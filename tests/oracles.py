@@ -562,6 +562,40 @@ def chorded_cycle(rng, n=16, chords=9):
                                                                chords))))
 
 
+GLUED_PIECES = (
+    ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),            # K4
+    ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),             # two K4s
+     (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)),                    # on 0-1
+    ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3),                     # the same
+     (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)),                    # without 0-1
+    ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4),                     # wheel
+     (0, 5), (1, 5), (2, 5), (3, 5), (4, 5)),
+)
+
+
+def glued_blocks(rng, pieces=3):
+    """A connected graph of minimum degree 3: a core (a random 2-connected
+    graph or one of GLUED_PIECES) with up to `pieces` of GLUED_PIECES
+    hung at single vertices, often at a vertex of a hinge pair.
+    Minimum degree 3 means suppressing degree-2 vertices changes
+    nothing, so relabelling the graph relabels its decomposition."""
+    core = None
+    while core is None and rng.random() < 0.5:
+        g = random_two_connected_graph(rng, max_vertices=9)
+        if min(g.degree(v) for v in g.vertices) >= 3:
+            core = g.edges
+    edges = set(core or rng.choice(GLUED_PIECES))
+    n = 1 + max(x for e in edges for x in e)
+    for _ in range(rng.randint(1, pieces)):
+        piece = rng.choice(GLUED_PIECES)
+        at = rng.choice(sorted({x for e in edges for x in e}))
+        hang = rng.randrange(4)
+        name = {v: at if v == hang else n + v for e in piece for v in e}
+        edges.update(edge_key(name[u], name[v]) for u, v in piece)
+        n += 6
+    return build_graph(sorted({x for e in edges for x in e}), sorted(edges))
+
+
 def random_path_family(rng, max_elements=60):
     """Nested family on a path host by recursive interval splitting.
 

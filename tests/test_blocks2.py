@@ -38,8 +38,8 @@ from planarblocks.errors import (
 
 from conftest import g_of, k4_book
 from oracles import (all_separations, chorded_cycle, edge_subset_separations,
-                     enumerate_separations_at, random_two_connected_graph,
-                     totally_nested_keys)
+                     enumerate_separations_at, glued_blocks, lowpoint_blocks,
+                     random_two_connected_graph, totally_nested_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +477,73 @@ def test_triblock_two_k4s_at_a_vertex(bowtie_k4s):
     assert t.torsos[2].virtual_edges == ()
 
 
+def _hinges_on(t, block):
+    """Sorted keys of the hinge elements of t whose hinge lies in the
+    block, each cut down to the block."""
+    return sorted({(tuple(sorted(e.va & block.vertex_set)),
+                    tuple(sorted(e.ea & block.edge_set)), e.key[2])
+                   for e in t.family.elements
+                   if len(e.boundary) == 2 and e.boundary <= block.vertex_set})
+
+
+@pytest.mark.parametrize("block, home", [
+    # two K4 pages on the spine 0-1: the bond
+    ("0-1,0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5", (0, 1)),
+    # the same pages without the spine edge: a torso on the pair alone
+    ("0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5", (0, 1)),
+    # three torsos in a row at the pairs 0-1 and 0-2: the middle one
+    ("0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5,0-6,0-7,2-6,2-7,6-7", (0, 1, 2, 3)),
+])
+def test_triblock_pendant_at_a_hinge_vertex(block, home):
+    # a K4 hung at vertex 0, which lies in every torso of the block,
+    # hangs at the centre of those torsos; each side of a hinge at 0
+    # once lifted without it, and two sides then crossed
+    host = g_of(block + ",0-8,0-9,0-10,8-9,8-10,9-10")
+    t = triblock_tree(host)
+    assert verify_tree_correspondence(t.tree)["ok"]
+    assert _hinges_on(t, g_of(block)) == totally_nested_keys(g_of(block))
+    [(cut, vertex)] = t.cut_classes.items()
+    assert vertex == 0
+    assert sorted(t.torsos[ci].z.vertices for ci in t.tree.neighbors(cut)) \
+        == sorted([home, (0, 8, 9, 10)])
+
+
+def test_triblock_tree_on_glued_blocks():
+    # per block, the hinge elements are the totally nested hinge
+    # separations of the block, and relabelling the host relabels them
+    rng = random.Random(4631)
+    for _ in range(150):
+        g = glued_blocks(rng)
+        t = triblock_tree(g)
+        assert t.graph == g
+        assert verify_tree_correspondence(t.tree)["ok"], g.edges
+        for edges in lowpoint_blocks(g)[0]:
+            b = build_graph(sorted({x for e in edges for x in e}),
+                            sorted(edges))
+            small = len(b.vertices) < 4 or is_simple_cycle(b)
+            assert _hinges_on(t, b) == \
+                ([] if small else totally_nested_keys(b)), g.edges
+        perm = list(g.vertices)
+        rng.shuffle(perm)
+        name = dict(zip(g.vertices, perm))
+        moved = build_graph(perm, [(name[u], name[v]) for u, v in g.edges])
+        assert sorted(e.key for e in triblock_tree(moved).family.elements) \
+            == sorted(_renamed(e, name) for e in t.family.elements), g.edges
+
+
+def _renamed(s, name):
+    """Key of separation s with its vertices renamed."""
+    return (tuple(sorted(name[v] for v in s.va)),
+            tuple(sorted(tuple(sorted((name[u], name[v]))) for u, v in s.ea)),
+            tuple(sorted(name[v] for v in s.boundary)))
+
+
 def test_triblock_book_with_pendant_k4(book_k4):
     t = triblock_tree(book_k4)
     # the hinge elements are the uncrossed sides of the two-page block,
     # each carrying the pendant K4 when it holds vertex 2
     block = induced_subgraph(book_k4, range(6))
-    hinges = [e for e in t.family.elements if len(e.boundary) == 2]
-    assert sorted((tuple(sorted(e.ea & block.edge_set)), e.key[2])
-                  for e in hinges) == \
-        sorted(k[1:] for k in totally_nested_keys(block))
+    assert _hinges_on(t, block) == totally_nested_keys(block)
     assert t.kinds == {0: KIND_CUT_POINT,
                        1: KIND_THREE_CONNECTED,
                        2: KIND_THREE_CONNECTED,

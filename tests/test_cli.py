@@ -263,6 +263,26 @@ def test_triblocks_needs_no_bound(tmp_path):
     assert run(["autos", chain])[0] == 1
 
 
+def test_pendant_at_a_bond_answers(tmp_path):
+    # two K4 pages on the spine 0-1 and a K4 hung at spine vertex 0: the
+    # sides at the spine once lifted into a crossing family
+    pages = _edge_file(tmp_path, (
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (0, 5),
+        (1, 4), (1, 5), (4, 5), (0, 6), (0, 7), (0, 8), (6, 7), (6, 8),
+        (7, 8)))
+    code, out = run(["triblocks", pages, "--format", "json"])
+    assert code == 0, out
+    tree = json.loads(out)
+    assert [v["kind"] for v in tree["tree_vertices"]] == \
+        ["CutPoint"] + ["ThreeConnected"] * 4
+    assert tree["tree_edges"] == [[0, 1], [0, 2], [1, 3], [1, 4]]
+    code, out = run(["check", pages])
+    assert code == 0, out
+    rows = dict(line.split(None, 1) for line in out.splitlines()[:-1])
+    assert rows["triblock-tree"].startswith("PASS")
+    assert rows["tree-action"].startswith("PASS")
+
+
 # ---------------------------------------------------------------------------
 # dot output
 
