@@ -21,7 +21,7 @@ from .separation import Separation, make_separation, pull_back_separation, separ
 from .symmetry import (AutGroup, QuotientGraph, automorphism_group,
                        orbit_of_separation, quotient_graph, tree_action_check)
 from .treeset import (NestedFamily, StructureTree, build_structure_tree,
-                      family_from_sides, verify_tree_correspondence)
+                      verify_tree_correspondence)
 
 __version__ = "0.1.0"
 

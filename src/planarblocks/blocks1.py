@@ -13,19 +13,73 @@ edge per side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import NotConnected, invariant
-from .graph import Graph, connected_components, is_connected, separating_sets
-from .separation import component_side, separation_complement
+from .graph import Graph, connected_components
+from .separation import make_separation, separation_complement
 from .treeset import NestedFamily, StructureTree, build_structure_tree
 
 
 def _cut_pieces(g):
-    """(c, components of g - c) for every cut vertex c, in vertex order."""
-    if not is_connected(g):
+    """(c, components of g - c) for every cut vertex c, in vertex order.
+
+    Each component is (vertex mask, mask of the edges at its vertices)
+    over `g.index`, and they come ordered by least vertex.  One lowpoint
+    DFS (Hopcroft and Tarjan, 1973) from the least vertex finds them: a
+    child subtree whose lowpoint does not climb above its parent c is a
+    component of g - c, and unless c is the root, the rest of g - c is
+    one more.  Subtree masks are then ORed together bottom-up.
+    """
+    root = min(g.vertices, default=None)
+    order = [root]                      # DFS discovery order
+    disc = {root: 0}
+    low = {root: 0}
+    parent = {root: None}
+    split = {}                          # v -> children cut off at v
+    stack = [(root, iter(g.neighbors(root)))] if g.vertices else []
+    while stack:
+        v, todo = stack[-1]
+        for w in todo:
+            if w not in disc:
+                disc[w] = low[w] = len(order)
+                parent[w] = v
+                order.append(w)
+                stack.append((w, iter(g.neighbors(w))))
+                break
+            if disc[w] < low[v] and w != parent[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            p = parent[v]
+            if p is not None:
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    split.setdefault(p, []).append(v)
+    if len(order) < len(g.vertices) or not g.vertices:
         raise NotConnected("cut vertices are defined for connected graphs",
                            witness=[list(c) for c in connected_components(g)])
-    return [(c, pieces) for (c,), pieces in separating_sets(g, 1)]
+    cuts = sorted(c for c, kids in split.items() if len(kids) > (c == root))
+    if not cuts:
+        return []
+    ix = g.index
+    n = len(ix.vertices)
+    # the vertex's own bit, then the edges at it past the vertex bits
+    sub = {v: 1 << i | ix.incident(i) << n for i, v in enumerate(ix.vertices)}
+    for v in reversed(order[1:]):
+        sub[parent[v]] |= sub[v]
+    out = []
+    for c in cuts:
+        pieces = [(sub[k] & ix.all_vertices, sub[k] >> n) for k in split[c]]
+        if c != root:
+            below = reduce(or_, (sub[k] for k in split[c]))
+            pieces.append((ix.all_vertices & ~below & ~ix.vertex_bit[c],
+                           ix.all_edges & ~(below >> n)))
+        pieces.sort(key=lambda p: (p[0] & -p[0]).bit_length())
+        out.append((c, pieces))
+    return out
 
 
 def cut_vertices(g):
@@ -41,8 +95,9 @@ def b1_family(g):
     comp = []
     rank = []
     for c, pieces in _cut_pieces(g):
-        for piece in pieces:
-            minimal = component_side(g, (c,), (piece,))
+        bit = g.index.vertex_bit[c]
+        for vm, em in pieces:
+            minimal = make_separation(g, vm | bit, em, bit)
             complement = separation_complement(minimal)
             i = len(elements)
             elements.extend((minimal, complement))

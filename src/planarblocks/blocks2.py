@@ -101,18 +101,18 @@ def _pendant_homes(pairs, cuts):
     and A* lift to two separations, and the two-vertex tree vertex
     between them holds it.
     """
-    sides = {s.key: s for pair in pairs for s in pair}
+    sides = dict.fromkeys(s for pair in pairs for s in pair)
     reach = {}      # (side, v) -> longest chain through v strictly inside
     for v in cuts:
-        at_v = sorted((s for s in sides.values() if v in s.boundary),
-                      key=lambda s: len(s.va) + len(s.ea))
+        at_v = sorted((s for s in sides if v in s.boundary),
+                      key=lambda s: s.vmask.bit_count() + s.emask.bit_count())
         for n, s in enumerate(at_v):
-            reach[s.key, v] = max((1 + reach[t.key, v] for t in at_v[:n]
-                                   if t.subgraph_leq(s)), default=0)
+            reach[s, v] = max((1 + reach[t, v] for t in at_v[:n]
+                               if t.subgraph_leq(s)), default=0)
     for s, sc in pairs:
         hinge = s.boundary & cuts
-        take = {v for v in hinge if reach[s.key, v] > reach[sc.key, v]}
-        give = {v for v in hinge if reach[sc.key, v] > reach[s.key, v]}
+        take = {v for v in hinge if reach[s, v] > reach[sc, v]}
+        give = {v for v in hinge if reach[sc, v] > reach[s, v]}
         yield s, take
         if take | give != hinge:
             yield sc, give
@@ -155,10 +155,10 @@ def _canonical_tree(h):
         pairs = _uncrossed_sides(z)
         for zsep, hang in _pendant_homes(pairs, cuts & z.vertex_set):
             s = _lift_torso_separation(h, zsep, hang)
-            if s.key in present:
+            if s in present:
                 continue
             sc = separation_complement(s)
-            present.update((s.key, sc.key))
+            present.update((s, sc))
             elements += (s, sc)
             rank += (0, 1)
     comp = [i ^ 1 for i in range(len(elements))]
@@ -210,12 +210,11 @@ def _region_parts(tree, ci):
     zes = set(zprime.edges)
     virtuals = []
     gens = {}
-    order = sorted(tree.classes[ci],
-                   key=lambda i: (fam.elements[i].sort_key(), fam.rank[i]))
-    for i in order:
+    hinges = [i for i in tree.classes[ci]
+              if fam.elements[i].bmask.bit_count() == 2]
+    for i in sorted(hinges,
+                    key=lambda i: (fam.elements[i].sort_key(), fam.rank[i])):
         e = fam.elements[i]
-        if len(e.boundary) != 2:
-            continue
         invariant(e.boundary <= zvs, "hinge must survive into the region")
         k = edge_key(*e.boundary)
         if k not in zes:

@@ -10,12 +10,19 @@ once one or two vertices are removed?  `connected_components(g, drop)`
 answers it without copying the graph, and `separating_sets(g, size)`
 lists every vertex set of that size whose removal disconnects g, with
 the components it leaves.
+
+`Graph.index` numbers the sorted vertices and the sorted edges from 0,
+so that a set of vertices or of edges is one int bitmask.  Separations
+are held as such masks: containment, complements and intersections are
+then a few big-int operations instead of set operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property, reduce
+from itertools import combinations, compress
+from operator import or_
 
 from .errors import MalformedInput, NotConnected
 
@@ -72,6 +79,82 @@ class Graph:
 
     def __contains__(self, v):
         return v in self._adj
+
+    @cached_property
+    def index(self):
+        """Bit positions of the vertices and edges, built on first use."""
+        return GraphIndex(self)
+
+
+def set_bits(mask):
+    """Positions of the set bits of mask, ascending, one step per bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _selected(items, mask):
+    """The items at the set bits of mask, in order, from one scan of its
+    binary digits."""
+    return compress(items, map("1".__eq__, bin(mask)[:1:-1]))
+
+
+class GraphIndex:
+    """Bit i of a vertex mask is vertex i of the sorted vertices, and bit
+    k of an edge mask is edge k of the sorted edges.  `star[i]` holds
+    vertex i's neighbours as a vertex mask and, shifted past the vertex
+    bits, its edges as an edge mask, so one OR over a vertex set gives
+    both its neighbours and the edges at it."""
+
+    __slots__ = ("vertices", "edges", "vertex_bit", "edge_bit", "star",
+                 "all_vertices", "all_edges")
+
+    def __init__(self, g):
+        self.vertices = tuple(sorted(g.vertices))
+        self.edges = tuple(sorted(g.edges))
+        self.vertex_bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        self.edge_bit = {e: 1 << k for k, e in enumerate(self.edges)}
+        n = len(self.vertices)
+        star = dict.fromkeys(self.vertices, 0)
+        for (u, v), bit in self.edge_bit.items():
+            star[u] |= self.vertex_bit[v] | bit << n
+            star[v] |= self.vertex_bit[u] | bit << n
+        self.star = tuple(star.values())
+        self.all_vertices = (1 << n) - 1
+        self.all_edges = (1 << len(self.edges)) - 1
+
+    def vertex_mask(self, vs):
+        """(mask of the host vertices in vs, sorted list of the others)."""
+        return _mask_of(self.vertex_bit, set(vs))
+
+    def edge_mask(self, es):
+        """(mask of the host edges in es, sorted list of the others);
+        edges may be given in either orientation."""
+        return _mask_of(self.edge_bit, {edge_key(*e) for e in es})
+
+    def vertices_of(self, mask):
+        return tuple(_selected(self.vertices, mask))
+
+    def edges_of(self, mask):
+        return tuple(_selected(self.edges, mask))
+
+    def incident(self, i):
+        """Edge mask of the edges at vertex i."""
+        return self.star[i] >> len(self.vertices)
+
+    def reach(self, mask):
+        """(neighbours of, edges at) the vertices of a vertex mask."""
+        star = reduce(or_, _selected(self.star, mask), 0)
+        return star & self.all_vertices, star >> len(self.vertices)
+
+
+def _mask_of(bits, items):
+    """(OR of the bits of the known items, sorted list of the others)."""
+    return (reduce(or_, map(bits.__getitem__, items.intersection(bits)), 0),
+            sorted(items.difference(bits)))
 
 
 def build_graph(vertices, edges):

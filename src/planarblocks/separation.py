@@ -5,115 +5,166 @@ vertices keep every host edge, while each boundary vertex keeps at least
 one incident edge inside and at least one outside.  A two-vertex boundary
 is a hinge; hinge separations additionally may not be a single edge nor
 the whole graph minus one edge, so that complements stay in the class.
+
+A separation holds its vertices, edges and boundary as int bitmasks over
+the host's index (`Graph.index`): `vmask`, `emask` and `bmask`.
+Equality, hashing, containment and the complement are a few big-int
+operations, whatever the size of the sides.  The sets `va`, `ea` and
+`boundary` and the sorted `key` are decoded from the masks on first use
+and kept.  `make_separation` is the only constructor; it checks every
+invariant with one OR per interior vertex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import MalformedInput
-from .graph import Graph, edge_key
+from .errors import InvariantViolated, MalformedInput
+from .graph import Graph, edge_key, set_bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Separation:
     host: Graph
-    va: frozenset
-    ea: frozenset
-    boundary: frozenset
-    _key: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_key",
-            (tuple(sorted(self.va)), tuple(sorted(self.ea)), tuple(sorted(self.boundary))))
+    vmask: int
+    emask: int
+    bmask: int
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.vmask, self.emask, self.bmask))
 
     def __eq__(self, other):
-        return isinstance(other, Separation) and self._key == other._key \
-            and self.host == other.host
+        return isinstance(other, Separation) and self.vmask == other.vmask \
+            and self.emask == other.emask and self.bmask == other.bmask \
+            and (self.host is other.host or self.host == other.host)
 
-    @property
+    @cached_property
     def key(self):
-        return self._key
+        ix = self.host.index
+        return (ix.vertices_of(self.vmask), ix.edges_of(self.emask),
+                ix.vertices_of(self.bmask))
+
+    @cached_property
+    def va(self):
+        return frozenset(self.key[0])
+
+    @cached_property
+    def ea(self):
+        return frozenset(self.key[1])
+
+    @cached_property
+    def boundary(self):
+        return frozenset(self.key[2])
 
     @property
     def interior(self):
         return self.va - self.boundary
 
     def sort_key(self):
-        return (len(self.ea), self._key[1], self._key[2])
+        return (self.emask.bit_count(), self.key[1], self.key[2])
 
     def subgraph_leq(self, other):
-        return self.va <= other.va and self.ea <= other.ea
+        return not (self.vmask & ~other.vmask or self.emask & ~other.emask)
 
-    def subgraph_eq(self, other):
-        return self.va == other.va and self.ea == other.ea
+
+def _mask(items, to_mask, everything, message):
+    """items as a mask: an int mask as given, or the mask of a collection
+    of host vertices or edges.  Raises MalformedInput(message) when some
+    item is not in the host."""
+    if isinstance(items, int):
+        if items < 0 or items & ~everything:
+            raise MalformedInput(message)
+        return items
+    mask, stray = to_mask(items)
+    if stray:
+        raise MalformedInput(message, witness=stray)
+    return mask
 
 
 def make_separation(host, va, ea, boundary):
-    """Build a Separation after checking every defining invariant."""
-    va = frozenset(va)
-    ea = frozenset(edge_key(*e) for e in ea)
-    boundary = frozenset(boundary)
-    if not va <= host.vertex_set:
-        raise MalformedInput("va not a subset of host vertices",
-                             witness=sorted(va - host.vertex_set))
-    if not ea <= host.edge_set:
-        raise MalformedInput("ea not a subset of host edges",
-                             witness=sorted(ea - host.edge_set))
-    if len(boundary) not in (1, 2) or not boundary <= va:
+    """Build a Separation after checking every defining invariant.
+
+    va, ea and boundary are collections of host vertices and edges, or
+    int masks over `host.index`.  That ea lies inside va and the
+    interior keeps its edges is one test on the neighbours and edges of
+    the interior: they lie in va and make up ea, up to an edge joining
+    the boundary.
+    """
+    ix = host.index
+    vm = _mask(va, ix.vertex_mask, ix.all_vertices,
+               "va not a subset of host vertices")
+    em = _mask(ea, ix.edge_mask, ix.all_edges, "ea not a subset of host edges")
+    bm, stray = ((boundary, None) if isinstance(boundary, int)
+                 else ix.vertex_mask(boundary))
+    if stray or bm.bit_count() not in (1, 2) or bm & ~vm:
         raise MalformedInput("boundary must be 1 or 2 vertices inside va",
-                             witness=sorted(boundary))
-    for u, v in ea:
-        if u not in va or v not in va:
-            raise MalformedInput("edge of ea leaves va", witness=[u, v])
-    for w in sorted(va - boundary):
-        missing = [e for e in host.incident_edges(w) if e not in ea]
-        if missing:
-            raise MalformedInput("interior vertex missing incident edges",
-                                 witness={"vertex": w, "edges": sorted(missing)})
-    for b in sorted(boundary):
-        inside = [e for e in host.incident_edges(b) if e in ea]
-        outside = [e for e in host.incident_edges(b) if e not in ea]
-        if not inside or not outside:
+                             witness=sorted(set(boundary)) if stray
+                             else list(ix.vertices_of(bm)))
+    near, at = ix.reach(vm & ~bm)
+    hinge = tuple(ix.vertices[i] for i in set_bits(bm))
+    joined = ix.edge_bit.get(hinge, 0) if len(hinge) == 2 else 0
+    if near & ~vm or at & ~em or em & ~at & ~joined:
+        raise _misplaced_edges(ix, vm, em, bm)
+    for i in set_bits(bm):
+        edges = ix.incident(i)
+        if not edges & em or not edges & ~em:
             raise MalformedInput(
                 "boundary vertex needs incident edges on both sides",
-                witness={"vertex": b, "inside": len(inside), "outside": len(outside)})
-    if len(boundary) == 2:
-        if len(ea) == 1:
+                witness={"vertex": ix.vertices[i],
+                         "inside": (edges & em).bit_count(),
+                         "outside": (edges & ~em).bit_count()})
+    if len(hinge) == 2:
+        if em.bit_count() == 1:
             raise MalformedInput("hinge separation may not be a single edge",
-                                 witness=sorted(ea))
-        if len(host.edge_set - ea) == 1:
+                                 witness=list(ix.edges_of(em)))
+        rest = ix.all_edges & ~em
+        if rest.bit_count() == 1:
             raise MalformedInput(
                 "hinge separation may not be the host minus one edge",
-                witness=sorted(host.edge_set - ea))
-    return Separation(host, va, ea, boundary)
+                witness=list(ix.edges_of(rest)))
+    return Separation(host, vm, em, bm)
+
+
+def _misplaced_edges(ix, vm, em, bm):
+    """The error for an edge of ea that leaves va (the least such edge)
+    or else for the least interior vertex missing some of its edges."""
+    leaving = em & ix.reach(ix.all_vertices & ~vm)[1]
+    if leaving:
+        return MalformedInput("edge of ea leaves va",
+                              witness=list(ix.edges_of(leaving & -leaving)[0]))
+    for i in set_bits(vm & ~bm):
+        missing = ix.incident(i) & ~em
+        if missing:
+            return MalformedInput(
+                "interior vertex missing incident edges",
+                witness={"vertex": ix.vertices[i],
+                         "edges": list(ix.edges_of(missing))})
+    return InvariantViolated("edge masks disagree with the vertex masks")
 
 
 def component_side(host, boundary, comps, with_edge=False):
     """The side spanned by some components of host - boundary.
 
     Its vertices are those of the components plus the boundary, its
-    edges every host edge among them, except that the edge joining a
-    two-vertex boundary is kept only when with_edge.
+    edges every host edge at a component vertex, and the edge joining a
+    two-vertex boundary only when with_edge.
     """
-    va = set(boundary)
-    for c in comps:
-        va.update(c)
-    skip = edge_key(*boundary) if len(boundary) == 2 and not with_edge else None
-    ea = [(x, y) for x in va for y in host.neighbors(x)
-          if x < y and y in va and (x, y) != skip]
-    return make_separation(host, va, ea, boundary)
+    ix = host.index
+    inner = _mask([v for c in comps for v in c], ix.vertex_mask,
+                  ix.all_vertices, "va not a subset of host vertices")
+    em = ix.reach(inner)[1]
+    if with_edge and len(boundary) == 2:
+        em |= ix.edge_bit.get(edge_key(*boundary), 0)
+    return make_separation(host, inner | ix.vertex_mask(boundary)[0], em,
+                           boundary)
 
 
 def separation_complement(a):
     """A*: the other side across the same boundary."""
-    va = (a.host.vertex_set - a.va) | a.boundary
-    ea = a.host.edge_set - a.ea
-    return make_separation(a.host, va, ea, a.boundary)
+    ix = a.host.index
+    return make_separation(a.host, ix.all_vertices & ~a.vmask | a.bmask,
+                           ix.all_edges & ~a.emask, a.bmask)
 
 
 def pull_back_separation(original, reduced, a):

@@ -18,28 +18,63 @@ of A runs from class(A*) to class(A), so A <= B exactly when the edge
 of A lies on the directed path toward the edge of B.  In a tree that
 holds when up[A] is the successors of A (the complements of the other
 members of class(A)) and everything above them, which verification
-checks per element.  For n elements the order costs one n-bit AND per
-vertex and edge of each element; the nesting check, the classes and the
-verification each cost O(n^2) operations on n-bit ints.
+checks per element.
+
+Elements are compared through their masks (see `separation`).  Each
+element's vertex bits, then edge bits, split into maximal aligned
+power-of-two blocks, and the elements containing it as a subgraph are
+the AND, over its blocks, of the elements holding that block or an
+enclosing one.  For n elements that is one n-bit operation per block:
+O(log k) blocks on a host of k vertices and edges when a side's
+vertices and edges are runs in the index order, as on a path, and never
+more than the side has vertices and edges.  The nesting check takes
+O(n) operations on n-bit ints when complements sit in adjacent pairs
+(every family the package builds lists them so), and one step per bit
+otherwise.  The classes take one more such pass, with the elements
+relabelled lowest first, and then one step per covering pair; the
+verification adds one step per class member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import reduce
+from operator import and_
 
 from .errors import MalformedInput, NotNested
-from .graph import Graph, connected_components, edge_key
-from .separation import separation_complement
+from .graph import Graph, connected_components, edge_key, set_bits
 
 
-def _bits(mask):
-    """Indices of the set bits of mask, ascending."""
+def _pair_swap(n):
+    """Bit i to bit i ^ 1: the complement map of a family listed in
+    complement pairs."""
+    even = (1 << 2 * ((n + 1) // 2)) // 3
+
+    def swap(mask):
+        return (mask & even) << 1 | (mask >> 1) & even
+    return swap
+
+
+def _aligned_blocks(mask, leaves):
+    """The set bits of mask as maximal aligned power-of-two blocks, named
+    as the nodes of a heap whose leaves are the bit positions: bit p is
+    node leaves + p, and node k has parent k >> 1."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        carry = mask + low              # clears the lowest run of ones
+        lo = leaves + low.bit_length() - 1
+        hi = leaves + (carry & -carry).bit_length() - 1
+        mask &= carry
+        while lo < hi:
+            if lo & 1:
+                out.append(lo)
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                out.append(hi)
+            lo >>= 1
+            hi >>= 1
     return out
 
 
@@ -60,45 +95,80 @@ class NestedFamily:
         n = len(self.elements)
         if not (len(self.comp) == len(self.rank) == n):
             raise MalformedInput("family arrays disagree in length")
-        for i in range(n):
+        all_vertices = (1 << len(self.host.vertices)) - 1
+        all_edges = (1 << len(self.host.edges)) - 1
+        for i, a in enumerate(self.elements):
+            if a.host is not self.host and a.host != self.host:
+                raise MalformedInput("element lives on another host",
+                                     witness=i)
             j = self.comp[i]
             if j == i or not (0 <= j < n) or self.comp[j] != i:
                 raise MalformedInput("complement map is not a fixed-point-free "
                                      "involution", witness=i)
-            a, b = self.elements[i], self.elements[j]
-            if (b.boundary != a.boundary or b.ea != a.host.edge_set - a.ea
-                    or b.va != (a.host.vertex_set - a.va) | a.boundary):
+            b = self.elements[j]
+            if (b.bmask != a.bmask or b.emask != all_edges & ~a.emask
+                    or b.vmask != all_vertices & ~a.vmask | a.bmask):
                 raise NotNested("paired element is not the complement",
                                 witness={"element": i, "partner": j})
+        shift = len(self.host.vertices)
+        self._rows = [s.vmask | s.emask << shift for s in self.elements]
+        leaves = 1 << max(self._rows, default=0).bit_length().bit_length()
+        self._blocks = [_aligned_blocks(row, leaves) for row in self._rows]
+        if not n:
+            self.up = ()
+            return
         self.up = self._order()
+        image = _pair_swap(n) if self.comp == tuple(
+            i ^ 1 for i in range(n)) else self._image
         full = (1 << n) - 1
         for i in range(n):
             # j > i is nested with i when j or j* lies at or above i or i*
             ci = self.comp[i]
             near = self.up[i] | self.up[ci] | 1 << i | 1 << ci
-            for j in _bits(full & ~near & ~((2 << i) - 1)):
-                if not near >> self.comp[j] & 1:
-                    raise NotNested(
-                        "pair fails the nesting condition",
-                        witness={"a": list(self.elements[i].key),
-                                 "b": list(self.elements[j].key)})
+            crossing = full & ~near & ~image(near) & ~((2 << i) - 1)
+            if crossing:
+                j = (crossing & -crossing).bit_length() - 1
+                raise NotNested(
+                    "pair fails the nesting condition",
+                    witness={"a": list(self.elements[i].key),
+                             "b": list(self.elements[j].key)})
 
-    def _order(self):
-        """up[i]: bitmask of the elements strictly above element i."""
-        holders = {}    # vertex or edge -> elements containing it
-        twins = {}      # subgraph -> elements equal to it as subgraphs
-        for j, s in enumerate(self.elements):
-            for x in chain(s.va, s.ea):
-                holders[x] = holders.get(x, 0) | 1 << j
-            twins[s.va, s.ea] = twins.get((s.va, s.ea), 0) | 1 << j
+    def _image(self, mask):
+        """The mask with each bit i moved to comp[i]."""
+        return sum(1 << self.comp[i] for i in set_bits(mask))
+
+    def _order(self, label=None):
+        """up[i]: bitmask of the elements strictly above element i, with
+        element j at bit label[j] (by default, bit j).
+
+        An element is a row of vertex bits then edge bits, split into its
+        maximal aligned power-of-two blocks of set bits.  A block lies in
+        element j exactly when one of j's own blocks is the block or
+        encloses it, so the elements containing element i as a subgraph
+        are the AND, over the blocks of i, of the elements holding the
+        block or an enclosing one.
+        """
+        bit = [1 << p for p in label or range(len(self.elements))]
+        rows, blocks = self._rows, self._blocks
+        held = {}       # block -> elements holding it or an enclosing one
+        for j, own in enumerate(blocks):
+            for k in own:
+                held[k] = held.get(k, 0) | bit[j]
+        for k in sorted(held):          # enclosing blocks come first
+            parent = k >> 1
+            while parent and parent not in held:
+                parent >>= 1
+            if parent:
+                held[k] |= held[parent]
+        twins = {}      # row -> elements equal to it as subgraphs
+        for j, row in enumerate(rows):
+            twins[row] = twins.get(row, 0) | 1 << j
         up = []
-        for i, s in enumerate(self.elements):
-            above = (1 << len(self.elements)) - 1
-            for x in chain(s.va, s.ea):
-                above &= holders[x]
-            for j in _bits(twins[s.va, s.ea]):
+        for i, row in enumerate(rows):
+            above = reduce(and_, map(held.__getitem__, blocks[i]))
+            for j in set_bits(twins[row]):
                 if j == i or j == self.comp[i] or self.rank[i] >= self.rank[j]:
-                    above &= ~(1 << j)
+                    above &= ~bit[j]
             up.append(above)
         return tuple(up)
 
@@ -156,14 +226,16 @@ class StructureTree:
         class it is the block.  The empty class yields the whole host.
         """
         fam = self.family
-        members = sorted(self.classes[ci])
-        va = set(fam.host.vertex_set)
-        ea = set(fam.host.edge_set)
-        for i in members:
+        if not self.classes[ci]:        # no separation: no index needed
+            return Graph(tuple(sorted(fam.host.vertices)),
+                         tuple(sorted(fam.host.edges)))
+        ix = fam.host.index
+        vm, em = ix.all_vertices, ix.all_edges
+        for i in self.classes[ci]:
             comp = fam.elements[fam.comp[i]]
-            va &= comp.va
-            ea &= comp.ea
-        return Graph(tuple(sorted(va)), tuple(sorted(ea)))
+            vm &= comp.vmask
+            em &= comp.emask
+        return Graph(ix.vertices_of(vm), ix.edges_of(em))
 
 
 def _unreached(tree):
@@ -177,28 +249,39 @@ def _classes(family):
 
     class(i) is i plus the complements of the elements covering i; two
     members that disagree on their class make the family not nested.
+    The covers are read from the order relabelled lowest first (fewest
+    elements above): there the lowest bit of any set of elements above i
+    is a minimal one, so each cover costs one step, and the elements
+    above a cover drop out with it.
     """
-    up, comp = family.up, family.comp
+    comp = family.comp
+    lowest_first = sorted(range(len(comp)),
+                          key=lambda i: -family.up[i].bit_count())
+    label = [0] * len(comp)
+    for p, i in enumerate(lowest_first):
+        label[i] = p
+    up = family._order(label)
     cls = []
     for i in range(len(up)):
-        beyond = 0
-        for k in _bits(up[i]):
-            beyond |= up[k]
+        rest = up[i]
         mask = 1 << i
-        for k in _bits(up[i] & ~beyond):
+        while rest:
+            low = rest & -rest
+            k = lowest_first[low.bit_length() - 1]
             mask |= 1 << comp[k]
+            rest &= ~up[k] & ~low
         cls.append(mask)
     out = []
     done = 0
     for i, mask in enumerate(cls):
         if done >> i & 1:
             continue
-        for j in _bits(mask):
+        for j in set_bits(mask):
             if cls[j] != mask:
                 raise NotNested("equivalence closure is inconsistent",
                                 witness={"a": i, "b": j})
         done |= mask
-        out.append(frozenset(_bits(mask)))
+        out.append(frozenset(set_bits(mask)))
     return tuple(out)
 
 
@@ -255,7 +338,7 @@ def verify_tree_correspondence(tree):
     members = [sum(1 << i for i in cls) for cls in tree.classes]
     for i in range(n):
         reach = 0
-        for b in _bits(members[tree.class_of[i]] & ~(1 << i)):
+        for b in set_bits(members[tree.class_of[i]] & ~(1 << i)):
             reach |= 1 << fam.comp[b] | fam.up[fam.comp[b]]
         diff = (fam.up[i] ^ reach) & ~(1 << i)
         if diff:
@@ -264,19 +347,3 @@ def verify_tree_correspondence(tree):
                 "order/path mismatch for elements %d,%d (leq=%s path=%s)"
                 % (i, j, fam.leq(i, j), bool(reach >> j & 1)))
     return {"ok": not violations, "violations": violations}
-
-
-def family_from_sides(host, sides):
-    """Family from representative sides: adds complements, dedupes by fields.
-
-    Suitable when all sides are distinct as subgraphs (hinge families);
-    use explicit element/rank lists for the tagged cut-vertex families.
-    """
-    by_key = {}
-    for s in sides:
-        for t in (s, separation_complement(s)):
-            by_key.setdefault(t.key, t)
-    elements = sorted(by_key.values(), key=lambda s: s.key)
-    index = {s.key: i for i, s in enumerate(elements)}
-    comp = tuple(index[separation_complement(s).key] for s in elements)
-    return NestedFamily(host, elements, comp)

@@ -15,7 +15,7 @@ from planarblocks.graph import (Graph, build_graph, edge_key, is_connected,
                                 separating_sets)
 from planarblocks.separation import (Separation, component_side,
                                      make_separation, separation_complement)
-from planarblocks.treeset import family_from_sides
+from planarblocks.treeset import NestedFamily
 
 
 # ------------------------------------------------------- block structure
@@ -294,7 +294,8 @@ def _all_hinge_separations(g):
                     except MalformedInput:
                         continue
                     side = Graph(tuple(sorted(s.va)), tuple(sorted(s.ea)))
-                    assert is_connected(side), "hinge side must be connected"
+                    if not is_connected(side):
+                        raise AssertionError("hinge side must be connected")
                     out.setdefault(s.key, s)
     return tuple(sorted(out.values(), key=Separation.sort_key))
 
@@ -327,6 +328,91 @@ def totally_nested_keys(g):
 
     return sorted(a.key for a, ac in seps
                   if not any(crosses(a, ac, b, bc) for b, bc in seps))
+
+
+# ---------------------------------------------------- separations as sets
+#
+# The package holds separations as bitmasks; these spell out on Python
+# sets what its mask code computes.
+
+def separation_fault(host, va, ea, boundary):
+    """The message make_separation raises for (va, ea, boundary), or None
+    when they form a separation: its checks, in its order, on sets."""
+    va = frozenset(va)
+    ea = frozenset(edge_key(*e) for e in ea)
+    boundary = frozenset(boundary)
+    if not va <= host.vertex_set:
+        return "va not a subset of host vertices"
+    if not ea <= host.edge_set:
+        return "ea not a subset of host edges"
+    if len(boundary) not in (1, 2) or not boundary <= va:
+        return "boundary must be 1 or 2 vertices inside va"
+    if any(u not in va or v not in va for u, v in ea):
+        return "edge of ea leaves va"
+    for w in va - boundary:
+        if any(e not in ea for e in host.incident_edges(w)):
+            return "interior vertex missing incident edges"
+    for b in boundary:
+        inside = sum(e in ea for e in host.incident_edges(b))
+        if inside == 0 or inside == host.degree(b):
+            return "boundary vertex needs incident edges on both sides"
+    if len(boundary) == 2:
+        if len(ea) == 1:
+            return "hinge separation may not be a single edge"
+        if len(host.edge_set - ea) == 1:
+            return "hinge separation may not be the host minus one edge"
+    return None
+
+
+def _set_key(va, ea, boundary):
+    return (tuple(sorted(va)), tuple(sorted(ea)), tuple(sorted(boundary)))
+
+
+def _side_and_complement(g, comps, boundary, with_edge=False):
+    """Keys of the side spanned by some components of g - boundary (every
+    edge among its vertices, the edge joining the boundary only when
+    with_edge) and of its complement."""
+    va = set(boundary).union(*comps)
+    joined = edge_key(*boundary) if len(boundary) == 2 else None
+    ea = {e for e in g.edges if e[0] in va and e[1] in va
+          and (with_edge or e != joined)}
+    rest = (set(g.vertices) - va) | set(boundary)
+    return (_set_key(va, ea, boundary),
+            _set_key(rest, set(g.edges) - ea, boundary))
+
+
+def one_boundary_family(g):
+    """(keys, comp, rank) of b1_family by its definition on sets: at each
+    cut vertex in vertex order, each component of g - c by least vertex
+    spans a side of rank 0, followed by its complement of rank 1."""
+    keys = []
+    for (c,), comps in separating_sets(g, 1):
+        for comp in comps:
+            keys.extend(_side_and_complement(g, [comp], (c,)))
+    n = len(keys)
+    return keys, tuple(i ^ 1 for i in range(n)), (0, 1) * (n // 2)
+
+
+def uncrossed_side_keys(z):
+    """(side key, complement key) of each candidate hinge side of the
+    2-connected z that crosses no other candidate, by sort key: the set
+    definition of blocks2._uncrossed_sides.  A candidate is one component
+    of z minus a vertex pair plus the pair, with and without the edge
+    joining the pair."""
+    cands = []
+    for pair, comps in separating_sets(z, 2):
+        for with_edge in (False, True) if z.has_edge(*pair) else (False,):
+            for comp in comps:
+                cands.append(_side_and_complement(z, [comp], pair, with_edge))
+
+    def leq(x, y):
+        return set(x[0]) <= set(y[0]) and set(x[1]) <= set(y[1])
+
+    def crosses(a, b):
+        return not any(leq(x, y) for x in a for y in b)
+
+    kept = [a for a in cands if not any(crosses(a, b) for b in cands)]
+    return sorted(kept, key=lambda a: (len(a[0][1]), a[0][1], a[0][2]))
 
 
 # --------------------------------------------------- Kuratowski witnesses
@@ -476,7 +562,8 @@ def von_dyck_permutation_group(m1, m2, m3, max_degree=5):
                     return grp, x, y
                 if best is None or size > best[0]:
                     best = (size, grp, x, y)
-    assert best is not None, "no permutation realization found"
+    if best is None:
+        raise AssertionError("no permutation realization found")
     return best[1], best[2], best[3]
 
 
@@ -596,6 +683,16 @@ def glued_blocks(rng, pieces=3):
     return build_graph(sorted({x for e in edges for x in e}), sorted(edges))
 
 
+def caterpillar(rng, spine=12, legs=10):
+    """A path of `spine` vertices with `legs` pendant vertices hung at
+    random spine vertices, under random vertex names."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(rng.randrange(spine), spine + k) for k in range(legs)]
+    name = list(range(spine + legs))
+    rng.shuffle(name)
+    return build_graph(name, [(name[u], name[v]) for u, v in edges])
+
+
 def random_path_family(rng, max_elements=60):
     """Nested family on a path host by recursive interval splitting.
 
@@ -638,3 +735,19 @@ def random_path_family(rng, max_elements=60):
         return random_path_family(rng, max_elements)
     uniq = {s.key: s for s in sides}
     return family_from_sides(host, list(uniq.values()))
+
+
+def family_from_sides(host, sides):
+    """Family from representative sides: adds complements, dedupes by fields.
+
+    Suitable when all sides are distinct as subgraphs (hinge families);
+    use explicit element/rank lists for the tagged cut-vertex families.
+    """
+    by_key = {}
+    for s in sides:
+        for t in (s, separation_complement(s)):
+            by_key.setdefault(t.key, t)
+    elements = sorted(by_key.values(), key=lambda s: s.key)
+    index = {s.key: i for i, s in enumerate(elements)}
+    comp = tuple(index[separation_complement(s).key] for s in elements)
+    return NestedFamily(host, elements, comp)

@@ -1,14 +1,17 @@
 import random
+import time
 
 import pytest
 
 from planarblocks.blocks1 import b1_family, block_cut_tree, cut_vertices
 from planarblocks.errors import NotConnected
-from planarblocks.graph import build_graph
+from planarblocks.graph import build_graph, separating_sets
 from planarblocks.treeset import verify_tree_correspondence
 
 from conftest import g_of, path_graph
-from oracles import lowpoint_blocks, random_connected_graph
+from oracles import (caterpillar, glued_blocks, lowpoint_blocks,
+                     one_boundary_family, random_connected_graph,
+                     separation_fault)
 
 
 def test_cut_vertices_fixtures(bowtie, k4):
@@ -112,3 +115,35 @@ def test_edge_partition_over_blocks(book_k4):
             assert e not in seen
             seen[e] = True
     assert set(seen) == book_k4.edge_set
+
+
+def _cut_hosts():
+    rng = random.Random("b1-family-masks")
+    for _ in range(30):
+        yield random_connected_graph(rng)
+    for _ in range(15):
+        yield glued_blocks(rng)
+    for _ in range(15):
+        yield caterpillar(rng)
+
+
+def test_b1_family_matches_set_definition():
+    for g in _cut_hosts():
+        fam = b1_family(g)
+        keys, comp, rank = one_boundary_family(g)
+        assert [s.key for s in fam.elements] == keys
+        assert fam.comp == comp
+        assert fam.rank == rank
+        for s in fam.elements:
+            assert separation_fault(g, s.va, s.ea, s.boundary) is None
+        assert cut_vertices(g) == tuple(c for (c,), _ in separating_sets(g, 1))
+
+
+def test_path_800_b1_family_is_fast():
+    g = path_graph(800)
+    t0 = time.monotonic()
+    fam = b1_family(g)
+    elapsed = time.monotonic() - t0
+    assert len(fam.elements) == 4 * 798
+    assert elapsed < 3.0, elapsed
+

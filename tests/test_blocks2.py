@@ -28,6 +28,7 @@ from planarblocks.blocks2 import (
     KIND_CYCLE,
     KIND_THREE_CONNECTED,
     _lift_torso_separation,
+    _uncrossed_sides,
 )
 from planarblocks.errors import (
     HingeVertex,
@@ -39,7 +40,8 @@ from planarblocks.errors import (
 from conftest import g_of, k4_book
 from oracles import (all_separations, chorded_cycle, edge_subset_separations,
                      enumerate_separations_at, glued_blocks, lowpoint_blocks,
-                     random_two_connected_graph, totally_nested_keys)
+                     random_two_connected_graph, separation_fault,
+                     totally_nested_keys, uncrossed_side_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +331,21 @@ def test_family_matches_oracle_on_chorded_cycles():
         assert _family_keys(h) == want, h.edges
         nonempty += bool(want)
     assert nonempty >= 10
+
+
+def test_uncrossed_sides_match_set_definition():
+    # the mask-built candidates and crossing test against the same
+    # definition spelled out on sets
+    rng = random.Random("uncrossed-masks")
+    kept = 0
+    for _ in range(60):
+        z = chorded_cycle(rng, n=rng.randint(6, 14), chords=rng.randint(1, 6))
+        sides = _uncrossed_sides(z)
+        assert [(s.key, sc.key) for s, sc in sides] == uncrossed_side_keys(z)
+        for s in (s for pair in sides for s in pair):
+            assert separation_fault(z, s.va, s.ea, s.boundary) is None
+        kept += len(sides)
+    assert kept >= 60
 
 
 def test_triblock_tree_answers_on_chorded_cycles():

@@ -1,11 +1,17 @@
+import random
+from itertools import combinations
+
 import pytest
 
+from planarblocks.blocks1 import b1_family
 from planarblocks.errors import MalformedInput
 from planarblocks.graph import build_graph, homeomorphic_reduce
 from planarblocks.separation import (make_separation, pull_back_separation,
                                      separation_complement)
 
 from conftest import g_of
+from oracles import (glued_blocks, random_connected_graph,
+                     random_two_connected_graph, separation_fault)
 
 
 def test_make_separation_basic(k4e):
@@ -72,6 +78,18 @@ def test_stray_vertices_and_edges_rejected(k4e):
         make_separation(k4e, {0, 1, 2}, {(2, 3)}, {0, 1})
 
 
+def test_masks_outside_the_host_rejected(k4e):
+    ix = k4e.index
+    a = make_separation(k4e, 0b0111, 0b01010, 0b0011)
+    assert a.key == ((0, 1, 2), ((0, 2), (1, 2)), (0, 1))
+    with pytest.raises(MalformedInput, match="va not a subset"):
+        make_separation(k4e, 0b10111, 0b01010, 0b0011)
+    with pytest.raises(MalformedInput, match="ea not a subset"):
+        make_separation(k4e, 0b0111, 1 << len(ix.edges), 0b0011)
+    with pytest.raises(MalformedInput, match="boundary must be"):
+        make_separation(k4e, 0b0111, 0b01010, -1)
+
+
 def test_one_boundary_separation(bowtie):
     a = make_separation(bowtie, {0, 1, 2}, {(0, 1), (0, 2), (1, 2)}, {0})
     b = separation_complement(a)
@@ -110,3 +128,68 @@ def test_separation_equality_includes_host(c6, c6_chord):
     assert a == b
     assert a.key == c.key
     assert a != c
+
+
+def _near_separation(rng, g):
+    """A random vertex set with the boundary and edges a separation on it
+    would have, then often one vertex, edge or boundary vertex toggled,
+    or a stray vertex or edge added."""
+    vs, es = list(g.vertices), list(g.edges)
+    va = set(rng.sample(vs, rng.randint(1, len(vs))))
+    boundary = {v for v in va if any(w not in va for w in g.neighbors(v))}
+    if not boundary or rng.random() < 0.2:
+        boundary = set(rng.sample(sorted(va), min(len(va), rng.randint(0, 3))))
+    ea = {e for e in es if e[0] in va and e[1] in va
+          and (e[0] not in boundary or e[1] not in boundary
+               or rng.random() < 0.5)}
+    change = rng.randrange(8)
+    if change == 0:
+        va ^= {rng.choice(vs)}
+    elif change == 1:
+        ea ^= {rng.choice(es)} if es else set()
+    elif change == 2:
+        boundary ^= {rng.choice(sorted(va) or vs)}
+    elif change == 3:
+        va.add(max(vs) + 1)
+    elif change == 4:
+        ea.add((max(vs) + 1, max(vs) + 2))
+    return va, ea, boundary
+
+
+def test_make_separation_agrees_with_set_checks():
+    rng = random.Random("make-separation-masks")
+    seen = set()
+    for _ in range(1500):
+        g = (random_connected_graph(rng, 9) if rng.random() < 0.6
+             else random_two_connected_graph(rng, 8))
+        va, ea, boundary = _near_separation(rng, g)
+        want = separation_fault(g, va, ea, boundary)
+        try:
+            s = make_separation(g, va, ea, boundary)
+        except MalformedInput as exc:
+            assert str(exc) == want, (va, ea, boundary)
+        else:
+            assert want is None, (va, ea, boundary, want)
+            assert s.key == (tuple(sorted(va)), tuple(sorted(ea)),
+                             tuple(sorted(boundary)))
+        seen.add(want)
+    # every check of make_separation was reached, and many sides pass
+    assert len(seen) == 9, seen
+
+
+def test_masks_order_and_compare_as_the_sets_do():
+    rng = random.Random("separation-mask-order")
+    for _ in range(20):
+        g = glued_blocks(rng)
+        sides = b1_family(g).elements
+        for a, b in combinations(sides, 2):
+            assert a.subgraph_leq(b) == (a.va <= b.va and a.ea <= b.ea)
+            assert (a == b) == (a.key == b.key)
+            if a == b:
+                assert hash(a) == hash(b)
+        for a in sides:
+            ac = separation_complement(a)
+            assert ac.va == (g.vertex_set - a.va) | a.boundary
+            assert ac.ea == g.edge_set - a.ea
+            assert a.sort_key() == (len(a.ea), a.key[1], a.key[2])
+
