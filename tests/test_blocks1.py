@@ -146,4 +146,3 @@ def test_path_800_b1_family_is_fast():
     elapsed = time.monotonic() - t0
     assert len(fam.elements) == 4 * 798
     assert elapsed < 3.0, elapsed
-

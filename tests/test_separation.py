@@ -173,7 +173,7 @@ def test_make_separation_agrees_with_set_checks():
             assert s.key == (tuple(sorted(va)), tuple(sorted(ea)),
                              tuple(sorted(boundary)))
         seen.add(want)
-    # every check of make_separation was reached, and many sides pass
+    # every outcome of make_separation was reached, passing included
     assert len(seen) == 9, seen
 
 
@@ -192,4 +192,3 @@ def test_masks_order_and_compare_as_the_sets_do():
             assert ac.va == (g.vertex_set - a.va) | a.boundary
             assert ac.ea == g.edge_set - a.ea
             assert a.sort_key() == (len(a.ea), a.key[1], a.key[2])
-
