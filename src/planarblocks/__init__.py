@@ -1,28 +1,53 @@
 """Block decompositions, structure trees, planar embeddings, symmetry,
-and Cayley graphs for finite simple graphs."""
+and Cayley graphs for finite simple graphs.
 
-from .blocks1 import BlockCutTree, b1_family, block_cut_tree, cut_vertices
-from .blocks2 import (TriBlockTree, Torso, build_nested_family, nested, torso,
-                      triblock_tree)
-from .cayley import (GroupTable, Presentation, cayley_graph,
-                     check_regular_action, coset_enumerate, invert_word,
-                     parse_presentation, regular_action, surface_presentation)
-from .errors import (BadExponent, HingeVertex, InvariantViolated, MalformedInput,
-                     NotAnAutomorphism, NotConnected, NotNested, Overflow,
-                     PlanarBlocksError, PreconditionViolated, TooLarge)
-from .graph import (Graph, ReducedGraph, build_graph, connected_components,
-                    edge_key, format_edge_list, homeomorphic_reduce,
-                    induced_subgraph, is_connected, parse_edge_list)
-from .planar import (PlanarityResult, RotationSystem, apply_to_face,
-                     canonical_face, euler_genus, face_multiset_uniqueness_check,
-                     face_size_multiset, facial_preservation_check,
-                     facial_walks, planarity_test, rotation_from_neighbors)
-from .separation import Separation, make_separation, pull_back_separation, separation_complement
-from .symmetry import (AutGroup, QuotientGraph, automorphism_group,
-                       orbit_of_separation, quotient_graph, tree_action_check)
-from .treeset import (NestedFamily, StructureTree, build_structure_tree,
-                      verify_tree_correspondence)
+Each name below is imported from its submodule on first use (PEP 562),
+so a command loads only the modules it runs.
+"""
+
+import importlib
+
+_EXPORTS = {
+    "blocks1": ("BlockCutTree", "b1_family", "block_cut_tree", "cut_vertices"),
+    "blocks2": ("TriBlockTree", "Torso", "build_nested_family", "nested",
+                "torso", "triblock_tree"),
+    "cayley": ("GroupTable", "Presentation", "cayley_graph",
+               "check_regular_action", "coset_enumerate", "invert_word",
+               "parse_presentation", "regular_action", "surface_presentation"),
+    "errors": ("BadExponent", "HingeVertex", "InvariantViolated",
+               "MalformedInput", "NotAnAutomorphism", "NotConnected",
+               "NotNested", "Overflow", "PlanarBlocksError",
+               "PreconditionViolated", "TooLarge"),
+    "graph": ("Graph", "ReducedGraph", "build_graph", "connected_components",
+              "edge_key", "format_edge_list", "homeomorphic_reduce",
+              "induced_subgraph", "is_connected", "parse_edge_list"),
+    "planar": ("PlanarityResult", "RotationSystem", "apply_to_face",
+               "canonical_face", "euler_genus",
+               "face_multiset_uniqueness_check", "face_size_multiset",
+               "facial_preservation_check", "facial_walks", "planarity_test",
+               "rotation_from_neighbors"),
+    "separation": ("Separation", "make_separation", "pull_back_separation",
+                   "separation_complement"),
+    "symmetry": ("AutGroup", "QuotientGraph", "automorphism_group",
+                 "orbit_of_separation", "quotient_graph", "tree_action_check"),
+    "treeset": ("NestedFamily", "StructureTree", "build_structure_tree",
+                "verify_tree_correspondence"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module("." + name, __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module("." + _HOME[name], __name__),
+                       name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

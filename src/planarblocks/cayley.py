@@ -30,10 +30,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import BadExponent, MalformedInput, Overflow, invariant
+from .errors import (DEFAULT_COSET_LIMIT, BadExponent, MalformedInput, Overflow,
+                     invariant)
 from .graph import Graph, edge_key
 
-DEFAULT_COSET_LIMIT = 10_000
 
 # A word is a tuple of letters (generator name, +1 or -1).
 

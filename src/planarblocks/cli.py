@@ -19,16 +19,11 @@ import argparse
 import sys
 
 from . import serialize
-from .blocks1 import block_cut_tree
-from .blocks2 import triblock_tree
-from .cayley import DEFAULT_COSET_LIMIT, cayley_graph, coset_enumerate, parse_presentation
-from .errors import (InvariantViolated, MalformedInput, PlanarBlocksError,
-                     PreconditionViolated, invariant)
+from .errors import (DEFAULT_AUT_BOUND, DEFAULT_COSET_LIMIT, InvariantViolated,
+                     MalformedInput, PlanarBlocksError, PreconditionViolated,
+                     invariant)
 from .graph import (connected_components, homeomorphic_reduce, induced_subgraph,
                     parse_edge_list)
-from .planar import facial_walks, planarity_test
-from .symmetry import (DEFAULT_AUT_BOUND, automorphism_group, check_orbit_stabilizer,
-                       quotient_graph, tree_action_check)
 from .treeset import verify_tree_correspondence
 
 
@@ -37,13 +32,20 @@ def _verify(tree):
     invariant(report["ok"], "tree verification failed", report["violations"])
 
 
+def _parse_presentation(text):
+    from .cayley import parse_presentation
+    return parse_presentation(text)
+
+
 # ------------------------------------------------------ payload builders
 #
 # Each takes the parsed input, the search bound and the parsed command
 # line, and returns the payload of one result: plain values, tuples and
-# graphs, which `serialize.jsonable` turns into JSON.
+# graphs, which `serialize.dumps` writes as JSON.  Each imports the
+# modules it runs, so a command loads only those.
 
 def _blocks(g, bound, args):
+    from .blocks1 import block_cut_tree
     bct = block_cut_tree(homeomorphic_reduce(g).graph if args.reduce else g)
     _verify(bct.tree)
     payload = {
@@ -63,6 +65,7 @@ def _blocks(g, bound, args):
 
 
 def _triblocks(g, bound, args):
+    from .blocks2 import triblock_tree
     tbt = triblock_tree(g)
     _verify(tbt.tree)
     nodes = []
@@ -81,6 +84,7 @@ def _triblocks(g, bound, args):
 
 
 def _planar(g, bound, args):
+    from .planar import planarity_test
     res = planarity_test(g)
     if not res.planar:
         return {"planar": False, "witness": res.witness}
@@ -89,6 +93,7 @@ def _planar(g, bound, args):
 
 
 def _faces(g, bound, args):
+    from .planar import facial_walks, planarity_test
     res = planarity_test(g)
     if not res.planar:
         raise PreconditionViolated(
@@ -99,6 +104,7 @@ def _faces(g, bound, args):
 
 
 def _autos(g, bound, args):
+    from .symmetry import automorphism_group, check_orbit_stabilizer
     group = automorphism_group(g, max_vertices=bound)
     check_orbit_stabilizer(g, group)
     vs = g.vertices
@@ -114,6 +120,7 @@ def _autos(g, bound, args):
 
 
 def _quotient(g, bound, args):
+    from .symmetry import automorphism_group, quotient_graph
     q = quotient_graph(g, automorphism_group(g, max_vertices=bound))
     return {"vertex_orbits": q.vertex_orbits, "edge_orbits": q.edge_orbits,
             "edges": [{"from": i, "to": j, "multiplicity": m}
@@ -121,6 +128,8 @@ def _quotient(g, bound, args):
 
 
 def _cayley(pr, bound, args):
+    from .cayley import cayley_graph, coset_enumerate
+    from .planar import planarity_test
     tbl = coset_enumerate(pr, limit=bound)
     graph = cayley_graph(tbl, pr)
     res = planarity_test(graph)
@@ -139,6 +148,11 @@ def _check(g, bound, args):
     Each row has a name, a status (pass/fail/skip) and a detail;
     preconditions that do not hold for this input produce skips.
     """
+    from .blocks1 import block_cut_tree
+    from .blocks2 import triblock_tree
+    from .planar import planarity_test
+    from .symmetry import (automorphism_group, check_orbit_stabilizer,
+                           tree_action_check)
     rows = []
 
     def attempt(name, fn):
@@ -235,7 +249,7 @@ COMMANDS = {
     "faces": (parse_edge_list, _faces, None),
     "autos": (parse_edge_list, _autos, DEFAULT_AUT_BOUND),
     "quotient": (parse_edge_list, _quotient, DEFAULT_AUT_BOUND),
-    "cayley": (parse_presentation, _cayley, DEFAULT_COSET_LIMIT),
+    "cayley": (_parse_presentation, _cayley, DEFAULT_COSET_LIMIT),
     "check": (parse_edge_list, _check, DEFAULT_AUT_BOUND),
 }
 

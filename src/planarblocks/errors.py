@@ -1,9 +1,13 @@
-"""Shared error types.
+"""Shared error types, and the default work budgets past which
+`TooLarge` and `Overflow` are raised.
 
 Every operation that rejects its input raises one of these instead of
 returning a sentinel, so callers (and the CLI) can map failures to a
 structured kind plus a witness.
 """
+
+DEFAULT_AUT_BOUND = 12          # vertices `symmetry.automorphism_group` takes
+DEFAULT_COSET_LIMIT = 10_000    # cosets `cayley.coset_enumerate` defines
 
 
 class PlanarBlocksError(Exception):

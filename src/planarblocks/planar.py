@@ -17,7 +17,6 @@ from itertools import permutations
 from .errors import (MalformedInput, NotAnAutomorphism, NotConnected,
                      PreconditionViolated, invariant)
 from .graph import Graph, edge_key, is_connected, is_three_connected_by_cutsets
-from .symmetry import is_automorphism
 
 
 @dataclass(frozen=True)
@@ -191,6 +190,7 @@ def apply_to_face(perm, face):
 def facial_preservation_check(r, sigma):
     """True iff sigma maps every facial walk of r to a facial walk of r
     (as cyclic sequences up to rotation and reversal)."""
+    from .symmetry import is_automorphism
     if not is_automorphism(r.host, sigma):
         raise NotAnAutomorphism("sigma does not preserve the host",
                                 witness=sigma)

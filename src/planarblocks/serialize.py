@@ -6,35 +6,114 @@ marker, emitted with sorted keys so identical inputs produce identical
 bytes.  Text and DOT output are views rendered from the payload's JSON
 form alone, so every fact they show is in the JSON too.  DOT output is
 for eyeballing only and makes no stability promise beyond determinism.
+
+`dumps` writes the JSON in one walk over the payload, coercing as it
+goes: dict keys become strings and objects list them sorted, sets
+become arrays sorted by ``repr``, tuples become arrays, a graph becomes
+``{"edges", "vertices"}``, and any other value its ``repr`` as a
+string.  The text is the standard library's indent-2, sorted-key,
+ASCII-only spelling, byte for byte; the stdlib reaches it only through
+its pure-Python encoder, one generator step per token, so an array of
+plain ints, or of rows of them, is written here with one ``join``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 SCHEMA = 1
 
+_string = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
 
-def jsonable(x):
-    """Recursively coerce pipeline values into JSON-representable ones."""
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(x, (set, frozenset)):
-        return [jsonable(v) for v in sorted(x, key=repr)]
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    if isinstance(x, (str, int, float, bool)) or x is None:
-        return x
-    if hasattr(x, "vertices") and hasattr(x, "edges"):  # a graph
-        return {"vertices": list(x.vertices),
-                "edges": [list(e) for e in x.edges]}
-    return repr(x)
+
+def _float(x):
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _array(xs, nl, out):
+    if not xs:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    kinds = set(map(type, xs))
+    if kinds == {int}:
+        out.append("[" + inner + ("," + inner).join(map(repr, xs)) + nl + "]")
+    elif (kinds <= {tuple, list} and len(set(map(len, xs))) == 1
+          and set(map(type, chain.from_iterable(xs))) == {int}):
+        # rows of plain ints, all one length, such as edges
+        deeper = inner + "  "
+        row = "[" + deeper + ("," + deeper).join(["%d"] * len(xs[0])) + inner + "]"
+        out.append("[" + inner + ("," + inner).join([row % tuple(r) for r in xs])
+                   + nl + "]")
+    else:
+        sep = "[" + inner
+        for x in xs:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+
+
+def _object(d, nl, out):
+    if not d:
+        out.append("{}")
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    # a later key wins when two keys share a string
+    for k, v in sorted({str(k): v for k, v in d.items()}.items()):
+        out.append(sep + _string(k) + ": ")
+        _write(v, inner, out)
+        sep = "," + inner
+    out.append(nl + "}")
+
+
+def _write(x, nl, out):
+    """Append the JSON text of x, whose inner lines start after nl."""
+    if isinstance(x, str):
+        out.append(_string(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        out.append(_float(x))
+    elif isinstance(x, dict):
+        _object(x, nl, out)
+    elif isinstance(x, (list, tuple)):
+        _array(x, nl, out)
+    elif isinstance(x, (set, frozenset)):
+        _array(sorted(x, key=repr), nl, out)
+    elif hasattr(x, "vertices") and hasattr(x, "edges"):       # a graph
+        inner = nl + "  "
+        out.append("{" + inner + '"edges": ')
+        _array(x.edges, inner, out)
+        out.append("," + inner + '"vertices": ')
+        _array(x.vertices, inner, out)
+        out.append(nl + "}")
+    else:
+        out.append(_string(repr(x)))
 
 
 def dumps(payload):
     body = dict(payload)
     body["schema"] = SCHEMA
-    return json.dumps(jsonable(body), sort_keys=True, indent=2) + "\n"
+    out = []
+    _write(body, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------- views
@@ -188,6 +267,6 @@ def render(command, fmt, payload):
     if fmt == "json":
         return dumps({"command": command, **payload})
     view = (TEXT if fmt == "text" else DOT)[command]
-    data = jsonable(payload)
+    data = json.loads(dumps(payload))
     return "".join("\n".join(view(part)) + "\n"
                    for part in data.get("components", [data]))

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAnAutomorphism, TooLarge
+from .errors import DEFAULT_AUT_BOUND, NotAnAutomorphism, TooLarge
 from .graph import Graph, edge_key
 from .separation import make_separation
-
-DEFAULT_AUT_BOUND = 12
 
 
 def is_automorphism(g, perm):

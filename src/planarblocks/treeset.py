@@ -31,14 +31,15 @@ more than the side has vertices and edges.  The nesting check takes
 O(n) operations on n-bit ints when complements sit in adjacent pairs
 (every family the package builds lists them so), and one step per bit
 otherwise.  The classes take one more such pass, with the elements
-relabelled lowest first, and then one step per covering pair; the
-verification adds one step per class member.
+relabelled lowest first, which the family keeps for the verification,
+and then one step per covering pair; the verification adds one step per
+class member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_
 
 from .errors import MalformedInput, NotNested
@@ -172,6 +173,19 @@ class NestedFamily:
             up.append(above)
         return tuple(up)
 
+    @cached_property
+    def lowest_first(self):
+        """(lowest, up): the elements from lowest to highest (most elements
+        above first), and the order relabelled so, with element j at bit
+        p where lowest[p] == j.  Computed once, for the tree and for its
+        verification."""
+        lowest = sorted(range(len(self.elements)),
+                        key=lambda i: -self.up[i].bit_count())
+        label = [0] * len(lowest)
+        for p, i in enumerate(lowest):
+            label[i] = p
+        return lowest, self._order(label)
+
     def strict(self, i, j):
         return bool(self.up[i] >> j & 1)
 
@@ -249,18 +263,13 @@ def _classes(family):
 
     class(i) is i plus the complements of the elements covering i; two
     members that disagree on their class make the family not nested.
-    The covers are read from the order relabelled lowest first (fewest
-    elements above): there the lowest bit of any set of elements above i
-    is a minimal one, so each cover costs one step, and the elements
-    above a cover drop out with it.
+    The covers are read from the order relabelled lowest first (most
+    elements above first; `NestedFamily.lowest_first`): there the lowest
+    bit of any set of elements above i is a minimal one, so each cover
+    costs one step, and the elements above a cover drop out with it.
     """
     comp = family.comp
-    lowest_first = sorted(range(len(comp)),
-                          key=lambda i: -family.up[i].bit_count())
-    label = [0] * len(comp)
-    for p, i in enumerate(lowest_first):
-        label[i] = p
-    up = family._order(label)
+    lowest_first, up = family.lowest_first
     cls = []
     for i in range(len(up)):
         rest = up[i]

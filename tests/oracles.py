@@ -597,6 +597,25 @@ def verify_table_isomorphism(tbl, images):
     return len(set(assign.values())) == tbl.order
 
 
+# ------------------------------------------------------- serialization
+
+def jsonable(x):
+    """Recursively coerce pipeline values into JSON-representable ones:
+    the coercions `serialize.dumps` makes, for the stdlib to encode."""
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(x, (set, frozenset)):
+        return [jsonable(v) for v in sorted(x, key=repr)]
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, (str, int, float, bool)) or x is None:
+        return x
+    if hasattr(x, "vertices") and hasattr(x, "edges"):  # a graph
+        return {"vertices": list(x.vertices),
+                "edges": [list(e) for e in x.edges]}
+    return repr(x)
+
+
 # ------------------------------------------------------ random instances
 
 def random_connected_graph(rng, max_vertices=14):

@@ -434,22 +434,56 @@ def test_src_has_no_assert():
     assert found == []
 
 
-NETWORKX_LOADED = """
+MODULES_LOADED = """
 import json, sys
 import planarblocks.cli
-loaded = ["networkx" in sys.modules]
-planarblocks.cli.run(["blocks", sys.argv[1]])
-loaded.append("networkx" in sys.modules)
-planarblocks.cli.run(["planar", sys.argv[1]])
-loaded.append("networkx" in sys.modules)
-print(json.dumps(loaded))
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.startswith("planarblocks") or m == "networkx")
+
+at_import = loaded()
+planarblocks.cli.run(sys.argv[1:])
+print(json.dumps([at_import, loaded()]))
 """
 
+# loaded by importing the CLI, before any command runs
+CLI_MODULES = ["planarblocks", "planarblocks.cli", "planarblocks.errors",
+               "planarblocks.graph", "planarblocks.serialize",
+               "planarblocks.treeset"]
 
-def test_networkx_is_imported_only_to_test_planarity():
-    proc = _python(["-c", NETWORKX_LOADED, fx("path4.edges")])
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, False, True]
+
+def test_each_command_loads_only_its_modules():
+    # networkx is loaded only to test planarity; blocks2, cayley, planar
+    # and symmetry only by the commands that run them
+    runs = {("blocks", "path4.edges"): ["blocks1", "separation"],
+            ("triblocks", "k4.edges"): ["blocks1", "blocks2", "separation"],
+            ("planar", "k4.edges"): ["planar", "networkx"],
+            ("cayley", "d3.pres"): ["cayley", "planar", "networkx"]}
+    for (cmd, name), extra in runs.items():
+        proc = _python(["-c", MODULES_LOADED, cmd, fx(name)])
+        assert proc.returncode == 0, proc.stderr
+        at_import, after = json.loads(proc.stdout)
+        assert at_import == CLI_MODULES
+        assert after == sorted(CLI_MODULES + [
+            m if m == "networkx" else "planarblocks." + m for m in extra]), cmd
+
+
+def test_every_exported_name_resolves():
+    import importlib
+    import types
+
+    import planarblocks
+    assert "verify_tree_correspondence" in dir(planarblocks)
+    for name in planarblocks.__all__:
+        value = getattr(planarblocks, name)
+        if isinstance(value, types.ModuleType):
+            assert value is importlib.import_module("planarblocks." + name)
+        else:
+            home = importlib.import_module(value.__module__)
+            assert getattr(home, name) is value, name
+    with pytest.raises(AttributeError):
+        planarblocks.no_such_name
 
 
 def _every_command_line():

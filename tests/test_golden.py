@@ -9,6 +9,12 @@ compared only under the networkx version the file records.
 
 rewrites the file from the current code; do that only in a change that
 means to alter output, and say which outputs moved.
+
+    PYTHONPATH=src python tests/test_golden.py --diff
+
+lists those outputs without rewriting anything: one command line per
+entry whose exit code or bytes differ from the file (or that the file
+lacks), and exits 1 if there is any.
 """
 
 import hashlib
@@ -82,7 +88,20 @@ def test_output_matches_golden_bytes(command):
     assert not moved, moved
 
 
+def moved_command_lines():
+    """The command lines whose outcome differs from the golden file."""
+    want = {tuple(argv): result for argv, result in _load()["runs"]}
+    return [argv for argv in command_lines()
+            if outcome(argv) != want.get(tuple(argv))]
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        lines = [" ".join(argv) for argv in moved_command_lines()]
+        print("\n".join(lines) if lines else "no entry moved")
+        sys.exit(1 if lines else 0)
+    if sys.argv[1:]:
+        sys.exit("usage: test_golden.py [--diff]")
     runs = ",\n".join(json.dumps([argv, outcome(argv)])
                       for argv in command_lines())
     with open(GOLDEN, "w", encoding="utf-8") as fh:
