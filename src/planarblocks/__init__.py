@@ -11,9 +11,9 @@ _EXPORTS = {
     "blocks1": ("BlockCutTree", "b1_family", "block_cut_tree", "cut_vertices"),
     "blocks2": ("TriBlockTree", "Torso", "build_nested_family", "nested",
                 "torso", "triblock_tree"),
-    "cayley": ("GroupTable", "Presentation", "cayley_graph",
-               "check_regular_action", "coset_enumerate", "invert_word",
-               "parse_presentation", "regular_action", "surface_presentation"),
+    "cayley": ("GroupTable", "Presentation", "cayley_graph", "coset_enumerate",
+               "equivariant_rotation", "invert_word", "parse_presentation",
+               "surface_presentation"),
     "errors": ("BadExponent", "HingeVertex", "InvariantViolated",
                "MalformedInput", "NotAnAutomorphism", "NotConnected",
                "NotNested", "Overflow", "PlanarBlocksError",
@@ -22,7 +22,7 @@ _EXPORTS = {
               "edge_key", "format_edge_list", "homeomorphic_reduce",
               "induced_subgraph", "is_connected", "parse_edge_list"),
     "planar": ("PlanarityResult", "RotationSystem", "apply_to_face",
-               "canonical_face", "euler_genus",
+               "canonical_face", "certify_embedding", "euler_genus",
                "face_multiset_uniqueness_check", "face_size_multiset",
                "facial_preservation_check", "facial_walks", "planarity_test",
                "rotation_from_neighbors"),

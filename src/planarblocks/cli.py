@@ -22,14 +22,21 @@ from . import serialize
 from .errors import (DEFAULT_AUT_BOUND, DEFAULT_COSET_LIMIT, InvariantViolated,
                      MalformedInput, PlanarBlocksError, PreconditionViolated,
                      invariant)
-from .graph import (connected_components, homeomorphic_reduce, induced_subgraph,
-                    parse_edge_list)
+from .graph import connected_components, homeomorphic_reduce, induced_subgraph
 from .treeset import verify_tree_correspondence
 
 
 def _verify(tree):
     report = verify_tree_correspondence(tree)
     invariant(report["ok"], "tree verification failed", report["violations"])
+
+
+# the parsers are looked up when called, so that a patched parser (a
+# tracer's, say) is the one that runs
+
+def _parse_edge_list(text):
+    from .graph import parse_edge_list
+    return parse_edge_list(text)
 
 
 def _parse_presentation(text):
@@ -128,11 +135,14 @@ def _quotient(g, bound, args):
 
 
 def _cayley(pr, bound, args):
-    from .cayley import cayley_graph, coset_enumerate
-    from .planar import planarity_test
+    from .cayley import cayley_graph, coset_enumerate, equivariant_rotation
+    from .planar import certify_embedding, planarity_test
     tbl = coset_enumerate(pr, limit=bound)
     graph = cayley_graph(tbl, pr)
-    res = planarity_test(graph)
+    rotation = equivariant_rotation(tbl)
+    # networkx refutes, or embeds a planar graph the search missed
+    res = (planarity_test(graph) if rotation is None
+           else certify_embedding(graph, rotation))
     payload = {"order": tbl.order, "generators": tbl.generators,
                "graph": graph, "planar": res.planar}
     if res.planar:
@@ -243,14 +253,14 @@ def _check(g, bound, args):
 
 
 COMMANDS = {
-    "blocks": (parse_edge_list, _blocks, None),
-    "triblocks": (parse_edge_list, _triblocks, None),
-    "planar": (parse_edge_list, _planar, None),
-    "faces": (parse_edge_list, _faces, None),
-    "autos": (parse_edge_list, _autos, DEFAULT_AUT_BOUND),
-    "quotient": (parse_edge_list, _quotient, DEFAULT_AUT_BOUND),
+    "blocks": (_parse_edge_list, _blocks, None),
+    "triblocks": (_parse_edge_list, _triblocks, None),
+    "planar": (_parse_edge_list, _planar, None),
+    "faces": (_parse_edge_list, _faces, None),
+    "autos": (_parse_edge_list, _autos, DEFAULT_AUT_BOUND),
+    "quotient": (_parse_edge_list, _quotient, DEFAULT_AUT_BOUND),
     "cayley": (_parse_presentation, _cayley, DEFAULT_COSET_LIMIT),
-    "check": (parse_edge_list, _check, DEFAULT_AUT_BOUND),
+    "check": (_parse_edge_list, _check, DEFAULT_AUT_BOUND),
 }
 
 

@@ -1,12 +1,12 @@
 """Planarity with certificates, rotation systems, faces, and the
 face-preservation test for graph automorphisms.
 
-Planarity itself is delegated to networkx (left-right algorithm), which
-gives the yes/no answer and, for a planar graph, a clockwise rotation
-system.  The Kuratowski subgraph of a nonplanar graph is extracted here,
-by greedy edge deletion in networkx's own order with batched planarity
-tests, and face tracing, Euler checking, and everything downstream is
-done here too, so the certificates stay independently checkable.
+A sphere embedding is accepted only through `certify_embedding`, which
+traces its faces here and checks Euler's formula.  A Cayley graph brings
+its own rotation (`cayley.equivariant_rotation`); otherwise networkx's
+left-right test gives the yes/no answer and a rotation.  The Kuratowski
+subgraph of a nonplanar graph is extracted here, by greedy edge deletion
+in networkx's own order with batched planarity tests.
 """
 
 from __future__ import annotations
@@ -119,28 +119,41 @@ class PlanarityResult:
 def planarity_test(g):
     """Embed g in the sphere or refute with a Kuratowski subdivision.
 
-    Embeddings come with their faces and are Euler-checked; witnesses
-    are returned as host subgraphs so callers can verify them on their
-    own terms.
+    Embeddings pass `certify_embedding`; witnesses are returned as host
+    subgraphs so callers can verify them on their own terms.  A
+    disconnected host raises NotConnected either way.
     """
     # networkx costs most of the package's import time, so only the
     # commands that test planarity load it
     import networkx as nx
-    if not is_connected(g):
-        raise NotConnected("planarity certificates assume a connected host")
     h = nx.Graph()
     h.add_nodes_from(g.vertices)
     h.add_edges_from(g.edges)
     ok, cert = nx.check_planarity(h)
     if not ok:
+        _require_connected(g)
         kept = _kuratowski_edges(h)
         ws = Graph(tuple(sorted({v for e in kept for v in e})),
                    tuple(sorted(edge_key(u, v) for u, v in kept)))
         invariant(ws.edge_set <= g.edge_set,
                   "Kuratowski witness must live in the host")
         return PlanarityResult(False, None, None, ws)
-    data = cert.get_data()  # vertex -> neighbors in clockwise order
-    rot = rotation_from_neighbors(g, data)
+    # vertex -> neighbors in clockwise order
+    return certify_embedding(g, cert.get_data())
+
+
+def _require_connected(g):
+    if not is_connected(g):
+        raise NotConnected("planarity certificates assume a connected host")
+
+
+def certify_embedding(g, neighbor_order):
+    """The sphere embedding of g given by a vertex -> neighbor order map,
+    once g is connected, the rotation permutes each vertex's edges, the
+    faces partition the darts and V - E + F = 2; each check raises, also
+    under `python -O`."""
+    _require_connected(g)
+    rot = rotation_from_neighbors(g, neighbor_order)
     walks = facial_walks(rot)
     faces = tuple(sorted(canonical_face(w) for w in walks))
     invariant(len(g.vertices) - len(g.edges) + len(faces) == 2,

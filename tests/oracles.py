@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from planarblocks.blocks2 import _require_two_connected
-from planarblocks.errors import MalformedInput
+from planarblocks.errors import MalformedInput, invariant
 from planarblocks.graph import (Graph, build_graph, edge_key, is_connected,
                                 separating_sets)
 from planarblocks.separation import (Separation, component_side,
@@ -595,6 +595,72 @@ def verify_table_isomorphism(tbl, images):
     if len(assign) != tbl.order:
         return False
     return len(set(assign.values())) == tbl.order
+
+
+def element_words(tbl):
+    """Shortest right-multiplication word from the identity to each
+    element of the table, breadth-first in generator order."""
+    words = {tbl.identity: ()}
+    frontier = [tbl.identity]
+    letters = [(s, 1) for s in tbl.generators]
+    letters += [(s, -1) for s in tbl.generators]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for letter in letters:
+                h = tbl.act_letter(g, letter)
+                if h not in words:
+                    words[h] = words[g] + (letter,)
+                    nxt.append(h)
+        frontier = nxt
+    invariant(len(words) == tbl.order, "generators must generate",
+              witness={"reached": len(words), "order": tbl.order})
+    return words
+
+
+def regular_action(tbl):
+    """The action of the group on itself by left multiplication.
+
+    Left translations commute with the right multiplications defining
+    the Cayley edges, so each is a graph automorphism; the action is
+    free and transitive (see `check_regular_action`).
+    """
+    # h.g for g = p.x is (h.p).x: walk the breadth-first word tree, one
+    # letter per element, parents first
+    steps = []
+    for g, word in element_words(tbl).items():
+        if word:
+            s, p = word[-1]
+            steps.append((g, tbl.act_letter(g, (s, -p)), word[-1]))
+    perms = []
+    for h in range(tbl.order):
+        image = [None] * tbl.order
+        image[tbl.identity] = h
+        for g, parent, letter in steps:
+            image[g] = tbl.act_letter(image[parent], letter)
+        perms.append(dict(enumerate(image)))
+    return tuple(perms)
+
+
+def check_regular_action(tbl, graph):
+    """Check the left-regular action is simply transitive by graph
+    automorphisms; returns the action."""
+    perms = regular_action(tbl)
+    for h, perm in enumerate(perms):
+        image = {edge_key(perm[u], perm[v]) for u, v in graph.edges}
+        invariant(image == set(graph.edges),
+                  "left translation must be a graph automorphism",
+                  witness={"element": h})
+        fixed = [g for g in range(tbl.order) if perm[g] == g]
+        if h == tbl.identity:
+            invariant(len(fixed) == tbl.order,
+                      "the identity must translate trivially")
+        else:
+            invariant(not fixed, "non-identity translation must be free",
+                      witness={"element": h})
+    invariant({perm[tbl.identity] for perm in perms} == set(range(tbl.order)),
+              "action must be transitive")
+    return perms
 
 
 # ------------------------------------------------------- serialization

@@ -14,6 +14,7 @@ import time
 
 from conftest import complete_graph, fixture_path, g_of, wheel_graph
 from oracles import (
+    check_regular_action,
     group_closure,
     kuratowski_kind,
     lowpoint_blocks,
@@ -30,7 +31,6 @@ from planarblocks import (
     block_cut_tree,
     build_structure_tree,
     cayley_graph,
-    check_regular_action,
     coset_enumerate,
     face_multiset_uniqueness_check,
     facial_preservation_check,

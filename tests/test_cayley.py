@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import fixture_path
 from oracles import (
     brute_canonical_face,
+    check_regular_action,
     perm_compose,
     perm_inverse,
     verify_table_isomorphism,
@@ -17,17 +18,20 @@ from planarblocks import (
     GroupTable,
     Presentation,
     cayley_graph,
-    check_regular_action,
+    certify_embedding,
     coset_enumerate,
+    equivariant_rotation,
     facial_walks,
     invert_word,
     parse_presentation,
     planarity_test,
+    rotation_from_neighbors,
     surface_presentation,
     triblock_tree,
 )
+from planarblocks import cli, planar
 from planarblocks.blocks2 import KIND_THREE_CONNECTED
-from planarblocks.cayley import check_relators
+from planarblocks.cayley import check_relators, rotation_candidates
 from planarblocks.errors import (BadExponent, InvariantViolated,
                                  MalformedInput, Overflow)
 
@@ -410,3 +414,107 @@ def test_pipeline_spherical_groups_are_planar_and_conforming():
         assert planarity_test(g).planar
         t = triblock_tree(g)
         assert set(t.kinds.values()) <= {KIND_THREE_CONNECTED, "Cycle"}
+
+
+# ---------------------------------------------------------------------------
+# the rotation the group carries
+
+
+def _reflections(a, b):
+    return ("gens: r s t\nrels: r^2, s^2, t^2, (r*s)^%d, (s*t)^%d, (r*t)^2"
+            % (a, b))
+
+
+PLANAR_GROUPS = [
+    _cyclic(2)[0], _cyclic(7)[0], _cyclic(1000)[0],
+    _dihedral(2)[0], _dihedral(5)[0], _dihedral(500)[0],
+    _abelian(2, 2)[0], _abelian(4, 2)[0], _abelian(500, 2)[0],
+    "surface(0, [2,3,3], 0)", "surface(0, [2,3,4], 0)",
+    "surface(0, [2,3,5], 0)",
+    "surface(0, [2,2,2], 0)", "surface(0, [2,2,7], 0)",
+    "surface(0, [2,2,250], 0)",
+    _reflections(3, 2), _reflections(3, 3), _reflections(3, 4),
+    _reflections(3, 5),
+    "gens: a b c\nrels: a^2, b^2, c^2, (a*b)^2, (a*c)^2, (b*c)^2",   # Z2^3
+]
+NONPLANAR_GROUPS = [
+    _abelian(3, 3)[0], _abelian(4, 4)[0], _abelian(6, 6)[0],
+    "gens: i j\nrels: i^4, i^2*j^-2, j^-1*i*j*i",                  # Q8
+]
+# the second generator equals the first, so their letters collapse
+REDUNDANT = "gens: a b\nrels: a^5, b*a^-1"
+
+
+def _check_rotation_route(text):
+    """The CLI's route (the rotation the search finds, certified, else
+    networkx) against networkx, and each candidate's face count against
+    a dart trace; returns the rotation."""
+    pr = parse_presentation(text)
+    tbl = coset_enumerate(pr)
+    g = cayley_graph(tbl, pr)
+    rotation = equivariant_rotation(tbl)
+    res = (planarity_test(g) if rotation is None
+           else certify_embedding(g, rotation))
+    want = planarity_test(g)
+    assert (res.planar, res.face_count) == (want.planar, want.face_count)
+    # a rotation the search accepts is a sphere embedding
+    assert (rotation is not None) <= want.planar
+    if tbl.order > 200:
+        return rotation
+    for faces, eps, ring in rotation_candidates(tbl):
+        neighbours = {h: [tbl.act_letter(h, x) for x in ring[::eps[h]]]
+                      for h in g.vertices}
+        walks = facial_walks(rotation_from_neighbors(g, neighbours))
+        assert faces == len(walks), (ring, eps)
+    return rotation
+
+
+@pytest.mark.parametrize("text", PLANAR_GROUPS + NONPLANAR_GROUPS)
+def test_rotation_route_agrees_with_networkx(text):
+    rotation = _check_rotation_route(text)
+    assert (rotation is not None) == (text in PLANAR_GROUPS)
+
+
+def test_collapsed_letters_leave_the_graph_to_networkx():
+    assert _check_rotation_route(REDUNDANT) is None
+    tbl = coset_enumerate(parse_presentation(REDUNDANT))
+    assert list(rotation_candidates(tbl)) == []
+    assert planarity_test(cayley_graph(tbl, parse_presentation(
+        REDUNDANT))).planar
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([_cyclic, _dihedral, _surface_22n]),
+       st.integers(2, 60))
+def test_rotation_route_on_one_parameter_families(family, n):
+    assert _check_rotation_route(family(n)[0]) is not None
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 8), st.integers(2, 8))
+def test_rotation_route_on_abelian_products(n, m):
+    # Z_n x Z_m is planar exactly when one factor has order 2
+    rotation = _check_rotation_route(_abelian(n, m)[0])
+    assert (rotation is not None) == (2 in (n, m))
+
+
+@pytest.mark.parametrize("text", PLANAR_GROUPS)
+def test_planar_groups_embed_without_networkx(text, tmp_path, monkeypatch):
+    def refuse(g):
+        raise AssertionError("planarity_test ran")
+    monkeypatch.setattr(planar, "planarity_test", refuse)
+    path = tmp_path / "group.pres"
+    path.write_text(text)
+    code, out = cli.run(["cayley", str(path), "--format", "json"])
+    assert code == 0 and '"planar": true' in out
+
+
+def test_search_refuses_z10_cubed_quickly():
+    tbl = coset_enumerate(parse_presentation(
+        "gens: a b c\nrels: a^10, b^10, c^10, (a*b*a^-1*b^-1), "
+        "(a*c*a^-1*c^-1), (b*c*b^-1*c^-1)"))
+    t0 = time.monotonic()
+    rotation = equivariant_rotation(tbl)
+    elapsed = time.monotonic() - t0
+    assert rotation is None
+    assert elapsed < 0.25, elapsed

@@ -353,9 +353,10 @@ def test_failed_verification_is_reported_under_dash_o():
 
 
 INVARIANTS_UNDER_O = """
-import json
-from planarblocks import (Graph, GroupTable, cayley_graph,
-                          check_regular_action, coset_enumerate,
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from oracles import check_regular_action
+from planarblocks import (Graph, GroupTable, cayley_graph, coset_enumerate,
                           parse_presentation)
 from planarblocks.cayley import check_relators
 from planarblocks.errors import InvariantViolated
@@ -383,12 +384,50 @@ print(json.dumps(caught))
 
 
 def test_cayley_invariants_hold_under_dash_o():
-    proc = _python(["-O", "-c", INVARIANTS_UNDER_O])
+    proc = _python(["-O", "-c", INVARIANTS_UNDER_O,
+                    os.path.dirname(__file__)])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
         "generator must act as a permutation",
         "left translation must be a graph automorphism",
         "relators must trace to the identity everywhere"]
+
+
+CERTIFICATE_UNDER_O = """
+import json
+from planarblocks import (Graph, cayley_graph, certify_embedding,
+                          coset_enumerate, equivariant_rotation,
+                          parse_presentation)
+from planarblocks.errors import PlanarBlocksError
+assert False, "this script must run under -O"
+pr = parse_presentation("surface(0, [2,3,3], 0)")
+tbl = coset_enumerate(pr)
+g = cayley_graph(tbl, pr)
+rotation = equivariant_rotation(tbl)
+certify_embedding(g, rotation)
+swapped = dict(rotation)
+swapped[0] = [rotation[0][1], rotation[0][0]] + rotation[0][2:]
+dropped = dict(rotation)
+dropped[0] = rotation[0][1:]
+apart = Graph(g.vertices + (12,), g.edges)
+caught = []
+for host, order in ((g, swapped), (g, dropped), (apart, rotation)):
+    try:
+        certify_embedding(host, order)
+    except PlanarBlocksError as exc:
+        caught.append([exc.kind, str(exc)])
+print(json.dumps(caught))
+"""
+
+
+def test_wrong_rotations_fail_the_certificate_under_dash_o():
+    proc = _python(["-O", "-c", CERTIFICATE_UNDER_O])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["invariant-violated", "sphere embeddings satisfy Euler's formula"],
+        ["malformed-input",
+         "rotation at a vertex must permute its incident edges"],
+        ["not-connected", "planarity certificates assume a connected host"]]
 
 
 DECOMPOSITION_INVARIANTS = """
@@ -453,20 +492,39 @@ CLI_MODULES = ["planarblocks", "planarblocks.cli", "planarblocks.errors",
                "planarblocks.treeset"]
 
 
-def test_each_command_loads_only_its_modules():
-    # networkx is loaded only to test planarity; blocks2, cayley, planar
-    # and symmetry only by the commands that run them
-    runs = {("blocks", "path4.edges"): ["blocks1", "separation"],
-            ("triblocks", "k4.edges"): ["blocks1", "blocks2", "separation"],
-            ("planar", "k4.edges"): ["planar", "networkx"],
-            ("cayley", "d3.pres"): ["cayley", "planar", "networkx"]}
-    for (cmd, name), extra in runs.items():
-        proc = _python(["-c", MODULES_LOADED, cmd, fx(name)])
+def test_each_command_loads_only_its_modules(tmp_path):
+    # networkx is loaded only to test planarity, and a planar group's
+    # Cayley graph is embedded without it; blocks2, cayley, planar and
+    # symmetry are loaded only by the commands that run them
+    z3xz3 = tmp_path / "z3xz3.pres"
+    z3xz3.write_text("gens: a b\nrels: a^3, b^3, (a*b*a^-1*b^-1)\n")
+    runs = {("blocks", fx("path4.edges")): ["blocks1", "separation"],
+            ("triblocks", fx("k4.edges")): ["blocks1", "blocks2",
+                                            "separation"],
+            ("planar", fx("k4.edges")): ["planar", "networkx"],
+            ("cayley", fx("d3.pres")): ["cayley", "planar"],
+            ("cayley", str(z3xz3)): ["cayley", "planar", "networkx"]}
+    for (cmd, path), extra in runs.items():
+        proc = _python(["-c", MODULES_LOADED, cmd, path])
         assert proc.returncode == 0, proc.stderr
         at_import, after = json.loads(proc.stdout)
         assert at_import == CLI_MODULES
         assert after == sorted(CLI_MODULES + [
             m if m == "networkx" else "planarblocks." + m for m in extra]), cmd
+
+
+def test_edge_lists_are_parsed_by_the_current_parser(monkeypatch):
+    # a tracer patches the parser in its module; the CLI must call that
+    from planarblocks import graph
+    calls = []
+    parse = graph.parse_edge_list
+
+    def traced(text):
+        calls.append(text)
+        return parse(text)
+    monkeypatch.setattr(graph, "parse_edge_list", traced)
+    code, _ = run(["blocks", fx("path4.edges")])
+    assert code == 0 and len(calls) == 1
 
 
 def test_every_exported_name_resolves():

@@ -1,9 +1,12 @@
 """CLI stdout pinned byte for byte: exit code and sha256 of every output.
 
 ``golden_cli.json`` maps each command line below to ``[exit code,
-sha256(stdout)]``.  The embeddings, faces and Kuratowski witnesses come
-from networkx, so the entries of commands that run a planarity test are
-compared only under the networkx version the file records.
+sha256(stdout)]``.  The embeddings, faces and Kuratowski witnesses of
+edge-list commands come from networkx, so the entries of the commands
+that run a planarity test on them are compared only under the networkx
+version the file records.  ``cayley`` entries are compared under every
+version: each ``.pres`` fixture is planar and embedded by its group
+without networkx, and its face count is fixed by Euler's formula.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -33,7 +36,7 @@ from planarblocks.cli import run  # noqa: E402
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli.json")
 EDGE_COMMANDS = ("blocks", "triblocks", "planar", "faces", "autos",
                  "quotient", "check")
-PLANARITY_COMMANDS = ("planar", "faces", "cayley", "check")
+PLANARITY_COMMANDS = ("planar", "faces", "check")
 FORMATS = ("text", "json", "dot")
 
 
@@ -86,6 +89,19 @@ def test_output_matches_golden_bytes(command):
     assert runs
     moved = [" ".join(argv) for argv, want in runs if outcome(argv) != want]
     assert not moved, moved
+
+
+def test_cayley_bytes_need_no_networkx(monkeypatch):
+    # what lets both CI jobs compare them
+    from planarblocks import planar
+
+    def refuse(g):
+        raise AssertionError("planarity_test ran")
+    monkeypatch.setattr(planar, "planarity_test", refuse)
+    runs = [(argv, want) for argv, want in _load()["runs"]
+            if argv[0] == "cayley"]
+    assert len(runs) == 45
+    assert [argv for argv, want in runs if outcome(argv) != want] == []
 
 
 def moved_command_lines():
