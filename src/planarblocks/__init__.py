@@ -8,7 +8,7 @@ so a command loads only the modules it runs.
 import importlib
 
 _EXPORTS = {
-    "blocks1": ("BlockCutTree", "b1_family", "block_cut_tree", "cut_vertices"),
+    "blocks1": ("BlockCutTree", "b1_family", "block_cut_tree"),
     "blocks2": ("TriBlockTree", "Torso", "build_nested_family", "nested",
                 "torso", "triblock_tree"),
     "cayley": ("GroupTable", "Presentation", "cayley_graph", "coset_enumerate",
@@ -19,8 +19,9 @@ _EXPORTS = {
                "NotNested", "Overflow", "PlanarBlocksError",
                "PreconditionViolated", "TooLarge"),
     "graph": ("Graph", "ReducedGraph", "build_graph", "connected_components",
-              "edge_key", "format_edge_list", "homeomorphic_reduce",
-              "induced_subgraph", "is_connected", "parse_edge_list"),
+              "cut_vertices", "edge_key", "format_edge_list",
+              "homeomorphic_reduce", "induced_subgraph", "is_connected",
+              "parse_edge_list"),
     "planar": ("PlanarityResult", "RotationSystem", "apply_to_face",
                "canonical_face", "certify_embedding", "euler_genus",
                "face_multiset_uniqueness_check", "face_size_multiset",

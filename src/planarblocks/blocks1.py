@@ -1,4 +1,4 @@
-"""Cut vertices, one-boundary separation families, and block-cut trees.
+"""One-boundary families at the cut vertices, and block-cut trees.
 
 At each cut vertex c the family receives, for every component C of
 X - c, the minimal element spanned by C (all of C plus c and the joining
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .errors import NotConnected, invariant
-from .graph import Graph, connected_components
+from .errors import invariant
+from .graph import Graph, _lowpoint_dfs
 from .separation import make_separation, separation_complement
 from .treeset import NestedFamily, StructureTree, build_structure_tree
 
@@ -26,43 +26,13 @@ def _cut_pieces(g):
     """(c, components of g - c) for every cut vertex c, in vertex order.
 
     Each component is (vertex mask, mask of the edges at its vertices)
-    over `g.index`, and they come ordered by least vertex.  One lowpoint
-    DFS (Hopcroft and Tarjan, 1973) from the least vertex finds them: a
-    child subtree whose lowpoint does not climb above its parent c is a
-    component of g - c, and unless c is the root, the rest of g - c is
-    one more.  Subtree masks are then ORed together bottom-up.
+    over `g.index`, and they come ordered by least vertex.  The subtree
+    masks of one `graph._lowpoint_dfs` are ORed together bottom-up: each
+    subtree it splits off at c is a component of g - c, and unless c is
+    the root, the rest of g - c is one more.
     """
-    root = min(g.vertices, default=None)
-    order = [root]                      # DFS discovery order
-    disc = {root: 0}
-    low = {root: 0}
-    parent = {root: None}
-    split = {}                          # v -> children cut off at v
-    stack = [(root, iter(g.neighbors(root)))] if g.vertices else []
-    while stack:
-        v, todo = stack[-1]
-        for w in todo:
-            if w not in disc:
-                disc[w] = low[w] = len(order)
-                parent[w] = v
-                order.append(w)
-                stack.append((w, iter(g.neighbors(w))))
-                break
-            if disc[w] < low[v] and w != parent[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            p = parent[v]
-            if p is not None:
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if low[v] >= disc[p]:
-                    split.setdefault(p, []).append(v)
-    if len(order) < len(g.vertices) or not g.vertices:
-        raise NotConnected("cut vertices are defined for connected graphs",
-                           witness=[list(c) for c in connected_components(g)])
-    cuts = sorted(c for c, kids in split.items() if len(kids) > (c == root))
-    if not cuts:
+    order, parent, split = _lowpoint_dfs(g)
+    if not split:
         return []
     ix = g.index
     n = len(ix.vertices)
@@ -71,20 +41,15 @@ def _cut_pieces(g):
     for v in reversed(order[1:]):
         sub[parent[v]] |= sub[v]
     out = []
-    for c in cuts:
+    for c in sorted(split):
         pieces = [(sub[k] & ix.all_vertices, sub[k] >> n) for k in split[c]]
-        if c != root:
+        if c != order[0]:
             below = reduce(or_, (sub[k] for k in split[c]))
             pieces.append((ix.all_vertices & ~below & ~ix.vertex_bit[c],
                            ix.all_edges & ~(below >> n)))
         pieces.sort(key=lambda p: (p[0] & -p[0]).bit_length())
         out.append((c, pieces))
     return out
-
-
-def cut_vertices(g):
-    """Vertices whose removal disconnects the graph."""
-    return tuple(c for c, _ in _cut_pieces(g))
 
 
 def b1_family(g):

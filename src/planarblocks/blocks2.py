@@ -11,8 +11,8 @@ preserves it and no group has to be computed.
 
 Each such separation is, up to complement, one component of the block
 minus a vertex pair, plus the pair, with or without the edge joining
-the pair (`component_side`).  One scan of the block's vertex pairs
-(`graph.separating_sets`) lists these candidates, one pairwise test
+the pair (`component_side`).  The block's 2-cuts (`graph.two_cuts`,
+one lowpoint DFS per vertex) list these candidates, one pairwise test
 keeps those that cross no other candidate, and each kept side is
 carried to the host through the components of the host minus its pair.
 Where a pair leaves two components and is joined by an edge, both
@@ -33,8 +33,8 @@ from itertools import combinations
 from .errors import (HingeVertex, MalformedInput, NotConnected,
                      PreconditionViolated, invariant)
 from .graph import (Graph, connected_components, edge_key, homeomorphic_reduce,
-                    is_connected, is_k_connected, is_simple_cycle,
-                    is_three_connected_by_cutsets, separating_sets)
+                    is_connected, is_simple_cycle,
+                    is_three_connected_by_cutsets, is_two_connected, two_cuts)
 from .separation import component_side, separation_complement
 from .treeset import NestedFamily, StructureTree, build_structure_tree
 from .blocks1 import b1_family
@@ -75,7 +75,7 @@ def _uncrossed_sides(z):
     kept when it crosses no other candidate.
     """
     cands = []
-    for pair, comps in separating_sets(z, 2):
+    for pair, comps in two_cuts(z):
         for with_edge in (False, True) if z.has_edge(*pair) else (False,):
             for comp in comps:
                 s = component_side(z, pair, (comp,), with_edge)
@@ -169,7 +169,7 @@ def _require_two_connected(g):
     if not is_connected(g):
         raise NotConnected("host must be connected",
                            witness=[len(c) for c in connected_components(g)])
-    if not is_k_connected(g, 2):
+    if not is_two_connected(g):
         raise PreconditionViolated("host must be 2-connected")
     if len(g.vertices) < 4:
         raise PreconditionViolated("host needs at least 4 vertices")
@@ -272,7 +272,7 @@ def torso(g, tree, v):
                           witness=zprime.vertices[0])
     invariant(is_connected(z), "torso must be connected")
     if len(z.vertices) >= 3:
-        invariant(is_k_connected(z, 2), "torso must be 2-connected")
+        invariant(is_two_connected(z), "torso must be 2-connected")
     hinge_vertices = {x for k in virtuals for x in k}
     paths = {}
     for k in virtuals:

@@ -565,6 +565,8 @@ def equivariant_rotation(tbl):
     with 2 - |V| + |E| faces, a sphere embedding of the Cayley graph that
     every left translation preserves or mirrors; callers certify it with
     `planar.certify_embedding`.  None leaves the graph to networkx."""
+    if tbl.order == 1:      # no letters: one vertex, and its one face
+        return {tbl.identity: []}
     for faces, eps, ring in rotation_candidates(tbl):
         if faces == 2 - tbl.order + tbl.order * len(ring) // 2:
             return {g: [tbl.act_letter(g, x) for x in ring[::eps[g]]]

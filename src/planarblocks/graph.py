@@ -5,11 +5,11 @@ operations iterate vertices and edges in sorted order so that every
 downstream computation (decompositions, serializations) is reproducible
 byte for byte.
 
-The decomposition layers all ask one question: what is left of a graph
-once one or two vertices are removed?  `connected_components(g, drop)`
-answers it without copying the graph, and `separating_sets(g, size)`
-lists every vertex set of that size whose removal disconnects g, with
-the components it leaves.
+The decomposition layers ask what is left once one or two vertices go.
+`connected_components(g, drop)` lists the pieces without copying the
+graph.  One lowpoint DFS (Hopcroft and Tarjan, 1973) finds the cut
+vertices, and run once per skipped vertex v, the 2-cuts {v, w}: the
+cut vertices w of g - v (`cut_vertices`, `two_cuts`).
 
 `Graph.index` numbers the sorted vertices and the sorted edges from 0,
 so that a set of vertices or of edges is one int bitmask.  Separations
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations, compress
+from itertools import compress
 from operator import or_
 
 from .errors import MalformedInput, NotConnected
@@ -258,61 +258,87 @@ def induced_subgraph(g, vs):
                  tuple(e for e in g.edges if e[0] in vset and e[1] in vset))
 
 
-def remove_vertices(g, drop):
-    keep = [v for v in g.vertices if v not in drop]
-    return induced_subgraph(g, keep)
-
-
 def is_simple_cycle(g):
     return (len(g.vertices) >= 3
             and all(g.degree(v) == 2 for v in g.vertices)
             and is_connected(g))
 
 
-def separating_sets(g, size):
-    """(drop, components of g - drop) for every `size`-subset drop of the
-    vertices whose removal leaves at least two components, in
-    `combinations` order."""
-    for drop in combinations(g.vertices, size):
-        comps = connected_components(g, drop)
-        if len(comps) > 1:
-            yield drop, comps
-
-
-def has_cutset(g, size):
-    """True if removing some `size`-subset of vertices disconnects g."""
-    return next(separating_sets(g, size), None) is not None
-
-
-def is_k_connected(g, k):
-    """Vertex connectivity test for k in {1, 2, 3}, by cutset enumeration.
-
-    k=3 follows the convention that a 3-connected graph has at least 5
-    vertices; the decomposition layer separately admits tiny torsos.
+def _lowpoint_dfs(g, skip=None):
+    """(order, parent, split) of one iterative lowpoint DFS of g minus the
+    vertex skip, from its least vertex: discovery order, DFS parents
+    (None at the root), and for each cut vertex c of g - skip the children
+    whose lowpoint does not climb above c.  Each of their subtrees is a
+    component of g - skip - c and, unless c is the root, the rest is one
+    more.  skip counts as seen, discovered after every vertex, so it is
+    never entered and never a lowpoint.
     """
-    if k not in (1, 2, 3):
-        raise MalformedInput("k must be 1, 2 or 3", witness=k)
-    if k == 1:
-        return is_connected(g)
-    if k == 2:
-        return len(g.vertices) >= 3 and is_connected(g) and not has_cutset(g, 1)
-    return (len(g.vertices) >= 5 and is_connected(g)
-            and not has_cutset(g, 1) and not has_cutset(g, 2))
+    drop = () if skip is None else (skip,)
+    root = min((v for v in g.vertices if v != skip), default=None)
+    order = [root]                      # DFS discovery order
+    disc = dict.fromkeys(drop, len(g.vertices))
+    disc[root] = 0
+    low = {root: 0}
+    parent = {root: None}
+    split = {}
+    stack = [(root, iter(g.neighbors(root)))] if root is not None else []
+    while stack:
+        v, todo = stack[-1]
+        for w in todo:
+            if w not in disc:
+                disc[w] = low[w] = len(order)
+                parent[w] = v
+                order.append(w)
+                stack.append((w, iter(g.neighbors(w))))
+                break
+            if disc[w] < low[v] and w != parent[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            p = parent[v]
+            if p is not None:
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    split.setdefault(p, []).append(v)
+    if root is None or len(order) + len(drop) < len(g.vertices):
+        comps = connected_components(g, drop)
+        raise NotConnected("cut vertices are defined for connected graphs",
+                           witness=[list(c) for c in comps])
+    # every child of the root splits off; it is a cut vertex with two
+    if len(split.get(root, ())) == 1:
+        del split[root]
+    return order, parent, split
+
+
+def cut_vertices(g):
+    """Vertices whose removal disconnects the connected graph g, sorted."""
+    return tuple(sorted(_lowpoint_dfs(g)[2]))
+
+
+def two_cuts(g):
+    """(pair, components of g - pair) for every vertex pair whose removal
+    disconnects the 2-connected graph g, in `combinations` order.  {v, w}
+    is one when w is a cut vertex of g - v, so one `_lowpoint_dfs` per
+    skipped v finds them all in O(n (n + m)) time."""
+    position = {v: i for i, v in enumerate(g.vertices)}
+    for i, v in enumerate(g.vertices[:-1]):
+        later = [w for w in _lowpoint_dfs(g, v)[2] if position[w] > i]
+        for w in sorted(later, key=position.__getitem__):
+            yield (v, w), connected_components(g, (v, w))
+
+
+def is_two_connected(g):
+    """At least 3 vertices, connected, and no cut vertex."""
+    return (len(g.vertices) >= 3 and is_connected(g)
+            and not _lowpoint_dfs(g)[2])
 
 
 def is_three_connected_by_cutsets(g):
-    """Cutset criterion used by the decomposition layer: no cutset of
-    size at most 2.  Admits K4, unlike the strict is_k_connected."""
-    return (len(g.vertices) >= 4 and is_connected(g)
-            and not has_cutset(g, 1) and not has_cutset(g, 2))
-
-
-def is_simple_path(g):
-    """True when g is homeomorphic to an interval (a path with >= 1 edge)."""
-    if len(g.vertices) < 2 or not is_connected(g):
-        return False
-    degs = sorted(g.degree(v) for v in g.vertices)
-    return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
+    """Cutset criterion used by the decomposition layer: at least 4
+    vertices and no cutset of size at most 2, so K4 passes."""
+    return (len(g.vertices) >= 4 and is_two_connected(g)
+            and next(two_cuts(g), None) is None)
 
 
 @dataclass(frozen=True)
@@ -320,7 +346,6 @@ class ReducedGraph:
     graph: Graph
     walks: dict  # reduced edge -> host vertex walk from min to max endpoint
     is_cycle: bool
-    is_path: bool = False
     # reduced edge -> extra host walks whose suppression collapsed onto it
     parallels: dict = field(default_factory=dict)
 
@@ -353,7 +378,6 @@ def homeomorphic_reduce(g):
                            witness=connected_components(g)[0])
     if is_simple_cycle(g):
         return ReducedGraph(g, {e: e for e in g.edges}, True)
-    path_input = is_simple_path(g)
 
     def oriented(walk, start):
         return walk if walk[0] == start else tuple(reversed(walk))
@@ -390,5 +414,5 @@ def homeomorphic_reduce(g):
             break
     vs = tuple(sorted(adj))
     es = tuple(sorted(edge_key(a, b) for a in adj for b in adj[a] if a < b))
-    return ReducedGraph(Graph(vs, es), walks, False, path_input,
+    return ReducedGraph(Graph(vs, es), walks, False,
                         {e: tuple(ws) for e, ws in parallels.items()})

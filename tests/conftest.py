@@ -43,6 +43,15 @@ def k4_book(pages):
     return build_graph(range(2 + 2 * pages), es)
 
 
+def grid_graph(rows, cols):
+    """The rows x cols grid, vertex r * cols + c at row r, column c."""
+    es = [(r * cols + c, r * cols + c + 1)
+          for r in range(rows) for c in range(cols - 1)]
+    es += [(r * cols + c, (r + 1) * cols + c)
+           for r in range(rows - 1) for c in range(cols)]
+    return build_graph(range(rows * cols), es)
+
+
 def wheel_graph(n):
     """Hub 0 plus a rim cycle on 1..n-1 (n vertices total)."""
     rim = [(i, i % (n - 1) + 1) for i in range(1, n)]

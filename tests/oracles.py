@@ -11,14 +11,30 @@ from itertools import combinations, permutations
 
 from planarblocks.blocks2 import _require_two_connected
 from planarblocks.errors import MalformedInput, invariant
-from planarblocks.graph import (Graph, build_graph, edge_key, is_connected,
-                                separating_sets)
+from planarblocks.graph import (Graph, build_graph, connected_components,
+                                edge_key, induced_subgraph, is_connected)
 from planarblocks.separation import (Separation, component_side,
                                      make_separation, separation_complement)
 from planarblocks.treeset import NestedFamily
 
 
 # ------------------------------------------------------- block structure
+
+def remove_vertices(g, drop):
+    """g minus the vertices in drop, as a copy with the same labels."""
+    keep = [v for v in g.vertices if v not in drop]
+    return induced_subgraph(g, keep)
+
+
+def separating_sets(g, size):
+    """(drop, components of g - drop) for every `size`-subset drop of the
+    vertices whose removal leaves at least two components, in
+    `combinations` order: one component search per subset."""
+    for drop in combinations(g.vertices, size):
+        comps = connected_components(g, drop)
+        if len(comps) > 1:
+            yield drop, comps
+
 
 def lowpoint_blocks(g):
     """Biconnected components by the classic DFS lowpoint method.

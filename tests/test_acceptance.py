@@ -23,6 +23,7 @@ from oracles import (
     random_connected_graph,
     random_path_family,
     random_two_connected_graph,
+    remove_vertices,
     verify_table_isomorphism,
     von_dyck_permutation_group,
 )
@@ -46,7 +47,7 @@ from planarblocks.blocks2 import (
     KIND_THREE_CONNECTED,
 )
 from planarblocks.cli import run
-from planarblocks.graph import is_connected, remove_vertices
+from planarblocks.graph import is_connected
 
 EDGE_FIXTURES = (
     "bowtie.edges", "book_k4.edges", "c6.edges", "disconnected.edges",

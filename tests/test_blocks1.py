@@ -3,15 +3,15 @@ import time
 
 import pytest
 
-from planarblocks.blocks1 import b1_family, block_cut_tree, cut_vertices
+from planarblocks.blocks1 import b1_family, block_cut_tree
 from planarblocks.errors import NotConnected
-from planarblocks.graph import build_graph, separating_sets
+from planarblocks.graph import build_graph, cut_vertices
 from planarblocks.treeset import verify_tree_correspondence
 
 from conftest import g_of, path_graph
 from oracles import (caterpillar, glued_blocks, lowpoint_blocks,
                      one_boundary_family, random_connected_graph,
-                     separation_fault)
+                     separating_sets, separation_fault)
 
 
 def test_cut_vertices_fixtures(bowtie, k4):

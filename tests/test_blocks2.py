@@ -37,7 +37,7 @@ from planarblocks.errors import (
     PreconditionViolated,
 )
 
-from conftest import g_of, k4_book
+from conftest import g_of, grid_graph, k4_book
 from oracles import (all_separations, chorded_cycle, edge_subset_separations,
                      enumerate_separations_at, glued_blocks, lowpoint_blocks,
                      random_two_connected_graph, separation_fault,
@@ -114,6 +114,21 @@ def test_large_triblock_trees_are_fast(shape, vertices, tree_vertices):
     elapsed = time.monotonic() - t0
     assert t.vertex_count == tree_vertices
     assert elapsed < 2.0, elapsed
+
+
+@pytest.mark.parametrize("shape, vertices, tree_vertices", [
+    ("grid", 400, 1),      # one 3-connected torso once the corners go
+    ("chain", 202, 199),   # 100 K4 torsos and the 99 bonds between them
+])
+def test_two_cuts_cost_one_search_per_vertex(shape, vertices, tree_vertices):
+    # a component search per vertex pair took 27 s on the 20 x 20 grid
+    g = grid_graph(20, 20) if shape == "grid" else _k4_chain(100)
+    assert len(g.vertices) == vertices
+    t0 = time.monotonic()
+    t = triblock_tree(g)
+    elapsed = time.monotonic() - t0
+    assert t.vertex_count == tree_vertices
+    assert elapsed < 5.0, elapsed
 
 
 def test_k4_has_no_hinge_separations(k4):

@@ -439,9 +439,14 @@ assert False, "this script must run under -O"
 b1_family = blocks1.b1_family
 blocks1.b1_family = lambda g: b1_family(Graph(g.vertices, g.edges[1:]))
 # blocks2: a torso that reads as not 2-connected fails its check
-blocks2.is_k_connected = lambda g, k: False
-print(json.dumps([cli.run(["blocks", sys.argv[1]]),
-                  cli.run(["triblocks", sys.argv[2]])]))
+is_two_connected = blocks2.is_two_connected
+blocks2.is_two_connected = lambda g: False
+runs = [cli.run(["blocks", sys.argv[1]]), cli.run(["triblocks", sys.argv[2]])]
+# blocks2: a 2-connected torso that reads as not 3-connected fails its kind
+blocks2.is_two_connected = is_two_connected
+blocks2.is_three_connected_by_cutsets = lambda g: False
+runs.append(cli.run(["triblocks", sys.argv[2]]))
+print(json.dumps(runs))
 """
 
 
@@ -449,13 +454,14 @@ def test_decomposition_invariants_hold_under_dash_o():
     proc = _python(["-O", "-c", DECOMPOSITION_INVARIANTS,
                     fx("bowtie.edges"), fx("k4.edges")])
     assert proc.returncode == 0, proc.stderr
-    (blocks_code, blocks_out), (tri_code, tri_out) = json.loads(proc.stdout)
-    assert blocks_code == tri_code == 1
-    blocks_err = json.loads(blocks_out)["error"]
-    tri_err = json.loads(tri_out)["error"]
-    assert blocks_err["kind"] == tri_err["kind"] == "invariant-violated"
-    assert blocks_err["message"] == "blocks do not cover the host edges"
-    assert tri_err["message"] == "torso must be 2-connected"
+    runs = json.loads(proc.stdout)
+    assert [code for code, _ in runs] == [1, 1, 1]
+    errors = [json.loads(out)["error"] for _, out in runs]
+    assert {e["kind"] for e in errors} == {"invariant-violated"}
+    assert [e["message"] for e in errors] == [
+        "blocks do not cover the host edges",
+        "torso must be 2-connected",
+        "non-cycle torso of the final tree must be 3-connected"]
 
 
 def test_src_has_no_assert():
@@ -498,11 +504,14 @@ def test_each_command_loads_only_its_modules(tmp_path):
     # symmetry are loaded only by the commands that run them
     z3xz3 = tmp_path / "z3xz3.pres"
     z3xz3.write_text("gens: a b\nrels: a^3, b^3, (a*b*a^-1*b^-1)\n")
+    trivial = tmp_path / "trivial.pres"
+    trivial.write_text("gens: a\nrels: a\n")
     runs = {("blocks", fx("path4.edges")): ["blocks1", "separation"],
             ("triblocks", fx("k4.edges")): ["blocks1", "blocks2",
                                             "separation"],
             ("planar", fx("k4.edges")): ["planar", "networkx"],
             ("cayley", fx("d3.pres")): ["cayley", "planar"],
+            ("cayley", str(trivial)): ["cayley", "planar"],
             ("cayley", str(z3xz3)): ["cayley", "planar", "networkx"]}
     for (cmd, path), extra in runs.items():
         proc = _python(["-c", MODULES_LOADED, cmd, path])

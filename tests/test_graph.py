@@ -2,17 +2,20 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from planarblocks.blocks1 import block_cut_tree
 from planarblocks.errors import MalformedInput, NotConnected
-from planarblocks.graph import (Graph, build_graph, connected_components, edge_key,
+from planarblocks.graph import (_lowpoint_dfs, build_graph,
+                                connected_components, cut_vertices, edge_key,
                                 format_edge_list, homeomorphic_reduce,
-                                induced_subgraph, is_connected, is_k_connected,
-                                is_simple_cycle, is_simple_path,
-                                is_three_connected_by_cutsets, parse_edge_list,
-                                remove_vertices, separating_sets)
+                                induced_subgraph, is_connected,
+                                is_simple_cycle, is_three_connected_by_cutsets,
+                                is_two_connected, parse_edge_list, two_cuts)
 
 from conftest import complete_graph, cycle_graph, g_of, path_graph
-from oracles import lowpoint_blocks, random_connected_graph
+from oracles import (chorded_cycle, glued_blocks, lowpoint_blocks,
+                     random_connected_graph, remove_vertices, separating_sets)
 
 
 def test_edge_key_orients():
@@ -107,22 +110,64 @@ def test_remove_vertices_keeps_labels(bowtie):
 def test_shape_predicates(c6):
     assert is_simple_cycle(c6)
     assert not is_simple_cycle(path_graph(4))
-    assert is_simple_path(path_graph(4))
-    assert not is_simple_path(c6)
 
 
-def test_connectivity_predicates(k4, k5, prism, k4e, c6):
-    assert is_k_connected(c6, 2)
-    assert not is_k_connected(path_graph(4), 2)
-    assert is_k_connected(k5, 3)
-    assert not is_k_connected(c6, 3)
-    # strict 3-connectivity needs 5 vertices; the cutset variant admits K4
-    assert not is_k_connected(k4, 3)
+def test_connectivity_predicates(k4, k5, prism, k4e, c6, bowtie):
+    assert is_two_connected(c6)
+    assert is_two_connected(k4e)
+    assert is_two_connected(complete_graph(3))
+    assert not is_two_connected(path_graph(4))
+    assert not is_two_connected(bowtie)
+    assert not is_two_connected(complete_graph(2))
+    assert not is_two_connected(build_graph(range(4), [(0, 1), (2, 3)]))
+    # no cutset of size at most 2 and at least 4 vertices: K4 passes
     assert is_three_connected_by_cutsets(k4)
     assert is_three_connected_by_cutsets(k5)
     assert is_three_connected_by_cutsets(prism)
     assert not is_three_connected_by_cutsets(k4e)
     assert not is_three_connected_by_cutsets(c6)
+
+
+@st.composite
+def _blocks(draw):
+    """A chorded cycle, or one block of a glued_blocks host."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        return chorded_cycle(rng, n=rng.randint(5, 14),
+                             chords=rng.randint(0, 5))
+    return draw(st.sampled_from(block_cut_tree(glued_blocks(rng)).blocks))
+
+
+def _connectivity_by_cutsets(g):
+    """(is_two_connected, is_three_connected_by_cutsets) of g by their
+    definitions, from the cutset oracle."""
+    n = len(g.vertices)
+    no_cut = is_connected(g) and not any(separating_sets(g, 1))
+    return (n >= 3 and no_cut,
+            n >= 4 and no_cut and not any(separating_sets(g, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_blocks())
+def test_one_lowpoint_dfs_answers_the_cutset_oracle(b):
+    assert list(two_cuts(b)) == list(separating_sets(b, 2)), b.edges
+    assert (is_two_connected(b), is_three_connected_by_cutsets(b)) == \
+        _connectivity_by_cutsets(b)
+    for v in b.vertices:
+        rest = induced_subgraph(b, [u for u in b.vertices if u != v])
+        want = tuple(c for (c,), _ in separating_sets(rest, 1))
+        assert cut_vertices(rest) == want
+        assert tuple(sorted(_lowpoint_dfs(b, v)[2])) == want
+        assert (is_two_connected(rest), is_three_connected_by_cutsets(rest)) \
+            == _connectivity_by_cutsets(rest)
+
+
+def test_skipping_a_cut_vertex_reports_the_pieces(bowtie):
+    with pytest.raises(NotConnected) as err:
+        _lowpoint_dfs(bowtie, 0)
+    assert err.value.witness == [[1, 2], [3, 4]]
+    with pytest.raises(NotConnected):
+        list(two_cuts(bowtie))
 
 
 def test_reduce_keeps_simple_cycles(c6):
@@ -135,14 +180,13 @@ def test_reduce_path_collapses_to_edge():
     rg = homeomorphic_reduce(path_graph(4))
     assert rg.graph.vertices == (0, 3)
     assert rg.graph.edges == ((0, 3),)
-    assert rg.is_path
     assert rg.walks[(0, 3)] == (0, 1, 2, 3)
 
 
 def test_reduce_theta_collapses_to_edge(twosquares):
     rg = homeomorphic_reduce(twosquares)
     assert rg.graph.edges == ((4, 5),)
-    assert not rg.is_cycle and not rg.is_path
+    assert not rg.is_cycle
     # every host edge must map onto the single surviving edge
     em = rg.edge_map()
     assert set(em) == twosquares.edge_set

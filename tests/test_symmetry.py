@@ -26,7 +26,7 @@ from planarblocks.symmetry import (
     is_automorphism,
 )
 from planarblocks.errors import TooLarge
-from planarblocks.graph import build_graph, is_k_connected
+from planarblocks.graph import build_graph, is_two_connected
 from planarblocks.treeset import NestedFamily
 
 
@@ -76,7 +76,7 @@ def test_strong_generators_and_orbits_match_brute_force():
         for u, v in g.edges:
             assert got.orbit_of_edge((u, v)) == {
                 tuple(sorted((p[u], p[v]))) for p in want}
-        if is_k_connected(g, 2) and len(g.edges) > len(g.vertices):
+        if is_two_connected(g) and len(g.edges) > len(g.vertices):
             hinge_hosts += 1
             for s in all_separations(g):
                 orbit = orbit_of_separation(s, got.generators)
