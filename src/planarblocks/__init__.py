@@ -9,8 +9,8 @@ import importlib
 
 _EXPORTS = {
     "blocks1": ("BlockCutTree", "b1_family", "block_cut_tree"),
-    "blocks2": ("TriBlockTree", "Torso", "build_nested_family", "nested",
-                "torso", "triblock_tree"),
+    "blocks2": ("TriBlockTree", "Torso", "build_nested_family", "torso",
+                "triblock_tree"),
     "cayley": ("GroupTable", "Presentation", "cayley_graph", "coset_enumerate",
                "equivariant_rotation", "invert_word", "parse_presentation",
                "surface_presentation"),
@@ -22,15 +22,14 @@ _EXPORTS = {
               "cut_vertices", "edge_key", "format_edge_list",
               "homeomorphic_reduce", "induced_subgraph", "is_connected",
               "parse_edge_list"),
-    "planar": ("PlanarityResult", "RotationSystem", "apply_to_face",
-               "canonical_face", "certify_embedding", "euler_genus",
-               "face_multiset_uniqueness_check", "face_size_multiset",
-               "facial_preservation_check", "facial_walks", "planarity_test",
+    "planar": ("PlanarityResult", "RotationSystem", "canonical_face",
+               "certify_embedding", "face_multiset_uniqueness_check",
+               "face_size_multiset", "facial_walks", "planarity_test",
                "rotation_from_neighbors"),
     "separation": ("Separation", "make_separation", "pull_back_separation",
                    "separation_complement"),
     "symmetry": ("AutGroup", "QuotientGraph", "automorphism_group",
-                 "orbit_of_separation", "quotient_graph", "tree_action_check"),
+                 "quotient_graph", "tree_action_check"),
     "treeset": ("NestedFamily", "StructureTree", "build_structure_tree",
                 "verify_tree_correspondence"),
 }

@@ -12,15 +12,17 @@ preserves it and no group has to be computed.
 Each such separation is, up to complement, one component of the block
 minus a vertex pair, plus the pair, with or without the edge joining
 the pair (`component_side`).  The block's 2-cuts (`graph.two_cuts`,
-one lowpoint DFS per vertex) list these candidates, one pairwise test
-keeps those that cross no other candidate, and each kept side is
-carried to the host through the components of the host minus its pair.
-Where a pair leaves two components and is joined by an edge, both
-sides with the edge are kept, so the pair and its edge form a bond
-tree vertex of their own.  A piece of the host that meets a block
-only at a cut vertex of a hinge goes with the sides that hold the
-centre of the block's tree vertices through that cut vertex
-(`_pendant_homes`), so the lifted sides stay nested.
+one lowpoint DFS per vertex) are decided pair by pair: {x, y} is
+crossed exactly when some other 2-cut, apart from it, has its two
+vertices in different components of the block minus {x, y}.  Sides
+are built only at the uncrossed pairs, and each is carried to the
+host through the components of the host minus its pair.  Where a pair
+leaves two components and is joined by an edge, both sides with the
+edge are kept, so the pair and its edge form a bond tree vertex of
+their own.  A piece of the host that meets a block only at a cut
+vertex of a hinge goes with the sides that hold the centre of the
+block's tree vertices through that cut vertex (`_pendant_homes`), so
+the lifted sides stay nested.
 """
 
 from __future__ import annotations
@@ -44,48 +46,31 @@ from .blocks1 import b1_family
 # the canonical hinge family
 
 
-def _corners(a, ac, b, bc):
-    """The corner inclusions that hold between a and b, given their
-    complements ac and bc, yielded lazily in `nested` order."""
-    for name, x, y in (("A<=B", a, b), ("A<=B*", a, bc),
-                       ("A*<=B", ac, b), ("A*<=B*", ac, bc)):
-        if x.subgraph_leq(y):
-            yield name
-
-
-def nested(a, b):
-    """The corner inclusions that hold between two separations.
-
-    Returns a tuple drawn from ("A<=B", "A<=B*", "A*<=B", "A*<=B*");
-    empty means the pair is not nested.
-    """
-    if a.host != b.host:
-        raise MalformedInput("separations live on different hosts")
-    return tuple(_corners(a, separation_complement(a),
-                          b, separation_complement(b)))
-
-
 def _uncrossed_sides(z):
     """The hinge sides of the 2-connected graph z that no hinge
     separation of z crosses, as (side, complement) pairs sorted by the
     side's sort key.
 
-    Candidates are the sides of single components of z minus a vertex
-    pair, with and without the edge joining the pair; a candidate is
-    kept when it crosses no other candidate.
+    A 2-cut {x, y} is crossed when another 2-cut {u, w}, apart from it,
+    has u and w in different components of z minus {x, y}; then every
+    side at {x, y} crosses a side at {u, w}, and otherwise all are
+    nested.  An uncrossed pair keeps each component plus the pair, and
+    with the pair's edge too when the edge joins it and two components
+    remain; with three or more, the sides with the edge cross.
     """
-    cands = []
-    for pair, comps in two_cuts(z):
-        for with_edge in (False, True) if z.has_edge(*pair) else (False,):
+    cuts = [(pair, comps, {v: i for i, c in enumerate(comps) for v in c})
+            for pair, comps in two_cuts(z)]
+    sides = []
+    for pair, comps, label in cuts:
+        if any(label[u] != label[w] for (u, w), _, _ in cuts
+               if u not in pair and w not in pair):
+            continue
+        bond = len(comps) == 2 and z.has_edge(*pair)
+        for with_edge in (False, True) if bond else (False,):
             for comp in comps:
                 s = component_side(z, pair, (comp,), with_edge)
-                cands.append((s, separation_complement(s)))
-    crossed = set()
-    for i, j in combinations(range(len(cands)), 2):
-        if next(_corners(*cands[i], *cands[j]), None) is None:
-            crossed.update((i, j))
-    return sorted((c for i, c in enumerate(cands) if i not in crossed),
-                  key=lambda c: c[0].sort_key())
+                sides.append((s, separation_complement(s)))
+    return sorted(sides, key=lambda c: c[0].sort_key())
 
 
 def _pendant_homes(pairs, cuts):

@@ -163,6 +163,7 @@ def _check(g, bound, args):
     from .planar import planarity_test
     from .symmetry import (automorphism_group, check_orbit_stabilizer,
                            tree_action_check)
+    count = serialize.counted
     rows = []
 
     def attempt(name, fn):
@@ -180,13 +181,15 @@ def _check(g, bound, args):
                   "vertices are not sorted and distinct")
         invariant(list(g.edges) == sorted(set(g.edges)),
                   "edges are not sorted and distinct")
-        return "%d vertices, %d edges" % (len(g.vertices), len(g.edges))
+        return "%s, %s" % (count(len(g.vertices), "vertex", "vertices"),
+                           count(len(g.edges), "edge"))
     attempt("graph-canonical-order", canonical)
 
     def blocks():
         bct = block_cut_tree(g)
         _verify(bct.tree)
-        return "%d blocks, %d cuts" % (len(bct.blocks), len(bct.cuts))
+        return "%s, %s" % (count(len(bct.blocks), "block"),
+                           count(len(bct.cuts), "cut"))
     attempt("block-cut-tree", blocks)
 
     def reduction():
@@ -194,7 +197,8 @@ def _check(g, bound, args):
         covered = set(rg.edge_map())
         invariant(covered == g.edge_set, "reduction loses edges",
                   sorted(g.edge_set - covered))
-        return "reduced to %d vertices" % len(rg.graph.vertices)
+        return "reduced to " + count(len(rg.graph.vertices), "vertex",
+                                     "vertices")
     attempt("reduction-edge-cover", reduction)
 
     state = {}
@@ -203,15 +207,16 @@ def _check(g, bound, args):
         tbt = triblock_tree(g)
         _verify(tbt.tree)
         state["tbt"] = tbt
-        return "%d tree vertices" % tbt.vertex_count
+        return count(tbt.vertex_count, "tree vertex", "tree vertices")
     attempt("triblock-tree", triblocks)
 
     def planar():
         res = planarity_test(g)
         state["planar"] = res
         if res.planar:
-            return "planar, %d faces" % res.face_count
-        return "nonplanar, witness with %d edges" % len(res.witness.edges)
+            return "planar, " + count(res.face_count, "face")
+        return "nonplanar, witness with " + count(len(res.witness.edges),
+                                                  "edge")
     attempt("planarity-certificate", planar)
 
     def inheritance():
@@ -223,7 +228,7 @@ def _check(g, bound, args):
                         for t in tbt.torsos.values()]
         if res.planar:
             invariant(all(torso_planar), "planar host with nonplanar torso")
-            return "all %d torsos planar" % len(torso_planar)
+            return "all %s planar" % count(len(torso_planar), "torso")
         invariant(not all(torso_planar) or res.witness is not None,
                   "nonplanar host without a witness")
         return "nonplanar witnessed"

@@ -1,5 +1,5 @@
-"""Planarity with certificates, rotation systems, faces, and the
-face-preservation test for graph automorphisms.
+"""Planarity with certificates, rotation systems, faces, and the check
+that face sizes do not depend on vertex labels.
 
 A sphere embedding is accepted only through `certify_embedding`, which
 traces its faces here and checks Euler's formula.  A Cayley graph brings
@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import (MalformedInput, NotAnAutomorphism, NotConnected,
-                     PreconditionViolated, invariant)
+from .errors import (MalformedInput, NotConnected, PreconditionViolated,
+                     invariant)
 from .graph import Graph, edge_key, is_connected, is_three_connected_by_cutsets
 
 
@@ -91,17 +91,6 @@ def facial_walks(r):
                 break
         walks.append(tuple(walk))
     return tuple(walks)
-
-
-def euler_genus(r):
-    """Genus of the surface the rotation system describes; 0 is planar."""
-    f = len(facial_walks(r))
-    v = len(r.host.vertices)
-    e = len(r.host.edges)
-    two_minus_two_g = v - e + f
-    invariant(two_minus_two_g % 2 == 0, "Euler characteristic must be even",
-              witness=two_minus_two_g)
-    return (2 - two_minus_two_g) // 2
 
 
 @dataclass(frozen=True)
@@ -194,21 +183,6 @@ def _kuratowski_edges(h):
             else:
                 size //= 2
     return kept
-
-
-def apply_to_face(perm, face):
-    return canonical_face(tuple(perm[v] for v in face))
-
-
-def facial_preservation_check(r, sigma):
-    """True iff sigma maps every facial walk of r to a facial walk of r
-    (as cyclic sequences up to rotation and reversal)."""
-    from .symmetry import is_automorphism
-    if not is_automorphism(r.host, sigma):
-        raise NotAnAutomorphism("sigma does not preserve the host",
-                                witness=sigma)
-    faces = {canonical_face(w) for w in facial_walks(r)}
-    return all(apply_to_face(sigma, f) in faces for f in faces)
 
 
 def face_size_multiset(g):

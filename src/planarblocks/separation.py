@@ -57,10 +57,6 @@ class Separation:
     def boundary(self):
         return frozenset(self.key[2])
 
-    @property
-    def interior(self):
-        return self.va - self.boundary
-
     def sort_key(self):
         return (self.emask.bit_count(), self.key[1], self.key[2])
 

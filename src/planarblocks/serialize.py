@@ -120,8 +120,18 @@ def dumps(payload):
 #
 # Each view takes one payload in its JSON form and returns output lines.
 
+def counted(n, noun, nouns=None):
+    """n and the noun, singular for a count of 1: "1 edge", "2 edges"."""
+    return "%d %s" % (n, noun if n == 1 else nouns or noun + "s")
+
+
 def _vertex_set(vs):
     return "{%s}" % ",".join(map(str, vs))
+
+
+def _size(g):
+    return "%s, %s" % (counted(len(g["vertices"]), "vertex", "vertices"),
+                       counted(len(g["edges"]), "edge"))
 
 
 def _face_lines(faces):
@@ -155,9 +165,9 @@ def blocks_text(p):
         if n["kind"] == "cut":
             lines.append("  [%d] cut vertex %d" % (n["id"], n["vertex"]))
         else:
-            lines.append("  [%d] block %s, %d edges" % (
+            lines.append("  [%d] block %s, %s" % (
                 n["id"], _vertex_set(n["graph"]["vertices"]),
-                len(n["graph"]["edges"])))
+                counted(len(n["graph"]["edges"]), "edge")))
     return lines + _tree_edge_lines(p)
 
 
@@ -169,16 +179,17 @@ def blocks_dot(p):
 
 def triblocks_text(p):
     host = p["reduced"]
-    lines = ["tree vertices: %d  (reduced host: %d vertices, %d edges)" % (
-        len(p["tree_vertices"]), len(host["vertices"]), len(host["edges"]))]
+    lines = ["tree vertices: %d  (reduced host: %s)" % (
+        len(p["tree_vertices"]), _size(host))]
     for n in p["tree_vertices"]:
         if "vertex" in n:
             lines.append("  [%d] %s at vertex %d" % (n["id"], n["kind"],
                                                      n["vertex"]))
         else:
-            lines.append("  [%d] %s on %s, %d edges (%d virtual)" % (
+            lines.append("  [%d] %s on %s, %s (%d virtual)" % (
                 n["id"], n["kind"], _vertex_set(n["torso"]["vertices"]),
-                len(n["torso"]["edges"]), len(n["virtual_edges"])))
+                counted(len(n["torso"]["edges"]), "edge"),
+                len(n["virtual_edges"])))
     return lines + _tree_edge_lines(p)
 
 
@@ -219,8 +230,9 @@ def autos_text(p):
 
 
 def quotient_text(p):
-    return (["orbits: %d vertices, %d edges" % (len(p["vertex_orbits"]),
-                                                len(p["edge_orbits"]))]
+    return (["orbits: %s, %s" % (
+                counted(len(p["vertex_orbits"]), "vertex", "vertices"),
+                counted(len(p["edge_orbits"]), "edge"))]
             + ["  orbit %d = %s" % (i, _vertex_set(o))
                for i, o in enumerate(p["vertex_orbits"])]
             + ["  %(from)d -- %(to)d  (multiplicity %(multiplicity)d)" % e
@@ -238,8 +250,7 @@ def cayley_text(p):
     g = p["graph"]
     return ["order: %d" % p["order"],
             "generators: %s" % " ".join(p["generators"]),
-            "cayley graph: %d vertices, %d edges" % (len(g["vertices"]),
-                                                     len(g["edges"])),
+            "cayley graph: " + _size(g),
             "planar: %s" % ("yes" if p["planar"] else "no")]
 
 

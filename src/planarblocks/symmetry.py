@@ -9,8 +9,8 @@ point the generators so far do not reach, and never lists the group.
 a vertex v is the same search along a base that starts at v, read from
 its second level: a stabiliser chain along another base (Seress,
 *Permutation Group Algorithms*, 2003).  Orbits of
-vertices, edges and separations are closures under the generators, and
-the tree action is checked generator by generator.  Permutations are
+vertices and edges are closures under the generators, and the tree
+action is checked generator by generator.  Permutations are
 dicts vertex -> vertex over the host's vertex set.
 """
 
@@ -41,17 +41,16 @@ def apply_to_separation(a, perm):
                            {perm[b] for b in a.boundary})
 
 
-def _closure(start, perms, image, key=lambda x: x):
-    """Everything reachable from start by applying perms: key -> item."""
-    seen = {key(start): start}
+def _closure(start, perms, image):
+    """The set of everything reachable from start by applying perms."""
+    seen = {start}
     frontier = [start]
     while frontier:
         x = frontier.pop()
         for p in perms:
             y = image(x, p)
-            k = key(y)
-            if k not in seen:
-                seen[k] = y
+            if y not in seen:
+                seen.add(y)
                 frontier.append(y)
     return seen
 
@@ -75,11 +74,6 @@ class AutGroup:
         g = self.host
         base = (v,) + tuple(u for u in g.vertices if u != v)
         return AutGroup(g, *_strong_generators(g, base, 1))
-
-    def is_free(self):
-        """True iff no non-identity element fixes a vertex."""
-        return all(self.stabilizer_of_vertex(v).order == 1
-                   for v in self.host.vertices)
 
 
 def automorphism_group(g, max_vertices=DEFAULT_AUT_BOUND):
@@ -153,13 +147,6 @@ def _coset_leader(base, nbrs, i, w):
             return perm
         stack.append(options(i + len(stack), base))
     return None
-
-
-def orbit_of_separation(a, perms):
-    """Field-distinct images of a under the group generated by perms,
-    sorted; every image is validated as a separation."""
-    seen = _closure(a, perms, apply_to_separation, key=lambda s: s.sort_key())
-    return [seen[k] for k in sorted(seen)]
 
 
 @dataclass(frozen=True)

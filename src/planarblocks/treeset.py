@@ -226,10 +226,6 @@ class StructureTree:
         """Tree edges as sorted (ci, cj) pairs with ci < cj."""
         return self._graph.edges
 
-    def directed_edge(self, i):
-        """Directed edge of element i: class(A*) -> class(A)."""
-        return (self.class_of[self.family.comp[i]], self.class_of[i])
-
     def neighbors(self, ci):
         return self._graph.neighbors(ci)
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from planarblocks.blocks2 import _require_two_connected
-from planarblocks.errors import MalformedInput, invariant
+from planarblocks.errors import MalformedInput, NotAnAutomorphism, invariant
 from planarblocks.graph import (Graph, build_graph, connected_components,
                                 edge_key, induced_subgraph, is_connected)
+from planarblocks.planar import canonical_face, facial_walks
 from planarblocks.separation import (Separation, component_side,
                                      make_separation, separation_complement)
+from planarblocks.symmetry import apply_to_separation, is_automorphism
 from planarblocks.treeset import NestedFamily
 
 
@@ -179,7 +181,35 @@ def element_tree_action_violations(tree, elements):
     return violations
 
 
+def is_free(group):
+    """True iff no non-identity element of the AutGroup fixes a vertex."""
+    return all(group.stabilizer_of_vertex(v).order == 1
+               for v in group.host.vertices)
+
+
+def orbit_of_separation(a, perms):
+    """Field-distinct images of a under the group generated by perms,
+    sorted; every image is validated as a separation."""
+    seen = {a.sort_key(): a}
+    frontier = [a]
+    while frontier:
+        x = frontier.pop()
+        for p in perms:
+            y = apply_to_separation(x, p)
+            k = y.sort_key()
+            if k not in seen:
+                seen[k] = y
+                frontier.append(y)
+    return [seen[k] for k in sorted(seen)]
+
+
 # ------------------------------------------------------- structure trees
+
+def directed_edge(tree, i):
+    """Directed edge of element i of the tree's family: class(A*) ->
+    class(A)."""
+    return (tree.class_of[tree.family.comp[i]], tree.class_of[i])
+
 
 def family_strict(family, i, j):
     """A < B from the definition: subgraph containment, with the rank
@@ -264,6 +294,25 @@ def path_coherent(tree, i, j):
 
 
 # ------------------------------------------------------------ separations
+
+def interior(a):
+    """The vertices of separation a off its boundary."""
+    return a.va - a.boundary
+
+
+def nested(a, b):
+    """The corner inclusions that hold between two separations.
+
+    Returns a tuple drawn from ("A<=B", "A<=B*", "A*<=B", "A*<=B*");
+    empty means the pair is not nested.
+    """
+    if a.host != b.host:
+        raise MalformedInput("separations live on different hosts")
+    ac, bc = separation_complement(a), separation_complement(b)
+    return tuple(name for name, x, y in (("A<=B", a, b), ("A<=B*", a, bc),
+                                         ("A*<=B", ac, b), ("A*<=B*", ac, bc))
+                 if x.subgraph_leq(y))
+
 
 def edge_subset_separations(g, boundary_size):
     """All separations with the given boundary size, enumerated from the
@@ -514,6 +563,31 @@ def brute_canonical_face(walk):
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def euler_genus(r):
+    """Genus of the surface the rotation system describes; 0 is planar."""
+    f = len(facial_walks(r))
+    v = len(r.host.vertices)
+    e = len(r.host.edges)
+    two_minus_two_g = v - e + f
+    invariant(two_minus_two_g % 2 == 0, "Euler characteristic must be even",
+              witness=two_minus_two_g)
+    return (2 - two_minus_two_g) // 2
+
+
+def apply_to_face(perm, face):
+    return canonical_face(tuple(perm[v] for v in face))
+
+
+def facial_preservation_check(r, sigma):
+    """True iff sigma maps every facial walk of r to a facial walk of r
+    (as cyclic sequences up to rotation and reversal)."""
+    if not is_automorphism(r.host, sigma):
+        raise NotAnAutomorphism("sigma does not preserve the host",
+                                witness=sigma)
+    faces = {canonical_face(w) for w in facial_walks(r)}
+    return all(apply_to_face(sigma, f) in faces for f in faces)
 
 
 # --------------------------------------------------- permutation groups

@@ -15,9 +15,11 @@ import time
 from conftest import complete_graph, fixture_path, g_of, wheel_graph
 from oracles import (
     check_regular_action,
+    facial_preservation_check,
     group_closure,
     kuratowski_kind,
     lowpoint_blocks,
+    nested,
     perm_compose,
     perm_inverse,
     random_connected_graph,
@@ -34,8 +36,6 @@ from planarblocks import (
     cayley_graph,
     coset_enumerate,
     face_multiset_uniqueness_check,
-    facial_preservation_check,
-    nested,
     parse_presentation,
     planarity_test,
     triblock_tree,

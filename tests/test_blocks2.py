@@ -15,7 +15,6 @@ from planarblocks import (
     build_structure_tree,
     homeomorphic_reduce,
     make_separation,
-    nested,
     separation_complement,
     torso,
     triblock_tree,
@@ -40,8 +39,9 @@ from planarblocks.errors import (
 from conftest import g_of, grid_graph, k4_book
 from oracles import (all_separations, chorded_cycle, edge_subset_separations,
                      enumerate_separations_at, glued_blocks, lowpoint_blocks,
-                     random_two_connected_graph, separation_fault,
-                     totally_nested_keys, uncrossed_side_keys)
+                     nested, random_two_connected_graph, separation_fault,
+                     separating_sets, totally_nested_keys,
+                     uncrossed_side_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +348,39 @@ def test_family_matches_oracle_on_chorded_cycles():
     assert nonempty >= 10
 
 
+def _pair_kind(z, pair, comps, kept):
+    """How _uncrossed_sides treats the 2-cut pair of z, from its kept
+    sides."""
+    if pair not in kept:
+        return "crossed"
+    if not z.has_edge(*pair):
+        return "unjoined"
+    return "bond" if len(comps) == 2 else "joined, 3+ components"
+
+
 def test_uncrossed_sides_match_set_definition():
-    # the mask-built candidates and crossing test against the same
+    # the per-pair crossing rule against the candidate-by-candidate
     # definition spelled out on sets
     rng = random.Random("uncrossed-masks")
-    kept = 0
+    zs = [chorded_cycle(rng, n=rng.randint(6, 14), chords=rng.randint(1, 6))
+          for _ in range(60)]
     for _ in range(60):
-        z = chorded_cycle(rng, n=rng.randint(6, 14), chords=rng.randint(1, 6))
+        for edges in lowpoint_blocks(glued_blocks(rng))[0]:
+            b = build_graph(sorted({x for e in edges for x in e}),
+                            sorted(edges))
+            if len(b.vertices) > 3 and not is_simple_cycle(b):
+                zs.append(b)
+    zs += [k4_book(p) for p in (3, 4, 5)] + [_k4_chain(4), grid_graph(4, 5)]
+    kinds = set()
+    for z in zs:
         sides = _uncrossed_sides(z)
         assert [(s.key, sc.key) for s, sc in sides] == uncrossed_side_keys(z)
         for s in (s for pair in sides for s in pair):
             assert separation_fault(z, s.va, s.ea, s.boundary) is None
-        kept += len(sides)
-    assert kept >= 60
+        kept = {tuple(sorted(s.boundary)) for s, _ in sides}
+        kinds.update(_pair_kind(z, pair, comps, kept)
+                     for pair, comps in separating_sets(z, 2))
+    assert kinds == {"crossed", "unjoined", "bond", "joined, 3+ components"}
 
 
 def test_triblock_tree_answers_on_chorded_cycles():

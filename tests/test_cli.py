@@ -431,7 +431,7 @@ def test_wrong_rotations_fail_the_certificate_under_dash_o():
 
 
 DECOMPOSITION_INVARIANTS = """
-import json, sys
+import dataclasses, json, sys
 from planarblocks import blocks1, blocks2, cli
 from planarblocks.graph import Graph
 assert False, "this script must run under -O"
@@ -444,24 +444,51 @@ blocks2.is_two_connected = lambda g: False
 runs = [cli.run(["blocks", sys.argv[1]]), cli.run(["triblocks", sys.argv[2]])]
 # blocks2: a 2-connected torso that reads as not 3-connected fails its kind
 blocks2.is_two_connected = is_two_connected
+three_connected = blocks2.is_three_connected_by_cutsets
 blocks2.is_three_connected_by_cutsets = lambda g: False
 runs.append(cli.run(["triblocks", sys.argv[2]]))
+blocks2.is_three_connected_by_cutsets = three_connected
+# blocks2: a virtual edge whose member side has no path fails its torso
+bfs_path = blocks2._bfs_path
+blocks2._bfs_path = lambda *args: None
+runs.append(cli.run(["triblocks", sys.argv[3]]))
+blocks2._bfs_path = bfs_path
+# blocks2: a witness path paired with itself shares its interior
+combinations = blocks2.combinations
+blocks2.combinations = lambda items, r: ((x, x) for x in items)
+runs.append(cli.run(["triblocks", sys.argv[3]]))
+blocks2.combinations = combinations
+# blocks2: a torso that drops one region edge leaves it uncovered
+torso = blocks2.torso
+def lossy_torso(*args):
+    t = torso(*args)
+    return dataclasses.replace(
+        t, z_prime=Graph(t.z_prime.vertices, t.z_prime.edges[1:]))
+blocks2.torso = lossy_torso
+runs.append(cli.run(["triblocks", sys.argv[3]]))
 print(json.dumps(runs))
 """
 
 
-def test_decomposition_invariants_hold_under_dash_o():
-    proc = _python(["-O", "-c", DECOMPOSITION_INVARIANTS,
-                    fx("bowtie.edges"), fx("k4.edges")])
+def test_decomposition_invariants_hold_under_dash_o(tmp_path):
+    # two K4s less the edge 0-1, sharing 0 and 1: each torso's virtual
+    # edge 0-1 is witnessed by a path through the other piece
+    pair = tmp_path / "two_k4e.edges"
+    pair.write_text("0 2\n0 3\n1 2\n1 3\n2 3\n0 4\n0 5\n1 4\n1 5\n4 5\n")
+    proc = _python(["-O", "-c", DECOMPOSITION_INVARIANTS, fx("bowtie.edges"),
+                    fx("k4.edges"), str(pair)])
     assert proc.returncode == 0, proc.stderr
     runs = json.loads(proc.stdout)
-    assert [code for code, _ in runs] == [1, 1, 1]
+    assert [code for code, _ in runs] == [1] * 6
     errors = [json.loads(out)["error"] for _, out in runs]
     assert {e["kind"] for e in errors} == {"invariant-violated"}
     assert [e["message"] for e in errors] == [
         "blocks do not cover the host edges",
         "torso must be 2-connected",
-        "non-cycle torso of the final tree must be 3-connected"]
+        "non-cycle torso of the final tree must be 3-connected",
+        "member side must connect its hinge",
+        "witness paths must be internally disjoint",
+        "torsos must cover every host edge"]
 
 
 def test_src_has_no_assert():

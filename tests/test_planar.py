@@ -8,23 +8,23 @@ from hypothesis import given, strategies as st
 
 from conftest import complete_graph, g_of, wheel_graph
 from oracles import (
+    apply_to_face,
     brute_automorphisms,
     brute_canonical_face,
+    euler_genus,
+    facial_preservation_check,
     kuratowski_kind,
     networkx_kuratowski_edges,
 )
 from planarblocks import (
     Graph,
     RotationSystem,
-    apply_to_face,
     build_graph,
     canonical_face,
     cayley_graph,
     coset_enumerate,
-    euler_genus,
     face_multiset_uniqueness_check,
     face_size_multiset,
-    facial_preservation_check,
     facial_walks,
     is_connected,
     parse_presentation,

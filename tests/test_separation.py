@@ -10,7 +10,7 @@ from planarblocks.separation import (make_separation, pull_back_separation,
                                      separation_complement)
 
 from conftest import g_of
-from oracles import (glued_blocks, random_connected_graph,
+from oracles import (glued_blocks, interior, random_connected_graph,
                      random_two_connected_graph, separation_fault)
 
 
@@ -19,7 +19,7 @@ def test_make_separation_basic(k4e):
     assert a.va == frozenset({0, 1, 2})
     assert a.ea == frozenset({(0, 2), (1, 2)})
     assert a.boundary == frozenset({0, 1})
-    assert a.interior == frozenset({2})
+    assert interior(a) == frozenset({2})
     assert a.key == ((0, 1, 2), ((0, 2), (1, 2)), (0, 1))
 
 

@@ -13,8 +13,8 @@ from planarblocks.treeset import (NestedFamily, StructureTree,
                                   verify_tree_correspondence)
 
 from conftest import path_graph
-from oracles import (family_from_sides, family_strict, path_coherent,
-                     random_connected_graph, random_path_family,
+from oracles import (directed_edge, family_from_sides, family_strict,
+                     path_coherent, random_connected_graph, random_path_family,
                      random_two_connected_graph, sim_classes)
 
 
@@ -97,8 +97,8 @@ def test_directed_edge_reversal_is_complement(path8_family):
     _, fam = path8_family
     tree = build_structure_tree(fam)
     for i in range(len(fam.elements)):
-        a, b = tree.directed_edge(i)
-        bc, ac = tree.directed_edge(fam.comp[i])
+        a, b = directed_edge(tree, i)
+        bc, ac = directed_edge(tree, fam.comp[i])
         assert (a, b) == (ac, bc)
 
 
