@@ -9,8 +9,7 @@ import importlib
 
 _EXPORTS = {
     "blocks1": ("BlockCutTree", "b1_family", "block_cut_tree"),
-    "blocks2": ("TriBlockTree", "Torso", "build_nested_family", "torso",
-                "triblock_tree"),
+    "blocks2": ("TriBlockTree", "Torso", "torso", "triblock_tree"),
     "cayley": ("GroupTable", "Presentation", "cayley_graph", "coset_enumerate",
                "equivariant_rotation", "invert_word", "parse_presentation",
                "surface_presentation"),

@@ -32,8 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (HingeVertex, MalformedInput, NotConnected,
-                     PreconditionViolated, invariant)
+from .errors import HingeVertex, MalformedInput, NotConnected, invariant
 from .graph import (Graph, connected_components, edge_key, homeomorphic_reduce,
                     is_connected, is_simple_cycle,
                     is_three_connected_by_cutsets, is_two_connected, two_cuts)
@@ -148,34 +147,6 @@ def _canonical_tree(h):
             rank += (0, 1)
     comp = [i ^ 1 for i in range(len(elements))]
     return build_structure_tree(NestedFamily(h, elements, comp, rank))
-
-
-def _require_two_connected(g):
-    if not is_connected(g):
-        raise NotConnected("host must be connected",
-                           witness=[len(c) for c in connected_components(g)])
-    if not is_two_connected(g):
-        raise PreconditionViolated("host must be 2-connected")
-    if len(g.vertices) < 4:
-        raise PreconditionViolated("host needs at least 4 vertices")
-    if is_simple_cycle(g):
-        raise PreconditionViolated("cycles have no torso structure to find")
-
-
-def build_nested_family(g):
-    """The hinge separations of g that no hinge separation crosses, with
-    complements: a nested, automorphism-invariant family whose structure
-    tree has only cycle, tiny and 3-connected torsos.
-
-    The host must be 2-connected, not a cycle, and not already
-    3-connected by cutsets.
-    """
-    _require_two_connected(g)
-    if is_three_connected_by_cutsets(g):
-        raise PreconditionViolated("host is already 3-connected by cutsets")
-    fam = _canonical_tree(g).family
-    invariant(fam.elements, "a splittable host must yield a nonempty family")
-    return fam
 
 
 # ---------------------------------------------------------------------------

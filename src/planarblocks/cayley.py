@@ -6,14 +6,22 @@ generators with exponents m_j >= 2), f_k (boundary generators), optional
 extra relators w_t^{n_t}, and the surface relator
 [a1,b1]...[ap,bp] e1...er f1...fs.
 
+Before any table is built, two certificates can prove the group
+infinite, at a cost independent of the coset limit: a surface
+presentation with no extra relators whose orbifold Euler characteristic
+2 - 2p - s - sum(1 - 1/m_j) is at most 0 (`euler_characteristic`), and
+any presentation whose abelianisation has a free part
+(`free_abelian_rank`).
+
 Enumeration is HLT coset enumeration over the trivial subgroup (Holt,
 Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5):
 each relator is scanned from each live coset in turn, defining cosets
 along it, and coincidences are merged after the relator closes.  The
 scan reads table rows directly; only an entry that points at a coset
-merged away since it was written goes through the union-find.  A power
-relator s^m is not scanned again from a coset already known to close it,
-so Z_n costs O(n), not O(n^2).  The finished table is standardized by
+merged away since it was written goes through the union-find.  A
+relator that is a power w^n of a shorter word is not scanned again from
+a coset already known to close it, so Z_n, or D_n spelled with
+(a*b)^n, costs O(n), not O(n^2).  The finished table is standardized by
 breadth-first renumbering so that equal presentations always yield the
 identical table, and certified by tracing every relator w^n from every
 element at once: the permutation of w, one list per letter
@@ -29,6 +37,7 @@ face count do `planar.planarity_test` and networkx decide.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import permutations
@@ -275,30 +284,114 @@ class GroupTable:
             base = [base[x] for x in base]
 
 
+def surface_signature(pr):
+    """(p, m, s) when pr is `surface_presentation(p, m, s)` with no extra
+    relators, else None."""
+    if not pr.surface_relator or pr.extra_relators:
+        return None
+    p = sum(sign < 0 for _, sign in pr.surface_relator) // 2
+    m = tuple(mj for _, mj in pr.power_relators)
+    s = len(pr.generators) - 2 * p - len(m)
+    if s < 0 or surface_presentation(p, m, s) != pr:
+        return None
+    return p, m, s
+
+
+def euler_characteristic(p, m, s):
+    """The orbifold Euler characteristic 2 - 2p - s - sum(1 - 1/m_j) of
+    the signature (p; m; s), as a reduced fraction (numerator,
+    denominator > 0).  Its group is finite exactly when it is positive
+    (Zieschang, Vogt & Coldewey, Surfaces and Planar Discontinuous
+    Groups, 1980)."""
+    den = math.lcm(*m)
+    num = (2 - 2 * p - s - len(m)) * den + sum(den // mj for mj in m)
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def free_abelian_rank(pr):
+    """The rank of the free part of pr's abelianisation: the number of
+    generators less the rank over Q of the relators' exponent-sum
+    matrix.  When it is positive the group maps onto Z, so it is
+    infinite.
+
+    The rank comes from fraction-free (Bareiss) elimination: after k
+    pivots every entry below them is a (k+1)-minor of the matrix, so the
+    division by the previous pivot is exact and entries stay integers.
+    """
+    col = {s: i for i, s in enumerate(pr.generators)}
+    rows = []
+    for w, n in pr.relators():
+        row = [0] * len(col)
+        for s, p in w:
+            row[col[s]] += p * n
+        rows.append(row)
+    rank, prev = 0, 1
+    for c in range(len(col)):
+        i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        top = rows[i]
+        rows[i], rows[rank] = rows[rank], top
+        for k in range(rank + 1, len(rows)):
+            r = rows[k]
+            rows[k] = [(top[c] * x - r[c] * y) // prev
+                       for x, y in zip(r, top)]
+        prev = top[c]
+        rank += 1
+    return len(col) - rank
+
+
 def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
     """Enumerate the group of pr over the trivial subgroup.
 
     Completes with a GroupTable when the group is finite with order at
-    most `limit`; raises Overflow otherwise.  Overflow never proves the
-    group infinite, it only reports the search bound.  The working table
-    may transiently hold more cosets than the final order, so the hard
-    definition cap is 2*limit + 32.
+    most `limit`; raises Overflow otherwise.  Two certificates run before
+    any table is built, and each proves the group infinite at a cost
+    that does not depend on `limit`: a surface presentation with no
+    extra relators whose orbifold Euler characteristic is at most 0
+    (witness `euler_characteristic`, a reduced fraction such as "-1/42"
+    or "0"), and then any presentation whose abelianisation has a free
+    part (witness `free_abelian_rank`).  Past them, Overflow only
+    reports the search bound: the working table may transiently hold
+    more cosets than the final order, so the hard definition cap is
+    2*limit + 32 (witness `defined`), and a finished table larger than
+    `limit` is refused (witness `order`).
     """
     if limit < 1:
         raise MalformedInput("limit must be positive", witness=limit)
+    signature = surface_signature(pr)
+    if signature is not None:
+        num, den = euler_characteristic(*signature)
+        if num <= 0:
+            raise Overflow("group is infinite", witness={
+                "limit": limit,
+                "euler_characteristic": (str(num) if den == 1
+                                         else "%d/%d" % (num, den))})
+    rank = free_abelian_rank(pr)
+    if rank:
+        raise Overflow("group is infinite",
+                       witness={"free_abelian_rank": rank, "limit": limit})
     gens = pr.generators
     nsym = 2 * len(gens)
     code = {}
     for i, s in enumerate(gens):
         code[(s, 1)] = 2 * i
         code[(s, -1)] = 2 * i + 1
-    # a power relator s^m (all letters equal) carries the set of cosets
-    # known to close it (see the scan below); other relators carry None
+    # a relator that is a power w^n, n >= 2, of its primitive root w
+    # carries w and the set of cosets known to close it (see the scan
+    # below); other relators carry None for that set
     relators = []
-    for w in pr.relator_words():
-        word = [code[l] for l in w]
-        closed = set() if len(set(word)) == 1 else None
-        relators.append((tuple(word[:-1]), word[-1], closed))
+    for w, n in pr.relators():
+        root = [code[l] for l in w]
+        for d in range(1, len(root)):
+            if len(root) % d == 0 and root == root[:d] * (len(root) // d):
+                root, n = root[:d], n * (len(root) // d)
+                break
+        word = root * n
+        relators.append((tuple(word[:-1]), word[-1], tuple(root),
+                         set() if n >= 2 else None))
+    closed_sets = [closed for *_, closed in relators if closed is not None]
 
     cap = 2 * limit + 32
     # table[a][s] is a coset, possibly one merged away since it was
@@ -352,6 +445,9 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
             if a > b:
                 a, b = b, a
             parent[b] = a
+            for closed in closed_sets:
+                if b in closed:
+                    closed.add(a)
             row = table[b]
             table[b] = [None] * nsym
             for s in range(nsym):
@@ -370,19 +466,21 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
     # table directly and resolves only entries that point at a coset
     # merged away by an earlier coincidence.
     #
-    # A scan of a power relator s^m that closes with no coincidence
-    # leaves a closed s-cycle: every coset c on it has c.s^m = c in the
-    # table.  Merging never erases a live coset's entry and hands a
-    # merged coset's entries to its survivor, so a live coset c keeps
-    # c.s^m = c through any later coincidence.  A scan of s^m from c
-    # would then define nothing and close where it began; it is
-    # skipped, and definitions and coincidences keep their order.
+    # A scan of a power relator w^n that closes with no coincidence
+    # leaves a closed walk: every coset c at a w-boundary of it has
+    # c.w^n = c in the table.  Merging never erases a live coset's entry
+    # and hands a merged coset's entries to its survivor, so a live
+    # coset c keeps c.w^n = c through any later coincidence, and the
+    # survivor of a merge inherits it from the coset merged into it.  A
+    # scan of w^n from c would then define nothing and close where it
+    # began; it is skipped, and definitions and coincidences keep their
+    # order.
     alpha = 0
     while alpha < len(table):
         if parent[alpha] != alpha:
             alpha += 1
             continue
-        for body, last, closed in relators:
+        for body, last, root, closed in relators:
             if closed is not None and alpha in closed:
                 continue
             cur = alpha
@@ -407,7 +505,8 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
                 cur = alpha
                 while True:
                     closed.add(cur)
-                    cur = table[cur][last]
+                    for s in root:
+                        cur = table[cur][s]
                     if cur == alpha:
                         break
         else:

@@ -63,7 +63,16 @@ class BadExponent(PlanarBlocksError):
 
 
 class Overflow(PlanarBlocksError):
-    """Coset enumeration exceeded its table limit."""
+    """Coset enumeration gave no finite group within its limit.
+
+    "group is infinite" carries a certificate, found before any table is
+    built: the orbifold Euler characteristic of a surface presentation
+    (``euler_characteristic``, at most 0) or the rank of the free part of
+    the abelianisation (``free_abelian_rank``, at least 1).  Otherwise
+    the search ran out of budget, which proves nothing: the table hit
+    its definition cap (``defined``), or the group has more elements
+    than the limit (``order``).  Every witness also names the ``limit``.
+    """
 
     kind = "overflow"
 

@@ -7,12 +7,17 @@ agreement is evidence, not circularity.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
-from planarblocks.blocks2 import _require_two_connected
-from planarblocks.errors import MalformedInput, NotAnAutomorphism, invariant
+from planarblocks.blocks2 import _canonical_tree
+from planarblocks.errors import (MalformedInput, NotAnAutomorphism,
+                                 NotConnected, PreconditionViolated, invariant)
 from planarblocks.graph import (Graph, build_graph, connected_components,
-                                edge_key, induced_subgraph, is_connected)
+                                edge_key, induced_subgraph, is_connected,
+                                is_simple_cycle, is_three_connected_by_cutsets,
+                                is_two_connected)
 from planarblocks.planar import canonical_face, facial_walks
 from planarblocks.separation import (Separation, component_side,
                                      make_separation, separation_complement)
@@ -363,6 +368,34 @@ def _all_hinge_separations(g):
                         raise AssertionError("hinge side must be connected")
                     out.setdefault(s.key, s)
     return tuple(sorted(out.values(), key=Separation.sort_key))
+
+
+def _require_two_connected(g):
+    if not is_connected(g):
+        raise NotConnected("host must be connected",
+                           witness=[len(c) for c in connected_components(g)])
+    if not is_two_connected(g):
+        raise PreconditionViolated("host must be 2-connected")
+    if len(g.vertices) < 4:
+        raise PreconditionViolated("host needs at least 4 vertices")
+    if is_simple_cycle(g):
+        raise PreconditionViolated("cycles have no torso structure to find")
+
+
+def build_nested_family(g):
+    """The hinge separations of g that no hinge separation crosses, with
+    complements: the family `triblock_tree` builds its tree from, taken
+    on the host as given.
+
+    The host must be 2-connected, not a cycle, and not already
+    3-connected by cutsets.
+    """
+    _require_two_connected(g)
+    if is_three_connected_by_cutsets(g):
+        raise PreconditionViolated("host is already 3-connected by cutsets")
+    fam = _canonical_tree(g).family
+    invariant(fam.elements, "a splittable host must yield a nonempty family")
+    return fam
 
 
 def all_separations(g):
@@ -751,6 +784,72 @@ def check_regular_action(tbl, graph):
     invariant({perm[tbl.identity] for perm in perms} == set(range(tbl.order)),
               "action must be transitive")
     return perms
+
+
+# --------------------------------------------- planar discontinuous groups
+
+def orbifold_euler_characteristic(p, m, s):
+    """2 - 2p - s - sum(1 - 1/m_j), exactly."""
+    return 2 - 2 * p - s - sum(1 - Fraction(1, mj) for mj in m)
+
+
+def spherical_order(p, m, s):
+    """The order of the group of the signature (p; m; s), read from the
+    closed forms of the finite planar discontinuous groups, or None when
+    the group is infinite.
+
+    Boundary generators make the group a free product of the cyclic
+    groups Z_{m_j} with s - 1 copies of Z, finite only for s = 1 and at
+    most one cone point.  With s = 0 and p = 0, one cone point gives the
+    trivial group, two give Z_gcd, and three give a dihedral group of
+    order 2n or the tetrahedral, octahedral or icosahedral rotation
+    group.  Every other signature is infinite.
+    """
+    m = tuple(sorted(m))
+    if p:
+        return None
+    if s == 1 and len(m) < 2:
+        return m[0] if m else 1
+    if s:
+        return None
+    if len(m) < 2:
+        return 1
+    if len(m) == 2:
+        return gcd(*m)
+    if len(m) == 3 and m[:2] == (2, 2):
+        return 2 * m[2]
+    return {(2, 3, 3): 12, (2, 3, 4): 24, (2, 3, 5): 60}.get(m)
+
+
+def rational_rank(rows):
+    """The rank over Q of an integer matrix, by Gaussian elimination in
+    `Fraction`s."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] / top[c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def exponent_sums(pr):
+    """One row per relator: how often each generator occurs in it,
+    inverses counting -1, read off the expanded relator words."""
+    rows = []
+    for word in pr.relator_words():
+        row = dict.fromkeys(pr.generators, 0)
+        for name, sign in word:
+            row[name] += sign
+        rows.append(list(row.values()))
+    return rows
 
 
 # ------------------------------------------------------- serialization

@@ -11,7 +11,6 @@ from planarblocks import (
     NestedFamily,
     b1_family,
     build_graph,
-    build_nested_family,
     build_structure_tree,
     homeomorphic_reduce,
     make_separation,
@@ -37,9 +36,10 @@ from planarblocks.errors import (
 )
 
 from conftest import g_of, grid_graph, k4_book
-from oracles import (all_separations, chorded_cycle, edge_subset_separations,
-                     enumerate_separations_at, glued_blocks, lowpoint_blocks,
-                     nested, random_two_connected_graph, separation_fault,
+from oracles import (all_separations, build_nested_family, chorded_cycle,
+                     edge_subset_separations, enumerate_separations_at,
+                     glued_blocks, lowpoint_blocks, nested,
+                     random_two_connected_graph, separation_fault,
                      separating_sets, totally_nested_keys,
                      uncrossed_side_keys)
 

@@ -1,6 +1,7 @@
 """Presentations, coset enumeration, and Cayley graphs."""
 
 import time
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,12 @@ from conftest import fixture_path
 from oracles import (
     brute_canonical_face,
     check_regular_action,
+    exponent_sums,
+    orbifold_euler_characteristic,
     perm_compose,
     perm_inverse,
+    rational_rank,
+    spherical_order,
     verify_table_isomorphism,
     von_dyck_permutation_group,
 )
@@ -31,7 +36,8 @@ from planarblocks import (
 )
 from planarblocks import cli, planar
 from planarblocks.blocks2 import KIND_THREE_CONNECTED
-from planarblocks.cayley import check_relators, rotation_candidates
+from planarblocks.cayley import (check_relators, free_abelian_rank,
+                                 rotation_candidates)
 from planarblocks.errors import (BadExponent, InvariantViolated,
                                  MalformedInput, Overflow)
 
@@ -189,13 +195,109 @@ def test_infinite_group_overflows():
         coset_enumerate(read_pres("z6.pres"), limit=0)
 
 
-@pytest.mark.parametrize("text", ["surface(0, [2,3,7], 0)",
-                                  "surface(1, [], 0)"])
+@pytest.mark.parametrize("text", ["gens: a b; rels: a^2, b^3, (a*b)^7",
+                                  "gens: a b; rels: a^2, b^4, (a*b)^4"])
 def test_infinite_groups_stop_at_the_definition_cap(text):
-    # the cap is 2*limit + 32 = 20,032 cosets
+    # triangle groups in plain form, with a finite abelianisation: no
+    # certificate applies.  The cap is 2*limit + 32 = 20,032 cosets
     with pytest.raises(Overflow) as info:
         coset_enumerate(parse_presentation(text))
     assert info.value.witness == {"limit": 10000, "defined": 20032}
+
+
+@pytest.mark.parametrize("text, chi", [("surface(0, [2,3,7], 0)", "-1/42"),
+                                       ("surface(1, [], 0)", "0")],
+                         ids=["surface(0, [2,3,7], 0)", "surface(1, [], 0)"])
+def test_surface_groups_are_certified_infinite(text, chi):
+    with pytest.raises(Overflow) as info:
+        coset_enumerate(parse_presentation(text), limit=3)
+    assert str(info.value) == "group is infinite"
+    assert info.value.witness == {"limit": 3, "euler_characteristic": chi}
+
+
+def test_surface_certificate_reads_only_surface_presentations():
+    # e1^2, e2^3, e3^7 with the relator e1*e2, not e1*e2*e3, reads like
+    # surface(0, [2,3,7], 0) but is the finite group Z_7
+    pr = Presentation(("e1", "e2", "e3"), (("e1", 2), ("e2", 3), ("e3", 7)),
+                      (), (("e1", 1), ("e2", 1)))
+    assert coset_enumerate(pr).order == 7
+
+
+def _plain_spelling(pr):
+    """pr with its surface relator given as an extra relator, which the
+    surface certificate does not read."""
+    extra = ((pr.surface_relator, 1),) if pr.surface_relator else ()
+    return Presentation(pr.generators, pr.power_relators, extra, ())
+
+
+@pytest.mark.parametrize("p, s", [(p, s) for p in (0, 1) for s in (0, 1, 2)])
+def test_signatures_match_their_closed_forms(p, s):
+    for k in range(5):
+        for m in combinations_with_replacement(range(2, 8), k):
+            pr = surface_presentation(p, m, s)
+            plain = _plain_spelling(pr)
+            chi = orbifold_euler_characteristic(p, m, s)
+            order = spherical_order(p, m, s)
+            assert (chi > 0) == (order is not None), m
+            assert free_abelian_rank(pr) == free_abelian_rank(plain) == \
+                len(pr.generators) - rational_rank(exponent_sums(pr)), m
+            if chi > 0:
+                tbl = coset_enumerate(pr)
+                assert tbl.order == order, m
+                assert coset_enumerate(plain) == tbl, m
+                continue
+            with pytest.raises(Overflow) as info:
+                coset_enumerate(pr)
+            assert info.value.witness == {"limit": 10000,
+                                          "euler_characteristic": str(chi)}
+            with pytest.raises(Overflow):
+                coset_enumerate(plain, limit=200)
+
+
+@st.composite
+def _random_presentation(draw):
+    gens = ("a", "b", "c", "d")[:draw(st.integers(1, 4))]
+    letters = [(g, p) for g in gens for p in (1, -1)]
+    rels = []
+    for _ in range(draw(st.integers(0, 5))):
+        word = []
+        for _ in range(draw(st.integers(1, 6))):
+            choices = [l for l in letters
+                       if not word or l != (word[-1][0], -word[-1][1])]
+            word.append(draw(st.sampled_from(choices)))
+        rels.append((tuple(word), draw(st.integers(1, 60))))
+    return Presentation(gens, (), tuple(rels), ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_presentation())
+def test_free_abelian_rank_matches_fraction_elimination(pr):
+    assert free_abelian_rank(pr) == \
+        len(pr.generators) - rational_rank(exponent_sums(pr))
+
+
+def test_free_abelian_rank_certifies_a_free_part():
+    # Z x Z_3: the surface test does not apply to a plain presentation
+    with pytest.raises(Overflow) as info:
+        coset_enumerate(parse_presentation(
+            "gens: a b; rels: b^3, (a*b*a^-1*b^-1)"))
+    assert info.value.witness == {"free_abelian_rank": 1, "limit": 10000}
+
+
+def test_extra_relators_switch_off_the_euler_characteristic():
+    # the torus group with a1^3 and b1^3 added is Z_3 x Z_3
+    pr = parse_presentation("surface(1, [], 0)\nrels: a1^3, b1^3")
+    assert coset_enumerate(pr).order == 9
+
+
+def test_certified_overflow_ignores_the_limit(tmp_path):
+    path = tmp_path / "vd237.pres"
+    path.write_text("surface(0, [2,3,7], 0)\n")
+    t0 = time.monotonic()
+    code, out = cli.run(["cayley", str(path), "--limit", "10000000"])
+    elapsed = time.monotonic() - t0
+    assert code == 1 and '"euler_characteristic": "-1/42"' in out
+    assert elapsed < 0.5, elapsed
 
 
 @pytest.mark.parametrize("text, order, least_limit", [
@@ -205,6 +307,11 @@ def test_infinite_groups_stop_at_the_definition_cap(text):
     ("gens: a b\nrels: a^50, b^2, (a*b)^2", 100, 100),
     ("gens: a b\nrels: a^12, b^9, (a*b*a^-1*b^-1)", 108, 118),
     ("gens: a\nrels: a^-30", 30, 30),
+    # these skip scans along closed walks of a power of a longer word;
+    # marking the cosets inside a w-step as well would move the second
+    # to 174
+    ("gens: a b\nrels: a^2, b^2, (a*b)^1000", 2000, 2000),
+    ("gens: a b\nrels: b^3, (b^-1*a^-1*b^-1)^2, (a^-1*b^-1)^5", 60, 81),
     # the closed a-cycle of a^12 is broken by the coincidences of a^8
     ("gens: a; rels: a^12, a^8", 4, 4),
 ])
@@ -233,6 +340,16 @@ def test_long_power_relator_is_fast():
     elapsed = time.monotonic() - t0
     assert tbl.order == 2000
     assert elapsed < 1.0, elapsed
+
+
+def test_word_power_relator_scanned_once_per_cycle():
+    # D_2500: one scan of (a*b)^2500 per coset would read 5000^2 letters
+    pr = parse_presentation("gens: a b\nrels: a^2, b^2, (a*b)^2500\n")
+    t0 = time.monotonic()
+    tbl = coset_enumerate(pr, limit=5000)
+    elapsed = time.monotonic() - t0
+    assert tbl.order == 5000
+    assert elapsed < 0.75, elapsed
 
 
 def test_power_relator_scanned_once_per_cycle():

@@ -576,8 +576,11 @@ def test_every_exported_name_resolves():
         else:
             home = importlib.import_module(value.__module__)
             assert getattr(home, name) is value, name
-    with pytest.raises(AttributeError):
-        planarblocks.no_such_name
+    # test-only helpers live in tests/oracles.py, not in the package
+    for name in ("no_such_name", "build_nested_family"):
+        assert name not in planarblocks.__all__
+        with pytest.raises(AttributeError):
+            getattr(planarblocks, name)
 
 
 def _every_command_line():
