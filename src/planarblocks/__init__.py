@@ -22,8 +22,7 @@ _EXPORTS = {
               "homeomorphic_reduce", "induced_subgraph", "is_connected",
               "parse_edge_list"),
     "planar": ("PlanarityResult", "RotationSystem", "canonical_face",
-               "certify_embedding", "face_multiset_uniqueness_check",
-               "face_size_multiset", "facial_walks", "planarity_test",
+               "certify_embedding", "facial_walks", "planarity_test",
                "rotation_from_neighbors"),
     "separation": ("Separation", "make_separation", "pull_back_separation",
                    "separation_complement"),

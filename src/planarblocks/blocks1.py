@@ -57,18 +57,12 @@ def b1_family(g):
     complements.  Connected input; a 2-connected graph gives the empty
     family."""
     elements = []
-    comp = []
-    rank = []
     for c, pieces in _cut_pieces(g):
         bit = g.index.vertex_bit[c]
         for vm, em in pieces:
             minimal = make_separation(g, vm | bit, em, bit)
-            complement = separation_complement(minimal)
-            i = len(elements)
-            elements.extend((minimal, complement))
-            comp.extend((i + 1, i))
-            rank.extend((0, 1))
-    return NestedFamily(g, elements, comp, rank)
+            elements += (minimal, separation_complement(minimal))
+    return NestedFamily(g, elements, (0, 1) * (len(elements) // 2))
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,7 @@ def _canonical_tree(h):
     complements unless a pendant piece goes with neither.
     """
     fam1 = b1_family(h)
-    elements, rank = list(fam1.elements), list(fam1.rank)
+    elements = list(fam1.elements)
     cuts = {v for s in fam1.elements for v in s.boundary}
     present = set()
     blocks = build_structure_tree(fam1)
@@ -144,9 +144,8 @@ def _canonical_tree(h):
             sc = separation_complement(s)
             present.update((s, sc))
             elements += (s, sc)
-            rank += (0, 1)
-    comp = [i ^ 1 for i in range(len(elements))]
-    return build_structure_tree(NestedFamily(h, elements, comp, rank))
+    return build_structure_tree(
+        NestedFamily(h, elements, (0, 1) * (len(elements) // 2)))
 
 
 # ---------------------------------------------------------------------------

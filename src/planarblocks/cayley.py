@@ -1,17 +1,20 @@
 """Group presentations in surface form, coset enumeration, and Cayley
 graphs.
 
-A presentation carries generators a_i, b_i (handle pairs), e_j (cone
-generators with exponents m_j >= 2), f_k (boundary generators), optional
-extra relators w_t^{n_t}, and the surface relator
-[a1,b1]...[ap,bp] e1...er f1...fs.
+A presentation is its generators and one tuple of relators w^n, each a
+(word, exponent) pair, in the order the enumeration scans them.  The
+surface form has generators a_i, b_i (handle pairs), e_j (cone
+generators with exponents m_j >= 2) and f_k (boundary generators), and
+relators e_j^m_j, then optional extra relators w_t^{n_t}, then the
+surface word [a1,b1]...[ap,bp] e1...er f1...fs.
 
 Before any table is built, two certificates can prove the group
-infinite, at a cost independent of the coset limit: a surface
-presentation with no extra relators whose orbifold Euler characteristic
-2 - 2p - s - sum(1 - 1/m_j) is at most 0 (`euler_characteristic`), and
-any presentation whose abelianisation has a free part
-(`free_abelian_rank`).
+infinite, at a cost independent of the coset limit: a signature (p; m;
+s) whose orbifold Euler characteristic 2 - 2p - s - sum(1 - 1/m_j) is
+at most 0 (`euler_characteristic`), read from a surface presentation
+with no extra relators or from a triangle presentation
+<x, y | x^l, y^m, (x*y)^n> (`surface_signature`), and any presentation
+whose abelianisation has a free part (`free_abelian_rank`).
 
 Enumeration is HLT coset enumeration over the trivial subgroup (Holt,
 Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5):
@@ -54,87 +57,52 @@ def invert_word(w):
     return tuple((s, -p) for s, p in reversed(w))
 
 
-def _reduced(w):
-    for (s1, p1), (s2, p2) in zip(w, w[1:]):
-        if s1 == s2 and p1 == -p2:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Presentation:
     generators: tuple            # symbol names, in declaration order
-    power_relators: tuple        # (symbol, exponent >= 2)
-    extra_relators: tuple        # (word, exponent >= 1)
-    surface_relator: tuple       # word (may be empty)
+    relators: tuple              # (word, exponent >= 1), in scan order
 
     def __post_init__(self):
         names = set(self.generators)
         if len(names) != len(self.generators):
             raise MalformedInput("repeated generator name",
                                  witness=self.generators)
-        for s, m in self.power_relators:
-            if s not in names:
-                raise MalformedInput("relator uses undeclared generator",
-                                     witness=s)
-            if m < 2:
-                raise BadExponent("power relator exponent must be at least 2",
-                                  witness={"generator": s, "exponent": m})
-        for w, n in self.extra_relators:
+        for w, n in self.relators:
             if n < 1:
                 raise BadExponent("relator exponent must be positive",
                                   witness={"word": w, "exponent": n})
             if not w:
                 raise MalformedInput("empty relator word")
-            if not _reduced(w):
+            if any(a == b and p == -q for (a, p), (b, q) in zip(w, w[1:])):
                 raise MalformedInput("relator word is not reduced", witness=w)
             for s, p in w:
                 if s not in names or p not in (1, -1):
                     raise MalformedInput("bad letter in relator",
                                          witness=(s, p))
-        for s, p in self.surface_relator:
-            if s not in names or p not in (1, -1):
-                raise MalformedInput("bad letter in surface relator",
-                                     witness=(s, p))
-
-    def relators(self):
-        """All defining relators as (word, exponent) pairs: the power
-        relators, the extra relators, then the surface relator."""
-        out = [(((s, 1),), m) for s, m in self.power_relators]
-        out += [(tuple(w), n) for w, n in self.extra_relators]
-        if self.surface_relator:
-            out.append((tuple(self.surface_relator), 1))
-        return tuple(out)
-
-    def relator_words(self):
-        """All defining relators, expanded to plain words."""
-        return tuple(w * n for w, n in self.relators())
 
 
 def surface_presentation(p, m, s, extras=()):
-    """Presentation with p handle pairs, cone exponents m, s boundary
-    generators, and user-supplied extra relators (word, exponent)."""
+    """Presentation with p handle pairs, cone exponents m and s boundary
+    generators: the relators e_j^m_j, the extra relators (word, exponent),
+    then the surface word, left out when it is empty."""
     if p < 0 or s < 0:
         raise MalformedInput("counts must be non-negative", witness=(p, s))
-    gens = []
-    for i in range(1, p + 1):
-        gens += ["a%d" % i, "b%d" % i]
-    cone = ["e%d" % (j + 1) for j in range(len(m))]
+    handles = [("a%d" % i, "b%d" % i) for i in range(1, p + 1)]
+    cone = ["e%d" % j for j in range(1, len(m) + 1)]
     bound = ["f%d" % k for k in range(1, s + 1)]
-    gens += cone + bound
-    powers = tuple((cone[j], mj) for j, mj in enumerate(m))
-    word = []
-    for i in range(1, p + 1):
-        a, b = "a%d" % i, "b%d" % i
-        word += [(a, 1), (b, 1), (a, -1), (b, -1)]
-    word += [(c, 1) for c in cone]
-    word += [(f, 1) for f in bound]
-    extra = []
-    for w, n in extras:
-        if isinstance(w, str):
-            w = _parse_word(w)
-        extra.append((tuple(w), n))
-    return Presentation(tuple(gens), powers, tuple(extra), tuple(word))
+    rels = []
+    for e, mj in zip(cone, m):
+        if mj < 2:
+            raise BadExponent("power relator exponent must be at least 2",
+                              witness={"generator": e, "exponent": mj})
+        rels.append((((e, 1),), mj))
+    rels += extras
+    word = [x for a, b in handles for x in ((a, 1), (b, 1), (a, -1), (b, -1))]
+    word += [(x, 1) for x in cone + bound]
+    if word:
+        rels.append((tuple(word), 1))
+    gens = [x for pair in handles for x in pair] + cone + bound
+    return Presentation(tuple(gens), tuple(rels))
 
 
 _ATOM = re.compile(r"^(?:\(([^()]+)\)|([A-Za-z]\w*))(?:\^(-?\d+))?$")
@@ -220,30 +188,26 @@ def parse_presentation(text):
         return surface_presentation(base[0], base[1], base[2], extras=rels)
     if gens is None:
         raise MalformedInput("presentation needs gens: or surface(...)")
-    # plain form: power relators are recognized for the invariant check,
-    # everything else is an extra relator
-    powers = []
-    extras = []
-    for word, n in rels:
-        if len(word) == 1 and word[0][1] == 1 and n >= 2:
-            powers.append((word[0][0], n))
-        else:
-            extras.append((word, n))
-    return Presentation(tuple(gens), tuple(powers), tuple(extras), ())
+    # plain form: positive powers of single letters are scanned first,
+    # the rest in input order
+    rels.sort(key=lambda r: not (len(r[0]) == 1 and r[0][0][1] == 1
+                                 and r[1] >= 2))
+    return Presentation(tuple(gens), tuple(rels))
 
 
 @dataclass(frozen=True)
 class GroupTable:
     order: int
     generators: tuple
-    identity: int
-    mult: dict    # (element, generator name) -> element, right action
+    images: dict    # generator s -> the list whose entry g is g.s
+
+    identity = 0    # elements are numbered from the identity
 
     def __post_init__(self):
         # letter -> list whose entry g is g.letter
         perms = {}
         for s in self.generators:
-            images = [self.mult[(g, s)] for g in range(self.order)]
+            images = self.images[s]
             invariant(sorted(images) == list(range(self.order)),
                       "generator must act as a permutation",
                       witness={"generator": s})
@@ -286,13 +250,23 @@ class GroupTable:
 
 def surface_signature(pr):
     """(p, m, s) when pr is `surface_presentation(p, m, s)` with no extra
-    relators, else None."""
-    if not pr.surface_relator or pr.extra_relators:
+    relators, or (0, (l, m, n), 0) when it is the triangle presentation
+    <x, y | x^l, y^m, (x*y)^n>, l, m, n >= 2, in any relator order and
+    with (y*x)^n as well; else None."""
+    rels = pr.relators
+    if len(pr.generators) == 2 and len(rels) == 3:
+        x, y = ((g, 1) for g in pr.generators)
+        exponent = dict(rels)
+        cone = (exponent.get((x,)), exponent.get((y,)),
+                exponent.get((x, y), exponent.get((y, x))))
+        if len(exponent) == 3 and None not in cone and min(cone) >= 2:
+            return 0, cone, 0
+    if not rels or rels[-1][1] != 1:
         return None
-    p = sum(sign < 0 for _, sign in pr.surface_relator) // 2
-    m = tuple(mj for _, mj in pr.power_relators)
+    p = sum(sign < 0 for _, sign in rels[-1][0]) // 2
+    m = tuple(mj for _, mj in rels[:-1])
     s = len(pr.generators) - 2 * p - len(m)
-    if s < 0 or surface_presentation(p, m, s) != pr:
+    if s < 0 or min(m, default=2) < 2 or surface_presentation(p, m, s) != pr:
         return None
     return p, m, s
 
@@ -321,7 +295,7 @@ def free_abelian_rank(pr):
     """
     col = {s: i for i, s in enumerate(pr.generators)}
     rows = []
-    for w, n in pr.relators():
+    for w, n in pr.relators:
         row = [0] * len(col)
         for s, p in w:
             row[col[s]] += p * n
@@ -348,8 +322,8 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
     Completes with a GroupTable when the group is finite with order at
     most `limit`; raises Overflow otherwise.  Two certificates run before
     any table is built, and each proves the group infinite at a cost
-    that does not depend on `limit`: a surface presentation with no
-    extra relators whose orbifold Euler characteristic is at most 0
+    that does not depend on `limit`: a signature read by
+    `surface_signature` whose orbifold Euler characteristic is at most 0
     (witness `euler_characteristic`, a reduced fraction such as "-1/42"
     or "0"), and then any presentation whose abelianisation has a free
     part (witness `free_abelian_rank`).  Past them, Overflow only
@@ -382,7 +356,7 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
     # carries w and the set of cosets known to close it (see the scan
     # below); other relators carry None for that set
     relators = []
-    for w, n in pr.relators():
+    for w, n in pr.relators:
         root = [code[l] for l in w]
         for d in range(1, len(root)):
             if len(root) % d == 0 and root == root[:d] * (len(root) // d):
@@ -535,11 +509,9 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
     invariant(len(order_of) == len(live), "table must be connected",
               witness={"reached": len(order_of), "live": len(live)})
 
-    mult = {}
-    for a in order_of:
-        for i, s in enumerate(gens):
-            mult[(label[a], s)] = label[entry(a, 2 * i)]
-    tbl = GroupTable(len(live), gens, 0, mult)
+    images = {s: [label[entry(a, 2 * i)] for a in order_of]
+              for i, s in enumerate(gens)}
+    tbl = GroupTable(len(live), gens, images)
     check_relators(tbl, pr)
     return tbl
 
@@ -547,9 +519,9 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
 def check_relators(tbl, pr):
     """Certificate: every relator w^n traces to the identity at every
     element of the table.  Raises InvariantViolated naming the first
-    relator (its index in `pr.relators()`) that does not."""
+    relator (its index in `pr.relators`) that does not."""
     identity = list(range(tbl.order))
-    for i, (w, n) in enumerate(pr.relators()):
+    for i, (w, n) in enumerate(pr.relators):
         invariant(tbl.trace_power(w, n) == identity,
                   "relators must trace to the identity everywhere",
                   witness={"relator": i})
@@ -564,9 +536,8 @@ def cayley_graph(tbl, pr):
     would be loops and are skipped.
     """
     edges = set()
-    for g in range(tbl.order):
-        for s in tbl.generators:
-            h = tbl.mult[(g, s)]
+    for s in tbl.generators:
+        for g, h in enumerate(tbl.images[s]):
             if h != g:
                 edges.add(edge_key(g, h))
     return Graph(tuple(range(tbl.order)), tuple(sorted(edges)))
@@ -590,7 +561,7 @@ def _character(tbl, negated):
     frontier = [tbl.identity]
     for g in frontier:
         for s in tbl.generators:
-            h = tbl.mult[(g, s)]
+            h = tbl.images[s][g]
             sign = -eps[g] if s in negated else eps[g]
             if not eps[h]:
                 eps[h] = sign

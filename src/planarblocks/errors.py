@@ -66,8 +66,8 @@ class Overflow(PlanarBlocksError):
     """Coset enumeration gave no finite group within its limit.
 
     "group is infinite" carries a certificate, found before any table is
-    built: the orbifold Euler characteristic of a surface presentation
-    (``euler_characteristic``, at most 0) or the rank of the free part of
+    built: the orbifold Euler characteristic of a surface or triangle
+    presentation (``euler_characteristic``, at most 0) or the rank of the free part of
     the abelianisation (``free_abelian_rank``, at least 1).  Otherwise
     the search ran out of budget, which proves nothing: the table hit
     its definition cap (``defined``), or the group has more elements

@@ -1,5 +1,4 @@
-"""Planarity with certificates, rotation systems, faces, and the check
-that face sizes do not depend on vertex labels.
+"""Planarity with certificates, rotation systems, and faces.
 
 A sphere embedding is accepted only through `certify_embedding`, which
 traces its faces here and checks Euler's formula.  A Cayley graph brings
@@ -12,11 +11,9 @@ in networkx's own order with batched planarity tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
-from .errors import (MalformedInput, NotConnected, PreconditionViolated,
-                     invariant)
-from .graph import Graph, edge_key, is_connected, is_three_connected_by_cutsets
+from .errors import MalformedInput, NotConnected, invariant
+from .graph import Graph, edge_key, is_connected
 
 
 @dataclass(frozen=True)
@@ -183,43 +180,3 @@ def _kuratowski_edges(h):
             else:
                 size //= 2
     return kept
-
-
-def face_size_multiset(g):
-    res = planarity_test(g)
-    if not res.planar:
-        raise PreconditionViolated("host is not planar")
-    return tuple(sorted(len(f) for f in res.faces))
-
-
-def face_multiset_uniqueness_check(g):
-    """Check that every vertex relabeling embeds with the same face-size
-    multiset (the sphere embedding of a 3-connected planar graph is
-    essentially unique).
-
-    Relabelings sharing an edge set reuse one embedding, so the work is
-    |V|! / |Aut(g)| planarity calls rather than |V|!.
-    """
-    if not (is_three_connected_by_cutsets(g) and len(g.vertices) <= 10):
-        raise PreconditionViolated(
-            "uniqueness check needs a 3-connected host with at most 10 vertices")
-    base = face_size_multiset(g)
-    vs = g.vertices
-    seen = {}
-    relabelings = 0
-    for perm in permutations(vs):
-        mapping = dict(zip(vs, perm))
-        edges = tuple(sorted(edge_key(mapping[u], mapping[v])
-                             for u, v in g.edges))
-        relabelings += 1
-        if edges in seen:
-            continue
-        seen[edges] = face_size_multiset(Graph(vs, edges))
-    distinct = set(seen.values())
-    invariant(distinct == {base}, "face multiset must not depend on labels")
-    return {
-        "face_multiset": base,
-        "relabelings": relabelings,
-        "distinct_edge_sets": len(seen),
-        "ok": True,
-    }

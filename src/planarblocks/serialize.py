@@ -3,9 +3,10 @@
 Each command's result is one payload (built in ``cli``).  JSON output
 is the payload plus its ``command`` and a top-level ``schema: 1``
 marker, emitted with sorted keys so identical inputs produce identical
-bytes.  Text and DOT output are views rendered from the payload's JSON
-form alone, so every fact they show is in the JSON too.  DOT output is
-for eyeballing only and makes no stability promise beyond determinism.
+bytes.  Text and DOT output are views rendered from the payload alone,
+the same values the JSON writes, so every fact they show is in the JSON
+too.  DOT output is for eyeballing only and makes no stability promise
+beyond determinism.
 
 `dumps` writes the JSON in one walk over the payload, coercing as it
 goes: dict keys become strings and objects list them sorted, sets
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+
+from .graph import Graph
 
 SCHEMA = 1
 
@@ -118,7 +121,7 @@ def dumps(payload):
 
 # ---------------------------------------------------------------- views
 #
-# Each view takes one payload in its JSON form and returns output lines.
+# Each view takes one payload and returns output lines.
 
 def counted(n, noun, nouns=None):
     """n and the noun, singular for a count of 1: "1 edge", "2 edges"."""
@@ -130,8 +133,8 @@ def _vertex_set(vs):
 
 
 def _size(g):
-    return "%s, %s" % (counted(len(g["vertices"]), "vertex", "vertices"),
-                       counted(len(g["edges"]), "edge"))
+    return "%s, %s" % (counted(len(g.vertices), "vertex", "vertices"),
+                       counted(len(g.edges), "edge"))
 
 
 def _face_lines(faces):
@@ -143,8 +146,8 @@ def _dot(name, nodes, edges):
 
 
 def graph_dot(g, name="g"):
-    return _dot(name, ["%d" % v for v in g["vertices"]],
-                ["%d -- %d" % tuple(e) for e in g["edges"]])
+    return _dot(name, ["%d" % v for v in g.vertices],
+                ["%d -- %d" % e for e in g.edges])
 
 
 def _tree_dot(name, p, label):
@@ -166,15 +169,15 @@ def blocks_text(p):
             lines.append("  [%d] cut vertex %d" % (n["id"], n["vertex"]))
         else:
             lines.append("  [%d] block %s, %s" % (
-                n["id"], _vertex_set(n["graph"]["vertices"]),
-                counted(len(n["graph"]["edges"]), "edge")))
+                n["id"], _vertex_set(n["graph"].vertices),
+                counted(len(n["graph"].edges), "edge")))
     return lines + _tree_edge_lines(p)
 
 
 def blocks_dot(p):
     return _tree_dot("blockcut", p, lambda n: (
         "cut %d" % n["vertex"] if n["kind"] == "cut"
-        else "block " + _vertex_set(n["graph"]["vertices"])))
+        else "block " + _vertex_set(n["graph"].vertices)))
 
 
 def triblocks_text(p):
@@ -187,8 +190,8 @@ def triblocks_text(p):
                                                      n["vertex"]))
         else:
             lines.append("  [%d] %s on %s, %s (%d virtual)" % (
-                n["id"], n["kind"], _vertex_set(n["torso"]["vertices"]),
-                counted(len(n["torso"]["edges"]), "edge"),
+                n["id"], n["kind"], _vertex_set(n["torso"].vertices),
+                counted(len(n["torso"].edges), "edge"),
                 len(n["virtual_edges"])))
     return lines + _tree_edge_lines(p)
 
@@ -196,13 +199,13 @@ def triblocks_text(p):
 def triblocks_dot(p):
     return _tree_dot("triblock", p, lambda n: (
         "%s %d" % (n["kind"], n["vertex"]) if "vertex" in n
-        else "%s %s" % (n["kind"], _vertex_set(n["torso"]["vertices"]))))
+        else "%s %s" % (n["kind"], _vertex_set(n["torso"].vertices))))
 
 
 def planar_text(p):
     if not p["planar"]:
         return (["planar: no", "witness edges:"]
-                + ["  %d %d" % tuple(e) for e in p["witness"]["edges"]])
+                + ["  %d %d" % e for e in p["witness"].edges])
     return (["planar: yes", "faces: %d" % p["face_count"]]
             + _face_lines(p["faces"]))
 
@@ -212,9 +215,9 @@ def planar_dot(p):
     if not p["planar"]:
         return graph_dot(p["witness"])
     rotation = p["rotation"]
-    return graph_dot({"vertices": sorted(map(int, rotation)),
-                      "edges": sorted({tuple(e) for around in
-                                       rotation.values() for e in around})})
+    return graph_dot(Graph(tuple(sorted(rotation)),
+                           tuple(sorted({e for around in rotation.values()
+                                         for e in around}))))
 
 
 def faces_text(p):
@@ -273,11 +276,10 @@ DOT = {"blocks": blocks_dot, "triblocks": triblocks_dot,
 
 def render(command, fmt, payload):
     """One command's stdout: its payload as JSON, or the text or DOT view
-    of the payload's JSON form, once per entry of ``components`` if the
-    payload holds one result per component."""
+    of the payload, once per entry of ``components`` if the payload holds
+    one result per component."""
     if fmt == "json":
         return dumps({"command": command, **payload})
     view = (TEXT if fmt == "text" else DOT)[command]
-    data = json.loads(dumps(payload))
     return "".join("\n".join(view(part)) + "\n"
-                   for part in data.get("components", [data]))
+                   for part in payload.get("components", [payload]))

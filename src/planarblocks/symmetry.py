@@ -213,7 +213,7 @@ def tree_action_check(tree, group):
         if len(image) < len(fam.elements):
             continue
         for i in range(len(fam.elements)):
-            if image[fam.comp[i]] != fam.comp[image[i]]:
+            if image[i ^ 1] != image[i] ^ 1:
                 violations.append({"kind": "complement-not-respected",
                                    "generator": gi, "element": i})
         cmap = {}

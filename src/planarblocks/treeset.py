@@ -2,11 +2,13 @@
 
 A family is a finite set of separations closed under complementation
 such that every pair (A, B) satisfies at least one of A<=B, A<=B*,
-A*<=B, A*<=B*.  Elements are compared by subgraph containment; two
-distinct elements with identical subgraphs (which happens when a cut
-vertex leaves exactly two components, so a minimal element coincides
-with the complement of its twin) are ordered by an explicit rank so
-that the order stays a strict partial order reversed by complementation.
+A*<=B, A*<=B*.  It lists complements in adjacent pairs: element i ^ 1
+is the complement of element i.  Elements are compared by subgraph
+containment; two distinct elements with identical subgraphs (which
+happens when a cut vertex leaves exactly two components, so a minimal
+element coincides with the complement of its twin) are ordered by an
+explicit rank so that the order stays a strict partial order reversed
+by complementation.
 The family computes this order once: bit j of the int ``up[i]`` is set
 when element i lies strictly below element j.
 
@@ -28,12 +30,11 @@ enclosing one.  For n elements that is one n-bit operation per block:
 O(log k) blocks on a host of k vertices and edges when a side's
 vertices and edges are runs in the index order, as on a path, and never
 more than the side has vertices and edges.  The nesting check takes
-O(n) operations on n-bit ints when complements sit in adjacent pairs
-(every family the package builds lists them so), and one step per bit
-otherwise.  The classes take one more such pass, with the elements
-relabelled lowest first, which the family keeps for the verification,
-and then one step per covering pair; the verification adds one step per
-class member.
+O(n) operations on n-bit ints, the complement of a set of elements
+being one swap of adjacent bits.  The classes take one more such pass,
+with the elements relabelled lowest first, which the family keeps for
+the verification, and then one step per covering pair; the verification
+adds one step per class member.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ from .graph import Graph, connected_components, edge_key, set_bits
 
 
 def _pair_swap(n):
-    """Bit i to bit i ^ 1: the complement map of a family listed in
-    complement pairs."""
+    """Bit i to bit i ^ 1: the complement map of a family."""
     even = (1 << 2 * ((n + 1) // 2)) // 3
 
     def swap(mask):
@@ -80,12 +80,12 @@ def _aligned_blocks(mask, leaves):
 
 
 class NestedFamily:
-    """Separation family with an explicit complement pairing and ranks."""
+    """Separation family in complement pairs (element i ^ 1 is the
+    complement of element i), with ranks."""
 
-    def __init__(self, host, elements, comp, rank=None):
+    def __init__(self, host, elements, rank=None):
         self.host = host
         self.elements = tuple(elements)
-        self.comp = tuple(comp)
         self.rank = tuple(rank) if rank is not None else (0,) * len(self.elements)
         self._validate()
 
@@ -94,7 +94,10 @@ class NestedFamily:
 
     def _validate(self):
         n = len(self.elements)
-        if not (len(self.comp) == len(self.rank) == n):
+        if n % 2:
+            raise MalformedInput("family must list complements in pairs",
+                                 witness=n)
+        if len(self.rank) != n:
             raise MalformedInput("family arrays disagree in length")
         all_vertices = (1 << len(self.host.vertices)) - 1
         all_edges = (1 << len(self.host.edges)) - 1
@@ -102,15 +105,11 @@ class NestedFamily:
             if a.host is not self.host and a.host != self.host:
                 raise MalformedInput("element lives on another host",
                                      witness=i)
-            j = self.comp[i]
-            if j == i or not (0 <= j < n) or self.comp[j] != i:
-                raise MalformedInput("complement map is not a fixed-point-free "
-                                     "involution", witness=i)
-            b = self.elements[j]
+            b = self.elements[i ^ 1]
             if (b.bmask != a.bmask or b.emask != all_edges & ~a.emask
                     or b.vmask != all_vertices & ~a.vmask | a.bmask):
                 raise NotNested("paired element is not the complement",
-                                witness={"element": i, "partner": j})
+                                witness={"element": i, "partner": i ^ 1})
         shift = len(self.host.vertices)
         self._rows = [s.vmask | s.emask << shift for s in self.elements]
         leaves = 1 << max(self._rows, default=0).bit_length().bit_length()
@@ -119,13 +118,11 @@ class NestedFamily:
             self.up = ()
             return
         self.up = self._order()
-        image = _pair_swap(n) if self.comp == tuple(
-            i ^ 1 for i in range(n)) else self._image
+        image = _pair_swap(n)
         full = (1 << n) - 1
         for i in range(n):
             # j > i is nested with i when j or j* lies at or above i or i*
-            ci = self.comp[i]
-            near = self.up[i] | self.up[ci] | 1 << i | 1 << ci
+            near = self.up[i] | self.up[i ^ 1] | 1 << i | 1 << (i ^ 1)
             crossing = full & ~near & ~image(near) & ~((2 << i) - 1)
             if crossing:
                 j = (crossing & -crossing).bit_length() - 1
@@ -133,10 +130,6 @@ class NestedFamily:
                     "pair fails the nesting condition",
                     witness={"a": list(self.elements[i].key),
                              "b": list(self.elements[j].key)})
-
-    def _image(self, mask):
-        """The mask with each bit i moved to comp[i]."""
-        return sum(1 << self.comp[i] for i in set_bits(mask))
 
     def _order(self, label=None):
         """up[i]: bitmask of the elements strictly above element i, with
@@ -168,7 +161,7 @@ class NestedFamily:
         for i, row in enumerate(rows):
             above = reduce(and_, map(held.__getitem__, blocks[i]))
             for j in set_bits(twins[row]):
-                if j == i or j == self.comp[i] or self.rank[i] >= self.rank[j]:
+                if j in (i, i ^ 1) or self.rank[i] >= self.rank[j]:
                     above &= ~bit[j]
             up.append(above)
         return tuple(up)
@@ -197,7 +190,6 @@ class NestedFamily:
 class StructureTree:
     family: NestedFamily
     classes: tuple          # frozensets of element indices
-    pairs: tuple            # (i, comp[i]) with i < comp[i]
     class_of: tuple = field(init=False, repr=False, compare=False, hash=False,
                             default=None)
     _graph: Graph = field(init=False, repr=False, compare=False, hash=False,
@@ -208,7 +200,8 @@ class StructureTree:
         for ci, cls in enumerate(self.classes):
             for i in cls:
                 lookup[i] = ci
-        edges = {edge_key(lookup[i], lookup[j]) for i, j in self.pairs}
+        edges = {edge_key(lookup[i], lookup[i + 1])
+                 for i in range(0, len(lookup), 2)}
         object.__setattr__(self, "class_of", tuple(lookup))
         object.__setattr__(self, "_graph", Graph(tuple(range(len(self.classes))),
                                                  tuple(sorted(edges))))
@@ -219,7 +212,7 @@ class StructureTree:
 
     @property
     def edge_count(self):
-        return len(self.pairs)
+        return len(self.family.elements) // 2
 
     @property
     def edges(self):
@@ -242,9 +235,9 @@ class StructureTree:
         ix = fam.host.index
         vm, em = ix.all_vertices, ix.all_edges
         for i in self.classes[ci]:
-            comp = fam.elements[fam.comp[i]]
-            vm &= comp.vmask
-            em &= comp.emask
+            other = fam.elements[i ^ 1]
+            vm &= other.vmask
+            em &= other.emask
         return Graph(ix.vertices_of(vm), ix.edges_of(em))
 
 
@@ -264,7 +257,6 @@ def _classes(family):
     bit of any set of elements above i is a minimal one, so each cover
     costs one step, and the elements above a cover drop out with it.
     """
-    comp = family.comp
     lowest_first, up = family.lowest_first
     cls = []
     for i in range(len(up)):
@@ -273,7 +265,7 @@ def _classes(family):
         while rest:
             low = rest & -rest
             k = lowest_first[low.bit_length() - 1]
-            mask |= 1 << comp[k]
+            mask |= 1 << (k ^ 1)
             rest &= ~up[k] & ~low
         cls.append(mask)
     out = []
@@ -293,9 +285,8 @@ def _classes(family):
 def build_structure_tree(family):
     """Build the tree of ~-classes; the edge of A joins class(A) to class(A*)."""
     if not family.elements:
-        return StructureTree(family, (frozenset(),), ())
-    pairs = tuple((i, j) for i, j in enumerate(family.comp) if i < j)
-    tree = StructureTree(family, _classes(family), pairs)
+        return StructureTree(family, (frozenset(),))
+    tree = StructureTree(family, _classes(family))
     if tree.edge_count != tree.vertex_count - 1:
         raise NotNested("class graph is not a tree",
                         witness={"vertices": tree.vertex_count,
@@ -309,27 +300,18 @@ def build_structure_tree(family):
 def verify_tree_correspondence(tree):
     """Recompute the correspondence and report any violation.
 
-    Checks tree shape, the element/directed-edge bijection, and that the
-    family order agrees with coherent directed paths in the tree.
+    Checks tree shape, the stored classes, and that the family order
+    agrees with coherent directed paths in the tree.
     """
     fam = tree.family
     violations = []
     n = len(fam.elements)
     if n == 0:
-        if tree.vertex_count != 1 or tree.edge_count != 0:
+        if tree.vertex_count != 1:
             violations.append("empty family must give a single-vertex tree")
         return {"ok": not violations, "violations": violations}
-    if tree.edge_count * 2 != n:
-        violations.append("directed edges do not biject with elements")
     if tree.edge_count != tree.vertex_count - 1:
         violations.append("edge count is not vertex count minus one")
-    seen = set()
-    for i, j in tree.pairs:
-        if fam.comp[i] != j:
-            violations.append("pair (%d,%d) is not a complement pair" % (i, j))
-        seen.update((i, j))
-    if seen != set(range(n)):
-        violations.append("some element is missing from the edge pairing")
     try:
         classes = _classes(fam)
     except NotNested as exc:
@@ -344,7 +326,7 @@ def verify_tree_correspondence(tree):
     for i in range(n):
         reach = 0
         for b in set_bits(members[tree.class_of[i]] & ~(1 << i)):
-            reach |= 1 << fam.comp[b] | fam.up[fam.comp[b]]
+            reach |= 1 << (b ^ 1) | fam.up[b ^ 1]
         diff = (fam.up[i] ^ reach) & ~(1 << i)
         if diff:
             j = (diff & -diff).bit_length() - 1

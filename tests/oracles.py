@@ -18,7 +18,7 @@ from planarblocks.graph import (Graph, build_graph, connected_components,
                                 edge_key, induced_subgraph, is_connected,
                                 is_simple_cycle, is_three_connected_by_cutsets,
                                 is_two_connected)
-from planarblocks.planar import canonical_face, facial_walks
+from planarblocks.planar import canonical_face, facial_walks, planarity_test
 from planarblocks.separation import (Separation, component_side,
                                      make_separation, separation_complement)
 from planarblocks.symmetry import apply_to_separation, is_automorphism
@@ -178,8 +178,8 @@ def element_tree_action_violations(tree, elements):
                 continue
             va, ea = set(host.vertices), set(host.edges)
             for i in cls:
-                va &= fam.elements[fam.comp[i]].va
-                ea &= fam.elements[fam.comp[i]].ea
+                va &= fam.elements[i ^ 1].va
+                ea &= fam.elements[i ^ 1].ea
             if {p[v] for v in va} != va or \
                     {edge_key(p[u], p[v]) for u, v in ea} != ea:
                 violations.append(("stabilizer-moves-torso", k, ci))
@@ -213,7 +213,7 @@ def orbit_of_separation(a, perms):
 def directed_edge(tree, i):
     """Directed edge of element i of the tree's family: class(A*) ->
     class(A)."""
-    return (tree.class_of[tree.family.comp[i]], tree.class_of[i])
+    return (tree.class_of[i ^ 1], tree.class_of[i])
 
 
 def family_strict(family, i, j):
@@ -223,7 +223,7 @@ def family_strict(family, i, j):
         return False
     a, b = family.elements[i], family.elements[j]
     if a.va == b.va and a.ea == b.ea:
-        return j != family.comp[i] and family.rank[i] < family.rank[j]
+        return j != i ^ 1 and family.rank[i] < family.rank[j]
     return a.va <= b.va and a.ea <= b.ea
 
 
@@ -237,7 +237,7 @@ def sim_classes(family):
     label = list(range(n))
     for i in range(n):
         for j in range(n):
-            jc = family.comp[j]
+            jc = j ^ 1
             if i == j or not family_strict(family, i, jc):
                 continue
             if any(family_strict(family, i, k) and family_strict(family, k, jc)
@@ -255,9 +255,9 @@ def _class_edges(tree):
     """Class of every element, and the class graph's adjacency."""
     class_of = {i: ci for ci, cls in enumerate(tree.classes) for i in cls}
     adj = {ci: set() for ci in range(len(tree.classes))}
-    for i, j in tree.pairs:
-        adj[class_of[i]].add(class_of[j])
-        adj[class_of[j]].add(class_of[i])
+    for i in range(0, len(class_of), 2):
+        adj[class_of[i]].add(class_of[i + 1])
+        adj[class_of[i + 1]].add(class_of[i])
     return class_of, adj
 
 
@@ -287,12 +287,11 @@ def path_coherent(tree, i, j):
     element j; the edge of A runs from class(A*) to class(A)."""
     if i == j:
         return True
-    comp = tree.family.comp
-    if j == comp[i]:
+    if j == i ^ 1:
         return False
     class_of, _ = _class_edges(tree)
-    ti, hi = class_of[comp[i]], class_of[i]
-    tj, hj = class_of[comp[j]], class_of[j]
+    ti, hi = class_of[i ^ 1], class_of[i]
+    tj, hj = class_of[j ^ 1], class_of[j]
     path = tree_path(tree, ti, hj)
     return path is not None and len(path) >= 2 and path[1] == hi \
         and path[-2] == tj
@@ -480,15 +479,14 @@ def _side_and_complement(g, comps, boundary, with_edge=False):
 
 
 def one_boundary_family(g):
-    """(keys, comp, rank) of b1_family by its definition on sets: at each
+    """(keys, rank) of b1_family by its definition on sets: at each
     cut vertex in vertex order, each component of g - c by least vertex
     spans a side of rank 0, followed by its complement of rank 1."""
     keys = []
     for (c,), comps in separating_sets(g, 1):
         for comp in comps:
             keys.extend(_side_and_complement(g, [comp], (c,)))
-    n = len(keys)
-    return keys, tuple(i ^ 1 for i in range(n)), (0, 1) * (n // 2)
+    return keys, (0, 1) * (len(keys) // 2)
 
 
 def uncrossed_side_keys(z):
@@ -623,6 +621,46 @@ def facial_preservation_check(r, sigma):
     return all(apply_to_face(sigma, f) in faces for f in faces)
 
 
+def face_size_multiset(g):
+    res = planarity_test(g)
+    if not res.planar:
+        raise PreconditionViolated("host is not planar")
+    return tuple(sorted(len(f) for f in res.faces))
+
+
+def face_multiset_uniqueness_check(g):
+    """Check that every vertex relabeling embeds with the same face-size
+    multiset (the sphere embedding of a 3-connected planar graph is
+    essentially unique).
+
+    Relabelings sharing an edge set reuse one embedding, so the work is
+    |V|! / |Aut(g)| planarity calls rather than |V|!.
+    """
+    if not (is_three_connected_by_cutsets(g) and len(g.vertices) <= 10):
+        raise PreconditionViolated(
+            "uniqueness check needs a 3-connected host with at most 10 vertices")
+    base = face_size_multiset(g)
+    vs = g.vertices
+    seen = {}
+    relabelings = 0
+    for perm in permutations(vs):
+        mapping = dict(zip(vs, perm))
+        edges = tuple(sorted(edge_key(mapping[u], mapping[v])
+                             for u, v in g.edges))
+        relabelings += 1
+        if edges in seen:
+            continue
+        seen[edges] = face_size_multiset(Graph(vs, edges))
+    distinct = set(seen.values())
+    invariant(distinct == {base}, "face multiset must not depend on labels")
+    return {
+        "face_multiset": base,
+        "relabelings": relabelings,
+        "distinct_edge_sets": len(seen),
+        "ok": True,
+    }
+
+
 # --------------------------------------------------- permutation groups
 
 def perm_compose(p, q):
@@ -705,7 +743,7 @@ def verify_table_isomorphism(tbl, images):
         nxt = []
         for gel in frontier:
             for s in tbl.generators:
-                h = tbl.mult[(gel, s)]
+                h = tbl.images[s][gel]
                 # right multiplication: word(h) = word(g) . s
                 img = perm_compose(assign[gel], images[s])
                 if h in assign:
@@ -840,11 +878,16 @@ def rational_rank(rows):
     return rank
 
 
+def relator_words(pr):
+    """All defining relators w^n of pr, expanded to plain words."""
+    return tuple(w * n for w, n in pr.relators)
+
+
 def exponent_sums(pr):
     """One row per relator: how often each generator occurs in it,
     inverses counting -1, read off the expanded relator words."""
     rows = []
-    for word in pr.relator_words():
+    for word in relator_words(pr):
         row = dict.fromkeys(pr.generators, 0)
         for name, sign in word:
             row[name] += sign
@@ -1017,11 +1060,8 @@ def family_from_sides(host, sides):
     Suitable when all sides are distinct as subgraphs (hinge families);
     use explicit element/rank lists for the tagged cut-vertex families.
     """
-    by_key = {}
+    pairs = {}
     for s in sides:
-        for t in (s, separation_complement(s)):
-            by_key.setdefault(t.key, t)
-    elements = sorted(by_key.values(), key=lambda s: s.key)
-    index = {s.key: i for i, s in enumerate(elements)}
-    comp = tuple(index[separation_complement(s).key] for s in elements)
-    return NestedFamily(host, elements, comp)
+        pair = sorted((s, separation_complement(s)), key=lambda t: t.key)
+        pairs.setdefault(pair[0].key, pair)
+    return NestedFamily(host, [t for k in sorted(pairs) for t in pairs[k]])

@@ -35,7 +35,6 @@ def test_b1_family_bowtie(bowtie):
     assert keys[1] == ((0, 3, 4), ((0, 3), (0, 4), (3, 4)), (0,))
     # the two sides at the cut coincide as subgraphs, tagged by rank
     assert keys[2] == keys[1] and keys[3] == keys[0]
-    assert fam.comp == (1, 0, 3, 2)
     assert fam.rank == (0, 1, 0, 1)
 
 
@@ -130,9 +129,8 @@ def _cut_hosts():
 def test_b1_family_matches_set_definition():
     for g in _cut_hosts():
         fam = b1_family(g)
-        keys, comp, rank = one_boundary_family(g)
+        keys, rank = one_boundary_family(g)
         assert [s.key for s in fam.elements] == keys
-        assert fam.comp == comp
         assert fam.rank == rank
         for s in fam.elements:
             assert separation_fault(g, s.va, s.ea, s.boundary) is None

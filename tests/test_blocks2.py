@@ -184,11 +184,10 @@ def test_build_family_k4e_frozen(k4e):
         (2, ((0, 3), (1, 3)), (0, 1)),
         (3, ((0, 1), (0, 2), (1, 2)), (0, 1)),
     )
-    assert fam.comp == (1, 0, 3, 2)
     assert fam.rank == (0, 1, 0, 1)
     tree = build_structure_tree(fam)
     assert tree.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
-    assert tree.pairs == ((0, 1), (2, 3))
+    assert tree.edges == ((0, 1), (0, 2))
     assert verify_tree_correspondence(tree)["ok"]
 
 
@@ -458,7 +457,7 @@ def test_lift_pulls_in_material_behind_the_region():
     host = _k4_chain(4)
     left = make_separation(host, (0, 1, 2, 3),
                            ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)), (2, 3))
-    fam = NestedFamily(host, (left, separation_complement(left)), (1, 0))
+    fam = NestedFamily(host, (left, separation_complement(left)))
     tree = build_structure_tree(fam)
     ci = next(i for i in range(tree.vertex_count)
               if len(torso(host, tree, i).z.vertices) == 8)

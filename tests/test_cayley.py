@@ -15,6 +15,7 @@ from oracles import (
     perm_compose,
     perm_inverse,
     rational_rank,
+    relator_words,
     spherical_order,
     verify_table_isomorphism,
     von_dyck_permutation_group,
@@ -37,7 +38,7 @@ from planarblocks import (
 from planarblocks import cli, planar
 from planarblocks.blocks2 import KIND_THREE_CONNECTED
 from planarblocks.cayley import (check_relators, free_abelian_rank,
-                                 rotation_candidates)
+                                 rotation_candidates, surface_signature)
 from planarblocks.errors import (BadExponent, InvariantViolated,
                                  MalformedInput, Overflow)
 
@@ -60,9 +61,10 @@ def test_invert_word():
 def test_surface_presentation_triangle():
     p = surface_presentation(0, (2, 3, 3), 0)
     assert p.generators == ("e1", "e2", "e3")
-    assert p.power_relators == (("e1", 2), ("e2", 3), ("e3", 3))
-    assert p.surface_relator == (("e1", 1), ("e2", 1), ("e3", 1))
-    assert p.relator_words() == (
+    assert p.relators == (
+        ((("e1", 1),), 2), ((("e2", 1),), 3), ((("e3", 1),), 3),
+        ((("e1", 1), ("e2", 1), ("e3", 1)), 1))
+    assert relator_words(p) == (
         (("e1", 1), ("e1", 1)),
         (("e2", 1), ("e2", 1), ("e2", 1)),
         (("e3", 1), ("e3", 1), ("e3", 1)),
@@ -73,42 +75,51 @@ def test_surface_presentation_triangle():
 def test_surface_presentation_torus():
     p = surface_presentation(1, (), 0)
     assert p.generators == ("a1", "b1")
-    assert p.surface_relator == (
-        ("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1))
+    assert p.relators == (
+        ((("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1)), 1),)
 
 
 def test_surface_presentation_with_punctures():
     p = surface_presentation(0, (2,), 2)
     assert p.generators == ("e1", "f1", "f2")
-    assert p.power_relators == (("e1", 2),)
-    assert p.surface_relator == (("e1", 1), ("f1", 1), ("f2", 1))
+    assert p.relators == (((("e1", 1),), 2),
+                          ((("e1", 1), ("f1", 1), ("f2", 1)), 1))
 
 
 def test_presentation_validation():
+    with pytest.raises(BadExponent) as info:
+        surface_presentation(0, (2, 1), 0)
+    assert str(info.value) == "power relator exponent must be at least 2"
+    assert info.value.witness == {"generator": "e2", "exponent": 1}
     with pytest.raises(BadExponent):
-        Presentation(("a",), (("a", 1),), (), ())
-    with pytest.raises(BadExponent):
-        Presentation(("a",), (("a", 2),), (((("a", 1),), 0),), ())
+        Presentation(("a",), (((("a", 1),), 2), ((("a", 1),), 0)))
     with pytest.raises(MalformedInput):
-        Presentation(("a", "a"), (), (), ())
+        Presentation(("a", "a"), ())
     with pytest.raises(MalformedInput):
-        Presentation(("a",), (("b", 2),), (), ())
+        Presentation(("a",), (((("b", 1),), 2),))
+    with pytest.raises(MalformedInput):
+        Presentation(("a",), (((("a", 1), ("a", 2)), 1),))
+    with pytest.raises(MalformedInput):
+        Presentation(("a",), (((), 1),))
     with pytest.raises(MalformedInput):
         # a * a^-1 is not reduced
-        Presentation(("a",), (), (((("a", 1), ("a", -1)), 1),), ())
+        Presentation(("a",), (((("a", 1), ("a", -1)), 1),))
 
 
 def test_parse_plain_sections():
     p = parse_presentation("gens: e1 e2\nrels: e1^2, e2^2, (e1*e2)^3\n")
     assert p.generators == ("e1", "e2")
-    assert p.power_relators == (("e1", 2), ("e2", 2))
-    assert p.extra_relators == (((("e1", 1), ("e2", 1)), 3),)
-    assert p.surface_relator == ()
+    assert p.relators == (((("e1", 1),), 2), ((("e2", 1),), 2),
+                          ((("e1", 1), ("e2", 1)), 3))
+    # positive powers of single letters are scanned first
+    p = parse_presentation("gens: a b\nrels: (a*b)^3, a^-2, b^4, a")
+    assert p.relators == (((("b", 1),), 4), ((("a", 1), ("b", 1)), 3),
+                          ((("a", -1),), 2), ((("a", 1),), 1))
 
 
 def test_parse_accepts_comments_and_semicolons():
     p = parse_presentation("# cyclic\ngens: e1; rels: e1^6")
-    assert p.power_relators == (("e1", 6),)
+    assert p.relators == (((("e1", 1),), 6),)
 
 
 def test_parse_bare_relator_product():
@@ -122,9 +133,9 @@ def test_parse_bare_relator_product():
 
 def test_parse_surface_shorthand():
     p = parse_presentation("surface(0, [2,3,4], 0)")
-    assert p.generators == ("e1", "e2", "e3")
-    assert p.power_relators == (("e1", 2), ("e2", 3), ("e3", 4))
-    assert p.surface_relator == (("e1", 1), ("e2", 1), ("e3", 1))
+    assert p == surface_presentation(0, (2, 3, 4), 0)
+    assert p.relators[:3] == (((("e1", 1),), 2), ((("e2", 1),), 3),
+                              ((("e3", 1),), 4))
 
 
 def test_parse_rejects_conflicts_and_noise():
@@ -177,13 +188,13 @@ def test_enumeration_is_deterministic():
     a = coset_enumerate(pr)
     b = coset_enumerate(pr)
     assert a.order == b.order
-    assert a.mult == b.mult
+    assert a.images == b.images
 
 
 def test_relators_trace_identity_from_every_element():
     pr = read_pres("vd234.pres")
     tbl = coset_enumerate(pr)
-    for word in pr.relator_words():
+    for word in relator_words(pr):
         for g in range(tbl.order):
             assert tbl.act_word(g, word) == g
 
@@ -195,19 +206,28 @@ def test_infinite_group_overflows():
         coset_enumerate(read_pres("z6.pres"), limit=0)
 
 
-@pytest.mark.parametrize("text", ["gens: a b; rels: a^2, b^3, (a*b)^7",
-                                  "gens: a b; rels: a^2, b^4, (a*b)^4"])
-def test_infinite_groups_stop_at_the_definition_cap(text):
-    # triangle groups in plain form, with a finite abelianisation: no
-    # certificate applies.  The cap is 2*limit + 32 = 20,032 cosets
+def test_infinite_groups_stop_at_the_definition_cap():
+    # the (2,3,7) triangle group with a redundant relator, and a finite
+    # abelianisation: no certificate applies.  The cap is 2*limit + 32 =
+    # 20,032 cosets
     with pytest.raises(Overflow) as info:
-        coset_enumerate(parse_presentation(text))
+        coset_enumerate(parse_presentation(
+            "gens: a b; rels: a^2, b^3, (a*b)^7, (a*b)^14"))
     assert info.value.witness == {"limit": 10000, "defined": 20032}
 
 
-@pytest.mark.parametrize("text, chi", [("surface(0, [2,3,7], 0)", "-1/42"),
-                                       ("surface(1, [], 0)", "0")],
-                         ids=["surface(0, [2,3,7], 0)", "surface(1, [], 0)"])
+CERTIFIED_INFINITE = [
+    ("surface(0, [2,3,7], 0)", "-1/42"),
+    ("surface(1, [], 0)", "0"),
+    # triangle presentations, read as the signature (0; l, m, n; 0)
+    ("gens: a b; rels: a^2, b^3, (a*b)^7", "-1/42"),
+    ("gens: a b; rels: a^2, b^4, (a*b)^4", "0"),
+    ("gens: x y; rels: (y*x)^7, y^3, x^2", "-1/42"),
+]
+
+
+@pytest.mark.parametrize("text, chi", CERTIFIED_INFINITE,
+                         ids=[text for text, _ in CERTIFIED_INFINITE])
 def test_surface_groups_are_certified_infinite(text, chi):
     with pytest.raises(Overflow) as info:
         coset_enumerate(parse_presentation(text), limit=3)
@@ -218,16 +238,34 @@ def test_surface_groups_are_certified_infinite(text, chi):
 def test_surface_certificate_reads_only_surface_presentations():
     # e1^2, e2^3, e3^7 with the relator e1*e2, not e1*e2*e3, reads like
     # surface(0, [2,3,7], 0) but is the finite group Z_7
-    pr = Presentation(("e1", "e2", "e3"), (("e1", 2), ("e2", 3), ("e3", 7)),
-                      (), (("e1", 1), ("e2", 1)))
+    pr = Presentation(("e1", "e2", "e3"),
+                      (((("e1", 1),), 2), ((("e2", 1),), 3), ((("e3", 1),), 7),
+                       ((("e1", 1), ("e2", 1)), 1)))
     assert coset_enumerate(pr).order == 7
 
 
+def test_triangle_certificate_reads_only_triangle_presentations():
+    # a finite triangle group still enumerates
+    assert coset_enumerate(parse_presentation(
+        "gens: a b; rels: a^2, b^3, (a*b)^5")).order == 60
+    # (a*b)^1 is no cone point: b = a^-1 makes the group trivial
+    assert coset_enumerate(parse_presentation(
+        "gens: a b; rels: a^2, b^3, a*b")).order == 1
+    # a and b^-1 generate the (2,3,7) group as well, but the reader takes
+    # only x*y and y*x: the search runs to its cap
+    with pytest.raises(Overflow) as info:
+        coset_enumerate(parse_presentation(
+            "gens: a b; rels: a^2, b^3, (a*b^-1)^7"), limit=50)
+    assert info.value.witness == {"limit": 50, "defined": 132}
+
+
 def _plain_spelling(pr):
-    """pr with its surface relator given as an extra relator, which the
+    """pr with its surface word inverted and listed first, a spelling the
     surface certificate does not read."""
-    extra = ((pr.surface_relator, 1),) if pr.surface_relator else ()
-    return Presentation(pr.generators, pr.power_relators, extra, ())
+    if not pr.relators:
+        return pr
+    (word, _), rest = pr.relators[-1], pr.relators[:-1]
+    return Presentation(pr.generators, ((invert_word(word), 1),) + rest)
 
 
 @pytest.mark.parametrize("p, s", [(p, s) for p in (0, 1) for s in (0, 1, 2)])
@@ -236,6 +274,7 @@ def test_signatures_match_their_closed_forms(p, s):
         for m in combinations_with_replacement(range(2, 8), k):
             pr = surface_presentation(p, m, s)
             plain = _plain_spelling(pr)
+            assert surface_signature(plain) is None or not pr.relators, m
             chi = orbifold_euler_characteristic(p, m, s)
             order = spherical_order(p, m, s)
             assert (chi > 0) == (order is not None), m
@@ -266,7 +305,7 @@ def _random_presentation(draw):
                        if not word or l != (word[-1][0], -word[-1][1])]
             word.append(draw(st.sampled_from(choices)))
         rels.append((tuple(word), draw(st.integers(1, 60))))
-    return Presentation(gens, (), tuple(rels), ())
+    return Presentation(gens, tuple(rels))
 
 
 @settings(max_examples=200, deadline=None)
@@ -292,12 +331,14 @@ def test_extra_relators_switch_off_the_euler_characteristic():
 
 def test_certified_overflow_ignores_the_limit(tmp_path):
     path = tmp_path / "vd237.pres"
-    path.write_text("surface(0, [2,3,7], 0)\n")
-    t0 = time.monotonic()
-    code, out = cli.run(["cayley", str(path), "--limit", "10000000"])
-    elapsed = time.monotonic() - t0
-    assert code == 1 and '"euler_characteristic": "-1/42"' in out
-    assert elapsed < 0.5, elapsed
+    for text in ("surface(0, [2,3,7], 0)\n",
+                 "gens: a b; rels: a^2, b^3, (a*b)^7\n"):
+        path.write_text(text)
+        t0 = time.monotonic()
+        code, out = cli.run(["cayley", str(path), "--limit", "10000000"])
+        elapsed = time.monotonic() - t0
+        assert code == 1 and '"euler_characteristic": "-1/42"' in out
+        assert elapsed < 0.5, elapsed
 
 
 @pytest.mark.parametrize("text, order, least_limit", [
@@ -392,7 +433,7 @@ def test_power_trace_by_squaring_matches_the_letter_trace(case):
 
 def test_certificate_rejects_a_cycle_length_that_does_not_divide_m():
     # a acts as a 6-cycle, which a^4 does not close
-    z6 = GroupTable(6, ("a",), 0, {(g, "a"): (g + 1) % 6 for g in range(6)})
+    z6 = GroupTable(6, ("a",), {"a": [(g + 1) % 6 for g in range(6)]})
     check_relators(z6, parse_presentation("gens: a; rels: a^12"))
     with pytest.raises(InvariantViolated) as info:
         check_relators(z6, parse_presentation("gens: a; rels: a^12, a^4"))

@@ -363,7 +363,7 @@ from planarblocks.errors import InvariantViolated
 assert False, "this script must run under -O"
 caught = []
 try:
-    GroupTable(2, ("a",), 0, {(0, "a"): 0, (1, "a"): 0})
+    GroupTable(2, ("a",), {"a": [0, 0]})
 except InvariantViolated as exc:
     caught.append(str(exc))
 pr = parse_presentation("gens: a; rels: a^6")
@@ -466,6 +466,35 @@ def lossy_torso(*args):
         t, z_prime=Graph(t.z_prime.vertices, t.z_prime.edges[1:]))
 blocks2.torso = lossy_torso
 runs.append(cli.run(["triblocks", sys.argv[3]]))
+# blocks2: a torso that claims every host edge meets the next torso
+def greedy_torso(h, *args):
+    return dataclasses.replace(torso(h, *args), z_prime=h)
+blocks2.torso = greedy_torso
+runs.append(cli.run(["triblocks", sys.argv[3]]))
+blocks2.torso = torso
+# blocks2: a witness path through its own hinge vertex meets the region
+blocks2._bfs_path = lambda g, src, dst, avoid: (src, src, dst)
+runs.append(cli.run(["triblocks", sys.argv[3]]))
+# blocks2: a witness path through a vertex the host lacks leaves the host
+blocks2._bfs_path = lambda g, src, dst, avoid: (src, -1, dst)
+runs.append(cli.run(["triblocks", sys.argv[3]]))
+# blocks2: a witness path that doubles back on itself has a vertex of
+# degree 3 in the witness
+def looping_path(g, src, dst, avoid):
+    p = bfs_path(g, src, dst, avoid)
+    y = next(w for w in g.neighbors(p[1]) if w not in p)
+    return p[:2] + (y,) + p[1:]
+blocks2._bfs_path = looping_path
+runs.append(cli.run(["triblocks", sys.argv[3]]))
+blocks2._bfs_path = bfs_path
+# blocks2: a torso that forgets its virtual edges does not contract to
+# the graph that holds them
+region_parts = blocks2._region_parts
+def forgetful_parts(tree, ci):
+    zprime, z, virtuals, gens = region_parts(tree, ci)
+    return zprime, z, (), gens
+blocks2._region_parts = forgetful_parts
+runs.append(cli.run(["triblocks", sys.argv[3]]))
 print(json.dumps(runs))
 """
 
@@ -479,7 +508,7 @@ def test_decomposition_invariants_hold_under_dash_o(tmp_path):
                     fx("k4.edges"), str(pair)])
     assert proc.returncode == 0, proc.stderr
     runs = json.loads(proc.stdout)
-    assert [code for code, _ in runs] == [1] * 6
+    assert [code for code, _ in runs] == [1] * 11
     errors = [json.loads(out)["error"] for _, out in runs]
     assert {e["kind"] for e in errors} == {"invariant-violated"}
     assert [e["message"] for e in errors] == [
@@ -488,7 +517,12 @@ def test_decomposition_invariants_hold_under_dash_o(tmp_path):
         "non-cycle torso of the final tree must be 3-connected",
         "member side must connect its hinge",
         "witness paths must be internally disjoint",
-        "torsos must cover every host edge"]
+        "torsos must cover every host edge",
+        "host edge claimed by two torsos",
+        "witness path internals must avoid the region",
+        "witness must live in the host",
+        "subdivision vertices have degree 2",
+        "witness paths must contract to the torso"]
 
 
 def test_src_has_no_assert():
@@ -577,7 +611,8 @@ def test_every_exported_name_resolves():
             home = importlib.import_module(value.__module__)
             assert getattr(home, name) is value, name
     # test-only helpers live in tests/oracles.py, not in the package
-    for name in ("no_such_name", "build_nested_family"):
+    for name in ("no_such_name", "build_nested_family",
+                 "face_multiset_uniqueness_check", "face_size_multiset"):
         assert name not in planarblocks.__all__
         with pytest.raises(AttributeError):
             getattr(planarblocks, name)

@@ -12,6 +12,8 @@ from oracles import (
     brute_automorphisms,
     brute_canonical_face,
     euler_genus,
+    face_multiset_uniqueness_check,
+    face_size_multiset,
     facial_preservation_check,
     kuratowski_kind,
     networkx_kuratowski_edges,
@@ -23,8 +25,6 @@ from planarblocks import (
     canonical_face,
     cayley_graph,
     coset_enumerate,
-    face_multiset_uniqueness_check,
-    face_size_multiset,
     facial_walks,
     is_connected,
     parse_presentation,

@@ -204,8 +204,7 @@ def test_tree_action_on_triblock_tree(bowtie_k4s):
 def test_tree_action_reports_missing_orbit_members(bowtie):
     fam = b1_family(bowtie)
     # keep only one triangle's entries: the vertex swap now has no image
-    small = NestedFamily(bowtie, (fam.elements[0], fam.elements[1]),
-                         (1, 0), (fam.rank[0], fam.rank[1]))
+    small = NestedFamily(bowtie, fam.elements[:2], fam.rank[:2])
     tree = build_structure_tree(small)
     rep = tree_action_check(tree, automorphism_group(bowtie))
     assert not rep["ok"]
@@ -214,10 +213,8 @@ def test_tree_action_reports_missing_orbit_members(bowtie):
 
 def _without_pair(fam, i):
     """The family with element i and its complement dropped."""
-    keep = [k for k in range(len(fam.elements)) if k not in (i, fam.comp[i])]
-    pos = {k: n for n, k in enumerate(keep)}
+    keep = [k for k in range(len(fam.elements)) if k >> 1 != i >> 1]
     return NestedFamily(fam.host, [fam.elements[k] for k in keep],
-                        [pos[fam.comp[k]] for k in keep],
                         [fam.rank[k] for k in keep])
 
 

@@ -36,21 +36,21 @@ def test_family_from_sides_closes_under_complement(path8_family):
     host, fam = path8_family
     assert len(fam.elements) == 8
     for i, a in enumerate(fam.elements):
-        partner = fam.elements[fam.comp[i]]
+        partner = fam.elements[i ^ 1]
         assert partner.key == separation_complement(a).key
 
 
 def test_family_rejects_broken_complement_map(k4e):
     a = make_separation(k4e, {0, 1, 2}, {(0, 2), (1, 2)}, {0, 1})
     with pytest.raises(MalformedInput):
-        NestedFamily(k4e, [a, a], [0, 1])
+        NestedFamily(k4e, [a, separation_complement(a), a])
     with pytest.raises(NotNested):
-        NestedFamily(k4e, [a, a], [1, 0])
+        NestedFamily(k4e, [a, a])
     # a valid separation on the same hinge, but not the other side of a
     b = make_separation(k4e, {0, 1, 3}, {(0, 3), (1, 3)}, {0, 1})
     assert b.key != separation_complement(a).key
     with pytest.raises(NotNested) as err:
-        NestedFamily(k4e, [a, b], [1, 0])
+        NestedFamily(k4e, [a, b])
     assert err.value.witness == {"element": 0, "partner": 1}
 
 
@@ -60,7 +60,7 @@ def test_family_rejects_crossing_pair(c6_chord):
     b = make_separation(c6_chord, {1, 2, 3}, {(1, 2), (2, 3)}, {1, 3})
     elements = [a, separation_complement(a), b, separation_complement(b)]
     with pytest.raises(NotNested):
-        NestedFamily(c6_chord, elements, [1, 0, 3, 2])
+        NestedFamily(c6_chord, elements)
 
 
 def test_strict_uses_rank_for_equal_subgraphs(bowtie):
@@ -98,7 +98,7 @@ def test_directed_edge_reversal_is_complement(path8_family):
     tree = build_structure_tree(fam)
     for i in range(len(fam.elements)):
         a, b = directed_edge(tree, i)
-        bc, ac = directed_edge(tree, fam.comp[i])
+        bc, ac = directed_edge(tree, i ^ 1)
         assert (a, b) == (ac, bc)
 
 
@@ -113,7 +113,7 @@ def test_order_coherence_on_tree(path8_family):
 
 
 def test_empty_family_single_vertex(k4):
-    fam = NestedFamily(k4, [], [])
+    fam = NestedFamily(k4, [])
     tree = build_structure_tree(fam)
     assert tree.vertex_count == 1
     assert tree.edge_count == 0
@@ -124,7 +124,7 @@ def test_b1_family_tree_classes(bowtie):
     fam = b1_family(bowtie)
     tree = build_structure_tree(fam)
     assert tree.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
-    assert set(tree.pairs) == {(0, 1), (2, 3)}
+    assert tree.edges == ((0, 1), (0, 2))
     assert verify_tree_correspondence(tree)["ok"]
 
 
@@ -200,11 +200,10 @@ def test_order_classes_and_coherence_match_oracles(source):
         assert coherent
 
 
-def _bowtie_tree(bowtie, classes=None, pairs=None):
+def _bowtie_tree(bowtie, classes):
     tree = build_structure_tree(b1_family(bowtie))
     assert tree.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
-    return StructureTree(tree.family, classes or tree.classes,
-                         pairs or tree.pairs)
+    return StructureTree(tree.family, classes)
 
 
 def test_verify_reports_a_moved_element(bowtie):
@@ -217,14 +216,6 @@ def test_verify_reports_a_moved_element(bowtie):
     assert "order/path mismatch for elements 0,3 (leq=True path=False)" \
         in report["violations"]
     assert not path_coherent(tree, 0, 3)
-
-
-def test_verify_reports_a_non_complement_pair(bowtie):
-    tree = _bowtie_tree(bowtie, pairs=((0, 3), (1, 2)))
-    report = verify_tree_correspondence(tree)
-    assert not report["ok"]
-    assert "pair (0,3) is not a complement pair" in report["violations"]
-    assert "pair (1,2) is not a complement pair" in report["violations"]
 
 
 def test_verify_reports_a_disconnected_class_graph(bowtie):
