@@ -22,8 +22,8 @@ _EXPORTS = {
               "homeomorphic_reduce", "induced_subgraph", "is_connected",
               "parse_edge_list"),
     "planar": ("PlanarityResult", "RotationSystem", "canonical_face",
-               "certify_embedding", "facial_walks", "planarity_test",
-               "rotation_from_neighbors"),
+               "certify_embedding", "certify_kuratowski", "facial_walks",
+               "planarity_test", "rotation_from_neighbors"),
     "separation": ("Separation", "make_separation", "pull_back_separation",
                    "separation_complement"),
     "symmetry": ("AutGroup", "QuotientGraph", "automorphism_group",

@@ -13,7 +13,8 @@ infinite, at a cost independent of the coset limit: a signature (p; m;
 s) whose orbifold Euler characteristic 2 - 2p - s - sum(1 - 1/m_j) is
 at most 0 (`euler_characteristic`), read from a surface presentation
 with no extra relators or from a triangle presentation
-<x, y | x^l, y^m, (x*y)^n> (`surface_signature`), and any presentation
+<x, y | x^l, y^m, (x*y)^n>, with any signs on x and y in the last
+relator (`surface_signature`), and any presentation
 whose abelianisation has a free part (`free_abelian_rank`).
 
 Enumeration is HLT coset enumeration over the trivial subgroup (Holt,
@@ -35,7 +36,7 @@ A planar Cayley graph is usually embedded by its group: a rotation at
 the identity, repeated at every element and mirrored where a character
 G -> {+1, -1} says so, is tried in every cyclic order, with its faces
 counted on words (`equivariant_rotation`).  Only when none has Euler's
-face count do `planar.planarity_test` and networkx decide.
+face count does `planar.planarity_test`, the left-right test, decide.
 """
 
 from __future__ import annotations
@@ -251,16 +252,20 @@ class GroupTable:
 def surface_signature(pr):
     """(p, m, s) when pr is `surface_presentation(p, m, s)` with no extra
     relators, or (0, (l, m, n), 0) when it is the triangle presentation
-    <x, y | x^l, y^m, (x*y)^n>, l, m, n >= 2, in any relator order and
-    with (y*x)^n as well; else None."""
+    <x, y | x^l, y^m, (x^i*y^j)^n>, l, m, n >= 2, i, j in {1, -1}, in any
+    relator order and with (y^j*x^i)^n as well; else None.  Inverting
+    a generator is an automorphism of the free group that keeps the
+    normal closure of x^l, and (y*x)^n is conjugate to (x*y)^n, so every
+    such spelling presents the same group."""
     rels = pr.relators
     if len(pr.generators) == 2 and len(rels) == 3:
-        x, y = ((g, 1) for g in pr.generators)
+        x, y = pr.generators
         exponent = dict(rels)
-        cone = (exponent.get((x,)), exponent.get((y,)),
-                exponent.get((x, y), exponent.get((y, x))))
-        if len(exponent) == 3 and None not in cone and min(cone) >= 2:
-            return 0, cone, 0
+        cone = [exponent.get(((x, 1),)), exponent.get(((y, 1),))]
+        cone += [n for w, n in rels
+                 if len(w) == 2 and {w[0][0], w[1][0]} == {x, y}]
+        if len(cone) == 3 and None not in cone and min(cone) >= 2:
+            return 0, tuple(cone), 0
     if not rels or rels[-1][1] != 1:
         return None
     p = sum(sign < 0 for _, sign in rels[-1][0]) // 2
@@ -547,8 +552,8 @@ def cayley_graph(tbl, pr):
 # up.  With d of them it tries (d-1)! cyclic orders for each of at most
 # 2^d characters, each order one walk over 2d states plus the orders of
 # its face words, cached per element.  At d = 6 Z_10^3 (960 candidates)
-# is refused in about 25 ms, where networkx takes 1.3 s; at d = 7 there
-# would be 720 orders per character.
+# is refused in about 25 ms, and `planarity_test` then refutes it in
+# about 0.14 s; at d = 7 there would be 720 orders per character.
 MAX_ROTATION_LETTERS = 6
 
 
@@ -634,7 +639,8 @@ def equivariant_rotation(tbl):
     """The vertex -> neighbour order of the first of `rotation_candidates`
     with 2 - |V| + |E| faces, a sphere embedding of the Cayley graph that
     every left translation preserves or mirrors; callers certify it with
-    `planar.certify_embedding`.  None leaves the graph to networkx."""
+    `planar.certify_embedding`.  None leaves the graph to
+    `planar.planarity_test`."""
     if tbl.order == 1:      # no letters: one vertex, and its one face
         return {tbl.identity: []}
     for faces, eps, ring in rotation_candidates(tbl):

@@ -140,7 +140,8 @@ def _cayley(pr, bound, args):
     tbl = coset_enumerate(pr, limit=bound)
     graph = cayley_graph(tbl, pr)
     rotation = equivariant_rotation(tbl)
-    # networkx refutes, or embeds a planar graph the search missed
+    # the left-right test refutes, or embeds a planar graph the search
+    # missed
     res = (planarity_test(graph) if rotation is None
            else certify_embedding(graph, rotation))
     payload = {"order": tbl.order, "generators": tbl.generators,

@@ -1,11 +1,17 @@
 """Planarity with certificates, rotation systems, and faces.
 
 A sphere embedding is accepted only through `certify_embedding`, which
-traces its faces here and checks Euler's formula.  A Cayley graph brings
-its own rotation (`cayley.equivariant_rotation`); otherwise networkx's
-left-right test gives the yes/no answer and a rotation.  The Kuratowski
-subgraph of a nonplanar graph is extracted here, by greedy edge deletion
-in networkx's own order with batched planarity tests.
+traces its faces here and checks Euler's formula, and a refutation only
+through `certify_kuratowski`, which checks that its witness subdivides
+K5 or K3,3.  A Cayley graph brings its own rotation
+(`cayley.equivariant_rotation`); any other graph is decided by the
+left-right planarity test (`_left_right`; Brandes, "The Left-Right
+Planarity Test", 2009, after de Fraysseix, Ossona de Mendez and
+Rosenstiehl, "Tremaux trees and planarity", 2006).  It runs on int
+index arrays, with the adjacency, DFS and tie-breaking orders of the
+networkx implementation, so its rotations are the ones networkx gives.
+The Kuratowski subgraph of a nonplanar graph is found by greedy edge
+deletion in networkx's own order, with batched planarity tests.
 """
 
 from __future__ import annotations
@@ -105,27 +111,28 @@ class PlanarityResult:
 def planarity_test(g):
     """Embed g in the sphere or refute with a Kuratowski subdivision.
 
-    Embeddings pass `certify_embedding`; witnesses are returned as host
-    subgraphs so callers can verify them on their own terms.  A
-    disconnected host raises NotConnected either way.
+    Embeddings pass `certify_embedding` and witnesses `certify_kuratowski`;
+    witnesses are returned as host subgraphs so callers can verify them
+    on their own terms.  A disconnected host raises NotConnected either
+    way.
     """
-    # networkx costs most of the package's import time, so only the
-    # commands that test planarity load it
-    import networkx as nx
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edges)
-    ok, cert = nx.check_planarity(h)
-    if not ok:
+    vs = g.vertices
+    index = {v: i for i, v in enumerate(vs)}
+    order = _edge_order(len(vs), [(index[u], index[v]) for u, v in g.edges])
+    rotation = _left_right(len(vs), order, embed=True)
+    if rotation is None:
         _require_connected(g)
-        kept = _kuratowski_edges(h)
+        kept = [edge_key(vs[a], vs[b]) for a, b in _kuratowski_edges(
+            len(vs), order)]
         ws = Graph(tuple(sorted({v for e in kept for v in e})),
-                   tuple(sorted(edge_key(u, v) for u, v in kept)))
+                   tuple(sorted(kept)))
         invariant(ws.edge_set <= g.edge_set,
                   "Kuratowski witness must live in the host")
+        certify_kuratowski(ws)
         return PlanarityResult(False, None, None, ws)
     # vertex -> neighbors in clockwise order
-    return certify_embedding(g, cert.get_data())
+    return certify_embedding(g, {vs[v]: [vs[w] for w in around]
+                                 for v, around in enumerate(rotation)})
 
 
 def _require_connected(g):
@@ -147,36 +154,370 @@ def certify_embedding(g, neighbor_order):
     return PlanarityResult(True, rot, faces, None)
 
 
-def _kuratowski_edges(h):
-    """Edges of a Kuratowski subgraph of the nonplanar networkx graph h,
-    which is consumed.
+def certify_kuratowski(w):
+    """The graph that w subdivides, "K5" or "K33", in time linear in w.
+
+    Every vertex of w has degree at least 2.  The paths between branch
+    vertices (degree 3 or more) through vertices of degree 2 cover
+    every edge, and with those vertices suppressed w is a simple graph:
+    5 branch vertices of degree 4, pairwise joined, or 6 of degree 3
+    that split into two triples with no path inside either.  Anything
+    else raises InvariantViolated, also under `python -O`.
+    """
+    message = "Kuratowski witness must subdivide K5 or K3,3"
+    invariant(all(w.degree(v) >= 2 for v in w.vertices), message,
+              witness=[v for v in w.vertices if w.degree(v) < 2])
+    branch = [v for v in w.vertices if w.degree(v) > 2]
+    links = set()       # branch pairs joined by a path
+    walked = 0          # edges on those paths, each counted from both ends
+    for b in branch:
+        for x in w.neighbors(b):
+            prev, cur = b, x
+            walked += 1
+            while w.degree(cur) == 2:
+                a, c = w.neighbors(cur)
+                prev, cur = cur, (c if a == prev else a)
+                walked += 1
+            invariant(cur != b, message, witness=b)
+            links.add(edge_key(b, cur))
+    paths = sum(w.degree(b) for b in branch) // 2
+    invariant(walked == 2 * len(w.edges) and len(links) == paths, message,
+              witness=sorted(links))
+    degrees = {w.degree(b) for b in branch}
+    if len(branch) == 5 and degrees == {4}:
+        return "K5"
+    invariant(len(branch) == 6 and degrees == {3}, message,
+              witness=sorted(links))
+    first = branch[0]
+    side = [v for v in branch if edge_key(first, v) not in links]
+    invariant(len(side) == 3 and not any(
+        edge_key(a, b) in links for a in side for b in side if a < b),
+        message, witness=sorted(links))
+    return "K33"
+
+
+def _edge_order(n, edges):
+    """The edges of the graph on 0..n-1 in networkx's edge order: by
+    their lesser endpoint, and at each vertex in the order `edges` lists
+    its edges.  Adjacency lists appended from this order are the ones
+    networkx's left-right test searches, and greedy deletion follows it.
+    """
+    later = [[] for _ in range(n)]
+    for a, b in edges:
+        later[a].append(b)
+        later[b].append(a)
+    return [(u, w) for u in range(n) for w in later[u] if w > u]
+
+
+def _left_right(n, edges, embed=False):
+    """Brandes' left-right planarity test of the simple graph on 0..n-1
+    with the given edge pairs: None when it is not planar, otherwise
+    True, or with `embed` each vertex's neighbours in clockwise order.
+
+    Three iterative phases over edge ids 0..m-1, numbered as the DFS
+    orients them.  The orientation DFS computes `height`, the
+    `lowpt`/`lowpt2` return heights and the nesting depth of each edge.
+    The testing DFS visits each vertex's out-edges by nesting depth and
+    merges their return edges on a stack of conflict pairs, each a list
+    [left low, left high, right low, right high] of edge ids (None for
+    an empty interval), recording for each edge a `ref` edge and the
+    `side` (1 or -1) it has relative to it.  The embedding resolves
+    `side` along `ref` chains, re-sorts by signed nesting depth, and
+    places each back edge at its ancestor, after its `right_ref` (the
+    child entered last) or before its `left_ref` (that child, or the
+    back edge placed there last).  Each vertex's rotation is a cyclic
+    list (`cw`, `ccw`) with a marked first neighbour, as in networkx, so
+    the rotation is the one networkx returns.
+    """
+    m = len(edges)
+    if n > 2 and m > 3 * n - 6:
+        return None
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    # orientation: a DFS from every vertex not reached yet, in order
+    height = [-1] * n
+    parent = [-1] * n           # DFS parent vertex
+    parent_edge = [-1] * n      # id of the tree edge into a vertex
+    src, dst, lowpt, lowpt2 = [], [], [], []
+    nesting = [0] * m
+    out = [[] for _ in range(n)]    # a vertex's out-edges, in DFS order
+    roots = []
+
+    def finish(e):
+        # nesting depth of e, then e's return heights passed to the
+        # edge into its source
+        v = src[e]
+        nesting[e] = 2 * lowpt[e] + (lowpt2[e] < height[v])
+        p = parent_edge[v]
+        if p >= 0:
+            if lowpt[e] < lowpt[p]:
+                lowpt2[p] = min(lowpt[p], lowpt2[e])
+                lowpt[p] = lowpt[e]
+            elif lowpt[e] > lowpt[p]:
+                lowpt2[p] = min(lowpt2[p], lowpt[e])
+            else:
+                lowpt2[p] = min(lowpt2[p], lowpt2[e])
+
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, todo = stack[-1]
+            hv = height[v]
+            for w in todo:
+                hw = height[w]
+                if hw >= 0 and (hw >= hv or w == parent[v]):
+                    continue        # oriented from w already
+                e = len(src)
+                src.append(v)
+                dst.append(w)
+                lowpt2.append(hv)
+                out[v].append(e)
+                if hw < 0:          # tree edge
+                    lowpt.append(hv)
+                    height[w] = hv + 1
+                    parent[w] = v
+                    parent_edge[w] = e
+                    stack.append((w, iter(adj[w])))
+                    break
+                lowpt.append(hw)    # back edge
+                finish(e)
+            else:
+                stack.pop()
+                if parent_edge[v] >= 0:
+                    finish(parent_edge[v])
+
+    # testing
+    m = len(src)
+    ordered = [sorted(es, key=nesting.__getitem__) for es in out]
+    ref = [None] * m
+    side = [1] * m
+    lowpt_edge = [None] * m
+    bottom = [0] * m            # stack height when an edge was entered
+    S = []                      # conflict pairs
+
+    def add_constraints(ei, e):
+        P = [None, None, None, None]
+        # merge the return edges of ei into P's right interval
+        while True:
+            Q = S.pop()
+            if Q[0] is not None or Q[1] is not None:
+                Q = [Q[2], Q[3], Q[0], Q[1]]
+                if Q[0] is not None or Q[1] is not None:
+                    return False
+            if lowpt[Q[2]] > lowpt[e]:
+                if P[2] is None and P[3] is None:
+                    P[3] = Q[3]
+                elif P[2] is not None:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:           # align
+                ref[Q[2]] = lowpt_edge[e]
+            if len(S) == bottom[ei]:
+                break
+        # merge the conflicting return edges of earlier siblings into
+        # P's left interval
+        low = lowpt[ei]
+        while True:
+            T = S[-1]
+            if not ((T[0] is not None or T[1] is not None)
+                    and lowpt[T[1]] > low
+                    or (T[2] is not None or T[3] is not None)
+                    and lowpt[T[3]] > low):
+                break
+            Q = S.pop()
+            if (Q[2] is not None or Q[3] is not None) and lowpt[Q[3]] > low:
+                Q = [Q[2], Q[3], Q[0], Q[1]]
+                if (Q[2] is not None or Q[3] is not None) and \
+                        lowpt[Q[3]] > low:
+                    return False
+            if P[2] is not None:
+                ref[P[2]] = Q[3]
+            if Q[2] is not None:
+                P[2] = Q[2]
+            if P[0] is None and P[1] is None:
+                P[1] = Q[1]
+            elif P[0] is not None:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P != [None, None, None, None]:
+            S.append(P)
+        return True
+
+    def lowest(P):
+        if P[0] is None and P[1] is None:
+            return lowpt[P[2]]
+        if P[2] is None and P[3] is None:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
+
+    def remove_back_edges(e):
+        u = src[e]
+        hu = height[u]
+        # drop the conflict pairs whose edges all return to u
+        while S and lowest(S[-1]) == hu:
+            P = S.pop()
+            if P[0] is not None:
+                side[P[0]] = -1
+        if S:
+            # trim the back edges ending at u from the next one
+            P = S.pop()
+            while P[1] is not None and dst[P[1]] == u:
+                P[1] = ref[P[1]]
+            if P[1] is None and P[0] is not None:     # just emptied
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = None
+            while P[3] is not None and dst[P[3]] == u:
+                P[3] = ref[P[3]]
+            if P[3] is None and P[2] is not None:     # just emptied
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = None
+            S.append(P)
+        # e takes the side of a highest return edge
+        if lowpt[e] < hu:
+            hl, hr = S[-1][1], S[-1][3]
+            ref[e] = hl if hl is not None and (
+                hr is None or lowpt[hl] > lowpt[hr]) else hr
+
+    def integrate(v, ei):
+        # the return edges of ei, an out-edge of v, join those of the
+        # edge into v
+        if lowpt[ei] >= height[v]:
+            return True
+        if ei == ordered[v][0]:
+            lowpt_edge[parent_edge[v]] = lowpt_edge[ei]
+            return True
+        return add_constraints(ei, parent_edge[v])
+
+    for root in roots:
+        stack = [(root, iter(ordered[root]))]
+        while stack:
+            v, todo = stack[-1]
+            for ei in todo:
+                bottom[ei] = len(S)
+                w = dst[ei]
+                if parent_edge[w] == ei:        # tree edge
+                    stack.append((w, iter(ordered[w])))
+                    break
+                lowpt_edge[ei] = ei
+                S.append([None, None, ei, ei])
+                if not integrate(v, ei):
+                    return None
+            else:
+                stack.pop()
+                e = parent_edge[v]
+                if e >= 0:
+                    remove_back_edges(e)
+                    if not integrate(src[e], e):
+                        return None
+    if not embed:
+        return True
+
+    # embedding: each edge's side made absolute along its ref chain
+    for e in range(m):
+        chain = []
+        while ref[e] is not None:
+            chain.append(e)
+            e = ref[e]
+        s = side[e]
+        for x in reversed(chain):
+            s = side[x] = side[x] * s
+            ref[x] = None
+    signed = [side[e] * nesting[e] for e in range(m)]
+    cw = [{} for _ in range(n)]
+    ccw = [{} for _ in range(n)]
+    first = [None] * n
+
+    def place(v, w, before=None, after=None):
+        # w into v's rotation just counterclockwise of `before` (as first
+        # neighbour if `before` was) or just clockwise of `after`
+        if before is None and after is None:
+            cw[v][w] = ccw[v][w] = first[v] = w
+        elif before is not None:
+            c, a = cw[v], ccw[v]
+            prev = a[before]
+            c[w], a[w] = before, prev
+            c[prev] = a[before] = w
+            if first[v] == before:
+                first[v] = w
+        else:
+            c, a = cw[v], ccw[v]
+            nxt = c[after]
+            c[w], a[w] = nxt, after
+            a[nxt] = c[after] = w
+
+    for v in range(n):
+        ordered[v] = sorted(out[v], key=signed.__getitem__)
+        prev = None
+        for e in ordered[v]:
+            place(v, dst[e], after=prev)
+            prev = dst[e]
+    left_ref = [None] * n
+    right_ref = [None] * n
+    for root in roots:
+        stack = [(root, iter(ordered[root]))]
+        while stack:
+            v, todo = stack[-1]
+            for e in todo:
+                w = dst[e]
+                if parent_edge[w] == e:         # tree edge
+                    place(w, v, before=first[w])
+                    left_ref[v] = right_ref[v] = w
+                    stack.append((w, iter(ordered[w])))
+                    break
+                if side[e] == 1:
+                    place(w, v, after=right_ref[w])
+                else:
+                    place(w, v, before=left_ref[w])
+                    left_ref[w] = v
+            else:
+                stack.pop()
+    rotation = []
+    for v in range(n):
+        around = []
+        w = first[v]
+        if w is not None:
+            around.append(w)
+            x = cw[v][w]
+            while x != w:
+                around.append(x)
+                x = cw[v][x]
+        rotation.append(around)
+    return rotation
+
+
+def _kuratowski_edges(n, order):
+    """Edges of a Kuratowski subgraph of the nonplanar graph on 0..n-1
+    whose edges, in networkx's edge order, are `order`.
 
     Greedy deletion in the order of networkx's `get_counterexample`:
-    h's nodes in order, each one's edges in h's adjacency order, each
-    edge tried once from its earlier endpoint; an edge is deleted when
-    the graph stays nonplanar without it.  Planarity is monotone under
-    subgraphs, so a batch whose removal leaves h nonplanar removes
-    exactly the edges that one-by-one deletion would, and the result is
-    the same edge set.  Batches double after such a removal and halve
-    after one that makes h planar; a batch of one that makes h planar
-    keeps its edge.
+    each edge is tried once, and deleted when the graph stays nonplanar
+    without it.  Planarity is monotone under subgraphs, so a batch whose
+    removal leaves the graph nonplanar removes exactly the edges that
+    one-by-one deletion would, and the result is the same edge set.
+    Batches double after such a removal and halve after one that makes
+    the graph planar; a batch of one that makes it planar keeps its
+    edge.  The graph at each test is the kept edges and those not tried
+    yet, less the batch.
     """
-    from networkx import check_planarity
-    position = {v: i for i, v in enumerate(h)}
-    order = [(u, v) for u in h for v in h[u] if position[v] > position[u]]
     kept = []
     i, size = 0, 1
     while i < len(order):
         batch = order[i:i + size]
-        h.remove_edges_from(batch)
-        if not check_planarity(h)[0]:
+        if _left_right(n, kept + order[i + size:]) is None:
             i += len(batch)
             size *= 2
+        elif size == 1:
+            kept.append(batch[0])
+            i += 1
         else:
-            h.add_edges_from(batch)
-            if size == 1:
-                kept.append(batch[0])
-                i += 1
-            else:
-                size //= 2
+            size //= 2
     return kept

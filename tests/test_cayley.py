@@ -223,6 +223,8 @@ CERTIFIED_INFINITE = [
     ("gens: a b; rels: a^2, b^3, (a*b)^7", "-1/42"),
     ("gens: a b; rels: a^2, b^4, (a*b)^4", "0"),
     ("gens: x y; rels: (y*x)^7, y^3, x^2", "-1/42"),
+    # a and b^-1 generate the same (2,3,7) group
+    ("gens: a b; rels: a^2, b^3, (a*b^-1)^7", "-1/42"),
 ]
 
 
@@ -251,12 +253,9 @@ def test_triangle_certificate_reads_only_triangle_presentations():
     # (a*b)^1 is no cone point: b = a^-1 makes the group trivial
     assert coset_enumerate(parse_presentation(
         "gens: a b; rels: a^2, b^3, a*b")).order == 1
-    # a and b^-1 generate the (2,3,7) group as well, but the reader takes
-    # only x*y and y*x: the search runs to its cap
-    with pytest.raises(Overflow) as info:
-        coset_enumerate(parse_presentation(
-            "gens: a b; rels: a^2, b^3, (a*b^-1)^7"), limit=50)
-    assert info.value.witness == {"limit": 50, "defined": 132}
+    # an inverse letter reads the same way, and a finite group enumerates
+    assert coset_enumerate(parse_presentation(
+        "gens: a b; rels: a^2, b^3, (b^-1*a)^5")).order == 60
 
 
 def _plain_spelling(pr):

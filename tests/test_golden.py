@@ -1,12 +1,9 @@
 """CLI stdout pinned byte for byte: exit code and sha256 of every output.
 
 ``golden_cli.json`` maps each command line below to ``[exit code,
-sha256(stdout)]``.  The embeddings, faces and Kuratowski witnesses of
-edge-list commands come from networkx, so the entries of the commands
-that run a planarity test on them are compared only under the networkx
-version the file records.  ``cayley`` entries are compared under every
-version: each ``.pres`` fixture is planar and embedded by its group
-without networkx, and its face count is fixed by Euler's formula.
+sha256(stdout)]``.  The package computes every output itself, its
+embeddings, faces and Kuratowski witnesses included, so every entry is
+compared whatever networkx version, if any, is installed.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -25,7 +22,6 @@ import json
 import os
 import sys
 
-import networkx
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -36,7 +32,6 @@ from planarblocks.cli import run  # noqa: E402
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli.json")
 EDGE_COMMANDS = ("blocks", "triblocks", "planar", "faces", "autos",
                  "quotient", "check")
-PLANARITY_COMMANDS = ("planar", "faces", "check")
 FORMATS = ("text", "json", "dot")
 
 
@@ -78,13 +73,7 @@ def test_golden_file_covers_every_command_line():
 
 @pytest.mark.parametrize("command", EDGE_COMMANDS + ("cayley",))
 def test_output_matches_golden_bytes(command):
-    golden = _load()
-    if command in PLANARITY_COMMANDS and \
-            networkx.__version__ != golden["networkx"]:
-        pytest.skip("%s runs a planarity test; its bytes were recorded "
-                    "under networkx %s, this is %s"
-                    % (command, golden["networkx"], networkx.__version__))
-    runs = [(argv, want) for argv, want in golden["runs"]
+    runs = [(argv, want) for argv, want in _load()["runs"]
             if argv[0] == command]
     assert runs
     moved = [" ".join(argv) for argv, want in runs if outcome(argv) != want]
@@ -92,7 +81,7 @@ def test_output_matches_golden_bytes(command):
 
 
 def test_cayley_bytes_need_no_networkx(monkeypatch):
-    # what lets both CI jobs compare them
+    # each .pres fixture is planar and embedded by its group
     from planarblocks import planar
 
     def refuse(g):
@@ -121,5 +110,4 @@ if __name__ == "__main__":
     runs = ",\n".join(json.dumps([argv, outcome(argv)])
                       for argv in command_lines())
     with open(GOLDEN, "w", encoding="utf-8") as fh:
-        fh.write('{"networkx": %s, "runs": [\n%s\n]}\n'
-                 % (json.dumps(networkx.__version__), runs))
+        fh.write('{"runs": [\n%s\n]}\n' % runs)

@@ -3,10 +3,12 @@ facial symmetry checks."""
 
 import random
 
+import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import complete_graph, g_of, wheel_graph
+from conftest import (complete_graph, cycle_graph, g_of, grid_graph,
+                      path_graph, wheel_graph)
 from oracles import (
     apply_to_face,
     brute_automorphisms,
@@ -24,6 +26,8 @@ from planarblocks import (
     build_graph,
     canonical_face,
     cayley_graph,
+    certify_embedding,
+    certify_kuratowski,
     coset_enumerate,
     facial_walks,
     is_connected,
@@ -32,11 +36,13 @@ from planarblocks import (
     rotation_from_neighbors,
 )
 from planarblocks.errors import (
+    InvariantViolated,
     MalformedInput,
     NotAnAutomorphism,
     NotConnected,
     PreconditionViolated,
 )
+from planarblocks.planar import _left_right
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +190,94 @@ def test_kuratowski_witness_is_the_networkx_one():
         assert res.witness.vertices == tuple(sorted(
             {v for e in res.witness.edges for v in e}))
         assert kuratowski_kind(res.witness) in ("K5", "K33")
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on at most 12 vertices at a drawn edge density, its
+    vertex and edge tuples in a drawn order and its labels spread out."""
+    n = draw(st.integers(1, 12))
+    density = draw(st.floats(0, 1))
+    rng = draw(st.randoms(use_true_random=False))
+    labels = rng.sample(range(3 * n), n)
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    es = [(min(e), max(e)) for e in pairs if rng.random() < density]
+    rng.shuffle(es)
+    return Graph(tuple(labels), tuple(es))
+
+
+def _networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_left_right_agrees_with_networkx(g):
+    ok, cert = nx.check_planarity(_networkx(g))
+    index = {v: i for i, v in enumerate(g.vertices)}
+    edges = [(index[u], index[v]) for u, v in g.edges]
+    assert (_left_right(len(g.vertices), edges) is not None) == ok
+    if not is_connected(g):
+        with pytest.raises(NotConnected):
+            planarity_test(g)
+        return
+    res = planarity_test(g)
+    assert res.planar == ok
+    if ok:
+        rotation = {v: [w for e in res.embedding.rotation[v]
+                        for w in e if w != v] for v in g.vertices}
+        assert certify_embedding(g, rotation).faces == res.faces
+        if nx.__version__ == "3.6.1":
+            # the search, tie-breaking and placement orders of the
+            # networkx release the golden bytes were first recorded with
+            assert rotation == cert.get_data()
+    else:
+        assert res.witness.edges == networkx_kuratowski_edges(g)
+        assert kuratowski_kind(res.witness) in ("K5", "K33")
+        assert certify_kuratowski(res.witness) == kuratowski_kind(res.witness)
+
+
+def test_deep_searches_stay_iterative():
+    # far deeper than the recursion limit, on every phase of the test
+    for g, faces in ((path_graph(5000), 1), (cycle_graph(2000), 2),
+                     (grid_graph(60, 60), 59 * 59 + 1)):
+        res = planarity_test(g)
+        assert res.planar and res.face_count == faces
+    # K5 with one edge subdivided into a 5,000-edge path
+    es = [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)]
+    es += [(0, 5)] + [(v, v + 1) for v in range(5, 5003)] + [(5003, 1)]
+    assert _left_right(5004, es) is None
+
+
+def test_certify_kuratowski_names_the_graph(k5, k33):
+    assert certify_kuratowski(k5) == "K5"
+    assert certify_kuratowski(k33) == "K33"
+    # K3,3 with two edges subdivided
+    sub = g_of("0-3,0-4,0-6,6-5,1-3,1-4,1-5,2-7,7-8,8-3,2-4,2-5")
+    assert certify_kuratowski(sub) == "K33"
+
+
+@pytest.mark.parametrize("edges", [
+    # K5 minus an edge
+    "0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4",
+    # the prism: 6 vertices of degree 3, two triangles
+    "0-1,1-2,2-0,3-4,4-5,5-3,0-3,1-4,2-5",
+    # K5 with a pendant edge
+    "0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4,4-5",
+    # K3,3 plus a disjoint triangle
+    "0-3,0-4,0-5,1-3,1-4,1-5,2-3,2-4,2-5,6-7,7-8,8-6",
+    # K5 with one edge doubled by a path
+    "0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4,0-5,5-1",
+    # a cycle
+    "0-1,1-2,2-0",
+])
+def test_certify_kuratowski_refuses_other_graphs(edges):
+    with pytest.raises(InvariantViolated,
+                       match="Kuratowski witness must subdivide K5 or K3,3"):
+        certify_kuratowski(g_of(edges))
 
 
 def test_planarity_requires_connected():
