@@ -5,13 +5,8 @@ traces its faces here and checks Euler's formula, and a refutation only
 through `certify_kuratowski`, which checks that its witness subdivides
 K5 or K3,3.  A Cayley graph brings its own rotation
 (`cayley.equivariant_rotation`); any other graph is decided by the
-left-right planarity test (`_left_right`; Brandes, "The Left-Right
-Planarity Test", 2009, after de Fraysseix, Ossona de Mendez and
-Rosenstiehl, "Tremaux trees and planarity", 2006).  It runs on int
-index arrays, with the adjacency, DFS and tie-breaking orders of the
-networkx implementation, so its rotations are the ones networkx gives.
-The Kuratowski subgraph of a nonplanar graph is found by greedy edge
-deletion in networkx's own order, with batched planarity tests.
+left-right planarity test of `leftright`, which also finds the
+Kuratowski subgraph of a nonplanar graph.
 """
 
 from __future__ import annotations
@@ -116,14 +111,17 @@ def planarity_test(g):
     on their own terms.  A disconnected host raises NotConnected either
     way.
     """
+    # every command that loads this module compiles it, and only some
+    # of them run the test
+    from .leftright import edge_order, kuratowski_edges, left_right
     vs = g.vertices
     index = {v: i for i, v in enumerate(vs)}
-    order = _edge_order(len(vs), [(index[u], index[v]) for u, v in g.edges])
-    rotation = _left_right(len(vs), order, embed=True)
+    order = edge_order(len(vs), [(index[u], index[v]) for u, v in g.edges])
+    rotation = left_right(len(vs), order, embed=True)
     if rotation is None:
         _require_connected(g)
-        kept = [edge_key(vs[a], vs[b]) for a, b in _kuratowski_edges(
-            len(vs), order)]
+        kept = [edge_key(vs[a], vs[b])
+                for a, b in kuratowski_edges(len(vs), order)]
         ws = Graph(tuple(sorted({v for e in kept for v in e})),
                    tuple(sorted(kept)))
         invariant(ws.edge_set <= g.edge_set,
@@ -194,330 +192,3 @@ def certify_kuratowski(w):
         edge_key(a, b) in links for a in side for b in side if a < b),
         message, witness=sorted(links))
     return "K33"
-
-
-def _edge_order(n, edges):
-    """The edges of the graph on 0..n-1 in networkx's edge order: by
-    their lesser endpoint, and at each vertex in the order `edges` lists
-    its edges.  Adjacency lists appended from this order are the ones
-    networkx's left-right test searches, and greedy deletion follows it.
-    """
-    later = [[] for _ in range(n)]
-    for a, b in edges:
-        later[a].append(b)
-        later[b].append(a)
-    return [(u, w) for u in range(n) for w in later[u] if w > u]
-
-
-def _left_right(n, edges, embed=False):
-    """Brandes' left-right planarity test of the simple graph on 0..n-1
-    with the given edge pairs: None when it is not planar, otherwise
-    True, or with `embed` each vertex's neighbours in clockwise order.
-
-    Three iterative phases over edge ids 0..m-1, numbered as the DFS
-    orients them.  The orientation DFS computes `height`, the
-    `lowpt`/`lowpt2` return heights and the nesting depth of each edge.
-    The testing DFS visits each vertex's out-edges by nesting depth and
-    merges their return edges on a stack of conflict pairs, each a list
-    [left low, left high, right low, right high] of edge ids (None for
-    an empty interval), recording for each edge a `ref` edge and the
-    `side` (1 or -1) it has relative to it.  The embedding resolves
-    `side` along `ref` chains, re-sorts by signed nesting depth, and
-    places each back edge at its ancestor, after its `right_ref` (the
-    child entered last) or before its `left_ref` (that child, or the
-    back edge placed there last).  Each vertex's rotation is a cyclic
-    list (`cw`, `ccw`) with a marked first neighbour, as in networkx, so
-    the rotation is the one networkx returns.
-    """
-    m = len(edges)
-    if n > 2 and m > 3 * n - 6:
-        return None
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    # orientation: a DFS from every vertex not reached yet, in order
-    height = [-1] * n
-    parent = [-1] * n           # DFS parent vertex
-    parent_edge = [-1] * n      # id of the tree edge into a vertex
-    src, dst, lowpt, lowpt2 = [], [], [], []
-    nesting = [0] * m
-    out = [[] for _ in range(n)]    # a vertex's out-edges, in DFS order
-    roots = []
-
-    def finish(e):
-        # nesting depth of e, then e's return heights passed to the
-        # edge into its source
-        v = src[e]
-        nesting[e] = 2 * lowpt[e] + (lowpt2[e] < height[v])
-        p = parent_edge[v]
-        if p >= 0:
-            if lowpt[e] < lowpt[p]:
-                lowpt2[p] = min(lowpt[p], lowpt2[e])
-                lowpt[p] = lowpt[e]
-            elif lowpt[e] > lowpt[p]:
-                lowpt2[p] = min(lowpt2[p], lowpt[e])
-            else:
-                lowpt2[p] = min(lowpt2[p], lowpt2[e])
-
-    for root in range(n):
-        if height[root] >= 0:
-            continue
-        height[root] = 0
-        roots.append(root)
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            v, todo = stack[-1]
-            hv = height[v]
-            for w in todo:
-                hw = height[w]
-                if hw >= 0 and (hw >= hv or w == parent[v]):
-                    continue        # oriented from w already
-                e = len(src)
-                src.append(v)
-                dst.append(w)
-                lowpt2.append(hv)
-                out[v].append(e)
-                if hw < 0:          # tree edge
-                    lowpt.append(hv)
-                    height[w] = hv + 1
-                    parent[w] = v
-                    parent_edge[w] = e
-                    stack.append((w, iter(adj[w])))
-                    break
-                lowpt.append(hw)    # back edge
-                finish(e)
-            else:
-                stack.pop()
-                if parent_edge[v] >= 0:
-                    finish(parent_edge[v])
-
-    # testing
-    m = len(src)
-    ordered = [sorted(es, key=nesting.__getitem__) for es in out]
-    ref = [None] * m
-    side = [1] * m
-    lowpt_edge = [None] * m
-    bottom = [0] * m            # stack height when an edge was entered
-    S = []                      # conflict pairs
-
-    def add_constraints(ei, e):
-        P = [None, None, None, None]
-        # merge the return edges of ei into P's right interval
-        while True:
-            Q = S.pop()
-            if Q[0] is not None or Q[1] is not None:
-                Q = [Q[2], Q[3], Q[0], Q[1]]
-                if Q[0] is not None or Q[1] is not None:
-                    return False
-            if lowpt[Q[2]] > lowpt[e]:
-                if P[2] is None and P[3] is None:
-                    P[3] = Q[3]
-                elif P[2] is not None:
-                    ref[P[2]] = Q[3]
-                P[2] = Q[2]
-            else:           # align
-                ref[Q[2]] = lowpt_edge[e]
-            if len(S) == bottom[ei]:
-                break
-        # merge the conflicting return edges of earlier siblings into
-        # P's left interval
-        low = lowpt[ei]
-        while True:
-            T = S[-1]
-            if not ((T[0] is not None or T[1] is not None)
-                    and lowpt[T[1]] > low
-                    or (T[2] is not None or T[3] is not None)
-                    and lowpt[T[3]] > low):
-                break
-            Q = S.pop()
-            if (Q[2] is not None or Q[3] is not None) and lowpt[Q[3]] > low:
-                Q = [Q[2], Q[3], Q[0], Q[1]]
-                if (Q[2] is not None or Q[3] is not None) and \
-                        lowpt[Q[3]] > low:
-                    return False
-            if P[2] is not None:
-                ref[P[2]] = Q[3]
-            if Q[2] is not None:
-                P[2] = Q[2]
-            if P[0] is None and P[1] is None:
-                P[1] = Q[1]
-            elif P[0] is not None:
-                ref[P[0]] = Q[1]
-            P[0] = Q[0]
-        if P != [None, None, None, None]:
-            S.append(P)
-        return True
-
-    def lowest(P):
-        if P[0] is None and P[1] is None:
-            return lowpt[P[2]]
-        if P[2] is None and P[3] is None:
-            return lowpt[P[0]]
-        return min(lowpt[P[0]], lowpt[P[2]])
-
-    def remove_back_edges(e):
-        u = src[e]
-        hu = height[u]
-        # drop the conflict pairs whose edges all return to u
-        while S and lowest(S[-1]) == hu:
-            P = S.pop()
-            if P[0] is not None:
-                side[P[0]] = -1
-        if S:
-            # trim the back edges ending at u from the next one
-            P = S.pop()
-            while P[1] is not None and dst[P[1]] == u:
-                P[1] = ref[P[1]]
-            if P[1] is None and P[0] is not None:     # just emptied
-                ref[P[0]] = P[2]
-                side[P[0]] = -1
-                P[0] = None
-            while P[3] is not None and dst[P[3]] == u:
-                P[3] = ref[P[3]]
-            if P[3] is None and P[2] is not None:     # just emptied
-                ref[P[2]] = P[0]
-                side[P[2]] = -1
-                P[2] = None
-            S.append(P)
-        # e takes the side of a highest return edge
-        if lowpt[e] < hu:
-            hl, hr = S[-1][1], S[-1][3]
-            ref[e] = hl if hl is not None and (
-                hr is None or lowpt[hl] > lowpt[hr]) else hr
-
-    def integrate(v, ei):
-        # the return edges of ei, an out-edge of v, join those of the
-        # edge into v
-        if lowpt[ei] >= height[v]:
-            return True
-        if ei == ordered[v][0]:
-            lowpt_edge[parent_edge[v]] = lowpt_edge[ei]
-            return True
-        return add_constraints(ei, parent_edge[v])
-
-    for root in roots:
-        stack = [(root, iter(ordered[root]))]
-        while stack:
-            v, todo = stack[-1]
-            for ei in todo:
-                bottom[ei] = len(S)
-                w = dst[ei]
-                if parent_edge[w] == ei:        # tree edge
-                    stack.append((w, iter(ordered[w])))
-                    break
-                lowpt_edge[ei] = ei
-                S.append([None, None, ei, ei])
-                if not integrate(v, ei):
-                    return None
-            else:
-                stack.pop()
-                e = parent_edge[v]
-                if e >= 0:
-                    remove_back_edges(e)
-                    if not integrate(src[e], e):
-                        return None
-    if not embed:
-        return True
-
-    # embedding: each edge's side made absolute along its ref chain
-    for e in range(m):
-        chain = []
-        while ref[e] is not None:
-            chain.append(e)
-            e = ref[e]
-        s = side[e]
-        for x in reversed(chain):
-            s = side[x] = side[x] * s
-            ref[x] = None
-    signed = [side[e] * nesting[e] for e in range(m)]
-    cw = [{} for _ in range(n)]
-    ccw = [{} for _ in range(n)]
-    first = [None] * n
-
-    def place(v, w, before=None, after=None):
-        # w into v's rotation just counterclockwise of `before` (as first
-        # neighbour if `before` was) or just clockwise of `after`
-        if before is None and after is None:
-            cw[v][w] = ccw[v][w] = first[v] = w
-        elif before is not None:
-            c, a = cw[v], ccw[v]
-            prev = a[before]
-            c[w], a[w] = before, prev
-            c[prev] = a[before] = w
-            if first[v] == before:
-                first[v] = w
-        else:
-            c, a = cw[v], ccw[v]
-            nxt = c[after]
-            c[w], a[w] = nxt, after
-            a[nxt] = c[after] = w
-
-    for v in range(n):
-        ordered[v] = sorted(out[v], key=signed.__getitem__)
-        prev = None
-        for e in ordered[v]:
-            place(v, dst[e], after=prev)
-            prev = dst[e]
-    left_ref = [None] * n
-    right_ref = [None] * n
-    for root in roots:
-        stack = [(root, iter(ordered[root]))]
-        while stack:
-            v, todo = stack[-1]
-            for e in todo:
-                w = dst[e]
-                if parent_edge[w] == e:         # tree edge
-                    place(w, v, before=first[w])
-                    left_ref[v] = right_ref[v] = w
-                    stack.append((w, iter(ordered[w])))
-                    break
-                if side[e] == 1:
-                    place(w, v, after=right_ref[w])
-                else:
-                    place(w, v, before=left_ref[w])
-                    left_ref[w] = v
-            else:
-                stack.pop()
-    rotation = []
-    for v in range(n):
-        around = []
-        w = first[v]
-        if w is not None:
-            around.append(w)
-            x = cw[v][w]
-            while x != w:
-                around.append(x)
-                x = cw[v][x]
-        rotation.append(around)
-    return rotation
-
-
-def _kuratowski_edges(n, order):
-    """Edges of a Kuratowski subgraph of the nonplanar graph on 0..n-1
-    whose edges, in networkx's edge order, are `order`.
-
-    Greedy deletion in the order of networkx's `get_counterexample`:
-    each edge is tried once, and deleted when the graph stays nonplanar
-    without it.  Planarity is monotone under subgraphs, so a batch whose
-    removal leaves the graph nonplanar removes exactly the edges that
-    one-by-one deletion would, and the result is the same edge set.
-    Batches double after such a removal and halve after one that makes
-    the graph planar; a batch of one that makes it planar keeps its
-    edge.  The graph at each test is the kept edges and those not tried
-    yet, less the batch.
-    """
-    kept = []
-    i, size = 0, 1
-    while i < len(order):
-        batch = order[i:i + size]
-        if _left_right(n, kept + order[i + size:]) is None:
-            i += len(batch)
-            size *= 2
-        elif size == 1:
-            kept.append(batch[0])
-            i += 1
-        else:
-            size //= 2
-    return kept

@@ -562,7 +562,8 @@ CLI_MODULES = ["planarblocks", "planarblocks.cli", "planarblocks.errors",
 def test_each_command_loads_only_its_modules(tmp_path):
     # no command loads networkx, which is a test oracle only; blocks2,
     # cayley, planar and symmetry are loaded only by the commands that
-    # run them
+    # run them, and leftright only by a planarity test, which a planar
+    # group's Cayley graph does not need
     z3xz3 = tmp_path / "z3xz3.pres"
     z3xz3.write_text("gens: a b\nrels: a^3, b^3, (a*b*a^-1*b^-1)\n")
     trivial = tmp_path / "trivial.pres"
@@ -570,10 +571,10 @@ def test_each_command_loads_only_its_modules(tmp_path):
     runs = {("blocks", fx("path4.edges")): ["blocks1", "separation"],
             ("triblocks", fx("k4.edges")): ["blocks1", "blocks2",
                                             "separation"],
-            ("planar", fx("k4.edges")): ["planar"],
+            ("planar", fx("k4.edges")): ["leftright", "planar"],
             ("cayley", fx("d3.pres")): ["cayley", "planar"],
             ("cayley", str(trivial)): ["cayley", "planar"],
-            ("cayley", str(z3xz3)): ["cayley", "planar"]}
+            ("cayley", str(z3xz3)): ["cayley", "leftright", "planar"]}
     for (cmd, path), extra in runs.items():
         proc = _python(["-c", MODULES_LOADED, cmd, path])
         assert proc.returncode == 0, proc.stderr

@@ -42,7 +42,7 @@ from planarblocks.errors import (
     NotConnected,
     PreconditionViolated,
 )
-from planarblocks.planar import _left_right
+from planarblocks.leftright import left_right
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_left_right_agrees_with_networkx(g):
     ok, cert = nx.check_planarity(_networkx(g))
     index = {v: i for i, v in enumerate(g.vertices)}
     edges = [(index[u], index[v]) for u, v in g.edges]
-    assert (_left_right(len(g.vertices), edges) is not None) == ok
+    assert (left_right(len(g.vertices), edges) is not None) == ok
     if not is_connected(g):
         with pytest.raises(NotConnected):
             planarity_test(g)
@@ -249,7 +249,7 @@ def test_deep_searches_stay_iterative():
     # K5 with one edge subdivided into a 5,000-edge path
     es = [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)]
     es += [(0, 5)] + [(v, v + 1) for v in range(5, 5003)] + [(5003, 1)]
-    assert _left_right(5004, es) is None
+    assert left_right(5004, es) is None
 
 
 def test_certify_kuratowski_names_the_graph(k5, k33):
