@@ -111,8 +111,8 @@ def planarity_test(g):
     on their own terms.  A disconnected host raises NotConnected either
     way.
     """
-    # every command that loads this module compiles it, and only some
-    # of them run the test
+    # imported here, so that certifying a given rotation, all that a
+    # planar Cayley graph needs, does not load the test
     from .leftright import edge_order, kuratowski_edges, left_right
     vs = g.vertices
     index = {v: i for i, v in enumerate(vs)}
