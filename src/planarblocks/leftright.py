@@ -256,17 +256,16 @@ def left_right(n, edges, embed=False):
     def place(v, w, before=None, after=None):
         # w into v's rotation just counterclockwise of `before` (as first
         # neighbour if `before` was) or just clockwise of `after`
+        c, a = cw[v], ccw[v]
         if before is None and after is None:
-            cw[v][w] = ccw[v][w] = first[v] = w
+            c[w] = a[w] = first[v] = w
         elif before is not None:
-            c, a = cw[v], ccw[v]
             prev = a[before]
             c[w], a[w] = before, prev
             c[prev] = a[before] = w
             if first[v] == before:
                 first[v] = w
         else:
-            c, a = cw[v], ccw[v]
             nxt = c[after]
             c[w], a[w] = nxt, after
             a[nxt] = c[after] = w
@@ -328,12 +327,11 @@ def kuratowski_edges(n, order):
     kept = []
     i, size = 0, 1
     while i < len(order):
-        batch = order[i:i + size]
         if left_right(n, kept + order[i + size:]) is None:
-            i += len(batch)
+            i += size
             size *= 2
         elif size == 1:
-            kept.append(batch[0])
+            kept.append(order[i])
             i += 1
         else:
             size //= 2

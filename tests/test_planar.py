@@ -206,17 +206,13 @@ def small_graphs(draw):
     return Graph(tuple(labels), tuple(es))
 
 
-def _networkx(g):
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edges)
-    return h
-
-
 @settings(max_examples=300, deadline=None)
 @given(small_graphs())
 def test_left_right_agrees_with_networkx(g):
-    ok, cert = nx.check_planarity(_networkx(g))
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    ok, cert = nx.check_planarity(h)
     index = {v: i for i, v in enumerate(g.vertices)}
     edges = [(index[u], index[v]) for u, v in g.edges]
     assert (left_right(len(g.vertices), edges) is not None) == ok
