@@ -23,7 +23,7 @@ _EXPORTS = {
               "parse_edge_list"),
     "planar": ("PlanarityResult", "RotationSystem", "canonical_face",
                "certify_embedding", "certify_kuratowski", "facial_walks",
-               "planarity_test", "rotation_from_neighbors"),
+               "planarity_test"),
     "separation": ("Separation", "make_separation", "pull_back_separation",
                    "separation_complement"),
     "symmetry": ("AutGroup", "QuotientGraph", "automorphism_group",

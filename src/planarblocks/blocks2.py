@@ -27,15 +27,13 @@ the lifted sides stay nested.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import HingeVertex, MalformedInput, NotConnected, invariant
 from .graph import (Graph, connected_components, edge_key, homeomorphic_reduce,
-                    is_connected, is_simple_cycle,
-                    is_three_connected_by_cutsets, is_two_connected, two_cuts)
+                    is_connected, is_simple_cycle, is_two_connected, two_cuts)
 from .separation import component_side, separation_complement
 from .treeset import NestedFamily, StructureTree, build_structure_tree
 from .blocks1 import b1_family
@@ -180,8 +178,8 @@ def _region_parts(tree, ci):
     return zprime, z, tuple(sorted(virtuals)), gens
 
 
-def _bfs_path(g, src, dst, avoid):
-    """Shortest src-dst path with internals outside `avoid`, or None."""
+def _bfs_path(g, src, dst):
+    """Shortest src-dst path, or None."""
     if src == dst:
         return (src,)
     prev = {src: None}
@@ -189,7 +187,7 @@ def _bfs_path(g, src, dst, avoid):
     while queue:
         x = queue.popleft()
         for y in g.neighbors(x):
-            if y in prev or (y != dst and y in avoid):
+            if y in prev:
                 continue
             prev[y] = x
             if y == dst:
@@ -228,15 +226,13 @@ def torso(g, tree, v):
     invariant(is_connected(z), "torso must be connected")
     if len(z.vertices) >= 3:
         invariant(is_two_connected(z), "torso must be 2-connected")
-    hinge_vertices = {x for k in virtuals for x in k}
+    # the member side meets the region only at its hinge, so its path
+    # crosses no other hinge
     paths = {}
     for k in virtuals:
         e = gens[k]
         side = Graph(tuple(sorted(e.va)), tuple(sorted(e.ea)))
-        path = _bfs_path(side, k[0], k[1], hinge_vertices - set(k))
-        if path is None:
-            warnings.warn("witness path had to cross another hinge")
-            path = _bfs_path(side, k[0], k[1], set())
+        path = _bfs_path(side, k[0], k[1])
         invariant(path is not None, "member side must connect its hinge")
         paths[k] = path
     interiors = []
@@ -248,21 +244,22 @@ def torso(g, tree, v):
     for a, b in combinations(interiors, 2):
         invariant(not a & b, "witness paths must be internally disjoint")
     wvs = set(zprime.vertices)
-    wes = set(zprime.edges)
+    path_edges = set()
     for k in virtuals:
         walk = paths[k]
         wvs.update(walk)
-        for i in range(len(walk) - 1):
-            wes.add(edge_key(walk[i], walk[i + 1]))
-    witness = Graph(tuple(sorted(wvs)), tuple(sorted(wes)))
+        path_edges.update(edge_key(x, y) for x, y in zip(walk, walk[1:]))
+    witness = Graph(tuple(sorted(wvs)),
+                    tuple(sorted(path_edges.union(zprime.edges))))
     invariant(set(witness.edges) <= g.edge_set, "witness must live in the host")
     for inner in interiors:
         for w in inner:
             invariant(witness.degree(w) == 2,
                       "subdivision vertices have degree 2")
     # contracting each path back to its virtual edge must give z exactly
-    invariant(Graph(zprime.vertices,
-                    tuple(sorted(set(zprime.edges) | set(virtuals)))) == z,
+    kept = witness.edge_set - path_edges
+    invariant(witness.vertex_set.difference(*interiors) == z.vertex_set
+              and kept.union(virtuals) == z.edge_set,
               "witness paths must contract to the torso")
     return Torso(v, zprime, virtuals, z, witness, paths, gens)
 
@@ -328,11 +325,12 @@ def triblock_tree(g):
 
 
 def _classify(z):
-    if is_simple_cycle(z):
+    # torso() has found z connected, and 2-connected from 3 vertices on
+    if len(z.vertices) >= 3 and all(z.degree(v) == 2 for v in z.vertices):
         return KIND_CYCLE
     if len(z.vertices) <= 3:
         return KIND_THREE_CONNECTED
-    invariant(is_three_connected_by_cutsets(z),
+    invariant(next(two_cuts(z), None) is None,
               "non-cycle torso of the final tree must be 3-connected")
     return KIND_THREE_CONNECTED
 

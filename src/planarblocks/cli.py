@@ -22,11 +22,12 @@ from . import serialize
 from .errors import (DEFAULT_AUT_BOUND, DEFAULT_COSET_LIMIT, InvariantViolated,
                      MalformedInput, PlanarBlocksError, PreconditionViolated,
                      invariant)
-from .graph import connected_components, homeomorphic_reduce, induced_subgraph
-from .treeset import verify_tree_correspondence
+from .graph import (connected_components, edge_key, homeomorphic_reduce,
+                    induced_subgraph)
 
 
 def _verify(tree):
+    from .treeset import verify_tree_correspondence
     report = verify_tree_correspondence(tree)
     invariant(report["ok"], "tree verification failed", report["violations"])
 
@@ -95,19 +96,21 @@ def _planar(g, bound, args):
     res = planarity_test(g)
     if not res.planar:
         return {"planar": False, "witness": res.witness}
-    return {"planar": True, "rotation": res.embedding.rotation,
-            "faces": res.faces, "face_count": res.face_count}
+    rotation = {v: tuple(edge_key(v, w) for w in around)
+                for v, around in res.embedding.rotation.items()}
+    return {"planar": True, "rotation": rotation, "faces": res.faces,
+            "face_count": res.face_count}
 
 
 def _faces(g, bound, args):
-    from .planar import facial_walks, planarity_test
+    from .planar import planarity_test
     res = planarity_test(g)
     if not res.planar:
         raise PreconditionViolated(
             "faces need a planar host",
             witness=[list(e) for e in res.witness.edges])
-    walks = facial_walks(res.embedding)
-    return {"face_count": len(walks), "faces": res.faces, "walks": walks}
+    return {"face_count": res.face_count, "faces": res.faces,
+            "walks": res.walks}
 
 
 def _autos(g, bound, args):

@@ -41,10 +41,6 @@ class Graph:
                                   hash=False, default=None)
     edge_set: frozenset = field(init=False, repr=False, compare=False,
                                 hash=False, default=None)
-    # vertex -> its incident edge keys, filled on first request so that
-    # short-lived subgraphs pay nothing for it
-    _incident: dict = field(init=False, repr=False, compare=False,
-                            hash=False, default=None)
 
     def __post_init__(self):
         adj = {v: [] for v in self.vertices}
@@ -56,7 +52,6 @@ class Graph:
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "vertex_set", frozenset(self.vertices))
         object.__setattr__(self, "edge_set", frozenset(self.edges))
-        object.__setattr__(self, "_incident", {})
 
     def __hash__(self):
         return hash((self.vertices, self.edges))
@@ -66,13 +61,6 @@ class Graph:
 
     def degree(self, v):
         return len(self._adj[v])
-
-    def incident_edges(self, v):
-        es = self._incident.get(v)
-        if es is None:
-            es = self._incident[v] = tuple(edge_key(v, w)
-                                           for w in self._adj[v])
-        return es
 
     def has_edge(self, u, v):
         return edge_key(u, v) in self.edge_set
@@ -332,13 +320,6 @@ def is_two_connected(g):
     """At least 3 vertices, connected, and no cut vertex."""
     return (len(g.vertices) >= 3 and is_connected(g)
             and not _lowpoint_dfs(g)[2])
-
-
-def is_three_connected_by_cutsets(g):
-    """Cutset criterion used by the decomposition layer: at least 4
-    vertices and no cutset of size at most 2, so K4 passes."""
-    return (len(g.vertices) >= 4 and is_two_connected(g)
-            and next(two_cuts(g), None) is None)
 
 
 @dataclass(frozen=True)

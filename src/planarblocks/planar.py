@@ -1,9 +1,14 @@
 """Planarity with certificates, rotation systems, and faces.
 
-A sphere embedding is accepted only through `certify_embedding`, which
-traces its faces here and checks Euler's formula, and a refutation only
-through `certify_kuratowski`, which checks that its witness subdivides
-K5 or K3,3.  A Cayley graph brings its own rotation
+A rotation is held in one form, each vertex's neighbours in cyclic
+order, from the left-right test or the group that gives it to the
+`planar` command, which prints it as edge keys.  A sphere embedding is
+accepted only through `certify_embedding`, which traces its faces once
+(`facial_walks`, one successor per dart) and checks Euler's formula;
+the result keeps the walks, and only the commands that print faces
+canonicalise them (`PlanarityResult.faces`).  A refutation is accepted
+only through `certify_kuratowski`, which checks that its witness
+subdivides K5 or K3,3.  A Cayley graph brings its own rotation
 (`cayley.equivariant_rotation`); any other graph is decided by the
 left-right planarity test of `leftright`, which also finds the
 Kuratowski subgraph of a nonplanar graph.
@@ -12,6 +17,7 @@ Kuratowski subgraph of a nonplanar graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MalformedInput, NotConnected, invariant
 from .graph import Graph, edge_key, is_connected
@@ -20,31 +26,15 @@ from .graph import Graph, edge_key, is_connected
 @dataclass(frozen=True)
 class RotationSystem:
     host: Graph
-    rotation: dict  # vertex -> cyclic tuple of incident edges
+    rotation: dict  # vertex -> its neighbours in cyclic order
 
     def __post_init__(self):
         for v in self.host.vertices:
             around = self.rotation.get(v, ())
-            if sorted(around) != sorted(self.host.incident_edges(v)):
+            if tuple(sorted(around)) != self.host.neighbors(v):
                 raise MalformedInput(
                     "rotation at a vertex must permute its incident edges",
                     witness=v)
-
-    def next_dart(self, u, v):
-        """Dart following (u, v) on the face to its left: turn sharp
-        left at v, i.e. take the successor of uv in v's rotation."""
-        around = self.rotation[v]
-        i = around.index(edge_key(u, v))
-        e = around[(i + 1) % len(around)]
-        w = e[0] if e[1] == v else e[1]
-        return (v, w)
-
-
-def rotation_from_neighbors(g, neighbor_order):
-    """RotationSystem from a vertex -> ordered neighbor list map."""
-    rot = {v: tuple(edge_key(v, w) for w in neighbor_order.get(v, ()))
-           for v in g.vertices}
-    return RotationSystem(g, rot)
 
 
 def canonical_face(walk):
@@ -64,27 +54,29 @@ def canonical_face(walk):
 def facial_walks(r):
     """Closed walks partitioning the darts, traced by the sharp-left rule.
 
-    Each walk is the vertex sequence (one entry per dart).  An edgeless
-    host gets the single empty outer face so Euler counts stay honest.
+    The dart (u, v) is followed by (v, w), w the neighbour after u in
+    v's rotation.  Each walk is the vertex sequence (one entry per dart)
+    and starts at the least dart no earlier walk used.  An edgeless host
+    gets the single empty outer face so Euler counts stay honest.
     """
     g = r.host
     if not g.edges:
         return (((),) if len(g.vertices) else ())
-    # each walk starts at the least dart no earlier walk used
-    darts = sorted([(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges])
-    used = set()
+    # dart -> the head of the dart after it, removed once the dart is used
+    after = {(u, v): w for v, around in r.rotation.items()
+             for u, w in zip(around, around[1:] + around[:1])}
     walks = []
-    for start in darts:
-        if start in used:
+    for start in [(u, v) for u in sorted(g.vertices) for v in g.neighbors(u)]:
+        if start not in after:
             continue
         dart = start
         walk = []
         while True:
-            invariant(dart not in used, "faces must partition the darts",
+            w = after.pop(dart, None)
+            invariant(w is not None, "faces must partition the darts",
                       witness=dart)
-            used.add(dart)
             walk.append(dart[0])
-            dart = r.next_dart(*dart)
+            dart = (dart[1], w)
             if dart == start:
                 break
         walks.append(tuple(walk))
@@ -95,12 +87,19 @@ def facial_walks(r):
 class PlanarityResult:
     planar: bool
     embedding: RotationSystem | None
-    faces: tuple | None      # canonicalized facial walks
+    walks: tuple | None      # facial walks as `facial_walks` traced them
     witness: Graph | None    # Kuratowski subdivision when nonplanar
+
+    @cached_property
+    def faces(self):
+        """The facial walks canonicalised and sorted."""
+        if self.walks is None:
+            return None
+        return tuple(sorted(canonical_face(w) for w in self.walks))
 
     @property
     def face_count(self):
-        return len(self.faces) if self.faces is not None else None
+        return len(self.walks) if self.walks is not None else None
 
 
 def planarity_test(g):
@@ -139,17 +138,16 @@ def _require_connected(g):
 
 
 def certify_embedding(g, neighbor_order):
-    """The sphere embedding of g given by a vertex -> neighbor order map,
-    once g is connected, the rotation permutes each vertex's edges, the
-    faces partition the darts and V - E + F = 2; each check raises, also
-    under `python -O`."""
+    """The sphere embedding of g given by a vertex -> neighbours in
+    cyclic order map, once g is connected, each vertex's order permutes
+    its neighbours, the faces traced once partition the darts and
+    V - E + F = 2; each check raises, also under `python -O`."""
     _require_connected(g)
-    rot = rotation_from_neighbors(g, neighbor_order)
-    walks = facial_walks(rot)
-    faces = tuple(sorted(canonical_face(w) for w in walks))
-    invariant(len(g.vertices) - len(g.edges) + len(faces) == 2,
+    r = RotationSystem(g, neighbor_order)
+    walks = facial_walks(r)
+    invariant(len(g.vertices) - len(g.edges) + len(walks) == 2,
               "sphere embeddings satisfy Euler's formula")
-    return PlanarityResult(True, rot, faces, None)
+    return PlanarityResult(True, r, walks, None)
 
 
 def certify_kuratowski(w):

@@ -16,8 +16,7 @@ from planarblocks.errors import (MalformedInput, NotAnAutomorphism,
                                  NotConnected, PreconditionViolated, invariant)
 from planarblocks.graph import (Graph, build_graph, connected_components,
                                 edge_key, induced_subgraph, is_connected,
-                                is_simple_cycle, is_three_connected_by_cutsets,
-                                is_two_connected)
+                                is_simple_cycle, is_two_connected, two_cuts)
 from planarblocks.planar import canonical_face, facial_walks, planarity_test
 from planarblocks.separation import (Separation, component_side,
                                      make_separation, separation_complement)
@@ -41,6 +40,13 @@ def separating_sets(g, size):
         comps = connected_components(g, drop)
         if len(comps) > 1:
             yield drop, comps
+
+
+def is_three_connected_by_cutsets(g):
+    """Cutset criterion used by the decomposition layer: at least 4
+    vertices and no cutset of size at most 2, so K4 passes."""
+    return (len(g.vertices) >= 4 and is_two_connected(g)
+            and next(two_cuts(g), None) is None)
 
 
 def lowpoint_blocks(g):
@@ -334,7 +340,7 @@ def edge_subset_separations(g, boundary_size):
         va = {x for e in ea for x in e}
         border = frozenset(
             v for v in va
-            if any(e not in ea for e in g.incident_edges(v)))
+            if any(edge_key(v, w) not in ea for w in g.neighbors(v)))
         if len(border) != boundary_size:
             continue
         if boundary_size == 2:
@@ -447,10 +453,10 @@ def separation_fault(host, va, ea, boundary):
     if any(u not in va or v not in va for u, v in ea):
         return "edge of ea leaves va"
     for w in va - boundary:
-        if any(e not in ea for e in host.incident_edges(w)):
+        if any(edge_key(w, x) not in ea for x in host.neighbors(w)):
             return "interior vertex missing incident edges"
     for b in boundary:
-        inside = sum(e in ea for e in host.incident_edges(b))
+        inside = sum(edge_key(b, x) in ea for x in host.neighbors(b))
         if inside == 0 or inside == host.degree(b):
             return "boundary vertex needs incident edges on both sides"
     if len(boundary) == 2:
@@ -594,6 +600,41 @@ def brute_canonical_face(walk):
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def edge_key_facial_walks(r):
+    """The facial walks of the rotation system r, traced the way the
+    package once did: each vertex's rotation rewritten as edge keys, and
+    each dart's successor found by looking its edge up in the rotation
+    at its head.  The walks start at the least unused dart, in order."""
+    g = r.host
+    rot = {v: tuple(edge_key(v, w) for w in r.rotation.get(v, ()))
+           for v in g.vertices}
+
+    def next_dart(u, v):
+        around = rot[v]
+        e = around[(around.index(edge_key(u, v)) + 1) % len(around)]
+        return (v, e[0] if e[1] == v else e[1])
+
+    if not g.edges:
+        return (((),) if len(g.vertices) else ())
+    darts = sorted([(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges])
+    used = set()
+    walks = []
+    for start in darts:
+        if start in used:
+            continue
+        dart, walk = start, []
+        while True:
+            invariant(dart not in used, "faces must partition the darts",
+                      witness=dart)
+            used.add(dart)
+            walk.append(dart[0])
+            dart = next_dart(*dart)
+            if dart == start:
+                break
+        walks.append(tuple(walk))
+    return tuple(walks)
 
 
 def euler_genus(r):

@@ -19,8 +19,7 @@ from planarblocks import (
     triblock_tree,
     verify_tree_correspondence,
 )
-from planarblocks.graph import (induced_subgraph, is_simple_cycle,
-                                is_three_connected_by_cutsets)
+from planarblocks.graph import induced_subgraph, is_simple_cycle
 from planarblocks.blocks2 import (
     KIND_CUT_POINT,
     KIND_CYCLE,
@@ -38,7 +37,8 @@ from planarblocks.errors import (
 from conftest import g_of, grid_graph, k4_book
 from oracles import (all_separations, build_nested_family, chorded_cycle,
                      edge_subset_separations, enumerate_separations_at,
-                     glued_blocks, lowpoint_blocks, nested,
+                     glued_blocks, is_three_connected_by_cutsets,
+                     lowpoint_blocks, nested,
                      random_two_connected_graph, separation_fault,
                      separating_sets, totally_nested_keys,
                      uncrossed_side_keys)

@@ -23,6 +23,7 @@ from oracles import (
 from planarblocks import (
     GroupTable,
     Presentation,
+    RotationSystem,
     cayley_graph,
     certify_embedding,
     coset_enumerate,
@@ -31,7 +32,6 @@ from planarblocks import (
     invert_word,
     parse_presentation,
     planarity_test,
-    rotation_from_neighbors,
     surface_presentation,
     triblock_tree,
 )
@@ -505,14 +505,14 @@ def test_cyclic_graph_is_a_cycle():
     tbl = coset_enumerate(pr)
     g = cayley_graph(tbl, pr)
     assert len(g.vertices) == 6
-    assert sorted(len(g.incident_edges(v)) for v in g.vertices) == [2] * 6
+    assert sorted(g.degree(v) for v in g.vertices) == [2] * 6
 
 
 def test_dihedral_graph_is_a_cycle():
     # two involutions: the graph is the 6-cycle of alternating colors
     pr = read_pres("d3.pres")
     g = cayley_graph(coset_enumerate(pr), pr)
-    assert sorted(len(g.incident_edges(v)) for v in g.vertices) == [2] * 6
+    assert sorted(g.degree(v) for v in g.vertices) == [2] * 6
 
 
 def test_triangle_group_graph_is_the_icosahedron():
@@ -520,7 +520,7 @@ def test_triangle_group_graph_is_the_icosahedron():
     tbl = coset_enumerate(pr)
     g = cayley_graph(tbl, pr)
     assert (len(g.vertices), len(g.edges)) == (12, 30)
-    assert sorted(len(g.incident_edges(v)) for v in g.vertices) == [5] * 12
+    assert sorted(g.degree(v) for v in g.vertices) == [5] * 12
     res = planarity_test(g)
     assert res.planar and res.face_count == 20
 
@@ -554,8 +554,8 @@ def test_planar_faces_match_the_all_rotations_oracle(text):
     pr = parse_presentation(text)
     res = planarity_test(cayley_graph(coset_enumerate(pr), pr))
     assert res.planar
-    walks = facial_walks(res.embedding)
-    assert res.faces == tuple(sorted(brute_canonical_face(w) for w in walks))
+    assert res.faces == tuple(sorted(brute_canonical_face(w)
+                                     for w in res.walks))
 
 
 def test_pipeline_spherical_groups_are_planar_and_conforming():
@@ -621,7 +621,7 @@ def _check_rotation_route(text):
     for faces, eps, ring in rotation_candidates(tbl):
         neighbours = {h: [tbl.act_letter(h, x) for x in ring[::eps[h]]]
                       for h in g.vertices}
-        walks = facial_walks(rotation_from_neighbors(g, neighbours))
+        walks = facial_walks(RotationSystem(g, neighbours))
         assert faces == len(walks), (ring, eps)
     return rotation
 

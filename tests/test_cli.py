@@ -134,6 +134,19 @@ def test_faces_json_shape():
     assert sorted(len(f) for f in d["faces"]) == [4] * 6
 
 
+def test_faces_traces_the_faces_once(monkeypatch):
+    from planarblocks import planar
+    calls = []
+    trace = planar.facial_walks
+
+    def counted(r):
+        calls.append(r)
+        return trace(r)
+    monkeypatch.setattr(planar, "facial_walks", counted)
+    code, _ = run(["faces", fx("q3.edges"), "--format", "json"])
+    assert code == 0 and len(calls) == 1
+
+
 def test_faces_on_nonplanar_is_a_domain_error():
     code, out = run(["faces", fx("k5.edges")])
     assert code == 1
@@ -330,10 +343,10 @@ def _python(args, **kw):
 
 FORCED_FAILURE = """
 import json, sys
-from planarblocks import cli
+from planarblocks import cli, treeset
 assert False, "this script must run under -O"
-cli.verify_tree_correspondence = lambda tree: {"ok": False,
-                                               "violations": ["forced"]}
+treeset.verify_tree_correspondence = lambda tree: {"ok": False,
+                                                   "violations": ["forced"]}
 print(json.dumps([cli.run([cmd, sys.argv[1]]) for cmd in ("check", "blocks")]))
 """
 
@@ -442,12 +455,17 @@ blocks1.b1_family = lambda g: b1_family(Graph(g.vertices, g.edges[1:]))
 is_two_connected = blocks2.is_two_connected
 blocks2.is_two_connected = lambda g: False
 runs = [cli.run(["blocks", sys.argv[1]]), cli.run(["triblocks", sys.argv[2]])]
-# blocks2: a 2-connected torso that reads as not 3-connected fails its kind
+# blocks2: a 2-connected torso that shows a 2-cut fails its kind; the
+# block's own 2-cut pass, the first call, runs as it is
 blocks2.is_two_connected = is_two_connected
-three_connected = blocks2.is_three_connected_by_cutsets
-blocks2.is_three_connected_by_cutsets = lambda g: False
+two_cuts = blocks2.two_cuts
+calls = []
+def cut_on_recheck(g):
+    calls.append(g)
+    return two_cuts(g) if len(calls) == 1 else iter([(g.vertices[:2], [])])
+blocks2.two_cuts = cut_on_recheck
 runs.append(cli.run(["triblocks", sys.argv[2]]))
-blocks2.is_three_connected_by_cutsets = three_connected
+blocks2.two_cuts = two_cuts
 # blocks2: a virtual edge whose member side has no path fails its torso
 bfs_path = blocks2._bfs_path
 blocks2._bfs_path = lambda *args: None
@@ -473,15 +491,15 @@ blocks2.torso = greedy_torso
 runs.append(cli.run(["triblocks", sys.argv[3]]))
 blocks2.torso = torso
 # blocks2: a witness path through its own hinge vertex meets the region
-blocks2._bfs_path = lambda g, src, dst, avoid: (src, src, dst)
+blocks2._bfs_path = lambda g, src, dst: (src, src, dst)
 runs.append(cli.run(["triblocks", sys.argv[3]]))
 # blocks2: a witness path through a vertex the host lacks leaves the host
-blocks2._bfs_path = lambda g, src, dst, avoid: (src, -1, dst)
+blocks2._bfs_path = lambda g, src, dst: (src, -1, dst)
 runs.append(cli.run(["triblocks", sys.argv[3]]))
 # blocks2: a witness path that doubles back on itself has a vertex of
 # degree 3 in the witness
-def looping_path(g, src, dst, avoid):
-    p = bfs_path(g, src, dst, avoid)
+def looping_path(g, src, dst):
+    p = bfs_path(g, src, dst)
     y = next(w for w in g.neighbors(p[1]) if w not in p)
     return p[:2] + (y,) + p[1:]
 blocks2._bfs_path = looping_path
@@ -540,6 +558,32 @@ def test_src_has_no_assert():
     assert found == []
 
 
+def test_src_imports_are_used():
+    # every name a module imports, at its top or inside a function, is
+    # read somewhere in that module, so a removal leaves no stale import
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    files = sorted(glob.glob(os.path.join(src, "planarblocks", "*.py")))
+    assert files
+    unused = []
+    for path in files:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (os.path.basename(path), line, name)
+                   for name, line in sorted(imported.items())
+                   if name not in read]
+    assert unused == []
+
+
 MODULES_LOADED = """
 import json, sys
 import planarblocks.cli
@@ -555,8 +599,7 @@ print(json.dumps([at_import, loaded()]))
 
 # loaded by importing the CLI, before any command runs
 CLI_MODULES = ["planarblocks", "planarblocks.cli", "planarblocks.errors",
-               "planarblocks.graph", "planarblocks.serialize",
-               "planarblocks.treeset"]
+               "planarblocks.graph", "planarblocks.serialize"]
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
@@ -568,9 +611,10 @@ def test_each_command_loads_only_its_modules(tmp_path):
     z3xz3.write_text("gens: a b\nrels: a^3, b^3, (a*b*a^-1*b^-1)\n")
     trivial = tmp_path / "trivial.pres"
     trivial.write_text("gens: a\nrels: a\n")
-    runs = {("blocks", fx("path4.edges")): ["blocks1", "separation"],
+    runs = {("blocks", fx("path4.edges")): ["blocks1", "separation",
+                                            "treeset"],
             ("triblocks", fx("k4.edges")): ["blocks1", "blocks2",
-                                            "separation"],
+                                            "separation", "treeset"],
             ("planar", fx("k4.edges")): ["leftright", "planar"],
             ("cayley", fx("d3.pres")): ["cayley", "planar"],
             ("cayley", str(trivial)): ["cayley", "planar"],

@@ -13,6 +13,7 @@ from oracles import (
     apply_to_face,
     brute_automorphisms,
     brute_canonical_face,
+    edge_key_facial_walks,
     euler_genus,
     face_multiset_uniqueness_check,
     face_size_multiset,
@@ -33,7 +34,6 @@ from planarblocks import (
     is_connected,
     parse_presentation,
     planarity_test,
-    rotation_from_neighbors,
 )
 from planarblocks.errors import (
     InvariantViolated,
@@ -65,30 +65,31 @@ def test_canonical_face_agrees_with_all_rotations(walk):
 def test_rotation_system_validates():
     tri = complete_graph(3)
     with pytest.raises(MalformedInput):
-        RotationSystem(tri, {0: ((0, 1),), 1: ((0, 1), (1, 2)),
-                             2: ((1, 2), (0, 2))})
+        RotationSystem(tri, {0: (1,), 1: (0, 2), 2: (1, 0)})
     with pytest.raises(MalformedInput):
-        RotationSystem(tri, {0: ((0, 1), (0, 1)), 1: ((0, 1), (1, 2)),
-                             2: ((1, 2), (0, 2))})
+        RotationSystem(tri, {0: (1, 1), 1: (0, 2), 2: (1, 0)})
 
 
-def test_rotation_from_neighbors_roundtrip():
+def test_rotation_system_takes_neighbour_orders():
     k4 = complete_graph(4)
-    r = rotation_from_neighbors(k4, {0: (1, 2, 3), 1: (0, 2, 3),
-                                     2: (0, 1, 3), 3: (0, 1, 2)})
-    assert r.rotation[0] == ((0, 1), (0, 2), (0, 3))
+    order = {0: (3, 1, 2), 1: (0, 2, 3), 2: (0, 1, 3), 3: (0, 1, 2)}
+    assert RotationSystem(k4, order).rotation == order
+    for bad in ({**order, 0: (3, 1, 4)}, {v: order[v] for v in (1, 2, 3)}):
+        with pytest.raises(MalformedInput,
+                           match="rotation at a vertex must permute"):
+            RotationSystem(k4, bad)
 
 
 def test_facial_walks_triangle():
     tri = complete_graph(3)
-    r = rotation_from_neighbors(tri, {0: (1, 2), 1: (0, 2), 2: (0, 1)})
+    r = RotationSystem(tri, {0: (1, 2), 1: (0, 2), 2: (0, 1)})
     walks = facial_walks(r)
-    assert tuple(canonical_face(w) for w in walks) == ((0, 1, 2), (0, 1, 2))
+    assert walks == ((0, 1, 2), (0, 2, 1))
 
 
 def test_facial_walks_single_edge_and_point():
     k2 = complete_graph(2)
-    r = rotation_from_neighbors(k2, {0: (1,), 1: (0,)})
+    r = RotationSystem(k2, {0: (1,), 1: (0,)})
     assert facial_walks(r) == ((0, 1),)
     k1 = build_graph((0,), ())
     r1 = RotationSystem(k1, {0: ()})
@@ -223,9 +224,11 @@ def test_left_right_agrees_with_networkx(g):
     res = planarity_test(g)
     assert res.planar == ok
     if ok:
-        rotation = {v: [w for e in res.embedding.rotation[v]
-                        for w in e if w != v] for v in g.vertices}
-        assert certify_embedding(g, rotation).faces == res.faces
+        rotation = res.embedding.rotation
+        assert res.walks == edge_key_facial_walks(res.embedding)
+        # networkx's own embedding passes the certificate too
+        assert certify_embedding(g, cert.get_data()).face_count == \
+            res.face_count
         if nx.__version__ == "3.6.1":
             # the search, tie-breaking and placement orders of the
             # networkx release the golden bytes were first recorded with
@@ -234,6 +237,20 @@ def test_left_right_agrees_with_networkx(g):
         assert res.witness.edges == networkx_kuratowski_edges(g)
         assert kuratowski_kind(res.witness) in ("K5", "K33")
         assert certify_kuratowski(res.witness) == kuratowski_kind(res.witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_facial_walks_agree_with_the_edge_key_tracer(g, rng):
+    # any cyclic order at every vertex, planar or not: the same walks in
+    # the same order as the tracer that looked each dart up by edge key
+    rotation = {}
+    for v in g.vertices:
+        around = list(g.neighbors(v))
+        rng.shuffle(around)
+        rotation[v] = around
+    r = RotationSystem(g, rotation)
+    assert facial_walks(r) == edge_key_facial_walks(r)
 
 
 def test_deep_searches_stay_iterative():
