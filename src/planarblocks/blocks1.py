@@ -4,10 +4,10 @@ At each cut vertex c the family receives, for every component C of
 X - c, the minimal element spanned by C (all of C plus c and the joining
 edges) and its complement.  When c leaves exactly two components the
 minimal element on one side coincides, as a subgraph, with the
-complement of the other; the two are kept as distinct family members
-and disambiguated by rank (minimal elements rank 0, complements rank 1),
-which is exactly what the structure-tree order needs to keep one tree
-edge per side.
+complement of the other; the two are kept as distinct family members,
+and the minimal element, first in its pair, lies below its twin, the
+second of another pair: exactly what the structure-tree order needs to
+keep one tree edge per side.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def b1_family(g):
         for vm, em in pieces:
             minimal = make_separation(g, vm | bit, em, bit)
             elements += (minimal, separation_complement(minimal))
-    return NestedFamily(g, elements, (0, 1) * (len(elements) // 2))
+    return NestedFamily(g, elements)
 
 
 @dataclass(frozen=True)

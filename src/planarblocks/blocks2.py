@@ -121,9 +121,9 @@ def _canonical_tree(h):
     uncrossed hinge separations of each of its blocks.
 
     Blocks of at most three vertices and cycles have none.  Each lifted
-    side enters with rank 0 and its complement with rank 1, unless the
-    side is already present.  A side and its complement lift to
-    complements unless a pendant piece goes with neither.
+    side enters followed by its complement, unless the side is already
+    present.  A side and its complement lift to complements unless a
+    pendant piece goes with neither.
     """
     fam1 = b1_family(h)
     elements = list(fam1.elements)
@@ -142,8 +142,7 @@ def _canonical_tree(h):
             sc = separation_complement(s)
             present.update((s, sc))
             elements += (s, sc)
-    return build_structure_tree(
-        NestedFamily(h, elements, (0, 1) * (len(elements) // 2)))
+    return build_structure_tree(NestedFamily(h, elements))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +165,7 @@ def _region_parts(tree, ci):
     hinges = [i for i in tree.classes[ci]
               if fam.elements[i].bmask.bit_count() == 2]
     for i in sorted(hinges,
-                    key=lambda i: (fam.elements[i].sort_key(), fam.rank[i])):
+                    key=lambda i: (fam.elements[i].sort_key(), i & 1)):
         e = fam.elements[i]
         invariant(e.boundary <= zvs, "hinge must survive into the region")
         k = edge_key(*e.boundary)
@@ -201,13 +200,11 @@ def _bfs_path(g, src, dst):
 
 @dataclass(frozen=True)
 class Torso:
-    tree_vertex: int
     z_prime: Graph       # intersection of member complements
     virtual_edges: tuple
     z: Graph             # z_prime plus virtual edges
     witness: Graph       # host subgraph that is a subdivision of z
     witness_paths: dict  # virtual edge -> host path realizing it
-    generators: dict     # virtual edge -> the member separation behind it
 
 
 def torso(g, tree, v):
@@ -261,7 +258,7 @@ def torso(g, tree, v):
     invariant(witness.vertex_set.difference(*interiors) == z.vertex_set
               and kept.union(virtuals) == z.edge_set,
               "witness paths must contract to the torso")
-    return Torso(v, zprime, virtuals, z, witness, paths, gens)
+    return Torso(zprime, virtuals, z, witness, paths)
 
 
 # ---------------------------------------------------------------------------

@@ -118,14 +118,13 @@ def _autos(g, bound, args):
     group = automorphism_group(g, max_vertices=bound)
     check_orbit_stabilizer(g, group)
     vs = g.vertices
+    vertex_orbits, edge_orbits = group.orbits()
     return {
         "order": group.order,
         "generators": [[perm[v] for v in vs] for perm in group.generators],
         "vertex_order": vs,
-        "vertex_orbits": sorted({tuple(sorted(group.orbit_of_vertex(v)))
-                                 for v in vs}),
-        "edge_orbits": sorted({tuple(sorted(group.orbit_of_edge(e)))
-                               for e in g.edges}),
+        "vertex_orbits": vertex_orbits,
+        "edge_orbits": edge_orbits,
     }
 
 

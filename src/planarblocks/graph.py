@@ -19,9 +19,11 @@ then a few big-int operations instead of set operations.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import compress
+from heapq import heappop, heappush
+from itertools import compress, islice
 from operator import or_
 
 from .errors import MalformedInput, NotConnected
@@ -325,75 +327,62 @@ def is_two_connected(g):
 @dataclass(frozen=True)
 class ReducedGraph:
     graph: Graph
-    walks: dict  # reduced edge -> host vertex walk from min to max endpoint
-    is_cycle: bool
-    # reduced edge -> extra host walks whose suppression collapsed onto it
-    parallels: dict = field(default_factory=dict)
-
-    def all_host_walks(self, reduced_edge):
-        return (self.walks[reduced_edge],) + tuple(
-            self.parallels.get(reduced_edge, ()))
+    walks: dict  # reduced edge -> its host walks, the surviving one first
 
     def edge_map(self):
         """Total map original host edge -> reduced edge."""
-        out = {}
-        for e in self.graph.edges:
-            for walk in self.all_host_walks(e):
-                for i in range(len(walk) - 1):
-                    out[edge_key(walk[i], walk[i + 1])] = e
-        return out
+        return {edge_key(a, b): e for e, walks in self.walks.items()
+                for walk in walks for a, b in zip(walk, walk[1:])}
+
+
+def _walk_from(walk, start):
+    return tuple(walk) if walk[0] == start else tuple(reversed(walk))
 
 
 def homeomorphic_reduce(g):
-    """Iteratively suppress degree-2 vertices, collapsing parallel edges.
+    """Suppress degree-2 vertices, least first, collapsing parallel edges.
 
-    A simple-cycle input is returned unchanged with the cycle flag set
-    (the 2-regular exemption); everything else, paths included, reduces
-    until no degree-2 vertex remains.  Each reduced edge maps to the host
-    walk it replaces; when a suppression creates a parallel edge, the
-    branch already present survives and the collapsed branch is kept as a
-    parallel walk of the surviving edge, so the edge map stays total.
+    A simple cycle comes back unchanged; anything else, paths included,
+    reduces until no degree-2 vertex remains.  walks[e] holds the host
+    walks e replaces: the surviving branch from min to max endpoint, then
+    the branches that collapsed onto e, in collapse order.  A heap holds
+    the degree-2 vertices, and a vertex enters it again only when a
+    collapse drops its degree to 2, so each is handled once.  Each join
+    puts the shorter walk onto the longer: O((n + m) log n) in all.
     """
     if not is_connected(g):
         raise NotConnected("cannot reduce a disconnected graph",
                            witness=connected_components(g)[0])
+    walks = {e: (e,) for e in g.edges}
     if is_simple_cycle(g):
-        return ReducedGraph(g, {e: e for e in g.edges}, True)
-
-    def oriented(walk, start):
-        return walk if walk[0] == start else tuple(reversed(walk))
-
+        return ReducedGraph(g, walks)
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    walks = {e: e for e in g.edges}
-    parallels = {}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(adj):
-            if len(adj[v]) != 2:
-                continue
-            u, w = sorted(adj[v])
-            pu = walks.pop(edge_key(u, v))
-            pw = walks.pop(edge_key(v, w))
-            side = parallels.pop(edge_key(u, v), []) + parallels.pop(
-                edge_key(v, w), [])
-            adj[u].discard(v)
-            adj[w].discard(v)
-            del adj[v]
-            joined = oriented(pu, u) + oriented(pw, v)[1:]
-            joined = oriented(joined, min(u, w))
-            k = edge_key(u, w)
-            if w not in adj[u]:
-                adj[u].add(w)
-                adj[w].add(u)
-                walks[k] = joined
-                if side:
-                    parallels.setdefault(k, []).extend(side)
-            else:
-                parallels.setdefault(k, []).extend([joined] + side)
-            changed = True
-            break
-    vs = tuple(sorted(adj))
-    es = tuple(sorted(edge_key(a, b) for a in adj for b in adj[a] if a < b))
-    return ReducedGraph(Graph(vs, es), walks, False,
-                        {e: tuple(ws) for e, ws in parallels.items()})
+    todo = [v for v in g.vertices if len(adj[v]) == 2]      # sorted: a heap
+    while todo:
+        v = heappop(todo)
+        if len(adj[v]) != 2:        # a collapse took it down to degree 1
+            continue
+        u, w = sorted(adj.pop(v))
+        a, *side = walks.pop(edge_key(u, v))
+        b, *more = walks.pop(edge_key(v, w))
+        if len(a) < len(b):
+            a, b = b, a
+        # a surviving walk is a deque, either way round, until oriented
+        a = a if isinstance(a, deque) else deque(a)
+        (a.extendleft if a[0] == v else a.extend)(
+            islice(b if b[0] == v else reversed(b), 1, None))
+        k = (u, w)
+        adj[u].discard(v)
+        adj[w].discard(v)
+        if w in adj[u]:
+            walks[k] += (_walk_from(a, u), *side, *more)
+            for x in k:
+                if len(adj[x]) == 2:
+                    heappush(todo, x)
+        else:
+            adj[u].add(w)
+            adj[w].add(u)
+            walks[k] = (a, *side, *more)
+    walks = {e: (_walk_from(a, e[0]), *rest)
+             for e, (a, *rest) in walks.items()}
+    return ReducedGraph(Graph(tuple(sorted(adj)), tuple(sorted(walks))), walks)

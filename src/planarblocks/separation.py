@@ -173,11 +173,8 @@ def pull_back_separation(original, reduced, a):
     """
     if a.host != reduced.graph:
         raise MalformedInput("separation does not live on the reduced graph")
-    va = set(a.va)
-    ea = set()
-    for e in a.ea:
-        for walk in reduced.all_host_walks(e):
-            va.update(walk)
-            for i in range(len(walk) - 1):
-                ea.add(edge_key(walk[i], walk[i + 1]))
-    return make_separation(original, va, ea, a.boundary)
+    walks = [walk for e in a.ea for walk in reduced.walks[e]]
+    return make_separation(
+        original, set(a.va).union(*walks),
+        {edge_key(x, y) for walk in walks for x, y in zip(walk, walk[1:])},
+        a.boundary)

@@ -16,6 +16,7 @@ dicts vertex -> vertex over the host's vertex set.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DEFAULT_AUT_BOUND, NotAnAutomorphism, TooLarge
@@ -67,6 +68,14 @@ class AutGroup:
     def orbit_of_edge(self, e):
         return frozenset(_closure(e, self.generators,
                                   lambda x, p: apply_to_edge(p, x)))
+
+    def orbits(self):
+        """(vertex orbits, edge orbits) of the host, each orbit a sorted
+        tuple and each list sorted."""
+        g = self.host
+        return (sorted({tuple(sorted(self.orbit_of_vertex(v)))
+                        for v in g.vertices}),
+                sorted({tuple(sorted(self.orbit_of_edge(e))) for e in g.edges}))
 
     def stabilizer_of_vertex(self, v):
         """The stabiliser of v, searched along the base v, then the other
@@ -164,17 +173,9 @@ class QuotientGraph:
 def quotient_graph(g, group):
     """G\\X: vertex orbits joined by edge orbits, loops and multiplicities
     kept explicit since quotients need not be simple."""
-    vorbs = sorted({tuple(sorted(group.orbit_of_vertex(v))) for v in g.vertices})
-    vindex = {}
-    for i, orb in enumerate(vorbs):
-        for v in orb:
-            vindex[v] = i
-    eorbs = sorted({tuple(sorted(group.orbit_of_edge(e))) for e in g.edges})
-    counts = {}
-    for orb in eorbs:
-        u, v = orb[0]
-        key = tuple(sorted((vindex[u], vindex[v])))
-        counts[key] = counts.get(key, 0) + 1
+    vorbs, eorbs = group.orbits()
+    vindex = {v: i for i, orb in enumerate(vorbs) for v in orb}
+    counts = Counter(edge_key(vindex[u], vindex[v]) for (u, v), *_ in eorbs)
     edges = tuple((i, j, m) for (i, j), m in sorted(counts.items()))
     return QuotientGraph(g, tuple(vorbs), tuple(eorbs), edges)
 
@@ -192,15 +193,13 @@ def tree_action_check(tree, group):
     """
     fam = tree.family
     violations = []
-    index = {}
-    for i, a in enumerate(fam.elements):
-        index[(a.sort_key(), fam.rank[i])] = i
+    index = {(a.sort_key(), i & 1): i for i, a in enumerate(fam.elements)}
     regions = [tree.region(ci) for ci in range(len(tree.classes))]
     for gi, perm in enumerate(group.generators):
         image = {}
         for i, a in enumerate(fam.elements):
             img = apply_to_separation(a, perm)
-            j = index.get((img.sort_key(), fam.rank[i]))
+            j = index.get((img.sort_key(), i & 1))
             if j is None:
                 violations.append({
                     "kind": "missing-image",

@@ -6,9 +6,10 @@ A*<=B, A*<=B*.  It lists complements in adjacent pairs: element i ^ 1
 is the complement of element i.  Elements are compared by subgraph
 containment; two distinct elements with identical subgraphs (which
 happens when a cut vertex leaves exactly two components, so a minimal
-element coincides with the complement of its twin) are ordered by an
-explicit rank so that the order stays a strict partial order reversed
-by complementation.
+element coincides with the complement of its twin) are ordered by their
+place in the pairs, an element at an even index below a twin at an odd
+one, so that the order stays a strict partial order reversed by
+complementation.
 The family computes this order once: bit j of the int ``up[i]`` is set
 when element i lies strictly below element j.
 
@@ -81,12 +82,11 @@ def _aligned_blocks(mask, leaves):
 
 class NestedFamily:
     """Separation family in complement pairs (element i ^ 1 is the
-    complement of element i), with ranks."""
+    complement of element i)."""
 
-    def __init__(self, host, elements, rank=None):
+    def __init__(self, host, elements):
         self.host = host
         self.elements = tuple(elements)
-        self.rank = tuple(rank) if rank is not None else (0,) * len(self.elements)
         self._validate()
 
     def __len__(self):
@@ -97,8 +97,6 @@ class NestedFamily:
         if n % 2:
             raise MalformedInput("family must list complements in pairs",
                                  witness=n)
-        if len(self.rank) != n:
-            raise MalformedInput("family arrays disagree in length")
         all_vertices = (1 << len(self.host.vertices)) - 1
         all_edges = (1 << len(self.host.edges)) - 1
         for i, a in enumerate(self.elements):
@@ -161,7 +159,7 @@ class NestedFamily:
         for i, row in enumerate(rows):
             above = reduce(and_, map(held.__getitem__, blocks[i]))
             for j in set_bits(twins[row]):
-                if j in (i, i ^ 1) or self.rank[i] >= self.rank[j]:
+                if j in (i, i ^ 1) or i & 1 >= j & 1:
                     above &= ~bit[j]
             up.append(above)
         return tuple(up)

@@ -161,13 +161,13 @@ def greedy_generators(g, elements):
 
 def element_tree_action_violations(tree, elements):
     """The action of a group on a structure tree, checked element by
-    element: each element must map every family member onto a member of
-    the same rank, and each element that maps the members of a class
+    element: each element must map every family member onto a member at
+    an index of the same parity, and each element that maps the members of a class
     into that class must map the class's region (the intersection of
     the members' complements) onto itself."""
     fam = tree.family
     host = fam.host
-    index = {(a.va, a.ea, fam.rank[i]): i for i, a in enumerate(fam.elements)}
+    index = {(a.va, a.ea, i & 1): i for i, a in enumerate(fam.elements)}
     violations = []
     for k, p in enumerate(elements):
         images = []
@@ -175,7 +175,7 @@ def element_tree_action_violations(tree, elements):
             images.append(index.get((
                 frozenset(p[v] for v in a.va),
                 frozenset(edge_key(p[u], p[v]) for u, v in a.ea),
-                fam.rank[i])))
+                i & 1)))
         if None in images:
             violations.append(("missing-image", k))
             continue
@@ -223,13 +223,14 @@ def directed_edge(tree, i):
 
 
 def family_strict(family, i, j):
-    """A < B from the definition: subgraph containment, with the rank
-    ordering equal subgraphs that are not a complement pair."""
+    """A < B from the definition: subgraph containment, with equal
+    subgraphs that are not a complement pair ordered by their place in
+    the pairs, the even index below the odd one."""
     if i == j:
         return False
     a, b = family.elements[i], family.elements[j]
     if a.va == b.va and a.ea == b.ea:
-        return j != i ^ 1 and family.rank[i] < family.rank[j]
+        return j != i ^ 1 and i & 1 < j & 1
     return a.va <= b.va and a.ea <= b.ea
 
 
@@ -485,14 +486,14 @@ def _side_and_complement(g, comps, boundary, with_edge=False):
 
 
 def one_boundary_family(g):
-    """(keys, rank) of b1_family by its definition on sets: at each
-    cut vertex in vertex order, each component of g - c by least vertex
-    spans a side of rank 0, followed by its complement of rank 1."""
+    """The keys of b1_family by its definition on sets: at each cut
+    vertex in vertex order, each component of g - c by least vertex
+    spans a side, followed by its complement."""
     keys = []
     for (c,), comps in separating_sets(g, 1):
         for comp in comps:
             keys.extend(_side_and_complement(g, [comp], (c,)))
-    return keys, (0, 1) * (len(keys) // 2)
+    return keys
 
 
 def uncrossed_side_keys(z):
@@ -955,6 +956,54 @@ def jsonable(x):
     return repr(x)
 
 
+# ------------------------------------------------- homeomorphic reduction
+
+def restart_reduction(g):
+    """(reduced graph, walks) of `graph.homeomorphic_reduce` by its
+    defining loop: after every suppression rescan the vertices from the
+    least and suppress the first of degree 2.  A simple cycle comes back
+    unchanged.  walks[e] lists the host walks e replaces: the surviving
+    branch, oriented from min to max endpoint, then the branches that
+    collapsed onto it, in collapse order."""
+    if is_simple_cycle(g):
+        return g, {e: (e,) for e in g.edges}
+
+    def oriented(walk, start):
+        return walk if walk[0] == start else tuple(reversed(walk))
+
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    walks = {e: e for e in g.edges}
+    parallels = {}
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(adj):
+            if len(adj[v]) != 2:
+                continue
+            u, w = sorted(adj[v])
+            pu = walks.pop(edge_key(u, v))
+            pw = walks.pop(edge_key(v, w))
+            side = parallels.pop(edge_key(u, v), []) + parallels.pop(
+                edge_key(v, w), [])
+            adj[u].discard(v)
+            adj[w].discard(v)
+            del adj[v]
+            joined = oriented(oriented(pu, u) + oriented(pw, v)[1:], min(u, w))
+            k = edge_key(u, w)
+            if w not in adj[u]:
+                adj[u].add(w)
+                adj[w].add(u)
+                walks[k] = joined
+                parallels.setdefault(k, []).extend(side)
+            else:
+                parallels.setdefault(k, []).extend([joined] + side)
+            changed = True
+            break
+    es = tuple(sorted(walks))
+    return (Graph(tuple(sorted(adj)), es),
+            {e: (walks[e],) + tuple(parallels.get(e, ())) for e in es})
+
+
 # ------------------------------------------------------ random instances
 
 def random_connected_graph(rng, max_vertices=14):
@@ -1099,7 +1148,8 @@ def family_from_sides(host, sides):
     """Family from representative sides: adds complements, dedupes by fields.
 
     Suitable when all sides are distinct as subgraphs (hinge families);
-    use explicit element/rank lists for the tagged cut-vertex families.
+    the cut-vertex families, whose twins are ordered by their place in
+    the pairs, come from `b1_family`.
     """
     pairs = {}
     for s in sides:

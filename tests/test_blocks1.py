@@ -33,9 +33,11 @@ def test_b1_family_bowtie(bowtie):
     keys = [s.key for s in fam.elements]
     assert keys[0] == ((0, 1, 2), ((0, 1), (0, 2), (1, 2)), (0,))
     assert keys[1] == ((0, 3, 4), ((0, 3), (0, 4), (3, 4)), (0,))
-    # the two sides at the cut coincide as subgraphs, tagged by rank
+    # the two sides at the cut coincide as subgraphs; the minimal element
+    # (even index) lies below its twin (odd index)
     assert keys[2] == keys[1] and keys[3] == keys[0]
-    assert fam.rank == (0, 1, 0, 1)
+    assert fam.strict(2, 1) and not fam.strict(1, 2)
+    assert fam.strict(0, 3) and not fam.strict(3, 0)
 
 
 def test_b1_family_two_connected_is_empty(k4, c6):
@@ -129,9 +131,7 @@ def _cut_hosts():
 def test_b1_family_matches_set_definition():
     for g in _cut_hosts():
         fam = b1_family(g)
-        keys, rank = one_boundary_family(g)
-        assert [s.key for s in fam.elements] == keys
-        assert fam.rank == rank
+        assert [s.key for s in fam.elements] == one_boundary_family(g)
         for s in fam.elements:
             assert separation_fault(g, s.va, s.ea, s.boundary) is None
         assert cut_vertices(g) == tuple(c for (c,), _ in separating_sets(g, 1))

@@ -184,7 +184,6 @@ def test_build_family_k4e_frozen(k4e):
         (2, ((0, 3), (1, 3)), (0, 1)),
         (3, ((0, 1), (0, 2), (1, 2)), (0, 1)),
     )
-    assert fam.rank == (0, 1, 0, 1)
     tree = build_structure_tree(fam)
     assert tree.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
     assert tree.edges == ((0, 1), (0, 2))

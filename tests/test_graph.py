@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,8 @@ from planarblocks.graph import (_lowpoint_dfs, build_graph,
 from conftest import complete_graph, cycle_graph, g_of, path_graph
 from oracles import (chorded_cycle, glued_blocks,
                      is_three_connected_by_cutsets, lowpoint_blocks,
-                     random_connected_graph, remove_vertices, separating_sets)
+                     random_connected_graph, remove_vertices,
+                     restart_reduction, separating_sets)
 
 
 def test_edge_key_orients():
@@ -173,21 +175,23 @@ def test_skipping_a_cut_vertex_reports_the_pieces(bowtie):
 
 def test_reduce_keeps_simple_cycles(c6):
     rg = homeomorphic_reduce(c6)
-    assert rg.is_cycle
     assert rg.graph == c6
+    assert rg.walks == {e: (e,) for e in c6.edges}
 
 
 def test_reduce_path_collapses_to_edge():
     rg = homeomorphic_reduce(path_graph(4))
     assert rg.graph.vertices == (0, 3)
     assert rg.graph.edges == ((0, 3),)
-    assert rg.walks[(0, 3)] == (0, 1, 2, 3)
+    assert rg.walks == {(0, 3): ((0, 1, 2, 3),)}
 
 
 def test_reduce_theta_collapses_to_edge(twosquares):
     rg = homeomorphic_reduce(twosquares)
     assert rg.graph.edges == ((4, 5),)
-    assert not rg.is_cycle
+    # 0-2-3-1 collapses onto the edge 0-1, and once 0 and 1 go, both
+    # collapse onto the edge 4-5 behind its own walk
+    assert rg.walks == {(4, 5): ((4, 5), (4, 0, 1, 5), (0, 2, 3, 1))}
     # every host edge must map onto the single surviving edge
     em = rg.edge_map()
     assert set(em) == twosquares.edge_set
@@ -213,6 +217,60 @@ def test_reduce_disconnected_rejected():
     g = build_graph(range(4), [(0, 1), (2, 3)])
     with pytest.raises(NotConnected):
         homeomorphic_reduce(g)
+
+
+def _subdivide(edges, n, lengths):
+    """(edges, n): each edge split by its number of new vertices, numbered
+    from n on, and the next unused number."""
+    out = []
+    for (u, v), k in zip(edges, lengths):
+        path = [u, *range(n, n + k), v]
+        out += zip(path, path[1:])
+        n += k
+    return out, n
+
+
+@st.composite
+def _subdivided_graphs(draw):
+    """A random connected graph with its edges subdivided and chords
+    added, often between two subdivision vertices, relabelled at random:
+    suppressions then collapse parallel branches, in an order set by the
+    new names."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    g = random_connected_graph(rng, max_vertices=7)
+    edges, n = _subdivide(g.edges, len(g.vertices),
+                          [rng.randint(0, 4) for _ in g.edges])
+    if n > 1:
+        edges += [rng.sample(range(n), 2) for _ in range(rng.randint(0, 4))]
+    name = rng.sample(range(4 * n), n)
+    return build_graph(name, [(name[u], name[v]) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subdivided_graphs())
+def test_reduce_matches_the_restart_loop(g):
+    rg = homeomorphic_reduce(g)
+    graph, walks = restart_reduction(g)
+    assert rg.graph == graph
+    assert rg.walks == walks        # each edge's walks in the same order
+    assert rg.edge_map() == {edge_key(a, b): e for e, ws in walks.items()
+                             for w in ws for a, b in zip(w, w[1:])}
+    assert set(rg.edge_map()) == g.edge_set
+
+
+def test_subdivided_k4_reduces_in_one_pass():
+    # rescanning from the least vertex after every suppression is
+    # quadratic, and took more than twice this budget
+    k = 4000
+    edges, n = _subdivide(complete_graph(4).edges, 4, [k] * 6)
+    g = build_graph(range(n), edges)
+    assert len(g.vertices) == 24004
+    t0 = time.monotonic()
+    rg = homeomorphic_reduce(g)
+    elapsed = time.monotonic() - t0
+    assert rg.graph == complete_graph(4)
+    assert all(len(w) == k + 2 for (w,) in rg.walks.values())
+    assert elapsed < 2.0, elapsed
 
 
 def test_no_degree_two_after_reduction(bowtie, twosquares, c5_chord, grid3x3):

@@ -63,9 +63,9 @@ def test_family_rejects_crossing_pair(c6_chord):
         NestedFamily(c6_chord, elements)
 
 
-def test_strict_uses_rank_for_equal_subgraphs(bowtie):
+def test_strict_orders_equal_subgraphs_by_pair_place(bowtie):
     fam = b1_family(bowtie)
-    # elements 1 and 2 are the same subgraph with ranks 1 and 0
+    # elements 1 and 2 are the same subgraph; the even one lies below
     a, b = fam.elements[1], fam.elements[2]
     assert (a.va, a.ea) == (b.va, b.ea)
     assert fam.strict(2, 1)
