@@ -8,7 +8,8 @@ so a command loads only the modules it runs.
 import importlib
 
 _EXPORTS = {
-    "blocks1": ("BlockCutTree", "b1_family", "block_cut_tree"),
+    "blocks1": ("BlockCutTree", "b1_family", "block_cut_tree",
+                "certify_block_cut_tree"),
     "blocks2": ("TriBlockTree", "Torso", "torso", "triblock_tree"),
     "cayley": ("GroupTable", "Presentation", "cayley_graph", "coset_enumerate",
                "equivariant_rotation", "invert_word", "parse_presentation",
@@ -28,8 +29,8 @@ _EXPORTS = {
                    "separation_complement"),
     "symmetry": ("AutGroup", "QuotientGraph", "automorphism_group",
                  "quotient_graph", "tree_action_check"),
-    "treeset": ("NestedFamily", "StructureTree", "build_structure_tree",
-                "verify_tree_correspondence"),
+    "treeset": ("NestedFamily", "StructureTree", "TreeFamily",
+                "build_structure_tree", "verify_tree_correspondence"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

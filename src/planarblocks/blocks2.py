@@ -31,12 +31,13 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import HingeVertex, MalformedInput, NotConnected, invariant
+from .errors import HingeVertex, MalformedInput, invariant
 from .graph import (Graph, connected_components, edge_key, homeomorphic_reduce,
-                    is_connected, is_simple_cycle, is_two_connected, two_cuts)
+                    is_connected, is_simple_cycle, is_two_connected,
+                    require_connected, two_cuts)
 from .separation import component_side, separation_complement
 from .treeset import NestedFamily, StructureTree, build_structure_tree
-from .blocks1 import b1_family
+from .blocks1 import BlockCutTree, b1_family
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +121,17 @@ def _canonical_tree(h):
     """Structure tree of the one-boundary family of h together with the
     uncrossed hinge separations of each of its blocks.
 
-    Blocks of at most three vertices and cycles have none.  Each lifted
-    side enters followed by its complement, unless the side is already
-    present.  A side and its complement lift to complements unless a
-    pendant piece goes with neither.
+    The blocks come off the block-cut tree that `b1_family` reads off
+    its DFS.  Blocks of at most three vertices and cycles have none.
+    Each lifted side enters followed by its complement, unless the side
+    is already present.  A side and its complement lift to complements
+    unless a pendant piece goes with neither.
     """
-    fam1 = b1_family(h)
-    elements = list(fam1.elements)
-    cuts = {v for s in fam1.elements for v in s.boundary}
+    bct = BlockCutTree(h, b1_family(h))
+    elements = list(bct.family.elements)
+    cuts = set(bct.cuts)
     present = set()
-    blocks = build_structure_tree(fam1)
-    for ci in range(blocks.vertex_count):
-        z = blocks.region(ci)
+    for z in bct.blocks:
         if len(z.vertices) <= 3 or is_simple_cycle(z):
             continue
         pairs = _uncrossed_sides(z)
@@ -298,9 +298,7 @@ def triblock_tree(g):
     with two components joined by a host edge gives a bond: a
     two-vertex torso holding the pair and that edge.
     """
-    if not is_connected(g):
-        raise NotConnected("decomposition needs a connected graph",
-                           witness=[len(c) for c in connected_components(g)])
+    require_connected(g, "decomposition needs a connected graph")
     red = homeomorphic_reduce(g)
     h = red.graph
     tree = _canonical_tree(h)

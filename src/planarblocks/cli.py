@@ -53,9 +53,9 @@ def _parse_presentation(text):
 # modules it runs, so a command loads only those.
 
 def _blocks(g, bound, args):
-    from .blocks1 import block_cut_tree
+    from .blocks1 import block_cut_tree, certify_block_cut_tree
     bct = block_cut_tree(homeomorphic_reduce(g).graph if args.reduce else g)
-    _verify(bct.tree)
+    certify_block_cut_tree(bct)
     payload = {
         "tree_vertices": [
             {"id": ci, "kind": "cut", "vertex": bct.cut_classes[ci]}
@@ -161,7 +161,7 @@ def _check(g, bound, args):
     Each row has a name, a status (pass/fail/skip) and a detail;
     preconditions that do not hold for this input produce skips.
     """
-    from .blocks1 import block_cut_tree
+    from .blocks1 import block_cut_tree, certify_block_cut_tree
     from .blocks2 import triblock_tree
     from .planar import planarity_test
     from .symmetry import (automorphism_group, check_orbit_stabilizer,
@@ -190,7 +190,7 @@ def _check(g, bound, args):
 
     def blocks():
         bct = block_cut_tree(g)
-        _verify(bct.tree)
+        certify_block_cut_tree(bct)
         return "%s, %s" % (count(len(bct.blocks), "block"),
                            count(len(bct.cuts), "cut"))
     attempt("block-cut-tree", blocks)

@@ -242,6 +242,14 @@ def is_connected(g):
     return len(connected_components(g)) == 1
 
 
+def require_connected(g, message):
+    """Raise NotConnected(message), with the components of g as sorted
+    vertex lists for its witness, unless g is connected."""
+    comps = connected_components(g)
+    if len(comps) > 1:
+        raise NotConnected(message, witness=[list(c) for c in comps])
+
+
 def induced_subgraph(g, vs):
     vset = set(vs)
     return Graph(tuple(sorted(vset)),
@@ -350,9 +358,7 @@ def homeomorphic_reduce(g):
     collapse drops its degree to 2, so each is handled once.  Each join
     puts the shorter walk onto the longer: O((n + m) log n) in all.
     """
-    if not is_connected(g):
-        raise NotConnected("cannot reduce a disconnected graph",
-                           witness=connected_components(g)[0])
+    require_connected(g, "cannot reduce a disconnected graph")
     walks = {e: (e,) for e in g.edges}
     if is_simple_cycle(g):
         return ReducedGraph(g, walks)

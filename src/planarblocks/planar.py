@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import MalformedInput, NotConnected, invariant
-from .graph import Graph, edge_key, is_connected
+from .errors import MalformedInput, invariant
+from .graph import Graph, edge_key, require_connected
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,7 @@ def planarity_test(g):
 
 
 def _require_connected(g):
-    if not is_connected(g):
-        raise NotConnected("planarity certificates assume a connected host")
+    require_connected(g, "planarity certificates assume a connected host")
 
 
 def certify_embedding(g, neighbor_order):

@@ -9,9 +9,8 @@ happens when a cut vertex leaves exactly two components, so a minimal
 element coincides with the complement of its twin) are ordered by their
 place in the pairs, an element at an even index below a twin at an odd
 one, so that the order stays a strict partial order reversed by
-complementation.
-The family computes this order once: bit j of the int ``up[i]`` is set
-when element i lies strictly below element j.
+complementation.  Bit j of the int ``up[i]`` is set when element i
+lies strictly below element j.
 
 Two elements are equivalent, A ~ B, when A < B* with nothing of the
 family strictly between (and A ~ A), so class(A) is A plus the
@@ -23,7 +22,15 @@ holds when up[A] is the successors of A (the complements of the other
 members of class(A)) and everything above them, which verification
 checks per element.
 
-Elements are compared through their masks (see `separation`).  Each
+Where the tree comes first, as the block-cut tree does off its DFS, the
+family is a `TreeFamily`: it carries its tree, classes and regions
+included, and reads ``up`` off it on first use, O(1) n-bit operations
+per element.  Its checks are those of whoever built the tree
+(`blocks1.certify_block_cut_tree`), and no mask order is computed.
+
+Any other family, such as the combined hinge family, is checked on
+construction and computes its order from the masks (see `separation`),
+once, and its tree and the verification come from that order.  Each
 element's vertex bits, then edge bits, split into maximal aligned
 power-of-two blocks, and the elements containing it as a subgraph are
 the AND, over its blocks, of the elements holding that block or an
@@ -108,10 +115,6 @@ class NestedFamily:
                     or b.vmask != all_vertices & ~a.vmask | a.bmask):
                 raise NotNested("paired element is not the complement",
                                 witness={"element": i, "partner": i ^ 1})
-        shift = len(self.host.vertices)
-        self._rows = [s.vmask | s.emask << shift for s in self.elements]
-        leaves = 1 << max(self._rows, default=0).bit_length().bit_length()
-        self._blocks = [_aligned_blocks(row, leaves) for row in self._rows]
         if not n:
             self.up = ()
             return
@@ -128,6 +131,18 @@ class NestedFamily:
                     "pair fails the nesting condition",
                     witness={"a": list(self.elements[i].key),
                              "b": list(self.elements[j].key)})
+
+    @cached_property
+    def _rows(self):
+        """Each element as one int: its vertex bits, then its edge bits."""
+        shift = len(self.host.vertices)
+        return [s.vmask | s.emask << shift for s in self.elements]
+
+    @cached_property
+    def _blocks(self):
+        """Each row as its maximal aligned power-of-two blocks."""
+        leaves = 1 << max(self._rows, default=0).bit_length().bit_length()
+        return [_aligned_blocks(row, leaves) for row in self._rows]
 
     def _order(self, label=None):
         """up[i]: bitmask of the elements strictly above element i, with
@@ -188,6 +203,7 @@ class NestedFamily:
 class StructureTree:
     family: NestedFamily
     classes: tuple          # frozensets of element indices
+    regions: tuple = field(default=None, repr=False, compare=False)
     class_of: tuple = field(init=False, repr=False, compare=False, hash=False,
                             default=None)
     _graph: Graph = field(init=False, repr=False, compare=False, hash=False,
@@ -225,7 +241,10 @@ class StructureTree:
 
         For a cut-point class this is the cut vertex alone; for a block
         class it is the block.  The empty class yields the whole host.
+        A tree read off its family's construction holds its regions.
         """
+        if self.regions is not None:
+            return self.regions[ci]
         fam = self.family
         if not self.classes[ci]:        # no separation: no index needed
             return Graph(tuple(sorted(fam.host.vertices)),
@@ -237,6 +256,61 @@ class StructureTree:
             vm &= other.vmask
             em &= other.emask
         return Graph(ix.vertices_of(vm), ix.edges_of(em))
+
+
+class TreeFamily(NestedFamily):
+    """A family whose structure tree came with it: `tree` holds the
+    classes, in the numbering `build_structure_tree` would give them, and
+    each class's region.  No mask order is computed; `up` is read off the
+    tree on first use."""
+
+    def __init__(self, host, elements, classes, regions):
+        self.host = host
+        self.elements = tuple(elements)
+        self.tree = StructureTree(self, tuple(classes), tuple(regions))
+
+    @cached_property
+    def up(self):
+        return _tree_order(self.tree)
+
+
+def _tree_order(tree):
+    """up[i] read off the tree: the elements whose edges lie beyond the
+    head of i's edge, directed away from it.
+
+    With the tree rooted at class 0, a downward element's set is the
+    downward elements of the subtree below its head, found bottom-up;
+    an upward element's is everything leaving its head, less the branch
+    it came up, found top-down.  The branches at a class are disjoint,
+    so taking one away is one XOR: O(1) n-bit operations per element.
+    """
+    classes, class_of = tree.classes, tree.class_of
+    n = len(class_of)
+    if not n:
+        return ()
+    into = [None] * len(classes)    # class -> the element down into it
+    order = [0]
+    for x in order:
+        for b in classes[x]:
+            y = class_of[b ^ 1]
+            if y and into[y] is None:
+                into[y] = b ^ 1
+                order.append(y)
+    up = [0] * n
+    below = [0] * len(classes)      # downward elements under each class
+    for y in reversed(order):
+        for b in classes[y]:
+            if b != into[y]:
+                below[y] |= 1 << (b ^ 1) | up[b ^ 1]
+        if into[y] is not None:
+            up[into[y]] = below[y]
+    for x in order:
+        d = into[x]
+        leaving = below[x] | (0 if d is None else 1 << (d ^ 1) | up[d ^ 1])
+        for b in classes[x]:
+            if b != d:
+                up[b] = leaving ^ (1 << (b ^ 1) | up[b ^ 1])
+    return tuple(up)
 
 
 def _unreached(tree):

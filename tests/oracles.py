@@ -21,7 +21,8 @@ from planarblocks.planar import canonical_face, facial_walks, planarity_test
 from planarblocks.separation import (Separation, component_side,
                                      make_separation, separation_complement)
 from planarblocks.symmetry import apply_to_separation, is_automorphism
-from planarblocks.treeset import NestedFamily
+from planarblocks.treeset import (NestedFamily, build_structure_tree,
+                                  verify_tree_correspondence)
 
 
 # ------------------------------------------------------- block structure
@@ -379,7 +380,7 @@ def _all_hinge_separations(g):
 def _require_two_connected(g):
     if not is_connected(g):
         raise NotConnected("host must be connected",
-                           witness=[len(c) for c in connected_components(g)])
+                           witness=[list(c) for c in connected_components(g)])
     if not is_two_connected(g):
         raise PreconditionViolated("host must be 2-connected")
     if len(g.vertices) < 4:
@@ -494,6 +495,38 @@ def one_boundary_family(g):
         for comp in comps:
             keys.extend(_side_and_complement(g, [comp], (c,)))
     return keys
+
+
+def mask_b1_family(g):
+    """The one-boundary family built from masks alone: at each cut vertex
+    c, found by brute force, and each component of g - c by least
+    vertex, the side `make_separation` checks, then its complement, and
+    the order `NestedFamily` computes from the masks."""
+    elements = []
+    for (c,), comps in separating_sets(g, 1):
+        for comp in comps:
+            side = component_side(g, (c,), [comp])
+            elements += (side, separation_complement(side))
+    return NestedFamily(g, elements)
+
+
+def mask_block_cut_tree(g):
+    """(family, tree, cut classes, block classes) of the mask-generic
+    build: `mask_b1_family`, the tree of its ~-classes, verified, and
+    each class's region as the intersection of its members'
+    complements, a single vertex for a cut."""
+    family = mask_b1_family(g)
+    tree = build_structure_tree(family)
+    report = verify_tree_correspondence(tree)
+    invariant(report["ok"], "mask-built tree fails", report["violations"])
+    cuts, blocks = {}, {}
+    for ci in range(tree.vertex_count):
+        reg = tree.region(ci)
+        if tree.classes[ci] and not reg.edges and len(reg.vertices) == 1:
+            cuts[ci] = reg.vertices[0]
+        else:
+            blocks[ci] = reg
+    return family, tree, cuts, blocks
 
 
 def uncrossed_side_keys(z):
@@ -1096,6 +1129,25 @@ def caterpillar(rng, spine=12, legs=10):
     edges = [(i, i + 1) for i in range(spine - 1)]
     edges += [(rng.randrange(spine), spine + k) for k in range(legs)]
     name = list(range(spine + legs))
+    rng.shuffle(name)
+    return build_graph(name, [(name[u], name[v]) for u, v in edges])
+
+
+def cactus(rng, cycles=8):
+    """Cycles of 3 to 6 vertices and some pendant edges, each hung at a
+    random vertex of what is built so far, under random vertex names:
+    every edge lies on at most one cycle."""
+    edges = [(i, (i + 1) % 4) for i in range(4)]
+    n = 4
+    for _ in range(cycles):
+        at = rng.randrange(n)
+        size = rng.choice((2, 3, 4, 5, 6))     # 2: a pendant edge
+        ring = [at] + list(range(n, n + size - 1))
+        n += size - 1
+        edges += list(zip(ring, ring[1:]))
+        if size > 2:
+            edges.append((ring[-1], at))
+    name = list(range(n))
     rng.shuffle(name)
     return build_graph(name, [(name[u], name[v]) for u, v in edges])
 

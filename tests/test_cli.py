@@ -52,6 +52,16 @@ def test_domain_errors_exit_one_with_json_error():
     assert err["witness"]
 
 
+def test_not_connected_witness_is_the_components_everywhere():
+    for argv in (["blocks"], ["blocks", "--reduce"], ["triblocks"],
+                 ["planar"], ["faces"]):
+        code, out = run([argv[0], fx("disconnected.edges"), *argv[1:]])
+        assert code == 1, argv
+        err = json.loads(out)["error"]
+        assert err["kind"] == "not-connected", argv
+        assert err["witness"] == [[0, 1, 2], [3, 4]], argv
+
+
 def test_help_is_returned_not_printed(capsys):
     code, out = run(["autos", "--help"])
     assert code == 0
@@ -343,10 +353,13 @@ def _python(args, **kw):
 
 FORCED_FAILURE = """
 import json, sys
-from planarblocks import cli, treeset
+from planarblocks import blocks1, cli, treeset
+from planarblocks.errors import invariant
 assert False, "this script must run under -O"
 treeset.verify_tree_correspondence = lambda tree: {"ok": False,
                                                    "violations": ["forced"]}
+blocks1.certify_block_cut_tree = lambda bct: invariant(
+    False, "tree verification failed", ["forced"])
 print(json.dumps([cli.run([cmd, sys.argv[1]]) for cmd in ("check", "blocks")]))
 """
 
