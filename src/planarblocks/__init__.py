@@ -25,12 +25,11 @@ _EXPORTS = {
     "planar": ("PlanarityResult", "RotationSystem", "canonical_face",
                "certify_embedding", "certify_kuratowski", "facial_walks",
                "planarity_test"),
-    "separation": ("Separation", "make_separation", "pull_back_separation",
-                   "separation_complement"),
+    "separation": ("Separation", "make_separation", "separation_complement"),
     "symmetry": ("AutGroup", "QuotientGraph", "automorphism_group",
                  "quotient_graph", "tree_action_check"),
     "treeset": ("NestedFamily", "StructureTree", "TreeFamily",
-                "build_structure_tree", "verify_tree_correspondence"),
+                "build_structure_tree", "certify_tree"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -11,24 +11,25 @@ Its directed edges are the elements of the one-boundary family: at each
 cut vertex c, for every component C of X - c, the minimal element
 spanned by C (all of C plus c and the joining edges) and its complement.
 A side is the union of the regions beyond its edge, so the sides come
-bottom-up, one OR per tree node, and the family's order is read off the
-tree (`treeset.TreeFamily`), never computed from masks.  When c leaves
+bottom-up, one OR per tree node, and the family comes with its tree
+(`treeset.TreeFamily`): no order is computed from masks.  When c leaves
 exactly two components, the minimal element on one side coincides, as a
 subgraph, with the complement of the other; the two are distinct family
 members on distinct tree edges, the minimal one below its twin.
 
-`certify_block_cut_tree` checks a tree in one linear pass.
+`certify_block_cut_tree` checks the result in one linear pass: the
+certificate of every structure tree (`treeset.certify_tree`), and on
+top of it what makes the tree a block-cut tree.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import invariant
 from .graph import Graph, _lowpoint_dfs
 from .separation import Separation
-from .treeset import StructureTree, TreeFamily
+from .treeset import StructureTree, TreeFamily, certify_tree
 
 
 def b1_family(g):
@@ -115,11 +116,11 @@ class BlockCutTree:
         cut_classes = {}
         block_classes = {}
         for ci in range(tree.vertex_count):
-            reg = tree.region(ci)
-            if tree.classes[ci] and not reg.edges and len(reg.vertices) == 1:
-                cut_classes[ci] = reg.vertices[0]
+            cut = tree.cut_vertex(ci)
+            if cut is None:
+                block_classes[ci] = tree.region(ci)
             else:
-                block_classes[ci] = reg
+                cut_classes[ci] = cut
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "cut_classes", cut_classes)
         object.__setattr__(self, "block_classes", block_classes)
@@ -147,120 +148,32 @@ def certify_block_cut_tree(bct):
     """Check a block-cut tree and its family in one linear pass, raising
     InvariantViolated (also under ``python -O``) at the first fault.
 
-    1. The cut/block graph is a bipartite tree, each cut vertex once,
-       and a cut node is adjacent only to blocks that contain its vertex.
-    2. The block regions partition the host's edges, every block has an
-       edge, and each vertex lies in one region, a cut vertex in its own
-       and its neighbours' only.
-    3. Every side equals the OR of the regions beyond its edge, built
-       bottom-up, and its partner is its exact complement.
-    4. Every side passes the conditions of `make_separation`: interior
-       neighbours and edges inside, read from bottom-up reach masks, and
-       the boundary vertex with edges on both sides.
-
-    Together these imply nesting and that the order is the tree-path
-    order, twins included.  Two sides are unions of the regions of
-    subtrees, so nested or disjoint subtrees, and regions on the two
-    sides of an edge share only its cut vertex (2), so the sides are
-    nested; `TreeFamily.up` reads the order off the same tree.  A
-    complement pair needs only one side checked under 4: the other
-    inherits the conditions.
+    The tree must be the tree of `bct.graph`, and the checks a block-cut
+    tree adds to those of every structure tree (`treeset.certify_tree`)
+    hold: the cut/block graph is bipartite, each cut vertex has one tree
+    vertex and lies in the blocks next to it, and every block with
+    members has an edge.
     """
     g, fam, tree = bct.graph, bct.family, bct.tree
-    ix = g.index
-    n = len(ix.vertices)
-    k = tree.vertex_count
     cut_of, block_of = bct.cut_classes, bct.block_classes
+    if fam.host is not g:
+        # the blocks are subgraphs of the family's host, so they cover
+        # no edge it lacks
+        invariant(fam.host.edge_set >= g.edge_set,
+                  "blocks do not cover the host edges")
+        invariant(fam.host == g, "family lives on another host")
     invariant(len(set(cut_of.values())) == len(cut_of),
               "a cut vertex has two tree vertices")
-    # 1: a bipartite tree, rooted at vertex 0 in BFS order
-    invariant(len(fam.elements) % 2 == 0 and
-              len(tree.edges) == tree.edge_count == k - 1,
-              "tree edges are not one per complement pair",
-              {"vertices": k, "edges": len(tree.edges),
-               "pairs": len(fam.elements) / 2})
-    adj = [[] for _ in range(k)]
     for a, b in tree.edges:
-        adj[a].append(b)
-        adj[b].append(a)
         invariant((a in cut_of) != (b in cut_of),
                   "cut class adjacent to a cut class" if a in cut_of
                   else "block class adjacent to a block class", [a, b])
         c, blk = (a, b) if a in cut_of else (b, a)
         invariant(cut_of[c] in block_of[blk].vertex_set,
                   "cut vertex not in an adjacent block", [c, blk])
-    if not fam.elements:
-        blk = block_of[0]
-        invariant(blk.vertex_set == g.vertex_set
-                  and blk.edge_set == g.edge_set,
-                  "the one block is not the host")
-        return
-    parent = [None] * k
-    order = [0]
-    for x in order:
-        for y in adj[x]:
-            if y and parent[y] is None:
-                parent[y] = x
-                order.append(y)
-    invariant(len(order) == k, "tree is disconnected")
-    # 2: the regions
-    rows = [0] * k
-    covered = 0
-    for ci, blk in block_of.items():
-        vm, stray = ix.vertex_mask(blk.vertices)
-        em, loose = ix.edge_mask(blk.edges)
-        invariant(not stray and not loose
-                  and len(blk.vertices) == vm.bit_count()
-                  and len(blk.edges) == em.bit_count(),
-                  "block is not a subgraph of the host", ci)
-        invariant(em, "block without an edge", ci)
-        both = em & covered
-        invariant(not both, "edge in two blocks",
-                  both and list(ix.edges_of(both & -both)[0]))
-        covered |= em
-        rows[ci] = vm | em << n
-    invariant(covered == ix.all_edges, "blocks do not cover the host edges")
-    invariant(fam.host is g or fam.host == g, "family lives on another host")
-    count = Counter(v for blk in block_of.values() for v in blk.vertices)
-    invariant(len(count) == n, "blocks do not cover the host vertices")
-    # each cut vertex lies in the blocks next to its node, so it is in no
-    # other block when each other vertex lies in one
-    invariant(sum(count.values()) == n - len(cut_of) + sum(
-        len(adj[c]) for c in cut_of), "regions share more than cut vertices")
-    # 3 and 4: subtree regions, and the neighbours and edges of each
-    # subtree's vertices but the cut vertex above it, bottom-up
-    position = {v: i for i, v in enumerate(ix.vertices)}
-    cuts = set(cut_of.values())
-    reach = [0] * k
-    for ci, blk in block_of.items():
-        for v in blk.vertices:
-            if v not in cuts:
-                reach[ci] |= ix.star[position[v]]
-    star = {}
-    for c, v in cut_of.items():
-        rows[c] = ix.vertex_bit[v]
-        star[c] = ix.star[position[v]]
-    for y in reversed(order[1:]):
-        rows[parent[y]] |= rows[y]
-        reach[parent[y]] |= reach[y] | star.get(y, 0)
-    for i in range(0, len(fam.elements), 2):
-        a, b = tree.class_of[i], tree.class_of[i + 1]
-        y = a if parent[a] == b else b
-        c = y if y in cut_of else parent[y]
-        bit = ix.vertex_bit[cut_of[c]]
-        j = i if b == y else i + 1      # the element whose tail is y
-        side, other = fam.elements[j], fam.elements[j ^ 1]
-        invariant(side.vmask == rows[y] & ix.all_vertices
-                  and side.emask == rows[y] >> n and side.bmask == bit,
-                  "side is not the union of the regions beyond its edge", j)
-        invariant(other.bmask == bit
-                  and other.emask == ix.all_edges & ~side.emask
-                  and other.vmask == ix.all_vertices & ~side.vmask | bit,
-                  "paired element is not the complement",
-                  {"element": j, "partner": j ^ 1})
-        near, at = reach[y] & ix.all_vertices, reach[y] >> n
-        invariant(not near & ~side.vmask and at == side.emask,
-                  "interior of a side reaches outside it", j)
-        edges = ix.incident(position[cut_of[c]])
-        invariant(edges & side.emask and edges & ~side.emask,
-                  "boundary vertex needs incident edges on both sides", j)
+    # a class without members is the one of an empty family, or apart
+    # from the tree, which certify_tree reports
+    bare = next((ci for ci, blk in block_of.items()
+                 if not blk.edges and tree.classes[ci]), None)
+    invariant(bare is None, "block without an edge", bare)
+    certify_tree(tree)

@@ -216,10 +216,10 @@ def torso(g, tree, v):
     """
     if tree.family.host != g:
         raise MalformedInput("tree does not describe this host")
+    cut = tree.cut_vertex(v)
+    if cut is not None:
+        raise HingeVertex("single-vertex region has no torso", witness=cut)
     zprime, z, virtuals, gens = _region_parts(tree, v)
-    if tree.classes[v] and len(zprime.vertices) == 1 and not zprime.edges:
-        raise HingeVertex("single-vertex region has no torso",
-                          witness=zprime.vertices[0])
     invariant(is_connected(z), "torso must be connected")
     if len(z.vertices) >= 3:
         invariant(is_two_connected(z), "torso must be 2-connected")
@@ -306,10 +306,10 @@ def triblock_tree(g):
     cut_classes = {}
     torsos = {}
     for ci in range(tree.vertex_count):
-        reg = tree.region(ci)
-        if tree.classes[ci] and len(reg.vertices) == 1 and not reg.edges:
+        cut = tree.cut_vertex(ci)
+        if cut is not None:
             kinds[ci] = KIND_CUT_POINT
-            cut_classes[ci] = reg.vertices[0]
+            cut_classes[ci] = cut
             continue
         t = torso(h, tree, ci)
         torsos[ci] = t

@@ -26,12 +26,6 @@ from .graph import (connected_components, edge_key, homeomorphic_reduce,
                     induced_subgraph)
 
 
-def _verify(tree):
-    from .treeset import verify_tree_correspondence
-    report = verify_tree_correspondence(tree)
-    invariant(report["ok"], "tree verification failed", report["violations"])
-
-
 # the parsers are looked up when called, so that a patched parser (a
 # tracer's, say) is the one that runs
 
@@ -74,8 +68,9 @@ def _blocks(g, bound, args):
 
 def _triblocks(g, bound, args):
     from .blocks2 import triblock_tree
+    from .treeset import certify_tree
     tbt = triblock_tree(g)
-    _verify(tbt.tree)
+    certify_tree(tbt.tree)
     nodes = []
     for ci in range(tbt.vertex_count):
         node = {"id": ci, "kind": tbt.kinds[ci]}
@@ -166,6 +161,7 @@ def _check(g, bound, args):
     from .planar import planarity_test
     from .symmetry import (automorphism_group, check_orbit_stabilizer,
                            tree_action_check)
+    from .treeset import certify_tree
     count = serialize.counted
     rows = []
 
@@ -208,7 +204,7 @@ def _check(g, bound, args):
 
     def triblocks():
         tbt = triblock_tree(g)
-        _verify(tbt.tree)
+        certify_tree(tbt.tree)
         state["tbt"] = tbt
         return count(tbt.vertex_count, "tree vertex", "tree vertices")
     attempt("triblock-tree", triblocks)

@@ -161,20 +161,3 @@ def separation_complement(a):
     ix = a.host.index
     return make_separation(a.host, ix.all_vertices & ~a.vmask | a.bmask,
                            ix.all_edges & ~a.emask, a.bmask)
-
-
-def pull_back_separation(original, reduced, a):
-    """Pull a separation of a reduced graph back to its original graph.
-
-    Every edge of ea expands to the original walk(s) it replaced,
-    including branches that collapsed onto it, so interior vertices of
-    the result keep all their incident edges and the boundary carries
-    over unchanged.
-    """
-    if a.host != reduced.graph:
-        raise MalformedInput("separation does not live on the reduced graph")
-    walks = [walk for e in a.ea for walk in reduced.walks[e]]
-    return make_separation(
-        original, set(a.va).union(*walks),
-        {edge_key(x, y) for walk in walks for x, y in zip(walk, walk[1:])},
-        a.boundary)

@@ -194,7 +194,6 @@ def tree_action_check(tree, group):
     fam = tree.family
     violations = []
     index = {(a.sort_key(), i & 1): i for i, a in enumerate(fam.elements)}
-    regions = [tree.region(ci) for ci in range(len(tree.classes))]
     for gi, perm in enumerate(group.generators):
         image = {}
         for i, a in enumerate(fam.elements):
@@ -227,7 +226,7 @@ def tree_action_check(tree, group):
             if imgs:
                 cmap[ci] = imgs.pop()
         for ci, cj in cmap.items():
-            reg, target = regions[ci], regions[cj]
+            reg, target = tree.regions[ci], tree.regions[cj]
             if {perm[v] for v in reg.vertices} != target.vertex_set or \
                     {apply_to_edge(perm, e) for e in reg.edges} \
                     != target.edge_set:

@@ -17,20 +17,18 @@ family strictly between (and A ~ A), so class(A) is A plus the
 complements of the elements covering A.  The tree has the equivalence
 classes as vertices and one edge per complement pair; the directed edge
 of A runs from class(A*) to class(A), so A <= B exactly when the edge
-of A lies on the directed path toward the edge of B.  In a tree that
-holds when up[A] is the successors of A (the complements of the other
-members of class(A)) and everything above them, which verification
-checks per element.
+of A lies on the directed path toward the edge of B.  Each class holds
+its region, the intersection of the complements of its members, built
+once with the tree.  A side is the union of the regions beyond its
+edge, and adjacent regions meet exactly in their edge's boundary: the
+regions are the pieces of a tree decomposition of the host.
 
 Where the tree comes first, as the block-cut tree does off its DFS, the
-family is a `TreeFamily`: it carries its tree, classes and regions
-included, and reads ``up`` off it on first use, O(1) n-bit operations
-per element.  Its checks are those of whoever built the tree
-(`blocks1.certify_block_cut_tree`), and no mask order is computed.
-
-Any other family, such as the combined hinge family, is checked on
-construction and computes its order from the masks (see `separation`),
-once, and its tree and the verification come from that order.  Each
+family is a `TreeFamily`: it holds its host, its elements and its tree,
+regions included, and no order is computed.  Any other family, such as
+the combined hinge family, is a `NestedFamily`, checked on construction,
+which computes its order from the masks (see `separation`) once, and
+`build_structure_tree` reads the classes off that order.  Each
 element's vertex bits, then edge bits, split into maximal aligned
 power-of-two blocks, and the elements containing it as a subgraph are
 the AND, over its blocks, of the elements holding that block or an
@@ -40,18 +38,22 @@ vertices and edges are runs in the index order, as on a path, and never
 more than the side has vertices and edges.  The nesting check takes
 O(n) operations on n-bit ints, the complement of a set of elements
 being one swap of adjacent bits.  The classes take one more such pass,
-with the elements relabelled lowest first, which the family keeps for
-the verification, and then one step per covering pair; the verification
-adds one step per class member.
+with the elements relabelled lowest first, and then one step per
+covering pair.
+
+Either way one certificate, `certify_tree`, checks the tree in one
+linear pass over its regions and sides, and recomputes neither the
+order nor the classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import and_
+from itertools import repeat
+from operator import and_, or_
 
-from .errors import MalformedInput, NotNested
+from .errors import MalformedInput, NotNested, invariant
 from .graph import Graph, connected_components, edge_key, set_bits
 
 
@@ -183,8 +185,7 @@ class NestedFamily:
     def lowest_first(self):
         """(lowest, up): the elements from lowest to highest (most elements
         above first), and the order relabelled so, with element j at bit
-        p where lowest[p] == j.  Computed once, for the tree and for its
-        verification."""
+        p where lowest[p] == j."""
         lowest = sorted(range(len(self.elements)),
                         key=lambda i: -self.up[i].bit_count())
         label = [0] * len(lowest)
@@ -201,9 +202,9 @@ class NestedFamily:
 
 @dataclass(frozen=True)
 class StructureTree:
-    family: NestedFamily
+    family: object          # a NestedFamily or a TreeFamily
     classes: tuple          # frozensets of element indices
-    regions: tuple = field(default=None, repr=False, compare=False)
+    regions: tuple = field(repr=False, compare=False)   # Graph per class
     class_of: tuple = field(init=False, repr=False, compare=False, hash=False,
                             default=None)
     _graph: Graph = field(init=False, repr=False, compare=False, hash=False,
@@ -237,80 +238,30 @@ class StructureTree:
         return self._graph.neighbors(ci)
 
     def region(self, ci):
-        """Intersection of the complements of the class members.
+        """Intersection of the complements of the class members: the cut
+        vertex alone for a cut-point class, the block for a block class,
+        the whole host for the empty class."""
+        return self.regions[ci]
 
-        For a cut-point class this is the cut vertex alone; for a block
-        class it is the block.  The empty class yields the whole host.
-        A tree read off its family's construction holds its regions.
-        """
-        if self.regions is not None:
-            return self.regions[ci]
-        fam = self.family
-        if not self.classes[ci]:        # no separation: no index needed
-            return Graph(tuple(sorted(fam.host.vertices)),
-                         tuple(sorted(fam.host.edges)))
-        ix = fam.host.index
-        vm, em = ix.all_vertices, ix.all_edges
-        for i in self.classes[ci]:
-            other = fam.elements[i ^ 1]
-            vm &= other.vmask
-            em &= other.emask
-        return Graph(ix.vertices_of(vm), ix.edges_of(em))
+    def cut_vertex(self, ci):
+        """The vertex of a cut-point class, whose region is one vertex and
+        no edge, or None for any other class."""
+        reg = self.regions[ci]
+        if self.classes[ci] and not reg.edges and len(reg.vertices) == 1:
+            return reg.vertices[0]
+        return None
 
 
-class TreeFamily(NestedFamily):
+class TreeFamily:
     """A family whose structure tree came with it: `tree` holds the
     classes, in the numbering `build_structure_tree` would give them, and
-    each class's region.  No mask order is computed; `up` is read off the
-    tree on first use."""
+    each class's region.  No order is computed; `certify_tree` checks
+    the tree."""
 
     def __init__(self, host, elements, classes, regions):
         self.host = host
         self.elements = tuple(elements)
         self.tree = StructureTree(self, tuple(classes), tuple(regions))
-
-    @cached_property
-    def up(self):
-        return _tree_order(self.tree)
-
-
-def _tree_order(tree):
-    """up[i] read off the tree: the elements whose edges lie beyond the
-    head of i's edge, directed away from it.
-
-    With the tree rooted at class 0, a downward element's set is the
-    downward elements of the subtree below its head, found bottom-up;
-    an upward element's is everything leaving its head, less the branch
-    it came up, found top-down.  The branches at a class are disjoint,
-    so taking one away is one XOR: O(1) n-bit operations per element.
-    """
-    classes, class_of = tree.classes, tree.class_of
-    n = len(class_of)
-    if not n:
-        return ()
-    into = [None] * len(classes)    # class -> the element down into it
-    order = [0]
-    for x in order:
-        for b in classes[x]:
-            y = class_of[b ^ 1]
-            if y and into[y] is None:
-                into[y] = b ^ 1
-                order.append(y)
-    up = [0] * n
-    below = [0] * len(classes)      # downward elements under each class
-    for y in reversed(order):
-        for b in classes[y]:
-            if b != into[y]:
-                below[y] |= 1 << (b ^ 1) | up[b ^ 1]
-        if into[y] is not None:
-            up[into[y]] = below[y]
-    for x in order:
-        d = into[x]
-        leaving = below[x] | (0 if d is None else 1 << (d ^ 1) | up[d ^ 1])
-        for b in classes[x]:
-            if b != d:
-                up[b] = leaving ^ (1 << (b ^ 1) | up[b ^ 1])
-    return tuple(up)
 
 
 def _unreached(tree):
@@ -354,11 +305,26 @@ def _classes(family):
     return tuple(out)
 
 
+def _regions(family, classes):
+    """Each class's region: the intersection of the complements of its
+    members, the whole host for the empty class."""
+    ix = family.host.index
+    out = []
+    for cls in classes:
+        vm, em = ix.all_vertices, ix.all_edges
+        for i in cls:
+            other = family.elements[i ^ 1]
+            vm &= other.vmask
+            em &= other.emask
+        out.append(Graph(ix.vertices_of(vm), ix.edges_of(em)))
+    return tuple(out)
+
+
 def build_structure_tree(family):
-    """Build the tree of ~-classes; the edge of A joins class(A) to class(A*)."""
-    if not family.elements:
-        return StructureTree(family, (frozenset(),))
-    tree = StructureTree(family, _classes(family))
+    """Build the tree of ~-classes, each with its region; the edge of A
+    joins class(A) to class(A*)."""
+    classes = _classes(family) if family.elements else (frozenset(),)
+    tree = StructureTree(family, classes, _regions(family, classes))
     if tree.edge_count != tree.vertex_count - 1:
         raise NotNested("class graph is not a tree",
                         witness={"vertices": tree.vertex_count,
@@ -369,40 +335,124 @@ def build_structure_tree(family):
     return tree
 
 
-def verify_tree_correspondence(tree):
-    """Recompute the correspondence and report any violation.
+def certify_tree(tree):
+    """Check a structure tree and its regions in one linear pass, raising
+    InvariantViolated (also under ``python -O``) at the first fault.
 
-    Checks tree shape, the stored classes, and that the family order
-    agrees with coherent directed paths in the tree.
+    1. The tree has one edge per complement pair and is connected.
+    2. The regions are subgraphs of the host that partition its edges
+       and cover its vertices; adjacent regions meet exactly in their
+       edge's boundary, of one or two vertices; and the regions have
+       |V| + sum |B_e| vertices in all, the sum over the tree edges e.
+    3. Every side equals the OR of the regions beyond its edge, built
+       bottom-up, and its partner is its exact complement.
+    4. Every side passes the conditions of `make_separation`, read from
+       bottom-up reach masks: the neighbours and edges of its interior
+       lie in it and make up its edges, up to the edge joining a hinge;
+       each boundary vertex has edges on both sides; and a hinge side
+       is neither a single edge nor the host minus one edge.
+
+    By the count in 2, the regions holding a vertex span one tree edge
+    fewer than there are of them, so they form a subtree; the interior
+    of a side is then the vertices whose subtree's top lies beyond its
+    edge, as 4 reads it, and each region is the intersection of the
+    complements of its class's members.  Together these imply nesting
+    and that the order is the tree-path order, twins included.  Two
+    sides are unions of the regions of subtrees, so nested or disjoint
+    subtrees, and regions on the two sides of an edge share only its
+    boundary, so the sides are nested as their edges lie on the tree's
+    directed paths.  A complement pair needs only one side checked
+    under 4: the other inherits the conditions.  The messages call the
+    regions blocks and a boundary's vertices cut vertices, as the
+    block-cut tree does.
     """
     fam = tree.family
-    violations = []
-    n = len(fam.elements)
-    if n == 0:
-        if tree.vertex_count != 1:
-            violations.append("empty family must give a single-vertex tree")
-        return {"ok": not violations, "violations": violations}
-    if tree.edge_count != tree.vertex_count - 1:
-        violations.append("edge count is not vertex count minus one")
-    try:
-        classes = _classes(fam)
-    except NotNested as exc:
-        violations.append("equivalence classes inconsistent: %s" % exc)
-        classes = None
-    if classes is not None and classes != tree.classes:
-        violations.append("stored classes differ from recomputed ~-classes")
-    ci = _unreached(tree)
-    if ci is not None:
-        violations.append("tree is disconnected at class %d" % ci)
-    members = [sum(1 << i for i in cls) for cls in tree.classes]
-    for i in range(n):
-        reach = 0
-        for b in set_bits(members[tree.class_of[i]] & ~(1 << i)):
-            reach |= 1 << (b ^ 1) | fam.up[b ^ 1]
-        diff = (fam.up[i] ^ reach) & ~(1 << i)
-        if diff:
-            j = (diff & -diff).bit_length() - 1
-            violations.append(
-                "order/path mismatch for elements %d,%d (leq=%s path=%s)"
-                % (i, j, fam.leq(i, j), bool(reach >> j & 1)))
-    return {"ok": not violations, "violations": violations}
+    host, elements, regions = fam.host, fam.elements, tree.regions
+    ix = host.index
+    n = len(ix.vertices)
+    k = tree.vertex_count
+    invariant(len(elements) % 2 == 0 and
+              len(tree.edges) == tree.edge_count == k - 1,
+              "tree edges are not one per complement pair",
+              {"vertices": k, "edges": len(tree.edges),
+               "pairs": len(elements) / 2})
+    if not elements:
+        invariant(regions[0].vertex_set == host.vertex_set
+                  and regions[0].edge_set == host.edge_set,
+                  "the one block is not the host")
+        return
+    # 1: rooted at class 0 in BFS order; element into[y] of the parent's
+    # class has its edge into y, and its side is the subtree at y
+    into = [None] * k
+    order = [0]
+    for x in order:
+        for b in tree.classes[x]:
+            y = tree.class_of[b ^ 1]
+            if y and into[y] is None:
+                into[y] = b
+                order.append(y)
+    invariant(len(order) == k, "tree is disconnected")
+    # 2: the regions, each with the stars of the vertices it is the
+    # first (the nearest the root) to hold; a vertex or edge not in the
+    # host adds no bit, so its region has fewer bits than members
+    vbit, ebit, star = ix.vertex_bit, ix.edge_bit, ix.star
+    rows = [0] * k
+    reach = [0] * k
+    covered = held = 0
+    size = 0        # vertices of the regions less those of the boundaries
+    for x in order:
+        reg = regions[x]
+        vm = reduce(or_, map(vbit.get, reg.vertices, repeat(0)), 0)
+        em = reduce(or_, map(ebit.get, reg.edges, repeat(0)), 0)
+        invariant(len(reg.vertices) == vm.bit_count()
+                  and len(reg.edges) == em.bit_count(),
+                  "block is not a subgraph of the host", x)
+        both = em & covered
+        invariant(not both, "edge in two blocks",
+                  both and list(ix.edges_of(both & -both)[0]))
+        covered |= em
+        first = vm & ~held
+        if first:
+            reach[x] = reduce(or_, map(star.__getitem__, set_bits(first)))
+        held |= vm
+        size += len(reg.vertices)
+        rows[x] = vm | em << n
+        if x:
+            bm = elements[into[x]].bmask
+            invariant(vm & rows[tree.class_of[into[x]]] == bm
+                      and 1 <= bm.bit_count() <= 2,
+                      "adjacent blocks do not meet in their boundary", x)
+            size -= bm.bit_count()
+    invariant(covered == ix.all_edges, "blocks do not cover the host edges")
+    invariant(held == ix.all_vertices, "blocks do not cover the host vertices")
+    invariant(size == n, "regions share more than cut vertices")
+    # 3 and 4: subtree regions and reach masks, bottom-up
+    for y in reversed(order[1:]):
+        up = tree.class_of[into[y]]
+        rows[up] |= rows[y]
+        reach[up] |= reach[y]
+    for y in order[1:]:
+        j = into[y]
+        side, other = elements[j], elements[j ^ 1]
+        vm, em, bm = rows[y] & ix.all_vertices, rows[y] >> n, side.bmask
+        invariant(side.vmask == vm and side.emask == em,
+                  "side is not the union of the regions beyond its edge", j)
+        invariant(other.bmask == bm
+                  and other.emask == ix.all_edges & ~em
+                  and other.vmask == ix.all_vertices & ~vm | bm,
+                  "paired element is not the complement",
+                  {"element": j, "partner": j ^ 1})
+        hinge = set_bits(bm)
+        joined = ebit.get(tuple(ix.vertices[i] for i in hinge), 0) \
+            if len(hinge) == 2 else 0
+        near, at = reach[y] & ix.all_vertices, reach[y] >> n
+        invariant(not near & ~vm and not at & ~em and not em & ~at & ~joined,
+                  "interior of a side reaches outside it", j)
+        for i in hinge:
+            edges = star[i] >> n
+            invariant(edges & em and edges & ~em,
+                      "boundary vertex needs incident edges on both sides", j)
+        if len(hinge) == 2:
+            invariant(em.bit_count() != 1
+                      and (ix.all_edges & ~em).bit_count() != 1,
+                      "hinge separation may not be a single edge", j)

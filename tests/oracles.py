@@ -13,16 +13,17 @@ from math import gcd
 
 from planarblocks.blocks2 import _canonical_tree
 from planarblocks.errors import (MalformedInput, NotAnAutomorphism,
-                                 NotConnected, PreconditionViolated, invariant)
+                                 NotConnected, NotNested, PreconditionViolated,
+                                 invariant)
 from planarblocks.graph import (Graph, build_graph, connected_components,
                                 edge_key, induced_subgraph, is_connected,
-                                is_simple_cycle, is_two_connected, two_cuts)
+                                is_simple_cycle, is_two_connected, set_bits,
+                                two_cuts)
 from planarblocks.planar import canonical_face, facial_walks, planarity_test
 from planarblocks.separation import (Separation, component_side,
                                      make_separation, separation_complement)
 from planarblocks.symmetry import apply_to_separation, is_automorphism
-from planarblocks.treeset import (NestedFamily, build_structure_tree,
-                                  verify_tree_correspondence)
+from planarblocks.treeset import NestedFamily, _classes, build_structure_tree
 
 
 # ------------------------------------------------------- block structure
@@ -305,7 +306,106 @@ def path_coherent(tree, i, j):
         and path[-2] == tj
 
 
+def tree_order(tree):
+    """up[i] read off the tree: the elements whose edges lie beyond the
+    head of i's edge, directed away from it, as an int bitmask.
+
+    With the tree rooted at class 0, a downward element's set is the
+    downward elements of the subtree below its head, found bottom-up;
+    an upward element's is everything leaving its head, less the branch
+    it came up, found top-down.  The branches at a class are disjoint,
+    so taking one away is one XOR.
+    """
+    classes, class_of = tree.classes, tree.class_of
+    n = len(class_of)
+    if not n:
+        return ()
+    into = [None] * len(classes)    # class -> the element down into it
+    order = [0]
+    for x in order:
+        for b in classes[x]:
+            y = class_of[b ^ 1]
+            if y and into[y] is None:
+                into[y] = b ^ 1
+                order.append(y)
+    up = [0] * n
+    below = [0] * len(classes)      # downward elements under each class
+    for y in reversed(order):
+        for b in classes[y]:
+            if b != into[y]:
+                below[y] |= 1 << (b ^ 1) | up[b ^ 1]
+        if into[y] is not None:
+            up[into[y]] = below[y]
+    for x in order:
+        d = into[x]
+        leaving = below[x] | (0 if d is None else 1 << (d ^ 1) | up[d ^ 1])
+        for b in classes[x]:
+            if b != d:
+                up[b] = leaving ^ (1 << (b ^ 1) | up[b ^ 1])
+    return tuple(up)
+
+
+def verify_tree_correspondence(tree):
+    """Recompute the correspondence and report any violation.
+
+    Checks tree shape, the stored classes, and that the family order
+    agrees with coherent directed paths in the tree.  The order and the
+    classes come from the elements' masks (`NestedFamily`), also for a
+    family that came with its tree.
+    """
+    fam = tree.family
+    if not isinstance(fam, NestedFamily):
+        fam = NestedFamily(fam.host, fam.elements)
+    violations = []
+    n = len(fam.elements)
+    if n == 0:
+        if tree.vertex_count != 1:
+            violations.append("empty family must give a single-vertex tree")
+        return {"ok": not violations, "violations": violations}
+    if tree.edge_count != tree.vertex_count - 1:
+        violations.append("edge count is not vertex count minus one")
+    try:
+        classes = _classes(fam)
+    except NotNested as exc:
+        violations.append("equivalence classes inconsistent: %s" % exc)
+        classes = None
+    if classes is not None and classes != tree.classes:
+        violations.append("stored classes differ from recomputed ~-classes")
+    parts = connected_components(tree._graph)
+    if len(parts) > 1:
+        violations.append("tree is disconnected at class %d" % parts[1][0])
+    members = [sum(1 << i for i in cls) for cls in tree.classes]
+    for i in range(n):
+        reach = 0
+        for b in set_bits(members[tree.class_of[i]] & ~(1 << i)):
+            reach |= 1 << (b ^ 1) | fam.up[b ^ 1]
+        diff = (fam.up[i] ^ reach) & ~(1 << i)
+        if diff:
+            j = (diff & -diff).bit_length() - 1
+            violations.append(
+                "order/path mismatch for elements %d,%d (leq=%s path=%s)"
+                % (i, j, fam.leq(i, j), bool(reach >> j & 1)))
+    return {"ok": not violations, "violations": violations}
+
+
 # ------------------------------------------------------------ separations
+
+def pull_back_separation(original, reduced, a):
+    """Pull a separation of a reduced graph back to its original graph.
+
+    Every edge of ea expands to the original walk(s) it replaced,
+    including branches that collapsed onto it, so interior vertices of
+    the result keep all their incident edges and the boundary carries
+    over unchanged.
+    """
+    if a.host != reduced.graph:
+        raise MalformedInput("separation does not live on the reduced graph")
+    walks = [walk for e in a.ea for walk in reduced.walks[e]]
+    return make_separation(
+        original, set(a.va).union(*walks),
+        {edge_key(x, y) for walk in walks for x, y in zip(walk, walk[1:])},
+        a.boundary)
+
 
 def interior(a):
     """The vertices of separation a off its boundary."""

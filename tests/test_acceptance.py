@@ -28,6 +28,7 @@ from oracles import (
     random_two_connected_graph,
     remove_vertices,
     verify_table_isomorphism,
+    verify_tree_correspondence,
     von_dyck_permutation_group,
 )
 from planarblocks import (
@@ -39,8 +40,8 @@ from planarblocks import (
     parse_presentation,
     planarity_test,
     triblock_tree,
-    verify_tree_correspondence,
 )
+from planarblocks.treeset import certify_tree
 from planarblocks.blocks2 import (
     KIND_CUT_POINT,
     KIND_CYCLE,
@@ -254,6 +255,7 @@ def test_a8_structure_tree_bijection():
         report = verify_tree_correspondence(tree)
         assert report["ok"], report
         assert report["violations"] == []
+        certify_tree(tree)
     print("A8 tree bijection on 100 recursive path families: PASS")
 
 

@@ -14,15 +14,15 @@ from planarblocks.blocks1 import (BlockCutTree, b1_family, block_cut_tree,
 from planarblocks.errors import InvariantViolated, NotConnected
 from planarblocks.graph import Graph, build_graph, cut_vertices
 from planarblocks.separation import Separation
-from planarblocks.treeset import (NestedFamily, TreeFamily,
-                                  verify_tree_correspondence)
+from planarblocks.treeset import NestedFamily, TreeFamily
 
 from conftest import (complete_graph, cycle_graph, fixture_path, g_of,
                       path_graph)
 from oracles import (cactus, caterpillar, glued_blocks, lowpoint_blocks,
                      mask_block_cut_tree, one_boundary_family,
                      random_connected_graph, random_two_connected_graph,
-                     separating_sets, separation_fault)
+                     separating_sets, separation_fault, tree_order,
+                     verify_tree_correspondence)
 
 
 def test_cut_vertices_fixtures(bowtie, k4):
@@ -47,8 +47,9 @@ def test_b1_family_bowtie(bowtie):
     # the two sides at the cut coincide as subgraphs; the minimal element
     # (even index) lies below its twin (odd index)
     assert keys[2] == keys[1] and keys[3] == keys[0]
-    assert fam.strict(2, 1) and not fam.strict(1, 2)
-    assert fam.strict(0, 3) and not fam.strict(3, 0)
+    up = tree_order(fam.tree)
+    assert up[2] >> 1 & 1 and not up[1] >> 2 & 1
+    assert up[0] >> 3 & 1 and not up[3] >> 0 & 1
 
 
 def test_b1_family_two_connected_is_empty(k4, c6):
@@ -183,7 +184,7 @@ def test_dfs_tree_matches_the_mask_built_tree():
         family, tree, cuts, blocks = mask_block_cut_tree(g)
         assert [s.key for s in bct.family.elements] == \
             [s.key for s in family.elements]
-        assert bct.family.up == family.up
+        assert tree_order(bct.tree) == family.up
         assert bct.tree.classes == tree.classes
         assert bct.tree.edges == tree.edges
         assert bct.cut_classes == cuts

@@ -17,7 +17,6 @@ from planarblocks import (
     separation_complement,
     torso,
     triblock_tree,
-    verify_tree_correspondence,
 )
 from planarblocks.graph import induced_subgraph, is_simple_cycle
 from planarblocks.blocks2 import (
@@ -41,7 +40,7 @@ from oracles import (all_separations, build_nested_family, chorded_cycle,
                      lowpoint_blocks, nested,
                      random_two_connected_graph, separation_fault,
                      separating_sets, totally_nested_keys,
-                     uncrossed_side_keys)
+                     uncrossed_side_keys, verify_tree_correspondence)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +417,7 @@ def test_torso_witness_contracts_to_z(grid3x3):
 
 
 def test_torso_on_cut_point_class_raises(bowtie):
-    fam = b1_family(bowtie)
-    tree = build_structure_tree(fam)
+    tree = b1_family(bowtie).tree
     assert tree.classes == (
         frozenset({0, 2}), frozenset({1}), frozenset({3}))
     with pytest.raises(HingeVertex):

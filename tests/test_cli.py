@@ -356,8 +356,8 @@ import json, sys
 from planarblocks import blocks1, cli, treeset
 from planarblocks.errors import invariant
 assert False, "this script must run under -O"
-treeset.verify_tree_correspondence = lambda tree: {"ok": False,
-                                                   "violations": ["forced"]}
+treeset.certify_tree = lambda tree: invariant(
+    False, "tree verification failed", ["forced"])
 blocks1.certify_block_cut_tree = lambda bct: invariant(
     False, "tree verification failed", ["forced"])
 print(json.dumps([cli.run([cmd, sys.argv[1]]) for cmd in ("check", "blocks")]))
@@ -371,6 +371,7 @@ def test_failed_verification_is_reported_under_dash_o():
         json.loads(proc.stdout)
     assert check_code == 1
     assert "block-cut-tree             FAIL" in check_out
+    assert "triblock-tree              FAIL" in check_out
     assert check_out.endswith("result: FAIL\n")
     assert blocks_code == 1
     err = json.loads(blocks_out)["error"]
@@ -660,7 +661,7 @@ def test_every_exported_name_resolves():
     import types
 
     import planarblocks
-    assert "verify_tree_correspondence" in dir(planarblocks)
+    assert "certify_tree" in dir(planarblocks)
     for name in planarblocks.__all__:
         value = getattr(planarblocks, name)
         if isinstance(value, types.ModuleType):

@@ -1,21 +1,30 @@
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from planarblocks import cli, treeset
 from planarblocks.blocks1 import b1_family
 from planarblocks.blocks2 import triblock_tree
-from planarblocks.errors import MalformedInput, NotNested
-from planarblocks.graph import build_graph
-from planarblocks.separation import make_separation, separation_complement
-from planarblocks.treeset import (NestedFamily, StructureTree,
-                                  build_structure_tree,
-                                  verify_tree_correspondence)
+from planarblocks.errors import InvariantViolated, MalformedInput, NotNested
+from planarblocks.graph import Graph, build_graph
+from planarblocks.separation import (Separation, make_separation,
+                                     separation_complement)
+from planarblocks.treeset import (NestedFamily, StructureTree, TreeFamily,
+                                  build_structure_tree, certify_tree)
 
-from conftest import path_graph
-from oracles import (directed_edge, family_from_sides, family_strict,
-                     path_coherent, random_connected_graph, random_path_family,
-                     random_two_connected_graph, sim_classes)
+from conftest import cycle_graph, fixture_path, g_of, path_graph
+from oracles import (chorded_cycle, directed_edge, family_from_sides,
+                     family_strict, glued_blocks, path_coherent,
+                     random_connected_graph, random_path_family,
+                     random_two_connected_graph, sim_classes, tree_order,
+                     verify_tree_correspondence)
 
 
 def _interval(host, lo, hi, n_edges):
@@ -64,7 +73,7 @@ def test_family_rejects_crossing_pair(c6_chord):
 
 
 def test_strict_orders_equal_subgraphs_by_pair_place(bowtie):
-    fam = b1_family(bowtie)
+    fam = NestedFamily(bowtie, b1_family(bowtie).elements)
     # elements 1 and 2 are the same subgraph; the even one lies below
     a, b = fam.elements[1], fam.elements[2]
     assert (a.va, a.ea) == (b.va, b.ea)
@@ -121,7 +130,7 @@ def test_empty_family_single_vertex(k4):
 
 
 def test_b1_family_tree_classes(bowtie):
-    fam = b1_family(bowtie)
+    fam = NestedFamily(bowtie, b1_family(bowtie).elements)
     tree = build_structure_tree(fam)
     assert tree.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
     assert tree.edges == ((0, 1), (0, 2))
@@ -129,7 +138,7 @@ def test_b1_family_tree_classes(bowtie):
 
 
 def test_region_of_class(bowtie):
-    fam = b1_family(bowtie)
+    fam = NestedFamily(bowtie, b1_family(bowtie).elements)
     tree = build_structure_tree(fam)
     center = tree.region(0)
     assert center.vertices == (0,)
@@ -177,7 +186,8 @@ def _random_families(source, count):
         if source == "path":
             yield random_path_family(rng, max_elements=40)
         elif source == "blocks":
-            yield b1_family(random_connected_graph(rng))
+            g = random_connected_graph(rng)
+            yield NestedFamily(g, b1_family(g).elements)
         else:
             yield triblock_tree(_glued_two_connected(rng)).family
 
@@ -201,9 +211,10 @@ def test_order_classes_and_coherence_match_oracles(source):
 
 
 def _bowtie_tree(bowtie, classes):
-    tree = build_structure_tree(b1_family(bowtie))
+    tree = build_structure_tree(NestedFamily(bowtie,
+                                             b1_family(bowtie).elements))
     assert tree.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
-    return StructureTree(tree.family, classes)
+    return StructureTree(tree.family, classes, tree.regions)
 
 
 def test_verify_reports_a_moved_element(bowtie):
@@ -231,7 +242,8 @@ def test_verify_reports_a_disconnected_class_graph(bowtie):
 
 
 def test_path_200_tree_builds_and_verifies_fast():
-    fam = b1_family(path_graph(200))
+    host = path_graph(200)
+    fam = NestedFamily(host, b1_family(host).elements)
     assert len(fam.elements) == 792
     t0 = time.monotonic()
     tree = build_structure_tree(fam)
@@ -240,3 +252,126 @@ def test_path_200_tree_builds_and_verifies_fast():
     assert report["ok"], report["violations"][:3]
     assert tree.vertex_count == 199 + 198
     assert elapsed < 5.0, elapsed
+
+
+# ---------------------------------------------------------------------------
+# the certificate of every structure tree
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([glued_blocks, chorded_cycle,
+                        random_two_connected_graph, random_connected_graph]),
+       st.integers(0, 2 ** 32))
+def test_every_triblock_tree_is_certified(make, seed):
+    tbt = triblock_tree(make(random.Random(seed)))
+    certify_tree(tbt.tree)
+    report = verify_tree_correspondence(tbt.tree)
+    assert report["ok"], report["violations"]
+    assert tree_order(tbt.tree) == tbt.family.up
+
+
+def test_triblocks_computes_the_classes_once(monkeypatch):
+    calls = []
+    classes = treeset._classes
+
+    def counted(family):
+        calls.append(family)
+        return classes(family)
+    monkeypatch.setattr(treeset, "_classes", counted)
+    code, out = cli.run(["triblocks", fixture_path("book_k4.edges")])
+    assert code == 0, out
+    assert len(calls) == 1
+
+
+# (what is corrupted, the message the certificate reports)
+HINGE_FAULTS = (
+    ("hinge side short",
+     "side is not the union of the regions beyond its edge"),
+    ("torsos trade an edge",
+     "side is not the union of the regions beyond its edge"),
+    ("partner", "paired element is not the complement"),
+    ("third shared vertex", "adjacent blocks do not meet in their boundary"),
+    ("single-edge side", "hinge separation may not be a single edge"))
+
+
+def corrupted_hinge_trees():
+    """(fault, tree) for each fault of HINGE_FAULTS.  The first four
+    change one thing in the tri-block tree of two K4s sharing the edge
+    0-1: a bond {0, 1} with that edge, the root, and a torso on each
+    side of it.  The last is a 4-cycle cut at its edge 0-1 into that
+    edge and the rest, by hand."""
+    g = g_of("0-1,0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5")
+    tree = triblock_tree(g).tree
+    elements, regions = list(tree.family.elements), list(tree.regions)
+    assert regions[0] == Graph((0, 1), ((0, 1),))
+
+    def rebuilt(elements=elements, regions=regions):
+        return TreeFamily(g, elements, tree.classes, regions).tree
+    a, b = elements[0], elements[1]
+    left = regions[1]                   # the torso on 0, 1, 2, 3
+    out = {"hinge side short": rebuilt(
+        [Separation(g, a.vmask & ~(1 << 2), a.emask, a.bmask)]
+        + elements[1:])}
+    # a Graph holds the ends of its edges, so these are plain records
+    out["torsos trade an edge"] = rebuilt(regions=[
+        regions[0],
+        SimpleNamespace(vertices=left.vertices,
+                        edges=left.edges[:-1] + ((4, 5),)),
+        SimpleNamespace(vertices=regions[2].vertices,
+                        edges=regions[2].edges[:-1] + ((2, 3),))])
+    out["partner"] = rebuilt(
+        [a, Separation(g, b.vmask, b.emask & b.emask - 1, b.bmask)]
+        + elements[2:])
+    out["third shared vertex"] = rebuilt(
+        regions=[Graph((0, 1, 2), ((0, 1),))] + regions[1:])
+    c4 = cycle_graph(4)
+    ix = c4.index
+    edge = ix.edge_bit[(0, 1)]
+    hinge = ix.vertex_bit[0] | ix.vertex_bit[1]
+    out["single-edge side"] = TreeFamily(
+        c4, (Separation(c4, hinge, edge, hinge),
+             Separation(c4, ix.all_vertices, ix.all_edges & ~edge, hinge)),
+        (frozenset({0}), frozenset({1})),
+        (Graph(c4.vertices, tuple(e for e in c4.edges if e != (0, 1))),
+         Graph((0, 1), ((0, 1),)))).tree
+    return [(fault, out[fault]) for fault, _ in HINGE_FAULTS]
+
+
+def test_certificate_reports_each_hinge_corruption():
+    certify_tree(triblock_tree(
+        g_of("0-1,0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5")).tree)
+    for (fault, tree), (_, message) in zip(corrupted_hinge_trees(),
+                                           HINGE_FAULTS):
+        with pytest.raises(InvariantViolated) as err:
+            certify_tree(tree)
+        assert str(err.value) == message, fault
+
+
+HINGE_FAULTS_UNDER_O = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_treeset import corrupted_hinge_trees
+from planarblocks.errors import InvariantViolated
+from planarblocks.treeset import certify_tree
+assert False, "this script must run under -O"
+caught = []
+for fault, tree in corrupted_hinge_trees():
+    try:
+        certify_tree(tree)
+    except InvariantViolated as exc:
+        caught.append([fault, str(exc)])
+print(json.dumps(caught))
+"""
+
+
+def test_certificate_reports_each_hinge_corruption_under_dash_o():
+    tests = os.path.dirname(__file__)
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", HINGE_FAULTS_UNDER_O,
+                           tests], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [list(f) for f in HINGE_FAULTS]
