@@ -28,8 +28,8 @@ _EXPORTS = {
     "separation": ("Separation", "make_separation", "separation_complement"),
     "symmetry": ("AutGroup", "QuotientGraph", "automorphism_group",
                  "quotient_graph", "tree_action_check"),
-    "treeset": ("NestedFamily", "StructureTree", "TreeFamily",
-                "build_structure_tree", "certify_tree"),
+    "treeset": ("NestedFamily", "StructureTree", "build_structure_tree",
+                "certify_tree"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

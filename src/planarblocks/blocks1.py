@@ -12,7 +12,9 @@ cut vertex c, for every component C of X - c, the minimal element
 spanned by C (all of C plus c and the joining edges) and its complement.
 A side is the union of the regions beyond its edge, so the sides come
 bottom-up, one OR per tree node, and the family comes with its tree
-(`treeset.TreeFamily`): no order is computed from masks.  When c leaves
+(`treeset.NestedFamily`).  Of the two producers of a family this is the
+DFS read; the other, `treeset.build_structure_tree`, reads the tree off
+the containment of the sides and is not called here.  When c leaves
 exactly two components, the minimal element on one side coincides, as a
 subgraph, with the complement of the other; the two are distinct family
 members on distinct tree edges, the minimal one below its twin.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from .errors import invariant
 from .graph import Graph, _lowpoint_dfs
 from .separation import Separation
-from .treeset import StructureTree, TreeFamily, certify_tree
+from .treeset import NestedFamily, StructureTree, certify_tree
 
 
 def b1_family(g):
@@ -41,7 +43,7 @@ def b1_family(g):
     order, parent, split = _lowpoint_dfs(g)
     if not split:
         whole = Graph(tuple(sorted(g.vertices)), tuple(sorted(g.edges)))
-        return TreeFamily(g, (), (frozenset(),), (whole,))
+        return NestedFamily(g, (), (frozenset(),), (whole,))
     ix = g.index
     n = len(ix.vertices)
     root = order[0]
@@ -97,16 +99,16 @@ def b1_family(g):
     regions = [Graph((x,), ()) if cut else
                Graph(tuple(sorted(verts[x])), tuple(edges[x]))
                for cut, x in number]
-    return TreeFamily(g, elements, map(frozenset, classes), regions)
+    return NestedFamily(g, elements, map(frozenset, classes), regions)
 
 
 @dataclass(frozen=True)
 class BlockCutTree:
     """The block-cut tree of `graph`, read off the tree of `family`, a
-    `treeset.TreeFamily` such as `b1_family` builds."""
+    `treeset.NestedFamily` such as `b1_family` builds."""
 
     graph: Graph
-    family: TreeFamily
+    family: NestedFamily
     tree: StructureTree = field(init=False)
     cut_classes: dict = field(init=False)   # tree vertex -> cut vertex
     block_classes: dict = field(init=False)  # tree vertex -> block subgraph

@@ -142,7 +142,7 @@ def _canonical_tree(h):
             sc = separation_complement(s)
             present.update((s, sc))
             elements += (s, sc)
-    return build_structure_tree(NestedFamily(h, elements))
+    return build_structure_tree(h, elements)
 
 
 # ---------------------------------------------------------------------------

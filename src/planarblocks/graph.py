@@ -142,8 +142,10 @@ class GraphIndex:
 
 
 def _mask_of(bits, items):
-    """(OR of the bits of the known items, sorted list of the others)."""
-    return (reduce(or_, map(bits.__getitem__, items.intersection(bits)), 0),
+    """(OR of the bits of the known items, sorted list of the others).
+    Both walk the items, not the index: a keys view intersects from the
+    smaller side, and a set's difference with a dict probes the dict."""
+    return (reduce(or_, map(bits.__getitem__, bits.keys() & items), 0),
             sorted(items.difference(bits)))
 
 

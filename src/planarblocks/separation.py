@@ -11,8 +11,10 @@ the host's index (`Graph.index`): `vmask`, `emask` and `bmask`.
 Equality, hashing, containment and the complement are a few big-int
 operations, whatever the size of the sides.  The sets `va`, `ea` and
 `boundary` and the sorted `key` are decoded from the masks on first use
-and kept.  `make_separation` is the only constructor; it checks every
-invariant with one OR per interior vertex.
+and kept.  `make_separation` checks every invariant with one OR per
+interior vertex.  `blocks1.b1_family` builds its `Separation`s directly:
+its sides come off the DFS, and `treeset.certify_tree` checks each as a
+separation.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ happens when a cut vertex leaves exactly two components, so a minimal
 element coincides with the complement of its twin) are ordered by their
 place in the pairs, an element at an even index below a twin at an odd
 one, so that the order stays a strict partial order reversed by
-complementation.  Bit j of the int ``up[i]`` is set when element i
-lies strictly below element j.
+complementation.
 
 Two elements are equivalent, A ~ B, when A < B* with nothing of the
 family strictly between (and A ~ A), so class(A) is A plus the
@@ -18,28 +17,17 @@ complements of the elements covering A.  The tree has the equivalence
 classes as vertices and one edge per complement pair; the directed edge
 of A runs from class(A*) to class(A), so A <= B exactly when the edge
 of A lies on the directed path toward the edge of B.  Each class holds
-its region, the intersection of the complements of its members, built
-once with the tree.  A side is the union of the regions beyond its
-edge, and adjacent regions meet exactly in their edge's boundary: the
-regions are the pieces of a tree decomposition of the host.
+its region, the intersection of the complements of its members.  A side
+is the union of the regions beyond its edge, and adjacent regions meet
+exactly in their edge's boundary: the regions are the pieces of a tree
+decomposition of the host.
 
-Where the tree comes first, as the block-cut tree does off its DFS, the
-family is a `TreeFamily`: it holds its host, its elements and its tree,
-regions included, and no order is computed.  Any other family, such as
-the combined hinge family, is a `NestedFamily`, checked on construction,
-which computes its order from the masks (see `separation`) once, and
-`build_structure_tree` reads the classes off that order.  Each
-element's vertex bits, then edge bits, split into maximal aligned
-power-of-two blocks, and the elements containing it as a subgraph are
-the AND, over its blocks, of the elements holding that block or an
-enclosing one.  For n elements that is one n-bit operation per block:
-O(log k) blocks on a host of k vertices and edges when a side's
-vertices and edges are runs in the index order, as on a path, and never
-more than the side has vertices and edges.  The nesting check takes
-O(n) operations on n-bit ints, the complement of a set of elements
-being one swap of adjacent bits.  The classes take one more such pass,
-with the elements relabelled lowest first, and then one step per
-covering pair.
+A family is a `NestedFamily`: its host, its elements and its tree,
+regions included, with no order stored.  Two producers make one.  The
+block-cut tree reads its tree off a lowpoint DFS (`blocks1.b1_family`).
+Any other family, such as the combined hinge family, goes through
+`build_structure_tree`, which reads the tree off the containment of the
+sides.
 
 Either way one certificate, `certify_tree`, checks the tree in one
 linear pass over its regions and sides, and recomputes neither the
@@ -49,160 +37,17 @@ order nor the classes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import repeat
-from operator import and_, or_
+from operator import or_
 
 from .errors import MalformedInput, NotNested, invariant
-from .graph import Graph, connected_components, edge_key, set_bits
-
-
-def _pair_swap(n):
-    """Bit i to bit i ^ 1: the complement map of a family."""
-    even = (1 << 2 * ((n + 1) // 2)) // 3
-
-    def swap(mask):
-        return (mask & even) << 1 | (mask >> 1) & even
-    return swap
-
-
-def _aligned_blocks(mask, leaves):
-    """The set bits of mask as maximal aligned power-of-two blocks, named
-    as the nodes of a heap whose leaves are the bit positions: bit p is
-    node leaves + p, and node k has parent k >> 1."""
-    out = []
-    while mask:
-        low = mask & -mask
-        carry = mask + low              # clears the lowest run of ones
-        lo = leaves + low.bit_length() - 1
-        hi = leaves + (carry & -carry).bit_length() - 1
-        mask &= carry
-        while lo < hi:
-            if lo & 1:
-                out.append(lo)
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                out.append(hi)
-            lo >>= 1
-            hi >>= 1
-    return out
-
-
-class NestedFamily:
-    """Separation family in complement pairs (element i ^ 1 is the
-    complement of element i)."""
-
-    def __init__(self, host, elements):
-        self.host = host
-        self.elements = tuple(elements)
-        self._validate()
-
-    def __len__(self):
-        return len(self.elements)
-
-    def _validate(self):
-        n = len(self.elements)
-        if n % 2:
-            raise MalformedInput("family must list complements in pairs",
-                                 witness=n)
-        all_vertices = (1 << len(self.host.vertices)) - 1
-        all_edges = (1 << len(self.host.edges)) - 1
-        for i, a in enumerate(self.elements):
-            if a.host is not self.host and a.host != self.host:
-                raise MalformedInput("element lives on another host",
-                                     witness=i)
-            b = self.elements[i ^ 1]
-            if (b.bmask != a.bmask or b.emask != all_edges & ~a.emask
-                    or b.vmask != all_vertices & ~a.vmask | a.bmask):
-                raise NotNested("paired element is not the complement",
-                                witness={"element": i, "partner": i ^ 1})
-        if not n:
-            self.up = ()
-            return
-        self.up = self._order()
-        image = _pair_swap(n)
-        full = (1 << n) - 1
-        for i in range(n):
-            # j > i is nested with i when j or j* lies at or above i or i*
-            near = self.up[i] | self.up[i ^ 1] | 1 << i | 1 << (i ^ 1)
-            crossing = full & ~near & ~image(near) & ~((2 << i) - 1)
-            if crossing:
-                j = (crossing & -crossing).bit_length() - 1
-                raise NotNested(
-                    "pair fails the nesting condition",
-                    witness={"a": list(self.elements[i].key),
-                             "b": list(self.elements[j].key)})
-
-    @cached_property
-    def _rows(self):
-        """Each element as one int: its vertex bits, then its edge bits."""
-        shift = len(self.host.vertices)
-        return [s.vmask | s.emask << shift for s in self.elements]
-
-    @cached_property
-    def _blocks(self):
-        """Each row as its maximal aligned power-of-two blocks."""
-        leaves = 1 << max(self._rows, default=0).bit_length().bit_length()
-        return [_aligned_blocks(row, leaves) for row in self._rows]
-
-    def _order(self, label=None):
-        """up[i]: bitmask of the elements strictly above element i, with
-        element j at bit label[j] (by default, bit j).
-
-        An element is a row of vertex bits then edge bits, split into its
-        maximal aligned power-of-two blocks of set bits.  A block lies in
-        element j exactly when one of j's own blocks is the block or
-        encloses it, so the elements containing element i as a subgraph
-        are the AND, over the blocks of i, of the elements holding the
-        block or an enclosing one.
-        """
-        bit = [1 << p for p in label or range(len(self.elements))]
-        rows, blocks = self._rows, self._blocks
-        held = {}       # block -> elements holding it or an enclosing one
-        for j, own in enumerate(blocks):
-            for k in own:
-                held[k] = held.get(k, 0) | bit[j]
-        for k in sorted(held):          # enclosing blocks come first
-            parent = k >> 1
-            while parent and parent not in held:
-                parent >>= 1
-            if parent:
-                held[k] |= held[parent]
-        twins = {}      # row -> elements equal to it as subgraphs
-        for j, row in enumerate(rows):
-            twins[row] = twins.get(row, 0) | 1 << j
-        up = []
-        for i, row in enumerate(rows):
-            above = reduce(and_, map(held.__getitem__, blocks[i]))
-            for j in set_bits(twins[row]):
-                if j in (i, i ^ 1) or i & 1 >= j & 1:
-                    above &= ~bit[j]
-            up.append(above)
-        return tuple(up)
-
-    @cached_property
-    def lowest_first(self):
-        """(lowest, up): the elements from lowest to highest (most elements
-        above first), and the order relabelled so, with element j at bit
-        p where lowest[p] == j."""
-        lowest = sorted(range(len(self.elements)),
-                        key=lambda i: -self.up[i].bit_count())
-        label = [0] * len(lowest)
-        for p, i in enumerate(lowest):
-            label[i] = p
-        return lowest, self._order(label)
-
-    def strict(self, i, j):
-        return bool(self.up[i] >> j & 1)
-
-    def leq(self, i, j):
-        return i == j or self.strict(i, j)
+from .graph import Graph, edge_key, set_bits
 
 
 @dataclass(frozen=True)
 class StructureTree:
-    family: object          # a NestedFamily or a TreeFamily
+    family: NestedFamily
     classes: tuple          # frozensets of element indices
     regions: tuple = field(repr=False, compare=False)   # Graph per class
     class_of: tuple = field(init=False, repr=False, compare=False, hash=False,
@@ -252,11 +97,10 @@ class StructureTree:
         return None
 
 
-class TreeFamily:
-    """A family whose structure tree came with it: `tree` holds the
-    classes, in the numbering `build_structure_tree` would give them, and
-    each class's region.  No order is computed; `certify_tree` checks
-    the tree."""
+class NestedFamily:
+    """A nested family with its structure tree: `tree` holds the classes,
+    numbered by least member, and each class's region.  No order is
+    computed; `certify_tree` checks the tree."""
 
     def __init__(self, host, elements, classes, regions):
         self.host = host
@@ -264,75 +108,91 @@ class TreeFamily:
         self.tree = StructureTree(self, tuple(classes), tuple(regions))
 
 
-def _unreached(tree):
-    """Least class not connected to class 0, or None."""
-    parts = connected_components(tree._graph)
-    return parts[1][0] if len(parts) > 1 else None
-
-
-def _classes(family):
-    """The ~-classes, ordered by least member.
-
-    class(i) is i plus the complements of the elements covering i; two
-    members that disagree on their class make the family not nested.
-    The covers are read from the order relabelled lowest first (most
-    elements above first; `NestedFamily.lowest_first`): there the lowest
-    bit of any set of elements above i is a minimal one, so each cover
-    costs one step, and the elements above a cover drop out with it.
-    """
-    lowest_first, up = family.lowest_first
-    cls = []
-    for i in range(len(up)):
-        rest = up[i]
-        mask = 1 << i
-        while rest:
-            low = rest & -rest
-            k = lowest_first[low.bit_length() - 1]
-            mask |= 1 << (k ^ 1)
-            rest &= ~up[k] & ~low
-        cls.append(mask)
-    out = []
-    done = 0
-    for i, mask in enumerate(cls):
-        if done >> i & 1:
-            continue
-        for j in set_bits(mask):
-            if cls[j] != mask:
-                raise NotNested("equivalence closure is inconsistent",
-                                witness={"a": i, "b": j})
-        done |= mask
-        out.append(frozenset(set_bits(mask)))
-    return tuple(out)
-
-
-def _regions(family, classes):
+def _regions(host, elements, classes):
     """Each class's region: the intersection of the complements of its
     members, the whole host for the empty class."""
-    ix = family.host.index
+    ix = host.index
     out = []
     for cls in classes:
         vm, em = ix.all_vertices, ix.all_edges
         for i in cls:
-            other = family.elements[i ^ 1]
+            other = elements[i ^ 1]
             vm &= other.vmask
             em &= other.emask
         out.append(Graph(ix.vertices_of(vm), ix.edges_of(em)))
     return tuple(out)
 
 
-def build_structure_tree(family):
-    """Build the tree of ~-classes, each with its region; the edge of A
-    joins class(A) to class(A*)."""
-    classes = _classes(family) if family.elements else (frozenset(),)
-    tree = StructureTree(family, classes, _regions(family, classes))
-    if tree.edge_count != tree.vertex_count - 1:
-        raise NotNested("class graph is not a tree",
-                        witness={"vertices": tree.vertex_count,
-                                 "edges": tree.edge_count})
-    ci = _unreached(tree)
-    if ci is not None:
-        raise NotNested("class graph is disconnected", witness=ci)
-    return tree
+def build_structure_tree(host, elements):
+    """The structure tree of a family given in complement pairs, read off
+    the containment of its sides.
+
+    Of each pair the side without host edge 0 points away from the
+    root class.  The sides are placed smallest first, and of two twins
+    the even one first, so each side's parent is the first side placed
+    after it that meets it.  Each edge keeps the first side to hold it,
+    and `top` leads from there to the largest side placed so far above
+    it.  A side meets earlier sides only through those tops, which are
+    disjoint: it takes each as a child, or crosses one it does not hold
+    whole.  Each side becomes a child once and each edge gets its first
+    side once.  class(X) is then X* plus the children of X, and the root
+    class the sides below nothing.
+
+    Sides are compared only through the edges they share, so the
+    elements must pass the conditions of `make_separation`: every vertex
+    of a side then has an edge in it, and the interiors of two sides
+    without a common edge are disjoint.  A crossing of such elements
+    raises NotNested.  Hand-built elements that fail those conditions
+    are outside this contract: a crossing between sides without a
+    common edge goes unchecked.
+    """
+    elements = tuple(elements)
+    n = len(elements)
+    if n % 2:
+        raise MalformedInput("family must list complements in pairs",
+                             witness=n)
+    ix = host.index
+    for i, a in enumerate(elements):
+        if a.host is not host and a.host != host:
+            raise MalformedInput("element lives on another host", witness=i)
+        b = elements[i ^ 1]
+        if (b.bmask != a.bmask or b.emask != ix.all_edges & ~a.emask
+                or b.vmask != ix.all_vertices & ~a.vmask | a.bmask):
+            raise NotNested("paired element is not the complement",
+                            witness={"element": i, "partner": i ^ 1})
+    # k, or k + 1 when element k holds edge 0
+    sides = sorted((k | elements[k].emask & 1 for k in range(0, n, 2)),
+                   key=lambda i: (elements[i].emask.bit_count(),
+                                  elements[i].vmask.bit_count(), i & 1))
+    first = [-1] * len(ix.edges)    # place of the first side holding an edge
+    top = list(range(len(sides)))   # toward the largest side placed above
+    members = [[i ^ 1] for i in sides] + [[]]   # the root's class last
+    taken = 0
+    for p, i in enumerate(sides):
+        s = elements[i]
+        inside = s.emask & taken
+        while inside:
+            c = first[(inside & -inside).bit_length() - 1]
+            while top[c] != c:
+                top[c] = c = top[top[c]]
+            t = elements[sides[c]]
+            # twins are nested only as an even side below an odd one
+            if (t.emask & ~s.emask or t.vmask & ~s.vmask
+                    or t.vmask == s.vmask and t.emask == s.emask
+                    and (i ^ sides[c]) & 1 == 0):
+                raise NotNested("pair fails the nesting condition",
+                                witness={"a": list(t.key), "b": list(s.key)})
+            top[c] = p
+            members[p].append(sides[c])
+            inside &= ~t.emask
+        for k in set_bits(s.emask & ~taken):
+            first[k] = p
+        taken |= s.emask
+    members[-1] = [i for p, i in enumerate(sides) if top[p] == p]
+    # only the root's class of the empty family is empty
+    classes = sorted(map(frozenset, members), key=lambda c: min(c, default=0))
+    return NestedFamily(host, elements, classes,
+                        _regions(host, elements, classes)).tree
 
 
 def certify_tree(tree):
@@ -375,7 +235,7 @@ def certify_tree(tree):
               len(tree.edges) == tree.edge_count == k - 1,
               "tree edges are not one per complement pair",
               {"vertices": k, "edges": len(tree.edges),
-               "pairs": len(elements) / 2})
+               "elements": len(elements)})
     if not elements:
         invariant(regions[0].vertex_set == host.vertex_set
                   and regions[0].edge_set == host.edge_set,

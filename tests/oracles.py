@@ -23,7 +23,7 @@ from planarblocks.planar import canonical_face, facial_walks, planarity_test
 from planarblocks.separation import (Separation, component_side,
                                      make_separation, separation_complement)
 from planarblocks.symmetry import apply_to_separation, is_automorphism
-from planarblocks.treeset import NestedFamily, _classes, build_structure_tree
+from planarblocks.treeset import NestedFamily, build_structure_tree
 
 
 # ------------------------------------------------------- block structure
@@ -345,17 +345,85 @@ def tree_order(tree):
     return tuple(up)
 
 
+class MaskOrder:
+    """The strict order of separations in complement pairs, compared pair
+    by pair from their masks: subgraph containment, with the twin rule
+    of `family_strict`.  Bit j of up[i] is set when element i lies
+    strictly below element j."""
+
+    def __init__(self, elements):
+        rows = [(s.vmask, s.emask) for s in elements]
+        self.up = tuple(
+            sum(1 << j for j, (vj, ej) in enumerate(rows)
+                if not (vi & ~vj or ei & ~ej)
+                and ((vi, ei) != (vj, ej) or j != i ^ 1 and i & 1 < j & 1))
+            for i, (vi, ei) in enumerate(rows))
+
+    def strict(self, i, j):
+        return bool(self.up[i] >> j & 1)
+
+    def leq(self, i, j):
+        return i == j or self.strict(i, j)
+
+    def crossing(self):
+        """The first pair (i, j), i < j, for which none of i<=j, i<=j*,
+        i*<=j, i*<=j* holds, or None when the family is nested."""
+        up = self.up
+        for i in range(len(up)):
+            near = up[i] | up[i ^ 1] | 1 << i | 1 << (i ^ 1)
+            for j in range(i + 1, len(up)):
+                if not (near >> j & 1 or near >> (j ^ 1) & 1):
+                    return i, j
+        return None
+
+    def classes(self):
+        """The ~-classes by least member: class(i) is i plus the
+        complements of the elements covering i.  Raises NotNested when
+        two members of a class disagree on it."""
+        up = self.up
+        cls = []
+        for i, above in enumerate(up):
+            beyond = 0
+            for k in set_bits(above):
+                beyond |= up[k]
+            cls.append(sum(1 << (k ^ 1) for k in set_bits(above & ~beyond))
+                       | 1 << i)
+        out = []
+        for i, mask in enumerate(cls):
+            for j in set_bits(mask):
+                if cls[j] != mask:
+                    raise NotNested("equivalence closure is inconsistent",
+                                    witness={"a": i, "b": j})
+            if mask & -mask == 1 << i:
+                out.append(frozenset(set_bits(mask)))
+        return tuple(out)
+
+
+def mask_family(host, elements):
+    """The elements in a family whose tree comes from `MaskOrder`: its
+    classes from the covers, each region the intersection of the
+    complements of the class's members, on sets."""
+    classes = MaskOrder(elements).classes() or (frozenset(),)
+    regions = []
+    for cls in classes:
+        vs, es = set(host.vertices), set(host.edges)
+        for i in cls:
+            vs &= elements[i ^ 1].va
+            es &= elements[i ^ 1].ea
+        regions.append(Graph(tuple(sorted(vs)), tuple(sorted(es))))
+    return NestedFamily(host, elements, classes, regions)
+
+
 def verify_tree_correspondence(tree):
     """Recompute the correspondence and report any violation.
 
     Checks tree shape, the stored classes, and that the family order
     agrees with coherent directed paths in the tree.  The order and the
-    classes come from the elements' masks (`NestedFamily`), also for a
-    family that came with its tree.
+    classes come from the elements' masks (`MaskOrder`), whichever
+    producer built the tree.
     """
     fam = tree.family
-    if not isinstance(fam, NestedFamily):
-        fam = NestedFamily(fam.host, fam.elements)
+    order = MaskOrder(fam.elements)
     violations = []
     n = len(fam.elements)
     if n == 0:
@@ -365,7 +433,7 @@ def verify_tree_correspondence(tree):
     if tree.edge_count != tree.vertex_count - 1:
         violations.append("edge count is not vertex count minus one")
     try:
-        classes = _classes(fam)
+        classes = order.classes()
     except NotNested as exc:
         violations.append("equivalence classes inconsistent: %s" % exc)
         classes = None
@@ -378,13 +446,13 @@ def verify_tree_correspondence(tree):
     for i in range(n):
         reach = 0
         for b in set_bits(members[tree.class_of[i]] & ~(1 << i)):
-            reach |= 1 << (b ^ 1) | fam.up[b ^ 1]
-        diff = (fam.up[i] ^ reach) & ~(1 << i)
+            reach |= 1 << (b ^ 1) | order.up[b ^ 1]
+        diff = (order.up[i] ^ reach) & ~(1 << i)
         if diff:
             j = (diff & -diff).bit_length() - 1
             violations.append(
                 "order/path mismatch for elements %d,%d (leq=%s path=%s)"
-                % (i, j, fam.leq(i, j), bool(reach >> j & 1)))
+                % (i, j, order.leq(i, j), bool(reach >> j & 1)))
     return {"ok": not violations, "violations": violations}
 
 
@@ -600,14 +668,14 @@ def one_boundary_family(g):
 def mask_b1_family(g):
     """The one-boundary family built from masks alone: at each cut vertex
     c, found by brute force, and each component of g - c by least
-    vertex, the side `make_separation` checks, then its complement, and
-    the order `NestedFamily` computes from the masks."""
+    vertex, the side `make_separation` checks, then its complement, with
+    the tree of `mask_family`."""
     elements = []
     for (c,), comps in separating_sets(g, 1):
         for comp in comps:
             side = component_side(g, (c,), [comp])
             elements += (side, separation_complement(side))
-    return NestedFamily(g, elements)
+    return mask_family(g, elements)
 
 
 def mask_block_cut_tree(g):
@@ -616,7 +684,7 @@ def mask_block_cut_tree(g):
     each class's region as the intersection of its members'
     complements, a single vertex for a cut."""
     family = mask_b1_family(g)
-    tree = build_structure_tree(family)
+    tree = family.tree
     report = verify_tree_correspondence(tree)
     invariant(report["ok"], "mask-built tree fails", report["violations"])
     cuts, blocks = {}, {}
@@ -1296,8 +1364,9 @@ def random_path_family(rng, max_elements=60):
     return family_from_sides(host, list(uniq.values()))
 
 
-def family_from_sides(host, sides):
-    """Family from representative sides: adds complements, dedupes by fields.
+def pairs_from_sides(sides):
+    """Elements from representative sides: each side's pair, the lesser
+    key first, deduped and ordered by that key.
 
     Suitable when all sides are distinct as subgraphs (hinge families);
     the cut-vertex families, whose twins are ordered by their place in
@@ -1307,4 +1376,9 @@ def family_from_sides(host, sides):
     for s in sides:
         pair = sorted((s, separation_complement(s)), key=lambda t: t.key)
         pairs.setdefault(pair[0].key, pair)
-    return NestedFamily(host, [t for k in sorted(pairs) for t in pairs[k]])
+    return [t for k in sorted(pairs) for t in pairs[k]]
+
+
+def family_from_sides(host, sides):
+    """The family of `pairs_from_sides`, built by `build_structure_tree`."""
+    return build_structure_tree(host, pairs_from_sides(sides)).family

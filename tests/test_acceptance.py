@@ -34,7 +34,6 @@ from oracles import (
 from planarblocks import (
     automorphism_group,
     block_cut_tree,
-    build_structure_tree,
     cayley_graph,
     coset_enumerate,
     parse_presentation,
@@ -251,7 +250,7 @@ def test_a8_structure_tree_bijection():
     for _ in range(100):
         fam = random_path_family(rng, max_elements=60)
         assert len(fam.elements) <= 60
-        tree = build_structure_tree(fam)
+        tree = fam.tree
         report = verify_tree_correspondence(tree)
         assert report["ok"], report
         assert report["violations"] == []

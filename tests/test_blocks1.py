@@ -8,18 +8,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from planarblocks import cli
+from planarblocks import blocks2, cli, treeset
 from planarblocks.blocks1 import (BlockCutTree, b1_family, block_cut_tree,
                                   certify_block_cut_tree)
 from planarblocks.errors import InvariantViolated, NotConnected
 from planarblocks.graph import Graph, build_graph, cut_vertices
 from planarblocks.separation import Separation
-from planarblocks.treeset import NestedFamily, TreeFamily
+from planarblocks.treeset import NestedFamily
 
 from conftest import (complete_graph, cycle_graph, fixture_path, g_of,
                       path_graph)
-from oracles import (cactus, caterpillar, glued_blocks, lowpoint_blocks,
-                     mask_block_cut_tree, one_boundary_family,
+from oracles import (MaskOrder, cactus, caterpillar, glued_blocks,
+                     lowpoint_blocks, mask_block_cut_tree, one_boundary_family,
                      random_connected_graph, random_two_connected_graph,
                      separating_sets, separation_fault, tree_order,
                      verify_tree_correspondence)
@@ -184,7 +184,7 @@ def test_dfs_tree_matches_the_mask_built_tree():
         family, tree, cuts, blocks = mask_block_cut_tree(g)
         assert [s.key for s in bct.family.elements] == \
             [s.key for s in family.elements]
-        assert tree_order(bct.tree) == family.up
+        assert tree_order(bct.tree) == MaskOrder(family.elements).up
         assert bct.tree.classes == tree.classes
         assert bct.tree.edges == tree.edges
         assert bct.cut_classes == cuts
@@ -239,7 +239,7 @@ def corrupted_trees():
     bridge = regions.index(Graph((2, 3), ((2, 3),)))
 
     def rebuilt(elements=elements, regions=regions, host=g):
-        return BlockCutTree(g, TreeFamily(host, elements, classes, regions))
+        return BlockCutTree(g, NestedFamily(host, elements, classes, regions))
     a, b = elements[0], elements[1]
     out = {"short side": rebuilt(
         _put(elements, 0, Separation(g, a.vmask & ~1, a.emask, a.bmask)))}
@@ -268,11 +268,11 @@ def corrupted_trees():
     fam = b1_family(p3)
     swap = [Separation(p3, s.vmask, (s.emask & 1) << 1 | s.emask >> 1,
                        s.bmask) for s in fam.elements]
-    out["blocks swap edges"] = BlockCutTree(p3, TreeFamily(
+    out["blocks swap edges"] = BlockCutTree(p3, NestedFamily(
         p3, swap, fam.tree.classes, (Graph((1,), ()), _region((0, 1), (1, 2)),
                                      _region((1, 2), (0, 1)))))
     lone = Graph(p3.vertices + (3,), p3.edges)
-    out["lone vertex"] = BlockCutTree(lone, TreeFamily(
+    out["lone vertex"] = BlockCutTree(lone, NestedFamily(
         lone, fam.elements, fam.tree.classes, fam.tree.regions))
     apart = g_of("0-1,1-2,0-2,3-4")
     side, rest = ((0, 1, 2), ((0, 1), (0, 2), (1, 2))), ((1, 3, 4), ((3, 4),))
@@ -280,17 +280,17 @@ def corrupted_trees():
     sides = [Separation(apart, ix.vertex_mask(vs)[0], ix.edge_mask(es)[0],
                         ix.vertex_bit[1])
              for vs, es in (side, rest, rest, side)]
-    out["host in two pieces"] = BlockCutTree(apart, TreeFamily(
+    out["host in two pieces"] = BlockCutTree(apart, NestedFamily(
         apart, sides, (frozenset({0, 2}), frozenset({1}), frozenset({3})),
         (Graph((1,), ()), Graph(*side), Graph(*rest))))
     k4 = complete_graph(4)
-    out["one block short"] = BlockCutTree(k4, TreeFamily(
+    out["one block short"] = BlockCutTree(k4, NestedFamily(
         k4, (), (frozenset(),), (Graph(k4.vertices, k4.edges[1:]),)))
     # four pairs around the cycle cut 0, block, cut 2, block; a fifth,
     # empty class keeps the edge count one short of the class count
     c4 = cycle_graph(4)
     dummy = Separation(c4, 1, 1, 1)
-    out["cycle of classes"] = BlockCutTree(c4, TreeFamily(
+    out["cycle of classes"] = BlockCutTree(c4, NestedFamily(
         c4, [dummy] * 8, [frozenset(c) for c in
                           ({0, 7}, {1, 2}, {3, 4}, {5, 6}, ())],
         (Graph((0,), ()), Graph((0, 1, 2), ((0, 1), (1, 2))), Graph((2,), ()),
@@ -359,8 +359,9 @@ def test_block_cut_tree_and_certificate_scale(host, blocks):
 
 def test_blocks_command_computes_no_mask_order(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a mask order was computed")
-    monkeypatch.setattr(NestedFamily, "_order", refuse)
+        raise AssertionError("a tree was built by containment")
+    monkeypatch.setattr(treeset, "build_structure_tree", refuse)
+    monkeypatch.setattr(blocks2, "build_structure_tree", refuse)
     for name in ("bowtie.edges", "book_k4.edges", "path4.edges"):
         code, out = cli.run(["blocks", fixture_path(name), "--format",
                              "json"])

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from planarblocks import (
-    NestedFamily,
     b1_family,
     build_graph,
     build_structure_tree,
@@ -183,14 +182,14 @@ def test_build_family_k4e_frozen(k4e):
         (2, ((0, 3), (1, 3)), (0, 1)),
         (3, ((0, 1), (0, 2), (1, 2)), (0, 1)),
     )
-    tree = build_structure_tree(fam)
+    tree = fam.tree
     assert tree.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
     assert tree.edges == ((0, 1), (0, 2))
     assert verify_tree_correspondence(tree)["ok"]
 
 
 def test_k4e_torsos(k4e):
-    tree = build_structure_tree(build_nested_family(k4e))
+    tree = build_nested_family(k4e).tree
     hinge = torso(k4e, tree, 0)
     assert hinge.z.vertices == (0, 1)
     assert hinge.z.edges == ((0, 1),)
@@ -213,7 +212,7 @@ def test_build_family_c5chord(c5_chord):
         ((0, 2), (0, 4), (2, 3), (3, 4)),
         ((0, 1), (0, 2), (1, 2)),
         ((0, 4), (2, 3), (3, 4))]
-    tree = build_structure_tree(fam)
+    tree = fam.tree
     assert tree.vertex_count == 3
     assert tree.edges == ((0, 1), (0, 2))
     bond = torso(c5_chord, tree, 0)
@@ -234,7 +233,7 @@ def test_build_family_two_squares_sharing_a_pair():
     g = g_of("0-2,1-2,0-3,1-3,0-4,1-4,0-5,1-5")
     fam = build_nested_family(g)
     assert len(fam.elements) == 8
-    tree = build_structure_tree(fam)
+    tree = fam.tree
     assert tree.vertex_count == 5
     hub = torso(g, tree, 0)
     assert hub.z_prime.edges == ()
@@ -251,7 +250,7 @@ def test_build_family_two_squares_sharing_a_pair():
 def test_build_family_grid(grid3x3):
     fam = build_nested_family(grid3x3)
     assert len(fam.elements) == 8
-    tree = build_structure_tree(fam)
+    tree = fam.tree
     assert tree.vertex_count == 5
     center = torso(grid3x3, tree, 0)
     assert center.z.vertices == (1, 3, 4, 5, 7)
@@ -284,7 +283,7 @@ def test_build_family_theta_keeps_the_spine_sides(twosquares):
     assert sorted(e.key for e in fam.elements) == \
         totally_nested_keys(twosquares)
     assert {e.boundary for e in fam.elements} == {frozenset({0, 1})}
-    tree = build_structure_tree(fam)
+    tree = fam.tree
     assert tree.edges == ((0, 1), (0, 2))
     assert torso(twosquares, tree, 0).z.edges == ((0, 1),)
     for ci, square in ((1, (2, 3)), (2, (4, 5))):
@@ -302,7 +301,7 @@ def test_family_verifies_on_random_hosts():
             fam = build_nested_family(g)
         except PreconditionViolated:
             continue
-        tree = build_structure_tree(fam)
+        tree = fam.tree
         assert verify_tree_correspondence(tree)["ok"]
         checked += 1
     assert checked >= 5
@@ -395,7 +394,7 @@ def test_triblock_tree_answers_on_chorded_cycles():
 
 def test_torso_edge_partition(k4e, c5_chord, grid3x3):
     for g in (k4e, c5_chord, grid3x3):
-        tree = build_structure_tree(build_nested_family(g))
+        tree = build_nested_family(g).tree
         seen = []
         for ci in range(tree.vertex_count):
             seen.extend(torso(g, tree, ci).z_prime.edges)
@@ -403,7 +402,7 @@ def test_torso_edge_partition(k4e, c5_chord, grid3x3):
 
 
 def test_torso_witness_contracts_to_z(grid3x3):
-    tree = build_structure_tree(build_nested_family(grid3x3))
+    tree = build_nested_family(grid3x3).tree
     for ci in range(tree.vertex_count):
         t = torso(grid3x3, tree, ci)
         assert set(t.witness.edges) <= set(grid3x3.edges) | set(t.z.edges)
@@ -454,8 +453,7 @@ def test_lift_pulls_in_material_behind_the_region():
     host = _k4_chain(4)
     left = make_separation(host, (0, 1, 2, 3),
                            ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)), (2, 3))
-    fam = NestedFamily(host, (left, separation_complement(left)))
-    tree = build_structure_tree(fam)
+    tree = build_structure_tree(host, (left, separation_complement(left)))
     ci = next(i for i in range(tree.vertex_count)
               if len(torso(host, tree, i).z.vertices) == 8)
     z = torso(host, tree, ci).z

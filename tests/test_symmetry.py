@@ -27,7 +27,6 @@ from planarblocks.symmetry import (
 )
 from planarblocks.errors import TooLarge
 from planarblocks.graph import build_graph, is_two_connected
-from planarblocks.treeset import NestedFamily
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +203,17 @@ def test_tree_action_on_triblock_tree(bowtie_k4s):
 def test_tree_action_reports_missing_orbit_members(bowtie):
     fam = b1_family(bowtie)
     # keep only one triangle's entries: the vertex swap now has no image
-    small = NestedFamily(bowtie, fam.elements[:2])
-    tree = build_structure_tree(small)
+    tree = build_structure_tree(bowtie, fam.elements[:2])
     rep = tree_action_check(tree, automorphism_group(bowtie))
     assert not rep["ok"]
     assert {v["kind"] for v in rep["violations"]} == {"missing-image"}
 
 
 def _without_pair(fam, i):
-    """The family with element i and its complement dropped."""
-    return NestedFamily(fam.host, [a for k, a in enumerate(fam.elements)
-                                   if k >> 1 != i >> 1])
+    """The tree of the family with element i and its complement dropped."""
+    return build_structure_tree(fam.host, [a for k, a in
+                                           enumerate(fam.elements)
+                                           if k >> 1 != i >> 1])
 
 
 def test_tree_action_check_agrees_with_element_oracle(bowtie_k4s):
@@ -222,14 +221,14 @@ def test_tree_action_check_agrees_with_element_oracle(bowtie_k4s):
     for g in (bowtie_k4s, k4_book(3)):
         t = triblock_tree(g)
         trees.append(t.tree)
-        trees.append(build_structure_tree(_without_pair(t.family, 0)))
+        trees.append(_without_pair(t.family, 0))
     rng = random.Random(31)
     for _ in range(40):
         fam = b1_family(random_connected_graph(rng, max_vertices=7))
         if not fam.elements:
             continue
         trees.append(fam.tree)
-        trees.append(build_structure_tree(_without_pair(fam, 0)))
+        trees.append(_without_pair(fam, 0))
     invariant = 0
     for tree in trees:
         host = tree.family.host

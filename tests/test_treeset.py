@@ -9,22 +9,23 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planarblocks import cli, treeset
+from planarblocks import blocks2, cli, treeset
 from planarblocks.blocks1 import b1_family
 from planarblocks.blocks2 import triblock_tree
 from planarblocks.errors import InvariantViolated, MalformedInput, NotNested
-from planarblocks.graph import Graph, build_graph
+from planarblocks.graph import Graph, build_graph, is_simple_cycle
 from planarblocks.separation import (Separation, make_separation,
                                      separation_complement)
-from planarblocks.treeset import (NestedFamily, StructureTree, TreeFamily,
+from planarblocks.treeset import (NestedFamily, StructureTree,
                                   build_structure_tree, certify_tree)
 
 from conftest import cycle_graph, fixture_path, g_of, path_graph
-from oracles import (chorded_cycle, directed_edge, family_from_sides,
-                     family_strict, glued_blocks, path_coherent,
-                     random_connected_graph, random_path_family,
-                     random_two_connected_graph, sim_classes, tree_order,
-                     verify_tree_correspondence)
+from oracles import (MaskOrder, all_separations, caterpillar, chorded_cycle,
+                     directed_edge, family_from_sides, family_strict,
+                     glued_blocks, mask_family, pairs_from_sides,
+                     path_coherent, random_connected_graph,
+                     random_path_family, random_two_connected_graph,
+                     sim_classes, tree_order, verify_tree_correspondence)
 
 
 def _interval(host, lo, hi, n_edges):
@@ -52,50 +53,97 @@ def test_family_from_sides_closes_under_complement(path8_family):
 def test_family_rejects_broken_complement_map(k4e):
     a = make_separation(k4e, {0, 1, 2}, {(0, 2), (1, 2)}, {0, 1})
     with pytest.raises(MalformedInput):
-        NestedFamily(k4e, [a, separation_complement(a), a])
+        build_structure_tree(k4e, [a, separation_complement(a), a])
     with pytest.raises(NotNested):
-        NestedFamily(k4e, [a, a])
+        build_structure_tree(k4e, [a, a])
     # a valid separation on the same hinge, but not the other side of a
     b = make_separation(k4e, {0, 1, 3}, {(0, 3), (1, 3)}, {0, 1})
     assert b.key != separation_complement(a).key
     with pytest.raises(NotNested) as err:
-        NestedFamily(k4e, [a, b])
+        build_structure_tree(k4e, [a, b])
     assert err.value.witness == {"element": 0, "partner": 1}
+
+
+def _paired(*sides):
+    """Each side followed by its complement, from the masks alone."""
+    out = []
+    for t in sides:
+        ix = t.host.index
+        out += (t, Separation(t.host, ix.all_vertices & ~t.vmask | t.bmask,
+                              ix.all_edges & ~t.emask, t.bmask))
+    return out
 
 
 def test_family_rejects_crossing_pair(c6_chord):
     # corner sides around different hinges of the chorded cycle cross
     a = make_separation(c6_chord, {0, 1, 2}, {(0, 1), (1, 2)}, {0, 2})
     b = make_separation(c6_chord, {1, 2, 3}, {(1, 2), (2, 3)}, {1, 3})
-    elements = [a, separation_complement(a), b, separation_complement(b)]
     with pytest.raises(NotNested):
-        NestedFamily(c6_chord, elements)
+        build_structure_tree(c6_chord, _paired(a, b))
+    # two triangles and the path 1-0-5-2 on the hinge {1, 2}: the side of
+    # triangle 1-2-3 with the edge 1-2 has its vertices inside the side
+    # of both triangles without it, but not its edges
+    g = g_of("1-2,1-3,2-3,1-4,2-4,0-1,0-5,2-5")
+    a = make_separation(g, {1, 2, 3}, {(1, 2), (1, 3), (2, 3)}, {1, 2})
+    b = make_separation(g, {1, 2, 3, 4}, {(1, 3), (2, 3), (1, 4), (2, 4)},
+                        {1, 2})
+    assert MaskOrder(_paired(a, b)).crossing() == (0, 2)
+    with pytest.raises(NotNested) as err:
+        build_structure_tree(g, _paired(a, b))
+    assert err.value.witness == {"a": list(a.key), "b": list(b.key)}
+    # built by hand, not by make_separation: a side of the path holding
+    # vertex 1 but none of its edges has its one edge in the side
+    # {2, 3, 4} and its vertices not
+    p5 = path_graph(5)
+    elements = _paired(Separation(p5, 0b11100, 0b1100, 0b100),
+                       Separation(p5, 0b11010, 0b1000, 0b1000))
+    assert MaskOrder(elements).crossing() == (0, 2)
+    with pytest.raises(NotNested):
+        build_structure_tree(p5, elements)
+
+
+def test_equal_sides_nest_only_as_twins(k4e):
+    # a side listed twice is nested with itself only as the twins of a
+    # cut vertex are: the even one below the odd one
+    a = make_separation(k4e, {0, 1, 2}, {(0, 2), (1, 2)}, {0, 1})
+    ac = separation_complement(a)
+    for elements in ([a, ac, a, ac], [ac, a, ac, a]):
+        assert MaskOrder(elements).crossing() == (0, 2)
+        with pytest.raises(NotNested):
+            build_structure_tree(k4e, elements)
+    twins = [a, ac, ac, a]
+    assert MaskOrder(twins).crossing() is None
+    assert build_structure_tree(k4e, twins).classes == \
+        mask_family(k4e, twins).tree.classes == \
+        (frozenset({0, 2}), frozenset({1}), frozenset({3}))
 
 
 def test_strict_orders_equal_subgraphs_by_pair_place(bowtie):
-    fam = NestedFamily(bowtie, b1_family(bowtie).elements)
+    elements = b1_family(bowtie).elements
+    order = MaskOrder(elements)
     # elements 1 and 2 are the same subgraph; the even one lies below
-    a, b = fam.elements[1], fam.elements[2]
+    a, b = elements[1], elements[2]
     assert (a.va, a.ea) == (b.va, b.ea)
-    assert fam.strict(2, 1)
-    assert not fam.strict(1, 2)
+    assert order.strict(2, 1)
+    assert not order.strict(1, 2)
     # a complement pair is never ordered, identical subgraphs or not
-    assert not fam.strict(0, 1) or not fam.strict(1, 0)
+    assert not order.strict(0, 1) or not order.strict(1, 0)
 
 
 def test_leq_reflexive_antisymmetric(path8_family):
     _, fam = path8_family
+    order = MaskOrder(fam.elements)
     n = len(fam.elements)
     for i in range(n):
-        assert fam.leq(i, i)
+        assert order.leq(i, i)
         for j in range(n):
             if i != j:
-                assert not (fam.strict(i, j) and fam.strict(j, i))
+                assert not (order.strict(i, j) and order.strict(j, i))
 
 
 def test_structure_tree_bijection(path8_family):
     _, fam = path8_family
-    tree = build_structure_tree(fam)
+    tree = fam.tree
     assert tree.edge_count * 2 == len(fam.elements)
     assert tree.edge_count == tree.vertex_count - 1
     report = verify_tree_correspondence(tree)
@@ -104,7 +152,7 @@ def test_structure_tree_bijection(path8_family):
 
 def test_directed_edge_reversal_is_complement(path8_family):
     _, fam = path8_family
-    tree = build_structure_tree(fam)
+    tree = fam.tree
     for i in range(len(fam.elements)):
         a, b = directed_edge(tree, i)
         bc, ac = directed_edge(tree, i ^ 1)
@@ -113,33 +161,31 @@ def test_directed_edge_reversal_is_complement(path8_family):
 
 def test_order_coherence_on_tree(path8_family):
     _, fam = path8_family
-    tree = build_structure_tree(fam)
+    tree = fam.tree
+    order = MaskOrder(fam.elements)
     # A <= B iff walking from edge(A) toward edge(B) keeps direction
     n = len(fam.elements)
     for i in range(n):
         for j in range(n):
-            assert fam.leq(i, j) == path_coherent(tree, i, j), (i, j)
+            assert order.leq(i, j) == path_coherent(tree, i, j), (i, j)
 
 
 def test_empty_family_single_vertex(k4):
-    fam = NestedFamily(k4, [])
-    tree = build_structure_tree(fam)
+    tree = build_structure_tree(k4, [])
     assert tree.vertex_count == 1
     assert tree.edge_count == 0
     assert verify_tree_correspondence(tree)["ok"]
 
 
 def test_b1_family_tree_classes(bowtie):
-    fam = NestedFamily(bowtie, b1_family(bowtie).elements)
-    tree = build_structure_tree(fam)
+    tree = build_structure_tree(bowtie, b1_family(bowtie).elements)
     assert tree.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
     assert tree.edges == ((0, 1), (0, 2))
     assert verify_tree_correspondence(tree)["ok"]
 
 
 def test_region_of_class(bowtie):
-    fam = NestedFamily(bowtie, b1_family(bowtie).elements)
-    tree = build_structure_tree(fam)
+    tree = build_structure_tree(bowtie, b1_family(bowtie).elements)
     center = tree.region(0)
     assert center.vertices == (0,)
     assert center.edges == ()
@@ -153,8 +199,7 @@ def test_random_path_families_verify():
     for _ in range(25):
         fam = random_path_family(rng)
         assert len(fam.elements) <= 60
-        tree = build_structure_tree(fam)
-        report = verify_tree_correspondence(tree)
+        report = verify_tree_correspondence(fam.tree)
         assert report["ok"], report["violations"]
 
 
@@ -187,7 +232,7 @@ def _random_families(source, count):
             yield random_path_family(rng, max_elements=40)
         elif source == "blocks":
             g = random_connected_graph(rng)
-            yield NestedFamily(g, b1_family(g).elements)
+            yield build_structure_tree(g, b1_family(g).elements).family
         else:
             yield triblock_tree(_glued_two_connected(rng)).family
 
@@ -196,10 +241,11 @@ def _random_families(source, count):
 def test_order_classes_and_coherence_match_oracles(source):
     for fam in _random_families(source, 20):
         n = len(fam.elements)
+        order = MaskOrder(fam.elements)
         for i in range(n):
             for j in range(n):
-                assert fam.strict(i, j) == family_strict(fam, i, j), (i, j)
-        tree = build_structure_tree(fam)
+                assert order.strict(i, j) == family_strict(fam, i, j), (i, j)
+        tree = fam.tree
         # an empty family gives the one-vertex tree
         assert tree.classes == (sim_classes(fam) or (frozenset(),))
         coherent = all((i == j or family_strict(fam, i, j))
@@ -211,8 +257,7 @@ def test_order_classes_and_coherence_match_oracles(source):
 
 
 def _bowtie_tree(bowtie, classes):
-    tree = build_structure_tree(NestedFamily(bowtie,
-                                             b1_family(bowtie).elements))
+    tree = build_structure_tree(bowtie, b1_family(bowtie).elements)
     assert tree.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
     return StructureTree(tree.family, classes, tree.regions)
 
@@ -243,15 +288,84 @@ def test_verify_reports_a_disconnected_class_graph(bowtie):
 
 def test_path_200_tree_builds_and_verifies_fast():
     host = path_graph(200)
-    fam = NestedFamily(host, b1_family(host).elements)
-    assert len(fam.elements) == 792
+    elements = b1_family(host).elements
+    assert len(elements) == 792
     t0 = time.monotonic()
-    tree = build_structure_tree(fam)
+    tree = build_structure_tree(host, elements)
     report = verify_tree_correspondence(tree)
     elapsed = time.monotonic() - t0
     assert report["ok"], report["violations"][:3]
     assert tree.vertex_count == 199 + 198
     assert elapsed < 5.0, elapsed
+
+
+# ---------------------------------------------------------------------------
+# the containment build against the oracle order
+
+
+def _family_of(source, rng):
+    """(host, elements) of a random family of the given source."""
+    if source == "path":
+        fam = random_path_family(rng)
+        return fam.host, fam.elements
+    if source == "star":
+        n = rng.randint(1, 9)
+        g = build_graph(range(n + 1), [(0, i) for i in range(1, n + 1)])
+    elif source == "bowtie":
+        g = g_of("0-1,0-2,1-2,0-3,0-4,3-4")
+    elif source == "caterpillar":
+        g = caterpillar(rng, spine=rng.randint(2, 12), legs=rng.randint(1, 10))
+    else:
+        tbt = triblock_tree(source(rng))
+        return tbt.graph, tbt.family.elements
+    return g, b1_family(g).elements
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([glued_blocks, chorded_cycle,
+                        random_two_connected_graph, random_connected_graph,
+                        "path", "bowtie", "star", "caterpillar"]),
+       st.integers(0, 2 ** 32))
+def test_containment_tree_matches_the_oracle(source, seed):
+    _assert_oracle_tree(*_family_of(source, random.Random(seed)))
+
+
+def _assert_oracle_tree(host, elements):
+    tree = build_structure_tree(host, elements)
+    want = mask_family(host, elements).tree
+    assert tree.classes == want.classes
+    assert tree.regions == want.regions
+
+
+def _hinge_family(rng):
+    """(host, elements): the pairs of a few random hinge separations of a
+    random 2-connected host that is not a cycle."""
+    while True:
+        g = random_two_connected_graph(rng, max_vertices=8)
+        if is_simple_cycle(g) or len(g.vertices) < 4:
+            continue
+        seps = all_separations(g)
+        if seps:
+            k = rng.randint(1, min(6, len(seps)))
+            return g, pairs_from_sides(rng.sample(seps, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_containment_tree_raises_exactly_on_a_crossing(seed):
+    host, elements = _hinge_family(random.Random(seed))
+    if MaskOrder(elements).crossing() is not None:
+        with pytest.raises(NotNested):
+            build_structure_tree(host, elements)
+    else:
+        _assert_oracle_tree(host, elements)
+
+
+def test_random_hinge_families_cross_and_nest():
+    rng = random.Random(23)
+    crossed = [MaskOrder(_hinge_family(rng)[1]).crossing() is not None
+               for _ in range(60)]
+    assert any(crossed) and not all(crossed)
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +381,20 @@ def test_every_triblock_tree_is_certified(make, seed):
     certify_tree(tbt.tree)
     report = verify_tree_correspondence(tbt.tree)
     assert report["ok"], report["violations"]
-    assert tree_order(tbt.tree) == tbt.family.up
+    assert tree_order(tbt.tree) == MaskOrder(tbt.family.elements).up
 
 
 def test_triblocks_computes_the_classes_once(monkeypatch):
+    # one counter behind both names, so a build reached through either
+    # module is counted
     calls = []
-    classes = treeset._classes
+    build = treeset.build_structure_tree
 
-    def counted(family):
-        calls.append(family)
-        return classes(family)
-    monkeypatch.setattr(treeset, "_classes", counted)
+    def counted(host, elements):
+        calls.append(elements)
+        return build(host, elements)
+    monkeypatch.setattr(treeset, "build_structure_tree", counted)
+    monkeypatch.setattr(blocks2, "build_structure_tree", counted)
     code, out = cli.run(["triblocks", fixture_path("book_k4.edges")])
     assert code == 0, out
     assert len(calls) == 1
@@ -291,22 +408,25 @@ HINGE_FAULTS = (
      "side is not the union of the regions beyond its edge"),
     ("partner", "paired element is not the complement"),
     ("third shared vertex", "adjacent blocks do not meet in their boundary"),
-    ("single-edge side", "hinge separation may not be a single edge"))
+    ("single-edge side", "hinge separation may not be a single edge"),
+    ("pair inside a class", "tree edges are not one per complement pair"))
 
 
 def corrupted_hinge_trees():
     """(fault, tree) for each fault of HINGE_FAULTS.  The first four
     change one thing in the tri-block tree of two K4s sharing the edge
     0-1: a bond {0, 1} with that edge, the root, and a torso on each
-    side of it.  The last is a 4-cycle cut at its edge 0-1 into that
-    edge and the rest, by hand."""
+    side of it.  The fifth is a 4-cycle cut at its edge 0-1 into that
+    edge and the rest, by hand.  The last merges the bond's class with
+    the first torso's, so the pair between them joins a class to
+    itself."""
     g = g_of("0-1,0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5")
     tree = triblock_tree(g).tree
     elements, regions = list(tree.family.elements), list(tree.regions)
     assert regions[0] == Graph((0, 1), ((0, 1),))
 
     def rebuilt(elements=elements, regions=regions):
-        return TreeFamily(g, elements, tree.classes, regions).tree
+        return NestedFamily(g, elements, tree.classes, regions).tree
     a, b = elements[0], elements[1]
     left = regions[1]                   # the torso on 0, 1, 2, 3
     out = {"hinge side short": rebuilt(
@@ -328,12 +448,15 @@ def corrupted_hinge_trees():
     ix = c4.index
     edge = ix.edge_bit[(0, 1)]
     hinge = ix.vertex_bit[0] | ix.vertex_bit[1]
-    out["single-edge side"] = TreeFamily(
+    out["single-edge side"] = NestedFamily(
         c4, (Separation(c4, hinge, edge, hinge),
              Separation(c4, ix.all_vertices, ix.all_edges & ~edge, hinge)),
         (frozenset({0}), frozenset({1})),
         (Graph(c4.vertices, tuple(e for e in c4.edges if e != (0, 1))),
          Graph((0, 1), ((0, 1),)))).tree
+    out["pair inside a class"] = StructureTree(
+        tree.family, (tree.classes[0] | tree.classes[1], tree.classes[2]),
+        regions[:2])
     return [(fault, out[fault]) for fault, _ in HINGE_FAULTS]
 
 
@@ -345,6 +468,10 @@ def test_certificate_reports_each_hinge_corruption():
         with pytest.raises(InvariantViolated) as err:
             certify_tree(tree)
         assert str(err.value) == message, fault
+        if fault == "pair inside a class":
+            # the counts go out as JSON ints, the loop (0, 0) an edge
+            assert json.dumps(err.value.witness) == \
+                '{"vertices": 2, "edges": 2, "elements": 4}'
 
 
 HINGE_FAULTS_UNDER_O = """
