@@ -19,12 +19,11 @@ whose abelianisation has a free part (`free_abelian_rank`).
 
 Enumeration is HLT coset enumeration over the trivial subgroup (Holt,
 Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5):
-each relator is scanned from each live coset in turn, defining cosets
-along it, and coincidences are merged after the relator closes.  The
-scan reads table rows directly; only an entry that points at a coset
-merged away since it was written goes through the union-find.  A
-relator that is a power w^n of a shorter word is not scanned again from
-a coset already known to close it, so Z_n, or D_n spelled with
+each relator w^n is walked from each live coset in turn as n copies of
+w, defining cosets along it, and coincidences are merged after it
+closes.  A walk back at its start after k copies skips whole multiples
+of k, so a^300000000 costs its cosets, not its letters, and w^n is not
+scanned from a coset known to close it, so Z_n, or D_n spelled with
 (a*b)^n, costs O(n), not O(n^2).  The finished table is standardized by
 breadth-first renumbering so that equal presentations always yield the
 identical table, and certified by tracing every relator w^n from every
@@ -45,10 +44,11 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import permutations
+from operator import eq
 
-from .errors import (DEFAULT_COSET_LIMIT, BadExponent, MalformedInput, Overflow,
-                     invariant)
-from .graph import Graph, edge_key
+from .errors import (DEFAULT_COSET_LIMIT, BadExponent, InvariantViolated,
+                     MalformedInput, Overflow, invariant)
+from .graph import Graph
 
 
 # A word is a tuple of letters (generator name, +1 or -1).
@@ -219,13 +219,9 @@ class GroupTable:
             perms[(s, -1)] = inverse
         object.__setattr__(self, "_perms", perms)
 
-    def act_letter(self, g, letter):
-        return self._perms[letter][g]
-
-    def act_word(self, g, word):
-        for letter in word:
-            g = self._perms[letter][g]
-        return g
+    def perm(self, letter):
+        """The list whose entry g is g.letter; callers must not write it."""
+        return self._perms[letter]
 
     def trace_word(self, word):
         """The list whose entry g is g.word, one list pass per letter."""
@@ -353,13 +349,11 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
                        witness={"free_abelian_rank": rank, "limit": limit})
     gens = pr.generators
     nsym = 2 * len(gens)
-    code = {}
-    for i, s in enumerate(gens):
-        code[(s, 1)] = 2 * i
-        code[(s, -1)] = 2 * i + 1
-    # a relator that is a power w^n, n >= 2, of its primitive root w
-    # carries w and the set of cosets known to close it (see the scan
-    # below); other relators carry None for that set
+    code = {(s, p): 2 * i + (p < 0) for i, s in enumerate(gens)
+            for p in (1, -1)}
+    # w^n is walked as n - 1 whole copies of its primitive root w and one
+    # copy less its last letter, never spelled out; a power, n >= 2, also
+    # carries the set of cosets known to close it (see the scan below)
     relators = []
     for w, n in pr.relators:
         root = [code[l] for l in w]
@@ -367,8 +361,7 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
             if len(root) % d == 0 and root == root[:d] * (len(root) // d):
                 root, n = root[:d], n * (len(root) // d)
                 break
-        word = root * n
-        relators.append((tuple(word[:-1]), word[-1], tuple(root),
+        relators.append((root, root[:-1], root[-1], n - 1,
                          set() if n >= 2 else None))
     closed_sets = [closed for *_, closed in relators if closed is not None]
 
@@ -377,6 +370,7 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
     # written; parent[a] == a exactly when coset a is live
     table = [[None] * nsym]
     parent = [0]
+    pending = []
 
     def find(a):
         root = a
@@ -386,101 +380,64 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
             parent[a], a = root, parent[a]
         return root
 
-    def entry(a, s):
-        v = table[a][s]
-        if v is not None and parent[v] != v:
-            v = table[a][s] = find(v)
-        return v
-
-    pending = []
-
-    def set_entry(a, s, b):
-        table[a][s] = b
-        back = entry(b, s ^ 1)
-        if back is None:
-            table[b][s ^ 1] = a
-        elif back != a:
-            pending.append((back, a))
-
-    def define(a, s):
-        # a new row has no entries, so no coincidence can arise here
-        b = len(table)
-        if b >= cap:
-            raise Overflow("coset limit exceeded",
-                           witness={"limit": limit, "defined": b})
-        row = [None] * nsym
-        row[s ^ 1] = a
-        table.append(row)
-        parent.append(b)
-        table[a][s] = b
-        return b
-
-    def merge_queue():
-        while pending:
-            a, b = pending.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            for closed in closed_sets:
-                if b in closed:
-                    closed.add(a)
-            row = table[b]
-            table[b] = [None] * nsym
-            for s in range(nsym):
-                v = row[s]
-                if v is None:
-                    continue
-                v = find(v)
-                u = entry(a, s)
-                if u is None:
-                    set_entry(a, s, v)
-                elif u != v:
-                    pending.append((u, v))
-
     # HLT: scan every relator from each live coset in turn, defining
     # cosets along it; no merge happens mid-scan, so the scan reads the
     # table directly and resolves only entries that point at a coset
-    # merged away by an earlier coincidence.
+    # merged away by an earlier coincidence.  A walk along w^n back at
+    # alpha after k whole copies of w would only repeat them, so it
+    # skips whole multiples of k: they define and merge nothing.
     #
-    # A scan of a power relator w^n that closes with no coincidence
-    # leaves a closed walk: every coset c at a w-boundary of it has
-    # c.w^n = c in the table.  Merging never erases a live coset's entry
-    # and hands a merged coset's entries to its survivor, so a live
-    # coset c keeps c.w^n = c through any later coincidence, and the
-    # survivor of a merge inherits it from the coset merged into it.  A
-    # scan of w^n from c would then define nothing and close where it
-    # began; it is skipped, and definitions and coincidences keep their
-    # order.
-    alpha = 0
-    while alpha < len(table):
+    # A scan of w^n that closes with no coincidence leaves c.w^n = c in
+    # the table for every coset c at a w-boundary of its walk.  Merging
+    # never erases a live coset's entry and hands a merged coset's
+    # entries to its survivor, so c keeps it, and a survivor inherits
+    # it.  A scan of w^n from c would define nothing and close where it
+    # began, so it is skipped, and definitions keep their order.
+    for alpha, alpha_row in enumerate(table):   # runs on as table grows
         if parent[alpha] != alpha:
-            alpha += 1
             continue
-        for body, last, root, closed in relators:
+        for root, head, last, whole, closed in relators:
             if closed is not None and alpha in closed:
                 continue
-            cur = alpha
-            for s in body:
-                row = table[cur]
-                nxt = row[s]
-                if nxt is None:
-                    nxt = define(cur, s)
-                elif parent[nxt] != nxt:
-                    nxt = row[s] = find(nxt)
-                cur = nxt
-            t = entry(cur, last)
+            cur, left = alpha, whole    # left: whole copies still to walk
+            while True:
+                for s in (root if left else head):
+                    row = table[cur]
+                    nxt = row[s]
+                    if nxt is None:
+                        nxt = row[s] = len(table)
+                        if nxt >= cap:
+                            raise Overflow("coset limit exceeded", witness={
+                                "limit": limit, "defined": nxt})
+                        table.append([None] * nsym)
+                        table[nxt][s ^ 1] = cur
+                        parent.append(nxt)
+                    elif parent[nxt] != nxt:
+                        nxt = row[s] = find(nxt)
+                    cur = nxt
+                if not left:
+                    break
+                left -= 1
+                if cur == alpha:
+                    left %= whole - left
+            # the last letter closes the walk at alpha: cur.last = alpha
+            row = table[cur]
+            t = row[last]
+            if t is not None and parent[t] != t:
+                t = row[last] = find(t)
             if t is None:
-                set_entry(cur, last, alpha)
+                row[last] = alpha
+                row = table[alpha]
+                t = row[last ^ 1]
+                if t is not None and parent[t] != t:
+                    t = row[last ^ 1] = find(t)
+                if t is None:
+                    row[last ^ 1] = cur
+                elif t != cur:
+                    pending.append((t, cur))
             elif t != alpha:
                 pending.append((t, alpha))
-            if pending:
-                merge_queue()
-                if parent[alpha] != alpha:
-                    break
-            elif closed is not None:
+            if not pending and closed is not None:
                 cur = alpha
                 while True:
                     closed.add(cur)
@@ -488,35 +445,78 @@ def coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
                         cur = table[cur][s]
                     if cur == alpha:
                         break
+            # merge the coincidences, last in first out: the smaller
+            # coset survives and takes over the entries of the other
+            while pending:
+                a, b = pending.pop()
+                a, b = find(a), find(b)
+                if a == b:
+                    continue
+                if a > b:
+                    a, b = b, a
+                parent[b] = a
+                for closed_set in closed_sets:
+                    if b in closed_set:
+                        closed_set.add(a)
+                keep = table[a]
+                for s, v in enumerate(table[b]):
+                    if v is None:
+                        continue
+                    if parent[v] != v:
+                        v = find(v)
+                    u = keep[s]
+                    if u is not None and parent[u] != u:
+                        u = keep[s] = find(u)
+                    if u is None:
+                        keep[s] = v
+                        row = table[v]
+                        t = row[s ^ 1]
+                        if t is not None and parent[t] != t:
+                            t = row[s ^ 1] = find(t)
+                        if t is None:
+                            row[s ^ 1] = a
+                        elif t != a:
+                            pending.append((t, a))
+                    elif u != v:
+                        pending.append((u, v))
+            if parent[alpha] != alpha:
+                break
         else:
-            row = table[alpha]
             for s in range(nsym):
-                if row[s] is None:
-                    define(alpha, s)
-        alpha += 1
+                if alpha_row[s] is None:
+                    b = alpha_row[s] = len(table)
+                    if b >= cap:
+                        raise Overflow("coset limit exceeded", witness={
+                            "limit": limit, "defined": b})
+                    table.append([None] * nsym)
+                    table[b][s ^ 1] = alpha
+                    parent.append(b)
 
-    live = [a for a in range(len(table)) if parent[a] == a]
-    if len(live) > limit:
+    live = sum(map(eq, parent, range(len(parent))))
+    if live > limit:
         raise Overflow("group order exceeds limit",
-                       witness={"limit": limit, "order": len(live)})
+                       witness={"limit": limit, "order": live})
 
     # breadth-first standardization from the identity coset
-    label = {0: 0}
+    label = [0] + [None] * (len(table) - 1)
     order_of = [0]
     for a in order_of:
-        for s in range(nsym):
-            b = entry(a, s)
-            invariant(b is not None, "finished table must be complete",
-                      witness={"coset": label[a]})
-            if b not in label:
+        row = table[a]
+        if None in row:
+            raise InvariantViolated("finished table must be complete",
+                                    witness={"coset": label[a]})
+        for s, b in enumerate(row):
+            if parent[b] != b:
+                b = row[s] = find(b)
+            if label[b] is None:
                 label[b] = len(order_of)
                 order_of.append(b)
-    invariant(len(order_of) == len(live), "table must be connected",
-              witness={"reached": len(order_of), "live": len(live)})
+    invariant(len(order_of) == live, "table must be connected",
+              witness={"reached": len(order_of), "live": live})
 
-    images = {s: [label[entry(a, 2 * i)] for a in order_of]
+    images = {s: [label[table[a][2 * i]] for a in order_of]
               for i, s in enumerate(gens)}
-    tbl = GroupTable(len(live), gens, images)
+    tbl = GroupTable(live, gens, images)
     check_relators(tbl, pr)
     return tbl
 
@@ -540,20 +540,20 @@ def cayley_graph(tbl, pr):
     collapse (the graph is simple).  Generators equal to the identity
     would be loops and are skipped.
     """
-    edges = set()
+    n = tbl.order
+    keys = set()    # the edge (g, h), g < h, as the int g*n + h
     for s in tbl.generators:
-        for g, h in enumerate(tbl.images[s]):
-            if h != g:
-                edges.add(edge_key(g, h))
-    return Graph(tuple(range(tbl.order)), tuple(sorted(edges)))
+        keys.update([g * n + h if g < h else h * n + g
+                     for g, h in enumerate(tbl.perm((s, 1))) if g != h])
+    return Graph(tuple(range(n)), tuple(divmod(k, n) for k in sorted(keys)))
 
 
 # Letter darts at the identity past which `equivariant_rotation` gives
 # up.  With d of them it tries (d-1)! cyclic orders for each of at most
 # 2^d characters, each order one walk over 2d states plus the orders of
 # its face words, cached per element.  At d = 6 Z_10^3 (960 candidates)
-# is refused in about 25 ms, and `planarity_test` then refutes it in
-# about 0.14 s; at d = 7 there would be 720 orders per character.
+# is refused in about 24 ms, and `planarity_test` then refutes it in
+# about 0.15 s; at d = 7 there would be 720 orders per character.
 MAX_ROTATION_LETTERS = 6
 
 
@@ -561,13 +561,14 @@ def _character(tbl, negated):
     """The list of eps(g) for the homomorphism eps: G -> {1, -1} that
     sends the generators in `negated` to -1 and the others to 1, or None
     when propagating these signs over the table is inconsistent."""
+    cols = [(tbl.perm((s, 1)), -1 if s in negated else 1)
+            for s in tbl.generators]
     eps = [0] * tbl.order
     eps[tbl.identity] = 1
     frontier = [tbl.identity]
     for g in frontier:
-        for s in tbl.generators:
-            h = tbl.images[s][g]
-            sign = -eps[g] if s in negated else eps[g]
+        for col, flip in cols:
+            h, sign = col[g], eps[g] * flip
             if not eps[h]:
                 eps[h] = sign
                 frontier.append(h)
@@ -592,9 +593,9 @@ def rotation_candidates(tbl):
     e = tbl.identity
     letters = []
     for s in tbl.generators:
-        h, k = tbl.act_letter(e, (s, 1)), tbl.act_letter(e, (s, -1))
+        h, k = tbl.perm((s, 1))[e], tbl.perm((s, -1))[e]
         letters += [(s, 1)] * (h != e) + [(s, -1)] * (k != h)
-    if len({tbl.act_letter(e, x) for x in letters}) < len(letters) or \
+    if len({tbl.perm(x)[e] for x in letters}) < len(letters) or \
             not 0 < len(letters) <= MAX_ROTATION_LETTERS:
         return
     inverse = {(s, p): (s, -p) if (s, -p) in letters else (s, p)
@@ -602,11 +603,16 @@ def rotation_candidates(tbl):
     orders = {}  # element -> its order, shared by every candidate
 
     def order_of(word):
-        h = g = tbl.act_word(e, word)
+        cols = [tbl.perm(x) for x in word]
+        h = e
+        for col in cols:
+            h = col[h]
         if h not in orders:
-            n = 1
+            g, n = h, 1
             while g != e:
-                g, n = tbl.act_word(g, word), n + 1
+                for col in cols:
+                    g = col[g]
+                n += 1
             orders[h] = n
         return orders[h]
 
@@ -615,7 +621,7 @@ def rotation_candidates(tbl):
         eps = _character(tbl, {s for i, s in enumerate(gens) if mask >> i & 1})
         if eps is None:
             continue
-        sign = {x: eps[tbl.act_letter(e, x)] for x in letters}
+        sign = {x: eps[tbl.perm(x)[e]] for x in letters}
         count = {1: eps.count(1), -1: eps.count(-1)}
         for rest in permutations(letters[1:]):
             ring = (letters[0],) + rest
@@ -645,6 +651,6 @@ def equivariant_rotation(tbl):
         return {tbl.identity: []}
     for faces, eps, ring in rotation_candidates(tbl):
         if faces == 2 - tbl.order + tbl.order * len(ring) // 2:
-            return {g: [tbl.act_letter(g, x) for x in ring[::eps[g]]]
-                    for g in range(tbl.order)}
+            rows = zip(*[tbl.perm(x) for x in ring])
+            return {g: list(row[::eps[g]]) for g, row in enumerate(rows)}
     return None

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import MalformedInput, invariant
+from .errors import InvariantViolated, MalformedInput, invariant
 from .graph import Graph, edge_key, require_connected
 
 
@@ -62,22 +62,22 @@ def facial_walks(r):
     g = r.host
     if not g.edges:
         return (((),) if len(g.vertices) else ())
-    # dart -> the head of the dart after it, removed once the dart is used
-    after = {(u, v): w for v, around in r.rotation.items()
-             for u, w in zip(around, around[1:] + around[:1])}
+    # after[v][u] follows u in v's rotation; popped once (u, v) is used
+    after = {v: dict(zip(around, around[1:] + around[:1]))
+             for v, around in r.rotation.items()}
     walks = []
-    for start in [(u, v) for u in sorted(g.vertices) for v in g.neighbors(u)]:
-        if start not in after:
+    for u0, v0 in [(u, v) for u in sorted(g.vertices) for v in g.neighbors(u)]:
+        if u0 not in after[v0]:
             continue
-        dart = start
-        walk = []
+        u, v, walk = u0, v0, []
         while True:
-            w = after.pop(dart, None)
-            invariant(w is not None, "faces must partition the darts",
-                      witness=dart)
-            walk.append(dart[0])
-            dart = (dart[1], w)
-            if dart == start:
+            w = after[v].pop(u, None)
+            if w is None:
+                raise InvariantViolated("faces must partition the darts",
+                                        witness=(u, v))
+            walk.append(u)
+            u, v = v, w
+            if u == u0 and v == v0:
                 break
         walks.append(tuple(walk))
     return tuple(walks)

@@ -24,12 +24,6 @@ from .graph import Graph, edge_key
 from .separation import make_separation
 
 
-def is_automorphism(g, perm):
-    if sorted(perm) != list(g.vertices) or sorted(perm.values()) != list(g.vertices):
-        return False
-    return all(g.has_edge(perm[u], perm[v]) for u, v in g.edges)
-
-
 def apply_to_edge(perm, e):
     return edge_key(perm[e[0]], perm[e[1]])
 

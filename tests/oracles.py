@@ -12,9 +12,12 @@ from itertools import combinations, permutations
 from math import gcd
 
 from planarblocks.blocks2 import _canonical_tree
-from planarblocks.errors import (MalformedInput, NotAnAutomorphism,
-                                 NotConnected, NotNested, PreconditionViolated,
-                                 invariant)
+from planarblocks.cayley import (GroupTable, check_relators,
+                                euler_characteristic, free_abelian_rank,
+                                surface_signature)
+from planarblocks.errors import (DEFAULT_COSET_LIMIT, MalformedInput,
+                                 NotAnAutomorphism, NotConnected, NotNested,
+                                 Overflow, PreconditionViolated, invariant)
 from planarblocks.graph import (Graph, build_graph, connected_components,
                                 edge_key, induced_subgraph, is_connected,
                                 is_simple_cycle, is_two_connected, set_bits,
@@ -22,7 +25,7 @@ from planarblocks.graph import (Graph, build_graph, connected_components,
 from planarblocks.planar import canonical_face, facial_walks, planarity_test
 from planarblocks.separation import (Separation, component_side,
                                      make_separation, separation_complement)
-from planarblocks.symmetry import apply_to_separation, is_automorphism
+from planarblocks.symmetry import apply_to_separation
 from planarblocks.treeset import NestedFamily, build_structure_tree
 
 
@@ -110,6 +113,12 @@ def lowpoint_blocks(g):
         if root_children >= 2:
             arts.add(root)
     return blocks, arts
+
+
+def is_automorphism(g, perm):
+    if sorted(perm) != list(g.vertices) or sorted(perm.values()) != list(g.vertices):
+        return False
+    return all(g.has_edge(perm[u], perm[v]) for u, v in g.edges)
 
 
 def brute_automorphisms(g):
@@ -1012,7 +1021,7 @@ def element_words(tbl):
         nxt = []
         for g in frontier:
             for letter in letters:
-                h = tbl.act_letter(g, letter)
+                h = tbl.perm(letter)[g]
                 if h not in words:
                     words[h] = words[g] + (letter,)
                     nxt.append(h)
@@ -1035,13 +1044,13 @@ def regular_action(tbl):
     for g, word in element_words(tbl).items():
         if word:
             s, p = word[-1]
-            steps.append((g, tbl.act_letter(g, (s, -p)), word[-1]))
+            steps.append((g, tbl.perm((s, -p))[g], word[-1]))
     perms = []
     for h in range(tbl.order):
         image = [None] * tbl.order
         image[tbl.identity] = h
         for g, parent, letter in steps:
-            image[g] = tbl.act_letter(image[parent], letter)
+            image[g] = tbl.perm(letter)[image[parent]]
         perms.append(dict(enumerate(image)))
     return tuple(perms)
 
@@ -1119,6 +1128,196 @@ def rational_rank(rows):
                 rows[i] = [x - f * y for x, y in zip(rows[i], top)]
         rank += 1
     return rank
+
+
+def reference_coset_enumerate(pr, limit=DEFAULT_COSET_LIMIT):
+    """`cayley.coset_enumerate` as it was before its scan was inlined:
+    the same HLT definitions and coincidences, through small helper
+    closures over a table of rows and with every relator spelled out in
+    full.  The package must give the identical GroupTable, or an
+    Overflow with the identical message and witness."""
+    if limit < 1:
+        raise MalformedInput("limit must be positive", witness=limit)
+    signature = surface_signature(pr)
+    if signature is not None:
+        num, den = euler_characteristic(*signature)
+        if num <= 0:
+            raise Overflow("group is infinite", witness={
+                "limit": limit,
+                "euler_characteristic": (str(num) if den == 1
+                                         else "%d/%d" % (num, den))})
+    rank = free_abelian_rank(pr)
+    if rank:
+        raise Overflow("group is infinite",
+                       witness={"free_abelian_rank": rank, "limit": limit})
+    gens = pr.generators
+    nsym = 2 * len(gens)
+    code = {}
+    for i, s in enumerate(gens):
+        code[(s, 1)] = 2 * i
+        code[(s, -1)] = 2 * i + 1
+    # a relator that is a power w^n, n >= 2, of its primitive root w
+    # carries w and the set of cosets known to close it (see the scan
+    # below); other relators carry None for that set
+    relators = []
+    for w, n in pr.relators:
+        root = [code[l] for l in w]
+        for d in range(1, len(root)):
+            if len(root) % d == 0 and root == root[:d] * (len(root) // d):
+                root, n = root[:d], n * (len(root) // d)
+                break
+        word = root * n
+        relators.append((tuple(word[:-1]), word[-1], tuple(root),
+                         set() if n >= 2 else None))
+    closed_sets = [closed for *_, closed in relators if closed is not None]
+
+    cap = 2 * limit + 32
+    # table[a][s] is a coset, possibly one merged away since it was
+    # written; parent[a] == a exactly when coset a is live
+    table = [[None] * nsym]
+    parent = [0]
+
+    def find(a):
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    def entry(a, s):
+        v = table[a][s]
+        if v is not None and parent[v] != v:
+            v = table[a][s] = find(v)
+        return v
+
+    pending = []
+
+    def set_entry(a, s, b):
+        table[a][s] = b
+        back = entry(b, s ^ 1)
+        if back is None:
+            table[b][s ^ 1] = a
+        elif back != a:
+            pending.append((back, a))
+
+    def define(a, s):
+        # a new row has no entries, so no coincidence can arise here
+        b = len(table)
+        if b >= cap:
+            raise Overflow("coset limit exceeded",
+                           witness={"limit": limit, "defined": b})
+        row = [None] * nsym
+        row[s ^ 1] = a
+        table.append(row)
+        parent.append(b)
+        table[a][s] = b
+        return b
+
+    def merge_queue():
+        while pending:
+            a, b = pending.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            for closed in closed_sets:
+                if b in closed:
+                    closed.add(a)
+            row = table[b]
+            table[b] = [None] * nsym
+            for s in range(nsym):
+                v = row[s]
+                if v is None:
+                    continue
+                v = find(v)
+                u = entry(a, s)
+                if u is None:
+                    set_entry(a, s, v)
+                elif u != v:
+                    pending.append((u, v))
+
+    # HLT: scan every relator from each live coset in turn, defining
+    # cosets along it; no merge happens mid-scan, so the scan reads the
+    # table directly and resolves only entries that point at a coset
+    # merged away by an earlier coincidence.
+    #
+    # A scan of a power relator w^n that closes with no coincidence
+    # leaves a closed walk: every coset c at a w-boundary of it has
+    # c.w^n = c in the table.  Merging never erases a live coset's entry
+    # and hands a merged coset's entries to its survivor, so a live
+    # coset c keeps c.w^n = c through any later coincidence, and the
+    # survivor of a merge inherits it from the coset merged into it.  A
+    # scan of w^n from c would then define nothing and close where it
+    # began; it is skipped, and definitions and coincidences keep their
+    # order.
+    alpha = 0
+    while alpha < len(table):
+        if parent[alpha] != alpha:
+            alpha += 1
+            continue
+        for body, last, root, closed in relators:
+            if closed is not None and alpha in closed:
+                continue
+            cur = alpha
+            for s in body:
+                row = table[cur]
+                nxt = row[s]
+                if nxt is None:
+                    nxt = define(cur, s)
+                elif parent[nxt] != nxt:
+                    nxt = row[s] = find(nxt)
+                cur = nxt
+            t = entry(cur, last)
+            if t is None:
+                set_entry(cur, last, alpha)
+            elif t != alpha:
+                pending.append((t, alpha))
+            if pending:
+                merge_queue()
+                if parent[alpha] != alpha:
+                    break
+            elif closed is not None:
+                cur = alpha
+                while True:
+                    closed.add(cur)
+                    for s in root:
+                        cur = table[cur][s]
+                    if cur == alpha:
+                        break
+        else:
+            row = table[alpha]
+            for s in range(nsym):
+                if row[s] is None:
+                    define(alpha, s)
+        alpha += 1
+
+    live = [a for a in range(len(table)) if parent[a] == a]
+    if len(live) > limit:
+        raise Overflow("group order exceeds limit",
+                       witness={"limit": limit, "order": len(live)})
+
+    # breadth-first standardization from the identity coset
+    label = {0: 0}
+    order_of = [0]
+    for a in order_of:
+        for s in range(nsym):
+            b = entry(a, s)
+            invariant(b is not None, "finished table must be complete",
+                      witness={"coset": label[a]})
+            if b not in label:
+                label[b] = len(order_of)
+                order_of.append(b)
+    invariant(len(order_of) == len(live), "table must be connected",
+              witness={"reached": len(order_of), "live": len(live)})
+
+    images = {s: [label[entry(a, 2 * i)] for a in order_of]
+              for i, s in enumerate(gens)}
+    tbl = GroupTable(len(live), gens, images)
+    check_relators(tbl, pr)
+    return tbl
 
 
 def relator_words(pr):

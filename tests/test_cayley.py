@@ -1,5 +1,9 @@
 """Presentations, coset enumeration, and Cayley graphs."""
 
+import json
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations_with_replacement
 
@@ -15,6 +19,7 @@ from oracles import (
     perm_compose,
     perm_inverse,
     rational_rank,
+    reference_coset_enumerate,
     relator_words,
     spherical_order,
     verify_table_isomorphism,
@@ -163,7 +168,7 @@ def test_enumerate_cyclic():
     g, seen = 0, []
     for _ in range(6):
         seen.append(g)
-        g = tbl.act_letter(g, ("e1", 1))
+        g = tbl.perm(("e1", 1))[g]
     assert g == 0 and len(set(seen)) == 6
 
 
@@ -196,7 +201,10 @@ def test_relators_trace_identity_from_every_element():
     tbl = coset_enumerate(pr)
     for word in relator_words(pr):
         for g in range(tbl.order):
-            assert tbl.act_word(g, word) == g
+            h = g
+            for letter in word:
+                h = tbl.perm(letter)[h]
+            assert h == g
 
 
 def test_infinite_group_overflows():
@@ -293,18 +301,18 @@ def test_signatures_match_their_closed_forms(p, s):
 
 
 @st.composite
-def _random_presentation(draw):
-    gens = ("a", "b", "c", "d")[:draw(st.integers(1, 4))]
-    letters = [(g, p) for g in gens for p in (1, -1)]
-    rels = []
-    for _ in range(draw(st.integers(0, 5))):
+def _random_presentation(draw, gens=4, rels=(0, 5), letters=6, exponent=60):
+    gens = ("a", "b", "c", "d")[:draw(st.integers(1, gens))]
+    alphabet = [(g, p) for g in gens for p in (1, -1)]
+    relators = []
+    for _ in range(draw(st.integers(*rels))):
         word = []
-        for _ in range(draw(st.integers(1, 6))):
-            choices = [l for l in letters
+        for _ in range(draw(st.integers(1, letters))):
+            choices = [l for l in alphabet
                        if not word or l != (word[-1][0], -word[-1][1])]
             word.append(draw(st.sampled_from(choices)))
-        rels.append((tuple(word), draw(st.integers(1, 60))))
-    return Presentation(gens, tuple(rels))
+        relators.append((tuple(word), draw(st.integers(1, exponent))))
+    return Presentation(gens, tuple(relators))
 
 
 @settings(max_examples=200, deadline=None)
@@ -371,6 +379,71 @@ def test_least_sufficient_limit_pins_the_definition_order(text, order,
     else:
         expected = {"order": order}
     assert info.value.witness == dict(expected, limit=least_limit - 1)
+
+
+def _outcome(enumerate_cosets, pr, limit):
+    try:
+        return enumerate_cosets(pr, limit=limit)
+    except Overflow as err:
+        return str(err), err.witness
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_presentation(gens=3, rels=(1, 4), letters=5, exponent=8))
+def test_enumeration_matches_the_reference_scan(pr):
+    # the same definitions and coincidences in the same order give the
+    # same table, and the same peak coset count the same Overflow
+    for limit in (1, 3, 40, 300):
+        assert _outcome(coset_enumerate, pr, limit) == \
+            _outcome(reference_coset_enumerate, pr, limit), limit
+
+
+def _cayley_in_bounded_memory(tmp_path, text):
+    """(exit code, JSON output, seconds) of the `cayley` command on text,
+    run in a fresh interpreter with 1.5 GB of address space."""
+    import resource
+    room = 1500 * 10 ** 6
+
+    def bound():
+        resource.setrlimit(resource.RLIMIT_AS, (room, room))
+    path = tmp_path / "group.pres"
+    path.write_text(text + "\n")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarblocks", "cayley", str(path),
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=bound)
+    elapsed = time.monotonic() - t0
+    assert proc.stderr == "", proc.stderr
+    return proc.returncode, json.loads(proc.stdout), elapsed
+
+
+@pytest.mark.parametrize("text", [
+    "gens: a\nrels: a^300000000",
+    "surface(0, [2,2,300000000], 0)",
+    "gens: a b\nrels: b^2, (a*b^-1*a^-1*b)^1, a^300000000",
+])
+def test_huge_exponent_is_refused_at_the_cap(tmp_path, text):
+    # the scan walks w^n copy by copy; spelling a^300000000 out would
+    # take gigabytes
+    code, out, elapsed = _cayley_in_bounded_memory(tmp_path, text)
+    assert code == 1 and out["error"]["kind"] == "overflow"
+    assert out["error"]["witness"] == {"defined": 20032, "limit": 10000}
+    assert elapsed < 1.0, elapsed
+
+
+def test_huge_exponent_of_a_closed_cycle_is_skipped(tmp_path):
+    # a^6 closes a 6-cycle, so a^300000000 goes round it once and skips
+    # the rest, rather than walking every letter
+    code, out, elapsed = _cayley_in_bounded_memory(
+        tmp_path, "gens: a\nrels: a^6, a^300000000")
+    assert code == 0 and out["order"] == 6
+    assert elapsed < 1.0, elapsed
 
 
 def test_long_power_relator_is_fast():
@@ -619,7 +692,7 @@ def _check_rotation_route(text):
     if tbl.order > 200:
         return rotation
     for faces, eps, ring in rotation_candidates(tbl):
-        neighbours = {h: [tbl.act_letter(h, x) for x in ring[::eps[h]]]
+        neighbours = {h: [tbl.perm(x)[h] for x in ring[::eps[h]]]
                       for h in g.vertices}
         walks = facial_walks(RotationSystem(g, neighbours))
         assert faces == len(walks), (ring, eps)

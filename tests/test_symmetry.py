@@ -9,8 +9,8 @@ import pytest
 from conftest import complete_graph, cycle_graph, g_of, k4_book, path_graph
 from oracles import (all_separations, brute_automorphisms,
                      element_tree_action_violations, greedy_generators,
-                     group_closure, is_free, orbit_of_separation,
-                     random_connected_graph)
+                     group_closure, is_automorphism, is_free,
+                     orbit_of_separation, random_connected_graph)
 from planarblocks import (
     automorphism_group,
     b1_family,
@@ -20,11 +20,7 @@ from planarblocks import (
     tree_action_check,
     triblock_tree,
 )
-from planarblocks.symmetry import (
-    apply_to_separation,
-    check_orbit_stabilizer,
-    is_automorphism,
-)
+from planarblocks.symmetry import apply_to_separation, check_orbit_stabilizer
 from planarblocks.errors import TooLarge
 from planarblocks.graph import build_graph, is_two_connected
 
