@@ -19,9 +19,8 @@ _EXPORTS = {
                "NotNested", "Overflow", "PlanarBlocksError",
                "PreconditionViolated", "TooLarge"),
     "graph": ("Graph", "ReducedGraph", "build_graph", "connected_components",
-              "cut_vertices", "edge_key", "format_edge_list",
-              "homeomorphic_reduce", "induced_subgraph", "is_connected",
-              "parse_edge_list"),
+              "cut_vertices", "edge_key", "homeomorphic_reduce",
+              "induced_subgraph", "is_connected", "parse_edge_list"),
     "planar": ("PlanarityResult", "RotationSystem", "canonical_face",
                "certify_embedding", "certify_kuratowski", "facial_walks",
                "planarity_test"),

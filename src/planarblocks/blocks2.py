@@ -11,32 +11,37 @@ preserves it and no group has to be computed.
 
 Each such separation is, up to complement, one component of the block
 minus a vertex pair, plus the pair, with or without the edge joining
-the pair (`component_side`).  The block's 2-cuts (`graph.two_cuts`,
+the pair, read off int masks.  The block's 2-cuts (`graph.two_cuts`,
 one lowpoint DFS per vertex) are decided pair by pair: {x, y} is
 crossed exactly when some other 2-cut, apart from it, has its two
-vertices in different components of the block minus {x, y}.  Sides
-are built only at the uncrossed pairs, and each is carried to the
-host through the components of the host minus its pair.  Where a pair
-leaves two components and is joined by an edge, both sides with the
-edge are kept, so the pair and its edge form a bond tree vertex of
-their own.  A piece of the host that meets a block only at a cut
-vertex of a hinge goes with the sides that hold the centre of the
-block's tree vertices through that cut vertex (`_pendant_homes`), so
-the lifted sides stay nested.
+vertices in different components of the block minus {x, y}.  Sides are
+built only at the uncrossed pairs, and each is lifted to the host
+through the block-cut tree, as an OR of the sides of its tree edges
+that hang off the block.  Where a pair leaves two components and is
+joined by an edge, both sides with the edge are kept, so the pair and
+its edge form a bond tree vertex of their own.  A piece of the host
+that meets a block only at a cut vertex of a hinge goes with the sides
+that hold the centre of the block's tree vertices through that cut
+vertex (`_pendant_homes`), so the lifted sides stay nested.  No side
+is checked as it is built: `triblock_tree` certifies the whole tree
+(`treeset.certify_tree`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .errors import HingeVertex, MalformedInput, invariant
-from .graph import (Graph, connected_components, edge_key, homeomorphic_reduce,
-                    is_connected, is_simple_cycle, is_two_connected,
-                    require_connected, two_cuts)
-from .separation import component_side, separation_complement
-from .treeset import NestedFamily, StructureTree, build_structure_tree
+from .graph import (Graph, edge_key, homeomorphic_reduce, is_connected,
+                    is_simple_cycle, is_two_connected, require_connected,
+                    two_cuts)
+from .separation import Separation, separation_complement
+from .treeset import (NestedFamily, StructureTree, build_structure_tree,
+                      certify_tree)
 from .blocks1 import BlockCutTree, b1_family
 
 
@@ -56,6 +61,7 @@ def _uncrossed_sides(z):
     with the pair's edge too when the edge joins it and two components
     remain; with three or more, the sides with the edge cross.
     """
+    ix = z.index
     cuts = [(pair, comps, {v: i for i, c in enumerate(comps) for v in c})
             for pair, comps in two_cuts(z)]
     sides = []
@@ -63,10 +69,12 @@ def _uncrossed_sides(z):
         if any(label[u] != label[w] for (u, w), _, _ in cuts
                if u not in pair and w not in pair):
             continue
-        bond = len(comps) == 2 and z.has_edge(*pair)
-        for with_edge in (False, True) if bond else (False,):
+        bm = ix.vertex_mask(pair)[0]
+        joined = ix.edge_bit.get(pair, 0) if len(comps) == 2 else 0
+        for extra in (0, joined) if joined else (0,):
             for comp in comps:
-                s = component_side(z, pair, (comp,), with_edge)
+                inner = ix.vertex_mask(comp)[0]
+                s = Separation(z, inner | bm, ix.reach(inner)[1] | extra, bm)
                 sides.append((s, separation_complement(s)))
     return sorted(sides, key=lambda c: c[0].sort_key())
 
@@ -101,42 +109,41 @@ def _pendant_homes(pairs, cuts):
             yield sc, give
 
 
-def _lift_torso_separation(host, zsep, hang=()):
-    """Carry a hinge separation of a torso back to the host.
-
-    The host components of host - hinge that meet the interior of zsep
-    make up the side, with those that meet no torso vertex and hang at
-    a vertex of `hang`.  The host edge joining the hinge goes with it
-    when zsep holds the torso edge joining the hinge.
-    """
-    x, y = sorted(zsep.boundary)
-    seeds = zsep.va - zsep.boundary
-    near = {u for v in hang for u in host.neighbors(v)} - zsep.host.vertex_set
-    comps = [c for c in connected_components(host, (x, y))
-             if not seeds.isdisjoint(c) or not near.isdisjoint(c)]
-    return component_side(host, (x, y), comps, edge_key(x, y) in zsep.ea)
-
-
 def _canonical_tree(h):
     """Structure tree of the one-boundary family of h together with the
     uncrossed hinge separations of each of its blocks.
 
     The blocks come off the block-cut tree that `b1_family` reads off
     its DFS.  Blocks of at most three vertices and cycles have none.
-    Each lifted side enters followed by its complement, unless the side
-    is already present.  A side and its complement lift to complements
-    unless a pendant piece goes with neither.
+    A block vertex hangs the side of its tree edge away from the block,
+    and a block side lifts to the OR of what its interior vertices and
+    the hinge vertices it takes (`_pendant_homes`) hang.  Each lifted
+    side enters followed by its complement, unless the side is already
+    present.  A side and its complement lift to complements unless a
+    pendant piece goes with neither.
     """
     bct = BlockCutTree(h, b1_family(h))
+    tree, ix = bct.tree, h.index
     elements = list(bct.family.elements)
     cuts = set(bct.cuts)
     present = set()
-    for z in bct.blocks:
+    for ci, z in sorted(bct.block_classes.items()):
         if len(z.vertices) <= 3 or is_simple_cycle(z):
             continue
-        pairs = _uncrossed_sides(z)
-        for zsep, hang in _pendant_homes(pairs, cuts & z.vertex_set):
-            s = _lift_torso_separation(h, zsep, hang)
+        hang = {v: ix.vertex_bit[v] for v in z.vertices}
+        for i in tree.classes[ci]:
+            hang[bct.cut_classes[tree.class_of[i ^ 1]]] |= elements[i].vmask
+        zx = z.index
+        for zsep, take in _pendant_homes(_uncrossed_sides(z),
+                                         cuts & z.vertex_set):
+            hinge = zsep.key[2]
+            bm = ix.vertex_mask(hinge)[0]
+            inner = reduce(or_, map(hang.__getitem__, (
+                *zx.vertices_of(zsep.vmask & ~zsep.bmask), *take))) & ~bm
+            em = ix.reach(inner)[1]
+            if zsep.emask & zx.edge_bit.get(hinge, 0):
+                em |= ix.edge_bit[hinge]
+            s = Separation(h, inner | bm, em, bm)
             if s in present:
                 continue
             sc = separation_complement(s)
@@ -294,9 +301,9 @@ def triblock_tree(g):
     The one-boundary family at cut vertices and the uncrossed hinge
     separations of the blocks live in a single nested family over the
     reduced host; hinge sides absorb hanging pieces through the
-    component structure, so no per-part bookkeeping is needed.  A pair
-    with two components joined by a host edge gives a bond: a
-    two-vertex torso holding the pair and that edge.
+    block-cut tree, so no per-part bookkeeping is needed.  A pair with
+    two components joined by a host edge gives a bond: a two-vertex
+    torso holding the pair and that edge.  The tree is certified.
     """
     require_connected(g, "decomposition needs a connected graph")
     red = homeomorphic_reduce(g)
@@ -315,6 +322,7 @@ def triblock_tree(g):
         torsos[ci] = t
         kinds[ci] = _classify(t.z)
     _check_edge_partition(h, kinds, cut_classes, torsos)
+    certify_tree(tree)
     return TriBlockTree(g, red, h, tree.family, tree, kinds, cut_classes,
                         torsos, tree.edges)
 

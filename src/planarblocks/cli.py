@@ -68,9 +68,7 @@ def _blocks(g, bound, args):
 
 def _triblocks(g, bound, args):
     from .blocks2 import triblock_tree
-    from .treeset import certify_tree
     tbt = triblock_tree(g)
-    certify_tree(tbt.tree)
     nodes = []
     for ci in range(tbt.vertex_count):
         node = {"id": ci, "kind": tbt.kinds[ci]}
@@ -161,7 +159,6 @@ def _check(g, bound, args):
     from .planar import planarity_test
     from .symmetry import (automorphism_group, check_orbit_stabilizer,
                            tree_action_check)
-    from .treeset import certify_tree
     count = serialize.counted
     rows = []
 
@@ -204,7 +201,6 @@ def _check(g, bound, args):
 
     def triblocks():
         tbt = triblock_tree(g)
-        certify_tree(tbt.tree)
         state["tbt"] = tbt
         return count(tbt.vertex_count, "tree vertex", "tree vertices")
     attempt("triblock-tree", triblocks)

@@ -20,7 +20,7 @@ then a few big-int operations instead of set operations.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from heapq import heappop, heappush
 from itertools import compress, islice
@@ -36,24 +36,28 @@ def edge_key(u, v):
 
 @dataclass(frozen=True)
 class Graph:
+    """Adjacency lists and vertex and edge sets are built on first use."""
+
     vertices: tuple
     edges: tuple
-    _adj: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
-    vertex_set: frozenset = field(init=False, repr=False, compare=False,
-                                  hash=False, default=None)
-    edge_set: frozenset = field(init=False, repr=False, compare=False,
-                                hash=False, default=None)
 
-    def __post_init__(self):
+    @cached_property
+    def _adj(self):
         adj = {v: [] for v in self.vertices}
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        for v in adj:
-            adj[v] = tuple(sorted(adj[v]))
-        object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "vertex_set", frozenset(self.vertices))
-        object.__setattr__(self, "edge_set", frozenset(self.edges))
+        for v, around in adj.items():
+            adj[v] = tuple(sorted(around))
+        return adj
+
+    @cached_property
+    def vertex_set(self):
+        return frozenset(self.vertices)
+
+    @cached_property
+    def edge_set(self):
+        return frozenset(self.edges)
 
     def __hash__(self):
         return hash((self.vertices, self.edges))
@@ -212,12 +216,6 @@ def parse_edge_list(text):
     if not vertices:
         raise MalformedInput("empty input")
     return build_graph(sorted(vertices), edges)
-
-
-def format_edge_list(g):
-    lines = ["vertices: %d" % (max(g.vertices) + 1)] if g.vertices else []
-    lines += ["%d %d" % e for e in g.edges]
-    return "\n".join(lines) + "\n"
 
 
 def connected_components(g, drop=()):

@@ -12,9 +12,10 @@ Equality, hashing, containment and the complement are a few big-int
 operations, whatever the size of the sides.  The sets `va`, `ea` and
 `boundary` and the sorted `key` are decoded from the masks on first use
 and kept.  `make_separation` checks every invariant with one OR per
-interior vertex.  `blocks1.b1_family` builds its `Separation`s directly:
-its sides come off the DFS, and `treeset.certify_tree` checks each as a
-separation.
+interior vertex.  `blocks1` and `blocks2` build their `Separation`s
+straight from masks, and `treeset.certify_tree` checks each of them
+as a separation.  The conditions are symmetric under complement, so
+`separation_complement` checks nothing again.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantViolated, MalformedInput
-from .graph import Graph, edge_key, set_bits
+from .graph import Graph, set_bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,25 +142,8 @@ def _misplaced_edges(ix, vm, em, bm):
     return InvariantViolated("edge masks disagree with the vertex masks")
 
 
-def component_side(host, boundary, comps, with_edge=False):
-    """The side spanned by some components of host - boundary.
-
-    Its vertices are those of the components plus the boundary, its
-    edges every host edge at a component vertex, and the edge joining a
-    two-vertex boundary only when with_edge.
-    """
-    ix = host.index
-    inner = _mask([v for c in comps for v in c], ix.vertex_mask,
-                  ix.all_vertices, "va not a subset of host vertices")
-    em = ix.reach(inner)[1]
-    if with_edge and len(boundary) == 2:
-        em |= ix.edge_bit.get(edge_key(*boundary), 0)
-    return make_separation(host, inner | ix.vertex_mask(boundary)[0], em,
-                           boundary)
-
-
 def separation_complement(a):
-    """A*: the other side across the same boundary."""
+    """A*: the other side across the same boundary, unchecked."""
     ix = a.host.index
-    return make_separation(a.host, ix.all_vertices & ~a.vmask | a.bmask,
-                           ix.all_edges & ~a.emask, a.bmask)
+    return Separation(a.host, ix.all_vertices & ~a.vmask | a.bmask,
+                      ix.all_edges & ~a.emask, a.bmask)

@@ -11,7 +11,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
-from planarblocks.blocks2 import _canonical_tree
+from planarblocks.blocks1 import BlockCutTree, b1_family
+from planarblocks.blocks2 import _canonical_tree, _pendant_homes
 from planarblocks.cayley import (GroupTable, check_relators,
                                 euler_characteristic, free_abelian_rank,
                                 surface_signature)
@@ -23,13 +24,30 @@ from planarblocks.graph import (Graph, build_graph, connected_components,
                                 is_simple_cycle, is_two_connected, set_bits,
                                 two_cuts)
 from planarblocks.planar import canonical_face, facial_walks, planarity_test
-from planarblocks.separation import (Separation, component_side,
-                                     make_separation, separation_complement)
+from planarblocks.separation import (Separation, _mask, make_separation,
+                                     separation_complement)
 from planarblocks.symmetry import apply_to_separation
 from planarblocks.treeset import NestedFamily, build_structure_tree
 
 
 # ------------------------------------------------------- block structure
+
+def component_side(host, boundary, comps, with_edge=False):
+    """The side spanned by some components of host - boundary.
+
+    Its vertices are those of the components plus the boundary, its
+    edges every host edge at a component vertex, and the edge joining a
+    two-vertex boundary only when with_edge.
+    """
+    ix = host.index
+    inner = _mask([v for c in comps for v in c], ix.vertex_mask,
+                  ix.all_vertices, "va not a subset of host vertices")
+    em = ix.reach(inner)[1]
+    if with_edge and len(boundary) == 2:
+        em |= ix.edge_bit.get(edge_key(*boundary), 0)
+    return make_separation(host, inner | ix.vertex_mask(boundary)[0], em,
+                           boundary)
+
 
 def remove_vertices(g, drop):
     """g minus the vertices in drop, as a copy with the same labels."""
@@ -728,6 +746,84 @@ def uncrossed_side_keys(z):
     return sorted(kept, key=lambda a: (len(a[0][1]), a[0][1], a[0][2]))
 
 
+# ------------------------------------------------ reference hinge family
+#
+# The hinge family as it was built before its sides were lifted through
+# the block-cut tree: each side checked by `make_separation`, and
+# carried to the host through the components of the host minus its
+# pair.  `blocks2._canonical_tree` must give the same family.
+
+def reference_uncrossed_sides(z):
+    """The hinge sides of the 2-connected graph z that no hinge
+    separation of z crosses, as (side, complement) pairs sorted by the
+    side's sort key.
+
+    A 2-cut {x, y} is crossed when another 2-cut {u, w}, apart from it,
+    has u and w in different components of z minus {x, y}; then every
+    side at {x, y} crosses a side at {u, w}, and otherwise all are
+    nested.  An uncrossed pair keeps each component plus the pair, and
+    with the pair's edge too when the edge joins it and two components
+    remain; with three or more, the sides with the edge cross.
+    """
+    cuts = [(pair, comps, {v: i for i, c in enumerate(comps) for v in c})
+            for pair, comps in two_cuts(z)]
+    sides = []
+    for pair, comps, label in cuts:
+        if any(label[u] != label[w] for (u, w), _, _ in cuts
+               if u not in pair and w not in pair):
+            continue
+        bond = len(comps) == 2 and z.has_edge(*pair)
+        for with_edge in (False, True) if bond else (False,):
+            for comp in comps:
+                s = component_side(z, pair, (comp,), with_edge)
+                sides.append((s, separation_complement(s)))
+    return sorted(sides, key=lambda c: c[0].sort_key())
+
+
+def reference_lift_torso_separation(host, zsep, hang=()):
+    """Carry a hinge separation of a torso back to the host.
+
+    The host components of host - hinge that meet the interior of zsep
+    make up the side, with those that meet no torso vertex and hang at
+    a vertex of `hang`.  The host edge joining the hinge goes with it
+    when zsep holds the torso edge joining the hinge.
+    """
+    x, y = sorted(zsep.boundary)
+    seeds = zsep.va - zsep.boundary
+    near = {u for v in hang for u in host.neighbors(v)} - zsep.host.vertex_set
+    comps = [c for c in connected_components(host, (x, y))
+             if not seeds.isdisjoint(c) or not near.isdisjoint(c)]
+    return component_side(host, (x, y), comps, edge_key(x, y) in zsep.ea)
+
+
+def reference_canonical_tree(h):
+    """Structure tree of the one-boundary family of h together with the
+    uncrossed hinge separations of each of its blocks.
+
+    The blocks come off the block-cut tree that `b1_family` reads off
+    its DFS.  Blocks of at most three vertices and cycles have none.
+    Each lifted side enters followed by its complement, unless the side
+    is already present.  A side and its complement lift to complements
+    unless a pendant piece goes with neither.
+    """
+    bct = BlockCutTree(h, b1_family(h))
+    elements = list(bct.family.elements)
+    cuts = set(bct.cuts)
+    present = set()
+    for z in bct.blocks:
+        if len(z.vertices) <= 3 or is_simple_cycle(z):
+            continue
+        pairs = reference_uncrossed_sides(z)
+        for zsep, hang in _pendant_homes(pairs, cuts & z.vertex_set):
+            s = reference_lift_torso_separation(h, zsep, hang)
+            if s in present:
+                continue
+            sc = separation_complement(s)
+            present.update((s, sc))
+            elements += (s, sc)
+    return build_structure_tree(h, elements)
+
+
 # --------------------------------------------------- Kuratowski witnesses
 
 def kuratowski_kind(g):
@@ -1402,6 +1498,14 @@ def restart_reduction(g):
     es = tuple(sorted(walks))
     return (Graph(tuple(sorted(adj)), es),
             {e: (walks[e],) + tuple(parallels.get(e, ())) for e in es})
+
+
+# ------------------------------------------------------- edge-list text
+
+def format_edge_list(g):
+    lines = ["vertices: %d" % (max(g.vertices) + 1)] if g.vertices else []
+    lines += ["%d %d" % e for e in g.edges]
+    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------ random instances

@@ -22,7 +22,7 @@ from planarblocks.blocks2 import (
     KIND_CUT_POINT,
     KIND_CYCLE,
     KIND_THREE_CONNECTED,
-    _lift_torso_separation,
+    _canonical_tree,
     _uncrossed_sides,
 )
 from planarblocks.errors import (
@@ -36,8 +36,9 @@ from conftest import g_of, grid_graph, k4_book
 from oracles import (all_separations, build_nested_family, chorded_cycle,
                      edge_subset_separations, enumerate_separations_at,
                      glued_blocks, is_three_connected_by_cutsets,
-                     lowpoint_blocks, nested,
-                     random_two_connected_graph, separation_fault,
+                     lowpoint_blocks, nested, random_two_connected_graph,
+                     reference_canonical_tree,
+                     reference_lift_torso_separation, separation_fault,
                      separating_sets, totally_nested_keys,
                      uncrossed_side_keys, verify_tree_correspondence)
 
@@ -426,7 +427,7 @@ def test_torso_on_cut_point_class_raises(bowtie):
 
 
 # ---------------------------------------------------------------------------
-# lifting torso separations back to the host
+# lifting block sides to the host through the block-cut tree
 
 
 def _k4_chain(parts):
@@ -438,15 +439,34 @@ def _k4_chain(parts):
     return g_of(",".join(sorted(set(pieces))))
 
 
+def _hang_k4s(g):
+    """g with a K4 hung at each of its vertices."""
+    edges = list(g.edges)
+    n = max(g.vertices) + 1
+    for v in g.vertices:
+        k4 = (v, n, n + 1, n + 2)
+        edges += [(x, y) for i, x in enumerate(k4) for y in k4[i + 1:]]
+        n += 3
+    return build_graph(range(n), edges)
+
+
+def _lifted_keys(host):
+    return {e.sort_key() for e in _canonical_tree(host).family.elements}
+
+
 def test_lift_is_identity_on_whole_graph_torso():
     host = g_of("0-1,0-2,0-3,1-2,1-3,2-6,6-7,2-7")
     plain = make_separation(host, (0, 1, 3), ((0, 3), (1, 3)), (0, 1))
-    assert _lift_torso_separation(host, plain) == plain
+    assert reference_lift_torso_separation(host, plain) == plain
     # a separation that takes the hinge edge must keep it when lifted
     taken = make_separation(
         host, (0, 1, 2, 6, 7),
         ((0, 1), (0, 2), (1, 2), (2, 6), (2, 7), (6, 7)), (0, 1))
-    assert _lift_torso_separation(host, taken) == taken
+    assert reference_lift_torso_separation(host, taken) == taken
+    # the block-cut lift gives both sides as they are
+    keys = _lifted_keys(host)
+    assert plain.sort_key() in keys
+    assert taken.sort_key() in keys
 
 
 def test_lift_pulls_in_material_behind_the_region():
@@ -459,13 +479,44 @@ def test_lift_pulls_in_material_behind_the_region():
     z = torso(host, tree, ci).z
     zsep = make_separation(z, (2, 3, 4, 5),
                            ((2, 3), (2, 4), (2, 5), (3, 4), (3, 5)), (4, 5))
-    lifted = _lift_torso_separation(host, zsep)
+    lifted = reference_lift_torso_separation(host, zsep)
     # the side behind the region hinge {2,3} rides along with it
-    assert lifted.sort_key() == (
+    want = (
         10,
         ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
          (2, 4), (2, 5), (3, 4), (3, 5)),
         (4, 5))
+    assert lifted.sort_key() == want
+    # and the block-cut lift holds that side, not the torso's region
+    keys = _lifted_keys(host)
+    assert want in keys
+    assert zsep.sort_key() not in keys
+
+
+def _lift_corpus(rng):
+    # a side that holds the hinge edge with a triangle hung behind it,
+    # and a K4 chain whose sides take the blocks behind their region
+    yield g_of("0-1,0-2,0-3,1-2,1-3,2-6,6-7,2-7")
+    yield _k4_chain(4)
+    for parts in (1, 2, 3, 6):
+        yield _hang_k4s(_k4_chain(parts))
+    for pages in (1, 2, 3):
+        yield _hang_k4s(k4_book(pages))
+    for _ in range(200):
+        yield glued_blocks(rng, pieces=6)
+    for _ in range(100):
+        yield chorded_cycle(rng, rng.randint(6, 16), rng.randint(2, 8))
+
+
+def test_lift_matches_the_reference_hinge_family():
+    rng = random.Random("block-cut-lift")
+    for g in _lift_corpus(rng):
+        for h in {g, homeomorphic_reduce(g).graph}:
+            got, want = _canonical_tree(h), reference_canonical_tree(h)
+            assert [e.key for e in got.family.elements] == \
+                [e.key for e in want.family.elements], h.edges
+            assert got.classes == want.classes, h.edges
+            assert got.edges == want.edges, h.edges
 
 
 # ---------------------------------------------------------------------------

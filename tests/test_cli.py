@@ -4,6 +4,7 @@ import ast
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -595,6 +596,35 @@ def test_src_imports_are_used():
         unused += ["%s:%d %s" % (os.path.basename(path), line, name)
                    for name, line in sorted(imported.items())
                    if name not in read]
+    assert unused == []
+
+
+def test_src_definitions_are_used():
+    # every module-level function and class is named somewhere in src/
+    # outside its own definition and the export table of __init__.py,
+    # so code that nothing in the package uses is deleted, not kept
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    files = [path for path in sorted(
+        glob.glob(os.path.join(src, "planarblocks", "*.py")))
+        if os.path.basename(path) != "__init__.py"]
+    assert files
+    texts = {}
+    for path in files:
+        with open(path, encoding="utf-8") as fh:
+            texts[path] = fh.read()
+    words = re.findall(r"\w+", "\n".join(texts.values()))
+    unused = []
+    for path, text in texts.items():
+        lines = text.splitlines()
+        for node in ast.parse(text, path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            own = re.findall(r"\w+", "\n".join(
+                lines[node.lineno - 1:node.end_lineno]))
+            if words.count(node.name) == own.count(node.name):
+                unused.append("%s:%d %s" % (os.path.basename(path),
+                                            node.lineno, node.name))
     assert unused == []
 
 

@@ -9,13 +9,12 @@ from planarblocks.blocks1 import block_cut_tree
 from planarblocks.errors import MalformedInput, NotConnected
 from planarblocks.graph import (_lowpoint_dfs, build_graph,
                                 connected_components, cut_vertices, edge_key,
-                                format_edge_list, homeomorphic_reduce,
-                                induced_subgraph, is_connected,
-                                is_simple_cycle, is_two_connected,
-                                parse_edge_list, two_cuts)
+                                homeomorphic_reduce, induced_subgraph,
+                                is_connected, is_simple_cycle,
+                                is_two_connected, parse_edge_list, two_cuts)
 
 from conftest import complete_graph, cycle_graph, g_of, path_graph
-from oracles import (chorded_cycle, glued_blocks,
+from oracles import (chorded_cycle, format_edge_list, glued_blocks,
                      is_three_connected_by_cutsets, lowpoint_blocks,
                      random_connected_graph, remove_vertices,
                      restart_reduction, separating_sets)

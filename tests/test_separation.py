@@ -172,6 +172,12 @@ def test_make_separation_agrees_with_set_checks():
             assert want is None, (va, ea, boundary, want)
             assert s.key == (tuple(sorted(va)), tuple(sorted(ea)),
                              tuple(sorted(boundary)))
+            # the complement is built unchecked: its sets pass too
+            cva = g.vertex_set - set(va) | set(boundary)
+            cea = g.edge_set - set(ea)
+            assert separation_fault(g, cva, cea, boundary) is None
+            assert separation_complement(s) == \
+                make_separation(g, cva, cea, boundary)
         seen.add(want)
     # every outcome of make_separation was reached, passing included
     assert len(seen) == 9, seen
