@@ -39,11 +39,11 @@ def b1_family(g):
     complements, as the family of the block-cut tree (`family.tree`):
     cut vertices ascending, components by least vertex, each minimal
     side followed by its complement.  Connected input; a 2-connected
-    graph, an edge or a vertex gives the empty family."""
+    graph, an edge or a vertex gives the empty family, whose one region
+    is g itself."""
     order, parent, split = _lowpoint_dfs(g)
     if not split:
-        whole = Graph(tuple(sorted(g.vertices)), tuple(sorted(g.edges)))
-        return NestedFamily(g, (), (frozenset(),), (whole,))
+        return NestedFamily(g, (), (frozenset(),), (g,))
     ix = g.index
     n = len(ix.vertices)
     root = order[0]

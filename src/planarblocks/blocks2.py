@@ -25,6 +25,16 @@ that hold the centre of the block's tree vertices through that cut
 vertex (`_pendant_homes`), so the lifted sides stay nested.  No side
 is checked as it is built: `triblock_tree` certifies the whole tree
 (`treeset.certify_tree`).
+
+One `Graph` object stands for each distinct graph on the way.  The
+reduced host is the input itself when no vertex is suppressed, and a
+block that no hinge splits is its region (`build_structure_tree` is
+handed the blocks), its torso when no virtual edge is added, and its
+witness when no path is.  A graph keeps its components and its 2-cuts
+(`graph.Graph`), so `_classify` reads the 2-cuts the block pass found;
+only a torso with virtual edges, a graph of its own, is searched again.
+Every check of `torso`, `_classify` and `_check_edge_partition` still
+runs on every torso.
 """
 
 from __future__ import annotations
@@ -127,7 +137,10 @@ def _canonical_tree(h):
     elements = list(bct.family.elements)
     cuts = set(bct.cuts)
     present = set()
+    known = {}      # a block by its masks: the region of a block left whole
     for ci, z in sorted(bct.block_classes.items()):
+        known[ix.vertex_mask(z.vertices)[0],
+              reduce(or_, map(ix.edge_bit.__getitem__, z.edges), 0)] = z
         if len(z.vertices) <= 3 or is_simple_cycle(z):
             continue
         hang = {v: ix.vertex_bit[v] for v in z.vertices}
@@ -149,7 +162,7 @@ def _canonical_tree(h):
             sc = separation_complement(s)
             present.update((s, sc))
             elements += (s, sc)
-    return build_structure_tree(h, elements)
+    return build_structure_tree(h, elements, known)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +193,7 @@ def _region_parts(tree, ci):
             zes.add(k)
             virtuals.append(k)
             gens[k] = e
-    z = Graph(zprime.vertices, tuple(sorted(zes)))
+    z = Graph(zprime.vertices, tuple(sorted(zes))) if virtuals else zprime
     return zprime, z, tuple(sorted(virtuals)), gens
 
 
@@ -253,8 +266,8 @@ def torso(g, tree, v):
         walk = paths[k]
         wvs.update(walk)
         path_edges.update(edge_key(x, y) for x, y in zip(walk, walk[1:]))
-    witness = Graph(tuple(sorted(wvs)),
-                    tuple(sorted(path_edges.union(zprime.edges))))
+    witness = zprime if not paths else Graph(
+        tuple(sorted(wvs)), tuple(sorted(path_edges.union(zprime.edges))))
     invariant(set(witness.edges) <= g.edge_set, "witness must live in the host")
     for inner in interiors:
         for w in inner:
@@ -333,7 +346,7 @@ def _classify(z):
         return KIND_CYCLE
     if len(z.vertices) <= 3:
         return KIND_THREE_CONNECTED
-    invariant(next(two_cuts(z), None) is None,
+    invariant(not two_cuts(z),
               "non-cycle torso of the final tree must be 3-connected")
     return KIND_THREE_CONNECTED
 

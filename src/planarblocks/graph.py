@@ -15,6 +15,14 @@ cut vertices w of g - v (`cut_vertices`, `two_cuts`).
 so that a set of vertices or of edges is one int bitmask.  Separations
 are held as such masks: containment, complements and intersections are
 then a few big-int operations instead of set operations.
+
+A `Graph` is immutable, and each fact about it is computed on first use
+and kept on the object: its adjacency, its vertex and edge sets, its
+index, its components (`Graph.components`, which `is_connected`,
+`require_connected` and `is_simple_cycle` read) and its 2-cuts
+(`Graph.cut_pairs`, which `two_cuts` returns).  The decomposition layers
+hand the same object on wherever a graph does not change, so each fact
+is found once per distinct graph.
 """
 
 from __future__ import annotations
@@ -58,6 +66,16 @@ class Graph:
     @cached_property
     def edge_set(self):
         return frozenset(self.edges)
+
+    @cached_property
+    def components(self):
+        """The components, as `connected_components` lists them."""
+        return tuple(connected_components(self))
+
+    @cached_property
+    def cut_pairs(self):
+        """The 2-cuts with their components, as `two_cuts` lists them."""
+        return tuple(_two_cut_pass(self))
 
     def __hash__(self):
         return hash((self.vertices, self.edges))
@@ -239,13 +257,13 @@ def connected_components(g, drop=()):
 
 
 def is_connected(g):
-    return len(connected_components(g)) == 1
+    return len(g.components) == 1
 
 
 def require_connected(g, message):
     """Raise NotConnected(message), with the components of g as sorted
     vertex lists for its witness, unless g is connected."""
-    comps = connected_components(g)
+    comps = g.components
     if len(comps) > 1:
         raise NotConnected(message, witness=[list(c) for c in comps])
 
@@ -300,7 +318,7 @@ def _lowpoint_dfs(g, skip=None):
                 if low[v] >= disc[p]:
                     split.setdefault(p, []).append(v)
     if root is None or len(order) + len(drop) < len(g.vertices):
-        comps = connected_components(g, drop)
+        comps = connected_components(g, drop) if drop else g.components
         raise NotConnected("cut vertices are defined for connected graphs",
                            witness=[list(c) for c in comps])
     # every child of the root splits off; it is a cut vertex with two
@@ -316,9 +334,15 @@ def cut_vertices(g):
 
 def two_cuts(g):
     """(pair, components of g - pair) for every vertex pair whose removal
-    disconnects the 2-connected graph g, in `combinations` order.  {v, w}
-    is one when w is a cut vertex of g - v, so one `_lowpoint_dfs` per
-    skipped v finds them all in O(n (n + m)) time."""
+    disconnects the 2-connected graph g, in `combinations` order, found
+    once per `Graph` object (`Graph.cut_pairs`)."""
+    return g.cut_pairs
+
+
+def _two_cut_pass(g):
+    """The 2-cuts of `two_cuts`.  {v, w} is one when w is a cut vertex of
+    g - v, so one `_lowpoint_dfs` per skipped v finds them all in
+    O(n (n + m)) time."""
     position = {v: i for i, v in enumerate(g.vertices)}
     for i, v in enumerate(g.vertices[:-1]):
         later = [w for w in _lowpoint_dfs(g, v)[2] if position[w] > i]
@@ -327,9 +351,14 @@ def two_cuts(g):
 
 
 def is_two_connected(g):
-    """At least 3 vertices, connected, and no cut vertex."""
-    return (len(g.vertices) >= 3 and is_connected(g)
-            and not _lowpoint_dfs(g)[2])
+    """At least 3 vertices, connected, and no cut vertex, read off one
+    lowpoint DFS, which stops short of a vertex of another component."""
+    if len(g.vertices) < 3:
+        return False
+    try:
+        return not _lowpoint_dfs(g)[2]
+    except NotConnected:
+        return False
 
 
 @dataclass(frozen=True)
@@ -350,8 +379,9 @@ def _walk_from(walk, start):
 def homeomorphic_reduce(g):
     """Suppress degree-2 vertices, least first, collapsing parallel edges.
 
-    A simple cycle comes back unchanged; anything else, paths included,
-    reduces until no degree-2 vertex remains.  walks[e] holds the host
+    A simple cycle, or a graph without a degree-2 vertex, comes back as
+    the very same `Graph` object; anything else, paths included, reduces
+    until no degree-2 vertex remains.  walks[e] holds the host
     walks e replaces: the surviving branch from min to max endpoint, then
     the branches that collapsed onto e, in collapse order.  A heap holds
     the degree-2 vertices, and a vertex enters it again only when a
@@ -360,10 +390,10 @@ def homeomorphic_reduce(g):
     """
     require_connected(g, "cannot reduce a disconnected graph")
     walks = {e: (e,) for e in g.edges}
-    if is_simple_cycle(g):
+    todo = [v for v in g.vertices if g.degree(v) == 2]      # sorted: a heap
+    if not todo or is_simple_cycle(g):
         return ReducedGraph(g, walks)
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    todo = [v for v in g.vertices if len(adj[v]) == 2]      # sorted: a heap
     while todo:
         v = heappop(todo)
         if len(adj[v]) != 2:        # a collapse took it down to degree 1

@@ -16,6 +16,12 @@ string.  The text is the standard library's indent-2, sorted-key,
 ASCII-only spelling, byte for byte; the stdlib reaches it only through
 its pure-Python encoder, one generator step per token, so an array of
 plain ints, or of rows of them, is written here with one ``join``.
+
+A payload often holds one graph object at several places: a block in
+both the tree and the block list, or a block that is the region, the
+torso and the witness of its tree vertex.  Each graph object is written
+once per call, in place; each repeat is the text of the first, re-based
+to its own indent.  The memo of written graphs lives for one call.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ def _float(x):
     return float.__repr__(x)
 
 
-def _array(xs, nl, out):
+def _array(xs, nl, out, seen):
     if not xs:
         out.append("[]")
         return
@@ -60,12 +66,12 @@ def _array(xs, nl, out):
         sep = "[" + inner
         for x in xs:
             out.append(sep)
-            _write(x, inner, out)
+            _write(x, inner, out, seen)
             sep = "," + inner
         out.append(nl + "]")
 
 
-def _object(d, nl, out):
+def _object(d, nl, out, seen):
     if not d:
         out.append("{}")
         return
@@ -74,13 +80,15 @@ def _object(d, nl, out):
     # a later key wins when two keys share a string
     for k, v in sorted({str(k): v for k, v in d.items()}.items()):
         out.append(sep + _string(k) + ": ")
-        _write(v, inner, out)
+        _write(v, inner, out, seen)
         sep = "," + inner
     out.append(nl + "}")
 
 
-def _write(x, nl, out):
-    """Append the JSON text of x, whose inner lines start after nl."""
+def _write(x, nl, out, seen):
+    """Append the JSON text of x, whose inner lines start after nl.
+    `seen` maps the id of each graph written so far to its nl and the
+    span of `out` that holds its text."""
     if isinstance(x, str):
         out.append(_string(x))
     elif x is None:
@@ -94,18 +102,26 @@ def _write(x, nl, out):
     elif isinstance(x, float):
         out.append(_float(x))
     elif isinstance(x, dict):
-        _object(x, nl, out)
+        _object(x, nl, out, seen)
     elif isinstance(x, (list, tuple)):
-        _array(x, nl, out)
+        _array(x, nl, out, seen)
     elif isinstance(x, (set, frozenset)):
-        _array(sorted(x, key=repr), nl, out)
+        _array(sorted(x, key=repr), nl, out, seen)
     elif hasattr(x, "vertices") and hasattr(x, "edges"):       # a graph
+        first = seen.get(id(x))
+        if first is not None:
+            first_nl, start, end = first
+            text = "".join(out[start:end])
+            out.append(text if first_nl == nl else text.replace(first_nl, nl))
+            return
+        start = len(out)
         inner = nl + "  "
         out.append("{" + inner + '"edges": ')
-        _array(x.edges, inner, out)
+        _array(x.edges, inner, out, seen)
         out.append("," + inner + '"vertices": ')
-        _array(x.vertices, inner, out)
+        _array(x.vertices, inner, out, seen)
         out.append(nl + "}")
+        seen[id(x)] = nl, start, len(out)
     else:
         out.append(_string(repr(x)))
 
@@ -114,7 +130,7 @@ def dumps(payload):
     body = dict(payload)
     body["schema"] = SCHEMA
     out = []
-    _write(body, "\n", out)
+    _write(body, "\n", out, {})
     out.append("\n")
     return "".join(out)
 

@@ -108,9 +108,10 @@ class NestedFamily:
         self.tree = StructureTree(self, tuple(classes), tuple(regions))
 
 
-def _regions(host, elements, classes):
+def _regions(host, elements, classes, known):
     """Each class's region: the intersection of the complements of its
-    members, the whole host for the empty class."""
+    members, the whole host for the empty class.  A region whose masks
+    key a graph of `known` is that graph object."""
     ix = host.index
     out = []
     for cls in classes:
@@ -119,13 +120,17 @@ def _regions(host, elements, classes):
             other = elements[i ^ 1]
             vm &= other.vmask
             em &= other.emask
-        out.append(Graph(ix.vertices_of(vm), ix.edges_of(em)))
+        out.append(known.get((vm, em))
+                   or Graph(ix.vertices_of(vm), ix.edges_of(em)))
     return tuple(out)
 
 
-def build_structure_tree(host, elements):
+def build_structure_tree(host, elements, known=None):
     """The structure tree of a family given in complement pairs, read off
-    the containment of its sides.
+    the containment of its sides.  `known` maps the (vertex mask, edge
+    mask) of a subgraph of the host to a graph already built for it,
+    such as a block, which is then reused as the region with those
+    masks.
 
     Of each pair the side without host edge 0 points away from the
     root class.  The sides are placed smallest first, and of two twins
@@ -192,7 +197,7 @@ def build_structure_tree(host, elements):
     # only the root's class of the empty family is empty
     classes = sorted(map(frozenset, members), key=lambda c: min(c, default=0))
     return NestedFamily(host, elements, classes,
-                        _regions(host, elements, classes)).tree
+                        _regions(host, elements, classes, known or {})).tree
 
 
 def certify_tree(tree):

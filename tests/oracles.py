@@ -1,8 +1,30 @@
 """Independent oracles the test suite checks the package against.
 
-Nothing here imports the algorithms under test; every oracle recomputes
-its answer from first principles (brute force where affordable) so that
-agreement is evidence, not circularity.
+Each oracle recomputes its answer from first principles (brute force
+where affordable) so that agreement is evidence, not circularity.  The
+reference hinge family keeps its own copies of the functions it stands
+in for, `reference_pendant_homes` included.  What is still imported
+from `src` is the ground an oracle stands on, each piece tested on its
+own:
+
+- the `graph` primitives (`Graph`, `build_graph`, `edge_key`,
+  `connected_components`, `two_cuts` and the connectivity tests), which
+  the cutset oracles check in tests/test_graph.py;
+- `b1_family` and `BlockCutTree`, which give the reference hinge family
+  its blocks, and which `one_boundary_family`, `mask_b1_family` and the
+  block-cut tree certificate check;
+- `Separation`, `make_separation`, `separation_complement` and
+  `build_structure_tree`, which hold a family and its tree, checked
+  against their set definitions in tests/test_separation.py and
+  tests/test_treeset.py;
+- `symmetry.apply_to_separation`, to move a separation along a
+  permutation that the oracle chose;
+- `blocks2._canonical_tree`, only as the family `build_nested_family`
+  returns;
+- `planar`'s `facial_walks`, `canonical_face` and `planarity_test`,
+  whose embeddings the face oracles take as input, and `cayley`'s
+  `GroupTable`, `check_relators` and signature helpers, with which
+  `reference_coset_enumerate` holds, checks and bounds its table.
 """
 
 from __future__ import annotations
@@ -12,7 +34,7 @@ from itertools import combinations, permutations
 from math import gcd
 
 from planarblocks.blocks1 import BlockCutTree, b1_family
-from planarblocks.blocks2 import _canonical_tree, _pendant_homes
+from planarblocks.blocks2 import _canonical_tree
 from planarblocks.cayley import (GroupTable, check_relators,
                                 euler_characteristic, free_abelian_rank,
                                 surface_signature)
@@ -69,7 +91,7 @@ def is_three_connected_by_cutsets(g):
     """Cutset criterion used by the decomposition layer: at least 4
     vertices and no cutset of size at most 2, so K4 passes."""
     return (len(g.vertices) >= 4 and is_two_connected(g)
-            and next(two_cuts(g), None) is None)
+            and not two_cuts(g))
 
 
 def lowpoint_blocks(g):
@@ -796,6 +818,36 @@ def reference_lift_torso_separation(host, zsep, hang=()):
     return component_side(host, (x, y), comps, edge_key(x, y) in zsep.ea)
 
 
+def reference_pendant_homes(pairs, cuts):
+    """Each kept side of a block with the cut vertices of its hinge whose
+    pendant pieces it takes, then its complement where the two do not
+    lift to complements.
+
+    A pendant piece meets the block only at a cut vertex v and belongs
+    at the centre of the block tree vertices that hold v.  That centre
+    lies on the side of A exactly when the longest chain of sides with v
+    in their hinge is longer strictly inside A than inside A*.  On a tie
+    the centre is the edge of A itself: neither side takes the piece, A
+    and A* lift to two separations, and the two-vertex tree vertex
+    between them holds it.
+    """
+    sides = dict.fromkeys(s for pair in pairs for s in pair)
+    reach = {}      # (side, v) -> longest chain through v strictly inside
+    for v in cuts:
+        at_v = sorted((s for s in sides if v in s.boundary),
+                      key=lambda s: s.vmask.bit_count() + s.emask.bit_count())
+        for n, s in enumerate(at_v):
+            reach[s, v] = max((1 + reach[t, v] for t in at_v[:n]
+                               if t.subgraph_leq(s)), default=0)
+    for s, sc in pairs:
+        hinge = s.boundary & cuts
+        take = {v for v in hinge if reach[s, v] > reach[sc, v]}
+        give = {v for v in hinge if reach[sc, v] > reach[s, v]}
+        yield s, take
+        if take | give != hinge:
+            yield sc, give
+
+
 def reference_canonical_tree(h):
     """Structure tree of the one-boundary family of h together with the
     uncrossed hinge separations of each of its blocks.
@@ -814,7 +866,7 @@ def reference_canonical_tree(h):
         if len(z.vertices) <= 3 or is_simple_cycle(z):
             continue
         pairs = reference_uncrossed_sides(z)
-        for zsep, hang in _pendant_homes(pairs, cuts & z.vertex_set):
+        for zsep, hang in reference_pendant_homes(pairs, cuts & z.vertex_set):
             s = reference_lift_torso_separation(h, zsep, hang)
             if s in present:
                 continue

@@ -2,7 +2,9 @@
 combined cut-point / cycle / 3-connected tree."""
 
 import random
+import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,6 +19,7 @@ from planarblocks import (
     torso,
     triblock_tree,
 )
+from planarblocks import blocks2, cli, graph
 from planarblocks.graph import induced_subgraph, is_simple_cycle
 from planarblocks.blocks2 import (
     KIND_CUT_POINT,
@@ -32,7 +35,8 @@ from planarblocks.errors import (
     PreconditionViolated,
 )
 
-from conftest import g_of, grid_graph, k4_book
+from conftest import (complete_graph, fixture_path, g_of, grid_graph, k4_book,
+                      wheel_graph)
 from oracles import (all_separations, build_nested_family, chorded_cycle,
                      edge_subset_separations, enumerate_separations_at,
                      glued_blocks, is_three_connected_by_cutsets,
@@ -691,6 +695,74 @@ def test_triblock_edge_partition(book_k4, bowtie_k4s, grid3x3):
         for to in t.torsos.values():
             seen.extend(to.z_prime.edges)
         assert sorted(seen) == list(t.graph.edges)
+
+
+def _k4_w5_chain(links):
+    """K4s and wheels W5 in turn, each glued at its vertex 0 to the last
+    vertex of the one before."""
+    edges, base = [], 0
+    for k in range(links):
+        piece = complete_graph(4) if k % 2 == 0 else wheel_graph(5)
+        edges += [(base + u, base + v) for u, v in piece.edges]
+        base += len(piece.vertices) - 1
+    return build_graph(range(base + 1), edges)
+
+
+@pytest.mark.parametrize("name", ["k4", "k5", "prism", "octahedron", "q3",
+                                  "bowtie", "grid3x3", "book_k4",
+                                  "k4_w5_chain"])
+def test_triblocks_passes_over_each_graph_once(name, monkeypatch, tmp_path):
+    # one Graph object serves as block, region, torso and witness, and
+    # keeps its components and its 2-cuts, so no search runs twice on it
+    if name == "k4_w5_chain":
+        path = tmp_path / "k4_w5_chain.edges"
+        path.write_text("".join("%d %d\n" % e for e in _k4_w5_chain(6).edges))
+    else:
+        path = fixture_path(name + ".edges")
+    searched = []       # (search, graph), graphs kept so that ids stay unique
+    two_cut_pass = graph._two_cut_pass
+    components = graph.connected_components
+
+    def cut_pass(g):
+        searched.append(("2-cuts", g))
+        return two_cut_pass(g)
+
+    def component_search(g, drop=()):
+        if not drop:
+            searched.append(("components", g))
+        return components(g, drop)
+    monkeypatch.setattr(graph, "_two_cut_pass", cut_pass)
+    for modname, module in list(sys.modules.items()):
+        if (modname.split(".")[0] == "planarblocks"
+                and getattr(module, "connected_components", None)
+                is components):
+            monkeypatch.setattr(module, "connected_components",
+                                component_search)
+    blocks = []         # the blocks whose hinge sides are sought
+    uncrossed_sides = blocks2._uncrossed_sides
+    monkeypatch.setattr(blocks2, "_uncrossed_sides",
+                        lambda z: blocks.append(z) or uncrossed_sides(z))
+    trees = []
+    build = blocks2.triblock_tree
+    monkeypatch.setattr(blocks2, "triblock_tree",
+                        lambda g: trees.append(build(g)) or trees[-1])
+    code, out = cli.run(["triblocks", str(path), "--format", "json"])
+    assert code == 0, out
+    (t,) = trees
+    counts = Counter((kind, id(g)) for kind, g in searched)
+    assert {kind for kind, _ in counts} == {"2-cuts", "components"}
+    assert max(counts.values()) == 1, counts
+    # a torso left a whole block reads the block's 2-cuts; only a torso
+    # with virtual edges is a graph of its own, searched anew
+    apart = blocks + [to.z for to in t.torsos.values() if to.virtual_edges]
+    for kind, h in searched:
+        assert kind != "2-cuts" or any(h is z for z in apart), h
+    g = t.original
+    assert (t.reduced.graph is g) == all(g.degree(v) != 2 for v in g.vertices)
+    bare = [to for to in t.torsos.values() if not to.virtual_edges]
+    assert bare
+    for to in bare:
+        assert to.z is to.z_prime and to.witness is to.z_prime
 
 
 def test_triblock_requires_connected():

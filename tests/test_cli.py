@@ -471,15 +471,16 @@ is_two_connected = blocks2.is_two_connected
 blocks2.is_two_connected = lambda g: False
 runs = [cli.run(["blocks", sys.argv[1]]), cli.run(["triblocks", sys.argv[2]])]
 # blocks2: a 2-connected torso that shows a 2-cut fails its kind; the
-# block's own 2-cut pass, the first call, runs as it is
+# block's own 2-cut pass, the first call, runs as it is, and each torso,
+# with its virtual edge a graph apart from the block, is searched anew
 blocks2.is_two_connected = is_two_connected
 two_cuts = blocks2.two_cuts
 calls = []
 def cut_on_recheck(g):
     calls.append(g)
-    return two_cuts(g) if len(calls) == 1 else iter([(g.vertices[:2], [])])
+    return two_cuts(g) if len(calls) == 1 else ((g.vertices[:2], []),)
 blocks2.two_cuts = cut_on_recheck
-runs.append(cli.run(["triblocks", sys.argv[2]]))
+runs.append(cli.run(["triblocks", sys.argv[3]]))
 blocks2.two_cuts = two_cuts
 # blocks2: a virtual edge whose member side has no path fails its torso
 bfs_path = blocks2._bfs_path

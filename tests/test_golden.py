@@ -18,14 +18,18 @@ lacks), and exits 1 if there is any.
 """
 
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import sys
+from collections import deque
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+import planarblocks  # noqa: E402
 from conftest import FIXTURES, fixture_path  # noqa: E402
 from planarblocks.cli import run  # noqa: E402
 
@@ -91,6 +95,38 @@ def test_cayley_bytes_need_no_networkx(monkeypatch):
             if argv[0] == "cayley"]
     assert len(runs) == 45
     assert [argv for argv, want in runs if outcome(argv) != want] == []
+
+
+def _module_containers():
+    """(module, name) -> size of every dict, list, set or other sized
+    value at the top level of a loaded `planarblocks` module, and of
+    every function cache there."""
+    sizes = {}
+    for modname, module in sorted(sys.modules.items()):
+        if modname.split(".")[0] != "planarblocks":
+            continue
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                sizes[modname, name] = value.cache_info().currsize
+            elif isinstance(value, (dict, list, set, frozenset, tuple,
+                                    bytearray, deque)):
+                sizes[modname, name] = len(value)
+    return sizes
+
+
+def test_no_module_level_container_grows_across_runs():
+    # caches live on objects or within one call, so no pass over every
+    # command line changes a module-level container, the first included
+    for info in pkgutil.iter_modules(planarblocks.__path__):
+        importlib.import_module("planarblocks." + info.name)
+    argvs = list(command_lines())
+    sizes = [_module_containers()]
+    for _ in range(2):
+        for argv in argvs:
+            outcome(argv)
+        sizes.append(_module_containers())
+    assert sizes[0]
+    assert sizes[1] == sizes[0] and sizes[2] == sizes[0]
 
 
 def moved_command_lines():

@@ -45,8 +45,10 @@ hashables = st.one_of(st.none(), ints, floats, texts,
 # tuple and its repr
 keys = st.one_of(hashables, st.sampled_from(
     [1, "1", None, "None", (1, 2), "(1, 2)", 2.5, "2.5", "schema"]))
+# one graph object that recurs wherever it is drawn, at any depth
+shared_graphs = st.shared(graphs, key="one graph")
 scalars = st.one_of(
-    hashables, graphs,
+    hashables, graphs, shared_graphs,
     st.sampled_from([1 + 2j, range(3), b"\x00b", Ellipsis]))  # written as repr
 rows = st.one_of(
     st.lists(ints, max_size=5),
@@ -60,7 +62,7 @@ def _containers(inner):
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(keys, inner, max_size=4),
-        st.sets(st.one_of(hashables, graphs), max_size=4),
+        st.sets(st.one_of(hashables, graphs, shared_graphs), max_size=4),
         st.frozensets(hashables, max_size=4))
 
 
@@ -68,8 +70,11 @@ values = st.recursive(st.one_of(scalars, rows), _containers, max_leaves=24)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(keys, values, max_size=6))
-def test_dumps_matches_the_stdlib_encoder(payload):
+@given(st.dictionaries(keys, values, max_size=6), shared_graphs)
+def test_dumps_matches_the_stdlib_encoder(payload, g):
+    # the shared graph also sits at the top and two levels down, where
+    # its text is the first one re-based to the new indent
+    payload = {**payload, "top": g, "deep": [{"g": g}, (g, [g])]}
     assert dumps(payload) == oracle(payload)
 
 
@@ -81,3 +86,11 @@ def test_dumps_handles_the_edge_cases_by_name():
                "rows": [(0, 1), [1, 2]], "ragged": [[0], [1, 2], []],
                "bool rows": [(True, 0), (1, 2)], "u": 'é"\\\n\x00'}
     assert dumps(payload) == oracle(payload)
+    # the blocks payload: one block at depth 2 under "blocks", then at
+    # depth 3 in its tree vertex, and the same deeper first
+    block = _graph({(0, 1), (0, 2), (1, 2)}, ())
+    for payload in ({"blocks": [block],
+                     "tree_vertices": [{"graph": block, "id": 0}]},
+                    {"a": [{"graph": block}], "b": [block], "c": block,
+                     "d": [[[block]]], "e": (block, block)}):
+        assert dumps(payload) == oracle(payload)

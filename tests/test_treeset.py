@@ -390,9 +390,9 @@ def test_triblocks_computes_the_classes_once(monkeypatch):
     calls = []
     build = treeset.build_structure_tree
 
-    def counted(host, elements):
+    def counted(host, elements, *known):
         calls.append(elements)
-        return build(host, elements)
+        return build(host, elements, *known)
     monkeypatch.setattr(treeset, "build_structure_tree", counted)
     monkeypatch.setattr(blocks2, "build_structure_tree", counted)
     code, out = cli.run(["triblocks", fixture_path("book_k4.edges")])
