@@ -3,10 +3,13 @@
 Every command reads one input file, writes one result to stdout, and
 exits 0 (success), 1 (structured domain error, or a failed ``check``),
 or 2 (parse error).  ``COMMANDS`` gives each command its input parser,
-the builder of its result payload, and its default search bound (or
-None: the command has no bound and takes no ``--limit``, except that
-``triblocks`` still accepts one and ignores it).  JSON
-output is the payload; text and DOT output are views of it (see
+the builder of its result payload, its default search bound (or None:
+the command has no bound), and its options besides ``-h``/``--help``:
+``--limit`` on the commands with a bound, and on ``triblocks``, which
+accepts it and ignores it.  `_read_argv` reads a command line in one
+pass against that table, in argparse's grammar and with its error
+messages, and `_help` writes each command's help from it as fixed text.
+JSON output is the payload; text and DOT output are views of it (see
 ``serialize``).  Output is deterministic: identical input and flags give
 identical bytes.  Domain errors are always emitted as schema-1 JSON
 regardless of the requested format, so scripts can rely on the error
@@ -15,7 +18,7 @@ shape.
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 
 from . import serialize
@@ -48,7 +51,8 @@ def _parse_presentation(text):
 
 def _blocks(g, bound, args):
     from .blocks1 import block_cut_tree, certify_block_cut_tree
-    bct = block_cut_tree(homeomorphic_reduce(g).graph if args.reduce else g)
+    bct = block_cut_tree(homeomorphic_reduce(g).graph if args["reduce"]
+                         else g)
     certify_block_cut_tree(bct)
     payload = {
         "tree_vertices": [
@@ -61,7 +65,7 @@ def _blocks(g, bound, args):
         "cut_vertices": bct.cuts,
         "family_size": len(bct.family.elements),
     }
-    if args.reduce:
+    if args["reduce"]:
         payload["reduced_from"] = g
     return payload
 
@@ -253,90 +257,220 @@ def _check(g, bound, args):
 
 
 COMMANDS = {
-    "blocks": (_parse_edge_list, _blocks, None),
-    "triblocks": (_parse_edge_list, _triblocks, None),
-    "planar": (_parse_edge_list, _planar, None),
-    "faces": (_parse_edge_list, _faces, None),
-    "autos": (_parse_edge_list, _autos, DEFAULT_AUT_BOUND),
-    "quotient": (_parse_edge_list, _quotient, DEFAULT_AUT_BOUND),
-    "cayley": (_parse_presentation, _cayley, DEFAULT_COSET_LIMIT),
-    "check": (_parse_edge_list, _check, DEFAULT_AUT_BOUND),
+    "blocks": (_parse_edge_list, _blocks, None,
+               ("--format", "--per-component", "--reduce")),
+    "triblocks": (_parse_edge_list, _triblocks, None,
+                  ("--format", "--limit", "--per-component")),
+    "planar": (_parse_edge_list, _planar, None, ("--format",)),
+    "faces": (_parse_edge_list, _faces, None, ("--format",)),
+    "autos": (_parse_edge_list, _autos, DEFAULT_AUT_BOUND,
+              ("--format", "--limit")),
+    "quotient": (_parse_edge_list, _quotient, DEFAULT_AUT_BOUND,
+                 ("--format", "--limit")),
+    "cayley": (_parse_presentation, _cayley, DEFAULT_COSET_LIMIT,
+               ("--format", "--limit")),
+    "check": (_parse_edge_list, _check, DEFAULT_AUT_BOUND,
+              ("--format", "--limit")),
 }
 
+_FORMATS = ("json", "dot", "text")
 
-class _Help(Exception):
-    """Carries the help text of ``-h`` back to `run`."""
+# the options of the program itself, which every command also takes
+_HELP = ("-h", "--help")
 
+# flag -> the field it sets
+_FLAGS = {"--per-component": "per_component", "--reduce": "reduce"}
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise MalformedInput("bad command line: %s" % message)
-
-    def print_help(self, file=None):
-        raise _Help(self.format_help())
-
-
-def _build_parser():
-    parser = _Parser(prog="planarblocks",
-                     description="block/triblock decompositions, planar "
-                                 "embeddings, symmetry, Cayley graphs")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, bound) in COMMANDS.items():
-        p = sub.add_parser(name)
-        p.add_argument("input", help="input file (edge list, or a "
-                                     "presentation for 'cayley')")
-        p.add_argument("--format", choices=("json", "dot", "text"),
-                       default="text")
-        if bound is not None:
-            what = "coset count" if name == "cayley" else \
-                "automorphism search size"
-            p.add_argument("--limit", type=int, default=bound,
-                           help="%s bound (default %d)" % (what, bound))
-        elif name == "triblocks":
-            p.add_argument("--limit", type=int,
-                           help="accepted and ignored: the decomposition "
-                                "searches no automorphisms")
-        if name in ("blocks", "triblocks"):
-            p.add_argument("--per-component", action="store_true",
-                           dest="per_component")
-        if name == "blocks":
-            p.add_argument("--reduce", action="store_true")
-    return parser
+# argparse's test for a token that is a negative number, not an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-_PARSER = _build_parser()
+def _bad(message):
+    return MalformedInput("bad command line: " + message)
+
+
+def _option(token, names):
+    """Read one token against the option names of a command line.
+
+    Returns None for a positional token, else the option's name (""
+    for an unknown option) and its attached ``=value`` or None.  A long
+    option may be given by a unique prefix of its name; ``-h`` takes
+    the letters after it as its value.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":
+        matches = [o for o in names if o.startswith(name)]
+        if len(matches) == 1:
+            return matches[0], value if eq else None
+    elif token[:2] in names:
+        return token[:2], token[2:]
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return "", None
+
+
+def _help(command):
+    """The fixed help text of one command, or of the program for None."""
+    if command is None:
+        return ("usage: planarblocks <command> [options] input\n\n"
+                "block/triblock decompositions, planar embeddings, "
+                "symmetry, Cayley graphs\n\n"
+                "commands:\n  %s\n\n"
+                "options:\n"
+                "  -h, --help            show this help message and exit\n"
+                "\n'planarblocks <command> --help' lists the options of "
+                "one command.\n" % ", ".join(COMMANDS))
+    _, _, bound, options = COMMANDS[command]
+    if bound is not None:
+        limit = "%s bound (default %d)" % (
+            "coset count" if command == "cayley"
+            else "automorphism search size", bound)
+    else:
+        limit = ("accepted and ignored: the decomposition searches no "
+                 "automorphisms")
+    shown = {"--format": ("--format {%s}" % ",".join(_FORMATS), ""),
+             "--limit": ("--limit N", limit)}
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [shown.get(name, (name, "")) for name in options]
+    return ("usage: planarblocks %s [-h] %s input\n\n"
+            "positional arguments:\n"
+            "  input                 input file (edge list, or a "
+            "presentation for 'cayley')\n\n"
+            "options:\n%s" % (
+                command, " ".join("[%s]" % label for label, _ in rows[1:]),
+                "".join(("  %-20s  %s" % row).rstrip() + "\n"
+                        for row in rows)))
+
+
+def _read_argv(argv):
+    """Read a command line in one pass over `argv`.
+
+    Returns its fields (``command``, ``input``, ``format``, and
+    ``limit``, ``per_component`` and ``reduce`` where the command takes
+    them), or a help text where ``-h``/``--help`` comes before any
+    error.  The grammar is argparse's: options in any order after the
+    command, ``--opt value`` or ``--opt=value``, unique prefixes of long
+    options, the last repeat winning, and ``--`` ending the options.
+    """
+    extras = []           # unknown options and surplus positionals
+    for at, token in enumerate(argv):
+        # before the command, only -h/--help is an option
+        option = None if token == "--" else _option(token, _HELP)
+        if option is None:
+            break
+        if option[0]:
+            if option[1] is not None:
+                raise _bad("argument -h/--help: ignored explicit argument "
+                           "%r" % option[1])
+            return _help(None)
+        extras.append(token)
+    else:
+        raise _bad("the following arguments are required: command")
+    if token == "--" and at + 1 == len(argv):
+        raise _bad("the following arguments are required: command")
+    if token not in COMMANDS:
+        raise _bad("argument command: invalid choice: %r (choose from %s)"
+                   % (token, ", ".join(map(repr, COMMANDS))))
+    command = token
+    _, _, bound, options = COMMANDS[command]
+    names = _HELP + options
+    args = {"command": command, "input": None, "format": "text"}
+    if "--limit" in options:
+        args["limit"] = bound
+    args.update((_FLAGS[name], False) for name in options if name in _FLAGS)
+    rest = argv[at + 1:]
+    taken = None          # index in `rest` of the input
+    dashes = False        # '--' was read: later tokens are positional
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        if token == "--" and not dashes:
+            dashes = True
+            # a '--' next to the input, before or after it, is its own
+            if taken is not None and taken != i - 2:
+                extras.append(token)
+            continue
+        option = None if dashes else _option(token, names)
+        if option is None:
+            if taken is None:
+                args["input"], taken = token, i - 1
+            else:
+                extras.append(token)
+            continue
+        name, value = option
+        if not name:
+            extras.append(token)
+        elif name in _HELP or name in _FLAGS:
+            if value is not None:
+                raise _bad("argument %s: ignored explicit argument %r" % (
+                    "-h/--help" if name in _HELP else name, value))
+            if name in _HELP:
+                return _help(command)
+            args[_FLAGS[name]] = True
+        else:
+            if value is None:
+                if (i == len(rest) or rest[i] == "--"
+                        or _option(rest[i], names) is not None):
+                    raise _bad("argument %s: expected one argument" % name)
+                value = rest[i]
+                i += 1
+            if name == "--format":
+                if value not in _FORMATS:
+                    raise _bad("argument --format: invalid choice: %r "
+                               "(choose from %s)"
+                               % (value, ", ".join(map(repr, _FORMATS))))
+                args["format"] = value
+            else:
+                try:
+                    args["limit"] = int(value)
+                except ValueError:
+                    raise _bad("argument --limit: invalid int value: %r"
+                               % value) from None
+    if taken is None:
+        raise _bad("the following arguments are required: input")
+    if extras:
+        raise _bad("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInput("cannot read input: %s" % exc, witness=path)
 
 
 def run(argv):
     """Execute one command line; returns (exit code, output text)."""
     try:
-        args = _PARSER.parse_args(argv)
-        if args.format == "dot" and args.command not in serialize.DOT:
+        args = _read_argv(argv)
+        if isinstance(args, str):
+            return 0, args
+        command, fmt = args["command"], args["format"]
+        if fmt == "dot" and command not in serialize.DOT:
             raise MalformedInput("dot output is not available for %r"
-                                 % args.command)
-        parse, build, _ = COMMANDS[args.command]
-        source = parse(_read(args.input))
-        bound = getattr(args, "limit", None)
+                                 % command)
+        parse, build, _, _ = COMMANDS[command]
+        source = parse(_read(args["input"]))
+        bound = args.get("limit")
         if bound is not None and bound < 1:
             raise MalformedInput("limit must be at least 1", witness=bound)
-        if getattr(args, "per_component", False):
+        if args.get("per_component"):
             payload = {"components": [
                 build(induced_subgraph(source, comp), bound, args)
                 for comp in connected_components(source)]}
         else:
             payload = build(source, bound, args)
         code = 0 if payload.get("ok", True) else 1
-        return code, serialize.render(args.command, args.format, payload)
-    except _Help as exc:
-        return 0, exc.args[0]
+        return code, serialize.render(command, fmt, payload)
     except MalformedInput as exc:
         return 2, serialize.dumps({"error": exc.payload()})
     except PlanarBlocksError as exc:

@@ -24,11 +24,14 @@ own:
 - `planar`'s `facial_walks`, `canonical_face` and `planarity_test`,
   whose embeddings the face oracles take as input, and `cayley`'s
   `GroupTable`, `check_relators` and signature helpers, with which
-  `reference_coset_enumerate` holds, checks and bounds its table.
+  `reference_coset_enumerate` holds, checks and bounds its table;
+- `cli.COMMANDS`, for the commands and bounds that the reference
+  argparse parser of the command line declares.
 """
 
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
@@ -38,6 +41,7 @@ from planarblocks.blocks2 import _canonical_tree
 from planarblocks.cayley import (GroupTable, check_relators,
                                 euler_characteristic, free_abelian_rank,
                                 surface_signature)
+from planarblocks.cli import COMMANDS
 from planarblocks.errors import (DEFAULT_COSET_LIMIT, MalformedInput,
                                  NotAnAutomorphism, NotConnected, NotNested,
                                  Overflow, PreconditionViolated, invariant)
@@ -1737,3 +1741,62 @@ def pairs_from_sides(sides):
 def family_from_sides(host, sides):
     """The family of `pairs_from_sides`, built by `build_structure_tree`."""
     return build_structure_tree(host, pairs_from_sides(sides)).family
+
+
+# ---------------------------------------------------------- command line
+#
+# The argparse parser the CLI used before it read its command lines
+# itself, kept as the reference for `cli._read_argv`.
+
+class _Help(Exception):
+    """Carries the help text of ``-h`` back to `argparse_command_line`."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise MalformedInput("bad command line: %s" % message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
+
+
+def _build_parser():
+    parser = _Parser(prog="planarblocks",
+                     description="block/triblock decompositions, planar "
+                                 "embeddings, symmetry, Cayley graphs")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, _, bound, _) in COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("input", help="input file (edge list, or a "
+                                     "presentation for 'cayley')")
+        p.add_argument("--format", choices=("json", "dot", "text"),
+                       default="text")
+        if bound is not None:
+            what = "coset count" if name == "cayley" else \
+                "automorphism search size"
+            p.add_argument("--limit", type=int, default=bound,
+                           help="%s bound (default %d)" % (what, bound))
+        elif name == "triblocks":
+            p.add_argument("--limit", type=int,
+                           help="accepted and ignored: the decomposition "
+                                "searches no automorphisms")
+        if name in ("blocks", "triblocks"):
+            p.add_argument("--per-component", action="store_true",
+                           dest="per_component")
+        if name == "blocks":
+            p.add_argument("--reduce", action="store_true")
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def argparse_command_line(argv):
+    """("fields", dict), ("help", text) or ("error", message) of argv
+    under the argparse reference parser."""
+    try:
+        return "fields", vars(_PARSER.parse_args(argv))
+    except _Help as exc:
+        return "help", exc.args[0]
+    except MalformedInput as exc:
+        return "error", str(exc)

@@ -10,9 +10,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, fixture_path
-from planarblocks.cli import run
+from oracles import argparse_command_line
+from planarblocks.cli import COMMANDS, _read_argv, run
+from planarblocks.errors import MalformedInput
 
 
 def fx(name):
@@ -107,6 +110,103 @@ def test_dot_rejected_where_unsupported():
         err = json.loads(out)["error"]
         assert err["kind"] == "malformed-input", cmd
         assert "unrecognized arguments: --limit 3" in err["message"], cmd
+
+
+def test_non_utf8_input_is_malformed(tmp_path):
+    for cmd, name in (("blocks", "g.edges"), ("cayley", "g.pres")):
+        path = tmp_path / name
+        path.write_bytes(b"\xff0 1\n")
+        code, out = run([cmd, str(path)])
+        assert code == 2, cmd
+        err = json.loads(out)["error"]
+        assert err["kind"] == "malformed-input", cmd
+        assert err["witness"] == str(path), cmd
+
+
+# ---------------------------------------------------------------------------
+# the command-line grammar
+
+
+def test_help_is_fixed_text(monkeypatch):
+    # one help text per command: COLUMNS, the terminal width, does not
+    # change it
+    for argv in [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]:
+        texts = set()
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out = run(argv)
+            assert code == 0, argv
+            texts.add(out)
+        assert len(texts) == 1, argv
+    _, out = run(["--help"])
+    assert out.startswith("usage: planarblocks <command>")
+    assert all(cmd in out for cmd in COMMANDS)
+    for cmd, (_, _, _, options) in COMMANDS.items():
+        _, out = run([cmd, "-h"])
+        assert out.startswith("usage: planarblocks %s " % cmd)
+        assert all(name in out for name in ("-h, --help",) + options)
+    assert "automorphism search size bound (default 12)" in \
+        run(["autos", "-h"])[1]
+    assert "coset count bound (default 10000)" in run(["cayley", "-h"])[1]
+    assert "accepted and ignored" in run(["triblocks", "-h"])[1]
+
+
+# each message as argparse worded it
+COMMAND_LINE_ERRORS = [
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+     "'blocks', 'triblocks', 'planar', 'faces', 'autos', 'quotient', "
+     "'cayley', 'check')"),
+    ([], "the following arguments are required: command"),
+    (["autos"], "the following arguments are required: input"),
+    (["autos", "g.edges", "--format", "yaml"],
+     "argument --format: invalid choice: 'yaml' (choose from 'json', "
+     "'dot', 'text')"),
+    (["autos", "g.edges", "--limit", "x"],
+     "argument --limit: invalid int value: 'x'"),
+    (["autos", "g.edges", "--limit"],
+     "argument --limit: expected one argument"),
+    (["blocks", "g.edges", "-x", "--lim=3", "y"],
+     "unrecognized arguments: -x --lim=3 y"),
+]
+
+
+@pytest.mark.parametrize("argv,message", COMMAND_LINE_ERRORS)
+def test_command_line_errors_keep_their_messages(argv, message):
+    code, out = run(argv)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "malformed-input"
+    assert err["message"] == "bad command line: " + message
+
+
+_VALUES = ["json", "dot", "text", "yaml", "3", "-3", "0", "+5", "x"]
+_TOKENS = (list(COMMANDS) + ["bogus", "g.edges", "-", "-x", "y",
+                             "--format", "--form", "--f", "--limit",
+                             "--lim", "--per-component", "--per",
+                             "--reduce", "--red", "-h", "--help", "--he",
+                             "--"]
+           + ["--format=" + v for v in _VALUES]
+           + ["--limit=" + v for v in _VALUES] + _VALUES)
+
+
+def _outcome(argv):
+    try:
+        fields = _read_argv(argv)
+    except MalformedInput as exc:
+        return "error", str(exc)
+    return ("help", None) if isinstance(fields, str) else ("fields", fields)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=8),
+    st.builds(lambda cmd, rest: [cmd] + rest,
+              st.sampled_from(list(COMMANDS)),
+              st.lists(st.sampled_from(_TOKENS), max_size=8))))
+def test_command_line_reader_agrees_with_argparse(argv):
+    kind, got = argparse_command_line(argv)
+    want = (kind, None if kind == "help" else got)
+    assert _outcome(argv) == want
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +735,8 @@ import planarblocks.cli
 
 def loaded():
     return sorted(m for m in sys.modules
-                  if m.startswith("planarblocks") or m == "networkx")
+                  if m.startswith("planarblocks")
+                  or m in ("networkx", "argparse", "gettext", "locale"))
 
 at_import = loaded()
 planarblocks.cli.run(sys.argv[1:])
@@ -648,10 +749,12 @@ CLI_MODULES = ["planarblocks", "planarblocks.cli", "planarblocks.errors",
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
-    # no command loads networkx, which is a test oracle only; blocks2,
-    # cayley, planar and symmetry are loaded only by the commands that
-    # run them, and leftright only by a planarity test, which a planar
-    # group's Cayley graph does not need
+    # no command loads networkx, which is a test oracle only, nor
+    # argparse and the gettext and locale it imports: the CLI reads its
+    # command lines itself, help included; blocks2, cayley, planar and
+    # symmetry are loaded only by the commands that run them, and
+    # leftright only by a planarity test, which a planar group's Cayley
+    # graph does not need
     z3xz3 = tmp_path / "z3xz3.pres"
     z3xz3.write_text("gens: a b\nrels: a^3, b^3, (a*b*a^-1*b^-1)\n")
     trivial = tmp_path / "trivial.pres"
@@ -663,7 +766,8 @@ def test_each_command_loads_only_its_modules(tmp_path):
             ("planar", fx("k4.edges")): ["leftright", "planar"],
             ("cayley", fx("d3.pres")): ["cayley", "planar"],
             ("cayley", str(trivial)): ["cayley", "planar"],
-            ("cayley", str(z3xz3)): ["cayley", "leftright", "planar"]}
+            ("cayley", str(z3xz3)): ["cayley", "leftright", "planar"],
+            ("autos", "--help"): []}
     for (cmd, path), extra in runs.items():
         proc = _python(["-c", MODULES_LOADED, cmd, path])
         assert proc.returncode == 0, proc.stderr
