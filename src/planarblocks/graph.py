@@ -34,7 +34,10 @@ from heapq import heappop, heappush
 from itertools import compress, islice
 from operator import or_
 
-from .errors import MalformedInput, NotConnected
+from .errors import MalformedInput, NotConnected, TooLarge
+
+# vertices a "vertices:" header may add beyond those its edges name
+MAX_UNNAMED_VERTICES = 2 ** 20
 
 
 def edge_key(u, v):
@@ -200,7 +203,8 @@ def parse_edge_list(text):
 
     One "u v" pair per line, '#' starts a comment, and an optional
     "vertices: n" header declares vertices 0..n-1 (needed for isolated
-    vertices).
+    vertices).  A header that adds more than MAX_UNNAMED_VERTICES
+    vertices no edge names is refused as TooLarge before they are built.
     """
     vertices = set()
     declared = None
@@ -230,6 +234,10 @@ def parse_edge_list(text):
         if extra:
             raise MalformedInput("edge endpoint outside declared range",
                                  witness=sorted(extra))
+        if declared - len(vertices) > MAX_UNNAMED_VERTICES:
+            raise TooLarge("vertices header adds too many isolated vertices",
+                           witness={"declared": declared,
+                                    "limit": MAX_UNNAMED_VERTICES})
         vertices = set(range(declared))
     if not vertices:
         raise MalformedInput("empty input")

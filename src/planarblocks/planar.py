@@ -2,39 +2,111 @@
 
 A rotation is held in one form, each vertex's neighbours in cyclic
 order, from the left-right test or the group that gives it to the
-`planar` command, which prints it as edge keys.  A sphere embedding is
-accepted only through `certify_embedding`, which traces its faces once
-(`facial_walks`, one successor per dart) and checks Euler's formula;
-the result keeps the walks, and only the commands that print faces
-canonicalise them (`PlanarityResult.faces`).  A refutation is accepted
-only through `certify_kuratowski`, which checks that its witness
-subdivides K5 or K3,3.  A Cayley graph brings its own rotation
-(`cayley.equivariant_rotation`); any other graph is decided by the
-left-right planarity test of `leftright`, which also finds the
-Kuratowski subgraph of a nonplanar graph.
+`planar` command, which prints it as edge keys.  `RotationSystem`
+validates it once, by counting, with no adjacency of the host built:
+it builds each vertex's successor map (`_successors`).  A sphere
+embedding is accepted only through `certify_embedding`, which searches
+those maps for connectivity, traces the faces once (`facial_walks`)
+and checks Euler's formula; the result keeps the walks, and only the
+commands that print faces canonicalise them (`PlanarityResult.faces`).
+A Cayley graph brings its own rotation (`cayley.equivariant_rotation`);
+any other graph is decided by the left-right planarity test of
+`leftright`, whose int rotation `planarity_test` certifies on the same
+int numbering.  A refutation is accepted only through
+`certify_kuratowski`, whose linear walk along the paths between branch
+vertices (`subdivision_kind`) also tells `leftright.kuratowski_edges`
+when to stop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .errors import InvariantViolated, MalformedInput, invariant
 from .graph import Graph, edge_key, require_connected
 
 
-@dataclass(frozen=True)
 class RotationSystem:
-    host: Graph
-    rotation: dict  # vertex -> its neighbours in cyclic order
+    """A rotation of `host`: `rotation` maps each vertex to its
+    neighbours in cyclic order.  It is built only when every vertex's
+    order permutes its neighbours; otherwise MalformedInput names the
+    first vertex of `host.vertices` whose order does not.  Keys that are
+    not host vertices are ignored.
+    """
 
-    def __post_init__(self):
-        for v in self.host.vertices:
-            around = self.rotation.get(v, ())
-            if tuple(sorted(around)) != self.host.neighbors(v):
-                raise MalformedInput(
-                    "rotation at a vertex must permute its incident edges",
-                    witness=v)
+    def __init__(self, host, rotation):
+        self.host = host
+        self.rotation = rotation
+        self._names = None      # the vertices that `_after` numbers, if any
+        self._after = _successors(
+            self, host.vertices,
+            [rotation.get(v, ()) for v in host.vertices], host.edges)
+
+    @classmethod
+    def indexed(cls, host, edges, rotation):
+        """The rotation of host given on the positions of its vertices
+        in `host.vertices`: `edges` are the host edges as position
+        pairs, and rotation[i] lists the positions of vertex i's
+        neighbours in cyclic order.  It is validated and traced on the
+        positions; `rotation` names them on first use."""
+        r = cls.__new__(cls)
+        r.host, r._positions = host, rotation
+        n = len(host.vertices)
+        r._names = None if host.vertices == tuple(range(n)) else host.vertices
+        r._after = _successors(r, range(n), rotation, edges)
+        return r
+
+    @cached_property
+    def rotation(self):
+        """The rotation by vertex names (a system built by `indexed`)."""
+        vs = self.host.vertices
+        return {vs[v]: [vs[w] for w in around]
+                for v, around in enumerate(self._positions)}
+
+
+def _successors(r, vertices, orders, edges):
+    """{v: {u: the neighbour after u in v's order}} for the vertices and
+    their orders, once counting shows that each order permutes the
+    neighbours of its vertex: no order repeats an entry (its successor
+    map is as long as it is), the orders hold 2|E| entries in all, and
+    both darts of every host edge occur.  Only a rotation that fails is
+    scanned against the host's adjacency, for the first vertex whose
+    order does not sort to its neighbours."""
+    try:
+        after = {}
+        for v, order in zip(vertices, orders):
+            out = after[v] = dict(zip(order, order[1:]))
+            if order:
+                out[order[-1]] = order[0]
+        darts = 2 * len(edges)
+        if sum(map(len, orders)) == darts == sum(map(len, after.values())):
+            for u, w in edges:
+                if w not in after[u] or u not in after[w]:
+                    break
+            else:
+                return after
+    except TypeError:           # an order that is no sequence of vertices
+        pass
+    g, rotation = r.host, r.rotation
+    raise MalformedInput(
+        "rotation at a vertex must permute its incident edges",
+        witness=next((v for v in g.vertices if tuple(
+            sorted(rotation.get(v, ()))) != g.neighbors(v)), None))
+
+
+def _connected(after):
+    """Whether the graph that the successor maps describe is connected:
+    a search from its first vertex reaches them all."""
+    reached = list(islice(after, 1))
+    seen = set(reached)
+    for x in reached:       # the list grows behind the scan: a BFS queue
+        for y in after[x]:
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+    return len(reached) == len(after)
 
 
 def canonical_face(walk):
@@ -55,31 +127,49 @@ def facial_walks(r):
     """Closed walks partitioning the darts, traced by the sharp-left rule.
 
     The dart (u, v) is followed by (v, w), w the neighbour after u in
-    v's rotation.  Each walk is the vertex sequence (one entry per dart)
-    and starts at the least dart no earlier walk used.  An edgeless host
-    gets the single empty outer face so Euler counts stay honest.
+    v's rotation, read off the successor maps of the rotation system.
+    Each walk is the vertex sequence (one entry per dart) and starts at
+    its least dart, and the walks are sorted, so each starts at the
+    least dart no earlier walk used.  The vertices are visited least
+    first, each tracing a walk from every dart into it not used yet:
+    the walk's other vertices come later, so its least dart leaves this
+    one.  An edgeless host gets the single empty outer face so Euler
+    counts stay honest.
     """
     g = r.host
     if not g.edges:
         return (((),) if len(g.vertices) else ())
-    # after[v][u] follows u in v's rotation; popped once (u, v) is used
-    after = {v: dict(zip(around, around[1:] + around[:1]))
-             for v, around in r.rotation.items()}
+    names = r._names
+    # a copy of each map, whose entry u at v is popped once (u, v) is used
+    after = {v: out.copy() for v, out in r._after.items()}
     walks = []
-    for u0, v0 in [(u, v) for u in sorted(g.vertices) for v in g.neighbors(u)]:
-        if u0 not in after[v0]:
-            continue
-        u, v, walk = u0, v0, []
-        while True:
-            w = after[v].pop(u, None)
-            if w is None:
-                raise InvariantViolated("faces must partition the darts",
-                                        witness=(u, v))
-            walk.append(u)
-            u, v = v, w
-            if u == u0 and v == v0:
-                break
-        walks.append(tuple(walk))
+    for v0 in sorted(after, key=None if names is None else names.__getitem__):
+        into = after[v0]
+        while into:
+            # (u0, v0) is used now, and the walk runs from (v0, w) to it
+            u0, w = into.popitem()
+            walk = []
+            u, v = v0, w
+            while True:
+                walk.append(u)
+                if u == u0 and v == v0:
+                    break
+                w = after[v].pop(u, None)
+                if w is None:
+                    raise InvariantViolated(
+                        "faces must partition the darts",
+                        witness=(u, v) if names is None else (names[u],
+                                                              names[v]))
+                u, v = v, w
+            if names is not None:
+                walk = [names[x] for x in walk]
+            if walk.count(walk[0]) > 1:
+                # the least dart leaves v0 for its least next vertex
+                i = min((j for j, x in enumerate(walk) if x == walk[0]),
+                        key=lambda j: walk[j + 1 - len(walk)])
+                walk = walk[i:] + walk[:i]
+            walks.append(tuple(walk))
+    walks.sort()
     return tuple(walks)
 
 
@@ -105,10 +195,11 @@ class PlanarityResult:
 def planarity_test(g):
     """Embed g in the sphere or refute with a Kuratowski subdivision.
 
-    Embeddings pass `certify_embedding` and witnesses `certify_kuratowski`;
-    witnesses are returned as host subgraphs so callers can verify them
-    on their own terms.  A disconnected host raises NotConnected either
-    way.
+    Embeddings pass `certify_embedding`'s checks, on the positions of
+    the vertices in `g.vertices`, which number them for the left-right
+    test, and witnesses `certify_kuratowski`; witnesses are returned as
+    host subgraphs so callers can verify them on their own terms.  A
+    disconnected host raises NotConnected either way.
     """
     # imported here, so that certifying a given rotation, all that a
     # planar Cayley graph needs, does not load the test
@@ -127,9 +218,7 @@ def planarity_test(g):
                   "Kuratowski witness must live in the host")
         certify_kuratowski(ws)
         return PlanarityResult(False, None, None, ws)
-    # vertex -> neighbors in clockwise order
-    return certify_embedding(g, {vs[v]: [vs[w] for w in around]
-                                 for v, around in enumerate(rotation)})
+    return _certify(g, RotationSystem.indexed, order, rotation)
 
 
 def _require_connected(g):
@@ -140,52 +229,79 @@ def certify_embedding(g, neighbor_order):
     """The sphere embedding of g given by a vertex -> neighbours in
     cyclic order map, once g is connected, each vertex's order permutes
     its neighbours, the faces traced once partition the darts and
-    V - E + F = 2; each check raises, also under `python -O`."""
-    _require_connected(g)
-    r = RotationSystem(g, neighbor_order)
+    V - E + F = 2; each check raises, also under `python -O`, and a
+    disconnected host is refused before a bad order."""
+    return _certify(g, RotationSystem, neighbor_order)
+
+
+def _certify(g, build, *args):
+    """The certified embedding of the rotation system build(g, *args).
+    Connectivity is searched on its successor maps, and the components
+    of g are found only for the error, which comes before any other."""
+    try:
+        r = build(g, *args)
+    except (MalformedInput, TypeError):     # a rotation that is no permutation
+        _require_connected(g)
+        raise
+    if not _connected(r._after):
+        _require_connected(g)
     walks = facial_walks(r)
     invariant(len(g.vertices) - len(g.edges) + len(walks) == 2,
               "sphere embeddings satisfy Euler's formula")
     return PlanarityResult(True, r, walks, None)
 
 
-def certify_kuratowski(w):
-    """The graph that w subdivides, "K5" or "K33", in time linear in w.
+def subdivision_kind(vertices, adj):
+    """("K5" or "K33", None) when the graph on `vertices`, in which v's
+    neighbours are adj[v], subdivides K5 or K3,3; otherwise (None,
+    the witness of the first check it fails).  Linear in the graph.
 
-    Every vertex of w has degree at least 2.  The paths between branch
+    Every vertex has degree at least 2.  The paths between branch
     vertices (degree 3 or more) through vertices of degree 2 cover
-    every edge, and with those vertices suppressed w is a simple graph:
+    every edge, and with those vertices suppressed the graph is simple:
     5 branch vertices of degree 4, pairwise joined, or 6 of degree 3
-    that split into two triples with no path inside either.  Anything
-    else raises InvariantViolated, also under `python -O`.
+    that split into two triples with no path inside either.
     """
-    message = "Kuratowski witness must subdivide K5 or K3,3"
-    invariant(all(w.degree(v) >= 2 for v in w.vertices), message,
-              witness=[v for v in w.vertices if w.degree(v) < 2])
-    branch = [v for v in w.vertices if w.degree(v) > 2]
+    low = [v for v in vertices if len(adj[v]) < 2]
+    if low:
+        return None, low
+    branch = [v for v in vertices if len(adj[v]) > 2]
     links = set()       # branch pairs joined by a path
     walked = 0          # edges on those paths, each counted from both ends
     for b in branch:
-        for x in w.neighbors(b):
+        for x in adj[b]:
             prev, cur = b, x
             walked += 1
-            while w.degree(cur) == 2:
-                a, c = w.neighbors(cur)
+            while len(adj[cur]) == 2:
+                a, c = adj[cur]
                 prev, cur = cur, (c if a == prev else a)
                 walked += 1
-            invariant(cur != b, message, witness=b)
+            if cur == b:
+                return None, b
             links.add(edge_key(b, cur))
-    paths = sum(w.degree(b) for b in branch) // 2
-    invariant(walked == 2 * len(w.edges) and len(links) == paths, message,
-              witness=sorted(links))
-    degrees = {w.degree(b) for b in branch}
+    paths = sum(len(adj[b]) for b in branch) // 2
+    if walked != sum(len(adj[v]) for v in vertices) or \
+            len(links) != paths:
+        return None, sorted(links)
+    degrees = {len(adj[b]) for b in branch}
     if len(branch) == 5 and degrees == {4}:
-        return "K5"
-    invariant(len(branch) == 6 and degrees == {3}, message,
-              witness=sorted(links))
+        return "K5", None
+    if not (len(branch) == 6 and degrees == {3}):
+        return None, sorted(links)
     first = branch[0]
     side = [v for v in branch if edge_key(first, v) not in links]
-    invariant(len(side) == 3 and not any(
-        edge_key(a, b) in links for a in side for b in side if a < b),
-        message, witness=sorted(links))
-    return "K33"
+    if len(side) == 3 and not any(
+            edge_key(a, b) in links for a in side for b in side if a < b):
+        return "K33", None
+    return None, sorted(links)
+
+
+def certify_kuratowski(w):
+    """The graph that w subdivides, "K5" or "K33", in time linear in w
+    (`subdivision_kind`).  Anything else raises InvariantViolated, also
+    under `python -O`."""
+    kind, witness = subdivision_kind(
+        w.vertices, {v: w.neighbors(v) for v in w.vertices})
+    invariant(kind is not None, "Kuratowski witness must subdivide K5 or K3,3",
+              witness=witness)
+    return kind

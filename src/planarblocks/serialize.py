@@ -15,7 +15,8 @@ become arrays sorted by ``repr``, tuples become arrays, a graph becomes
 string.  The text is the standard library's indent-2, sorted-key,
 ASCII-only spelling, byte for byte; the stdlib reaches it only through
 its pure-Python encoder, one generator step per token, so an array of
-plain ints, or of rows of them, is written here with one ``join``.
+plain ints is written here with one ``join``, and an array of rows of
+them with one ``%`` format over all their ints.
 
 A payload often holds one graph object at several places: a block in
 both the tree and the block list, or a block that is the region, the
@@ -56,11 +57,12 @@ def _array(xs, nl, out, seen):
     if kinds == {int}:
         out.append("[" + inner + ("," + inner).join(map(repr, xs)) + nl + "]")
     elif (kinds <= {tuple, list} and len(set(map(len, xs))) == 1
-          and set(map(type, chain.from_iterable(xs))) == {int}):
-        # rows of plain ints, all one length, such as edges
+          and set(map(type, ints := tuple(chain.from_iterable(xs)))) == {int}):
+        # rows of plain ints, all one length, such as edges: one format
+        # call over all their ints
         deeper = inner + "  "
         row = "[" + deeper + ("," + deeper).join(["%d"] * len(xs[0])) + inner + "]"
-        out.append("[" + inner + ("," + inner).join([row % tuple(r) for r in xs])
+        out.append("[" + inner + ("," + inner).join([row] * len(xs)) % ints
                    + nl + "]")
     else:
         sep = "[" + inner

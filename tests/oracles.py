@@ -22,7 +22,9 @@ own:
 - `blocks2._canonical_tree`, only as the family `build_nested_family`
   returns;
 - `planar`'s `facial_walks`, `canonical_face` and `planarity_test`,
-  whose embeddings the face oracles take as input, and `cayley`'s
+  whose embeddings the face oracles take as input (the rotation check
+  and the face tracer that certificates are checked against are the
+  oracle's own), and `cayley`'s
   `GroupTable`, `check_relators` and signature helpers, with which
   `reference_coset_enumerate` holds, checks and bounds its table;
 - `cli.COMMANDS`, for the commands and bounds that the reference
@@ -35,6 +37,7 @@ import argparse
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
+from types import SimpleNamespace
 
 from planarblocks.blocks1 import BlockCutTree, b1_family
 from planarblocks.blocks2 import _canonical_tree
@@ -47,8 +50,8 @@ from planarblocks.errors import (DEFAULT_COSET_LIMIT, MalformedInput,
                                  Overflow, PreconditionViolated, invariant)
 from planarblocks.graph import (Graph, build_graph, connected_components,
                                 edge_key, induced_subgraph, is_connected,
-                                is_simple_cycle, is_two_connected, set_bits,
-                                two_cuts)
+                                is_simple_cycle, is_two_connected,
+                                require_connected, set_bits, two_cuts)
 from planarblocks.planar import canonical_face, facial_walks, planarity_test
 from planarblocks.separation import (Separation, _mask, make_separation,
                                      separation_complement)
@@ -998,6 +1001,31 @@ def edge_key_facial_walks(r):
                 break
         walks.append(tuple(walk))
     return tuple(walks)
+
+
+def per_vertex_rotation_check(host, rotation):
+    """The rotation check as the package once made it, vertex by vertex
+    against the host's sorted adjacency: the first vertex of
+    `host.vertices` whose order does not sort to its neighbours is the
+    witness.  Keys that are not host vertices are ignored."""
+    for v in host.vertices:
+        if tuple(sorted(rotation.get(v, ()))) != host.neighbors(v):
+            raise MalformedInput(
+                "rotation at a vertex must permute its incident edges",
+                witness=v)
+
+
+def reference_embedding_walks(g, rotation):
+    """The facial walks of the sphere embedding that the rotation gives
+    the host g, with the checks in the order the package once made
+    them: connectivity from the host's components, the per-vertex
+    rotation check, the faces by the edge-key tracer, Euler's formula."""
+    require_connected(g, "planarity certificates assume a connected host")
+    per_vertex_rotation_check(g, rotation)
+    walks = edge_key_facial_walks(SimpleNamespace(host=g, rotation=rotation))
+    invariant(len(g.vertices) - len(g.edges) + len(walks) == 2,
+              "sphere embeddings satisfy Euler's formula")
+    return walks
 
 
 def euler_genus(r):

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations
 
@@ -6,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarblocks.blocks1 import block_cut_tree
-from planarblocks.errors import MalformedInput, NotConnected
-from planarblocks.graph import (_lowpoint_dfs, build_graph,
-                                connected_components, cut_vertices, edge_key,
+from planarblocks.errors import MalformedInput, NotConnected, TooLarge
+from planarblocks.graph import (MAX_UNNAMED_VERTICES, _lowpoint_dfs,
+                                build_graph, connected_components,
+                                cut_vertices, edge_key,
                                 homeomorphic_reduce, induced_subgraph,
                                 is_connected, is_simple_cycle,
                                 is_two_connected, parse_edge_list, two_cuts)
@@ -68,6 +73,51 @@ def test_parse_edge_list_isolated_vertices():
     g = parse_edge_list("vertices: 4\n0 1\n")
     assert g.vertices == (0, 1, 2, 3)
     assert g.edges == ((0, 1),)
+
+
+def test_header_may_add_up_to_the_bound_of_unnamed_vertices(monkeypatch):
+    from planarblocks import graph
+    monkeypatch.setattr(graph, "MAX_UNNAMED_VERTICES", 3)
+    # 0 and 4 are named by the edge, so the header adds 3 unnamed ones
+    assert len(parse_edge_list("vertices: 5\n0 4\n").vertices) == 5
+    with pytest.raises(TooLarge) as info:
+        parse_edge_list("vertices: 6\n0 4\n")
+    assert info.value.witness == {"declared": 6, "limit": 3}
+    # a header naming only its edges' vertices always answers
+    assert len(parse_edge_list("vertices: 6\n0 1\n2 3\n4 5\n").vertices) == 6
+    # and the out-of-range check still comes first
+    with pytest.raises(MalformedInput):
+        parse_edge_list("vertices: 100\n0 100\n")
+
+
+def test_huge_header_is_refused_in_bounded_memory(tmp_path):
+    # a header of 10^14 vertices would need petabytes as a vertex set
+    import resource
+    room = 1000 * 10 ** 6
+
+    def bound():
+        resource.setrlimit(resource.RLIMIT_AS, (room, room))
+    path = tmp_path / "huge.edges"
+    path.write_text("vertices: 99999999999999\n0 1\n")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarblocks", "blocks", str(path),
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=bound)
+    elapsed = time.monotonic() - t0
+    assert proc.stderr == "", proc.stderr
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "too-large",
+        "message": "vertices header adds too many isolated vertices",
+        "witness": {"declared": 99999999999999,
+                    "limit": MAX_UNNAMED_VERTICES}}
+    assert elapsed < 1.0, elapsed
 
 
 def test_adjacency_accessors(k4e):

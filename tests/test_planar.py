@@ -2,6 +2,7 @@
 facial symmetry checks."""
 
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -20,6 +21,8 @@ from oracles import (
     facial_preservation_check,
     kuratowski_kind,
     networkx_kuratowski_edges,
+    per_vertex_rotation_check,
+    reference_embedding_walks,
 )
 from planarblocks import (
     Graph,
@@ -28,6 +31,7 @@ from planarblocks import (
     canonical_face,
     cayley_graph,
     certify_embedding,
+    edge_key,
     certify_kuratowski,
     coset_enumerate,
     facial_walks,
@@ -42,6 +46,7 @@ from planarblocks.errors import (
     NotConnected,
     PreconditionViolated,
 )
+from planarblocks import leftright
 from planarblocks.leftright import left_right
 
 
@@ -251,6 +256,164 @@ def test_facial_walks_agree_with_the_edge_key_tracer(g, rng):
         rotation[v] = around
     r = RotationSystem(g, rotation)
     assert facial_walks(r) == edge_key_facial_walks(r)
+
+
+def _outcome(f, *args):
+    """("returns", what f(*args) returns), or the type name, message
+    and witness of what it raises."""
+    try:
+        return "returns", f(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+
+
+@st.composite
+def corrupted_rotations(draw):
+    """(host, rotation): a host from `small_graphs`, made connected or
+    not, and a shuffled rotation of it with one corruption: a neighbour
+    dropped or duplicated, two entries swapped inside an order or across
+    two, a foreign or an unhashable entry, an extra vertex key, or
+    none."""
+    g = draw(small_graphs())
+    rng = draw(st.randoms(use_true_random=False))
+    vs = list(g.vertices)
+    if draw(st.booleans()):
+        g = Graph(g.vertices, tuple(sorted(set(g.edges) | {
+            edge_key(a, b) for a, b in zip(vs, vs[1:])})))
+    rotation = {}
+    for v in vs:
+        around = list(g.neighbors(v))
+        rng.shuffle(around)
+        rotation[v] = around
+    v = rng.choice(vs)
+    around = rotation[v]
+    at = rng.randrange(len(around) + 1)
+    how = draw(st.sampled_from(("drop", "duplicate", "swap", "swap across",
+                                "foreign", "unhashable", "extra key",
+                                "none")))
+    if how == "drop" and around:
+        del around[at - 1]
+    elif how == "duplicate" and around:
+        x = rng.choice(around)
+        if draw(st.booleans()):
+            around.insert(at, x)
+        else:
+            around[at - 1] = x
+    elif how == "swap" and len(around) > 1:
+        i, j = rng.sample(range(len(around)), 2)
+        around[i], around[j] = around[j], around[i]
+    elif how == "swap across":
+        other = rotation[rng.choice(vs)]
+        if around and other:
+            i, j = rng.randrange(len(around)), rng.randrange(len(other))
+            around[i], other[j] = other[j], around[i]
+    elif how == "foreign":
+        x = rng.choice([w for w in vs + [max(vs) + 1]
+                        if w != v and w not in around])
+        if around and draw(st.booleans()):
+            around[at - 1] = x
+        else:
+            around.insert(at, x)
+    elif how == "unhashable":
+        around.insert(at, [rng.choice(vs)])
+    elif how == "extra key":
+        rotation[max(vs) + 1 + rng.randrange(3)] = rng.sample(
+            vs, min(2, len(vs)))
+    return g, rotation
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted_rotations())
+def test_certificate_failures_match_the_per_vertex_check(case):
+    # counting and a search over the successor maps refuse what the
+    # per-vertex check against the host's adjacency and the host's
+    # components refused, with the same kind, message and witness
+    g, rotation = case
+    got = _outcome(RotationSystem, g, rotation)
+    want = _outcome(per_vertex_rotation_check, g, rotation)
+    assert got[0] == want[0] if want[0] == "returns" else got == want
+    got = _outcome(certify_embedding, g, rotation)
+    want = _outcome(reference_embedding_walks, g, rotation)
+    if want[0] == "returns":
+        assert got[0] == "returns" and got[1].walks == want[1]
+    else:
+        assert got == want
+
+
+@st.composite
+def subdivided_kuratowski_hosts(draw):
+    """K5 or K3,3 with each edge a chain of up to 8 edges, pendant trees
+    grown at random vertices and a few extra chords, its labels spread
+    out and its vertex and edge tuples in a drawn order."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        n, base = 5, list(combinations(range(5), 2))
+    else:
+        n, base = 6, [(a, b) for a in range(3) for b in range(3, 6)]
+    edges = set()
+    for a, b in base:
+        k = draw(st.integers(0, 7))
+        chain = [a, *range(n, n + k), b]
+        n += k
+        edges.update(zip(chain, chain[1:]))
+    for _ in range(draw(st.integers(0, 8))):
+        edges.add((rng.randrange(n), n))
+        n += 1
+    for _ in range(draw(st.integers(0, 3))):
+        edges.add(tuple(rng.sample(range(n), 2)))
+    labels = rng.sample(range(3 * n), n)
+    es = list({edge_key(labels[a], labels[b]) for a, b in edges})
+    rng.shuffle(es)
+    return Graph(tuple(labels), tuple(es))
+
+
+@settings(max_examples=200, deadline=None)
+@given(subdivided_kuratowski_hosts())
+def test_kuratowski_extraction_keeps_the_networkx_witness(g):
+    # pendant trees are pruned untested and the extraction stops once
+    # the 2-core left subdivides K5 or K3,3; the edges are still
+    # networkx's, one for one
+    res = planarity_test(g)
+    assert not res.planar
+    assert res.witness.edges == networkx_kuratowski_edges(g)
+    assert certify_kuratowski(res.witness) == kuratowski_kind(res.witness)
+
+
+def _counted_extraction(monkeypatch, g):
+    """(left-right tests made, witness edges) of `kuratowski_edges`
+    on g, numbered as `planarity_test` numbers it."""
+    vs = g.vertices
+    index = {v: i for i, v in enumerate(vs)}
+    order = leftright.edge_order(len(vs),
+                                 [(index[u], index[v]) for u, v in g.edges])
+    calls = []
+    test = leftright.left_right
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return test(*args, **kwargs)
+    monkeypatch.setattr(leftright, "left_right", counted)
+    kept = leftright.kuratowski_edges(len(vs), order)
+    return len(calls), tuple(sorted(edge_key(vs[a], vs[b]) for a, b in kept))
+
+
+@pytest.mark.parametrize("n, most", [(6, 25), (3, 18)])
+def test_kuratowski_extraction_tests_fewer_edges(monkeypatch, n, most):
+    # 44 tests on Z6 x Z6 and 24 on Z3 x Z3 before edges off the 2-core
+    # went untested and the extraction stopped at a subdivision
+    pr = parse_presentation(
+        "gens: a b\nrels: a^%d, b^%d, (a*b*a^-1*b^-1)" % (n, n))
+    g = cayley_graph(coset_enumerate(pr), pr)
+    tests, edges = _counted_extraction(monkeypatch, g)
+    assert tests <= most
+    assert edges == networkx_kuratowski_edges(g)
+
+
+def test_a_subdivision_with_pendant_trees_needs_no_test(monkeypatch):
+    g = g_of("0-3,0-4,0-6,6-5,1-3,1-4,1-5,2-7,7-8,8-3,2-4,2-5,"
+             "5-9,9-10,9-11,2-12")
+    assert _counted_extraction(monkeypatch, g) == (
+        0, networkx_kuratowski_edges(g))
 
 
 def test_deep_searches_stay_iterative():
