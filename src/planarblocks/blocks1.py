@@ -24,14 +24,10 @@ certificate of every structure tree (`treeset.certify_tree`), and on
 top of it what makes the tree a block-cut tree.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 from .errors import invariant
 from .graph import Graph, _lowpoint_dfs
 from .separation import Separation
-from .treeset import NestedFamily, StructureTree, certify_tree
+from .treeset import NestedFamily, certify_tree
 
 
 def b1_family(g):
@@ -102,30 +98,23 @@ def b1_family(g):
     return NestedFamily(g, elements, map(frozenset, classes), regions)
 
 
-@dataclass(frozen=True)
 class BlockCutTree:
     """The block-cut tree of `graph`, read off the tree of `family`, a
     `treeset.NestedFamily` such as `b1_family` builds."""
 
-    graph: Graph
-    family: NestedFamily
-    tree: StructureTree = field(init=False)
-    cut_classes: dict = field(init=False)   # tree vertex -> cut vertex
-    block_classes: dict = field(init=False)  # tree vertex -> block subgraph
-
-    def __post_init__(self):
-        tree = self.family.tree
-        cut_classes = {}
-        block_classes = {}
+    def __init__(self, graph, family):
+        self.graph = graph
+        self.family = family
+        self.tree = tree = family.tree
+        # tree vertex -> cut vertex, and tree vertex -> block subgraph
+        self.cut_classes = cut_classes = {}
+        self.block_classes = block_classes = {}
         for ci in range(tree.vertex_count):
             cut = tree.cut_vertex(ci)
             if cut is None:
                 block_classes[ci] = tree.region(ci)
             else:
                 cut_classes[ci] = cut
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "cut_classes", cut_classes)
-        object.__setattr__(self, "block_classes", block_classes)
 
     @property
     def blocks(self):

@@ -37,10 +37,7 @@ Every check of `torso`, `_classify` and `_check_edge_partition` still
 runs on every torso.
 """
 
-from __future__ import annotations
-
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -50,8 +47,7 @@ from .graph import (Graph, edge_key, homeomorphic_reduce, is_connected,
                     is_simple_cycle, is_two_connected, require_connected,
                     two_cuts)
 from .separation import Separation, separation_complement
-from .treeset import (NestedFamily, StructureTree, build_structure_tree,
-                      certify_tree)
+from .treeset import build_structure_tree, certify_tree
 from .blocks1 import BlockCutTree, b1_family
 
 
@@ -218,13 +214,13 @@ def _bfs_path(g, src, dst):
     return None
 
 
-@dataclass(frozen=True)
 class Torso:
-    z_prime: Graph       # intersection of member complements
-    virtual_edges: tuple
-    z: Graph             # z_prime plus virtual edges
-    witness: Graph       # host subgraph that is a subdivision of z
-    witness_paths: dict  # virtual edge -> host path realizing it
+    def __init__(self, z_prime, virtual_edges, z, witness, witness_paths):
+        self.z_prime = z_prime      # intersection of member complements
+        self.virtual_edges = virtual_edges
+        self.z = z                  # z_prime plus virtual edges
+        self.witness = witness      # host subgraph that is a subdivision of z
+        self.witness_paths = witness_paths  # virtual edge -> host path
 
 
 def torso(g, tree, v):
@@ -290,17 +286,19 @@ KIND_CYCLE = "Cycle"
 KIND_THREE_CONNECTED = "ThreeConnected"
 
 
-@dataclass(frozen=True)
 class TriBlockTree:
-    original: Graph
-    reduced: "ReducedGraph"  # noqa: F821 - runtime type from graph module
-    graph: Graph             # the reduced host the tree describes
-    family: NestedFamily
-    tree: StructureTree
-    kinds: dict          # vertex id -> KIND_*
-    cut_classes: dict    # vertex id -> cut vertex (CutPoint vertices)
-    torsos: dict         # vertex id -> Torso (Cycle / ThreeConnected)
-    edges: tuple         # (i, j) tree edges, i < j
+    def __init__(self, original, reduced, graph, family, tree, kinds,
+                 cut_classes, torsos, edges):
+        self.original = original
+        self.reduced = reduced      # the ReducedGraph of original
+        self.graph = graph          # the reduced host the tree describes
+        self.family = family
+        self.tree = tree
+        self.kinds = kinds          # vertex id -> KIND_*
+        # vertex id -> cut vertex (CutPoint vertices)
+        self.cut_classes = cut_classes
+        self.torsos = torsos        # vertex id -> Torso (Cycle, 3-connected)
+        self.edges = edges          # (i, j) tree edges, i < j
 
     @property
     def vertex_count(self):

@@ -38,11 +38,8 @@ counted on words (`equivariant_rotation`).  Only when none has Euler's
 face count does `planar.planarity_test`, the left-right test, decide.
 """
 
-from __future__ import annotations
-
 import math
 import re
-from dataclasses import dataclass
 from itertools import permutations
 from operator import eq
 
@@ -58,17 +55,18 @@ def invert_word(w):
     return tuple((s, -p) for s, p in reversed(w))
 
 
-@dataclass(frozen=True)
 class Presentation:
-    generators: tuple            # symbol names, in declaration order
-    relators: tuple              # (word, exponent >= 1), in scan order
+    """Generators and relators; two presentations are equal when both
+    tuples are."""
 
-    def __post_init__(self):
-        names = set(self.generators)
-        if len(names) != len(self.generators):
+    def __init__(self, generators, relators):
+        self.generators = generators    # symbol names, in declaration order
+        self.relators = relators        # (word, exponent >= 1), in scan order
+        names = set(generators)
+        if len(names) != len(generators):
             raise MalformedInput("repeated generator name",
-                                 witness=self.generators)
-        for w, n in self.relators:
+                                 witness=generators)
+        for w, n in relators:
             if n < 1:
                 raise BadExponent("relator exponent must be positive",
                                   witness={"word": w, "exponent": n})
@@ -80,6 +78,15 @@ class Presentation:
                 if s not in names or p not in (1, -1):
                     raise MalformedInput("bad letter in relator",
                                          witness=(s, p))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generators == other.generators
+                and self.relators == other.relators)
+
+    def __hash__(self):
+        return hash((self.generators, self.relators))
 
 
 def surface_presentation(p, m, s, extras=()):
@@ -196,28 +203,35 @@ def parse_presentation(text):
     return Presentation(tuple(gens), tuple(rels))
 
 
-@dataclass(frozen=True)
 class GroupTable:
-    order: int
-    generators: tuple
-    images: dict    # generator s -> the list whose entry g is g.s
+    """A permutation table of a finite group on its elements; two tables
+    are equal when their order, generators and images are."""
 
     identity = 0    # elements are numbered from the identity
 
-    def __post_init__(self):
+    def __init__(self, order, generators, images):
+        self.order = order
+        self.generators = generators
+        self.images = images    # generator s -> the list whose entry g is g.s
         # letter -> list whose entry g is g.letter
-        perms = {}
-        for s in self.generators:
-            images = self.images[s]
-            invariant(sorted(images) == list(range(self.order)),
+        self._perms = perms = {}
+        for s in generators:
+            image = images[s]
+            invariant(sorted(image) == list(range(order)),
                       "generator must act as a permutation",
                       witness={"generator": s})
-            inverse = [0] * self.order
-            for g, h in enumerate(images):
+            inverse = [0] * order
+            for g, h in enumerate(image):
                 inverse[h] = g
-            perms[(s, 1)] = images
+            perms[(s, 1)] = image
             perms[(s, -1)] = inverse
-        object.__setattr__(self, "_perms", perms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order == other.order
+                and self.generators == other.generators
+                and self.images == other.images)
 
     def perm(self, letter):
         """The list whose entry g is g.letter; callers must not write it."""

@@ -16,9 +16,6 @@ regardless of the requested format, so scripts can rely on the error
 shape.
 """
 
-from __future__ import annotations
-
-import re
 import sys
 
 from . import serialize
@@ -281,12 +278,20 @@ _HELP = ("-h", "--help")
 # flag -> the field it sets
 _FLAGS = {"--per-component": "per_component", "--reduce": "reduce"}
 
-# argparse's test for a token that is a negative number, not an option
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
 
 def _bad(message):
     return MalformedInput("bad command line: " + message)
+
+
+def _negative_number(token):
+    r"""argparse's test for a token that is a negative number, not an
+    option: whether it matches ``^-\d+$|^-\d*\.\d+$``, where ``\d`` is
+    any decimal digit and ``$`` also matches before one final newline."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, frac = body.partition(".")
+    return token[:1] == "-" and (
+        body.isdecimal()
+        or dot and (not whole or whole.isdecimal()) and frac.isdecimal())
 
 
 def _option(token, names):
@@ -294,8 +299,9 @@ def _option(token, names):
 
     Returns None for a positional token, else the option's name (""
     for an unknown option) and its attached ``=value`` or None.  A long
-    option may be given by a unique prefix of its name; ``-h`` takes
-    the letters after it as its value.
+    option may be given by a unique prefix of its name, and a prefix
+    that several names share is an error; ``-h`` takes the letters after
+    it as its value.
     """
     if token[:1] != "-" or token == "-":
         return None
@@ -308,11 +314,24 @@ def _option(token, names):
         matches = [o for o in names if o.startswith(name)]
         if len(matches) == 1:
             return matches[0], value if eq else None
+        if matches:
+            raise _bad("ambiguous option: %s could match %s"
+                       % (token, ", ".join(matches)))
     elif token[:2] in names:
         return token[:2], token[2:]
-    if _NEGATIVE.match(token) or " " in token:
+    if _negative_number(token) or " " in token:
         return None
     return "", None
+
+
+def _no_value(name, value):
+    """Raise argparse's error for a flag given an attached value.  Only
+    ``h``s after ``-h`` pass: argparse reads each as ``-h`` again."""
+    if name == "-h" and value:
+        value = value.lstrip("h") or None
+    if value is not None:
+        raise _bad("argument %s: ignored explicit argument %r" % (
+            "-h/--help" if name in _HELP else name, value))
 
 
 def _help(command):
@@ -365,9 +384,7 @@ def _read_argv(argv):
         if option is None:
             break
         if option[0]:
-            if option[1] is not None:
-                raise _bad("argument -h/--help: ignored explicit argument "
-                           "%r" % option[1])
+            _no_value(*option)
             return _help(None)
         extras.append(token)
     else:
@@ -385,6 +402,12 @@ def _read_argv(argv):
         args["limit"] = bound
     args.update((_FLAGS[name], False) for name in options if name in _FLAGS)
     rest = argv[at + 1:]
+    # argparse sorts every token before the first '--' into options and
+    # positionals before it reads any, so an ambiguous prefix fails first
+    for token in rest:
+        if token == "--":
+            break
+        _option(token, names)
     taken = None          # index in `rest` of the input
     dashes = False        # '--' was read: later tokens are positional
     i = 0
@@ -408,9 +431,7 @@ def _read_argv(argv):
         if not name:
             extras.append(token)
         elif name in _HELP or name in _FLAGS:
-            if value is not None:
-                raise _bad("argument %s: ignored explicit argument %r" % (
-                    "-h/--help" if name in _HELP else name, value))
+            _no_value(name, value)
             if name in _HELP:
                 return _help(command)
             args[_FLAGS[name]] = True

@@ -16,19 +16,17 @@ so that a set of vertices or of edges is one int bitmask.  Separations
 are held as such masks: containment, complements and intersections are
 then a few big-int operations instead of set operations.
 
-A `Graph` is immutable, and each fact about it is computed on first use
-and kept on the object: its adjacency, its vertex and edge sets, its
-index, its components (`Graph.components`, which `is_connected`,
+A `Graph` is built once and nothing assigns to it after, so each fact
+about it stays valid once found.  Each is computed on first use and
+kept on the object: its adjacency, its vertex and edge sets, its index,
+its components (`Graph.components`, which `is_connected`,
 `require_connected` and `is_simple_cycle` read) and its 2-cuts
 (`Graph.cut_pairs`, which `two_cuts` returns).  The decomposition layers
 hand the same object on wherever a graph does not change, so each fact
 is found once per distinct graph.
 """
 
-from __future__ import annotations
-
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from heapq import heappop, heappush
 from itertools import compress, islice
@@ -45,12 +43,24 @@ def edge_key(u, v):
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Adjacency lists and vertex and edge sets are built on first use."""
+    """Adjacency lists and vertex and edge sets are built on first use.
+    Two graphs are equal when their vertex and edge tuples are."""
 
-    vertices: tuple
-    edges: tuple
+    def __init__(self, vertices, edges):
+        self.vertices = vertices
+        self.edges = edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return "Graph(vertices=%r, edges=%r)" % (self.vertices, self.edges)
 
     @cached_property
     def _adj(self):
@@ -79,9 +89,6 @@ class Graph:
     def cut_pairs(self):
         """The 2-cuts with their components, as `two_cuts` lists them."""
         return tuple(_two_cut_pass(self))
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
 
     def neighbors(self, v):
         return self._adj[v]
@@ -369,10 +376,11 @@ def is_two_connected(g):
         return False
 
 
-@dataclass(frozen=True)
 class ReducedGraph:
-    graph: Graph
-    walks: dict  # reduced edge -> its host walks, the surviving one first
+    def __init__(self, graph, walks):
+        self.graph = graph
+        # reduced edge -> its host walks, the surviving one first
+        self.walks = walks
 
     def edge_map(self):
         """Total map original host edge -> reduced edge."""

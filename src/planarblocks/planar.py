@@ -18,9 +18,6 @@ vertices (`subdivision_kind`) also tells `leftright.kuratowski_edges`
 when to stop.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
@@ -173,12 +170,12 @@ def facial_walks(r):
     return tuple(walks)
 
 
-@dataclass(frozen=True)
 class PlanarityResult:
-    planar: bool
-    embedding: RotationSystem | None
-    walks: tuple | None      # facial walks as `facial_walks` traced them
-    witness: Graph | None    # Kuratowski subdivision when nonplanar
+    def __init__(self, planar, embedding, walks, witness):
+        self.planar = planar
+        self.embedding = embedding  # RotationSystem, None when nonplanar
+        self.walks = walks  # facial walks as `facial_walks` traced them
+        self.witness = witness      # Kuratowski subdivision when nonplanar
 
     @cached_property
     def faces(self):

@@ -18,21 +18,18 @@ as a separation.  The conditions are symmetric under complement, so
 `separation_complement` checks nothing again.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantViolated, MalformedInput
-from .graph import Graph, set_bits
+from .graph import set_bits
 
 
-@dataclass(frozen=True, eq=False)
 class Separation:
-    host: Graph
-    vmask: int
-    emask: int
-    bmask: int
+    def __init__(self, host, vmask, emask, bmask):
+        self.host = host
+        self.vmask = vmask
+        self.emask = emask
+        self.bmask = bmask
 
     def __hash__(self):
         return hash((self.vmask, self.emask, self.bmask))

@@ -16,7 +16,10 @@ string.  The text is the standard library's indent-2, sorted-key,
 ASCII-only spelling, byte for byte; the stdlib reaches it only through
 its pure-Python encoder, one generator step per token, so an array of
 plain ints is written here with one ``join``, and an array of rows of
-them with one ``%`` format over all their ints.
+them with one ``%`` format over all their ints.  Strings are escaped
+by the C escaper that encoder calls, ``encode_basestring_ascii`` of the
+``_json`` extension, imported from there so that no command loads the
+``json`` package.
 
 A payload often holds one graph object at several places: a block in
 both the tree and the block list, or a block that is the region, the
@@ -25,16 +28,13 @@ once per call, in place; each repeat is the text of the first, re-based
 to its own indent.  The memo of written graphs lives for one call.
 """
 
-from __future__ import annotations
-
-import json
+from _json import encode_basestring_ascii as _string
 from itertools import chain
 
 from .graph import Graph
 
 SCHEMA = 1
 
-_string = json.encoder.encode_basestring_ascii
 _INFINITY = float("inf")
 
 

@@ -14,13 +14,10 @@ action is checked generator by generator.  Permutations are
 dicts vertex -> vertex over the host's vertex set.
 """
 
-from __future__ import annotations
-
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import DEFAULT_AUT_BOUND, NotAnAutomorphism, TooLarge
-from .graph import Graph, edge_key
+from .graph import edge_key
 from .separation import make_separation
 
 
@@ -50,11 +47,12 @@ def _closure(start, perms, image):
     return seen
 
 
-@dataclass(frozen=True)
 class AutGroup:
-    host: Graph
-    generators: tuple  # strong generators along the search base, lex order
-    order: int
+    def __init__(self, host, generators, order):
+        self.host = host
+        # strong generators along the search base, lex order
+        self.generators = generators
+        self.order = order
 
     def orbit_of_vertex(self, v):
         return frozenset(_closure(v, self.generators, lambda x, p: p[x]))
@@ -152,12 +150,13 @@ def _coset_leader(base, nbrs, i, w):
     return None
 
 
-@dataclass(frozen=True)
 class QuotientGraph:
-    host: Graph
-    vertex_orbits: tuple  # sorted tuples of host vertices
-    edge_orbits: tuple    # sorted tuples of host edges
-    edges: tuple          # (orbit index, orbit index, multiplicity), i <= j
+    def __init__(self, host, vertex_orbits, edge_orbits, edges):
+        self.host = host
+        self.vertex_orbits = vertex_orbits  # sorted tuples of host vertices
+        self.edge_orbits = edge_orbits      # sorted tuples of host edges
+        # (orbit index, orbit index, multiplicity), i <= j
+        self.edges = edges
 
     @property
     def vertex_count(self):

@@ -34,9 +34,6 @@ linear pass over its regions and sides, and recomputes neither the
 order nor the classes.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
 from operator import or_
@@ -45,26 +42,19 @@ from .errors import MalformedInput, NotNested, invariant
 from .graph import Graph, edge_key, set_bits
 
 
-@dataclass(frozen=True)
 class StructureTree:
-    family: NestedFamily
-    classes: tuple          # frozensets of element indices
-    regions: tuple = field(repr=False, compare=False)   # Graph per class
-    class_of: tuple = field(init=False, repr=False, compare=False, hash=False,
-                            default=None)
-    _graph: Graph = field(init=False, repr=False, compare=False, hash=False,
-                          default=None)
-
-    def __post_init__(self):
-        lookup = [None] * len(self.family.elements)
-        for ci, cls in enumerate(self.classes):
+    def __init__(self, family, classes, regions):
+        self.family = family
+        self.classes = classes      # frozensets of element indices
+        self.regions = regions      # Graph per class
+        lookup = [None] * len(family.elements)
+        for ci, cls in enumerate(classes):
             for i in cls:
                 lookup[i] = ci
         edges = {edge_key(lookup[i], lookup[i + 1])
                  for i in range(0, len(lookup), 2)}
-        object.__setattr__(self, "class_of", tuple(lookup))
-        object.__setattr__(self, "_graph", Graph(tuple(range(len(self.classes))),
-                                                 tuple(sorted(edges))))
+        self.class_of = tuple(lookup)
+        self._graph = Graph(tuple(range(len(classes))), tuple(sorted(edges)))
 
     @property
     def vertex_count(self):

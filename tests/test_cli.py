@@ -184,7 +184,7 @@ _TOKENS = (list(COMMANDS) + ["bogus", "g.edges", "-", "-x", "y",
                              "--format", "--form", "--f", "--limit",
                              "--lim", "--per-component", "--per",
                              "--reduce", "--red", "-h", "--help", "--he",
-                             "--"]
+                             "-hh", "--=v", "--"]
            + ["--format=" + v for v in _VALUES]
            + ["--limit=" + v for v in _VALUES] + _VALUES)
 
@@ -207,6 +207,23 @@ def test_command_line_reader_agrees_with_argparse(argv):
     kind, got = argparse_command_line(argv)
     want = (kind, None if kind == "help" else got)
     assert _outcome(argv) == want
+
+
+# tokens at the edges of argparse's grammar: one matching
+# ^-\d+$|^-\d*\.\d+$ is a positional (\d is any decimal digit, and $ also
+# matches before a final newline), each letter after -h is one more short
+# option, and "--=" names a prefix that every long option shares
+@pytest.mark.parametrize("token", ["-3", "-3.5", "-.5", "-3.", "-3e5", "--3",
+                                   "-3\n", "-٣", "-hh", "-hhx", "-h=",
+                                   "--=v", "--he=h"])
+@pytest.mark.parametrize("at", ["limit", "input", "stray", "first"])
+def test_odd_tokens_read_as_argparse_reads_them(token, at):
+    argv = {"limit": ["autos", "g.edges", "--limit", token],
+            "input": ["autos", token],
+            "stray": ["triblocks", "g.edges", token],
+            "first": [token, "blocks", "g.edges"]}[at]
+    kind, got = argparse_command_line(argv)
+    assert _outcome(argv) == (kind, None if kind == "help" else got)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +576,7 @@ def test_wrong_rotations_fail_the_certificate_under_dash_o():
 
 
 DECOMPOSITION_INVARIANTS = """
-import dataclasses, json, sys
+import json, sys
 from planarblocks import blocks1, blocks2, cli
 from planarblocks.graph import Graph
 assert False, "this script must run under -O"
@@ -594,15 +611,17 @@ runs.append(cli.run(["triblocks", sys.argv[3]]))
 blocks2.combinations = combinations
 # blocks2: a torso that drops one region edge leaves it uncovered
 torso = blocks2.torso
+def with_region(t, z_prime):
+    return blocks2.Torso(z_prime, t.virtual_edges, t.z, t.witness,
+                         t.witness_paths)
 def lossy_torso(*args):
     t = torso(*args)
-    return dataclasses.replace(
-        t, z_prime=Graph(t.z_prime.vertices, t.z_prime.edges[1:]))
+    return with_region(t, Graph(t.z_prime.vertices, t.z_prime.edges[1:]))
 blocks2.torso = lossy_torso
 runs.append(cli.run(["triblocks", sys.argv[3]]))
 # blocks2: a torso that claims every host edge meets the next torso
 def greedy_torso(h, *args):
-    return dataclasses.replace(torso(h, *args), z_prime=h)
+    return with_region(torso(h, *args), h)
 blocks2.torso = greedy_torso
 runs.append(cli.run(["triblocks", sys.argv[3]]))
 blocks2.torso = torso
@@ -775,6 +794,37 @@ def test_each_command_loads_only_its_modules(tmp_path):
         assert at_import == CLI_MODULES
         assert after == sorted(CLI_MODULES + [
             "planarblocks." + m for m in extra]), cmd
+
+
+# run under python -S, so that no module a site .pth file imports counts;
+# prints the exit codes, then each module of sys.argv[1] that was loaded
+HEAVY_LOADED = """
+import sys
+from planarblocks.cli import run
+heavy, argv = sys.argv[1].split(","), sys.argv[2:]
+codes = [run(argv + ["--format", fmt])[0] for fmt in ("text", "json")]
+print(*codes, *[m for m in heavy if m in sys.modules])
+"""
+
+# each costs start-up time and none is needed: records are plain classes,
+# the JSON escaper comes from _json and argv is read with str methods
+HEAVY_MODULES = ["dataclasses", "inspect", "ast", "dis", "tokenize", "json",
+                 "json.decoder", "__future__"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocks", fx("bowtie.edges")], ["triblocks", fx("book_k4.edges")],
+    ["planar", fx("k33.edges")], ["faces", fx("octahedron.edges")],
+    ["autos", fx("k4.edges")], ["quotient", fx("prism.edges")],
+    ["cayley", fx("vd233.pres")], ["check", fx("grid3x3.edges")]],
+    ids=lambda argv: argv[0])
+def test_no_command_loads_a_heavy_module(argv):
+    # cayley parses presentations with regular expressions; nothing else
+    # needs re
+    heavy = HEAVY_MODULES + ([] if argv[0] == "cayley" else ["re"])
+    proc = _python(["-S", "-c", HEAVY_LOADED, ",".join(heavy)] + argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_edge_lists_are_parsed_by_the_current_parser(monkeypatch):

@@ -332,3 +332,31 @@ def test_graph_iteration_is_sorted():
     g = build_graph([3, 1, 2], [(3, 1), (2, 1)])
     assert g.vertices == (1, 2, 3)
     assert g.edges == ((1, 2), (1, 3))
+
+
+def test_records_compare_by_value():
+    # graphs, presentations and group tables compare by their contents,
+    # and graphs and presentations hash by them: `surface_signature`
+    # compares presentations, and the layers compare hosts
+    from planarblocks.cayley import GroupTable, Presentation
+    from planarblocks.graph import Graph
+    g = Graph((0, 1, 2), ((0, 1), (1, 2)))
+    assert g == Graph(tuple([0, 1, 2]), ((0, 1), (1, 2)))
+    assert g != Graph((0, 1, 2), ((0, 1),))
+    assert g != ((0, 1, 2), ((0, 1), (1, 2)))
+    assert hash(g) == hash(((0, 1, 2), ((0, 1), (1, 2))))
+    assert repr(g) == "Graph(vertices=(0, 1, 2), edges=((0, 1), (1, 2)))"
+    rels = (((("a", 1),), 2), ((("b", 1),), 3), ((("a", 1), ("b", 1)), 2))
+    pr = Presentation(("a", "b"), rels)
+    assert pr == Presentation(("a", "b"), tuple(list(rels)))
+    assert pr != Presentation(("b", "a"), rels)
+    assert pr != Presentation(("a", "b"), rels[:2])
+    assert hash(pr) == hash((("a", "b"), rels))
+    assert len({pr, Presentation(("a", "b"), rels)}) == 1
+    images = {"a": [1, 0, 5, 4, 3, 2], "b": [2, 4, 3, 0, 5, 1]}
+    tbl = GroupTable(6, ("a", "b"), images)
+    assert tbl == GroupTable(6, ("a", "b"), dict(images))
+    assert tbl != GroupTable(6, ("a",), {"a": images["a"]})
+    assert tbl != GroupTable(6, ("b", "a"), images)
+    with pytest.raises(TypeError):
+        hash(tbl)
