@@ -24,7 +24,7 @@ _EXPORTS = {
     "planar": ("PlanarityResult", "RotationSystem", "canonical_face",
                "certify_embedding", "certify_kuratowski", "facial_walks",
                "planarity_test"),
-    "separation": ("Separation", "make_separation", "separation_complement"),
+    "separation": ("Separation", "separation_complement"),
     "symmetry": ("AutGroup", "QuotientGraph", "automorphism_group",
                  "quotient_graph", "tree_action_check"),
     "treeset": ("NestedFamily", "StructureTree", "build_structure_tree",

@@ -59,7 +59,7 @@ def b1_family(g):
         emask[h] |= 1 << k
     # each block's region, then the regions of its subtree below it; a
     # cut vertex's subtree is the vertex and the blocks it tops
-    sub = {h: ix.vertex_mask(verts[h])[0] | emask[h] << n for h in heads}
+    sub = {h: ix.vertex_mask(verts[h]) | emask[h] << n for h in heads}
     below = {}
     for v in reversed(order):
         if v in split:

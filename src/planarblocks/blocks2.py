@@ -75,11 +75,11 @@ def _uncrossed_sides(z):
         if any(label[u] != label[w] for (u, w), _, _ in cuts
                if u not in pair and w not in pair):
             continue
-        bm = ix.vertex_mask(pair)[0]
+        bm = ix.vertex_mask(pair)
         joined = ix.edge_bit.get(pair, 0) if len(comps) == 2 else 0
         for extra in (0, joined) if joined else (0,):
             for comp in comps:
-                inner = ix.vertex_mask(comp)[0]
+                inner = ix.vertex_mask(comp)
                 s = Separation(z, inner | bm, ix.reach(inner)[1] | extra, bm)
                 sides.append((s, separation_complement(s)))
     return sorted(sides, key=lambda c: c[0].sort_key())
@@ -135,7 +135,7 @@ def _canonical_tree(h):
     present = set()
     known = {}      # a block by its masks: the region of a block left whole
     for ci, z in sorted(bct.block_classes.items()):
-        known[ix.vertex_mask(z.vertices)[0],
+        known[ix.vertex_mask(z.vertices),
               reduce(or_, map(ix.edge_bit.__getitem__, z.edges), 0)] = z
         if len(z.vertices) <= 3 or is_simple_cycle(z):
             continue
@@ -146,7 +146,7 @@ def _canonical_tree(h):
         for zsep, take in _pendant_homes(_uncrossed_sides(z),
                                          cuts & z.vertex_set):
             hinge = zsep.key[2]
-            bm = ix.vertex_mask(hinge)[0]
+            bm = ix.vertex_mask(hinge)
             inner = reduce(or_, map(hang.__getitem__, (
                 *zx.vertices_of(zsep.vmask & ~zsep.bmask), *take))) & ~bm
             em = ix.reach(inner)[1]

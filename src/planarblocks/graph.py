@@ -14,7 +14,11 @@ cut vertices w of g - v (`cut_vertices`, `two_cuts`).
 `Graph.index` numbers the sorted vertices and the sorted edges from 0,
 so that a set of vertices or of edges is one int bitmask.  Separations
 are held as such masks: containment, complements and intersections are
-then a few big-int operations instead of set operations.
+then a few big-int operations instead of set operations.  The index
+turns host vertices into a mask (`vertex_mask`), a mask back into
+vertices or edges (`vertices_of`, `edges_of`), and a set of vertices
+into its neighbours and the edges at it (`reach`).  It judges nothing:
+whether masks form a separation is `treeset.certify_tree`'s check.
 
 A `Graph` is built once and nothing assigns to it after, so each fact
 about it stays valid once found.  Each is computed on first use and
@@ -149,13 +153,8 @@ class GraphIndex:
         self.all_edges = (1 << len(self.edges)) - 1
 
     def vertex_mask(self, vs):
-        """(mask of the host vertices in vs, sorted list of the others)."""
-        return _mask_of(self.vertex_bit, set(vs))
-
-    def edge_mask(self, es):
-        """(mask of the host edges in es, sorted list of the others);
-        edges may be given in either orientation."""
-        return _mask_of(self.edge_bit, {edge_key(*e) for e in es})
+        """Mask of the vertices in vs, each a host vertex."""
+        return reduce(or_, map(self.vertex_bit.__getitem__, vs), 0)
 
     def vertices_of(self, mask):
         return tuple(_selected(self.vertices, mask))
@@ -163,22 +162,10 @@ class GraphIndex:
     def edges_of(self, mask):
         return tuple(_selected(self.edges, mask))
 
-    def incident(self, i):
-        """Edge mask of the edges at vertex i."""
-        return self.star[i] >> len(self.vertices)
-
     def reach(self, mask):
         """(neighbours of, edges at) the vertices of a vertex mask."""
         star = reduce(or_, _selected(self.star, mask), 0)
         return star & self.all_vertices, star >> len(self.vertices)
-
-
-def _mask_of(bits, items):
-    """(OR of the bits of the known items, sorted list of the others).
-    Both walk the items, not the index: a keys view intersects from the
-    smaller side, and a set's difference with a dict probes the dict."""
-    return (reduce(or_, map(bits.__getitem__, bits.keys() & items), 0),
-            sorted(items.difference(bits)))
 
 
 def build_graph(vertices, edges):
@@ -224,13 +211,13 @@ def parse_edge_list(text):
             if declared is not None:
                 raise MalformedInput("repeated vertices header", witness=lineno)
             body = line[len("vertices:"):].strip()
-            if not body.isdigit() or int(body) < 1:
+            if not body.isdecimal() or int(body) < 1:
                 raise MalformedInput("vertices header needs a positive count",
                                      witness=line)
             declared = int(body)
             continue
         parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise MalformedInput("expected 'u v' with non-negative integers",
                                  witness={"line": lineno, "text": raw.rstrip()})
         u, v = int(parts[0]), int(parts[1])

@@ -18,7 +18,7 @@ from collections import Counter
 
 from .errors import DEFAULT_AUT_BOUND, NotAnAutomorphism, TooLarge
 from .graph import edge_key
-from .separation import make_separation
+from .separation import Separation
 
 
 def apply_to_edge(perm, e):
@@ -26,11 +26,21 @@ def apply_to_edge(perm, e):
 
 
 def apply_to_separation(a, perm):
-    """Image of a separation under a host automorphism (same host)."""
-    return make_separation(a.host,
-                           {perm[v] for v in a.va},
-                           {apply_to_edge(perm, e) for e in a.ea},
-                           {perm[b] for b in a.boundary})
+    """Image of a separation under a permutation of the host's vertices,
+    its masks moved bit by bit, or None when the image of one of its
+    edges is not a host edge.  The image is not checked as a separation:
+    an automorphism maps separations to separations."""
+    ix = a.host.index
+    em = 0
+    for e in ix.edges_of(a.emask):
+        bit = ix.edge_bit.get(apply_to_edge(perm, e))
+        if bit is None:
+            return None
+        em |= bit
+
+    def moved(mask):
+        return ix.vertex_mask(map(perm.__getitem__, ix.vertices_of(mask)))
+    return Separation(a.host, moved(a.vmask), em, moved(a.bmask))
 
 
 def _closure(start, perms, image):
@@ -182,22 +192,25 @@ def tree_action_check(tree, group):
     the generators generate the group, every element fixing a class then
     fixes its region.
 
-    Returns {"ok": bool, "violations": [...]}; never raises.
+    Returns {"ok": bool, "violations": [...]}; never raises, not even
+    for a generator that is a permutation of the host's vertices but no
+    automorphism.
     """
     fam = tree.family
     violations = []
-    index = {(a.sort_key(), i & 1): i for i, a in enumerate(fam.elements)}
+    index = {(a, i & 1): i for i, a in enumerate(fam.elements)}
     for gi, perm in enumerate(group.generators):
         image = {}
         for i, a in enumerate(fam.elements):
-            img = apply_to_separation(a, perm)
-            j = index.get((img.sort_key(), i & 1))
+            j = index.get((apply_to_separation(a, perm), i & 1))
             if j is None:
                 violations.append({
                     "kind": "missing-image",
                     "generator": gi,
                     "element": i,
-                    "image": {"va": sorted(img.va), "ea": sorted(img.ea)},
+                    "image": {"va": sorted(perm[v] for v in a.va),
+                              "ea": sorted(apply_to_edge(perm, e)
+                                           for e in a.ea)},
                 })
                 continue
             image[i] = j

@@ -134,9 +134,11 @@ def build_structure_tree(host, elements, known=None):
     class the sides below nothing.
 
     Sides are compared only through the edges they share, so the
-    elements must pass the conditions of `make_separation`: every vertex
-    of a side then has an edge in it, and the interiors of two sides
-    without a common edge are disjoint.  A crossing of such elements
+    elements must be separations: the neighbours and edges of a side's
+    interior lie in it and make up its edges, up to the edge joining a
+    hinge, and each boundary vertex has edges on both sides.  Every
+    vertex of a side then has an edge in it, and the interiors of two
+    sides without a common edge are disjoint.  A crossing of such elements
     raises NotNested.  Hand-built elements that fail those conditions
     are outside this contract: a crossing between sides without a
     common edge goes unchecked.
@@ -201,11 +203,12 @@ def certify_tree(tree):
        |V| + sum |B_e| vertices in all, the sum over the tree edges e.
     3. Every side equals the OR of the regions beyond its edge, built
        bottom-up, and its partner is its exact complement.
-    4. Every side passes the conditions of `make_separation`, read from
-       bottom-up reach masks: the neighbours and edges of its interior
-       lie in it and make up its edges, up to the edge joining a hinge;
-       each boundary vertex has edges on both sides; and a hinge side
-       is neither a single edge nor the host minus one edge.
+    4. Every side is a separation, read from bottom-up reach masks: the
+       neighbours and edges of its interior lie in it and make up its
+       edges, up to the edge joining a hinge; each boundary vertex has
+       edges on both sides; and a hinge side is neither a single edge
+       nor the host minus one edge.  No other code in the package
+       judges whether a side is a separation.
 
     By the count in 2, the regions holding a vertex span one tree edge
     fewer than there are of them, so they form a subtree; the interior

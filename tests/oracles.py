@@ -13,12 +13,9 @@ own:
 - `b1_family` and `BlockCutTree`, which give the reference hinge family
   its blocks, and which `one_boundary_family`, `mask_b1_family` and the
   block-cut tree certificate check;
-- `Separation`, `make_separation`, `separation_complement` and
-  `build_structure_tree`, which hold a family and its tree, checked
-  against their set definitions in tests/test_separation.py and
-  tests/test_treeset.py;
-- `symmetry.apply_to_separation`, to move a separation along a
-  permutation that the oracle chose;
+- `Separation`, `separation_complement` and `build_structure_tree`,
+  which hold a family and its tree, checked against their set
+  definitions in tests/test_separation.py and tests/test_treeset.py;
 - `blocks2._canonical_tree`, only as the family `build_nested_family`
   returns;
 - `planar`'s `facial_walks`, `canonical_face` and `planarity_test`,
@@ -29,14 +26,22 @@ own:
   `reference_coset_enumerate` holds, checks and bounds its table;
 - `cli.COMMANDS`, for the commands and bounds that the reference
   argparse parser of the command line declares.
+
+The package builds its sides straight from masks and leaves them to
+`treeset.certify_tree`.  The sides the tests build by hand go through
+`make_separation` here instead, which checks each condition of a
+separation on its own and names the first that fails; the orbit oracle
+checks every image it makes with it.
 """
 
 from __future__ import annotations
 
 import argparse
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from math import gcd
+from operator import or_
 from types import SimpleNamespace
 
 from planarblocks.blocks1 import BlockCutTree, b1_family
@@ -45,18 +50,119 @@ from planarblocks.cayley import (GroupTable, check_relators,
                                 euler_characteristic, free_abelian_rank,
                                 surface_signature)
 from planarblocks.cli import COMMANDS
-from planarblocks.errors import (DEFAULT_COSET_LIMIT, MalformedInput,
-                                 NotAnAutomorphism, NotConnected, NotNested,
-                                 Overflow, PreconditionViolated, invariant)
+from planarblocks.errors import (DEFAULT_COSET_LIMIT, InvariantViolated,
+                                 MalformedInput, NotAnAutomorphism,
+                                 NotConnected, NotNested, Overflow,
+                                 PreconditionViolated, invariant)
 from planarblocks.graph import (Graph, build_graph, connected_components,
                                 edge_key, induced_subgraph, is_connected,
                                 is_simple_cycle, is_two_connected,
                                 require_connected, set_bits, two_cuts)
 from planarblocks.planar import canonical_face, facial_walks, planarity_test
-from planarblocks.separation import (Separation, _mask, make_separation,
-                                     separation_complement)
-from planarblocks.symmetry import apply_to_separation
+from planarblocks.separation import Separation, separation_complement
 from planarblocks.treeset import NestedFamily, build_structure_tree
+
+
+# ------------------------------------------------- checked separations
+
+def _mask_of(bits, items):
+    """(OR of the bits of the known items, sorted list of the others).
+    Both walk the items, not the index: a keys view intersects from the
+    smaller side, and a set's difference with a dict probes the dict."""
+    return (reduce(or_, map(bits.__getitem__, bits.keys() & items), 0),
+            sorted(items.difference(bits)))
+
+
+def vertex_mask(ix, vs):
+    """(mask of the host vertices in vs, sorted list of the others)."""
+    return _mask_of(ix.vertex_bit, set(vs))
+
+
+def edge_mask(ix, es):
+    """(mask of the host edges in es, sorted list of the others); edges
+    may be given in either orientation."""
+    return _mask_of(ix.edge_bit, {edge_key(*e) for e in es})
+
+
+def incident(ix, i):
+    """Edge mask of the edges at vertex i."""
+    return ix.star[i] >> len(ix.vertices)
+
+
+def _mask(ix, items, to_mask, everything, message):
+    """items as a mask: an int mask as given, or the mask of a collection
+    of host vertices or edges.  Raises MalformedInput(message) when some
+    item is not in the host."""
+    if isinstance(items, int):
+        if items < 0 or items & ~everything:
+            raise MalformedInput(message)
+        return items
+    mask, stray = to_mask(ix, items)
+    if stray:
+        raise MalformedInput(message, witness=stray)
+    return mask
+
+
+def make_separation(host, va, ea, boundary):
+    """Build a Separation after checking every defining invariant.
+
+    va, ea and boundary are collections of host vertices and edges, or
+    int masks over `host.index`.  That ea lies inside va and the
+    interior keeps its edges is one test on the neighbours and edges of
+    the interior: they lie in va and make up ea, up to an edge joining
+    the boundary.
+    """
+    ix = host.index
+    vm = _mask(ix, va, vertex_mask, ix.all_vertices,
+               "va not a subset of host vertices")
+    em = _mask(ix, ea, edge_mask, ix.all_edges,
+               "ea not a subset of host edges")
+    bm, stray = ((boundary, None) if isinstance(boundary, int)
+                 else vertex_mask(ix, boundary))
+    if stray or bm.bit_count() not in (1, 2) or bm & ~vm:
+        raise MalformedInput("boundary must be 1 or 2 vertices inside va",
+                             witness=sorted(set(boundary)) if stray
+                             else list(ix.vertices_of(bm)))
+    near, at = ix.reach(vm & ~bm)
+    hinge = tuple(ix.vertices[i] for i in set_bits(bm))
+    joined = ix.edge_bit.get(hinge, 0) if len(hinge) == 2 else 0
+    if near & ~vm or at & ~em or em & ~at & ~joined:
+        raise _misplaced_edges(ix, vm, em, bm)
+    for i in set_bits(bm):
+        edges = incident(ix, i)
+        if not edges & em or not edges & ~em:
+            raise MalformedInput(
+                "boundary vertex needs incident edges on both sides",
+                witness={"vertex": ix.vertices[i],
+                         "inside": (edges & em).bit_count(),
+                         "outside": (edges & ~em).bit_count()})
+    if len(hinge) == 2:
+        if em.bit_count() == 1:
+            raise MalformedInput("hinge separation may not be a single edge",
+                                 witness=list(ix.edges_of(em)))
+        rest = ix.all_edges & ~em
+        if rest.bit_count() == 1:
+            raise MalformedInput(
+                "hinge separation may not be the host minus one edge",
+                witness=list(ix.edges_of(rest)))
+    return Separation(host, vm, em, bm)
+
+
+def _misplaced_edges(ix, vm, em, bm):
+    """The error for an edge of ea that leaves va (the least such edge)
+    or else for the least interior vertex missing some of its edges."""
+    leaving = em & ix.reach(ix.all_vertices & ~vm)[1]
+    if leaving:
+        return MalformedInput("edge of ea leaves va",
+                              witness=list(ix.edges_of(leaving & -leaving)[0]))
+    for i in set_bits(vm & ~bm):
+        missing = incident(ix, i) & ~em
+        if missing:
+            return MalformedInput(
+                "interior vertex missing incident edges",
+                witness={"vertex": ix.vertices[i],
+                         "edges": list(ix.edges_of(missing))})
+    return InvariantViolated("edge masks disagree with the vertex masks")
 
 
 # ------------------------------------------------------- block structure
@@ -69,12 +175,12 @@ def component_side(host, boundary, comps, with_edge=False):
     two-vertex boundary only when with_edge.
     """
     ix = host.index
-    inner = _mask([v for c in comps for v in c], ix.vertex_mask,
+    inner = _mask(ix, [v for c in comps for v in c], vertex_mask,
                   ix.all_vertices, "va not a subset of host vertices")
     em = ix.reach(inner)[1]
     if with_edge and len(boundary) == 2:
         em |= ix.edge_bit.get(edge_key(*boundary), 0)
-    return make_separation(host, inner | ix.vertex_mask(boundary)[0], em,
+    return make_separation(host, inner | vertex_mask(ix, boundary)[0], em,
                            boundary)
 
 
@@ -258,13 +364,16 @@ def is_free(group):
 
 def orbit_of_separation(a, perms):
     """Field-distinct images of a under the group generated by perms,
-    sorted; every image is validated as a separation."""
+    sorted; every image is moved on sets and validated as a separation
+    by `make_separation`."""
     seen = {a.sort_key(): a}
     frontier = [a]
     while frontier:
         x = frontier.pop()
         for p in perms:
-            y = apply_to_separation(x, p)
+            y = make_separation(x.host, {p[v] for v in x.va},
+                                {edge_key(p[u], p[v]) for u, v in x.ea},
+                                {p[b] for b in x.boundary})
             k = y.sort_key()
             if k not in seen:
                 seen[k] = y

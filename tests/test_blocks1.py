@@ -19,10 +19,10 @@ from planarblocks.treeset import NestedFamily
 from conftest import (complete_graph, cycle_graph, fixture_path, g_of,
                       path_graph)
 from oracles import (MaskOrder, cactus, caterpillar, glued_blocks,
-                     lowpoint_blocks, mask_block_cut_tree, one_boundary_family,
-                     random_connected_graph, random_two_connected_graph,
-                     separating_sets, separation_fault, tree_order,
-                     verify_tree_correspondence)
+                     edge_mask, lowpoint_blocks, mask_block_cut_tree,
+                     one_boundary_family, random_connected_graph,
+                     random_two_connected_graph, separating_sets,
+                     separation_fault, tree_order, verify_tree_correspondence)
 
 
 def test_cut_vertices_fixtures(bowtie, k4):
@@ -277,7 +277,7 @@ def corrupted_trees():
     apart = g_of("0-1,1-2,0-2,3-4")
     side, rest = ((0, 1, 2), ((0, 1), (0, 2), (1, 2))), ((1, 3, 4), ((3, 4),))
     ix = apart.index
-    sides = [Separation(apart, ix.vertex_mask(vs)[0], ix.edge_mask(es)[0],
+    sides = [Separation(apart, ix.vertex_mask(vs), edge_mask(ix, es)[0],
                         ix.vertex_bit[1])
              for vs, es in (side, rest, rest, side)]
     out["host in two pieces"] = BlockCutTree(apart, NestedFamily(

@@ -14,7 +14,6 @@ from planarblocks import (
     build_graph,
     build_structure_tree,
     homeomorphic_reduce,
-    make_separation,
     separation_complement,
     torso,
     triblock_tree,
@@ -40,8 +39,8 @@ from conftest import (complete_graph, fixture_path, g_of, grid_graph, k4_book,
 from oracles import (all_separations, build_nested_family, chorded_cycle,
                      edge_subset_separations, enumerate_separations_at,
                      glued_blocks, is_three_connected_by_cutsets,
-                     lowpoint_blocks, nested, random_two_connected_graph,
-                     reference_canonical_tree,
+                     lowpoint_blocks, make_separation, nested,
+                     random_two_connected_graph, reference_canonical_tree,
                      reference_lift_torso_separation, separation_fault,
                      separating_sets, totally_nested_keys,
                      uncrossed_side_keys, verify_tree_correspondence)

@@ -98,6 +98,16 @@ def test_malformed_edge_file_exits_two(tmp_path):
     assert json.loads(out)["error"]["kind"] == "malformed-input"
 
 
+def test_superscript_digits_are_malformed(tmp_path):
+    # str.isdigit accepts superscript digits, which int() refuses
+    bad = tmp_path / "bad.edges"
+    for text in ("0 \u00b9\n", "vertices: \u00b2\n0 1\n"):
+        bad.write_text(text, encoding="utf-8")
+        code, out = run(["blocks", str(bad)])
+        assert code == 2, text
+        assert json.loads(out)["error"]["kind"] == "malformed-input", text
+
+
 def test_dot_rejected_where_unsupported():
     for cmd in ("faces", "autos", "check"):
         code, out = run([cmd, fx("k4.edges"), "--format", "dot"])
@@ -855,7 +865,7 @@ def test_every_exported_name_resolves():
             home = importlib.import_module(value.__module__)
             assert getattr(home, name) is value, name
     # test-only helpers live in tests/oracles.py, not in the package
-    for name in ("no_such_name", "build_nested_family",
+    for name in ("no_such_name", "build_nested_family", "make_separation",
                  "face_multiset_uniqueness_check", "face_size_multiset"):
         assert name not in planarblocks.__all__
         with pytest.raises(AttributeError):

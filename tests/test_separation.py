@@ -6,12 +6,12 @@ import pytest
 from planarblocks.blocks1 import b1_family
 from planarblocks.errors import MalformedInput
 from planarblocks.graph import build_graph, homeomorphic_reduce
-from planarblocks.separation import make_separation, separation_complement
+from planarblocks.separation import separation_complement
 
 from conftest import g_of
-from oracles import (glued_blocks, interior, pull_back_separation,
-                     random_connected_graph, random_two_connected_graph,
-                     separation_fault)
+from oracles import (glued_blocks, interior, make_separation,
+                     pull_back_separation, random_connected_graph,
+                     random_two_connected_graph, separation_fault)
 
 
 def test_make_separation_basic(k4e):

@@ -10,17 +10,18 @@ from conftest import complete_graph, cycle_graph, g_of, k4_book, path_graph
 from oracles import (all_separations, brute_automorphisms,
                      element_tree_action_violations, greedy_generators,
                      group_closure, is_automorphism, is_free,
-                     orbit_of_separation, random_connected_graph)
+                     make_separation, orbit_of_separation,
+                     random_connected_graph)
 from planarblocks import (
     automorphism_group,
     b1_family,
     build_structure_tree,
-    make_separation,
     quotient_graph,
     tree_action_check,
     triblock_tree,
 )
-from planarblocks.symmetry import apply_to_separation, check_orbit_stabilizer
+from planarblocks.symmetry import (AutGroup, apply_to_separation,
+                                   check_orbit_stabilizer)
 from planarblocks.errors import TooLarge
 from planarblocks.graph import build_graph, is_two_connected
 
@@ -203,6 +204,23 @@ def test_tree_action_reports_missing_orbit_members(bowtie):
     rep = tree_action_check(tree, automorphism_group(bowtie))
     assert not rep["ok"]
     assert {v["kind"] for v in rep["violations"]} == {"missing-image"}
+
+
+def test_tree_action_check_reports_a_non_automorphism():
+    # the swap of the triangle's edge 0-1 with the path's edge 3-4 is a
+    # permutation of the vertices but sends the edge 0-2 off the host
+    g = g_of("0-1,0-2,1-2,2-3,3-4")
+    perm = {0: 3, 1: 4, 2: 2, 3: 0, 4: 1}
+    tree = b1_family(g).tree
+    rep = tree_action_check(tree, AutGroup(g, (perm,), 2))
+    assert not rep["ok"]
+    assert {v["kind"] for v in rep["violations"]} == {"missing-image"}
+    for v in rep["violations"]:
+        a = tree.family.elements[v["element"]]
+        assert v["image"] == {
+            "va": sorted(perm[x] for x in a.va),
+            "ea": sorted(tuple(sorted((perm[x], perm[y]))) for x, y in a.ea)}
+    assert apply_to_separation(tree.family.elements[0], perm) is None
 
 
 def _without_pair(fam, i):

@@ -14,16 +14,15 @@ from planarblocks.blocks1 import b1_family
 from planarblocks.blocks2 import triblock_tree
 from planarblocks.errors import InvariantViolated, MalformedInput, NotNested
 from planarblocks.graph import Graph, build_graph, is_simple_cycle
-from planarblocks.separation import (Separation, make_separation,
-                                     separation_complement)
+from planarblocks.separation import Separation, separation_complement
 from planarblocks.treeset import (NestedFamily, StructureTree,
                                   build_structure_tree, certify_tree)
 
 from conftest import cycle_graph, fixture_path, g_of, path_graph
 from oracles import (MaskOrder, all_separations, caterpillar, chorded_cycle,
                      directed_edge, family_from_sides, family_strict,
-                     glued_blocks, mask_family, pairs_from_sides,
-                     path_coherent, random_connected_graph,
+                     glued_blocks, make_separation, mask_family,
+                     pairs_from_sides, path_coherent, random_connected_graph,
                      random_path_family, random_two_connected_graph,
                      sim_classes, tree_order, verify_tree_correspondence)
 
@@ -409,6 +408,7 @@ HINGE_FAULTS = (
     ("partner", "paired element is not the complement"),
     ("third shared vertex", "adjacent blocks do not meet in their boundary"),
     ("single-edge side", "hinge separation may not be a single edge"),
+    ("host minus one edge side", "hinge separation may not be a single edge"),
     ("pair inside a class", "tree edges are not one per complement pair"))
 
 
@@ -417,9 +417,10 @@ def corrupted_hinge_trees():
     change one thing in the tri-block tree of two K4s sharing the edge
     0-1: a bond {0, 1} with that edge, the root, and a torso on each
     side of it.  The fifth is a 4-cycle cut at its edge 0-1 into that
-    edge and the rest, by hand.  The last merges the bond's class with
-    the first torso's, so the pair between them joins a class to
-    itself."""
+    edge and the rest, by hand, and the sixth the same pair swapped, so
+    that the side checked is the rest, the host minus one edge.  The
+    last merges the bond's class with the first torso's, so the pair
+    between them joins a class to itself."""
     g = g_of("0-1,0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5")
     tree = triblock_tree(g).tree
     elements, regions = list(tree.family.elements), list(tree.regions)
@@ -448,12 +449,15 @@ def corrupted_hinge_trees():
     ix = c4.index
     edge = ix.edge_bit[(0, 1)]
     hinge = ix.vertex_bit[0] | ix.vertex_bit[1]
+    lone = Separation(c4, hinge, edge, hinge)
+    rest = Separation(c4, ix.all_vertices, ix.all_edges & ~edge, hinge)
+    path = Graph(c4.vertices, tuple(e for e in c4.edges if e != (0, 1)))
     out["single-edge side"] = NestedFamily(
-        c4, (Separation(c4, hinge, edge, hinge),
-             Separation(c4, ix.all_vertices, ix.all_edges & ~edge, hinge)),
-        (frozenset({0}), frozenset({1})),
-        (Graph(c4.vertices, tuple(e for e in c4.edges if e != (0, 1))),
-         Graph((0, 1), ((0, 1),)))).tree
+        c4, (lone, rest), (frozenset({0}), frozenset({1})),
+        (path, Graph((0, 1), ((0, 1),)))).tree
+    out["host minus one edge side"] = NestedFamily(
+        c4, (rest, lone), (frozenset({0}), frozenset({1})),
+        (Graph((0, 1), ((0, 1),)), path)).tree
     out["pair inside a class"] = StructureTree(
         tree.family, (tree.classes[0] | tree.classes[1], tree.classes[2]),
         regions[:2])
