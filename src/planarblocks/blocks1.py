@@ -2,10 +2,11 @@
 
 The block-cut tree of a connected graph has a node for each block (a
 maximal 2-connected subgraph, or a bridge) and one for each cut vertex,
-and joins each cut vertex to the blocks that contain it.  One
-Hopcroft-Tarjan lowpoint DFS (`graph._lowpoint_dfs`) finds it: a block
-is headed by the first of its vertices the DFS enters, its top is the
-head's DFS parent, and an edge lies in the block of its later-found end.
+and joins each cut vertex to the blocks that contain it.  The graph's
+palm forest (`Graph.palm`) finds it: a block is headed by a child that
+splits off its parent (`PalmForest.splits`) or by the root's first
+child, its top is the head's DFS parent, and an edge lies in the block
+of its later-found end.
 
 Its directed edges are the elements of the one-boundary family: at each
 cut vertex c, for every component C of X - c, the minimal element
@@ -25,7 +26,7 @@ top of it what makes the tree a block-cut tree.
 """
 
 from .errors import invariant
-from .graph import Graph, _lowpoint_dfs
+from .graph import Graph, _splits, edge_key
 from .separation import Separation
 from .treeset import NestedFamily, certify_tree
 
@@ -37,33 +38,35 @@ def b1_family(g):
     side followed by its complement.  Connected input; a 2-connected
     graph, an edge or a vertex gives the empty family, whose one region
     is g itself."""
-    order, parent, split = _lowpoint_dfs(g)
+    split = _splits(g)
     if not split:
         return NestedFamily(g, (), (frozenset(),), (g,))
-    ix = g.index
-    n = len(ix.vertices)
+    palm, vs, ix = g.palm, g.vertices, g.index
+    order, parent = palm.order, palm.parent
+    n = len(vs)
     root = order[0]
-    found = {v: i for i, v in enumerate(order)}
     # the root's children, and every child that splits off its parent
     heads = {order[1]}.union(*split.values())
-    block = {}      # vertex below the root -> head of its DFS edge's block
+    block = [root] * n      # vertex below the root -> head of its block
     verts = {h: [parent[h]] for h in heads}
     for v in order[1:]:
         block[v] = h = v if v in heads else block[parent[v]]
         verts[h].append(v)
     edges = {h: [] for h in heads}
     emask = dict.fromkeys(heads, 0)
-    for k, (u, w) in enumerate(ix.edges):
-        h = block[u if found[u] > found[w] else w]
-        edges[h].append((u, w))
-        emask[h] |= 1 << k
+    for v, w in zip(palm.tail, palm.head):  # the later end's block
+        e = edge_key(vs[v], vs[w])
+        h = block[w if parent[w] == v else v]
+        edges[h].append(e)
+        emask[h] |= ix.edge_bit[e]
     # each block's region, then the regions of its subtree below it; a
     # cut vertex's subtree is the vertex and the blocks it tops
-    sub = {h: ix.vertex_mask(verts[h]) | emask[h] << n for h in heads}
+    sub = {h: ix.vertex_mask(map(vs.__getitem__, verts[h])) | emask[h] << n
+           for h in heads}
     below = {}
     for v in reversed(order):
         if v in split:
-            below[v] = ix.vertex_bit[v]
+            below[v] = ix.vertex_bit[vs[v]]
             for h in split[v]:
                 below[v] |= sub[h]
             if v != root:
@@ -71,18 +74,18 @@ def b1_family(g):
     everything = ix.all_vertices | ix.all_edges << n
     elements = []
     nodes = []      # (is a cut, vertex): the node an element points into
-    for c in sorted(split):
-        bit = ix.vertex_bit[c]
+    for c in sorted(split, key=vs.__getitem__):
+        cb = ix.vertex_bit[vs[c]]
         sides = [(sub[h], h) for h in split[c]]
         if c != root:
-            sides.append((everything & ~below[c] | bit, block[c]))
+            sides.append((everything & ~below[c] | cb, block[c]))
         # by least vertex but c: the lowest bit of the side without c
-        sides.sort(key=lambda s: (s[0] ^ bit) & -(s[0] ^ bit))
+        sides.sort(key=lambda s: (s[0] ^ cb) & -(s[0] ^ cb))
         for row, h in sides:
             vm, em = row & ix.all_vertices, row >> n
-            elements += (Separation(g, vm, em, bit),
-                         Separation(g, ix.all_vertices & ~vm | bit,
-                                    ix.all_edges & ~em, bit))
+            elements += (Separation(g, vm, em, cb),
+                         Separation(g, ix.all_vertices & ~vm | cb,
+                                    ix.all_edges & ~em, cb))
             nodes += ((True, c), (False, h))
     # classes are numbered by least member, as build_structure_tree does
     number = {}
@@ -92,8 +95,9 @@ def b1_family(g):
         if ci == len(classes):
             classes.append([])
         classes[ci].append(i)
-    regions = [Graph((x,), ()) if cut else
-               Graph(tuple(sorted(verts[x])), tuple(edges[x]))
+    regions = [Graph((vs[x],), ()) if cut else
+               Graph(tuple(sorted(map(vs.__getitem__, verts[x]))),
+                     tuple(sorted(edges[x])))
                for cut, x in number]
     return NestedFamily(g, elements, map(frozenset, classes), regions)
 

@@ -12,7 +12,7 @@ preserves it and no group has to be computed.
 Each such separation is, up to complement, one component of the block
 minus a vertex pair, plus the pair, with or without the edge joining
 the pair, read off int masks.  The block's 2-cuts (`graph.two_cuts`,
-one lowpoint DFS per vertex) are decided pair by pair: {x, y} is
+one palm forest per skipped vertex) are decided pair by pair: {x, y} is
 crossed exactly when some other 2-cut, apart from it, has its two
 vertices in different components of the block minus {x, y}.  Sides are
 built only at the uncrossed pairs, and each is lifted to the host
@@ -30,7 +30,7 @@ One `Graph` object stands for each distinct graph on the way.  The
 reduced host is the input itself when no vertex is suppressed, and a
 block that no hinge splits is its region (`build_structure_tree` is
 handed the blocks), its torso when no virtual edge is added, and its
-witness when no path is.  A graph keeps its components and its 2-cuts
+witness when no path is.  A graph keeps its palm forest and its 2-cuts
 (`graph.Graph`), so `_classify` reads the 2-cuts the block pass found;
 only a torso with virtual edges, a graph of its own, is searched again.
 Every check of `torso`, `_classify` and `_check_edge_partition` still

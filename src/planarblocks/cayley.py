@@ -44,8 +44,11 @@ from itertools import permutations
 from operator import eq
 
 from .errors import (DEFAULT_COSET_LIMIT, BadExponent, InvariantViolated,
-                     MalformedInput, Overflow, invariant)
+                     MalformedInput, Overflow, TooLarge, invariant)
 from .graph import Graph
+
+# letters a word in a relator may spell out once its powers are expanded
+MAX_WORD_LETTERS = 2 ** 20
 
 
 # A word is a tuple of letters (generator name, +1 or -1).
@@ -117,7 +120,9 @@ _ATOM = re.compile(r"^(?:\(([^()]+)\)|([A-Za-z]\w*))(?:\^(-?\d+))?$")
 
 
 def _parse_word(text):
-    letters = []
+    """The letters of a word such as a*b^-2, its powers summed first and
+    refused as TooLarge past MAX_WORD_LETTERS before any is spelled out."""
+    powers = []
     for piece in text.split("*"):
         piece = piece.strip()
         mm = re.fullmatch(r"([A-Za-z]\w*)(?:\^(-?\d+))?", piece)
@@ -126,9 +131,13 @@ def _parse_word(text):
         name, exp = mm.group(1), int(mm.group(2) or 1)
         if exp == 0:
             raise MalformedInput("zero exponent in word", witness=piece)
-        sign = 1 if exp > 0 else -1
-        letters += [(name, sign)] * abs(exp)
-    return tuple(letters)
+        powers.append((name, exp))
+    letters = sum(abs(exp) for _, exp in powers)
+    if letters > MAX_WORD_LETTERS:
+        raise TooLarge("word has too many letters",
+                       witness={"letters": letters, "limit": MAX_WORD_LETTERS})
+    return tuple(x for name, exp in powers
+                 for x in [(name, 1 if exp > 0 else -1)] * abs(exp))
 
 
 def _parse_relator(tok):

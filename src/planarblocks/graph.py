@@ -5,11 +5,11 @@ operations iterate vertices and edges in sorted order so that every
 downstream computation (decompositions, serializations) is reproducible
 byte for byte.
 
-The decomposition layers ask what is left once one or two vertices go.
-`connected_components(g, drop)` lists the pieces without copying the
-graph.  One lowpoint DFS (Hopcroft and Tarjan, 1973) finds the cut
-vertices, and run once per skipped vertex v, the 2-cuts {v, w}: the
-cut vertices w of g - v (`cut_vertices`, `two_cuts`).
+One depth-first search on vertex positions, `PalmForest` (Hopcroft
+and Tarjan, 1973), finds every connectivity fact: its trees are the
+components, its lowpoints the cut vertices, and run once per skipped
+vertex v, the 2-cuts {v, w}: the cut vertices w of g - v, whose split
+subtrees and the rest are the components of g - {v, w} (`two_cuts`).
 
 `Graph.index` numbers the sorted vertices and the sorted edges from 0,
 so that a set of vertices or of edges is one int bitmask.  Separations
@@ -23,11 +23,12 @@ whether masks form a separation is `treeset.certify_tree`'s check.
 A `Graph` is built once and nothing assigns to it after, so each fact
 about it stays valid once found.  Each is computed on first use and
 kept on the object: its adjacency, its vertex and edge sets, its index,
-its components (`Graph.components`, which `is_connected`,
-`require_connected` and `is_simple_cycle` read) and its 2-cuts
-(`Graph.cut_pairs`, which `two_cuts` returns).  The decomposition layers
-hand the same object on wherever a graph does not change, so each fact
-is found once per distinct graph.
+its palm forest (`Graph.palm`, whose roots `is_connected`,
+`require_connected` and `is_simple_cycle` count), its components
+(`Graph.components`) and its 2-cuts (`Graph.cut_pairs`, which
+`two_cuts` returns).  The decomposition layers hand the same object on
+wherever a graph does not change, so each fact is found once per
+distinct graph.
 """
 
 from collections import deque
@@ -85,9 +86,21 @@ class Graph:
         return frozenset(self.edges)
 
     @cached_property
+    def palm(self):
+        """The `PalmForest` of the graph on the positions of `vertices`,
+        each vertex's neighbours searched in sorted order."""
+        vs, around = self.vertices, self._adj.values()
+        if vs != tuple(range(len(vs))):     # positions are not the names
+            at = {v: i for i, v in enumerate(vs)}
+            around = [[at[w] for w in a] for a in around]
+        return PalmForest(list(around))
+
+    @cached_property
     def components(self):
-        """The components, as `connected_components` lists them."""
-        return tuple(connected_components(self))
+        """The trees of the palm forest as sorted vertex tuples."""
+        vs = self.vertices
+        return tuple(tuple(sorted(map(vs.__getitem__, tree)))
+                     for tree in self.palm.trees())
 
     @cached_property
     def cut_pairs(self):
@@ -238,36 +251,106 @@ def parse_edge_list(text):
     return build_graph(sorted(vertices), edges)
 
 
-def connected_components(g, drop=()):
-    """Components of g minus the vertices in drop, as sorted vertex
-    tuples ordered by smallest member.  The BFS skips the dropped
-    vertices, so no copy of the graph is made."""
-    seen = set(drop)
-    out = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        for x in comp:      # the list grows behind the scan: a BFS queue
-            for y in g.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-        out.append(tuple(sorted(comp)))
-    return out
+class PalmForest:
+    """One iterative DFS of the graph whose vertex v has the neighbours
+    adj[v], less skip, from each vertex not reached yet in index order:
+    O(n + m).  A back arc runs to an ancestor other than the parent, from
+    the descendant.  low1[v] and low2[v] are the least and next least DFS
+    number of v and the back arc ends below it; skip, numbered after
+    every vertex, is never entered nor a lowpoint."""
+
+    __slots__ = ("adj", "num", "parent", "low1", "low2", "size", "order",
+                 "tail", "head", "roots")
+
+    def __init__(self, adj, skip=-1):
+        n = len(adj)
+        self.adj = adj
+        self.num = num = [-1] * n           # DFS number: place in `order`
+        self.parent = parent = [-1] * n     # -1 at a root
+        self.low1 = low1 = [0] * n
+        self.low2 = low2 = [0] * n
+        self.size = size = [1] * n          # vertices in the subtree
+        self.order = order = []             # vertices in discovery order
+        # arc k, in scan order, runs from tail[k] to head[k]
+        self.tail, self.head = tail, head = [], []
+        self.roots = roots = []             # one per tree, ascending
+        if skip >= 0:
+            num[skip] = n
+        for root in range(n):
+            if num[root] >= 0:
+                continue
+            num[root] = low1[root] = low2[root] = len(order)
+            order.append(root)
+            roots.append(root)
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                v, todo = stack[-1]
+                nv, pv = num[v], parent[v]
+                for w in todo:
+                    nw = num[w]
+                    if nw < 0:                      # tree arc
+                        tail.append(v)
+                        head.append(w)
+                        num[w] = low1[w] = low2[w] = len(order)
+                        parent[w] = v
+                        order.append(w)
+                        stack.append((w, iter(adj[w])))
+                        break
+                    if nw < nv and w != pv:         # back arc
+                        tail.append(v)
+                        head.append(w)
+                        if nw < low1[v]:
+                            low2[v] = low1[v]
+                            low1[v] = nw
+                        elif nw != low1[v] and nw < low2[v]:
+                            low2[v] = nw
+                else:
+                    stack.pop()
+                    if pv >= 0:
+                        size[pv] += size[v]
+                        a = low1[v]
+                        b = low2[v]
+                        if a < low1[pv]:
+                            low2[pv] = low1[pv] if low1[pv] < b else b
+                            low1[pv] = a
+                        elif a == low1[pv]:
+                            if b < low2[pv]:
+                                low2[pv] = b
+                        elif a < low2[pv]:
+                            low2[pv] = a
+
+    def trees(self):
+        """Each DFS tree's vertices: the interval of `order` its root heads."""
+        for r in self.roots:
+            yield self.order[self.num[r]:self.num[r] + self.size[r]]
+
+    def splits(self):
+        """cut vertex -> its children whose subtrees split off it: those
+        whose low1 does not climb above it, all at a root with two."""
+        num, parent, low1 = self.num, self.parent, self.low1
+        out = {}
+        for w in self.order:
+            p = parent[w]
+            if p >= 0 and low1[w] >= num[p]:
+                out.setdefault(p, []).append(w)
+        return {p: heads for p, heads in out.items()
+                if len(heads) > 1 or parent[p] >= 0}
+
+
+def connected_components(g):
+    """The list of `Graph.components`: sorted vertex tuples."""
+    return list(g.components)
 
 
 def is_connected(g):
-    return len(g.components) == 1
+    return len(g.palm.roots) == 1
 
 
 def require_connected(g, message):
     """Raise NotConnected(message), with the components of g as sorted
     vertex lists for its witness, unless g is connected."""
-    comps = g.components
-    if len(comps) > 1:
-        raise NotConnected(message, witness=[list(c) for c in comps])
+    if len(g.palm.roots) > 1:
+        raise NotConnected(message, witness=[list(c) for c in g.components])
 
 
 def induced_subgraph(g, vs):
@@ -282,56 +365,15 @@ def is_simple_cycle(g):
             and is_connected(g))
 
 
-def _lowpoint_dfs(g, skip=None):
-    """(order, parent, split) of one iterative lowpoint DFS of g minus the
-    vertex skip, from its least vertex: discovery order, DFS parents
-    (None at the root), and for each cut vertex c of g - skip the children
-    whose lowpoint does not climb above c.  Each of their subtrees is a
-    component of g - skip - c and, unless c is the root, the rest is one
-    more.  skip counts as seen, discovered after every vertex, so it is
-    never entered and never a lowpoint.
-    """
-    drop = () if skip is None else (skip,)
-    root = min((v for v in g.vertices if v != skip), default=None)
-    order = [root]                      # DFS discovery order
-    disc = dict.fromkeys(drop, len(g.vertices))
-    disc[root] = 0
-    low = {root: 0}
-    parent = {root: None}
-    split = {}
-    stack = [(root, iter(g.neighbors(root)))] if root is not None else []
-    while stack:
-        v, todo = stack[-1]
-        for w in todo:
-            if w not in disc:
-                disc[w] = low[w] = len(order)
-                parent[w] = v
-                order.append(w)
-                stack.append((w, iter(g.neighbors(w))))
-                break
-            if disc[w] < low[v] and w != parent[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            p = parent[v]
-            if p is not None:
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if low[v] >= disc[p]:
-                    split.setdefault(p, []).append(v)
-    if root is None or len(order) + len(drop) < len(g.vertices):
-        comps = connected_components(g, drop) if drop else g.components
-        raise NotConnected("cut vertices are defined for connected graphs",
-                           witness=[list(c) for c in comps])
-    # every child of the root splits off; it is a cut vertex with two
-    if len(split.get(root, ())) == 1:
-        del split[root]
-    return order, parent, split
+def _splits(g):
+    """`PalmForest.splits` of the connected graph g."""
+    require_connected(g, "cut vertices are defined for connected graphs")
+    return g.palm.splits()
 
 
 def cut_vertices(g):
     """Vertices whose removal disconnects the connected graph g, sorted."""
-    return tuple(sorted(_lowpoint_dfs(g)[2]))
+    return tuple(sorted(map(g.vertices.__getitem__, _splits(g))))
 
 
 def two_cuts(g):
@@ -342,25 +384,34 @@ def two_cuts(g):
 
 
 def _two_cut_pass(g):
-    """The 2-cuts of `two_cuts`.  {v, w} is one when w is a cut vertex of
-    g - v, so one `_lowpoint_dfs` per skipped v finds them all in
-    O(n (n + m)) time."""
-    position = {v: i for i, v in enumerate(g.vertices)}
-    for i, v in enumerate(g.vertices[:-1]):
-        later = [w for w in _lowpoint_dfs(g, v)[2] if position[w] > i]
-        for w in sorted(later, key=position.__getitem__):
-            yield (v, w), connected_components(g, (v, w))
+    """The 2-cuts of `two_cuts`: {v, w} is one when w is a cut vertex of
+    g - v, so one `PalmForest` per skipped v finds them all, in
+    O(n (n + m)) time.  The subtree of each child that splits off w is a
+    component of g - {v, w}, and unless w is the root, the rest is one."""
+    vs, adj = g.vertices, g.palm.adj
+    for v in range(len(vs) - 1):
+        palm = PalmForest(adj, v)
+        order, num, size = palm.order, palm.num, palm.size
+        if len(palm.roots) > 1:
+            raise NotConnected("cut vertices are defined for connected graphs",
+                               witness=[sorted(map(vs.__getitem__, t))
+                                        for t in palm.trees()])
+        for w, heads in sorted(palm.splits().items()):
+            if w > v:
+                pieces, rest, at = [], order[:num[w]], num[w] + 1
+                for h in heads:
+                    rest += order[at:num[h]]
+                    at = num[h] + size[h]
+                    pieces.append(order[num[h]:at])
+                rest += order[at:]
+                yield (vs[v], vs[w]), sorted(
+                    tuple(sorted(map(vs.__getitem__, p)))
+                    for p in pieces + [rest] if p)
 
 
 def is_two_connected(g):
-    """At least 3 vertices, connected, and no cut vertex, read off one
-    lowpoint DFS, which stops short of a vertex of another component."""
-    if len(g.vertices) < 3:
-        return False
-    try:
-        return not _lowpoint_dfs(g)[2]
-    except NotConnected:
-        return False
+    """At least 3 vertices, connected, and no cut vertex."""
+    return len(g.vertices) >= 3 and is_connected(g) and not g.palm.splits()
 
 
 class ReducedGraph:

@@ -4,15 +4,17 @@
 Test", 2009, after de Fraysseix, Ossona de Mendez and Rosenstiehl,
 "Tremaux trees and planarity", 2006), with the embedding.  Its three
 phases are iterative, so a DFS deeper than Python's recursion limit
-(a long path or cycle, a large grid) is no problem.  It keeps the
-adjacency, DFS and tie-breaking orders of the networkx implementation,
-so its rotations are the ones networkx gives.  `kuratowski_edges` finds
-the Kuratowski subgraph of a nonplanar graph by greedy edge deletion in
-networkx's own order, with batched yes/no tests; it deletes edges off
-the 2-core untested, and stops once that core subdivides K5 or K3,3.
-`planar` certifies what both return.
+(a long path or cycle, a large grid) is no problem; the first is the
+palm forest of `graph.PalmForest`.  It keeps the adjacency, DFS and
+tie-breaking orders of the networkx implementation, so its rotations
+are the ones networkx gives.  `kuratowski_edges` finds the Kuratowski
+subgraph of a nonplanar graph by greedy edge deletion in networkx's
+own order, with batched yes/no tests; it deletes edges off the 2-core
+untested, and stops once that core subdivides K5 or K3,3.  `planar`
+certifies what both return.
 """
 
+from .graph import PalmForest
 from .planar import subdivision_kind
 
 
@@ -35,9 +37,13 @@ def left_right(n, edges, embed=False):
     True, or with `embed` each vertex's neighbours in clockwise order.
 
     Three iterative phases over edge ids 0..m-1, numbered as the DFS
-    orients them.  The orientation DFS computes `height`, the
-    `lowpt`/`lowpt2` return heights and the nesting depth of each edge.
-    The testing DFS visits each vertex's out-edges by nesting depth and
+    orients them: the arcs of the palm forest.  A tree edge's `lowpt`
+    and `lowpt2` are its head's low1 and low2 capped at its tail's DFS
+    number, a back edge's its head's and its tail's numbers.  networkx
+    counts heights instead, but both order a vertex's ancestors alike,
+    so no comparison changes; the nesting depth counts from the number
+    of the tree's root, height 0, so signed depths sort alike too.  The
+    testing DFS visits each vertex's out-edges by nesting depth and
     merges their return edges on a stack of conflict pairs, each a list
     [left low, left high, right low, right high] of edge ids (None for
     an empty interval), recording for each edge a `ref` edge and the
@@ -49,72 +55,38 @@ def left_right(n, edges, embed=False):
     list (`cw`, `ccw`) with a marked first neighbour, as in networkx, so
     the rotation is the one networkx returns.
     """
-    m = len(edges)
-    if n > 2 and m > 3 * n - 6:
+    if n > 2 and len(edges) > 3 * n - 6:
         return None
     adj = [[] for _ in range(n)]
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
 
-    # orientation: a DFS from every vertex not reached yet, in order
-    height = [-1] * n
-    parent = [-1] * n           # DFS parent vertex
+    # orientation: the palm forest, its arcs numbered as edge ids
+    palm = PalmForest(adj)
+    num, parent, low1, low2 = palm.num, palm.parent, palm.low1, palm.low2
+    src, dst, roots = palm.tail, palm.head, palm.roots
+    base = []       # DFS number -> that of its tree's root, height 0
+    for r in roots:
+        base += [num[r]] * palm.size[r]
+    m = len(src)
+    lowpt, lowpt2, nesting = [0] * m, [0] * m, [0] * m
     parent_edge = [-1] * n      # id of the tree edge into a vertex
-    src, dst, lowpt, lowpt2 = [], [], [], []
-    nesting = [0] * m
     out = [[] for _ in range(n)]    # a vertex's out-edges, in DFS order
-    roots = []
-
-    def finish(e):
-        # nesting depth of e, then e's return heights passed to the
-        # edge into its source
-        v = src[e]
-        nesting[e] = 2 * lowpt[e] + (lowpt2[e] < height[v])
-        p = parent_edge[v]
-        if p >= 0:
-            if lowpt[e] < lowpt[p]:
-                lowpt2[p] = min(lowpt[p], lowpt2[e])
-                lowpt[p] = lowpt[e]
-            elif lowpt[e] > lowpt[p]:
-                lowpt2[p] = min(lowpt2[p], lowpt[e])
-            else:
-                lowpt2[p] = min(lowpt2[p], lowpt2[e])
-
-    for root in range(n):
-        if height[root] >= 0:
-            continue
-        height[root] = 0
-        roots.append(root)
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            v, todo = stack[-1]
-            hv = height[v]
-            for w in todo:
-                hw = height[w]
-                if hw >= 0 and (hw >= hv or w == parent[v]):
-                    continue        # oriented from w already
-                e = len(src)
-                src.append(v)
-                dst.append(w)
-                lowpt2.append(hv)
-                out[v].append(e)
-                if hw < 0:          # tree edge
-                    lowpt.append(hv)
-                    height[w] = hv + 1
-                    parent[w] = v
-                    parent_edge[w] = e
-                    stack.append((w, iter(adj[w])))
-                    break
-                lowpt.append(hw)    # back edge
-                finish(e)
-            else:
-                stack.pop()
-                if parent_edge[v] >= 0:
-                    finish(parent_edge[v])
+    for e, (v, w) in enumerate(zip(src, dst)):
+        nv = num[v]
+        if parent[w] == v:          # tree edge
+            parent_edge[w] = e
+            low = low1[w] if low1[w] < nv else nv
+            second = low2[w] if low2[w] < nv else nv
+        else:                       # back edge
+            low, second = num[w], nv
+        lowpt[e] = low
+        lowpt2[e] = second
+        nesting[e] = 2 * (low - base[nv]) + (second < nv)
+        out[v].append(e)
 
     # testing
-    m = len(src)
     ordered = [sorted(es, key=nesting.__getitem__) for es in out]
     ref = [None] * m
     side = [1] * m
@@ -179,7 +151,7 @@ def left_right(n, edges, embed=False):
 
     def remove_back_edges(e):
         u = src[e]
-        hu = height[u]
+        hu = num[u]
         # drop the conflict pairs whose edges all return to u
         while S and lowest(S[-1]) == hu:
             P = S.pop()
@@ -210,7 +182,7 @@ def left_right(n, edges, embed=False):
     def integrate(v, ei):
         # the return edges of ei, an out-edge of v, join those of the
         # edge into v
-        if lowpt[ei] >= height[v]:
+        if lowpt[ei] >= num[v]:
             return True
         if ei == ordered[v][0]:
             lowpt_edge[parent_edge[v]] = lowpt_edge[ei]

@@ -9,7 +9,9 @@ own:
 
 - the `graph` primitives (`Graph`, `build_graph`, `edge_key`,
   `connected_components`, `two_cuts` and the connectivity tests), which
-  the cutset oracles check in tests/test_graph.py;
+  the cutset oracles check in tests/test_graph.py, against the component
+  BFS that skips dropped vertices (`bfs_components`) and the lowpoint DFS
+  on vertex names (`lowpoint_dfs`) kept here as references;
 - `b1_family` and `BlockCutTree`, which give the reference hinge family
   its blocks, and which `one_boundary_family`, `mask_b1_family` and the
   block-cut tree certificate check;
@@ -190,12 +192,80 @@ def remove_vertices(g, drop):
     return induced_subgraph(g, keep)
 
 
+def bfs_components(g, drop=()):
+    """Components of g minus the vertices in drop, as sorted vertex
+    tuples ordered by smallest member.  The BFS skips the dropped
+    vertices, so no copy of the graph is made."""
+    seen = set(drop)
+    out = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for x in comp:      # the list grows behind the scan: a BFS queue
+            for y in g.neighbors(x):
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        out.append(tuple(sorted(comp)))
+    return out
+
+
+def lowpoint_dfs(g, skip=None):
+    """(order, parent, split) of one iterative lowpoint DFS of g minus the
+    vertex skip, from its least vertex, on vertex names and dicts:
+    discovery order, DFS parents (None at the root), and for each cut
+    vertex c of g - skip the children whose lowpoint does not climb above
+    c.  Each of their subtrees is a component of g - skip - c and, unless
+    c is the root, the rest is one more.  skip counts as seen, discovered
+    after every vertex, so it is never entered and never a lowpoint.
+    NotConnected, with the components of g - skip, when g - skip is not
+    connected.
+    """
+    drop = () if skip is None else (skip,)
+    root = min((v for v in g.vertices if v != skip), default=None)
+    order = [root]                      # DFS discovery order
+    disc = dict.fromkeys(drop, len(g.vertices))
+    disc[root] = 0
+    low = {root: 0}
+    parent = {root: None}
+    split = {}
+    stack = [(root, iter(g.neighbors(root)))] if root is not None else []
+    while stack:
+        v, todo = stack[-1]
+        for w in todo:
+            if w not in disc:
+                disc[w] = low[w] = len(order)
+                parent[w] = v
+                order.append(w)
+                stack.append((w, iter(g.neighbors(w))))
+                break
+            if disc[w] < low[v] and w != parent[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            p = parent[v]
+            if p is not None:
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    split.setdefault(p, []).append(v)
+    if root is None or len(order) + len(drop) < len(g.vertices):
+        raise NotConnected("cut vertices are defined for connected graphs",
+                           witness=[list(c) for c in bfs_components(g, drop)])
+    # every child of the root splits off; it is a cut vertex with two
+    if len(split.get(root, ())) == 1:
+        del split[root]
+    return order, parent, split
+
+
 def separating_sets(g, size):
     """(drop, components of g - drop) for every `size`-subset drop of the
     vertices whose removal leaves at least two components, in
     `combinations` order: one component search per subset."""
     for drop in combinations(g.vertices, size):
-        comps = connected_components(g, drop)
+        comps = bfs_components(g, drop)
         if len(comps) > 1:
             yield drop, comps
 
@@ -929,7 +999,7 @@ def reference_lift_torso_separation(host, zsep, hang=()):
     x, y = sorted(zsep.boundary)
     seeds = zsep.va - zsep.boundary
     near = {u for v in hang for u in host.neighbors(v)} - zsep.host.vertex_set
-    comps = [c for c in connected_components(host, (x, y))
+    comps = [c for c in bfs_components(host, (x, y))
              if not seeds.isdisjoint(c) or not near.isdisjoint(c)]
     return component_side(host, (x, y), comps, edge_key(x, y) in zsep.ea)
 

@@ -2,9 +2,9 @@
 combined cut-point / cycle / 3-connected tree."""
 
 import random
-import sys
 import time
 from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -712,7 +712,7 @@ def _k4_w5_chain(links):
                                   "k4_w5_chain"])
 def test_triblocks_passes_over_each_graph_once(name, monkeypatch, tmp_path):
     # one Graph object serves as block, region, torso and witness, and
-    # keeps its components and its 2-cuts, so no search runs twice on it
+    # keeps its palm forest and its 2-cuts, so no search runs twice on it
     if name == "k4_w5_chain":
         path = tmp_path / "k4_w5_chain.edges"
         path.write_text("".join("%d %d\n" % e for e in _k4_w5_chain(6).edges))
@@ -720,23 +720,19 @@ def test_triblocks_passes_over_each_graph_once(name, monkeypatch, tmp_path):
         path = fixture_path(name + ".edges")
     searched = []       # (search, graph), graphs kept so that ids stay unique
     two_cut_pass = graph._two_cut_pass
-    components = graph.connected_components
+    palm = graph.Graph.palm.func
 
     def cut_pass(g):
         searched.append(("2-cuts", g))
         return two_cut_pass(g)
 
-    def component_search(g, drop=()):
-        if not drop:
-            searched.append(("components", g))
-        return components(g, drop)
+    def whole_search(g):
+        searched.append(("palm", g))
+        return palm(g)
     monkeypatch.setattr(graph, "_two_cut_pass", cut_pass)
-    for modname, module in list(sys.modules.items()):
-        if (modname.split(".")[0] == "planarblocks"
-                and getattr(module, "connected_components", None)
-                is components):
-            monkeypatch.setattr(module, "connected_components",
-                                component_search)
+    counted = cached_property(whole_search)
+    counted.__set_name__(graph.Graph, "palm")
+    monkeypatch.setattr(graph.Graph, "palm", counted)
     blocks = []         # the blocks whose hinge sides are sought
     uncrossed_sides = blocks2._uncrossed_sides
     monkeypatch.setattr(blocks2, "_uncrossed_sides",
@@ -749,7 +745,7 @@ def test_triblocks_passes_over_each_graph_once(name, monkeypatch, tmp_path):
     assert code == 0, out
     (t,) = trees
     counts = Counter((kind, id(g)) for kind, g in searched)
-    assert {kind for kind, _ in counts} == {"2-cuts", "components"}
+    assert {kind for kind, _ in counts} == {"2-cuts", "palm"}
     assert max(counts.values()) == 1, counts
     # a torso left a whole block reads the block's 2-cuts; only a torso
     # with virtual edges is a graph of its own, searched anew

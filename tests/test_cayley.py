@@ -42,10 +42,11 @@ from planarblocks import (
 )
 from planarblocks import cli, planar
 from planarblocks.blocks2 import KIND_THREE_CONNECTED
-from planarblocks.cayley import (check_relators, free_abelian_rank,
-                                 rotation_candidates, surface_signature)
+from planarblocks.cayley import (MAX_WORD_LETTERS, check_relators,
+                                 free_abelian_rank, rotation_candidates,
+                                 surface_signature)
 from planarblocks.errors import (BadExponent, InvariantViolated,
-                                 MalformedInput, Overflow)
+                                 MalformedInput, Overflow, TooLarge)
 
 
 def read_pres(name):
@@ -435,6 +436,30 @@ def test_huge_exponent_is_refused_at_the_cap(tmp_path, text):
     assert code == 1 and out["error"]["kind"] == "overflow"
     assert out["error"]["witness"] == {"defined": 20032, "limit": 10000}
     assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("text", [
+    "gens: a b\nrels: (b^300000000*a)^2",
+    "gens: a b\nrels: a^300000000*b",
+])
+def test_huge_word_is_refused_before_it_is_spelled_out(tmp_path, text):
+    # a power inside a word is spelled out letter by letter; 300,000,001
+    # letters would take gigabytes, so the word's exponents are summed
+    # and checked against the bound first
+    code, out, elapsed = _cayley_in_bounded_memory(tmp_path, text)
+    assert code == 1 and out["error"]["kind"] == "too-large"
+    assert out["error"]["witness"] == {"letters": 300000001,
+                                       "limit": MAX_WORD_LETTERS}
+    assert elapsed < 1.0, elapsed
+
+
+def test_word_at_the_letter_bound_is_spelled_out():
+    pr = parse_presentation("gens: a b\nrels: (b^%d*a)^2"
+                            % (MAX_WORD_LETTERS - 1))
+    (word, exponent), = [r for r in pr.relators if r[1] == 2]
+    assert len(word) == MAX_WORD_LETTERS and exponent == 2
+    with pytest.raises(TooLarge):
+        parse_presentation("gens: a b\nrels: (b^%d*a)^2" % MAX_WORD_LETTERS)
 
 
 def test_huge_exponent_of_a_closed_cycle_is_skipped(tmp_path):

@@ -6,23 +6,25 @@ import sys
 import time
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarblocks.blocks1 import block_cut_tree
 from planarblocks.errors import MalformedInput, NotConnected, TooLarge
-from planarblocks.graph import (MAX_UNNAMED_VERTICES, _lowpoint_dfs,
-                                build_graph, connected_components,
+from planarblocks.graph import (MAX_UNNAMED_VERTICES, build_graph,
+                                connected_components,
                                 cut_vertices, edge_key,
                                 homeomorphic_reduce, induced_subgraph,
                                 is_connected, is_simple_cycle,
-                                is_two_connected, parse_edge_list, two_cuts)
+                                is_two_connected, PalmForest,
+                                parse_edge_list, two_cuts)
 
 from conftest import complete_graph, cycle_graph, g_of, path_graph
-from oracles import (chorded_cycle, format_edge_list, glued_blocks,
-                     is_three_connected_by_cutsets, lowpoint_blocks,
-                     random_connected_graph, remove_vertices,
-                     restart_reduction, separating_sets)
+from oracles import (bfs_components, chorded_cycle, format_edge_list,
+                     glued_blocks, is_three_connected_by_cutsets,
+                     lowpoint_blocks, lowpoint_dfs, random_connected_graph,
+                     remove_vertices, restart_reduction, separating_sets)
 
 
 def test_edge_key_orients():
@@ -143,8 +145,7 @@ def test_component_search_matches_a_copy_without_the_dropped_vertices():
             disconnecting = []
             for drop in combinations(g.vertices, size):
                 rest = remove_vertices(g, drop)
-                assert connected_components(g, drop) == \
-                    connected_components(rest)
+                assert bfs_components(g, drop) == connected_components(rest)
                 if rest.vertices and not is_connected(rest):
                     disconnecting.append((drop, connected_components(rest)))
             if size:
@@ -209,17 +210,91 @@ def test_one_lowpoint_dfs_answers_the_cutset_oracle(b):
         rest = induced_subgraph(b, [u for u in b.vertices if u != v])
         want = tuple(c for (c,), _ in separating_sets(rest, 1))
         assert cut_vertices(rest) == want
-        assert tuple(sorted(_lowpoint_dfs(b, v)[2])) == want
+        assert tuple(sorted(lowpoint_dfs(b, v)[2])) == want
+        skipped = PalmForest(b.palm.adj, b.vertices.index(v))
+        assert tuple(sorted(b.vertices[c] for c in skipped.splits())) == want
         assert (is_two_connected(rest), is_three_connected_by_cutsets(rest)) \
             == _connectivity_by_cutsets(rest)
 
 
 def test_skipping_a_cut_vertex_reports_the_pieces(bowtie):
     with pytest.raises(NotConnected) as err:
-        _lowpoint_dfs(bowtie, 0)
+        lowpoint_dfs(bowtie, 0)
     assert err.value.witness == [[1, 2], [3, 4]]
-    with pytest.raises(NotConnected):
-        list(two_cuts(bowtie))
+    with pytest.raises(NotConnected) as err:
+        two_cuts(bowtie)
+    assert err.value.witness == [[1, 2], [3, 4]]
+
+
+@st.composite
+def _spread_hosts(draw):
+    """Up to four pieces, each a random connected graph, one vertex
+    among them as often as not, on labels spread out and shuffled."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    pieces = [random_connected_graph(rng, rng.choice((1, 3, 8)))
+              for _ in range(draw(st.integers(1, 4)))]
+    n = sum(len(p.vertices) for p in pieces)
+    labels = rng.sample(range(5 * n), n)
+    vs, es, base = [], [], 0
+    for p in pieces:
+        vs += labels[base:base + len(p.vertices)]
+        es += [(labels[base + u], labels[base + v]) for u, v in p.edges]
+        base += len(p.vertices)
+    return build_graph(vs, es)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NotConnected as exc:
+        return "not connected", exc.witness
+
+
+def _two_cuts_by_search(g):
+    """`two_cuts` of g from the name-keyed lowpoint DFS per skipped
+    vertex and the BFS that skips the pair."""
+    out = []
+    for i, v in enumerate(g.vertices[:-1]):
+        split = lowpoint_dfs(g, v)[2]
+        out += [((v, w), bfs_components(g, (v, w)))
+                for w in g.vertices[i + 1:] if w in split]
+    return out
+
+
+def _nx_pieces(h, vs):
+    return sorted(tuple(sorted(c)) for c in nx.connected_components(
+        h.subgraph(vs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spread_hosts())
+def test_palm_forest_facts_match_the_searches_and_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    comps = bfs_components(g)
+    assert list(g.components) == connected_components(g) == comps
+    assert _nx_pieces(h, g.vertices) == comps
+    assert _outcome(lambda: list(two_cuts(g))) == \
+        _outcome(_two_cuts_by_search, g)
+    if len(comps) > 1:
+        assert not is_two_connected(g)
+        assert _outcome(cut_vertices, g) == \
+            ("not connected", [list(c) for c in comps])
+    for comp in comps:
+        c = induced_subgraph(g, comp)
+        cuts = tuple(sorted(nx.articulation_points(h.subgraph(comp))))
+        assert cut_vertices(c) == cuts == tuple(sorted(lowpoint_dfs(c)[2]))
+        blocks = list(nx.biconnected_components(h.subgraph(comp)))
+        assert is_two_connected(c) == (len(comp) >= 3 and len(blocks) == 1)
+        assert _outcome(lambda: list(two_cuts(c))) == \
+            _outcome(_two_cuts_by_search, c)
+        if is_two_connected(c):
+            assert list(two_cuts(c)) == [
+                ((v, w), _nx_pieces(h, set(comp) - {v, w}))
+                for v, w in combinations(comp, 2)
+                if nx.number_connected_components(
+                    h.subgraph(set(comp) - {v, w})) > 1]
 
 
 def test_reduce_keeps_simple_cycles(c6):

@@ -222,6 +222,14 @@ def test_left_right_agrees_with_networkx(g):
     index = {v: i for i, v in enumerate(g.vertices)}
     edges = [(index[u], index[v]) for u, v in g.edges]
     assert (left_right(len(g.vertices), edges) is not None) == ok
+    if ok and nx.__version__ == "3.6.1":
+        # disconnected hosts too: each tree's nesting depths count from
+        # its own root, as networkx's heights do
+        order = leftright.edge_order(len(g.vertices), edges)
+        rotation = left_right(len(g.vertices), order, embed=True)
+        vs = g.vertices
+        assert {vs[v]: [vs[w] for w in around]
+                for v, around in enumerate(rotation)} == cert.get_data()
     if not is_connected(g):
         with pytest.raises(NotConnected):
             planarity_test(g)
@@ -242,6 +250,42 @@ def test_left_right_agrees_with_networkx(g):
         assert res.witness.edges == networkx_kuratowski_edges(g)
         assert kuratowski_kind(res.witness) in ("K5", "K33")
         assert certify_kuratowski(res.witness) == kuratowski_kind(res.witness)
+
+
+def _chorded_cycle(n):
+    """The n-cycle with the nested chords {i, n - 1 - i} inside and the
+    chords {i, i + 2} on its second half outside, every fourth i."""
+    chords = [(i, n - 1 - i) for i in range(1, n // 2 - 1)]
+    chords += [(i, i + 2) for i in range(n // 2, n - 2, 4)]
+    return build_graph(range(n), [(i, (i + 1) % n) for i in range(n)]
+                       + chords)
+
+
+def _dihedral_cayley_graph(n):
+    pr = parse_presentation("gens: a b\nrels: a^%d, b^2, (a*b)^2" % n)
+    return cayley_graph(coset_enumerate(pr), pr)
+
+
+@pytest.mark.skipif(nx.__version__ != "3.6.1",
+                    reason="rotations pinned to networkx 3.6.1's orders")
+@pytest.mark.parametrize("build", [
+    lambda: grid_graph(10, 10), lambda: grid_graph(30, 30),
+    lambda: _chorded_cycle(200), lambda: wheel_graph(12),
+    lambda: wheel_graph(300), lambda: _dihedral_cayley_graph(50)],
+    ids=["grid10x10", "grid30x30", "chorded200", "wheel12", "wheel300",
+         "D50"])
+def test_left_right_agrees_with_networkx_on_deep_trees(build):
+    # DFS trees hundreds of vertices deep: the orientation numbers
+    # vertices in DFS order, networkx counts heights, and the rotations
+    # must agree all the same
+    g = build()
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    ok, cert = nx.check_planarity(h)
+    res = planarity_test(g)
+    assert ok and res.planar
+    assert res.embedding.rotation == cert.get_data()
 
 
 @settings(max_examples=300, deadline=None)
