@@ -27,8 +27,7 @@ _EXPORTS = {
     "separation": ("Separation", "separation_complement"),
     "symmetry": ("AutGroup", "QuotientGraph", "automorphism_group",
                  "quotient_graph", "tree_action_check"),
-    "treeset": ("NestedFamily", "StructureTree", "build_structure_tree",
-                "certify_tree"),
+    "treeset": ("NestedFamily", "build_structure_tree", "certify_tree"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

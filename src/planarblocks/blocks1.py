@@ -12,10 +12,11 @@ Its directed edges are the elements of the one-boundary family: at each
 cut vertex c, for every component C of X - c, the minimal element
 spanned by C (all of C plus c and the joining edges) and its complement.
 A side is the union of the regions beyond its edge, so the sides come
-bottom-up, one OR per tree node, and the family comes with its tree
-(`treeset.NestedFamily`).  Of the two producers of a family this is the
-DFS read; the other, `treeset.build_structure_tree`, reads the tree off
-the containment of the sides and is not called here.  When c leaves
+bottom-up, one OR per tree node, and the family and its tree are built
+as one record (`treeset.NestedFamily`), the classes read off the DFS.
+Of the two producers of a family this is the DFS read; the other,
+`treeset.build_structure_tree`, reads the classes off the containment
+of the sides and is not called here.  When c leaves
 exactly two components, the minimal element on one side coincides, as a
 subgraph, with the complement of the other; the two are distinct family
 members on distinct tree edges, the minimal one below its twin.
@@ -33,11 +34,11 @@ from .treeset import NestedFamily, certify_tree
 
 def b1_family(g):
     """All single-component minimal elements at every cut vertex, plus
-    complements, as the family of the block-cut tree (`family.tree`):
-    cut vertices ascending, components by least vertex, each minimal
-    side followed by its complement.  Connected input; a 2-connected
-    graph, an edge or a vertex gives the empty family, whose one region
-    is g itself."""
+    complements, as the family whose classes are the block-cut tree's
+    vertices: cut vertices ascending, components by least vertex, each
+    minimal side followed by its complement.  Connected input; a
+    2-connected graph, an edge or a vertex gives the empty family, whose
+    one region is g itself."""
     split = _splits(g)
     if not split:
         return NestedFamily(g, (), (frozenset(),), (g,))
@@ -103,22 +104,16 @@ def b1_family(g):
 
 
 class BlockCutTree:
-    """The block-cut tree of `graph`, read off the tree of `family`, a
-    `treeset.NestedFamily` such as `b1_family` builds."""
+    """The block-cut tree of `graph`, read off `family`, a
+    `treeset.NestedFamily` such as `b1_family` builds: its cut-point
+    classes, and the regions of the others as blocks."""
 
     def __init__(self, graph, family):
         self.graph = graph
         self.family = family
-        self.tree = tree = family.tree
-        # tree vertex -> cut vertex, and tree vertex -> block subgraph
-        self.cut_classes = cut_classes = {}
-        self.block_classes = block_classes = {}
-        for ci in range(tree.vertex_count):
-            cut = tree.cut_vertex(ci)
-            if cut is None:
-                block_classes[ci] = tree.region(ci)
-            else:
-                cut_classes[ci] = cut
+        self.cut_classes = cut_classes = family.cut_classes
+        self.block_classes = {ci: reg for ci, reg in enumerate(family.regions)
+                              if ci not in cut_classes}
 
     @property
     def blocks(self):
@@ -149,7 +144,7 @@ def certify_block_cut_tree(bct):
     vertex and lies in the blocks next to it, and every block with
     members has an edge.
     """
-    g, fam, tree = bct.graph, bct.family, bct.tree
+    g, fam = bct.graph, bct.family
     cut_of, block_of = bct.cut_classes, bct.block_classes
     if fam.host is not g:
         # the blocks are subgraphs of the family's host, so they cover
@@ -159,7 +154,7 @@ def certify_block_cut_tree(bct):
         invariant(fam.host == g, "family lives on another host")
     invariant(len(set(cut_of.values())) == len(cut_of),
               "a cut vertex has two tree vertices")
-    for a, b in tree.edges:
+    for a, b in fam.edges:
         invariant((a in cut_of) != (b in cut_of),
                   "cut class adjacent to a cut class" if a in cut_of
                   else "block class adjacent to a block class", [a, b])
@@ -169,6 +164,6 @@ def certify_block_cut_tree(bct):
     # a class without members is the one of an empty family, or apart
     # from the tree, which certify_tree reports
     bare = next((ci for ci, blk in block_of.items()
-                 if not blk.edges and tree.classes[ci]), None)
+                 if not blk.edges and fam.classes[ci]), None)
     invariant(bare is None, "block without an edge", bare)
-    certify_tree(tree)
+    certify_tree(fam)

@@ -26,6 +26,11 @@ vertex (`_pendant_homes`), so the lifted sides stay nested.  No side
 is checked as it is built: `triblock_tree` certifies the whole tree
 (`treeset.certify_tree`).
 
+The family and its tree are one record (`treeset.NestedFamily`) that
+holds the reduced host, the tree edges and the cut-point classes; a
+`TriBlockTree` adds the input, its reduction, and each class's kind and
+torso.
+
 One `Graph` object stands for each distinct graph on the way.  The
 reduced host is the input itself when no vertex is suppressed, and a
 block that no hinge splits is its region (`build_structure_tree` is
@@ -42,7 +47,7 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
-from .errors import HingeVertex, MalformedInput, invariant
+from .errors import HingeVertex, invariant
 from .graph import (Graph, edge_key, homeomorphic_reduce, is_connected,
                     is_simple_cycle, is_two_connected, require_connected,
                     two_cuts)
@@ -116,8 +121,8 @@ def _pendant_homes(pairs, cuts):
 
 
 def _canonical_tree(h):
-    """Structure tree of the one-boundary family of h together with the
-    uncrossed hinge separations of each of its blocks.
+    """The nested family, tree included, of h's one-boundary family and
+    the uncrossed hinge separations of each of its blocks.
 
     The blocks come off the block-cut tree that `b1_family` reads off
     its DFS.  Blocks of at most three vertices and cycles have none.
@@ -129,19 +134,19 @@ def _canonical_tree(h):
     pendant piece goes with neither.
     """
     bct = BlockCutTree(h, b1_family(h))
-    tree, ix = bct.tree, h.index
-    elements = list(bct.family.elements)
+    fam, ix = bct.family, h.index
+    elements = list(fam.elements)
     cuts = set(bct.cuts)
     present = set()
     known = {}      # a block by its masks: the region of a block left whole
-    for ci, z in sorted(bct.block_classes.items()):
+    for ci, z in bct.block_classes.items():
         known[ix.vertex_mask(z.vertices),
               reduce(or_, map(ix.edge_bit.__getitem__, z.edges), 0)] = z
         if len(z.vertices) <= 3 or is_simple_cycle(z):
             continue
         hang = {v: ix.vertex_bit[v] for v in z.vertices}
-        for i in tree.classes[ci]:
-            hang[bct.cut_classes[tree.class_of[i ^ 1]]] |= elements[i].vmask
+        for i in fam.classes[ci]:
+            hang[bct.cut_classes[fam.class_of[i ^ 1]]] |= elements[i].vmask
         zx = z.index
         for zsep, take in _pendant_homes(_uncrossed_sides(z),
                                          cuts & z.vertex_set):
@@ -165,24 +170,23 @@ def _canonical_tree(h):
 # torsos
 
 
-def _region_parts(tree, ci):
+def _region_parts(family, ci):
     """(region, torso graph, virtual edges, virtual generators) of a class.
 
     One virtual edge per hinge member whose boundary pair is not already
     joined in the torso built so far; members are visited in sort-key
     order so the generator choice is reproducible.
     """
-    fam = tree.family
-    zprime = tree.region(ci)
+    elements = family.elements
+    zprime = family.regions[ci]
     zvs = zprime.vertex_set
     zes = set(zprime.edges)
     virtuals = []
     gens = {}
-    hinges = [i for i in tree.classes[ci]
-              if fam.elements[i].bmask.bit_count() == 2]
-    for i in sorted(hinges,
-                    key=lambda i: (fam.elements[i].sort_key(), i & 1)):
-        e = fam.elements[i]
+    hinges = [i for i in family.classes[ci]
+              if elements[i].bmask.bit_count() == 2]
+    for i in sorted(hinges, key=lambda i: (elements[i].sort_key(), i & 1)):
+        e = elements[i]
         invariant(e.boundary <= zvs, "hinge must survive into the region")
         k = edge_key(*e.boundary)
         if k not in zes:
@@ -223,19 +227,18 @@ class Torso:
         self.witness_paths = witness_paths  # virtual edge -> host path
 
 
-def torso(g, tree, v):
-    """Torso of tree class v: region plus one virtual edge per unjoined
-    member hinge, together with a host witness subdivision.
+def torso(family, v):
+    """Torso of class v of the family's tree: region plus one virtual
+    edge per unjoined member hinge, together with a witness subdivision
+    in the family's host.
 
     Single-vertex regions (cut-point classes) have no torso and raise
     HingeVertex.
     """
-    if tree.family.host != g:
-        raise MalformedInput("tree does not describe this host")
-    cut = tree.cut_vertex(v)
-    if cut is not None:
-        raise HingeVertex("single-vertex region has no torso", witness=cut)
-    zprime, z, virtuals, gens = _region_parts(tree, v)
+    if v in family.cut_classes:
+        raise HingeVertex("single-vertex region has no torso",
+                          witness=family.cut_classes[v])
+    zprime, z, virtuals, gens = _region_parts(family, v)
     invariant(is_connected(z), "torso must be connected")
     if len(z.vertices) >= 3:
         invariant(is_two_connected(z), "torso must be 2-connected")
@@ -264,7 +267,8 @@ def torso(g, tree, v):
         path_edges.update(edge_key(x, y) for x, y in zip(walk, walk[1:]))
     witness = zprime if not paths else Graph(
         tuple(sorted(wvs)), tuple(sorted(path_edges.union(zprime.edges))))
-    invariant(set(witness.edges) <= g.edge_set, "witness must live in the host")
+    invariant(set(witness.edges) <= family.host.edge_set,
+              "witness must live in the host")
     for inner in interiors:
         for w in inner:
             invariant(witness.degree(w) == 2,
@@ -287,22 +291,15 @@ KIND_THREE_CONNECTED = "ThreeConnected"
 
 
 class TriBlockTree:
-    def __init__(self, original, reduced, graph, family, tree, kinds,
-                 cut_classes, torsos, edges):
+    """The tri-block tree of `original`: `family` holds the reduced host
+    (`family.host`), the tree's edges and its cut-point classes."""
+
+    def __init__(self, original, reduced, family, kinds, torsos):
         self.original = original
         self.reduced = reduced      # the ReducedGraph of original
-        self.graph = graph          # the reduced host the tree describes
         self.family = family
-        self.tree = tree
         self.kinds = kinds          # vertex id -> KIND_*
-        # vertex id -> cut vertex (CutPoint vertices)
-        self.cut_classes = cut_classes
         self.torsos = torsos        # vertex id -> Torso (Cycle, 3-connected)
-        self.edges = edges          # (i, j) tree edges, i < j
-
-    @property
-    def vertex_count(self):
-        return len(self.kinds)
 
 
 def triblock_tree(g):
@@ -319,23 +316,19 @@ def triblock_tree(g):
     require_connected(g, "decomposition needs a connected graph")
     red = homeomorphic_reduce(g)
     h = red.graph
-    tree = _canonical_tree(h)
+    fam = _canonical_tree(h)
     kinds = {}
-    cut_classes = {}
     torsos = {}
-    for ci in range(tree.vertex_count):
-        cut = tree.cut_vertex(ci)
-        if cut is not None:
+    for ci in range(fam.vertex_count):
+        if ci in fam.cut_classes:
             kinds[ci] = KIND_CUT_POINT
-            cut_classes[ci] = cut
             continue
-        t = torso(h, tree, ci)
+        t = torso(fam, ci)
         torsos[ci] = t
         kinds[ci] = _classify(t.z)
-    _check_edge_partition(h, kinds, cut_classes, torsos)
-    certify_tree(tree)
-    return TriBlockTree(g, red, h, tree.family, tree, kinds, cut_classes,
-                        torsos, tree.edges)
+    _check_edge_partition(h, torsos)
+    certify_tree(fam)
+    return TriBlockTree(g, red, fam, kinds, torsos)
 
 
 def _classify(z):
@@ -349,7 +342,7 @@ def _classify(z):
     return KIND_THREE_CONNECTED
 
 
-def _check_edge_partition(h, kinds, cut_classes, torsos):
+def _check_edge_partition(h, torsos):
     seen = {}
     for ci, t in torsos.items():
         for e in t.z_prime.edges:

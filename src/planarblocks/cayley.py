@@ -44,7 +44,7 @@ from itertools import permutations
 from operator import eq
 
 from .errors import (DEFAULT_COSET_LIMIT, BadExponent, InvariantViolated,
-                     MalformedInput, Overflow, TooLarge, invariant)
+                     MalformedInput, Overflow, TooLarge, invariant, to_int)
 from .graph import Graph
 
 # letters a word in a relator may spell out once its powers are expanded
@@ -128,7 +128,7 @@ def _parse_word(text):
         mm = re.fullmatch(r"([A-Za-z]\w*)(?:\^(-?\d+))?", piece)
         if not mm:
             raise MalformedInput("cannot parse word", witness=text)
-        name, exp = mm.group(1), int(mm.group(2) or 1)
+        name, exp = mm.group(1), to_int(mm.group(2) or "1")
         if exp == 0:
             raise MalformedInput("zero exponent in word", witness=piece)
         powers.append((name, exp))
@@ -150,7 +150,7 @@ def _parse_relator(tok):
         except MalformedInput:
             raise MalformedInput("cannot parse relator", witness=tok) from None
     inner, name, exp = mm.groups()
-    n = int(exp) if exp is not None else 1
+    n = to_int(exp) if exp is not None else 1
     word = _parse_word(inner) if inner is not None else ((name, 1),)
     if n < 0:
         word, n = invert_word(word), -n
@@ -180,13 +180,13 @@ def parse_presentation(text):
             body = line[len("surface("):-1]
             mm = re.fullmatch(
                 r"\s*(\d+)\s*,\s*\[([\d\s,]*)\]\s*,\s*(\d+)\s*", body)
-            if not mm:
+            ms = mm and [x.strip() for x in mm.group(2).split(",")
+                         if x.strip()]
+            if not mm or not all(map(str.isdecimal, ms)):
                 raise MalformedInput("cannot parse surface shorthand",
                                      witness=line)
-            p = int(mm.group(1))
-            ms = tuple(int(x) for x in mm.group(2).split(",") if x.strip())
-            s = int(mm.group(3))
-            base = (p, ms, s)
+            base = (to_int(mm.group(1)), tuple(map(to_int, ms)),
+                    to_int(mm.group(3)))
         elif line.startswith("gens:"):
             if gens is not None or base is not None:
                 raise MalformedInput("conflicting presentation sections",

@@ -56,8 +56,8 @@ def _blocks(g, bound, args):
             {"id": ci, "kind": "cut", "vertex": bct.cut_classes[ci]}
             if ci in bct.cut_classes else
             {"id": ci, "kind": "block", "graph": bct.block_classes[ci]}
-            for ci in range(bct.tree.vertex_count)],
-        "tree_edges": bct.tree.edges,
+            for ci in range(bct.family.vertex_count)],
+        "tree_edges": bct.family.edges,
         "blocks": bct.blocks,
         "cut_vertices": bct.cuts,
         "family_size": len(bct.family.elements),
@@ -70,19 +70,20 @@ def _blocks(g, bound, args):
 def _triblocks(g, bound, args):
     from .blocks2 import triblock_tree
     tbt = triblock_tree(g)
+    fam = tbt.family
     nodes = []
-    for ci in range(tbt.vertex_count):
+    for ci in range(fam.vertex_count):
         node = {"id": ci, "kind": tbt.kinds[ci]}
-        if ci in tbt.cut_classes:
-            node["vertex"] = tbt.cut_classes[ci]
+        if ci in fam.cut_classes:
+            node["vertex"] = fam.cut_classes[ci]
         if ci in tbt.torsos:
             t = tbt.torsos[ci]
             node.update(region=t.z_prime, virtual_edges=t.virtual_edges,
                         torso=t.z, witness=t.witness)
         nodes.append(node)
-    return {"input": tbt.original, "reduced": tbt.graph,
-            "tree_vertices": nodes, "tree_edges": tbt.edges,
-            "family_size": len(tbt.family.elements)}
+    return {"input": tbt.original, "reduced": fam.host,
+            "tree_vertices": nodes, "tree_edges": fam.edges,
+            "family_size": len(fam.elements)}
 
 
 def _planar(g, bound, args):
@@ -203,7 +204,7 @@ def _check(g, bound, args):
     def triblocks():
         tbt = triblock_tree(g)
         state["tbt"] = tbt
-        return count(tbt.vertex_count, "tree vertex", "tree vertices")
+        return count(len(tbt.kinds), "tree vertex", "tree vertices")
     attempt("triblock-tree", triblocks)
 
     def planar():
@@ -242,8 +243,8 @@ def _check(g, bound, args):
             raise PreconditionViolated("needs the triblock tree")
         # the tree's family lives on the reduced host, so the acting
         # group must be computed there
-        group = automorphism_group(tbt.graph, max_vertices=bound)
-        report = tree_action_check(tbt.tree, group)
+        group = automorphism_group(tbt.family.host, max_vertices=bound)
+        report = tree_action_check(tbt.family, group)
         invariant(report["ok"], "tree action check failed",
                   report["violations"])
         return "equivariant under order-%d group" % group.order

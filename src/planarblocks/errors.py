@@ -6,6 +6,8 @@ returning a sentinel, so callers (and the CLI) can map failures to a
 structured kind plus a witness.
 """
 
+import sys
+
 DEFAULT_AUT_BOUND = 12          # vertices `symmetry.automorphism_group` takes
 DEFAULT_COSET_LIMIT = 10_000    # cosets `cayley.coset_enumerate` defines
 
@@ -87,3 +89,15 @@ def invariant(cond, message, witness=None):
     """Raise InvariantViolated unless cond; unlike assert, kept under -O."""
     if not cond:
         raise InvariantViolated(message, witness=witness)
+
+
+def to_int(text):
+    """int(text) for text checked to be decimal digits after an optional
+    minus sign, where int() fails only past the interpreter's limit on
+    the digits it converts (`sys.get_int_max_str_digits`): TooLarge."""
+    try:
+        return int(text)
+    except ValueError:
+        raise TooLarge("number has too many digits", witness={
+            "digits": len(text.lstrip("-")),
+            "limit": sys.get_int_max_str_digits()}) from None

@@ -37,7 +37,7 @@ from heapq import heappop, heappush
 from itertools import compress, islice
 from operator import or_
 
-from .errors import MalformedInput, NotConnected, TooLarge
+from .errors import MalformedInput, NotConnected, TooLarge, to_int
 
 # vertices a "vertices:" header may add beyond those its edges name
 MAX_UNNAMED_VERTICES = 2 ** 20
@@ -224,16 +224,16 @@ def parse_edge_list(text):
             if declared is not None:
                 raise MalformedInput("repeated vertices header", witness=lineno)
             body = line[len("vertices:"):].strip()
-            if not body.isdecimal() or int(body) < 1:
+            declared = to_int(body) if body.isdecimal() else 0
+            if declared < 1:
                 raise MalformedInput("vertices header needs a positive count",
                                      witness=line)
-            declared = int(body)
             continue
         parts = line.split()
         if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise MalformedInput("expected 'u v' with non-negative integers",
                                  witness={"line": lineno, "text": raw.rstrip()})
-        u, v = int(parts[0]), int(parts[1])
+        u, v = to_int(parts[0]), to_int(parts[1])
         vertices.update((u, v))
         edges.append((u, v))
     if declared is not None:

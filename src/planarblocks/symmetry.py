@@ -183,7 +183,7 @@ def quotient_graph(g, group):
     return QuotientGraph(g, tuple(vorbs), tuple(eorbs), edges)
 
 
-def tree_action_check(tree, group):
+def tree_action_check(family, group):
     """Check that the group permutes the family, induces tree
     automorphisms, and that vertex stabilizers fix their torsos.
 
@@ -196,12 +196,11 @@ def tree_action_check(tree, group):
     for a generator that is a permutation of the host's vertices but no
     automorphism.
     """
-    fam = tree.family
     violations = []
-    index = {(a, i & 1): i for i, a in enumerate(fam.elements)}
+    index = {(a, i & 1): i for i, a in enumerate(family.elements)}
     for gi, perm in enumerate(group.generators):
         image = {}
-        for i, a in enumerate(fam.elements):
+        for i, a in enumerate(family.elements):
             j = index.get((apply_to_separation(a, perm), i & 1))
             if j is None:
                 violations.append({
@@ -214,16 +213,16 @@ def tree_action_check(tree, group):
                 })
                 continue
             image[i] = j
-        if len(image) < len(fam.elements):
+        if len(image) < len(family.elements):
             continue
-        for i in range(len(fam.elements)):
+        for i in range(len(family.elements)):
             if image[i ^ 1] != image[i] ^ 1:
                 violations.append({"kind": "complement-not-respected",
                                    "generator": gi, "element": i})
         cmap = {}
         ok = True
-        for ci, cls in enumerate(tree.classes):
-            imgs = {tree.class_of[image[i]] for i in cls}
+        for ci, cls in enumerate(family.classes):
+            imgs = {family.class_of[image[i]] for i in cls}
             if len(imgs) > 1:
                 violations.append({"kind": "class-split",
                                    "generator": gi, "class": ci})
@@ -232,14 +231,14 @@ def tree_action_check(tree, group):
             if imgs:
                 cmap[ci] = imgs.pop()
         for ci, cj in cmap.items():
-            reg, target = tree.regions[ci], tree.regions[cj]
+            reg, target = family.regions[ci], family.regions[cj]
             if {perm[v] for v in reg.vertices} != target.vertex_set or \
                     {apply_to_edge(perm, e) for e in reg.edges} \
                     != target.edge_set:
                 violations.append({"kind": "stabilizer-moves-torso",
                                    "generator": gi, "class": ci})
         if ok and cmap:
-            before = set(tree.edges)
+            before = set(family.edges)
             after = {tuple(sorted((cmap[a], cmap[b]))) for a, b in before
                      if a in cmap and b in cmap}
             if before != after:

@@ -22,12 +22,13 @@ is the union of the regions beyond its edge, and adjacent regions meet
 exactly in their edge's boundary: the regions are the pieces of a tree
 decomposition of the host.
 
-A family is a `NestedFamily`: its host, its elements and its tree,
-regions included, with no order stored.  Two producers make one.  The
-block-cut tree reads its tree off a lowpoint DFS (`blocks1.b1_family`).
-Any other family, such as the combined hinge family, goes through
-`build_structure_tree`, which reads the tree off the containment of the
-sides.
+A family and its tree are one record, a `NestedFamily`: its host, its
+elements, its classes with their regions, and the tree edges and cut
+vertices read off them, with no order stored and nothing pointing back
+at the record.  Two producers make one.  The block-cut tree reads its
+classes off a lowpoint DFS (`blocks1.b1_family`).  Any other family,
+such as the combined hinge family, goes through `build_structure_tree`,
+which reads them off the containment of the sides.
 
 Either way one certificate, `certify_tree`, checks the tree in one
 linear pass over its regions and sides, and recomputes neither the
@@ -42,60 +43,31 @@ from .errors import MalformedInput, NotNested, invariant
 from .graph import Graph, edge_key, set_bits
 
 
-class StructureTree:
-    def __init__(self, family, classes, regions):
-        self.family = family
-        self.classes = classes      # frozensets of element indices
-        self.regions = regions      # Graph per class
-        lookup = [None] * len(family.elements)
-        for ci, cls in enumerate(classes):
-            for i in cls:
-                lookup[i] = ci
-        edges = {edge_key(lookup[i], lookup[i + 1])
-                 for i in range(0, len(lookup), 2)}
-        self.class_of = tuple(lookup)
-        self._graph = Graph(tuple(range(len(classes))), tuple(sorted(edges)))
-
-    @property
-    def vertex_count(self):
-        return len(self.classes)
-
-    @property
-    def edge_count(self):
-        return len(self.family.elements) // 2
-
-    @property
-    def edges(self):
-        """Tree edges as sorted (ci, cj) pairs with ci < cj."""
-        return self._graph.edges
-
-    def neighbors(self, ci):
-        return self._graph.neighbors(ci)
-
-    def region(self, ci):
-        """Intersection of the complements of the class members: the cut
-        vertex alone for a cut-point class, the block for a block class,
-        the whole host for the empty class."""
-        return self.regions[ci]
-
-    def cut_vertex(self, ci):
-        """The vertex of a cut-point class, whose region is one vertex and
-        no edge, or None for any other class."""
-        reg = self.regions[ci]
-        if self.classes[ci] and not reg.edges and len(reg.vertices) == 1:
-            return reg.vertices[0]
-        return None
-
-
 class NestedFamily:
-    """A nested family with its structure tree: `tree` holds the classes,
-    numbered by least member, and each class's region.  No order is
-    computed; `certify_tree` checks the tree."""
+    """A nested family and its structure tree, one record: the elements
+    in complement pairs, the classes (the tree's vertices, numbered by
+    least member) with their regions, and what is read off them once:
+    each element's class, the tree edges as sorted class pairs, and the
+    vertex of each cut-point class, whose region is that vertex alone.
+    No order is computed; `certify_tree` checks the tree."""
 
     def __init__(self, host, elements, classes, regions):
         self.host = host
         self.elements = tuple(elements)
-        self.tree = StructureTree(self, tuple(classes), tuple(regions))
+        self.classes = classes = tuple(classes)
+        self.regions = regions = tuple(regions)
+        self.vertex_count = len(classes)
+        lookup = [None] * len(self.elements)
+        for ci, cls in enumerate(classes):
+            for i in cls:
+                lookup[i] = ci
+        self.class_of = tuple(lookup)
+        self.edges = tuple(sorted({edge_key(lookup[i], lookup[i + 1])
+                                   for i in range(0, len(lookup), 2)}))
+        self.cut_classes = {
+            ci: reg.vertices[0] for ci, (cls, reg)
+            in enumerate(zip(classes, regions))
+            if cls and not reg.edges and len(reg.vertices) == 1}
 
 
 def _regions(host, elements, classes, known):
@@ -116,11 +88,11 @@ def _regions(host, elements, classes, known):
 
 
 def build_structure_tree(host, elements, known=None):
-    """The structure tree of a family given in complement pairs, read off
-    the containment of its sides.  `known` maps the (vertex mask, edge
-    mask) of a subgraph of the host to a graph already built for it,
-    such as a block, which is then reused as the region with those
-    masks.
+    """The family of elements given in complement pairs, with its
+    structure tree read off the containment of its sides.  `known` maps
+    the (vertex mask, edge mask) of a subgraph of the host to a graph
+    already built for it, such as a block, which is then reused as the
+    region with those masks.
 
     Of each pair the side without host edge 0 points away from the
     root class.  The sides are placed smallest first, and of two twins
@@ -189,12 +161,13 @@ def build_structure_tree(host, elements, known=None):
     # only the root's class of the empty family is empty
     classes = sorted(map(frozenset, members), key=lambda c: min(c, default=0))
     return NestedFamily(host, elements, classes,
-                        _regions(host, elements, classes, known or {})).tree
+                        _regions(host, elements, classes, known or {}))
 
 
-def certify_tree(tree):
-    """Check a structure tree and its regions in one linear pass, raising
-    InvariantViolated (also under ``python -O``) at the first fault.
+def certify_tree(family):
+    """Check the structure tree of a family and its regions in one linear
+    pass, raising InvariantViolated (also under ``python -O``) at the
+    first fault.
 
     1. The tree has one edge per complement pair and is connected.
     2. The regions are subgraphs of the host that partition its edges
@@ -224,15 +197,14 @@ def certify_tree(tree):
     regions blocks and a boundary's vertices cut vertices, as the
     block-cut tree does.
     """
-    fam = tree.family
-    host, elements, regions = fam.host, fam.elements, tree.regions
+    host, elements, regions = family.host, family.elements, family.regions
+    classes, class_of = family.classes, family.class_of
     ix = host.index
     n = len(ix.vertices)
-    k = tree.vertex_count
-    invariant(len(elements) % 2 == 0 and
-              len(tree.edges) == tree.edge_count == k - 1,
+    k = len(classes)
+    invariant(len(elements) == 2 * len(family.edges) == 2 * (k - 1),
               "tree edges are not one per complement pair",
-              {"vertices": k, "edges": len(tree.edges),
+              {"vertices": k, "edges": len(family.edges),
                "elements": len(elements)})
     if not elements:
         invariant(regions[0].vertex_set == host.vertex_set
@@ -244,8 +216,8 @@ def certify_tree(tree):
     into = [None] * k
     order = [0]
     for x in order:
-        for b in tree.classes[x]:
-            y = tree.class_of[b ^ 1]
+        for b in classes[x]:
+            y = class_of[b ^ 1]
             if y and into[y] is None:
                 into[y] = b
                 order.append(y)
@@ -277,7 +249,7 @@ def certify_tree(tree):
         rows[x] = vm | em << n
         if x:
             bm = elements[into[x]].bmask
-            invariant(vm & rows[tree.class_of[into[x]]] == bm
+            invariant(vm & rows[class_of[into[x]]] == bm
                       and 1 <= bm.bit_count() <= 2,
                       "adjacent blocks do not meet in their boundary", x)
             size -= bm.bit_count()
@@ -286,7 +258,7 @@ def certify_tree(tree):
     invariant(size == n, "regions share more than cut vertices")
     # 3 and 4: subtree regions and reach masks, bottom-up
     for y in reversed(order[1:]):
-        up = tree.class_of[into[y]]
+        up = class_of[into[y]]
         rows[up] |= rows[y]
         reach[up] |= reach[y]
     for y in order[1:]:

@@ -15,9 +15,12 @@ own:
 - `b1_family` and `BlockCutTree`, which give the reference hinge family
   its blocks, and which `one_boundary_family`, `mask_b1_family` and the
   block-cut tree certificate check;
-- `Separation`, `separation_complement` and `build_structure_tree`,
-  which hold a family and its tree, checked against their set
-  definitions in tests/test_separation.py and tests/test_treeset.py;
+- `Separation`, `separation_complement`, `NestedFamily` and
+  `build_structure_tree`, which hold a family and its tree as one
+  record, checked against their set definitions in
+  tests/test_separation.py and tests/test_treeset.py; the oracles of a
+  tree (`verify_tree_correspondence`, `tree_order`, `path_coherent`
+  and the rest) take that record and read its classes and edges;
 - `blocks2._canonical_tree`, only as the family `build_nested_family`
   returns;
 - `planar`'s `facial_walks`, `canonical_face` and `planarity_test`,
@@ -393,13 +396,12 @@ def greedy_generators(g, elements):
     return gens
 
 
-def element_tree_action_violations(tree, elements):
-    """The action of a group on a structure tree, checked element by
+def element_tree_action_violations(fam, elements):
+    """The action of a group on a family's tree, checked element by
     element: each element must map every family member onto a member at
     an index of the same parity, and each element that maps the members of a class
     into that class must map the class's region (the intersection of
     the members' complements) onto itself."""
-    fam = tree.family
     host = fam.host
     index = {(a.va, a.ea, i & 1): i for i, a in enumerate(fam.elements)}
     violations = []
@@ -413,7 +415,7 @@ def element_tree_action_violations(tree, elements):
         if None in images:
             violations.append(("missing-image", k))
             continue
-        for ci, cls in enumerate(tree.classes):
+        for ci, cls in enumerate(fam.classes):
             if not cls or any(images[i] not in cls for i in cls):
                 continue
             va, ea = set(host.vertices), set(host.edges)
@@ -453,10 +455,10 @@ def orbit_of_separation(a, perms):
 
 # ------------------------------------------------------- structure trees
 
-def directed_edge(tree, i):
-    """Directed edge of element i of the tree's family: class(A*) ->
+def directed_edge(family, i):
+    """Directed edge of element i in the family's tree: class(A*) ->
     class(A)."""
-    return (tree.class_of[i ^ 1], tree.class_of[i])
+    return (family.class_of[i ^ 1], family.class_of[i])
 
 
 def family_strict(family, i, j):
@@ -495,19 +497,20 @@ def sim_classes(family):
     return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
 
 
-def _class_edges(tree):
+def _class_edges(family):
     """Class of every element, and the class graph's adjacency."""
-    class_of = {i: ci for ci, cls in enumerate(tree.classes) for i in cls}
-    adj = {ci: set() for ci in range(len(tree.classes))}
+    class_of = {i: ci for ci, cls in enumerate(family.classes) for i in cls}
+    adj = {ci: set() for ci in range(len(family.classes))}
     for i in range(0, len(class_of), 2):
         adj[class_of[i]].add(class_of[i + 1])
         adj[class_of[i + 1]].add(class_of[i])
     return class_of, adj
 
 
-def tree_path(tree, a, b):
-    """Vertex path between two classes of the tree by BFS, or None."""
-    _, adj = _class_edges(tree)
+def tree_path(family, a, b):
+    """Vertex path between two classes of the family's tree by BFS, or
+    None."""
+    _, adj = _class_edges(family)
     prev = {a: None}
     frontier = [a]
     while frontier and b not in prev:
@@ -526,24 +529,25 @@ def tree_path(tree, a, b):
     return tuple(reversed(out))
 
 
-def path_coherent(tree, i, j):
+def path_coherent(family, i, j):
     """The edge of element i lies on the directed path toward the edge of
     element j; the edge of A runs from class(A*) to class(A)."""
     if i == j:
         return True
     if j == i ^ 1:
         return False
-    class_of, _ = _class_edges(tree)
+    class_of, _ = _class_edges(family)
     ti, hi = class_of[i ^ 1], class_of[i]
     tj, hj = class_of[j ^ 1], class_of[j]
-    path = tree_path(tree, ti, hj)
+    path = tree_path(family, ti, hj)
     return path is not None and len(path) >= 2 and path[1] == hi \
         and path[-2] == tj
 
 
-def tree_order(tree):
-    """up[i] read off the tree: the elements whose edges lie beyond the
-    head of i's edge, directed away from it, as an int bitmask.
+def tree_order(family):
+    """up[i] read off the family's tree: the elements whose edges lie
+    beyond the head of i's edge, directed away from it, as an int
+    bitmask.
 
     With the tree rooted at class 0, a downward element's set is the
     downward elements of the subtree below its head, found bottom-up;
@@ -551,7 +555,7 @@ def tree_order(tree):
     it came up, found top-down.  The branches at a class are disjoint,
     so taking one away is one XOR.
     """
-    classes, class_of = tree.classes, tree.class_of
+    classes, class_of = family.classes, family.class_of
     n = len(class_of)
     if not n:
         return ()
@@ -649,7 +653,7 @@ def mask_family(host, elements):
     return NestedFamily(host, elements, classes, regions)
 
 
-def verify_tree_correspondence(tree):
+def verify_tree_correspondence(fam):
     """Recompute the correspondence and report any violation.
 
     Checks tree shape, the stored classes, and that the family order
@@ -657,30 +661,30 @@ def verify_tree_correspondence(tree):
     classes come from the elements' masks (`MaskOrder`), whichever
     producer built the tree.
     """
-    fam = tree.family
     order = MaskOrder(fam.elements)
     violations = []
     n = len(fam.elements)
     if n == 0:
-        if tree.vertex_count != 1:
+        if len(fam.classes) != 1:
             violations.append("empty family must give a single-vertex tree")
         return {"ok": not violations, "violations": violations}
-    if tree.edge_count != tree.vertex_count - 1:
+    k = len(fam.classes)
+    if n // 2 != k - 1:
         violations.append("edge count is not vertex count minus one")
     try:
         classes = order.classes()
     except NotNested as exc:
         violations.append("equivalence classes inconsistent: %s" % exc)
         classes = None
-    if classes is not None and classes != tree.classes:
+    if classes is not None and classes != fam.classes:
         violations.append("stored classes differ from recomputed ~-classes")
-    parts = connected_components(tree._graph)
+    parts = connected_components(Graph(tuple(range(k)), fam.edges))
     if len(parts) > 1:
         violations.append("tree is disconnected at class %d" % parts[1][0])
-    members = [sum(1 << i for i in cls) for cls in tree.classes]
+    members = [sum(1 << i for i in cls) for cls in fam.classes]
     for i in range(n):
         reach = 0
-        for b in set_bits(members[tree.class_of[i]] & ~(1 << i)):
+        for b in set_bits(members[fam.class_of[i]] & ~(1 << i)):
             reach |= 1 << (b ^ 1) | order.up[b ^ 1]
         diff = (order.up[i] ^ reach) & ~(1 << i)
         if diff:
@@ -803,7 +807,7 @@ def build_nested_family(g):
     _require_two_connected(g)
     if is_three_connected_by_cutsets(g):
         raise PreconditionViolated("host is already 3-connected by cutsets")
-    fam = _canonical_tree(g).family
+    fam = _canonical_tree(g)
     invariant(fam.elements, "a splittable host must yield a nonempty family")
     return fam
 
@@ -914,22 +918,20 @@ def mask_b1_family(g):
 
 
 def mask_block_cut_tree(g):
-    """(family, tree, cut classes, block classes) of the mask-generic
-    build: `mask_b1_family`, the tree of its ~-classes, verified, and
+    """(family, cut classes, block classes) of the mask-generic build:
+    `mask_b1_family` with the tree of its ~-classes, verified, and
     each class's region as the intersection of its members'
     complements, a single vertex for a cut."""
     family = mask_b1_family(g)
-    tree = family.tree
-    report = verify_tree_correspondence(tree)
+    report = verify_tree_correspondence(family)
     invariant(report["ok"], "mask-built tree fails", report["violations"])
     cuts, blocks = {}, {}
-    for ci in range(tree.vertex_count):
-        reg = tree.region(ci)
-        if tree.classes[ci] and not reg.edges and len(reg.vertices) == 1:
+    for ci, reg in enumerate(family.regions):
+        if family.classes[ci] and not reg.edges and len(reg.vertices) == 1:
             cuts[ci] = reg.vertices[0]
         else:
             blocks[ci] = reg
-    return family, tree, cuts, blocks
+    return family, cuts, blocks
 
 
 def uncrossed_side_keys(z):
@@ -1035,8 +1037,9 @@ def reference_pendant_homes(pairs, cuts):
 
 
 def reference_canonical_tree(h):
-    """Structure tree of the one-boundary family of h together with the
-    uncrossed hinge separations of each of its blocks.
+    """The nested family, with its structure tree, of the one-boundary
+    family of h together with the uncrossed hinge separations of each of
+    its blocks.
 
     The blocks come off the block-cut tree that `b1_family` reads off
     its DFS.  Blocks of at most three vertices and cycles have none.
@@ -1947,7 +1950,7 @@ def pairs_from_sides(sides):
 
 def family_from_sides(host, sides):
     """The family of `pairs_from_sides`, built by `build_structure_tree`."""
-    return build_structure_tree(host, pairs_from_sides(sides)).family
+    return build_structure_tree(host, pairs_from_sides(sides))
 
 
 # ---------------------------------------------------------- command line

@@ -88,8 +88,8 @@ def test_a1_block_cut_matches_lowpoint_oracle():
         assert counts == {e: 1 for e in g.edges}
         # the tree is bipartite between cut classes and block classes,
         # and every tree edge joins a cut to a block containing it
-        tree = bct.tree
-        for i, j in ((tree.class_of[k], tree.class_of[k ^ 1])
+        class_of = bct.family.class_of
+        for i, j in ((class_of[k], class_of[k ^ 1])
                      for k in range(len(bct.family.elements))):
             kinds = {i in bct.cut_classes, j in bct.cut_classes}
             assert kinds == {True, False}
@@ -116,7 +116,7 @@ def test_a2_final_family_is_nested():
 def test_a3_torso_classification_and_witnesses():
     for g in _corpus_two_connected():
         tbt = triblock_tree(g)
-        host = tbt.graph
+        host = tbt.family.host
         seen_edges = []
         for ci, kind in tbt.kinds.items():
             assert kind in (KIND_CUT_POINT, KIND_CYCLE, KIND_THREE_CONNECTED)
@@ -250,11 +250,10 @@ def test_a8_structure_tree_bijection():
     for _ in range(100):
         fam = random_path_family(rng, max_elements=60)
         assert len(fam.elements) <= 60
-        tree = fam.tree
-        report = verify_tree_correspondence(tree)
+        report = verify_tree_correspondence(fam)
         assert report["ok"], report
         assert report["violations"] == []
-        certify_tree(tree)
+        certify_tree(fam)
     print("A8 tree bijection on 100 recursive path families: PASS")
 
 

@@ -47,7 +47,7 @@ def test_b1_family_bowtie(bowtie):
     # the two sides at the cut coincide as subgraphs; the minimal element
     # (even index) lies below its twin (odd index)
     assert keys[2] == keys[1] and keys[3] == keys[0]
-    up = tree_order(fam.tree)
+    up = tree_order(fam)
     assert up[2] >> 1 & 1 and not up[1] >> 2 & 1
     assert up[0] >> 3 & 1 and not up[3] >> 0 & 1
 
@@ -64,29 +64,29 @@ def test_b1_family_bridge_triangles():
     assert len(fam.elements) == 8
     assert len({(s.va, s.ea) for s in fam.elements}) == 4
     bct = block_cut_tree(g)
-    assert bct.tree.vertex_count == 5
+    assert bct.family.vertex_count == 5
 
 
 def test_block_cut_tree_bowtie(bowtie):
     bct = block_cut_tree(bowtie)
-    assert bct.tree.vertex_count == 3
+    assert bct.family.vertex_count == 3
     assert bct.cut_classes == {0: 0}
     assert [b.edges for b in bct.blocks] == [
         ((0, 1), (0, 2), (1, 2)), ((0, 3), (0, 4), (3, 4))]
     assert bct.cuts == (0,)
-    assert verify_tree_correspondence(bct.tree)["ok"]
+    assert verify_tree_correspondence(bct.family)["ok"]
 
 
 def test_block_cut_tree_path():
     bct = block_cut_tree(path_graph(4))
-    assert bct.tree.vertex_count == 5
+    assert bct.family.vertex_count == 5
     assert [b.edges for b in bct.blocks] == [((0, 1),), ((1, 2),), ((2, 3),)]
     assert bct.cuts == (1, 2)
 
 
 def test_block_cut_tree_single_vertex():
     bct = block_cut_tree(build_graph([0], []))
-    assert bct.tree.vertex_count == 1
+    assert bct.family.vertex_count == 1
     assert len(bct.blocks) == 1
     assert bct.blocks[0].vertices == (0,)
     assert bct.cuts == ()
@@ -94,7 +94,7 @@ def test_block_cut_tree_single_vertex():
 
 def test_block_cut_tree_two_connected(k4):
     bct = block_cut_tree(k4)
-    assert bct.tree.vertex_count == 1
+    assert bct.family.vertex_count == 1
     assert bct.blocks[0] == k4
 
 
@@ -103,9 +103,9 @@ def test_tree_is_bipartite_cut_block(book_k4):
     g = g_of("0-1,0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5,"
              "2-6,2-7,2-8,6-7,6-8,7-8,8-9")
     bct = block_cut_tree(g)
-    for ci in bct.cut_classes:
-        for cj in bct.tree.neighbors(ci):
-            assert cj in bct.block_classes
+    for a, b in bct.family.edges:
+        assert (a in bct.cut_classes) != (b in bct.cut_classes)
+        assert a in bct.block_classes or b in bct.block_classes
 
 
 def test_blocks_match_lowpoint_oracle_random():
@@ -117,7 +117,7 @@ def test_blocks_match_lowpoint_oracle_random():
         mine = {frozenset(b.edges) for b in bct.blocks if b.edges}
         assert mine == oracle_blocks
         assert set(bct.cuts) == oracle_arts
-        assert verify_tree_correspondence(bct.tree)["ok"]
+        assert verify_tree_correspondence(bct.family)["ok"]
 
 
 def test_edge_partition_over_blocks(book_k4):
@@ -181,15 +181,15 @@ def test_dfs_tree_matches_the_mask_built_tree():
     for g in _oracle_hosts():
         bct = block_cut_tree(g)
         certify_block_cut_tree(bct)
-        family, tree, cuts, blocks = mask_block_cut_tree(g)
+        family, cuts, blocks = mask_block_cut_tree(g)
         assert [s.key for s in bct.family.elements] == \
             [s.key for s in family.elements]
-        assert tree_order(bct.tree) == MaskOrder(family.elements).up
-        assert bct.tree.classes == tree.classes
-        assert bct.tree.edges == tree.edges
+        assert tree_order(bct.family) == MaskOrder(family.elements).up
+        assert bct.family.classes == family.classes
+        assert bct.family.edges == family.edges
         assert bct.cut_classes == cuts
         assert bct.block_classes == blocks
-        assert verify_tree_correspondence(bct.tree)["ok"]
+        assert verify_tree_correspondence(bct.family)["ok"]
 
 
 # (what is corrupted, the message the certificate reports)
@@ -233,9 +233,9 @@ def corrupted_trees():
     cycle."""
     g = g_of("0-1,0-2,1-2,2-3,3-4,3-5,4-5")
     fam = b1_family(g)
-    classes = fam.tree.classes
-    elements, regions = list(fam.elements), list(fam.tree.regions)
-    tri = fam.tree.class_of[1]          # the triangle 0-1-2 under the root
+    classes = fam.classes
+    elements, regions = list(fam.elements), list(fam.regions)
+    tri = fam.class_of[1]               # the triangle 0-1-2 under the root
     bridge = regions.index(Graph((2, 3), ((2, 3),)))
 
     def rebuilt(elements=elements, regions=regions, host=g):
@@ -269,11 +269,11 @@ def corrupted_trees():
     swap = [Separation(p3, s.vmask, (s.emask & 1) << 1 | s.emask >> 1,
                        s.bmask) for s in fam.elements]
     out["blocks swap edges"] = BlockCutTree(p3, NestedFamily(
-        p3, swap, fam.tree.classes, (Graph((1,), ()), _region((0, 1), (1, 2)),
-                                     _region((1, 2), (0, 1)))))
+        p3, swap, fam.classes, (Graph((1,), ()), _region((0, 1), (1, 2)),
+                                _region((1, 2), (0, 1)))))
     lone = Graph(p3.vertices + (3,), p3.edges)
     out["lone vertex"] = BlockCutTree(lone, NestedFamily(
-        lone, fam.elements, fam.tree.classes, fam.tree.regions))
+        lone, fam.elements, fam.classes, fam.regions))
     apart = g_of("0-1,1-2,0-2,3-4")
     side, rest = ((0, 1, 2), ((0, 1), (0, 2), (1, 2))), ((1, 3, 4), ((3, 4),))
     ix = apart.index

@@ -100,7 +100,7 @@ def test_sixteen_page_book_triblock_tree_is_fast():
     t0 = time.monotonic()
     t = triblock_tree(book)
     elapsed = time.monotonic() - t0
-    assert t.vertex_count == 17
+    assert t.family.vertex_count == 17
     assert elapsed < 2.0, elapsed
 
 
@@ -114,7 +114,7 @@ def test_large_triblock_trees_are_fast(shape, vertices, tree_vertices):
     t0 = time.monotonic()
     t = triblock_tree(g)
     elapsed = time.monotonic() - t0
-    assert t.vertex_count == tree_vertices
+    assert t.family.vertex_count == tree_vertices
     assert elapsed < 2.0, elapsed
 
 
@@ -129,7 +129,7 @@ def test_two_cuts_cost_one_search_per_vertex(shape, vertices, tree_vertices):
     t0 = time.monotonic()
     t = triblock_tree(g)
     elapsed = time.monotonic() - t0
-    assert t.vertex_count == tree_vertices
+    assert t.family.vertex_count == tree_vertices
     assert elapsed < 5.0, elapsed
 
 
@@ -186,19 +186,18 @@ def test_build_family_k4e_frozen(k4e):
         (2, ((0, 3), (1, 3)), (0, 1)),
         (3, ((0, 1), (0, 2), (1, 2)), (0, 1)),
     )
-    tree = fam.tree
-    assert tree.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
-    assert tree.edges == ((0, 1), (0, 2))
-    assert verify_tree_correspondence(tree)["ok"]
+    assert fam.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
+    assert fam.edges == ((0, 1), (0, 2))
+    assert verify_tree_correspondence(fam)["ok"]
 
 
 def test_k4e_torsos(k4e):
-    tree = build_nested_family(k4e).tree
-    hinge = torso(k4e, tree, 0)
+    fam = build_nested_family(k4e)
+    hinge = torso(fam, 0)
     assert hinge.z.vertices == (0, 1)
     assert hinge.z.edges == ((0, 1),)
     assert hinge.virtual_edges == ()
-    tri = torso(k4e, tree, 1)
+    tri = torso(fam, 1)
     assert tri.z_prime.edges == ((0, 2), (1, 2))
     assert tri.virtual_edges == ((0, 1),)
     assert tri.z.edges == ((0, 1), (0, 2), (1, 2))
@@ -216,17 +215,16 @@ def test_build_family_c5chord(c5_chord):
         ((0, 2), (0, 4), (2, 3), (3, 4)),
         ((0, 1), (0, 2), (1, 2)),
         ((0, 4), (2, 3), (3, 4))]
-    tree = fam.tree
-    assert tree.vertex_count == 3
-    assert tree.edges == ((0, 1), (0, 2))
-    bond = torso(c5_chord, tree, 0)
+    assert fam.vertex_count == 3
+    assert fam.edges == ((0, 1), (0, 2))
+    bond = torso(fam, 0)
     assert bond.z.edges == bond.z_prime.edges == ((0, 2),)
     assert bond.virtual_edges == ()
-    tri = torso(c5_chord, tree, 1)
+    tri = torso(fam, 1)
     assert tri.z.edges == ((0, 1), (0, 2), (1, 2))
     assert tri.virtual_edges == ((0, 2),)
     assert tri.witness_paths == {(0, 2): (0, 2)}
-    square = torso(c5_chord, tree, 2)
+    square = torso(fam, 2)
     assert square.z.edges == ((0, 2), (0, 4), (2, 3), (3, 4))
     assert square.virtual_edges == ((0, 2),)
 
@@ -237,16 +235,15 @@ def test_build_family_two_squares_sharing_a_pair():
     g = g_of("0-2,1-2,0-3,1-3,0-4,1-4,0-5,1-5")
     fam = build_nested_family(g)
     assert len(fam.elements) == 8
-    tree = fam.tree
-    assert tree.vertex_count == 5
-    hub = torso(g, tree, 0)
+    assert fam.vertex_count == 5
+    hub = torso(fam, 0)
     assert hub.z_prime.edges == ()
     assert hub.virtual_edges == ((0, 1),)
     assert hub.z.vertices == (0, 1)
     assert hub.z.edges == ((0, 1),)
     assert hub.witness_paths == {(0, 1): (0, 2, 1)}
     for ci in range(1, 5):
-        petal = torso(g, tree, ci)
+        petal = torso(fam, ci)
         assert petal.virtual_edges == ((0, 1),)
         assert len(petal.z.vertices) == 3
 
@@ -254,15 +251,14 @@ def test_build_family_two_squares_sharing_a_pair():
 def test_build_family_grid(grid3x3):
     fam = build_nested_family(grid3x3)
     assert len(fam.elements) == 8
-    tree = fam.tree
-    assert tree.vertex_count == 5
-    center = torso(grid3x3, tree, 0)
+    assert fam.vertex_count == 5
+    center = torso(fam, 0)
     assert center.z.vertices == (1, 3, 4, 5, 7)
     assert center.virtual_edges == ((1, 3), (1, 5), (3, 7), (5, 7))
     assert center.witness_paths == {
         (1, 3): (1, 0, 3), (1, 5): (1, 2, 5),
         (3, 7): (3, 6, 7), (5, 7): (5, 8, 7)}
-    corner = torso(grid3x3, tree, 1)
+    corner = torso(fam, 1)
     assert corner.z.edges == ((0, 1), (0, 3), (1, 3))
     assert corner.witness_paths == {(1, 3): (1, 4, 3)}
 
@@ -287,11 +283,10 @@ def test_build_family_theta_keeps_the_spine_sides(twosquares):
     assert sorted(e.key for e in fam.elements) == \
         totally_nested_keys(twosquares)
     assert {e.boundary for e in fam.elements} == {frozenset({0, 1})}
-    tree = fam.tree
-    assert tree.edges == ((0, 1), (0, 2))
-    assert torso(twosquares, tree, 0).z.edges == ((0, 1),)
+    assert fam.edges == ((0, 1), (0, 2))
+    assert torso(fam, 0).z.edges == ((0, 1),)
     for ci, square in ((1, (2, 3)), (2, (4, 5))):
-        t = torso(twosquares, tree, ci)
+        t = torso(fam, ci)
         assert t.z.vertices == (0, 1) + square
         assert t.virtual_edges == ((0, 1),)
 
@@ -305,8 +300,7 @@ def test_family_verifies_on_random_hosts():
             fam = build_nested_family(g)
         except PreconditionViolated:
             continue
-        tree = fam.tree
-        assert verify_tree_correspondence(tree)["ok"]
+        assert verify_tree_correspondence(fam)["ok"]
         checked += 1
     assert checked >= 5
 
@@ -389,7 +383,7 @@ def test_triblock_tree_answers_on_chorded_cycles():
         g = chorded_cycle(rng)
         t = triblock_tree(g)
         assert sum(len(to.z_prime.edges) for to in t.torsos.values()) == \
-            len(t.graph.edges)
+            len(t.family.host.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +392,17 @@ def test_triblock_tree_answers_on_chorded_cycles():
 
 def test_torso_edge_partition(k4e, c5_chord, grid3x3):
     for g in (k4e, c5_chord, grid3x3):
-        tree = build_nested_family(g).tree
+        fam = build_nested_family(g)
         seen = []
-        for ci in range(tree.vertex_count):
-            seen.extend(torso(g, tree, ci).z_prime.edges)
+        for ci in range(fam.vertex_count):
+            seen.extend(torso(fam, ci).z_prime.edges)
         assert sorted(seen) == list(g.edges)
 
 
 def test_torso_witness_contracts_to_z(grid3x3):
-    tree = build_nested_family(grid3x3).tree
-    for ci in range(tree.vertex_count):
-        t = torso(grid3x3, tree, ci)
+    fam = build_nested_family(grid3x3)
+    for ci in range(fam.vertex_count):
+        t = torso(fam, ci)
         assert set(t.witness.edges) <= set(grid3x3.edges) | set(t.z.edges)
         for ve, path in t.witness_paths.items():
             assert (path[0], path[-1]) == ve
@@ -420,13 +414,13 @@ def test_torso_witness_contracts_to_z(grid3x3):
 
 
 def test_torso_on_cut_point_class_raises(bowtie):
-    tree = b1_family(bowtie).tree
-    assert tree.classes == (
+    fam = b1_family(bowtie)
+    assert fam.classes == (
         frozenset({0, 2}), frozenset({1}), frozenset({3}))
     with pytest.raises(HingeVertex):
-        torso(bowtie, tree, 0)
-    assert torso(bowtie, tree, 1).z.edges == ((0, 1), (0, 2), (1, 2))
-    assert torso(bowtie, tree, 2).z.edges == ((0, 3), (0, 4), (3, 4))
+        torso(fam, 0)
+    assert torso(fam, 1).z.edges == ((0, 1), (0, 2), (1, 2))
+    assert torso(fam, 2).z.edges == ((0, 3), (0, 4), (3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +448,7 @@ def _hang_k4s(g):
 
 
 def _lifted_keys(host):
-    return {e.sort_key() for e in _canonical_tree(host).family.elements}
+    return {e.sort_key() for e in _canonical_tree(host).elements}
 
 
 def test_lift_is_identity_on_whole_graph_torso():
@@ -476,10 +470,10 @@ def test_lift_pulls_in_material_behind_the_region():
     host = _k4_chain(4)
     left = make_separation(host, (0, 1, 2, 3),
                            ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)), (2, 3))
-    tree = build_structure_tree(host, (left, separation_complement(left)))
-    ci = next(i for i in range(tree.vertex_count)
-              if len(torso(host, tree, i).z.vertices) == 8)
-    z = torso(host, tree, ci).z
+    fam = build_structure_tree(host, (left, separation_complement(left)))
+    ci = next(i for i in range(fam.vertex_count)
+              if len(torso(fam, i).z.vertices) == 8)
+    z = torso(fam, ci).z
     zsep = make_separation(z, (2, 3, 4, 5),
                            ((2, 3), (2, 4), (2, 5), (3, 4), (3, 5)), (4, 5))
     lifted = reference_lift_torso_separation(host, zsep)
@@ -516,8 +510,8 @@ def test_lift_matches_the_reference_hinge_family():
     for g in _lift_corpus(rng):
         for h in {g, homeomorphic_reduce(g).graph}:
             got, want = _canonical_tree(h), reference_canonical_tree(h)
-            assert [e.key for e in got.family.elements] == \
-                [e.key for e in want.family.elements], h.edges
+            assert [e.key for e in got.elements] == \
+                [e.key for e in want.elements], h.edges
             assert got.classes == want.classes, h.edges
             assert got.edges == want.edges, h.edges
 
@@ -529,7 +523,7 @@ def test_lift_matches_the_reference_hinge_family():
 def test_triblock_cycle(c6):
     t = triblock_tree(c6)
     assert t.kinds == {0: KIND_CYCLE}
-    assert t.edges == ()
+    assert t.family.edges == ()
     assert len(t.family.elements) == 0
     assert t.torsos[0].z.edges == c6.edges
 
@@ -537,8 +531,8 @@ def test_triblock_cycle(c6):
 def test_triblock_path_reduces_to_an_edge():
     t = triblock_tree(g_of("0-1,1-2,2-3"))
     assert t.kinds == {0: KIND_THREE_CONNECTED}
-    assert t.graph.vertices == (0, 3)
-    assert t.graph.edges == ((0, 3),)
+    assert t.family.host.vertices == (0, 3)
+    assert t.family.host.edges == ((0, 3),)
 
 
 def test_triblock_triangle_bowtie_collapses(bowtie):
@@ -546,19 +540,19 @@ def test_triblock_triangle_bowtie_collapses(bowtie):
     # reduction folds the whole graph onto one edge
     t = triblock_tree(bowtie)
     assert t.kinds == {0: KIND_THREE_CONNECTED}
-    assert t.graph.edges == ((2, 4),)
+    assert t.family.host.edges == ((2, 4),)
 
 
 def test_triblock_theta_collapses(twosquares):
     t = triblock_tree(twosquares)
     assert t.kinds == {0: KIND_THREE_CONNECTED}
-    assert t.graph.edges == ((4, 5),)
+    assert t.family.host.edges == ((4, 5),)
 
 
 def test_triblock_k4_single_vertex(k4):
     t = triblock_tree(k4)
     assert t.kinds == {0: KIND_THREE_CONNECTED}
-    assert t.edges == ()
+    assert t.family.edges == ()
     assert t.torsos[0].z.edges == k4.edges
     assert t.torsos[0].virtual_edges == ()
 
@@ -568,8 +562,8 @@ def test_triblock_two_k4s_at_a_vertex(bowtie_k4s):
     assert t.kinds == {0: KIND_CUT_POINT,
                        1: KIND_THREE_CONNECTED,
                        2: KIND_THREE_CONNECTED}
-    assert t.cut_classes == {0: 0}
-    assert t.edges == ((0, 1), (0, 2))
+    assert t.family.cut_classes == {0: 0}
+    assert t.family.edges == ((0, 1), (0, 2))
     assert len(t.family.elements) == 4
     assert t.torsos[1].z.vertices == (0, 1, 2, 3)
     assert t.torsos[2].z.vertices == (0, 4, 5, 6)
@@ -600,11 +594,12 @@ def test_triblock_pendant_at_a_hinge_vertex(block, home):
     # once lifted without it, and two sides then crossed
     host = g_of(block + ",0-8,0-9,0-10,8-9,8-10,9-10")
     t = triblock_tree(host)
-    assert verify_tree_correspondence(t.tree)["ok"]
+    assert verify_tree_correspondence(t.family)["ok"]
     assert _hinges_on(t, g_of(block)) == totally_nested_keys(g_of(block))
-    [(cut, vertex)] = t.cut_classes.items()
+    [(cut, vertex)] = t.family.cut_classes.items()
     assert vertex == 0
-    assert sorted(t.torsos[ci].z.vertices for ci in t.tree.neighbors(cut)) \
+    around = [b if a == cut else a for a, b in t.family.edges if cut in (a, b)]
+    assert sorted(t.torsos[ci].z.vertices for ci in around) \
         == sorted([home, (0, 8, 9, 10)])
 
 
@@ -615,8 +610,8 @@ def test_triblock_tree_on_glued_blocks():
     for _ in range(150):
         g = glued_blocks(rng)
         t = triblock_tree(g)
-        assert t.graph == g
-        assert verify_tree_correspondence(t.tree)["ok"], g.edges
+        assert t.family.host == g
+        assert verify_tree_correspondence(t.family)["ok"], g.edges
         for edges in lowpoint_blocks(g)[0]:
             b = build_graph(sorted({x for e in edges for x in e}),
                             sorted(edges))
@@ -649,8 +644,8 @@ def test_triblock_book_with_pendant_k4(book_k4):
                        2: KIND_THREE_CONNECTED,
                        3: KIND_THREE_CONNECTED,
                        4: KIND_THREE_CONNECTED}
-    assert t.cut_classes == {0: 2}
-    assert t.edges == ((0, 1), (0, 2), (1, 3), (3, 4))
+    assert t.family.cut_classes == {0: 2}
+    assert t.family.edges == ((0, 1), (0, 2), (1, 3), (3, 4))
     assert len(t.family.elements) == 8
     assert t.torsos[1].z.vertices == (0, 1, 2, 3)
     assert t.torsos[1].virtual_edges == ((0, 1),)
@@ -672,7 +667,7 @@ def test_triblock_k4_chain():
     assert sorted(e.key for e in t.family.elements) == \
         totally_nested_keys(host)
     assert t.kinds == {ci: KIND_THREE_CONNECTED for ci in range(5)}
-    assert t.edges == ((0, 1), (0, 4), (2, 3), (2, 4))
+    assert t.family.edges == ((0, 1), (0, 4), (2, 3), (2, 4))
     for bond, pair in ((0, (2, 3)), (2, (4, 5))):
         assert t.torsos[bond].z.vertices == pair
         assert t.torsos[bond].z_prime.edges == (pair,)
@@ -693,7 +688,7 @@ def test_triblock_edge_partition(book_k4, bowtie_k4s, grid3x3):
         seen = []
         for to in t.torsos.values():
             seen.extend(to.z_prime.edges)
-        assert sorted(seen) == list(t.graph.edges)
+        assert sorted(seen) == list(t.family.host.edges)
 
 
 def _k4_w5_chain(links):

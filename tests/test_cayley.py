@@ -155,6 +155,9 @@ def test_parse_rejects_conflicts_and_noise():
         parse_presentation("gens: a\nrels: a^0")
     with pytest.raises(MalformedInput):
         parse_presentation("surface(0, [2 3], x)")
+    # two counts without a comma between them are one malformed entry
+    with pytest.raises(MalformedInput, match="cannot parse surface"):
+        parse_presentation("surface(0, [2 3], 0)")
 
 
 # ---------------------------------------------------------------------------

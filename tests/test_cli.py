@@ -359,6 +359,35 @@ def test_limit_flag_controls_aut_bound():
     assert json.loads(out)["error"]["kind"] == "too-large"
 
 
+# a number of 5,000 digits, past the interpreter's limit on the digits
+# int() converts (4,300 unless PYTHONINTMAXSTRDIGITS sets another)
+_LONG = "7" * 5000
+HUGE_NUMBERS = {
+    "edge label": ("planar", ".edges", "1 %s\n" % _LONG),
+    "vertices header": ("blocks", ".edges", "vertices: 1%s\n0 1\n" % _LONG),
+    "power": ("cayley", ".pres", "gens: a\nrels: a^%s\n" % _LONG),
+    "word power": ("cayley", ".pres", "gens: a b\nrels: (a*b)^%s\n" % _LONG),
+    "power in a word": ("cayley", ".pres",
+                        "gens: a b\nrels: a*b^%s\n" % _LONG),
+    "surface count": ("cayley", ".pres", "surface(%s, [], 0)\n" % _LONG),
+}
+
+
+@pytest.mark.parametrize("case", list(HUGE_NUMBERS))
+def test_number_past_the_digit_limit_is_refused(tmp_path, case):
+    command, suffix, text = HUGE_NUMBERS[case]
+    path = tmp_path / ("huge" + suffix)
+    path.write_text(text)
+    proc = _python(["-m", "planarblocks", command, str(path),
+                    "--format", "json"])
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "too-large", "message": "number has too many digits",
+        "witness": {"digits": max(map(len, re.findall(r"\d+", text))),
+                    "limit": sys.get_int_max_str_digits()}}
+
+
 LIMIT_ZERO = """{
   "error": {
     "kind": "malformed-input",
@@ -484,7 +513,7 @@ import json, sys
 from planarblocks import blocks1, cli, treeset
 from planarblocks.errors import invariant
 assert False, "this script must run under -O"
-treeset.certify_tree = lambda tree: invariant(
+treeset.certify_tree = lambda family: invariant(
     False, "tree verification failed", ["forced"])
 blocks1.certify_block_cut_tree = lambda bct: invariant(
     False, "tree verification failed", ["forced"])
@@ -630,8 +659,8 @@ def lossy_torso(*args):
 blocks2.torso = lossy_torso
 runs.append(cli.run(["triblocks", sys.argv[3]]))
 # blocks2: a torso that claims every host edge meets the next torso
-def greedy_torso(h, *args):
-    return with_region(torso(h, *args), h)
+def greedy_torso(family, v):
+    return with_region(torso(family, v), family.host)
 blocks2.torso = greedy_torso
 runs.append(cli.run(["triblocks", sys.argv[3]]))
 blocks2.torso = torso
@@ -653,8 +682,8 @@ blocks2._bfs_path = bfs_path
 # blocks2: a torso that forgets its virtual edges does not contract to
 # the graph that holds them
 region_parts = blocks2._region_parts
-def forgetful_parts(tree, ci):
-    zprime, z, virtuals, gens = region_parts(tree, ci)
+def forgetful_parts(family, ci):
+    zprime, z, virtuals, gens = region_parts(family, ci)
     return zprime, z, (), gens
 blocks2._region_parts = forgetful_parts
 runs.append(cli.run(["triblocks", sys.argv[3]]))

@@ -17,6 +17,7 @@ entry whose exit code or bytes differ from the file (or that the file
 lacks), and exits 1 if there is any.
 """
 
+import gc
 import hashlib
 import importlib
 import json
@@ -127,6 +128,27 @@ def test_no_module_level_container_grows_across_runs():
         sizes.append(_module_containers())
     assert sizes[0]
     assert sizes[1] == sizes[0] and sizes[2] == sizes[0]
+
+
+def test_no_command_leaves_cyclic_garbage():
+    # no object of a run points back at its owner, so reference counting
+    # alone frees each run's host graph, palm arrays and masks; the first
+    # run of each command loads its modules first
+    argvs = [argv for argv in command_lines()
+             if argv[argv.index("--format") + 1] == "json"]
+    for command in {argv[0] for argv in argvs}:
+        outcome(next(argv for argv in argvs if argv[0] == command))
+    left = []
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in argvs:
+            outcome(argv)
+            if gc.collect():
+                left.append(" ".join(argv))
+    finally:
+        gc.enable()
+    assert not left, left
 
 
 def moved_command_lines():

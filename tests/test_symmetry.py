@@ -99,7 +99,7 @@ def test_six_page_book_triblock_tree_is_fast():
     t0 = time.monotonic()
     t = triblock_tree(book)
     elapsed = time.monotonic() - t0
-    assert t.vertex_count == 7
+    assert t.family.vertex_count == 7
     assert automorphism_group(book, max_vertices=14).order == 2 * 2 ** 6 * 720
     assert elapsed < 2.0, elapsed
 
@@ -185,23 +185,23 @@ def test_quotient_under_trivial_group(caterpillar7):
 
 
 def test_tree_action_on_block_tree(bowtie):
-    tree = b1_family(bowtie).tree
-    rep = tree_action_check(tree, automorphism_group(bowtie))
+    fam = b1_family(bowtie)
+    rep = tree_action_check(fam, automorphism_group(bowtie))
     assert rep == {"ok": True, "violations": []}
 
 
 def test_tree_action_on_triblock_tree(bowtie_k4s):
     t = triblock_tree(bowtie_k4s)
-    gr = automorphism_group(t.graph)
+    gr = automorphism_group(t.family.host)
     assert gr.order == 72
-    assert tree_action_check(t.tree, gr)["ok"]
+    assert tree_action_check(t.family, gr)["ok"]
 
 
 def test_tree_action_reports_missing_orbit_members(bowtie):
     fam = b1_family(bowtie)
     # keep only one triangle's entries: the vertex swap now has no image
-    tree = build_structure_tree(bowtie, fam.elements[:2])
-    rep = tree_action_check(tree, automorphism_group(bowtie))
+    part = build_structure_tree(bowtie, fam.elements[:2])
+    rep = tree_action_check(part, automorphism_group(bowtie))
     assert not rep["ok"]
     assert {v["kind"] for v in rep["violations"]} == {"missing-image"}
 
@@ -211,44 +211,44 @@ def test_tree_action_check_reports_a_non_automorphism():
     # permutation of the vertices but sends the edge 0-2 off the host
     g = g_of("0-1,0-2,1-2,2-3,3-4")
     perm = {0: 3, 1: 4, 2: 2, 3: 0, 4: 1}
-    tree = b1_family(g).tree
-    rep = tree_action_check(tree, AutGroup(g, (perm,), 2))
+    fam = b1_family(g)
+    rep = tree_action_check(fam, AutGroup(g, (perm,), 2))
     assert not rep["ok"]
     assert {v["kind"] for v in rep["violations"]} == {"missing-image"}
     for v in rep["violations"]:
-        a = tree.family.elements[v["element"]]
+        a = fam.elements[v["element"]]
         assert v["image"] == {
             "va": sorted(perm[x] for x in a.va),
             "ea": sorted(tuple(sorted((perm[x], perm[y]))) for x, y in a.ea)}
-    assert apply_to_separation(tree.family.elements[0], perm) is None
+    assert apply_to_separation(fam.elements[0], perm) is None
 
 
 def _without_pair(fam, i):
-    """The tree of the family with element i and its complement dropped."""
+    """The family with element i and its complement dropped."""
     return build_structure_tree(fam.host, [a for k, a in
                                            enumerate(fam.elements)
                                            if k >> 1 != i >> 1])
 
 
 def test_tree_action_check_agrees_with_element_oracle(bowtie_k4s):
-    trees = []
+    families = []
     for g in (bowtie_k4s, k4_book(3)):
         t = triblock_tree(g)
-        trees.append(t.tree)
-        trees.append(_without_pair(t.family, 0))
+        families.append(t.family)
+        families.append(_without_pair(t.family, 0))
     rng = random.Random(31)
     for _ in range(40):
         fam = b1_family(random_connected_graph(rng, max_vertices=7))
         if not fam.elements:
             continue
-        trees.append(fam.tree)
-        trees.append(_without_pair(fam, 0))
+        families.append(fam)
+        families.append(_without_pair(fam, 0))
     invariant = 0
-    for tree in trees:
-        host = tree.family.host
-        want = element_tree_action_violations(tree, brute_automorphisms(host))
-        got = tree_action_check(tree, automorphism_group(host))
+    for fam in families:
+        host = fam.host
+        want = element_tree_action_violations(fam, brute_automorphisms(host))
+        got = tree_action_check(fam, automorphism_group(host))
         assert got["ok"] == (not want), (host.edges, got, want)
         invariant += got["ok"]
     # both outcomes are reached
-    assert 10 <= invariant <= len(trees) - 10, (invariant, len(trees))
+    assert 10 <= invariant <= len(families) - 10, (invariant, len(families))

@@ -15,8 +15,8 @@ from planarblocks.blocks2 import triblock_tree
 from planarblocks.errors import InvariantViolated, MalformedInput, NotNested
 from planarblocks.graph import Graph, build_graph, is_simple_cycle
 from planarblocks.separation import Separation, separation_complement
-from planarblocks.treeset import (NestedFamily, StructureTree,
-                                  build_structure_tree, certify_tree)
+from planarblocks.treeset import (NestedFamily, build_structure_tree,
+                                  certify_tree)
 
 from conftest import cycle_graph, fixture_path, g_of, path_graph
 from oracles import (MaskOrder, all_separations, caterpillar, chorded_cycle,
@@ -113,7 +113,7 @@ def test_equal_sides_nest_only_as_twins(k4e):
     twins = [a, ac, ac, a]
     assert MaskOrder(twins).crossing() is None
     assert build_structure_tree(k4e, twins).classes == \
-        mask_family(k4e, twins).tree.classes == \
+        mask_family(k4e, twins).classes == \
         (frozenset({0, 2}), frozenset({1}), frozenset({3}))
 
 
@@ -142,53 +142,50 @@ def test_leq_reflexive_antisymmetric(path8_family):
 
 def test_structure_tree_bijection(path8_family):
     _, fam = path8_family
-    tree = fam.tree
-    assert tree.edge_count * 2 == len(fam.elements)
-    assert tree.edge_count == tree.vertex_count - 1
-    report = verify_tree_correspondence(tree)
+    assert len(fam.edges) * 2 == len(fam.elements)
+    assert len(fam.edges) == fam.vertex_count - 1
+    report = verify_tree_correspondence(fam)
     assert report["ok"], report["violations"]
 
 
 def test_directed_edge_reversal_is_complement(path8_family):
     _, fam = path8_family
-    tree = fam.tree
     for i in range(len(fam.elements)):
-        a, b = directed_edge(tree, i)
-        bc, ac = directed_edge(tree, i ^ 1)
+        a, b = directed_edge(fam, i)
+        bc, ac = directed_edge(fam, i ^ 1)
         assert (a, b) == (ac, bc)
 
 
 def test_order_coherence_on_tree(path8_family):
     _, fam = path8_family
-    tree = fam.tree
     order = MaskOrder(fam.elements)
     # A <= B iff walking from edge(A) toward edge(B) keeps direction
     n = len(fam.elements)
     for i in range(n):
         for j in range(n):
-            assert order.leq(i, j) == path_coherent(tree, i, j), (i, j)
+            assert order.leq(i, j) == path_coherent(fam, i, j), (i, j)
 
 
 def test_empty_family_single_vertex(k4):
-    tree = build_structure_tree(k4, [])
-    assert tree.vertex_count == 1
-    assert tree.edge_count == 0
-    assert verify_tree_correspondence(tree)["ok"]
+    fam = build_structure_tree(k4, [])
+    assert fam.vertex_count == 1
+    assert fam.edges == ()
+    assert verify_tree_correspondence(fam)["ok"]
 
 
 def test_b1_family_tree_classes(bowtie):
-    tree = build_structure_tree(bowtie, b1_family(bowtie).elements)
-    assert tree.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
-    assert tree.edges == ((0, 1), (0, 2))
-    assert verify_tree_correspondence(tree)["ok"]
+    fam = build_structure_tree(bowtie, b1_family(bowtie).elements)
+    assert fam.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
+    assert fam.edges == ((0, 1), (0, 2))
+    assert verify_tree_correspondence(fam)["ok"]
 
 
 def test_region_of_class(bowtie):
-    tree = build_structure_tree(bowtie, b1_family(bowtie).elements)
-    center = tree.region(0)
+    fam = build_structure_tree(bowtie, b1_family(bowtie).elements)
+    center = fam.regions[0]
     assert center.vertices == (0,)
     assert center.edges == ()
-    left = tree.region(1)
+    left = fam.regions[1]
     assert left.vertices == (0, 1, 2)
     assert left.edges == ((0, 1), (0, 2), (1, 2))
 
@@ -198,7 +195,7 @@ def test_random_path_families_verify():
     for _ in range(25):
         fam = random_path_family(rng)
         assert len(fam.elements) <= 60
-        report = verify_tree_correspondence(fam.tree)
+        report = verify_tree_correspondence(fam)
         assert report["ok"], report["violations"]
 
 
@@ -231,7 +228,7 @@ def _random_families(source, count):
             yield random_path_family(rng, max_elements=40)
         elif source == "blocks":
             g = random_connected_graph(rng)
-            yield build_structure_tree(g, b1_family(g).elements).family
+            yield build_structure_tree(g, b1_family(g).elements)
         else:
             yield triblock_tree(_glued_two_connected(rng)).family
 
@@ -244,21 +241,20 @@ def test_order_classes_and_coherence_match_oracles(source):
         for i in range(n):
             for j in range(n):
                 assert order.strict(i, j) == family_strict(fam, i, j), (i, j)
-        tree = fam.tree
         # an empty family gives the one-vertex tree
-        assert tree.classes == (sim_classes(fam) or (frozenset(),))
+        assert fam.classes == (sim_classes(fam) or (frozenset(),))
         coherent = all((i == j or family_strict(fam, i, j))
-                       == path_coherent(tree, i, j)
+                       == path_coherent(fam, i, j)
                        for i in range(n) for j in range(n))
-        report = verify_tree_correspondence(tree)
+        report = verify_tree_correspondence(fam)
         assert report["ok"] == coherent, report["violations"]
         assert coherent
 
 
 def _bowtie_tree(bowtie, classes):
-    tree = build_structure_tree(bowtie, b1_family(bowtie).elements)
-    assert tree.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
-    return StructureTree(tree.family, classes, tree.regions)
+    fam = build_structure_tree(bowtie, b1_family(bowtie).elements)
+    assert fam.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
+    return NestedFamily(bowtie, fam.elements, classes, fam.regions)
 
 
 def test_verify_reports_a_moved_element(bowtie):
@@ -290,11 +286,11 @@ def test_path_200_tree_builds_and_verifies_fast():
     elements = b1_family(host).elements
     assert len(elements) == 792
     t0 = time.monotonic()
-    tree = build_structure_tree(host, elements)
-    report = verify_tree_correspondence(tree)
+    fam = build_structure_tree(host, elements)
+    report = verify_tree_correspondence(fam)
     elapsed = time.monotonic() - t0
     assert report["ok"], report["violations"][:3]
-    assert tree.vertex_count == 199 + 198
+    assert fam.vertex_count == 199 + 198
     assert elapsed < 5.0, elapsed
 
 
@@ -316,7 +312,7 @@ def _family_of(source, rng):
         g = caterpillar(rng, spine=rng.randint(2, 12), legs=rng.randint(1, 10))
     else:
         tbt = triblock_tree(source(rng))
-        return tbt.graph, tbt.family.elements
+        return tbt.family.host, tbt.family.elements
     return g, b1_family(g).elements
 
 
@@ -330,10 +326,10 @@ def test_containment_tree_matches_the_oracle(source, seed):
 
 
 def _assert_oracle_tree(host, elements):
-    tree = build_structure_tree(host, elements)
-    want = mask_family(host, elements).tree
-    assert tree.classes == want.classes
-    assert tree.regions == want.regions
+    fam = build_structure_tree(host, elements)
+    want = mask_family(host, elements)
+    assert fam.classes == want.classes
+    assert fam.regions == want.regions
 
 
 def _hinge_family(rng):
@@ -377,10 +373,10 @@ def test_random_hinge_families_cross_and_nest():
        st.integers(0, 2 ** 32))
 def test_every_triblock_tree_is_certified(make, seed):
     tbt = triblock_tree(make(random.Random(seed)))
-    certify_tree(tbt.tree)
-    report = verify_tree_correspondence(tbt.tree)
+    certify_tree(tbt.family)
+    report = verify_tree_correspondence(tbt.family)
     assert report["ok"], report["violations"]
-    assert tree_order(tbt.tree) == MaskOrder(tbt.family.elements).up
+    assert tree_order(tbt.family) == MaskOrder(tbt.family.elements).up
 
 
 def test_triblocks_computes_the_classes_once(monkeypatch):
@@ -413,7 +409,7 @@ HINGE_FAULTS = (
 
 
 def corrupted_hinge_trees():
-    """(fault, tree) for each fault of HINGE_FAULTS.  The first four
+    """(fault, family) for each fault of HINGE_FAULTS.  The first four
     change one thing in the tri-block tree of two K4s sharing the edge
     0-1: a bond {0, 1} with that edge, the root, and a torso on each
     side of it.  The fifth is a 4-cycle cut at its edge 0-1 into that
@@ -422,12 +418,12 @@ def corrupted_hinge_trees():
     last merges the bond's class with the first torso's, so the pair
     between them joins a class to itself."""
     g = g_of("0-1,0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5")
-    tree = triblock_tree(g).tree
-    elements, regions = list(tree.family.elements), list(tree.regions)
+    fam = triblock_tree(g).family
+    elements, regions = list(fam.elements), list(fam.regions)
     assert regions[0] == Graph((0, 1), ((0, 1),))
 
     def rebuilt(elements=elements, regions=regions):
-        return NestedFamily(g, elements, tree.classes, regions).tree
+        return NestedFamily(g, elements, fam.classes, regions)
     a, b = elements[0], elements[1]
     left = regions[1]                   # the torso on 0, 1, 2, 3
     out = {"hinge side short": rebuilt(
@@ -454,23 +450,23 @@ def corrupted_hinge_trees():
     path = Graph(c4.vertices, tuple(e for e in c4.edges if e != (0, 1)))
     out["single-edge side"] = NestedFamily(
         c4, (lone, rest), (frozenset({0}), frozenset({1})),
-        (path, Graph((0, 1), ((0, 1),)))).tree
+        (path, Graph((0, 1), ((0, 1),))))
     out["host minus one edge side"] = NestedFamily(
         c4, (rest, lone), (frozenset({0}), frozenset({1})),
-        (Graph((0, 1), ((0, 1),)), path)).tree
-    out["pair inside a class"] = StructureTree(
-        tree.family, (tree.classes[0] | tree.classes[1], tree.classes[2]),
+        (Graph((0, 1), ((0, 1),)), path))
+    out["pair inside a class"] = NestedFamily(
+        g, elements, (fam.classes[0] | fam.classes[1], fam.classes[2]),
         regions[:2])
     return [(fault, out[fault]) for fault, _ in HINGE_FAULTS]
 
 
 def test_certificate_reports_each_hinge_corruption():
     certify_tree(triblock_tree(
-        g_of("0-1,0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5")).tree)
-    for (fault, tree), (_, message) in zip(corrupted_hinge_trees(),
-                                           HINGE_FAULTS):
+        g_of("0-1,0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5")).family)
+    for (fault, family), (_, message) in zip(corrupted_hinge_trees(),
+                                             HINGE_FAULTS):
         with pytest.raises(InvariantViolated) as err:
-            certify_tree(tree)
+            certify_tree(family)
         assert str(err.value) == message, fault
         if fault == "pair inside a class":
             # the counts go out as JSON ints, the loop (0, 0) an edge
@@ -486,9 +482,9 @@ from planarblocks.errors import InvariantViolated
 from planarblocks.treeset import certify_tree
 assert False, "this script must run under -O"
 caught = []
-for fault, tree in corrupted_hinge_trees():
+for fault, family in corrupted_hinge_trees():
     try:
-        certify_tree(tree)
+        certify_tree(family)
     except InvariantViolated as exc:
         caught.append([fault, str(exc)])
 print(json.dumps(caught))
