@@ -31,15 +31,19 @@ holds the reduced host, the tree edges and the cut-point classes; a
 `TriBlockTree` adds the input, its reduction, and each class's kind and
 torso.
 
-One `Graph` object stands for each distinct graph on the way.  The
-reduced host is the input itself when no vertex is suppressed, and a
-block that no hinge splits is its region (`build_structure_tree` is
-handed the blocks), its torso when no virtual edge is added, and its
-witness when no path is.  A graph keeps its palm forest and its 2-cuts
-(`graph.Graph`), so `_classify` reads the 2-cuts the block pass found;
-only a torso with virtual edges, a graph of its own, is searched again.
-Every check of `torso`, `_classify` and `_check_edge_partition` still
-runs on every torso.
+Hinge work is done only where a block has a hinge: a block without a
+2-cut builds no mask index, and when no block has one the block-cut
+family of `b1_family` is returned as the whole family.  One `Graph`
+object stands for each distinct graph on the way.  The reduced host is
+the input itself when no vertex is suppressed, and a block that no
+hinge splits is its region, its torso when no virtual edge is added,
+and its witness when no path is; a witness path is searched on the
+host's adjacency within the member side's edge mask (`_side_path`).  A
+graph keeps its palm forest and its 2-cuts (`graph.Graph`), so
+`_classify` reads the 2-cuts the block pass found; only a torso with
+virtual edges, a graph of its own, is searched again.  Every check of
+`torso`, `_classify` and `_check_edge_partition` still runs on every
+torso, and `certify_tree` on every family.
 """
 
 from collections import deque
@@ -72,9 +76,11 @@ def _uncrossed_sides(z):
     with the pair's edge too when the edge joins it and two components
     remain; with three or more, the sides with the edge cross.
     """
-    ix = z.index
     cuts = [(pair, comps, {v: i for i, c in enumerate(comps) for v in c})
             for pair, comps in two_cuts(z)]
+    if not cuts:
+        return []
+    ix = z.index
     sides = []
     for pair, comps, label in cuts:
         if any(label[u] != label[w] for (u, w), _, _ in cuts
@@ -125,31 +131,37 @@ def _canonical_tree(h):
     the uncrossed hinge separations of each of its blocks.
 
     The blocks come off the block-cut tree that `b1_family` reads off
-    its DFS.  Blocks of at most three vertices and cycles have none.
-    A block vertex hangs the side of its tree edge away from the block,
-    and a block side lifts to the OR of what its interior vertices and
-    the hinge vertices it takes (`_pendant_homes`) hang.  Each lifted
-    side enters followed by its complement, unless the side is already
-    present.  A side and its complement lift to complements unless a
-    pendant piece goes with neither.
+    its DFS.  Blocks of at most three vertices, cycles and blocks
+    without a 2-cut have none, and when no block has one the block-cut
+    family is the whole family, returned as `b1_family` built it.
+    Otherwise a block vertex hangs the side of its tree edge away from
+    the block, and a block side lifts to the OR of what its interior
+    vertices and the hinge vertices it takes (`_pendant_homes`) hang.
+    Each lifted side enters followed by its complement, unless the side
+    is already present.  A side and its complement lift to complements
+    unless a pendant piece goes with neither.
     """
-    bct = BlockCutTree(h, b1_family(h))
-    fam, ix = bct.family, h.index
+    fam = b1_family(h)
+    bct = BlockCutTree(h, fam)
+    split = [(ci, z, sides) for ci, z in bct.block_classes.items()
+             if len(z.vertices) > 3 and not is_simple_cycle(z)
+             for sides in (_uncrossed_sides(z),) if sides]
+    if not split:
+        return fam
+    ix = h.index
     elements = list(fam.elements)
     cuts = set(bct.cuts)
     present = set()
-    known = {}      # a block by its masks: the region of a block left whole
-    for ci, z in bct.block_classes.items():
-        known[ix.vertex_mask(z.vertices),
-              reduce(or_, map(ix.edge_bit.__getitem__, z.edges), 0)] = z
-        if len(z.vertices) <= 3 or is_simple_cycle(z):
-            continue
+    # a block by its masks: the region of a block left whole
+    known = {(ix.vertex_mask(z.vertices),
+              reduce(or_, map(ix.edge_bit.__getitem__, z.edges), 0)): z
+             for z in bct.block_classes.values()}
+    for ci, z, sides in split:
         hang = {v: ix.vertex_bit[v] for v in z.vertices}
         for i in fam.classes[ci]:
             hang[bct.cut_classes[fam.class_of[i ^ 1]]] |= elements[i].vmask
         zx = z.index
-        for zsep, take in _pendant_homes(_uncrossed_sides(z),
-                                         cuts & z.vertex_set):
+        for zsep, take in _pendant_homes(sides, cuts & z.vertex_set):
             hinge = zsep.key[2]
             bm = ix.vertex_mask(hinge)
             inner = reduce(or_, map(hang.__getitem__, (
@@ -173,40 +185,47 @@ def _canonical_tree(h):
 def _region_parts(family, ci):
     """(region, torso graph, virtual edges, virtual generators) of a class.
 
-    One virtual edge per hinge member whose boundary pair is not already
-    joined in the torso built so far; members are visited in sort-key
-    order so the generator choice is reproducible.
+    One virtual edge per boundary pair of a hinge member that the region
+    does not join, generated by the least member at that pair in
+    sort-key order, so the choice is reproducible.  Pairs are read off
+    the boundary masks, so a side is decoded only where two members
+    share a pair.
     """
     elements = family.elements
+    ix = family.host.index
     zprime = family.regions[ci]
     zvs = zprime.vertex_set
-    zes = set(zprime.edges)
-    virtuals = []
+    at = {}         # boundary pair -> its hinge members
+    for i in family.classes[ci]:
+        if elements[i].bmask.bit_count() == 2:
+            at.setdefault(ix.vertices_of(elements[i].bmask), []).append(i)
     gens = {}
-    hinges = [i for i in family.classes[ci]
-              if elements[i].bmask.bit_count() == 2]
-    for i in sorted(hinges, key=lambda i: (elements[i].sort_key(), i & 1)):
-        e = elements[i]
-        invariant(e.boundary <= zvs, "hinge must survive into the region")
-        k = edge_key(*e.boundary)
-        if k not in zes:
-            zes.add(k)
-            virtuals.append(k)
-            gens[k] = e
-    z = Graph(zprime.vertices, tuple(sorted(zes))) if virtuals else zprime
-    return zprime, z, tuple(sorted(virtuals)), gens
+    for k, members in at.items():
+        invariant(zvs.issuperset(k), "hinge must survive into the region")
+        if k not in zprime.edge_set:
+            gens[k] = elements[members[0] if len(members) == 1 else min(
+                members, key=lambda i: (elements[i].sort_key(), i & 1))]
+    virtuals = tuple(sorted(gens))
+    z = Graph(zprime.vertices, tuple(sorted(zprime.edges + virtuals))) \
+        if virtuals else zprime
+    return zprime, z, virtuals, gens
 
 
-def _bfs_path(g, src, dst):
-    """Shortest src-dst path, or None."""
+def _side_path(side, src, dst):
+    """Shortest src-dst path within a side, or None: a breadth-first
+    search on the host's sorted adjacency that follows only the side's
+    edges, so it finds the path a graph of the side would give
+    (`bfs_path` in `tests/oracles.py`) without building that graph."""
     if src == dst:
         return (src,)
+    host, em = side.host, side.emask
+    bit = host.index.edge_bit
     prev = {src: None}
     queue = deque([src])
     while queue:
         x = queue.popleft()
-        for y in g.neighbors(x):
-            if y in prev:
+        for y in host.neighbors(x):
+            if y in prev or not em & bit[edge_key(x, y)]:
                 continue
             prev[y] = x
             if y == dst:
@@ -246,9 +265,7 @@ def torso(family, v):
     # crosses no other hinge
     paths = {}
     for k in virtuals:
-        e = gens[k]
-        side = Graph(tuple(sorted(e.va)), tuple(sorted(e.ea)))
-        path = _bfs_path(side, k[0], k[1])
+        path = _side_path(gens[k], k[0], k[1])
         invariant(path is not None, "member side must connect its hinge")
         paths[k] = path
     interiors = []

@@ -180,8 +180,9 @@ def parse_presentation(text):
             body = line[len("surface("):-1]
             mm = re.fullmatch(
                 r"\s*(\d+)\s*,\s*\[([\d\s,]*)\]\s*,\s*(\d+)\s*", body)
-            ms = mm and [x.strip() for x in mm.group(2).split(",")
-                         if x.strip()]
+            # an empty list is no cone point; an empty entry is refused
+            inner = mm and mm.group(2).strip()
+            ms = [x.strip() for x in inner.split(",")] if inner else []
             if not mm or not all(map(str.isdecimal, ms)):
                 raise MalformedInput("cannot parse surface shorthand",
                                      witness=line)

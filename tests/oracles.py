@@ -42,6 +42,7 @@ checks every image it makes with it.
 from __future__ import annotations
 
 import argparse
+from collections import deque
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
@@ -1063,6 +1064,30 @@ def reference_canonical_tree(h):
             present.update((s, sc))
             elements += (s, sc)
     return build_structure_tree(h, elements)
+
+
+def bfs_path(g, src, dst):
+    """Shortest src-dst path in the graph g, or None: the witness path
+    search of a torso as it ran on a graph built from the member side,
+    `Graph(sorted(e.va), sorted(e.ea))`.  `blocks2._side_path` must find
+    the same path on the host's masks."""
+    if src == dst:
+        return (src,)
+    prev = {src: None}
+    queue = deque([src])
+    while queue:
+        x = queue.popleft()
+        for y in g.neighbors(x):
+            if y in prev:
+                continue
+            prev[y] = x
+            if y == dst:
+                path = [y]
+                while prev[path[-1]] is not None:
+                    path.append(prev[path[-1]])
+                return tuple(reversed(path))
+            queue.append(y)
+    return None
 
 
 # --------------------------------------------------- Kuratowski witnesses

@@ -19,12 +19,13 @@ from planarblocks import (
     triblock_tree,
 )
 from planarblocks import blocks2, cli, graph
-from planarblocks.graph import induced_subgraph, is_simple_cycle
+from planarblocks.graph import Graph, induced_subgraph, is_simple_cycle
 from planarblocks.blocks2 import (
     KIND_CUT_POINT,
     KIND_CYCLE,
     KIND_THREE_CONNECTED,
     _canonical_tree,
+    _region_parts,
     _uncrossed_sides,
 )
 from planarblocks.errors import (
@@ -34,11 +35,12 @@ from planarblocks.errors import (
     PreconditionViolated,
 )
 
-from conftest import (complete_graph, fixture_path, g_of, grid_graph, k4_book,
-                      wheel_graph)
-from oracles import (all_separations, build_nested_family, chorded_cycle,
-                     edge_subset_separations, enumerate_separations_at,
-                     glued_blocks, is_three_connected_by_cutsets,
+from conftest import (complete_graph, cycle_graph, fixture_path, g_of,
+                      grid_graph, k4_book, wheel_graph)
+from oracles import (all_separations, bfs_path, build_nested_family,
+                     chorded_cycle, edge_subset_separations,
+                     enumerate_separations_at, glued_blocks,
+                     is_three_connected_by_cutsets,
                      lowpoint_blocks, make_separation, nested,
                      random_two_connected_graph, reference_canonical_tree,
                      reference_lift_torso_separation, separation_fault,
@@ -753,6 +755,150 @@ def test_triblocks_passes_over_each_graph_once(name, monkeypatch, tmp_path):
     assert bare
     for to in bare:
         assert to.z is to.z_prime and to.witness is to.z_prime
+
+
+def test_triblock_adjacency_grows_linearly_on_books(monkeypatch):
+    # a torso's witness path is searched on the host's adjacency, so no
+    # graph of a member side is built: doubling the pages doubles the
+    # adjacency entries built, where one side graph per page made them
+    # grow 3.9x
+    books = {pages: k4_book(pages) for pages in (32, 64)}
+    entries = []
+    adj = graph.Graph._adj.func
+
+    def counted(g):
+        a = adj(g)
+        entries.append(sum(map(len, a.values())))
+        return a
+    wrapped = cached_property(counted)
+    wrapped.__set_name__(graph.Graph, "_adj")
+    monkeypatch.setattr(graph.Graph, "_adj", wrapped)
+    built = {}
+    for pages, g in books.items():
+        entries.clear()
+        triblock_tree(g)
+        built[pages] = sum(entries)
+    assert built[64] <= 2.2 * built[32], built
+
+
+# ---------------------------------------------------------------------------
+# hinge-free hosts keep the block-cut family
+
+
+PRISM = g_of("0-1,1-2,2-0,3-4,4-5,5-3,0-3,1-4,2-5")
+HINGE_FREE_PIECES = (complete_graph(4), complete_graph(5), wheel_graph(5),
+                     wheel_graph(6), PRISM, cycle_graph(3), cycle_graph(5))
+# K4 books (two pages are two K4s glued along an edge), and two K4s
+# glued along an edge less that edge
+HINGE_PIECES = (k4_book(2), k4_book(3),
+                g_of("0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5"))
+
+
+@st.composite
+def glued_trees(draw, first, pieces):
+    """A tree of one piece of `first` and up to five of `pieces`, each
+    glued at one of its vertices to a vertex placed before, under
+    random vertex names."""
+    edges, n = [], 0
+    for k in range(draw(st.integers(1, 6))):
+        piece = draw(st.sampled_from(first if k == 0 else pieces))
+        hang = draw(st.sampled_from(piece.vertices))
+        at = draw(st.integers(0, n - 1)) if k else None
+        fresh = iter(range(n, n + len(piece.vertices)))
+        name = {v: at if v == hang and k else next(fresh)
+                for v in piece.vertices}
+        n = max(n, max(name.values()) + 1)
+        edges += [(name[u], name[v]) for u, v in piece.edges]
+    perm = draw(st.permutations(range(n)))
+    return build_graph(perm, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _triblock_tree_counting_builds(g):
+    """triblock_tree(g) and how often it ran build_structure_tree."""
+    calls = []
+    build = blocks2.build_structure_tree
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+    blocks2.build_structure_tree = counted
+    try:
+        return triblock_tree(g), len(calls)
+    finally:
+        blocks2.build_structure_tree = build
+
+
+def _same_family(got, want):
+    assert [e.key for e in got.elements] == [e.key for e in want.elements]
+    assert got.classes == want.classes
+    assert [(r.vertices, r.edges) for r in got.regions] == \
+        [(r.vertices, r.edges) for r in want.regions]
+    assert got.edges == want.edges
+    assert got.cut_classes == want.cut_classes
+
+
+@settings(max_examples=80, deadline=None)
+@given(glued_trees(HINGE_FREE_PIECES, HINGE_FREE_PIECES))
+def test_hinge_free_host_keeps_the_block_cut_family(g):
+    # no block of a vertex-glued tree of 3-connected pieces and cycles
+    # has a 2-cut, so the block-cut family is the tree, as a structure
+    # tree built from its elements reads it
+    t, builds = _triblock_tree_counting_builds(g)
+    assert builds == 0
+    h = t.family.host
+    _same_family(t.family, build_structure_tree(h, b1_family(h).elements))
+
+
+@settings(max_examples=40, deadline=None)
+@given(glued_trees(HINGE_PIECES, HINGE_FREE_PIECES + HINGE_PIECES))
+def test_host_with_a_hinge_block_builds_the_combined_tree(g):
+    t, builds = _triblock_tree_counting_builds(g)
+    assert builds == 1
+    _same_family(t.family, reference_canonical_tree(t.family.host))
+
+
+# ---------------------------------------------------------------------------
+# witness paths searched on the host's masks
+
+
+def _subdivided(rng, g, k):
+    """g with k of its edges, drawn by rng, each split by a new vertex."""
+    edges = set(g.edges)
+    n = max(g.vertices) + 1
+    for u, v in rng.sample(sorted(edges), min(k, len(edges))):
+        edges -= {(u, v)}
+        edges |= {(u, n), (v, n)}
+        n += 1
+    return build_graph(sorted({x for e in edges for x in e}), sorted(edges))
+
+
+def _witness_corpus():
+    rng = random.Random(4631)
+    for _ in range(150):
+        yield glued_blocks(rng)
+    yield from _lift_corpus(random.Random("block-cut-lift"))
+    rng = random.Random("witness-paths")
+    for size in (1, 2, 3, 5, 8):
+        for g in (k4_book(size), _k4_chain(size)):
+            yield g
+            yield _subdivided(rng, g, 2 * size)
+
+
+def test_witness_paths_match_the_side_graph_search():
+    # each virtual edge's path is the one a breadth-first search finds on
+    # a graph of its member side
+    searched = 0
+    for g in _witness_corpus():
+        t = triblock_tree(g)
+        for ci, to in t.torsos.items():
+            _, _, virtuals, gens = _region_parts(t.family, ci)
+            assert tuple(to.witness_paths) == virtuals == to.virtual_edges
+            for k in virtuals:
+                side = Graph(tuple(sorted(gens[k].va)),
+                             tuple(sorted(gens[k].ea)))
+                assert to.witness_paths[k] == bfs_path(side, *k), g.edges
+                searched += 1
+    assert searched > 1000
 
 
 def test_triblock_requires_connected():

@@ -158,6 +158,18 @@ def test_parse_rejects_conflicts_and_noise():
     # two counts without a comma between them are one malformed entry
     with pytest.raises(MalformedInput, match="cannot parse surface"):
         parse_presentation("surface(0, [2 3], 0)")
+    # a doubled or trailing comma leaves an empty cone-point entry
+    for text in ("surface(1, [2,,3,], 0)", "surface(0, [2,3,], 0)",
+                 "surface(0, [,], 0)", "surface(0, [ , 2], 0)"):
+        with pytest.raises(MalformedInput, match="cannot parse surface"):
+            parse_presentation(text)
+    # no cone point at all, and entries spaced around their commas, are
+    # still read
+    assert parse_presentation("surface(1, [], 0)") \
+        == parse_presentation("surface(1, [ ], 0)") \
+        == surface_presentation(1, (), 0)
+    assert parse_presentation("surface(0, [ 2 , 3,4 ], 0)") \
+        == surface_presentation(0, (2, 3, 4), 0)
 
 
 # ---------------------------------------------------------------------------

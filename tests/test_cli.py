@@ -639,10 +639,10 @@ blocks2.two_cuts = cut_on_recheck
 runs.append(cli.run(["triblocks", sys.argv[3]]))
 blocks2.two_cuts = two_cuts
 # blocks2: a virtual edge whose member side has no path fails its torso
-bfs_path = blocks2._bfs_path
-blocks2._bfs_path = lambda *args: None
+side_path = blocks2._side_path
+blocks2._side_path = lambda *args: None
 runs.append(cli.run(["triblocks", sys.argv[3]]))
-blocks2._bfs_path = bfs_path
+blocks2._side_path = side_path
 # blocks2: a witness path paired with itself shares its interior
 combinations = blocks2.combinations
 blocks2.combinations = lambda items, r: ((x, x) for x in items)
@@ -665,20 +665,21 @@ blocks2.torso = greedy_torso
 runs.append(cli.run(["triblocks", sys.argv[3]]))
 blocks2.torso = torso
 # blocks2: a witness path through its own hinge vertex meets the region
-blocks2._bfs_path = lambda g, src, dst: (src, src, dst)
+blocks2._side_path = lambda side, src, dst: (src, src, dst)
 runs.append(cli.run(["triblocks", sys.argv[3]]))
 # blocks2: a witness path through a vertex the host lacks leaves the host
-blocks2._bfs_path = lambda g, src, dst: (src, -1, dst)
+blocks2._side_path = lambda side, src, dst: (src, -1, dst)
 runs.append(cli.run(["triblocks", sys.argv[3]]))
-# blocks2: a witness path that doubles back on itself has a vertex of
-# degree 3 in the witness
-def looping_path(g, src, dst):
-    p = bfs_path(g, src, dst)
-    y = next(w for w in g.neighbors(p[1]) if w not in p)
+# blocks2: a witness path that doubles back on itself through a vertex
+# of its side has a vertex of degree 3 in the witness
+def looping_path(side, src, dst):
+    p = side_path(side, src, dst)
+    y = next(w for w in side.host.neighbors(p[1])
+             if w in side.va and w not in p)
     return p[:2] + (y,) + p[1:]
-blocks2._bfs_path = looping_path
+blocks2._side_path = looping_path
 runs.append(cli.run(["triblocks", sys.argv[3]]))
-blocks2._bfs_path = bfs_path
+blocks2._side_path = side_path
 # blocks2: a torso that forgets its virtual edges does not contract to
 # the graph that holds them
 region_parts = blocks2._region_parts
