@@ -577,7 +577,7 @@ def cayley_graph(tbl, pr):
 # 2^d characters, each order one walk over 2d states plus the orders of
 # its face words, cached per element.  At d = 6 Z_10^3 (960 candidates)
 # is refused in about 24 ms, and `planarity_test` then refutes it in
-# about 0.15 s; at d = 7 there would be 720 orders per character.
+# about 7 ms; at d = 7 there would be 720 orders per character.
 MAX_ROTATION_LETTERS = 6
 
 

@@ -7,22 +7,18 @@ phases are iterative, so a DFS deeper than Python's recursion limit
 (a long path or cycle, a large grid) is no problem; the first is the
 palm forest of `graph.PalmForest`.  It keeps the adjacency, DFS and
 tie-breaking orders of the networkx implementation, so its rotations
-are the ones networkx gives.  `kuratowski_edges` finds the Kuratowski
-subgraph of a nonplanar graph by greedy edge deletion in networkx's
-own order, with batched yes/no tests; it deletes edges off the 2-core
-untested, and stops once that core subdivides K5 or K3,3.  `planar`
-certifies what both return.
+are the ones networkx gives.  A graph it refutes gets its Kuratowski
+subgraph from `kuratowski`, and `planar` certifies what both return.
 """
 
 from .graph import PalmForest
-from .planar import subdivision_kind
 
 
 def edge_order(n, edges):
     """The edges of the graph on 0..n-1 in networkx's edge order: by
     their lesser endpoint, and at each vertex in the order `edges` lists
     its edges.  Adjacency lists appended from this order are the ones
-    networkx's left-right test searches, and greedy deletion follows it.
+    networkx's left-right test searches.
     """
     later = [[] for _ in range(n)]
     for a, b in edges:
@@ -283,68 +279,3 @@ def left_right(n, edges, embed=False):
                 x = cw[v][x]
         rotation.append(around)
     return rotation
-
-
-def _two_core(n, edges):
-    """Each vertex's neighbours in the 2-core of the graph on 0..n-1 with
-    these edges: what is left once vertices of degree 1 are peeled off,
-    one at a time.  A vertex off the core gets an empty list."""
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    degree = list(map(len, adj))
-    leaves = [v for v in range(n) if degree[v] == 1]
-    for v in leaves:        # the list grows behind the scan
-        degree[v] = 0
-        for w in adj[v]:
-            if degree[w]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    leaves.append(w)
-    return [[w for w in around if degree[w]] if degree[v] else []
-            for v, around in enumerate(adj)]
-
-
-def kuratowski_edges(n, order):
-    """Edges of a Kuratowski subgraph of the nonplanar graph on 0..n-1
-    whose edges, in networkx's edge order, are `order`.
-
-    The result is networkx's `get_counterexample`, edge for edge: each
-    edge in turn is deleted when the graph stays nonplanar without it.
-    Three rules find the same edges with fewer tests.  An edge off the
-    2-core of the graph left is on no Kuratowski subgraph, so it is
-    deleted untested.  Once that 2-core subdivides K5 or K3,3
-    (`planar.subdivision_kind`), losing any of its edges makes the graph
-    planar, so it is the answer.  And planarity is monotone under
-    subgraphs, so a batch of edges whose removal leaves the graph
-    nonplanar goes at once, as one-by-one deletion would remove each:
-    batches double after such a removal and halve after one that makes
-    the graph planar, and a batch of one that makes it planar keeps its
-    edge.  The graph at each test is the kept edges and those not tried
-    yet, less the batch.
-    """
-    kept, rest = [], order
-    size = 1
-    while True:
-        # the graph left is kept + rest, nonplanar; kept is on its core
-        core = _two_core(n, kept + rest)
-        rest = [e for e in rest if core[e[0]] and core[e[1]]]
-        # branch vertices of degree 4 or 3, five or six, else no walk
-        branch = [len(around) for around in core if len(around) > 2]
-        if branch in ([4] * 5, [3] * 6) and subdivision_kind(
-                [v for v in range(n) if core[v]], core)[0]:
-            return kept + rest
-        i = 0
-        while i < len(rest):
-            if left_right(n, kept + rest[i + size:]) is None:
-                rest = rest[i + size:]
-                size *= 2
-                break
-            if size == 1:
-                kept.append(rest[i])
-                i += 1
-            else:
-                size //= 2
-        else:
-            return kept

@@ -12,10 +12,9 @@ commands that print faces canonicalise them (`PlanarityResult.faces`).
 A Cayley graph brings its own rotation (`cayley.equivariant_rotation`);
 any other graph is decided by the left-right planarity test of
 `leftright`, whose int rotation `planarity_test` certifies on the same
-int numbering.  A refutation is accepted only through
-`certify_kuratowski`, whose linear walk along the paths between branch
-vertices (`subdivision_kind`) also tells `leftright.kuratowski_edges`
-when to stop.
+int numbering.  A graph it refutes gets its witness from the linear
+isolation of `kuratowski`, accepted only through `certify_kuratowski`,
+a linear walk along the paths between branch vertices.
 """
 
 from functools import cached_property
@@ -198,17 +197,17 @@ def planarity_test(g):
     host subgraphs so callers can verify them on their own terms.  A
     disconnected host raises NotConnected either way.
     """
-    # imported here, so that certifying a given rotation, all that a
-    # planar Cayley graph needs, does not load the test
-    from .leftright import edge_order, kuratowski_edges, left_right
+    # imported here: certifying a given rotation, all a planar Cayley
+    # graph needs, loads no test, and only a refutation the isolation
+    from .leftright import edge_order, left_right
     vs = g.vertices
     index = {v: i for i, v in enumerate(vs)}
     order = edge_order(len(vs), [(index[u], index[v]) for u, v in g.edges])
     rotation = left_right(len(vs), order, embed=True)
     if rotation is None:
         _require_connected(g)
-        kept = [edge_key(vs[a], vs[b])
-                for a, b in kuratowski_edges(len(vs), order)]
+        from .kuratowski import kuratowski_edges
+        kept = [edge_key(vs[a], vs[b]) for a, b in kuratowski_edges(g.palm)]
         ws = Graph(tuple(sorted({v for e in kept for v in e})),
                    tuple(sorted(kept)))
         invariant(ws.edge_set <= g.edge_set,

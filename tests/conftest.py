@@ -52,6 +52,15 @@ def grid_graph(rows, cols):
     return build_graph(range(rows * cols), es)
 
 
+def crossed_grid(r):
+    """The r x r grid plus the chords 0 - (n - 1) and (r - 1) - (n - r)
+    joining opposite corners: one nonplanar block, no vertex of degree
+    below 2."""
+    n = r * r
+    g = grid_graph(r, r)
+    return build_graph(range(n), g.edges + ((0, n - 1), (r - 1, n - r)))
+
+
 def wheel_graph(n):
     """Hub 0 plus a rim cycle on 1..n-1 (n vertices total)."""
     rim = [(i, i % (n - 1) + 1) for i in range(1, n)]

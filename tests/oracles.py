@@ -30,7 +30,12 @@ own:
   `GroupTable`, `check_relators` and signature helpers, with which
   `reference_coset_enumerate` holds, checks and bounds its table;
 - `cli.COMMANDS`, for the commands and bounds that the reference
-  argparse parser of the command line declares.
+  argparse parser of the command line declares;
+- `leftright`'s `edge_order` and `left_right`, checked against
+  networkx's test, and `planar.subdivision_kind`, checked against
+  `kuratowski_kind`: the yes/no tests and the stopping rule of the
+  greedy Kuratowski extractor (`greedy_kuratowski_edges`), which the
+  package's linear isolation replaced.
 
 The package builds its sides straight from masks and leaves them to
 `treeset.certify_tree`.  The sides the tests build by hand go through
@@ -64,7 +69,9 @@ from planarblocks.graph import (Graph, build_graph, connected_components,
                                 edge_key, induced_subgraph, is_connected,
                                 is_simple_cycle, is_two_connected,
                                 require_connected, set_bits, two_cuts)
-from planarblocks.planar import canonical_face, facial_walks, planarity_test
+from planarblocks.leftright import edge_order, left_right
+from planarblocks.planar import (canonical_face, facial_walks, planarity_test,
+                                 subdivision_kind)
 from planarblocks.separation import Separation, separation_complement
 from planarblocks.treeset import NestedFamily, build_structure_tree
 
@@ -1156,6 +1163,81 @@ def networkx_kuratowski_edges(g):
     if ok:
         raise ValueError("graph is planar")
     return tuple(sorted(edge_key(u, v) for u, v in cert.edges()))
+
+
+def _two_core(n, edges):
+    """Each vertex's neighbours in the 2-core of the graph on 0..n-1 with
+    these edges: what is left once vertices of degree 1 are peeled off,
+    one at a time.  A vertex off the core gets an empty list."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    degree = list(map(len, adj))
+    leaves = [v for v in range(n) if degree[v] == 1]
+    for v in leaves:        # the list grows behind the scan
+        degree[v] = 0
+        for w in adj[v]:
+            if degree[w]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+    return [[w for w in around if degree[w]] if degree[v] else []
+            for v, around in enumerate(adj)]
+
+
+def greedy_kuratowski_edges(n, order):
+    """Edges of a Kuratowski subgraph of the nonplanar graph on 0..n-1
+    whose edges, in networkx's edge order, are `order`.
+
+    The result is networkx's `get_counterexample`, edge for edge: each
+    edge in turn is deleted when the graph stays nonplanar without it.
+    Three rules find the same edges with fewer tests.  An edge off the
+    2-core of the graph left is on no Kuratowski subgraph, so it is
+    deleted untested.  Once that 2-core subdivides K5 or K3,3
+    (`planar.subdivision_kind`), losing any of its edges makes the graph
+    planar, so it is the answer.  And planarity is monotone under
+    subgraphs, so a batch of edges whose removal leaves the graph
+    nonplanar goes at once, as one-by-one deletion would remove each:
+    batches double after such a removal and halve after one that makes
+    the graph planar, and a batch of one that makes it planar keeps its
+    edge.  The graph at each test is the kept edges and those not tried
+    yet, less the batch.
+    """
+    kept, rest = [], order
+    size = 1
+    while True:
+        # the graph left is kept + rest, nonplanar; kept is on its core
+        core = _two_core(n, kept + rest)
+        rest = [e for e in rest if core[e[0]] and core[e[1]]]
+        # branch vertices of degree 4 or 3, five or six, else no walk
+        branch = [len(around) for around in core if len(around) > 2]
+        if branch in ([4] * 5, [3] * 6) and subdivision_kind(
+                [v for v in range(n) if core[v]], core)[0]:
+            return kept + rest
+        i = 0
+        while i < len(rest):
+            if left_right(n, kept + rest[i + size:]) is None:
+                rest = rest[i + size:]
+                size *= 2
+                break
+            if size == 1:
+                kept.append(rest[i])
+                i += 1
+            else:
+                size //= 2
+        else:
+            return kept
+
+
+def greedy_kuratowski_witness(g):
+    """Sorted edge keys of the greedy extractor's Kuratowski subgraph of
+    the nonplanar g, numbered as `planarity_test` numbers it."""
+    vs = g.vertices
+    index = {v: i for i, v in enumerate(vs)}
+    order = edge_order(len(vs), [(index[u], index[v]) for u, v in g.edges])
+    return tuple(sorted(edge_key(vs[a], vs[b])
+                        for a, b in greedy_kuratowski_edges(len(vs), order)))
 
 
 # ------------------------------------------------------------- faces

@@ -581,7 +581,7 @@ CERTIFICATE_UNDER_O = """
 import json
 from planarblocks import (Graph, cayley_graph, certify_embedding,
                           coset_enumerate, equivariant_rotation,
-                          parse_presentation)
+                          kuratowski, parse_presentation, planarity_test)
 from planarblocks.errors import PlanarBlocksError
 assert False, "this script must run under -O"
 pr = parse_presentation("surface(0, [2,3,3], 0)")
@@ -600,6 +600,15 @@ for host, order in ((g, swapped), (g, dropped), (apart, rotation)):
         certify_embedding(host, order)
     except PlanarBlocksError as exc:
         caught.append([exc.kind, str(exc)])
+# an isolation that drops one edge of K5's witness
+isolate = kuratowski.kuratowski_edges
+kuratowski.kuratowski_edges = lambda palm: isolate(palm)[1:]
+k5 = Graph(tuple(range(5)), tuple((a, b) for a in range(5)
+                                  for b in range(a + 1, 5)))
+try:
+    planarity_test(k5)
+except PlanarBlocksError as exc:
+    caught.append([exc.kind, str(exc)])
 print(json.dumps(caught))
 """
 
@@ -611,7 +620,9 @@ def test_wrong_rotations_fail_the_certificate_under_dash_o():
         ["invariant-violated", "sphere embeddings satisfy Euler's formula"],
         ["malformed-input",
          "rotation at a vertex must permute its incident edges"],
-        ["not-connected", "planarity certificates assume a connected host"]]
+        ["not-connected", "planarity certificates assume a connected host"],
+        ["invariant-violated",
+         "Kuratowski witness must subdivide K5 or K3,3"]]
 
 
 DECOMPOSITION_INVARIANTS = """
@@ -811,9 +822,9 @@ def test_each_command_loads_only_its_modules(tmp_path):
     # no command loads networkx, which is a test oracle only, nor
     # argparse and the gettext and locale it imports: the CLI reads its
     # command lines itself, help included; blocks2, cayley, planar and
-    # symmetry are loaded only by the commands that run them, and
+    # symmetry are loaded only by the commands that run them,
     # leftright only by a planarity test, which a planar group's Cayley
-    # graph does not need
+    # graph does not need, and kuratowski only by a refutation
     z3xz3 = tmp_path / "z3xz3.pres"
     z3xz3.write_text("gens: a b\nrels: a^3, b^3, (a*b*a^-1*b^-1)\n")
     trivial = tmp_path / "trivial.pres"
@@ -823,9 +834,12 @@ def test_each_command_loads_only_its_modules(tmp_path):
             ("triblocks", fx("k4.edges")): ["blocks1", "blocks2",
                                             "separation", "treeset"],
             ("planar", fx("k4.edges")): ["leftright", "planar"],
+            ("planar", fx("k5.edges")): ["kuratowski", "leftright",
+                                         "planar"],
             ("cayley", fx("d3.pres")): ["cayley", "planar"],
             ("cayley", str(trivial)): ["cayley", "planar"],
-            ("cayley", str(z3xz3)): ["cayley", "leftright", "planar"],
+            ("cayley", str(z3xz3)): ["cayley", "kuratowski", "leftright",
+                                     "planar"],
             ("autos", "--help"): []}
     for (cmd, path), extra in runs.items():
         proc = _python(["-c", MODULES_LOADED, cmd, path])

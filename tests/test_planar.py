@@ -2,14 +2,15 @@
 facial symmetry checks."""
 
 import random
+import time
 from itertools import combinations
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (complete_graph, cycle_graph, g_of, grid_graph,
-                      path_graph, wheel_graph)
+from conftest import (complete_graph, crossed_grid, cycle_graph, g_of,
+                      grid_graph, path_graph, wheel_graph)
 from oracles import (
     apply_to_face,
     brute_automorphisms,
@@ -19,6 +20,7 @@ from oracles import (
     face_multiset_uniqueness_check,
     face_size_multiset,
     facial_preservation_check,
+    greedy_kuratowski_witness,
     kuratowski_kind,
     networkx_kuratowski_edges,
     per_vertex_rotation_check,
@@ -46,7 +48,8 @@ from planarblocks.errors import (
     NotConnected,
     PreconditionViolated,
 )
-from planarblocks import leftright
+import oracles
+from planarblocks import kuratowski, leftright
 from planarblocks.leftright import left_right
 
 
@@ -185,17 +188,109 @@ def _kuratowski_hosts():
     yield cayley_graph(coset_enumerate(pr), pr)
 
 
-def test_kuratowski_witness_is_the_networkx_one():
-    # the batched extraction deletes exactly the edges networkx's
-    # one-at-a-time greedy deletion does, in the same order, also when
-    # the vertex and edge tuples are not sorted
+def _assert_refuted(g, res, oracles_too=True):
+    """res refutes g with a Kuratowski subdivision of g that both judges
+    certify, inside one block of g, and a second run on a graph built
+    anew gives the same witness.  With `oracles_too`, the greedy
+    extractor and networkx each find a certified witness as well; the
+    kinds are not compared, since one graph can hold both a K5 and a
+    K3,3 subdivision."""
+    assert not res.planar
+    w = res.witness
+    assert w.edge_set <= g.edge_set
+    assert w.vertices == tuple(sorted({v for e in w.edges for v in e}))
+    assert certify_kuratowski(w) == kuratowski_kind(w)
+    h = nx.Graph(list(g.edges))
+    assert any(w.edge_set <= {edge_key(*e) for e in block}
+               for block in nx.biconnected_component_edges(h))
+    again = planarity_test(Graph(g.vertices, g.edges)).witness
+    assert (again.vertices, again.edges) == (w.vertices, w.edges)
+    if oracles_too:
+        for edges in (greedy_kuratowski_witness(g),
+                      networkx_kuratowski_edges(g)):
+            other = Graph(tuple(sorted({v for e in edges for v in e})),
+                          tuple(sorted(edges)))
+            assert certify_kuratowski(other) == kuratowski_kind(other)
+
+
+def test_kuratowski_witness_is_certified_as_the_oracles_are():
+    # a linear isolation finds its own subdivision, not networkx's; it
+    # must be one all the same, also when the vertex and edge tuples are
+    # not sorted
     for g in _kuratowski_hosts():
-        res = planarity_test(g)
-        assert not res.planar
-        assert res.witness.edges == networkx_kuratowski_edges(g)
-        assert res.witness.vertices == tuple(sorted(
-            {v for e in res.witness.edges for v in e}))
-        assert kuratowski_kind(res.witness) in ("K5", "K33")
+        _assert_refuted(g, planarity_test(g))
+
+
+def _z10_cubed():
+    pr = parse_presentation("gens: a b c\nrels: a^10, b^10, c^10, "
+                            "(a*b*a^-1*b^-1), (a*c*a^-1*c^-1), "
+                            "(b*c*b^-1*c^-1)")
+    return cayley_graph(coset_enumerate(pr), pr)
+
+
+def _blocks_with_a_late_nonplanar_one(rng):
+    """A connected graph of several blocks: planar cycles and wheels, and
+    one nonplanar block from `_random_nonplanar` glued on at a cut vertex
+    away from vertex 0, where the search starts, so that it is not the
+    first block; further planar blocks may hang off it."""
+    edges, n = [(0, 1), (1, 2), (2, 0)], 3
+    for _ in range(rng.randint(1, 4)):
+        at, k = rng.randrange(1, n), rng.randint(3, 7)
+        ring = [at] + list(range(n, n + k - 1))
+        edges += list(zip(ring, ring[1:] + ring[:1]))
+        if rng.random() < 0.5:
+            edges += [(n + k - 1, x) for x in ring]
+            k += 1
+        n += k - 1
+    core = _random_nonplanar(rng, shuffled=False)
+    at = rng.randrange(1, n)
+    names = [at] + list(range(n, n + len(core.vertices) - 1))
+    edges += [(names[a], names[b]) for a, b in core.edges]
+    n += len(core.vertices) - 1
+    for _ in range(rng.randint(0, 3)):
+        at, k = rng.choice(names[1:]), rng.randint(3, 6)
+        ring = [at] + list(range(n, n + k - 1))
+        edges += list(zip(ring, ring[1:] + ring[:1]))
+        n += k - 1
+    return build_graph(range(n), edges)
+
+
+def test_kuratowski_witness_lies_in_a_late_nonplanar_block():
+    rng = random.Random(35)
+    for _ in range(40):
+        g = _blocks_with_a_late_nonplanar_one(rng)
+        assert not nx.is_biconnected(nx.Graph(list(g.edges)))
+        _assert_refuted(g, planarity_test(g))
+
+
+@pytest.mark.parametrize("build", [
+    _z10_cubed, lambda: crossed_grid(25), lambda: crossed_grid(50)],
+    ids=["Z10^3", "crossed25", "crossed50"])
+def test_kuratowski_isolation_at_scale(build):
+    # Petersen and Z6 x Z6 are among `_kuratowski_hosts`; the greedy
+    # oracle and networkx take seconds on these larger hosts, so only
+    # the certificate, the block and the repeat are checked
+    g = build()
+    _assert_refuted(g, planarity_test(g), oracles_too=False)
+
+
+def test_a_disconnected_nonplanar_host_is_refused_before_isolation(
+        monkeypatch):
+    def unreachable(palm):
+        raise AssertionError("isolation ran on a disconnected host")
+    monkeypatch.setattr(kuratowski, "kuratowski_edges", unreachable)
+    g = g_of("0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4,5-6")
+    with pytest.raises(NotConnected):
+        planarity_test(g)
+
+
+def test_the_crossed_grid_is_refuted_in_linear_time():
+    # 78 s by greedy deletion with left-right tests
+    g = crossed_grid(100)
+    start = time.perf_counter()
+    res = planarity_test(g)
+    assert time.perf_counter() - start < 5
+    assert certify_kuratowski(res.witness) == "K33"
 
 
 @st.composite
@@ -247,8 +342,7 @@ def test_left_right_agrees_with_networkx(g):
             # networkx release the golden bytes were first recorded with
             assert rotation == cert.get_data()
     else:
-        assert res.witness.edges == networkx_kuratowski_edges(g)
-        assert kuratowski_kind(res.witness) in ("K5", "K33")
+        assert res.witness.edge_set <= g.edge_set
         assert certify_kuratowski(res.witness) == kuratowski_kind(res.witness)
 
 
@@ -413,38 +507,31 @@ def subdivided_kuratowski_hosts(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(subdivided_kuratowski_hosts())
-def test_kuratowski_extraction_keeps_the_networkx_witness(g):
-    # pendant trees are pruned untested and the extraction stops once
-    # the 2-core left subdivides K5 or K3,3; the edges are still
-    # networkx's, one for one
-    res = planarity_test(g)
-    assert not res.planar
-    assert res.witness.edges == networkx_kuratowski_edges(g)
-    assert certify_kuratowski(res.witness) == kuratowski_kind(res.witness)
+def test_kuratowski_isolation_certifies_subdivided_hosts(g):
+    # pendant trees and extra chords around a subdivision: the isolated
+    # witness is one, and the greedy oracle and networkx find one too
+    _assert_refuted(g, planarity_test(g))
 
 
 def _counted_extraction(monkeypatch, g):
-    """(left-right tests made, witness edges) of `kuratowski_edges`
+    """(left-right tests made, witness edges) of the greedy extractor
     on g, numbered as `planarity_test` numbers it."""
-    vs = g.vertices
-    index = {v: i for i, v in enumerate(vs)}
-    order = leftright.edge_order(len(vs),
-                                 [(index[u], index[v]) for u, v in g.edges])
     calls = []
-    test = leftright.left_right
+    test = oracles.left_right
 
     def counted(*args, **kwargs):
         calls.append(args)
         return test(*args, **kwargs)
-    monkeypatch.setattr(leftright, "left_right", counted)
-    kept = leftright.kuratowski_edges(len(vs), order)
-    return len(calls), tuple(sorted(edge_key(vs[a], vs[b]) for a, b in kept))
+    monkeypatch.setattr(oracles, "left_right", counted)
+    edges = greedy_kuratowski_witness(g)
+    return len(calls), edges
 
 
 @pytest.mark.parametrize("n, most", [(6, 25), (3, 18)])
 def test_kuratowski_extraction_tests_fewer_edges(monkeypatch, n, most):
-    # 44 tests on Z6 x Z6 and 24 on Z3 x Z3 before edges off the 2-core
-    # went untested and the extraction stopped at a subdivision
+    # the greedy oracle: 44 tests on Z6 x Z6 and 24 on Z3 x Z3 before
+    # edges off the 2-core went untested and the extraction stopped at a
+    # subdivision
     pr = parse_presentation(
         "gens: a b\nrels: a^%d, b^%d, (a*b*a^-1*b^-1)" % (n, n))
     g = cayley_graph(coset_enumerate(pr), pr)
