@@ -20,14 +20,15 @@ _EXPORTS = {
                "PreconditionViolated", "TooLarge"),
     "graph": ("Graph", "ReducedGraph", "build_graph", "connected_components",
               "cut_vertices", "edge_key", "homeomorphic_reduce",
-              "induced_subgraph", "is_connected", "parse_edge_list"),
+              "is_connected", "parse_edge_list"),
     "planar": ("PlanarityResult", "RotationSystem", "canonical_face",
                "certify_embedding", "certify_kuratowski", "facial_walks",
                "planarity_test"),
-    "separation": ("Separation", "separation_complement"),
+    "separation": ("Separation", "build_structure_tree",
+                   "separation_complement"),
     "symmetry": ("AutGroup", "QuotientGraph", "automorphism_group",
                  "quotient_graph", "tree_action_check"),
-    "treeset": ("NestedFamily", "build_structure_tree", "certify_tree"),
+    "treeset": ("NestedFamily", "certify_tree"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -11,96 +11,91 @@ of its later-found end.
 Its directed edges are the elements of the one-boundary family: at each
 cut vertex c, for every component C of X - c, the minimal element
 spanned by C (all of C plus c and the joining edges) and its complement.
-A side is the union of the regions beyond its edge, so the sides come
-bottom-up, one OR per tree node, and the family and its tree are built
-as one record (`treeset.NestedFamily`), the classes read off the DFS.
-Of the two producers of a family this is the DFS read; the other,
-`treeset.build_structure_tree`, reads the classes off the containment
-of the sides and is not called here.  When c leaves
-exactly two components, the minimal element on one side coincides, as a
-subgraph, with the complement of the other; the two are distinct family
-members on distinct tree edges, the minimal one below its twin.
-
-`certify_block_cut_tree` checks the result in one linear pass: the
-certificate of every structure tree (`treeset.certify_tree`), and on
-top of it what makes the tree a block-cut tree.
+When c leaves exactly two components, the minimal element on one side
+coincides, as a subgraph, with the complement of the other; the two are
+distinct members on distinct tree edges, the minimal one below its twin.
+As in Dunwoody's "Cutting up graphs" (Combinatorica 1982), the tree
+comes first: the family and its tree are one record
+(`treeset.NestedFamily`), the classes read off the DFS, and each side,
+the regions of a subtree or of all but one, is an interval of the tree's
+preorder, an Euler-tour numbering (Tarjan and Vishkin, SIAM J. Comput.
+1985), not a set.  So the family takes time and memory linear in the
+graph, and no mask index is built.  `certify_block_cut_tree` checks the
+result in one linear pass: the certificate of every structure tree
+(`treeset.certify_tree`), and on top of it what makes the tree a
+block-cut tree.
 """
+
+from itertools import groupby
 
 from .errors import invariant
 from .graph import Graph, _splits, edge_key
-from .separation import Separation
-from .treeset import NestedFamily, certify_tree
+from .treeset import NestedFamily, certify_tree, preorder
 
 
 def b1_family(g):
     """All single-component minimal elements at every cut vertex, plus
     complements, as the family whose classes are the block-cut tree's
     vertices: cut vertices ascending, components by least vertex, each
-    minimal side followed by its complement.  Connected input; a
-    2-connected graph, an edge or a vertex gives the empty family, whose
-    one region is g itself."""
+    minimal side followed by its complement, in the interval form.
+    Connected input; a 2-connected graph, an edge or a vertex gives the
+    empty family, whose one region is g itself."""
     split = _splits(g)
     if not split:
         return NestedFamily(g, (), (frozenset(),), (g,))
-    palm, vs, ix = g.palm, g.vertices, g.index
+    palm, vs, n = g.palm, g.vertices, len(g.vertices)
     order, parent = palm.order, palm.parent
-    n = len(vs)
-    root = order[0]
+    root = order[0]         # vertex 0, the least
     # the root's children, and every child that splits off its parent
     heads = {order[1]}.union(*split.values())
-    block = [root] * n      # vertex below the root -> head of its block
+    block = [root] * n      # vertex below the root -> its block's head
     verts = {h: [parent[h]] for h in heads}
     for v in order[1:]:
         block[v] = h = v if v in heads else block[parent[v]]
         verts[h].append(v)
+    least = list(range(n))  # the least vertex of each DFS subtree
+    for v in reversed(order[1:]):
+        if least[v] < least[parent[v]]:
+            least[parent[v]] = least[v]
     edges = {h: [] for h in heads}
-    emask = dict.fromkeys(heads, 0)
     for v, w in zip(palm.tail, palm.head):  # the later end's block
-        e = edge_key(vs[v], vs[w])
-        h = block[w if parent[w] == v else v]
-        edges[h].append(e)
-        emask[h] |= ix.edge_bit[e]
-    # each block's region, then the regions of its subtree below it; a
-    # cut vertex's subtree is the vertex and the blocks it tops
-    sub = {h: ix.vertex_mask(map(vs.__getitem__, verts[h])) | emask[h] << n
-           for h in heads}
-    below = {}
-    for v in reversed(order):
-        if v in split:
-            below[v] = ix.vertex_bit[vs[v]]
-            for h in split[v]:
-                below[v] |= sub[h]
-            if v != root:
-                sub[block[v]] |= below[v]
-    everything = ix.all_vertices | ix.all_edges << n
+        edges[block[w if parent[w] == v else v]].append(edge_key(vs[v], vs[w]))
+    # each pair's tree edge, as (class of c, class of the block): at c,
+    # by least vertex but c, the side toward the root (it holds vertex
+    # 0), then the blocks c tops; classes are numbered by least member,
+    # as build_structure_tree does
+    number = [-1] * 2 * n   # class of cut c at c, of block h at n + h
+    nodes = []              # class -> c or n + h
+    pairs = []
+    for c in sorted(split):
+        cb = (vs[c],)
+        for h in ([block[c]] if c != root else []) + sorted(
+                split[c], key=least.__getitem__):
+            for x in (c, n + h):
+                if number[x] < 0:
+                    number[x] = len(nodes)
+                    nodes.append(x)
+            pairs.append((number[c], number[n + h], cb))
+    owner = [x for a, b, _ in pairs for x in (a, b)]   # element -> class
+    classes = [frozenset(members) for _, members in groupby(
+        sorted(range(len(owner)), key=owner.__getitem__), owner.__getitem__)]
+    places, up, size = preorder(len(nodes), sorted(
+        (a, b) if a < b else (b, a) for a, b, _ in pairs))
+    pos = [0] * len(nodes)
+    for p, x in enumerate(places):
+        pos[x] = p
+    # the side of the cut's element holds the block's class: the block's
+    # subtree when it lies below the cut, all but the cut's otherwise
     elements = []
-    nodes = []      # (is a cut, vertex): the node an element points into
-    for c in sorted(split, key=vs.__getitem__):
-        cb = ix.vertex_bit[vs[c]]
-        sides = [(sub[h], h) for h in split[c]]
-        if c != root:
-            sides.append((everything & ~below[c] | cb, block[c]))
-        # by least vertex but c: the lowest bit of the side without c
-        sides.sort(key=lambda s: (s[0] ^ cb) & -(s[0] ^ cb))
-        for row, h in sides:
-            vm, em = row & ix.all_vertices, row >> n
-            elements += (Separation(g, vm, em, cb),
-                         Separation(g, ix.all_vertices & ~vm | cb,
-                                    ix.all_edges & ~em, cb))
-            nodes += ((True, c), (False, h))
-    # classes are numbered by least member, as build_structure_tree does
-    number = {}
-    classes = []
-    for i, node in enumerate(nodes):
-        ci = number.setdefault(node, len(number))
-        if ci == len(classes):
-            classes.append([])
-        classes[ci].append(i)
-    regions = [Graph((vs[x],), ()) if cut else
-               Graph(tuple(sorted(map(vs.__getitem__, verts[x]))),
-                     tuple(sorted(edges[x])))
-               for cut, x in number]
-    return NestedFamily(g, elements, map(frozenset, classes), regions)
+    for a, b, cb in pairs:
+        y = b if up[b] == a else a
+        lo, hi = pos[y], pos[y] + size[y]
+        elements += ((lo, hi, y == a, cb), (lo, hi, y == b, cb))
+    regions = [Graph((vs[x],), ()) if x < n else
+               Graph(tuple(sorted(map(vs.__getitem__, verts[x - n]))),
+                     tuple(sorted(edges[x - n])))
+               for x in nodes]
+    return NestedFamily(g, elements, classes, regions)
 
 
 class BlockCutTree:
@@ -155,12 +150,16 @@ def certify_block_cut_tree(bct):
     invariant(len(set(cut_of.values())) == len(cut_of),
               "a cut vertex has two tree vertices")
     for a, b in fam.edges:
-        invariant((a in cut_of) != (b in cut_of),
-                  "cut class adjacent to a cut class" if a in cut_of
-                  else "block class adjacent to a block class", [a, b])
-        c, blk = (a, b) if a in cut_of else (b, a)
-        invariant(cut_of[c] in block_of[blk].vertex_set,
-                  "cut vertex not in an adjacent block", [c, blk])
+        if (a in cut_of) == (b in cut_of):
+            invariant(False, "cut class adjacent to a cut class" if a in cut_of
+                      else "block class adjacent to a block class", [a, b])
+    # a block's members point away from it, so their partners lie in the
+    # cut classes next to it
+    for blk, reg in block_of.items():
+        near = {fam.class_of[i ^ 1] for i in fam.classes[blk]}
+        if not {cut_of[c] for c in near}.issubset(reg.vertices):
+            invariant(False, "cut vertex not in an adjacent block", [min(
+                c for c in near if cut_of[c] not in reg.vertex_set), blk])
     # a class without members is the one of an empty family, or apart
     # from the tree, which certify_tree reports
     bare = next((ci for ci, blk in block_of.items()

@@ -55,8 +55,9 @@ from .errors import HingeVertex, invariant
 from .graph import (Graph, edge_key, homeomorphic_reduce, is_connected,
                     is_simple_cycle, is_two_connected, require_connected,
                     two_cuts)
-from .separation import Separation, separation_complement
-from .treeset import build_structure_tree, certify_tree
+from .separation import (Separation, build_structure_tree,
+                         separation_complement, side_masks)
+from .treeset import certify_tree
 from .blocks1 import BlockCutTree, b1_family
 
 
@@ -133,10 +134,12 @@ def _canonical_tree(h):
     The blocks come off the block-cut tree that `b1_family` reads off
     its DFS.  Blocks of at most three vertices, cycles and blocks
     without a 2-cut have none, and when no block has one the block-cut
-    family is the whole family, returned as `b1_family` built it.
-    Otherwise a block vertex hangs the side of its tree edge away from
-    the block, and a block side lifts to the OR of what its interior
-    vertices and the hinge vertices it takes (`_pendant_homes`) hang.
+    family is the whole family, returned as `b1_family` built it, in
+    the interval form.  Otherwise its sides become masks
+    (`separation.side_masks`), a block vertex hangs the side of its tree
+    edge away from the block, and a block side lifts to the OR of what
+    its interior vertices and the hinge vertices it takes
+    (`_pendant_homes`) hang.
     Each lifted side enters followed by its complement, unless the side
     is already present.  A side and its complement lift to complements
     unless a pendant piece goes with neither.
@@ -149,7 +152,7 @@ def _canonical_tree(h):
     if not split:
         return fam
     ix = h.index
-    elements = list(fam.elements)
+    elements = list(side_masks(fam))
     cuts = set(bct.cuts)
     present = set()
     # a block by its masks: the region of a block left whole
@@ -188,17 +191,18 @@ def _region_parts(family, ci):
     One virtual edge per boundary pair of a hinge member that the region
     does not join, generated by the least member at that pair in
     sort-key order, so the choice is reproducible.  Pairs are read off
-    the boundary masks, so a side is decoded only where two members
-    share a pair.
+    the boundaries, so a side is decoded only where two members share a
+    pair.
     """
     elements = family.elements
-    ix = family.host.index
     zprime = family.regions[ci]
     zvs = zprime.vertex_set
     at = {}         # boundary pair -> its hinge members
     for i in family.classes[ci]:
-        if elements[i].bmask.bit_count() == 2:
-            at.setdefault(ix.vertices_of(elements[i].bmask), []).append(i)
+        # a block-cut side, in the interval form, has one boundary vertex
+        pair = () if type(elements[i]) is tuple else elements[i].boundary
+        if len(pair) == 2:
+            at.setdefault(tuple(sorted(pair)), []).append(i)
     gens = {}
     for k, members in at.items():
         invariant(zvs.issuperset(k), "hinge must survive into the region")

@@ -22,8 +22,7 @@ from . import serialize
 from .errors import (DEFAULT_AUT_BOUND, DEFAULT_COSET_LIMIT, InvariantViolated,
                      MalformedInput, PlanarBlocksError, PreconditionViolated,
                      invariant)
-from .graph import (connected_components, edge_key, homeomorphic_reduce,
-                    induced_subgraph)
+from .graph import component_graphs, edge_key, homeomorphic_reduce
 
 
 # the parsers are looked up when called, so that a patched parser (a
@@ -486,9 +485,8 @@ def run(argv):
         if bound is not None and bound < 1:
             raise MalformedInput("limit must be at least 1", witness=bound)
         if args.get("per_component"):
-            payload = {"components": [
-                build(induced_subgraph(source, comp), bound, args)
-                for comp in connected_components(source)]}
+            payload = {"components": [build(part, bound, args)
+                                      for part in component_graphs(source)]}
         else:
             payload = build(source, bound, args)
         code = 0 if payload.get("ok", True) else 1

@@ -11,14 +11,9 @@ components, its lowpoints the cut vertices, and run once per skipped
 vertex v, the 2-cuts {v, w}: the cut vertices w of g - v, whose split
 subtrees and the rest are the components of g - {v, w} (`two_cuts`).
 
-`Graph.index` numbers the sorted vertices and the sorted edges from 0,
-so that a set of vertices or of edges is one int bitmask.  Separations
-are held as such masks: containment, complements and intersections are
-then a few big-int operations instead of set operations.  The index
-turns host vertices into a mask (`vertex_mask`), a mask back into
-vertices or edges (`vertices_of`, `edges_of`), and a set of vertices
-into its neighbours and the edges at it (`reach`).  It judges nothing:
-whether masks form a separation is `treeset.certify_tree`'s check.
+`Graph.index`, the mask form of vertex and edge sets that the hinge
+layer uses, is built on first use by `separation.GraphIndex`; the rest
+of the package never builds it.
 
 A `Graph` is built once and nothing assigns to it after, so each fact
 about it stays valid once found.  Each is computed on first use and
@@ -32,10 +27,9 @@ distinct graph.
 """
 
 from collections import deque
-from functools import cached_property, reduce
+from functools import cached_property
 from heapq import heappop, heappush
-from itertools import compress, islice
-from operator import or_
+from itertools import islice, repeat
 
 from .errors import MalformedInput, NotConnected, TooLarge, to_int
 
@@ -121,64 +115,10 @@ class Graph:
 
     @cached_property
     def index(self):
-        """Bit positions of the vertices and edges, built on first use."""
+        """Bit positions of the vertices and edges, built on first use by
+        the mask layer (`separation.GraphIndex`)."""
+        from .separation import GraphIndex
         return GraphIndex(self)
-
-
-def set_bits(mask):
-    """Positions of the set bits of mask, ascending, one step per bit."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _selected(items, mask):
-    """The items at the set bits of mask, in order, from one scan of its
-    binary digits."""
-    return compress(items, map("1".__eq__, bin(mask)[:1:-1]))
-
-
-class GraphIndex:
-    """Bit i of a vertex mask is vertex i of the sorted vertices, and bit
-    k of an edge mask is edge k of the sorted edges.  `star[i]` holds
-    vertex i's neighbours as a vertex mask and, shifted past the vertex
-    bits, its edges as an edge mask, so one OR over a vertex set gives
-    both its neighbours and the edges at it."""
-
-    __slots__ = ("vertices", "edges", "vertex_bit", "edge_bit", "star",
-                 "all_vertices", "all_edges")
-
-    def __init__(self, g):
-        self.vertices = tuple(sorted(g.vertices))
-        self.edges = tuple(sorted(g.edges))
-        self.vertex_bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        self.edge_bit = {e: 1 << k for k, e in enumerate(self.edges)}
-        n = len(self.vertices)
-        star = dict.fromkeys(self.vertices, 0)
-        for (u, v), bit in self.edge_bit.items():
-            star[u] |= self.vertex_bit[v] | bit << n
-            star[v] |= self.vertex_bit[u] | bit << n
-        self.star = tuple(star.values())
-        self.all_vertices = (1 << n) - 1
-        self.all_edges = (1 << len(self.edges)) - 1
-
-    def vertex_mask(self, vs):
-        """Mask of the vertices in vs, each a host vertex."""
-        return reduce(or_, map(self.vertex_bit.__getitem__, vs), 0)
-
-    def vertices_of(self, mask):
-        return tuple(_selected(self.vertices, mask))
-
-    def edges_of(self, mask):
-        return tuple(_selected(self.edges, mask))
-
-    def reach(self, mask):
-        """(neighbours of, edges at) the vertices of a vertex mask."""
-        star = reduce(or_, _selected(self.star, mask), 0)
-        return star & self.all_vertices, star >> len(self.vertices)
 
 
 def build_graph(vertices, edges):
@@ -353,10 +293,18 @@ def require_connected(g, message):
         raise NotConnected(message, witness=[list(c) for c in g.components])
 
 
-def induced_subgraph(g, vs):
-    vset = set(vs)
-    return Graph(tuple(sorted(vset)),
-                 tuple(e for e in g.edges if e[0] in vset and e[1] in vset))
+def component_graphs(g):
+    """The components of g as graphs, in the order of `Graph.components`,
+    from one pass over its sorted edges, each sent to its end's tree of
+    the palm forest."""
+    comps, vs = connected_components(g), g.vertices
+    tree = {}
+    for t, members in enumerate(g.palm.trees()):
+        tree.update(zip(map(vs.__getitem__, members), repeat(t)))
+    edges = [[] for _ in comps]
+    for e in g.edges:
+        edges[tree[e[0]]].append(e)
+    return [Graph(c, tuple(es)) for c, es in zip(comps, edges)]
 
 
 def is_simple_cycle(g):

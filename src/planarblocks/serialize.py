@@ -80,7 +80,9 @@ def _object(d, nl, out, seen):
     inner = nl + "  "
     sep = "{" + inner
     # a later key wins when two keys share a string
-    for k, v in sorted({str(k): v for k, v in d.items()}.items()):
+    items = d.items() if set(map(type, d)) == {str} else {
+        str(k): v for k, v in d.items()}.items()
+    for k, v in sorted(items):
         out.append(sep + _string(k) + ": ")
         _write(v, inner, out, seen)
         sep = "," + inner
@@ -90,8 +92,16 @@ def _object(d, nl, out, seen):
 def _write(x, nl, out, seen):
     """Append the JSON text of x, whose inner lines start after nl.
     `seen` maps the id of each graph written so far to its nl and the
-    span of `out` that holds its text."""
-    if isinstance(x, str):
+    span of `out` that holds its text.  The commonest exact types are
+    looked up first; the chain below handles each the same way."""
+    kind = type(x)
+    if kind is int:
+        out.append(int.__repr__(x))
+    elif kind is dict:
+        _object(x, nl, out, seen)
+    elif kind is Graph:
+        _graph(x, nl, out, seen)
+    elif isinstance(x, str):
         out.append(_string(x))
     elif x is None:
         out.append("null")
@@ -109,23 +119,27 @@ def _write(x, nl, out, seen):
         _array(x, nl, out, seen)
     elif isinstance(x, (set, frozenset)):
         _array(sorted(x, key=repr), nl, out, seen)
-    elif hasattr(x, "vertices") and hasattr(x, "edges"):       # a graph
-        first = seen.get(id(x))
-        if first is not None:
-            first_nl, start, end = first
-            text = "".join(out[start:end])
-            out.append(text if first_nl == nl else text.replace(first_nl, nl))
-            return
-        start = len(out)
-        inner = nl + "  "
-        out.append("{" + inner + '"edges": ')
-        _array(x.edges, inner, out, seen)
-        out.append("," + inner + '"vertices": ')
-        _array(x.vertices, inner, out, seen)
-        out.append(nl + "}")
-        seen[id(x)] = nl, start, len(out)
+    elif hasattr(x, "vertices") and hasattr(x, "edges"):
+        _graph(x, nl, out, seen)
     else:
         out.append(_string(repr(x)))
+
+
+def _graph(x, nl, out, seen):
+    first = seen.get(id(x))
+    if first is not None:
+        first_nl, start, end = first
+        text = "".join(out[start:end])
+        out.append(text if first_nl == nl else text.replace(first_nl, nl))
+        return
+    start = len(out)
+    inner = nl + "  "
+    out.append("{" + inner + '"edges": ')
+    _array(x.edges, inner, out, seen)
+    out.append("," + inner + '"vertices": ')
+    _array(x.vertices, inner, out, seen)
+    out.append(nl + "}")
+    seen[id(x)] = nl, start, len(out)
 
 
 def dumps(payload):

@@ -18,7 +18,7 @@ from collections import Counter
 
 from .errors import DEFAULT_AUT_BOUND, NotAnAutomorphism, TooLarge
 from .graph import edge_key
-from .separation import Separation
+from .separation import Separation, side_masks
 
 
 def apply_to_edge(perm, e):
@@ -187,9 +187,10 @@ def tree_action_check(family, group):
     """Check that the group permutes the family, induces tree
     automorphisms, and that vertex stabilizers fix their torsos.
 
-    Everything is checked on the generators.  Each generator must map
-    the region of every class onto the region of the image class; as
-    the generators generate the group, every element fixing a class then
+    Everything is checked on the generators, on the family's sides as
+    masks (`separation.side_masks`).  Each generator must map the region
+    of every class onto the region of the image class; as the
+    generators generate the group, every element fixing a class then
     fixes its region.
 
     Returns {"ok": bool, "violations": [...]}; never raises, not even
@@ -197,10 +198,11 @@ def tree_action_check(family, group):
     automorphism.
     """
     violations = []
-    index = {(a, i & 1): i for i, a in enumerate(family.elements)}
+    elements = side_masks(family)
+    index = {(a, i & 1): i for i, a in enumerate(elements)}
     for gi, perm in enumerate(group.generators):
         image = {}
-        for i, a in enumerate(family.elements):
+        for i, a in enumerate(elements):
             j = index.get((apply_to_separation(a, perm), i & 1))
             if j is None:
                 violations.append({
@@ -213,9 +215,9 @@ def tree_action_check(family, group):
                 })
                 continue
             image[i] = j
-        if len(image) < len(family.elements):
+        if len(image) < len(elements):
             continue
-        for i in range(len(family.elements)):
+        for i in range(len(elements)):
             if image[i ^ 1] != image[i] ^ 1:
                 violations.append({"kind": "complement-not-respected",
                                    "generator": gi, "element": i})

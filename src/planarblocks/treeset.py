@@ -25,22 +25,29 @@ decomposition of the host.
 A family and its tree are one record, a `NestedFamily`: its host, its
 elements, its classes with their regions, and the tree edges and cut
 vertices read off them, with no order stored and nothing pointing back
-at the record.  Two producers make one.  The block-cut tree reads its
-classes off a lowpoint DFS (`blocks1.b1_family`).  Any other family,
-such as the combined hinge family, goes through `build_structure_tree`,
-which reads them off the containment of the sides.
+at the record.  The block-cut tree reads its classes off a lowpoint DFS
+(`blocks1.b1_family`); any other family, such as the combined hinge
+family, goes through `separation.build_structure_tree`, which reads them
+off the containment of the sides.
 
-Either way one certificate, `certify_tree`, checks the tree in one
-linear pass over its regions and sides, and recomputes neither the
-order nor the classes.
+Since the tree comes first, a side is the regions of one subtree or of
+all but one.  In the interval form, which `b1_family` builds in time and
+memory linear in the host, an element is the tuple (lo, hi, out,
+boundary): the regions of the classes at places lo .. hi - 1 of the
+tree's `preorder`, or with `out` of the other classes, and the vertices
+it shares with its complement.  The hinge layer still holds its sides as
+masks (`separation.Separation`).  One certificate, `certify_tree`,
+checks either form in one linear pass over the tree, the regions and the
+boundaries, and recomputes neither the order nor the classes.
 """
 
+from collections import Counter
 from functools import reduce
-from itertools import repeat
-from operator import or_
+from itertools import chain, repeat
+from operator import attrgetter, or_
 
-from .errors import MalformedInput, NotNested, invariant
-from .graph import Graph, edge_key, set_bits
+from .errors import invariant
+from .graph import edge_key
 
 
 class NestedFamily:
@@ -70,98 +77,31 @@ class NestedFamily:
             if cls and not reg.edges and len(reg.vertices) == 1}
 
 
-def _regions(host, elements, classes, known):
-    """Each class's region: the intersection of the complements of its
-    members, the whole host for the empty class.  A region whose masks
-    key a graph of `known` is that graph object."""
-    ix = host.index
-    out = []
-    for cls in classes:
-        vm, em = ix.all_vertices, ix.all_edges
-        for i in cls:
-            other = elements[i ^ 1]
-            vm &= other.vmask
-            em &= other.emask
-        out.append(known.get((vm, em))
-                   or Graph(ix.vertices_of(vm), ix.edges_of(em)))
-    return tuple(out)
-
-
-def build_structure_tree(host, elements, known=None):
-    """The family of elements given in complement pairs, with its
-    structure tree read off the containment of its sides.  `known` maps
-    the (vertex mask, edge mask) of a subgraph of the host to a graph
-    already built for it, such as a block, which is then reused as the
-    region with those masks.
-
-    Of each pair the side without host edge 0 points away from the
-    root class.  The sides are placed smallest first, and of two twins
-    the even one first, so each side's parent is the first side placed
-    after it that meets it.  Each edge keeps the first side to hold it,
-    and `top` leads from there to the largest side placed so far above
-    it.  A side meets earlier sides only through those tops, which are
-    disjoint: it takes each as a child, or crosses one it does not hold
-    whole.  Each side becomes a child once and each edge gets its first
-    side once.  class(X) is then X* plus the children of X, and the root
-    class the sides below nothing.
-
-    Sides are compared only through the edges they share, so the
-    elements must be separations: the neighbours and edges of a side's
-    interior lie in it and make up its edges, up to the edge joining a
-    hinge, and each boundary vertex has edges on both sides.  Every
-    vertex of a side then has an edge in it, and the interiors of two
-    sides without a common edge are disjoint.  A crossing of such elements
-    raises NotNested.  Hand-built elements that fail those conditions
-    are outside this contract: a crossing between sides without a
-    common edge goes unchecked.
-    """
-    elements = tuple(elements)
-    n = len(elements)
-    if n % 2:
-        raise MalformedInput("family must list complements in pairs",
-                             witness=n)
-    ix = host.index
-    for i, a in enumerate(elements):
-        if a.host is not host and a.host != host:
-            raise MalformedInput("element lives on another host", witness=i)
-        b = elements[i ^ 1]
-        if (b.bmask != a.bmask or b.emask != ix.all_edges & ~a.emask
-                or b.vmask != ix.all_vertices & ~a.vmask | a.bmask):
-            raise NotNested("paired element is not the complement",
-                            witness={"element": i, "partner": i ^ 1})
-    # k, or k + 1 when element k holds edge 0
-    sides = sorted((k | elements[k].emask & 1 for k in range(0, n, 2)),
-                   key=lambda i: (elements[i].emask.bit_count(),
-                                  elements[i].vmask.bit_count(), i & 1))
-    first = [-1] * len(ix.edges)    # place of the first side holding an edge
-    top = list(range(len(sides)))   # toward the largest side placed above
-    members = [[i ^ 1] for i in sides] + [[]]   # the root's class last
-    taken = 0
-    for p, i in enumerate(sides):
-        s = elements[i]
-        inside = s.emask & taken
-        while inside:
-            c = first[(inside & -inside).bit_length() - 1]
-            while top[c] != c:
-                top[c] = c = top[top[c]]
-            t = elements[sides[c]]
-            # twins are nested only as an even side below an odd one
-            if (t.emask & ~s.emask or t.vmask & ~s.vmask
-                    or t.vmask == s.vmask and t.emask == s.emask
-                    and (i ^ sides[c]) & 1 == 0):
-                raise NotNested("pair fails the nesting condition",
-                                witness={"a": list(t.key), "b": list(s.key)})
-            top[c] = p
-            members[p].append(sides[c])
-            inside &= ~t.emask
-        for k in set_bits(s.emask & ~taken):
-            first[k] = p
-        taken |= s.emask
-    members[-1] = [i for p, i in enumerate(sides) if top[p] == p]
-    # only the root's class of the empty family is empty
-    classes = sorted(map(frozenset, members), key=lambda c: min(c, default=0))
-    return NestedFamily(host, elements, classes,
-                        _regions(host, elements, classes, known or {}))
+def preorder(k, edges):
+    """The k classes of a tree given by its edges as sorted pairs, in the
+    preorder of a depth-first search from class 0 that takes children
+    by ascending number, with each class's parent (0 at the root) and
+    the size of its subtree.  Classes the search does not reach are
+    left out of the order."""
+    adj = [[] for _ in range(k)]    # ascending: (a, x) before (x, b)
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    up = [-1] * k
+    up[0] = 0
+    order = []
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y in reversed(adj[x]):
+            if up[y] < 0:
+                up[y] = x
+                stack.append(y)
+    size = [1] * k
+    for y in reversed(order[1:]):
+        size[up[y]] += size[y]
+    return order, up, size
 
 
 def certify_tree(family):
@@ -170,38 +110,30 @@ def certify_tree(family):
     first fault.
 
     1. The tree has one edge per complement pair and is connected.
-    2. The regions are subgraphs of the host that partition its edges
-       and cover its vertices; adjacent regions meet exactly in their
-       edge's boundary, of one or two vertices; and the regions have
-       |V| + sum |B_e| vertices in all, the sum over the tree edges e.
-    3. Every side equals the OR of the regions beyond its edge, built
-       bottom-up, and its partner is its exact complement.
-    4. Every side is a separation, read from bottom-up reach masks: the
-       neighbours and edges of its interior lie in it and make up its
-       edges, up to the edge joining a hinge; each boundary vertex has
-       edges on both sides; and a hinge side is neither a single edge
-       nor the host minus one edge.  No other code in the package
-       judges whether a side is a separation.
+    2. Every side is the union of the regions beyond its edge (an
+       interval holds its subtree's places in the `preorder`, a mask is
+       the OR of the regions), and its partner is its exact complement.
+    3. The regions are subgraphs of the host that partition its edges
+       and cover its vertices; each holds the ends of its edges; adjacent
+       regions meet exactly in their edge's boundary, of one or two
+       vertices; a vertex without an edge in a region is in the
+       boundaries of no tree edge at it or of two or more; and the
+       regions have |V| + sum |B_e| vertices in all, over the tree edges.
+    4. No side of a hinge is a single edge.
 
-    By the count in 2, the regions holding a vertex span one tree edge
-    fewer than there are of them, so they form a subtree; the interior
-    of a side is then the vertices whose subtree's top lies beyond its
-    edge, as 4 reads it, and each region is the intersection of the
-    complements of its class's members.  Together these imply nesting
-    and that the order is the tree-path order, twins included.  Two
-    sides are unions of the regions of subtrees, so nested or disjoint
-    subtrees, and regions on the two sides of an edge share only its
-    boundary, so the sides are nested as their edges lie on the tree's
-    directed paths.  A complement pair needs only one side checked
-    under 4: the other inherits the conditions.  The messages call the
-    regions blocks and a boundary's vertices cut vertices, as the
-    block-cut tree does.
+    No other code in the package judges whether a side is a separation.
+    By the count in 3, the regions holding a vertex form a subtree, each
+    of whose edges has the vertex in its boundary.  A side's interior
+    vertices then lie in its regions alone, with their edges and
+    neighbours; each side of a boundary vertex holds a leaf of its
+    subtree, which has an edge at it.  Sides are unions of the regions
+    of subtrees, so they nest as their edges lie on the tree's directed
+    paths, twins included.  The messages call the regions blocks and a
+    boundary's vertices cut vertices, as the block-cut tree does.
     """
     host, elements, regions = family.host, family.elements, family.regions
-    classes, class_of = family.classes, family.class_of
-    ix = host.index
-    n = len(ix.vertices)
-    k = len(classes)
+    class_of = family.class_of
+    k = len(family.classes)
     invariant(len(elements) == 2 * len(family.edges) == 2 * (k - 1),
               "tree edges are not one per complement pair",
               {"vertices": k, "edges": len(family.edges),
@@ -211,78 +143,107 @@ def certify_tree(family):
                   and regions[0].edge_set == host.edge_set,
                   "the one block is not the host")
         return
-    # 1: rooted at class 0 in BFS order; element into[y] of the parent's
-    # class has its edge into y, and its side is the subtree at y
-    into = [None] * k
-    order = [0]
-    for x in order:
-        for b in classes[x]:
-            y = class_of[b ^ 1]
-            if y and into[y] is None:
-                into[y] = b
-                order.append(y)
+    # 1: element into[y] of y's parent has its edge into y, and its side
+    # is the subtree at y, the places pos[y] .. pos[y] + size[y] - 1
+    order, up, size = preorder(k, family.edges)
     invariant(len(order) == k, "tree is disconnected")
-    # 2: the regions, each with the stars of the vertices it is the
-    # first (the nearest the root) to hold; a vertex or edge not in the
-    # host adds no bit, so its region has fewer bits than members
-    vbit, ebit, star = ix.vertex_bit, ix.edge_bit, ix.star
-    rows = [0] * k
-    reach = [0] * k
-    covered = held = 0
-    size = 0        # vertices of the regions less those of the boundaries
-    for x in order:
-        reg = regions[x]
-        vm = reduce(or_, map(vbit.get, reg.vertices, repeat(0)), 0)
-        em = reduce(or_, map(ebit.get, reg.edges, repeat(0)), 0)
-        invariant(len(reg.vertices) == vm.bit_count()
-                  and len(reg.edges) == em.bit_count(),
-                  "block is not a subgraph of the host", x)
-        both = em & covered
-        invariant(not both, "edge in two blocks",
-                  both and list(ix.edges_of(both & -both)[0]))
-        covered |= em
-        first = vm & ~held
-        if first:
-            reach[x] = reduce(or_, map(star.__getitem__, set_bits(first)))
-        held |= vm
-        size += len(reg.vertices)
-        rows[x] = vm | em << n
-        if x:
-            bm = elements[into[x]].bmask
-            invariant(vm & rows[class_of[into[x]]] == bm
-                      and 1 <= bm.bit_count() <= 2,
-                      "adjacent blocks do not meet in their boundary", x)
-            size -= bm.bit_count()
-    invariant(covered == ix.all_edges, "blocks do not cover the host edges")
-    invariant(held == ix.all_vertices, "blocks do not cover the host vertices")
-    invariant(size == n, "regions share more than cut vertices")
-    # 3 and 4: subtree regions and reach masks, bottom-up
-    for y in reversed(order[1:]):
-        up = class_of[into[y]]
-        rows[up] |= rows[y]
-        reach[up] |= reach[y]
-    for y in order[1:]:
+    into = [0] * k
+    for i in range(0, len(elements), 2):
+        if up[class_of[i + 1]] == class_of[i]:
+            into[class_of[i + 1]] = i
+        else:
+            into[class_of[i]] = i + 1
+    # 2: the sides against the subtrees
+    masks = type(elements[0]) is not tuple
+    if masks:
+        ix = host.index
+        rows = _subtree_rows(ix, regions, order, up)
+        n = len(ix.vertices)
+    for p, y in enumerate(order[1:], 1):
         j = into[y]
         side, other = elements[j], elements[j ^ 1]
-        vm, em, bm = rows[y] & ix.all_vertices, rows[y] >> n, side.bmask
-        invariant(side.vmask == vm and side.emask == em,
-                  "side is not the union of the regions beyond its edge", j)
-        invariant(other.bmask == bm
-                  and other.emask == ix.all_edges & ~em
-                  and other.vmask == ix.all_vertices & ~vm | bm,
-                  "paired element is not the complement",
-                  {"element": j, "partner": j ^ 1})
-        hinge = set_bits(bm)
-        joined = ebit.get(tuple(ix.vertices[i] for i in hinge), 0) \
-            if len(hinge) == 2 else 0
-        near, at = reach[y] & ix.all_vertices, reach[y] >> n
-        invariant(not near & ~vm and not at & ~em and not em & ~at & ~joined,
-                  "interior of a side reaches outside it", j)
-        for i in hinge:
-            edges = star[i] >> n
-            invariant(edges & em and edges & ~em,
-                      "boundary vertex needs incident edges on both sides", j)
-        if len(hinge) == 2:
-            invariant(em.bit_count() != 1
-                      and (ix.all_edges & ~em).bit_count() != 1,
-                      "hinge separation may not be a single edge", j)
+        if masks:
+            vm, em, bm = rows[y] & ix.all_vertices, rows[y] >> n, side.bmask
+            same = side.vmask == vm and side.emask == em
+            paired = (other.bmask == bm and other.emask == ix.all_edges & ~em
+                      and other.vmask == ix.all_vertices & ~vm | bm)
+        else:
+            same = side[0] == p and side[1] == p + size[y] and not side[2]
+            paired = other == (p, p + size[y], True, side[3])
+        if not (same and paired):
+            invariant(same,
+                      "side is not the union of the regions beyond its edge",
+                      j)
+            invariant(False, "paired element is not the complement",
+                      {"element": j, "partner": j ^ 1})
+    # 3: the whole of the regions at once, then each with its children
+    vertex_set, edge_set = host.vertex_set, host.edge_set
+    held = list(chain.from_iterable(map(attrgetter("vertices"), regions)))
+    listed = list(chain.from_iterable(map(attrgetter("edges"), regions)))
+    covered = set(listed)
+    if not (vertex_set.issuperset(held) and covered <= edge_set):
+        invariant(False, "block is not a subgraph of the host", next(
+            x for x in order if not vertex_set.issuperset(regions[x].vertices)
+            or not edge_set.issuperset(regions[x].edges)))
+    if len(covered) != len(listed):
+        twice = Counter(listed)
+        invariant(False, "edge in two blocks",
+                  list(min(e for e in covered if twice[e] > 1)))
+    invariant(len(covered) == len(edge_set),
+              "blocks do not cover the host edges")
+    invariant(len(set(held)) == len(vertex_set),
+              "blocks do not cover the host vertices")
+    bounds = [elements[j].boundary if masks else elements[j][3]
+              for j in into]
+    bounds[0] = ()
+    kid, sib = [-1] * k, [-1] * k       # first child, next sibling
+    for y in reversed(order[1:]):
+        sib[y] = kid[up[y]]
+        kid[up[y]] = y
+    for x in order:
+        reg = regions[x]
+        here = set(reg.vertices)
+        ends = set(chain.from_iterable(reg.edges))
+        if not here.issuperset(ends):
+            invariant(False, "interior of a side reaches outside it", x)
+        bare = here.difference(ends)
+        near = list(bounds[x])      # the boundaries at x, bare ones kept
+        y = kid[x]
+        while y >= 0:
+            bm = bounds[y]
+            if not (0 < len(bm) < 3
+                    and here.intersection(regions[y].vertices) == set(bm)):
+                invariant(False, "adjacent blocks do not meet in their "
+                          "boundary", y)
+            if bare:
+                near += bm
+            y = sib[y]
+        for v in bare:
+            invariant(near.count(v) != 1,
+                      "boundary vertex needs incident edges on both sides", v)
+    invariant(len(held) - sum(map(len, bounds)) == len(vertex_set),
+              "regions share more than cut vertices")
+    # 4: hinge sides by their edge counts
+    if any(len(bm) == 2 for bm in bounds):
+        below = [len(reg.edges) for reg in regions]
+        for y in reversed(order[1:]):
+            below[up[y]] += below[y]
+        for y in order[1:]:
+            if len(bounds[y]) == 2:
+                invariant(below[y] != 1 and below[0] - below[y] != 1,
+                          "hinge separation may not be a single edge",
+                          into[y])
+
+
+def _subtree_rows(ix, regions, order, up):
+    """Each class's subtree as one int over the index ix: the OR of the
+    vertex masks of its regions and, shifted past them, of their edge
+    masks."""
+    n, vbit, ebit = len(ix.vertices), ix.vertex_bit, ix.edge_bit
+    # a vertex or edge not in the host adds no bit
+    rows = [reduce(or_, map(vbit.get, reg.vertices, repeat(0)), 0)
+            | reduce(or_, map(ebit.get, reg.edges, repeat(0)), 0) << n
+            for reg in regions]
+    for y in reversed(order[1:]):
+        rows[up[y]] |= rows[y]
+    return rows

@@ -66,14 +66,15 @@ from planarblocks.errors import (DEFAULT_COSET_LIMIT, InvariantViolated,
                                  NotConnected, NotNested, Overflow,
                                  PreconditionViolated, invariant)
 from planarblocks.graph import (Graph, build_graph, connected_components,
-                                edge_key, induced_subgraph, is_connected,
+                                edge_key, is_connected,
                                 is_simple_cycle, is_two_connected,
-                                require_connected, set_bits, two_cuts)
+                                require_connected, two_cuts)
 from planarblocks.leftright import edge_order, left_right
 from planarblocks.planar import (canonical_face, facial_walks, planarity_test,
                                  subdivision_kind)
-from planarblocks.separation import Separation, separation_complement
-from planarblocks.treeset import NestedFamily, build_structure_tree
+from planarblocks.separation import (Separation, build_structure_tree,
+                                     separation_complement, set_bits)
+from planarblocks.treeset import NestedFamily
 
 
 # ------------------------------------------------- checked separations
@@ -195,6 +196,14 @@ def component_side(host, boundary, comps, with_edge=False):
         em |= ix.edge_bit.get(edge_key(*boundary), 0)
     return make_separation(host, inner | vertex_mask(ix, boundary)[0], em,
                            boundary)
+
+
+def induced_subgraph(g, vs):
+    """The subgraph of g on the vertices vs, with every edge of g
+    between them."""
+    vset = set(vs)
+    return Graph(tuple(sorted(vset)),
+                 tuple(e for e in g.edges if e[0] in vset and e[1] in vset))
 
 
 def remove_vertices(g, drop):
@@ -942,6 +951,42 @@ def mask_block_cut_tree(g):
     return family, cuts, blocks
 
 
+def class_preorder(family):
+    """The classes of the family's tree in the preorder of a recursive
+    depth-first search from class 0 that takes children by ascending
+    number: the places the interval form of `treeset` counts."""
+    _, adj = _class_edges(family)
+    out = []
+
+    def visit(x, parent):
+        out.append(x)
+        for y in sorted(adj[x]):
+            if y != parent:
+                visit(y, x)
+    visit(0, None)
+    return out
+
+
+def spelled_out(family):
+    """The family with each element of the interval form (lo, hi, out,
+    boundary) spelled out on sets: the union of the regions of the
+    classes at places lo .. hi - 1 of `class_preorder`, or with out of
+    the others, with its boundary, as the Separation `make_separation`
+    checks.  A family in masks comes back as it is."""
+    elements = family.elements
+    if not elements or not isinstance(elements[0], tuple):
+        return family
+    places = class_preorder(family)
+    sides = []
+    for lo, hi, out, boundary in elements:
+        inside = set(places[lo:hi])
+        chosen = [family.regions[x] for x in places if (x in inside) != out]
+        sides.append(make_separation(
+            family.host, set().union(*(r.vertices for r in chosen)),
+            set().union(*(r.edges for r in chosen)), boundary))
+    return NestedFamily(family.host, sides, family.classes, family.regions)
+
+
 def uncrossed_side_keys(z):
     """(side key, complement key) of each candidate hinge side of the
     2-connected z that crosses no other candidate, by sort key: the set
@@ -1056,7 +1101,7 @@ def reference_canonical_tree(h):
     unless a pendant piece goes with neither.
     """
     bct = BlockCutTree(h, b1_family(h))
-    elements = list(bct.family.elements)
+    elements = list(spelled_out(bct.family).elements)
     cuts = set(bct.cuts)
     present = set()
     for z in bct.blocks:

@@ -7,22 +7,23 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from planarblocks import blocks2, cli, treeset
+from planarblocks import blocks2, cli, separation
 from planarblocks.blocks1 import (BlockCutTree, b1_family, block_cut_tree,
                                   certify_block_cut_tree)
 from planarblocks.errors import InvariantViolated, NotConnected
 from planarblocks.graph import Graph, build_graph, cut_vertices
-from planarblocks.separation import Separation
 from planarblocks.treeset import NestedFamily
 
-from conftest import (complete_graph, cycle_graph, fixture_path, g_of,
-                      path_graph)
-from oracles import (MaskOrder, cactus, caterpillar, glued_blocks,
-                     edge_mask, lowpoint_blocks, mask_block_cut_tree,
+from conftest import (FIXTURES, complete_graph, cycle_graph, fixture_path,
+                      g_of, path_graph)
+from oracles import (MaskOrder, cactus, caterpillar, format_edge_list,
+                     glued_blocks, lowpoint_blocks, mask_block_cut_tree,
                      one_boundary_family, random_connected_graph,
                      random_two_connected_graph, separating_sets,
-                     separation_fault, tree_order, verify_tree_correspondence)
+                     separation_fault, spelled_out, tree_order,
+                     verify_tree_correspondence)
 
 
 def test_cut_vertices_fixtures(bowtie, k4):
@@ -39,7 +40,10 @@ def test_cut_vertices_need_connected():
 
 
 def test_b1_family_bowtie(bowtie):
-    fam = b1_family(bowtie)
+    assert b1_family(bowtie).elements == (
+        (1, 2, False, (0,)), (1, 2, True, (0,)),
+        (2, 3, False, (0,)), (2, 3, True, (0,)))
+    fam = spelled_out(b1_family(bowtie))
     assert len(fam.elements) == 4
     keys = [s.key for s in fam.elements]
     assert keys[0] == ((0, 1, 2), ((0, 1), (0, 2), (1, 2)), (0,))
@@ -59,7 +63,7 @@ def test_b1_family_two_connected_is_empty(k4, c6):
 
 def test_b1_family_bridge_triangles():
     g = g_of("0-1,0-2,1-2,2-3,3-4,3-5,4-5")
-    fam = b1_family(g)
+    fam = spelled_out(b1_family(g))
     # two cut vertices, two components each: four sides, eight entries
     assert len(fam.elements) == 8
     assert len({(s.va, s.ea) for s in fam.elements}) == 4
@@ -74,7 +78,7 @@ def test_block_cut_tree_bowtie(bowtie):
     assert [b.edges for b in bct.blocks] == [
         ((0, 1), (0, 2), (1, 2)), ((0, 3), (0, 4), (3, 4))]
     assert bct.cuts == (0,)
-    assert verify_tree_correspondence(bct.family)["ok"]
+    assert verify_tree_correspondence(spelled_out(bct.family))["ok"]
 
 
 def test_block_cut_tree_path():
@@ -117,7 +121,7 @@ def test_blocks_match_lowpoint_oracle_random():
         mine = {frozenset(b.edges) for b in bct.blocks if b.edges}
         assert mine == oracle_blocks
         assert set(bct.cuts) == oracle_arts
-        assert verify_tree_correspondence(bct.family)["ok"]
+        assert verify_tree_correspondence(spelled_out(bct.family))["ok"]
 
 
 def test_edge_partition_over_blocks(book_k4):
@@ -142,7 +146,7 @@ def _cut_hosts():
 
 def test_b1_family_matches_set_definition():
     for g in _cut_hosts():
-        fam = b1_family(g)
+        fam = spelled_out(b1_family(g))
         assert [s.key for s in fam.elements] == one_boundary_family(g)
         for s in fam.elements:
             assert separation_fault(g, s.va, s.ea, s.boundary) is None
@@ -182,14 +186,52 @@ def test_dfs_tree_matches_the_mask_built_tree():
         bct = block_cut_tree(g)
         certify_block_cut_tree(bct)
         family, cuts, blocks = mask_block_cut_tree(g)
-        assert [s.key for s in bct.family.elements] == \
+        assert [s.key for s in spelled_out(bct.family).elements] == \
             [s.key for s in family.elements]
         assert tree_order(bct.family) == MaskOrder(family.elements).up
         assert bct.family.classes == family.classes
         assert bct.family.edges == family.edges
         assert bct.cut_classes == cuts
         assert bct.block_classes == blocks
-        assert verify_tree_correspondence(bct.family)["ok"]
+        assert verify_tree_correspondence(spelled_out(bct.family))["ok"]
+
+
+def _random_tree(rng, n):
+    return build_graph(range(n), [(rng.randrange(i), i) for i in range(1, n)])
+
+
+HOST_KINDS = {
+    "path": lambda rng: path_graph(rng.randint(1, 40)),
+    "cactus": lambda rng: cactus(rng, rng.randint(0, 8)),
+    "caterpillar": lambda rng: caterpillar(rng, rng.randint(2, 12),
+                                           rng.randint(0, 10)),
+    "tree": lambda rng: _random_tree(rng, rng.randint(1, 40)),
+    "connected": random_connected_graph}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(HOST_KINDS)), st.integers(0, 2 ** 32))
+def test_interval_sides_match_the_mask_oracles(kind, seed):
+    # the interval sides, spelled out on sets, are the sides of the mask
+    # build and of the set definition, element by element, and the tree,
+    # its order and its blocks are theirs
+    g = HOST_KINDS[kind](random.Random(seed))
+    bct = block_cut_tree(g)
+    certify_block_cut_tree(bct)
+    fam = spelled_out(bct.family)
+    family, cuts, blocks = mask_block_cut_tree(g)
+    keys = [s.key for s in fam.elements]
+    assert keys == [s.key for s in family.elements] == one_boundary_family(g)
+    assert tree_order(bct.family) == MaskOrder(fam.elements).up \
+        == MaskOrder(family.elements).up
+    assert bct.family.classes == family.classes
+    assert bct.family.edges == family.edges
+    assert bct.family.regions == family.regions
+    assert bct.cut_classes == cuts and bct.block_classes == blocks
+    if g.edges:
+        want_blocks, want_cuts = lowpoint_blocks(g)
+        assert {frozenset(b.edges) for b in bct.blocks} == want_blocks
+        assert set(bct.cuts) == want_cuts
 
 
 # (what is corrupted, the message the certificate reports)
@@ -225,30 +267,31 @@ def _put(items, i, item):
 def corrupted_trees():
     """(fault, tree) for each fault of FAULTS.  Most change one thing in
     the block-cut tree of two triangles joined by a bridge, whose tree
-    is rooted at the cut 2, the class of element 0.  The last five are
-    wrong throughout: the path 0-1-2 with the edges of its blocks
-    swapped, sides and all; a triangle and an edge apart, glued at 1 by
-    hand; the path's tree on a host with one more vertex; K4 as one
-    block without one of its edges; and classes whose pairs close a
-    cycle."""
+    is rooted at the cut 2, the class of element 0, with its classes in
+    preorder 0, 1, 2, 3, 4: element 0 is the triangle 0-1-2 at place 1,
+    and element 2 the bridge and beyond, places 2 to 4.  The sides are in
+    the interval form (lo, hi, out, boundary).  The last five are wrong
+    throughout: the path 0-1-2 with the edges of its blocks swapped; a
+    triangle and an edge apart, glued at 1 by hand; the path's tree on a
+    host with one more vertex; K4 as one block without one of its
+    edges; and classes whose pairs close a cycle."""
     g = g_of("0-1,0-2,1-2,2-3,3-4,3-5,4-5")
     fam = b1_family(g)
     classes = fam.classes
     elements, regions = list(fam.elements), list(fam.regions)
+    assert elements[:4] == [(1, 2, False, (2,)), (1, 2, True, (2,)),
+                            (2, 5, False, (2,)), (2, 5, True, (2,))]
     tri = fam.class_of[1]               # the triangle 0-1-2 under the root
     bridge = regions.index(Graph((2, 3), ((2, 3),)))
 
     def rebuilt(elements=elements, regions=regions, host=g):
         return BlockCutTree(g, NestedFamily(host, elements, classes, regions))
-    a, b = elements[0], elements[1]
-    out = {"short side": rebuilt(
-        _put(elements, 0, Separation(g, a.vmask & ~1, a.emask, a.bmask)))}
+    out = {"short side": rebuilt(_put(elements, 0, (1, 1, False, (2,))))}
     out["edge in two blocks"] = rebuilt(regions=_put(regions, tri, Graph(
         (0, 1, 2, 3), regions[tri].edges + ((2, 3),))))
     out["block without edge"] = rebuilt(
         regions=_put(regions, bridge, Graph((2, 3), ())))
-    out["partner"] = rebuilt(_put(elements, 1, Separation(
-        g, b.vmask, b.emask & b.emask - 1, b.bmask)))
+    out["partner"] = rebuilt(_put(elements, 1, (1, 2, False, (2,))))
     out["cut next to cut"] = rebuilt(
         regions=_put(regions, bridge, Graph((0,), ())))
     out["cut vertex twice"] = rebuilt(
@@ -263,25 +306,23 @@ def corrupted_trees():
         (0, 1, 2, 4), regions[tri].edges)))
     out["other host"] = rebuilt(host=Graph(g.vertices + (9,), g.edges))
     # a Graph holds the ends of its edges, so these two regions are
-    # plain records; the path's edges are bits 0 and 1 of an edge mask
+    # plain records; the intervals follow the tree, not the regions
     p3 = path_graph(3)
     fam = b1_family(p3)
-    swap = [Separation(p3, s.vmask, (s.emask & 1) << 1 | s.emask >> 1,
-                       s.bmask) for s in fam.elements]
     out["blocks swap edges"] = BlockCutTree(p3, NestedFamily(
-        p3, swap, fam.classes, (Graph((1,), ()), _region((0, 1), (1, 2)),
-                                _region((1, 2), (0, 1)))))
+        p3, fam.elements, fam.classes, (
+            Graph((1,), ()), _region((0, 1), (1, 2)),
+            _region((1, 2), (0, 1)))))
     lone = Graph(p3.vertices + (3,), p3.edges)
     out["lone vertex"] = BlockCutTree(lone, NestedFamily(
         lone, fam.elements, fam.classes, fam.regions))
     apart = g_of("0-1,1-2,0-2,3-4")
     side, rest = ((0, 1, 2), ((0, 1), (0, 2), (1, 2))), ((1, 3, 4), ((3, 4),))
-    ix = apart.index
-    sides = [Separation(apart, ix.vertex_mask(vs), edge_mask(ix, es)[0],
-                        ix.vertex_bit[1])
-             for vs, es in (side, rest, rest, side)]
+    # the triangle at place 1 and the edge at place 2, both below the cut
     out["host in two pieces"] = BlockCutTree(apart, NestedFamily(
-        apart, sides, (frozenset({0, 2}), frozenset({1}), frozenset({3})),
+        apart, [(1, 2, False, (1,)), (1, 2, True, (1,)),
+                (2, 3, False, (1,)), (2, 3, True, (1,))],
+        (frozenset({0, 2}), frozenset({1}), frozenset({3})),
         (Graph((1,), ()), Graph(*side), Graph(*rest))))
     k4 = complete_graph(4)
     out["one block short"] = BlockCutTree(k4, NestedFamily(
@@ -289,7 +330,7 @@ def corrupted_trees():
     # four pairs around the cycle cut 0, block, cut 2, block; a fifth,
     # empty class keeps the edge count one short of the class count
     c4 = cycle_graph(4)
-    dummy = Separation(c4, 1, 1, 1)
+    dummy = (0, 1, False, (0,))
     out["cycle of classes"] = BlockCutTree(c4, NestedFamily(
         c4, [dummy] * 8, [frozenset(c) for c in
                           ({0, 7}, {1, 2}, {3, 4}, {5, 6}, ())],
@@ -360,10 +401,36 @@ def test_block_cut_tree_and_certificate_scale(host, blocks):
 def test_blocks_command_computes_no_mask_order(monkeypatch):
     def refuse(*args):
         raise AssertionError("a tree was built by containment")
-    monkeypatch.setattr(treeset, "build_structure_tree", refuse)
+    monkeypatch.setattr(separation, "build_structure_tree", refuse)
     monkeypatch.setattr(blocks2, "build_structure_tree", refuse)
     for name in ("bowtie.edges", "book_k4.edges", "path4.edges"):
         code, out = cli.run(["blocks", fixture_path(name), "--format",
                              "json"])
         assert code == 0, out
         assert json.loads(out)["cut_vertices"]
+
+
+def test_blocks_command_builds_no_mask(monkeypatch, tmp_path):
+    # every side of a block-cut tree is an interval of its preorder, so
+    # the blocks command builds no mask index and no mask side, and its
+    # memory stays linear in the host
+    def refuse(*args):
+        raise AssertionError("a mask was built")
+    monkeypatch.setattr(separation.GraphIndex, "__init__", refuse)
+    monkeypatch.setattr(separation.Separation, "__init__", refuse)
+    files = sorted(os.path.join(FIXTURES, name) for name in os.listdir(FIXTURES)
+                   if name.endswith(".edges"))
+    rng = random.Random("no-mask")
+    hosts = [path_graph(n) for n in (2, 3, 40, 1000)]
+    hosts += [cactus(rng) for _ in range(5)]
+    hosts += [caterpillar(rng) for _ in range(5)]
+    hosts += [_random_tree(rng, n) for n in (5, 60, 2000)]
+    hosts += [_cactus_of_squares(300)]
+    for i, g in enumerate(hosts):
+        files.append(str(tmp_path / ("host%d.edges" % i)))
+        with open(files[-1], "w", encoding="utf-8") as fh:
+            fh.write(format_edge_list(g))
+    for path in files:
+        for extra in ([], ["--per-component"], ["--reduce"]):
+            code, out = cli.run(["blocks", path, "--format", "json"] + extra)
+            assert code == 0 or "not-connected" in out, (path, extra, out)

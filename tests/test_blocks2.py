@@ -19,7 +19,7 @@ from planarblocks import (
     triblock_tree,
 )
 from planarblocks import blocks2, cli, graph
-from planarblocks.graph import Graph, induced_subgraph, is_simple_cycle
+from planarblocks.graph import Graph, is_simple_cycle
 from planarblocks.blocks2 import (
     KIND_CUT_POINT,
     KIND_CYCLE,
@@ -39,12 +39,12 @@ from conftest import (complete_graph, cycle_graph, fixture_path, g_of,
                       grid_graph, k4_book, wheel_graph)
 from oracles import (all_separations, bfs_path, build_nested_family,
                      chorded_cycle, edge_subset_separations,
-                     enumerate_separations_at, glued_blocks,
+                     enumerate_separations_at, glued_blocks, induced_subgraph,
                      is_three_connected_by_cutsets,
                      lowpoint_blocks, make_separation, nested,
                      random_two_connected_graph, reference_canonical_tree,
                      reference_lift_torso_separation, separation_fault,
-                     separating_sets, totally_nested_keys,
+                     separating_sets, spelled_out, totally_nested_keys,
                      uncrossed_side_keys, verify_tree_correspondence)
 
 
@@ -511,7 +511,8 @@ def test_lift_matches_the_reference_hinge_family():
     rng = random.Random("block-cut-lift")
     for g in _lift_corpus(rng):
         for h in {g, homeomorphic_reduce(g).graph}:
-            got, want = _canonical_tree(h), reference_canonical_tree(h)
+            got = spelled_out(_canonical_tree(h))
+            want = reference_canonical_tree(h)
             assert [e.key for e in got.elements] == \
                 [e.key for e in want.elements], h.edges
             assert got.classes == want.classes, h.edges
@@ -578,7 +579,7 @@ def _hinges_on(t, block):
     block, each cut down to the block."""
     return sorted({(tuple(sorted(e.va & block.vertex_set)),
                     tuple(sorted(e.ea & block.edge_set)), e.key[2])
-                   for e in t.family.elements
+                   for e in spelled_out(t.family).elements
                    if len(e.boundary) == 2 and e.boundary <= block.vertex_set})
 
 
@@ -613,7 +614,8 @@ def test_triblock_tree_on_glued_blocks():
         g = glued_blocks(rng)
         t = triblock_tree(g)
         assert t.family.host == g
-        assert verify_tree_correspondence(t.family)["ok"], g.edges
+        assert verify_tree_correspondence(spelled_out(t.family))["ok"], \
+            g.edges
         for edges in lowpoint_blocks(g)[0]:
             b = build_graph(sorted({x for e in edges for x in e}),
                             sorted(edges))
@@ -624,8 +626,10 @@ def test_triblock_tree_on_glued_blocks():
         rng.shuffle(perm)
         name = dict(zip(g.vertices, perm))
         moved = build_graph(perm, [(name[u], name[v]) for u, v in g.edges])
-        assert sorted(e.key for e in triblock_tree(moved).family.elements) \
-            == sorted(_renamed(e, name) for e in t.family.elements), g.edges
+        assert sorted(e.key for e in spelled_out(
+            triblock_tree(moved).family).elements) == sorted(
+                _renamed(e, name) for e in spelled_out(t.family).elements), \
+            g.edges
 
 
 def _renamed(s, name):
@@ -829,6 +833,7 @@ def _triblock_tree_counting_builds(g):
 
 
 def _same_family(got, want):
+    got, want = spelled_out(got), spelled_out(want)
     assert [e.key for e in got.elements] == [e.key for e in want.elements]
     assert got.classes == want.classes
     assert [(r.vertices, r.edges) for r in got.regions] == \
@@ -846,7 +851,8 @@ def test_hinge_free_host_keeps_the_block_cut_family(g):
     t, builds = _triblock_tree_counting_builds(g)
     assert builds == 0
     h = t.family.host
-    _same_family(t.family, build_structure_tree(h, b1_family(h).elements))
+    _same_family(t.family, build_structure_tree(
+        h, spelled_out(b1_family(h)).elements))
 
 
 @settings(max_examples=40, deadline=None)

@@ -264,6 +264,49 @@ def test_blocks_per_component_on_disconnected():
     assert out.count("blocks:") == 2
 
 
+def _write_edges(path, edges):
+    path.write_text("".join("%d %d\n" % e for e in edges))
+    return str(path)
+
+
+def test_per_component_splits_the_edges_in_one_pass(tmp_path):
+    # each component's graph comes from one pass over the host's edges,
+    # not one scan of them per component, which is quadratic here
+    k = 16000
+    host = _write_edges(tmp_path / "triangles.edges", [
+        e for i in range(k)
+        for e in ((3 * i, 3 * i + 1), (3 * i, 3 * i + 2),
+                  (3 * i + 1, 3 * i + 2))])
+    for cmd in ("blocks", "triblocks"):
+        t0 = time.monotonic()
+        code, out = run([cmd, host, "--per-component", "--format", "json"])
+        elapsed = time.monotonic() - t0
+        assert code == 0
+        assert len(json.loads(out)["components"]) == k
+        assert elapsed < 10.0, (cmd, elapsed)
+
+
+def test_each_component_answers_as_a_run_on_it_alone(tmp_path):
+    # glued blocks, a path, a K4 and a cycle with a pendant edge, the
+    # vertices of each part spread over the whole range of names
+    parts = [[(0, 5), (5, 10), (0, 10), (10, 15), (15, 20), (10, 20)],
+             [(1, 6), (6, 11), (11, 16)],
+             [(2, 7), (2, 12), (2, 17), (7, 12), (7, 17), (12, 17)],
+             [(3, 8), (8, 13), (13, 18), (3, 18), (18, 23)]]
+    host = _write_edges(tmp_path / "host.edges", [e for p in parts for e in p])
+    for cmd in ("blocks", "triblocks"):
+        code, out = run([cmd, host, "--per-component", "--format", "json"])
+        assert code == 0
+        whole = json.loads(out)["components"]
+        assert len(whole) == len(parts)
+        for i, part in enumerate(parts):
+            alone = json.loads(run([cmd, _write_edges(
+                tmp_path / ("part%d.edges" % i), part), "--format",
+                "json"])[1])
+            del alone["schema"], alone["command"]
+            assert whole[i] == alone, (cmd, i)
+
+
 def test_faces_json_shape():
     code, out = run(["faces", fx("q3.edges"), "--format", "json"])
     d = json.loads(out)
@@ -829,8 +872,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
     z3xz3.write_text("gens: a b\nrels: a^3, b^3, (a*b*a^-1*b^-1)\n")
     trivial = tmp_path / "trivial.pres"
     trivial.write_text("gens: a\nrels: a\n")
-    runs = {("blocks", fx("path4.edges")): ["blocks1", "separation",
-                                            "treeset"],
+    runs = {("blocks", fx("path4.edges")): ["blocks1", "treeset"],
             ("triblocks", fx("k4.edges")): ["blocks1", "blocks2",
                                             "separation", "treeset"],
             ("planar", fx("k4.edges")): ["leftright", "planar"],

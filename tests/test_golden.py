@@ -133,7 +133,9 @@ def test_no_module_level_container_grows_across_runs():
 def test_no_command_leaves_cyclic_garbage():
     # no object of a run points back at its owner, so reference counting
     # alone frees each run's host graph, palm arrays and masks; the first
-    # run of each command loads its modules first
+    # run of each command loads its modules first.  Everything alive
+    # before the loop is frozen, so each collection walks only what the
+    # runs made, whatever the tests before this one left on the heap
     argvs = [argv for argv in command_lines()
              if argv[argv.index("--format") + 1] == "json"]
     for command in {argv[0] for argv in argvs}:
@@ -141,12 +143,14 @@ def test_no_command_leaves_cyclic_garbage():
     left = []
     gc.collect()
     gc.disable()
+    gc.freeze()
     try:
         for argv in argvs:
             outcome(argv)
             if gc.collect():
                 left.append(" ".join(argv))
     finally:
+        gc.unfreeze()
         gc.enable()
     assert not left, left
 

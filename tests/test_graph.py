@@ -15,14 +15,14 @@ from planarblocks.errors import MalformedInput, NotConnected, TooLarge
 from planarblocks.graph import (MAX_UNNAMED_VERTICES, build_graph,
                                 connected_components,
                                 cut_vertices, edge_key,
-                                homeomorphic_reduce, induced_subgraph,
-                                is_connected, is_simple_cycle,
-                                is_two_connected, PalmForest,
+                                homeomorphic_reduce, is_connected,
+                                is_simple_cycle, is_two_connected, PalmForest,
                                 parse_edge_list, two_cuts)
 
 from conftest import complete_graph, cycle_graph, g_of, path_graph
 from oracles import (bfs_components, chorded_cycle, format_edge_list,
-                     glued_blocks, is_three_connected_by_cutsets,
+                     glued_blocks, induced_subgraph,
+                     is_three_connected_by_cutsets,
                      lowpoint_blocks, lowpoint_dfs, random_connected_graph,
                      remove_vertices, restart_reduction, separating_sets)
 

@@ -11,7 +11,7 @@ from oracles import (all_separations, brute_automorphisms,
                      element_tree_action_violations, greedy_generators,
                      group_closure, is_automorphism, is_free,
                      make_separation, orbit_of_separation,
-                     random_connected_graph)
+                     random_connected_graph, spelled_out)
 from planarblocks import (
     automorphism_group,
     b1_family,
@@ -200,7 +200,7 @@ def test_tree_action_on_triblock_tree(bowtie_k4s):
 def test_tree_action_reports_missing_orbit_members(bowtie):
     fam = b1_family(bowtie)
     # keep only one triangle's entries: the vertex swap now has no image
-    part = build_structure_tree(bowtie, fam.elements[:2])
+    part = build_structure_tree(bowtie, spelled_out(fam).elements[:2])
     rep = tree_action_check(part, automorphism_group(bowtie))
     assert not rep["ok"]
     assert {v["kind"] for v in rep["violations"]} == {"missing-image"}
@@ -215,19 +215,20 @@ def test_tree_action_check_reports_a_non_automorphism():
     rep = tree_action_check(fam, AutGroup(g, (perm,), 2))
     assert not rep["ok"]
     assert {v["kind"] for v in rep["violations"]} == {"missing-image"}
+    sides = spelled_out(fam).elements
     for v in rep["violations"]:
-        a = fam.elements[v["element"]]
+        a = sides[v["element"]]
         assert v["image"] == {
             "va": sorted(perm[x] for x in a.va),
             "ea": sorted(tuple(sorted((perm[x], perm[y]))) for x, y in a.ea)}
-    assert apply_to_separation(fam.elements[0], perm) is None
+    assert apply_to_separation(sides[0], perm) is None
 
 
 def _without_pair(fam, i):
     """The family with element i and its complement dropped."""
-    return build_structure_tree(fam.host, [a for k, a in
-                                           enumerate(fam.elements)
-                                           if k >> 1 != i >> 1])
+    return build_structure_tree(fam.host, [
+        a for k, a in enumerate(spelled_out(fam).elements)
+        if k >> 1 != i >> 1])
 
 
 def test_tree_action_check_agrees_with_element_oracle(bowtie_k4s):
@@ -246,7 +247,8 @@ def test_tree_action_check_agrees_with_element_oracle(bowtie_k4s):
     invariant = 0
     for fam in families:
         host = fam.host
-        want = element_tree_action_violations(fam, brute_automorphisms(host))
+        want = element_tree_action_violations(spelled_out(fam),
+                                              brute_automorphisms(host))
         got = tree_action_check(fam, automorphism_group(host))
         assert got["ok"] == (not want), (host.edges, got, want)
         invariant += got["ok"]

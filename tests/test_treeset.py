@@ -9,14 +9,14 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planarblocks import blocks2, cli, treeset
+from planarblocks import blocks2, cli, separation
 from planarblocks.blocks1 import b1_family
 from planarblocks.blocks2 import triblock_tree
 from planarblocks.errors import InvariantViolated, MalformedInput, NotNested
 from planarblocks.graph import Graph, build_graph, is_simple_cycle
-from planarblocks.separation import Separation, separation_complement
-from planarblocks.treeset import (NestedFamily, build_structure_tree,
-                                  certify_tree)
+from planarblocks.separation import (Separation, build_structure_tree,
+                                     separation_complement)
+from planarblocks.treeset import NestedFamily, certify_tree
 
 from conftest import cycle_graph, fixture_path, g_of, path_graph
 from oracles import (MaskOrder, all_separations, caterpillar, chorded_cycle,
@@ -24,7 +24,8 @@ from oracles import (MaskOrder, all_separations, caterpillar, chorded_cycle,
                      glued_blocks, make_separation, mask_family,
                      pairs_from_sides, path_coherent, random_connected_graph,
                      random_path_family, random_two_connected_graph,
-                     sim_classes, tree_order, verify_tree_correspondence)
+                     sim_classes, spelled_out, tree_order,
+                     verify_tree_correspondence)
 
 
 def _interval(host, lo, hi, n_edges):
@@ -118,7 +119,7 @@ def test_equal_sides_nest_only_as_twins(k4e):
 
 
 def test_strict_orders_equal_subgraphs_by_pair_place(bowtie):
-    elements = b1_family(bowtie).elements
+    elements = spelled_out(b1_family(bowtie)).elements
     order = MaskOrder(elements)
     # elements 1 and 2 are the same subgraph; the even one lies below
     a, b = elements[1], elements[2]
@@ -173,15 +174,19 @@ def test_empty_family_single_vertex(k4):
     assert verify_tree_correspondence(fam)["ok"]
 
 
+def _b1_sides(g):
+    return spelled_out(b1_family(g)).elements
+
+
 def test_b1_family_tree_classes(bowtie):
-    fam = build_structure_tree(bowtie, b1_family(bowtie).elements)
+    fam = build_structure_tree(bowtie, _b1_sides(bowtie))
     assert fam.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
     assert fam.edges == ((0, 1), (0, 2))
     assert verify_tree_correspondence(fam)["ok"]
 
 
 def test_region_of_class(bowtie):
-    fam = build_structure_tree(bowtie, b1_family(bowtie).elements)
+    fam = build_structure_tree(bowtie, _b1_sides(bowtie))
     center = fam.regions[0]
     assert center.vertices == (0,)
     assert center.edges == ()
@@ -228,9 +233,9 @@ def _random_families(source, count):
             yield random_path_family(rng, max_elements=40)
         elif source == "blocks":
             g = random_connected_graph(rng)
-            yield build_structure_tree(g, b1_family(g).elements)
+            yield build_structure_tree(g, _b1_sides(g))
         else:
-            yield triblock_tree(_glued_two_connected(rng)).family
+            yield spelled_out(triblock_tree(_glued_two_connected(rng)).family)
 
 
 @pytest.mark.parametrize("source", ["path", "blocks", "triblocks"])
@@ -252,7 +257,7 @@ def test_order_classes_and_coherence_match_oracles(source):
 
 
 def _bowtie_tree(bowtie, classes):
-    fam = build_structure_tree(bowtie, b1_family(bowtie).elements)
+    fam = build_structure_tree(bowtie, _b1_sides(bowtie))
     assert fam.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
     return NestedFamily(bowtie, fam.elements, classes, fam.regions)
 
@@ -283,7 +288,7 @@ def test_verify_reports_a_disconnected_class_graph(bowtie):
 
 def test_path_200_tree_builds_and_verifies_fast():
     host = path_graph(200)
-    elements = b1_family(host).elements
+    elements = _b1_sides(host)
     assert len(elements) == 792
     t0 = time.monotonic()
     fam = build_structure_tree(host, elements)
@@ -311,9 +316,9 @@ def _family_of(source, rng):
     elif source == "caterpillar":
         g = caterpillar(rng, spine=rng.randint(2, 12), legs=rng.randint(1, 10))
     else:
-        tbt = triblock_tree(source(rng))
-        return tbt.family.host, tbt.family.elements
-    return g, b1_family(g).elements
+        fam = spelled_out(triblock_tree(source(rng)).family)
+        return fam.host, fam.elements
+    return g, _b1_sides(g)
 
 
 @settings(max_examples=120, deadline=None)
@@ -374,21 +379,22 @@ def test_random_hinge_families_cross_and_nest():
 def test_every_triblock_tree_is_certified(make, seed):
     tbt = triblock_tree(make(random.Random(seed)))
     certify_tree(tbt.family)
-    report = verify_tree_correspondence(tbt.family)
+    fam = spelled_out(tbt.family)
+    report = verify_tree_correspondence(fam)
     assert report["ok"], report["violations"]
-    assert tree_order(tbt.family) == MaskOrder(tbt.family.elements).up
+    assert tree_order(fam) == MaskOrder(fam.elements).up
 
 
 def test_triblocks_computes_the_classes_once(monkeypatch):
     # one counter behind both names, so a build reached through either
     # module is counted
     calls = []
-    build = treeset.build_structure_tree
+    build = separation.build_structure_tree
 
     def counted(host, elements, *known):
         calls.append(elements)
         return build(host, elements, *known)
-    monkeypatch.setattr(treeset, "build_structure_tree", counted)
+    monkeypatch.setattr(separation, "build_structure_tree", counted)
     monkeypatch.setattr(blocks2, "build_structure_tree", counted)
     code, out = cli.run(["triblocks", fixture_path("book_k4.edges")])
     assert code == 0, out
