@@ -262,7 +262,11 @@ def torso(family, v):
         raise HingeVertex("single-vertex region has no torso",
                           witness=family.cut_classes[v])
     zprime, z, virtuals, gens = _region_parts(family, v)
-    invariant(is_connected(z), "torso must be connected")
+    # a simple graph on at most 2 vertices is connected when it has
+    # |V| - 1 edges, so only a larger torso builds its palm forest
+    invariant(is_connected(z) if len(z.vertices) >= 3
+              else len(z.edges) >= len(z.vertices) - 1,
+              "torso must be connected")
     if len(z.vertices) >= 3:
         invariant(is_two_connected(z), "torso must be 2-connected")
     # the member side meets the region only at its hinge, so its path

@@ -35,7 +35,7 @@ A planar Cayley graph is usually embedded by its group: a rotation at
 the identity, repeated at every element and mirrored where a character
 G -> {+1, -1} says so, is tried in every cyclic order, with its faces
 counted on words (`equivariant_rotation`).  Only when none has Euler's
-face count does `planar.planarity_test`, the left-right test, decide.
+face count does `planar.planarity_test`, one edge-addition run, decide.
 """
 
 import math
@@ -577,7 +577,7 @@ def cayley_graph(tbl, pr):
 # 2^d characters, each order one walk over 2d states plus the orders of
 # its face words, cached per element.  At d = 6 Z_10^3 (960 candidates)
 # is refused in about 24 ms, and `planarity_test` then refutes it in
-# about 7 ms; at d = 7 there would be 720 orders per character.
+# about 5 ms; at d = 7 there would be 720 orders per character.
 MAX_ROTATION_LETTERS = 6
 
 

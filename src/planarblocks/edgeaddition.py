@@ -1,12 +1,17 @@
-"""A Kuratowski subgraph of a nonplanar graph in linear time.
+"""Planarity by edge addition, in linear time: a rotation or a
+Kuratowski subgraph.
 
-`kuratowski_edges` runs the edge-addition embedding of Boyer and
-Myrvold ("On the cutting edge: simplified O(n) planarity by edge
-addition", JGAA 8, 2004) over the graph's palm forest
-(`graph.PalmForest`), from the last DFS number to the first, and stops
-at the first vertex v whose Walkdown leaves a back edge unembedded.
-The bicomp where it stopped then holds a K5 or K3,3 subdivision, which
-their minors A to E isolate in time linear in the graph.
+`edge_addition` runs the edge-addition embedding of Boyer and Myrvold
+("On the cutting edge: simplified O(n) planarity by edge addition",
+JGAA 8, 2004) over the graph's palm forest (`graph.PalmForest`), from
+the last DFS number to the first, embedding the back edges from each
+vertex into the bicomps below it.  If every back edge is embedded, the
+bicomps still apart join their cut vertices, the lazy flips are pushed
+down the DFS tree, and each vertex's arcs are its rotation.  Otherwise
+it stops at the first vertex v whose Walkdown leaves a back edge
+unembedded; the bicomp where it stopped then holds a K5 or K3,3
+subdivision, which their minors A to E isolate in time linear in the
+graph.
 
 While v is processed, a vertex is pertinent when a back edge to v
 from it or from below it waits, and externally active when it, or a
@@ -23,59 +28,66 @@ each side to the next vertex on the external face that a short
 circuit does not skip, and to the side it enters there.  A bicomp is
 flipped lazily: only its root's deque is reversed, and the tree arc
 into its child records the flip for the vertices below, which are
-oriented alike only when isolation reads faces.
+oriented alike only when isolation reads faces or the embedding is
+written out.
 """
 
 from collections import deque
+from itertools import accumulate, groupby
 
-from .errors import invariant
 
-
-def kuratowski_edges(palm):
-    """The edges, as pairs of positions, of a subdivision of K5 or K3,3
-    in the connected nonplanar graph whose palm forest is `palm`."""
+def edge_addition(palm):
+    """Whether the connected graph whose palm forest is `palm` is
+    planar, on the positions that the palm numbers: (rotation, None),
+    rotation[i] listing the neighbours of i in cyclic order, when it is,
+    and otherwise (None, the edges, as pairs of positions, of a
+    subdivision of K5 or K3,3)."""
     order, num = palm.order, palm.num
     n, m = len(order), len(palm.tail)
-    par, size, lowpt = [-1] * n, [0] * n, [0] * n
-    for i, x in enumerate(order):
-        p = palm.parent[x]
-        par[i] = num[p] if p >= 0 else -1
-        size[i] = palm.size[x]
-        lowpt[i] = palm.low1[x]
+    par = [num[p] for p in map(palm.parent.__getitem__, order)]
+    size = list(map(palm.size.__getitem__, order))
+    lowpt = list(map(palm.low1.__getitem__, order))
     least = list(range(n))      # least DFS number a back edge reaches
-    fwd = [[] for _ in range(n)]    # (descendant, edge) of back edges
+    src = list(map(num.__getitem__, palm.tail))     # edge k's ends
+    dst = list(map(num.__getitem__, palm.head))
+    ups = []                    # the back edges
     tgt = [0] * (2 * m)
-    tree = bytearray(m)
     tree_arc = [0] * n          # arc into each child from its parent
     flipped = bytearray(2 * m)  # set on a tree arc below a lazy flip
-    rot = [None] * (2 * n)
-    ext_v = [0] * (4 * n)       # ext_v[2x + s], ext_s[2x + s]: the next
-    ext_s = [0] * (4 * n)       # vertex from x's side s, and its side
+    # ext_v[2x + s], ext_s[2x + s]: the next vertex from x's side s, and
+    # its side; each tree edge starts as a singleton bicomp, where the
+    # child b and the root copy n + b face each other on both sides
+    ext_v = [0] * (4 * n)
+    ext_v[0:2 * n:2] = ext_v[1:2 * n:2] = range(n, 2 * n)
+    ext_v[2 * n::2] = ext_v[2 * n + 1::2] = range(n)
+    ext_s = [1, 0] * (2 * n)
 
     def join(x, xs, y, ys):     # x's side xs and y's side ys face
         ext_v[2 * x + xs], ext_s[2 * x + xs] = y, ys
         ext_v[2 * y + ys], ext_s[2 * y + ys] = x, xs
 
-    for k, (t, h) in enumerate(zip(palm.tail, palm.head)):
-        a, b = num[t], num[h]
-        if par[b] == a:         # tree edge: a singleton bicomp
-            tree[k] = 1
+    for k, (a, b) in enumerate(zip(src, dst)):
+        if a < b:               # tree edge
             tree_arc[b] = 2 * k
-            r = n + b
-            tgt[2 * k], tgt[2 * k + 1] = b, r
-            rot[r], rot[b] = deque([2 * k]), deque([2 * k + 1])
-            join(r, 0, b, 1)
-            join(r, 1, b, 0)
+            tgt[2 * k], tgt[2 * k + 1] = b, n + b
         else:                   # back edge from a to its ancestor b
-            tgt[2 * k] = a
-            fwd[b].append((a, k))
+            ups.append(k)
             if b < least[a]:
                 least[a] = b
-    kids = [[] for _ in range(n)]   # each vertex's children by lowpoint
-    for c in sorted(range(n), key=lowpt.__getitem__):
-        if par[c] >= 0:
-            kids[par[c]].append(c)
-    first_kid = [0] * n         # kids before it are merged
+    # each vertex's arcs; a root copy's are made when a Walkup first
+    # reaches it, as until then they are its tree arc alone
+    rot = [deque((a + 1,)) for a in tree_arc] + [None] * n
+    for x in palm.roots:        # no parent and no tree arc
+        par[num[x]] = -1
+        rot[num[x]] = deque()
+    # the children of vertex w by lowpoint: kid[kid_from[w]:kid_from[w + 1]]
+    kid = sorted(range(1, n), key=lowpt.__getitem__)
+    kid.sort(key=par.__getitem__)
+    kid_from = [0] * (n + 1)
+    for c in kid:
+        kid_from[par[c] + 1] += 1
+    kid_from = list(accumulate(kid_from))
+    first_kid = kid_from[:n]    # w's kids before kid[first_kid[w]] merged
     merged = bytearray(n)
     visited = [-1] * (2 * n)
     flag = [-1] * n             # flag[w] == v: w's back edge to v waits
@@ -86,11 +98,11 @@ def kuratowski_edges(palm):
     def ext_active(w):
         if least[w] < v:
             return True
-        ks, i = kids[w], first_kid[w]
-        while i < len(ks) and merged[ks[i]]:
+        i, end = first_kid[w], kid_from[w + 1]
+        while i < end and merged[kid[i]]:
             i += 1
         first_kid[w] = i
-        return i < len(ks) and lowpt[ks[i]] < v
+        return i < end and lowpt[kid[i]] < v
 
     def pertinent(w):
         return flag[w] == v or bool(roots[w])
@@ -114,6 +126,8 @@ def kuratowski_edges(palm):
                 y, ys = ext_v[i], ext_s[i]
                 continue
             c = r - n
+            if rot[r] is None:
+                rot[r] = deque((tree_arc[c],))
             p = par[c]
             if p == v:
                 todo.append(r)
@@ -147,6 +161,8 @@ def kuratowski_edges(palm):
             rot[z].extendleft(reversed(arcs))
         rot[r] = None
         roots[z].popleft()
+        if not roots[z]:
+            roots[z] = None
         merged[r - n] = True
 
     def first_active(r, s):
@@ -222,7 +238,7 @@ def kuratowski_edges(palm):
                 arcs.reverse()
             lists[u] = arcs
             for a in arcs:
-                if not a & 1 and tree[a >> 1]:
+                if not a & 1 and tree_arc[tgt[a]] == a:
                     below.append((tgt[a], odd ^ flipped[a]))
         # the external face from r's side 0 round to its side 1
         ring = [r]
@@ -262,7 +278,7 @@ def kuratowski_edges(palm):
         def lowest(c):              # below c, a back edge to lowpt[c]
             d = c
             while least[d] != lowpt[c]:
-                d = kids[d][0]
+                d = kid[kid_from[d]]
             return d
 
         def outward(t):
@@ -272,7 +288,7 @@ def kuratowski_edges(palm):
                 link(t, least[t])
                 return least[t]
             ext_active(t)
-            c = kids[t][first_kid[t]]
+            c = kid[first_kid[t]]
             d = lowest(c)
             link(t, c)
             climb(d, c)
@@ -280,8 +296,8 @@ def kuratowski_edges(palm):
             return lowpt[c]
 
         def to_v(c):                # below c, a back edge to v not embedded
-            return next(d for d, k in fwd[v]
-                        if not done[k] and c <= d < c + size[c])
+            return next(src[k] for k in mine
+                        if not done[k] and c <= src[k] < c + size[c])
 
         def inward(t):              # a path from the pertinent t to v
             if flag[t] == v:
@@ -419,17 +435,38 @@ def kuratowski_edges(palm):
         inward(w)
         return finish()
 
-    for v in range(n - 1, -1, -1):
+    # each vertex v with back edges up to it, the last first
+    ups.sort(key=dst.__getitem__, reverse=True)
+    for v, mine in groupby(ups, dst.__getitem__):
+        mine = list(mine)
         todo = []
-        for d, k in fwd[v]:
-            walkup(d, k)
+        for k in mine:
+            walkup(src[k], k)
         for r in todo:
             blocked = walkdown(r)
             if blocked is not None:
-                return isolate(blocked)
-        for d, k in fwd[v]:
+                return None, isolate(blocked)
+        for k in mine:
             if not done[k]:
-                c = next(c for c in kids[v] if c <= d < c + size[c])
-                return isolate(n + c)
-    invariant(False, "the edge-addition embedding must fail on a "
-              "nonplanar graph")
+                d = src[k]
+                c = next(c for c in kid[kid_from[v]:kid_from[v + 1]]
+                         if c <= d < c + size[c])
+                return None, isolate(n + c)
+    # planar: each bicomp still apart joins its cut vertex as it is, and
+    # a vertex is reversed when the flips on its tree path are odd
+    odd = bytearray(n)
+    for c in range(1, n):
+        p = par[c]
+        if not merged[c]:
+            arcs = rot[n + c] or (tree_arc[c],)
+            for a in arcs:
+                tgt[a ^ 1] = p
+            rot[p].extend(arcs)
+        odd[c] = odd[p] ^ flipped[tree_arc[c]]
+    end = list(map(order.__getitem__, tgt))
+    rotation = [None] * n
+    for u, flip, arcs in zip(order, odd, rot):
+        if flip:
+            arcs.reverse()
+        rotation[u] = list(map(end.__getitem__, arcs))
+    return rotation, None

@@ -1,7 +1,7 @@
 """Planarity with certificates, rotation systems, and faces.
 
 A rotation is held in one form, each vertex's neighbours in cyclic
-order, from the left-right test or the group that gives it to the
+order, from the edge-addition engine or the group that gives it to the
 `planar` command, which prints it as edge keys.  `RotationSystem`
 validates it once, by counting, with no adjacency of the host built:
 it builds each vertex's successor map (`_successors`).  A sphere
@@ -10,11 +10,11 @@ those maps for connectivity, traces the faces once (`facial_walks`)
 and checks Euler's formula; the result keeps the walks, and only the
 commands that print faces canonicalise them (`PlanarityResult.faces`).
 A Cayley graph brings its own rotation (`cayley.equivariant_rotation`);
-any other graph is decided by the left-right planarity test of
-`leftright`, whose int rotation `planarity_test` certifies on the same
-int numbering.  A graph it refutes gets its witness from the linear
-isolation of `kuratowski`, accepted only through `certify_kuratowski`,
-a linear walk along the paths between branch vertices.
+any other graph is decided by one run of `edgeaddition` over its palm
+forest, which returns either an int rotation, certified on the same
+int numbering, or a Kuratowski subgraph, accepted only through
+`certify_kuratowski`, a linear walk along the paths between branch
+vertices.
 """
 
 from functools import cached_property
@@ -191,30 +191,29 @@ class PlanarityResult:
 def planarity_test(g):
     """Embed g in the sphere or refute with a Kuratowski subdivision.
 
-    Embeddings pass `certify_embedding`'s checks, on the positions of
-    the vertices in `g.vertices`, which number them for the left-right
-    test, and witnesses `certify_kuratowski`; witnesses are returned as
-    host subgraphs so callers can verify them on their own terms.  A
-    disconnected host raises NotConnected either way.
+    One edge-addition run over g's palm forest, on the positions of the
+    vertices in `g.vertices`, decides; its rotation must pass
+    `certify_embedding`'s checks, and its witness, returned as a host
+    subgraph, `certify_kuratowski`.  A disconnected host raises
+    NotConnected before any run.
     """
+    _require_connected(g)
     # imported here: certifying a given rotation, all a planar Cayley
-    # graph needs, loads no test, and only a refutation the isolation
-    from .leftright import edge_order, left_right
-    vs = g.vertices
-    index = {v: i for i, v in enumerate(vs)}
-    order = edge_order(len(vs), [(index[u], index[v]) for u, v in g.edges])
-    rotation = left_right(len(vs), order, embed=True)
+    # graph needs, loads no engine
+    from .edgeaddition import edge_addition
+    palm = g.palm
+    rotation, witness = edge_addition(palm)
     if rotation is None:
-        _require_connected(g)
-        from .kuratowski import kuratowski_edges
-        kept = [edge_key(vs[a], vs[b]) for a, b in kuratowski_edges(g.palm)]
+        vs = g.vertices
+        kept = [edge_key(vs[a], vs[b]) for a, b in witness]
         ws = Graph(tuple(sorted({v for e in kept for v in e})),
                    tuple(sorted(kept)))
         invariant(ws.edge_set <= g.edge_set,
                   "Kuratowski witness must live in the host")
         certify_kuratowski(ws)
         return PlanarityResult(False, None, None, ws)
-    return _certify(g, RotationSystem.indexed, order, rotation)
+    return _certify(g, RotationSystem.indexed,
+                    list(zip(palm.tail, palm.head)), rotation)
 
 
 def _require_connected(g):

@@ -1,7 +1,10 @@
 """Hinge separations, the canonical hinge family, torsos, and the
 combined cut-point / cycle / 3-connected tree."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from functools import cached_property
@@ -30,6 +33,7 @@ from planarblocks.blocks2 import (
 )
 from planarblocks.errors import (
     HingeVertex,
+    InvariantViolated,
     MalformedInput,
     NotConnected,
     PreconditionViolated,
@@ -204,6 +208,42 @@ def test_k4e_torsos(k4e):
     assert tri.virtual_edges == ((0, 1),)
     assert tri.z.edges == ((0, 1), (0, 2), (1, 2))
     assert tri.witness_paths == {(0, 1): (0, 1)}
+
+
+EDGELESS_TORSO = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from oracles import build_nested_family
+from planarblocks import blocks2
+from planarblocks.errors import InvariantViolated
+from planarblocks.graph import Graph
+assert False, "this script must run under -O"
+pair = Graph((0, 1), ())
+blocks2._region_parts = lambda family, v: (pair, pair, (), {})
+host = Graph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
+try:
+    blocks2.torso(build_nested_family(host), 0)
+except InvariantViolated as exc:
+    print(exc)
+"""
+
+
+def test_an_edgeless_pair_is_no_connected_torso(monkeypatch, k4e):
+    # a torso on two vertices is judged by its edge count, with no palm
+    pair = Graph((0, 1), ())
+    monkeypatch.setattr(blocks2, "_region_parts",
+                        lambda family, v: (pair, pair, (), {}))
+    with pytest.raises(InvariantViolated, match="torso must be connected"):
+        torso(build_nested_family(k4e), 0)
+    tests = os.path.dirname(__file__)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(tests), "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", EDGELESS_TORSO, tests],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "torso must be connected\n"
 
 
 def test_build_family_c5chord(c5_chord):

@@ -623,8 +623,9 @@ def test_cayley_invariants_hold_under_dash_o():
 CERTIFICATE_UNDER_O = """
 import json
 from planarblocks import (Graph, cayley_graph, certify_embedding,
-                          coset_enumerate, equivariant_rotation,
-                          kuratowski, parse_presentation, planarity_test)
+                          coset_enumerate, edgeaddition,
+                          equivariant_rotation, parse_presentation,
+                          planarity_test)
 from planarblocks.errors import PlanarBlocksError
 assert False, "this script must run under -O"
 pr = parse_presentation("surface(0, [2,3,3], 0)")
@@ -643,13 +644,24 @@ for host, order in ((g, swapped), (g, dropped), (apart, rotation)):
         certify_embedding(host, order)
     except PlanarBlocksError as exc:
         caught.append([exc.kind, str(exc)])
+def complete(n):
+    return Graph(tuple(range(n)), tuple((a, b) for a in range(n)
+                                        for b in range(a + 1, n)))
+engine = edgeaddition.edge_addition
 # an isolation that drops one edge of K5's witness
-isolate = kuratowski.kuratowski_edges
-kuratowski.kuratowski_edges = lambda palm: isolate(palm)[1:]
-k5 = Graph(tuple(range(5)), tuple((a, b) for a in range(5)
-                                  for b in range(a + 1, 5)))
+edgeaddition.edge_addition = lambda palm: (None, engine(palm)[1][1:])
 try:
-    planarity_test(k5)
+    planarity_test(complete(5))
+except PlanarBlocksError as exc:
+    caught.append([exc.kind, str(exc)])
+# an embedding of K4 with two neighbours of one vertex swapped
+def swapped_embedding(palm):
+    rotation, witness = engine(palm)
+    rotation[0][:2] = rotation[0][1::-1]
+    return rotation, witness
+edgeaddition.edge_addition = swapped_embedding
+try:
+    planarity_test(complete(4))
 except PlanarBlocksError as exc:
     caught.append([exc.kind, str(exc)])
 print(json.dumps(caught))
@@ -665,7 +677,8 @@ def test_wrong_rotations_fail_the_certificate_under_dash_o():
          "rotation at a vertex must permute its incident edges"],
         ["not-connected", "planarity certificates assume a connected host"],
         ["invariant-violated",
-         "Kuratowski witness must subdivide K5 or K3,3"]]
+         "Kuratowski witness must subdivide K5 or K3,3"],
+        ["invariant-violated", "sphere embeddings satisfy Euler's formula"]]
 
 
 DECOMPOSITION_INVARIANTS = """
@@ -865,9 +878,9 @@ def test_each_command_loads_only_its_modules(tmp_path):
     # no command loads networkx, which is a test oracle only, nor
     # argparse and the gettext and locale it imports: the CLI reads its
     # command lines itself, help included; blocks2, cayley, planar and
-    # symmetry are loaded only by the commands that run them,
-    # leftright only by a planarity test, which a planar group's Cayley
-    # graph does not need, and kuratowski only by a refutation
+    # symmetry are loaded only by the commands that run them, and
+    # edgeaddition only by a planarity test, which a planar group's
+    # Cayley graph does not need
     z3xz3 = tmp_path / "z3xz3.pres"
     z3xz3.write_text("gens: a b\nrels: a^3, b^3, (a*b*a^-1*b^-1)\n")
     trivial = tmp_path / "trivial.pres"
@@ -875,13 +888,11 @@ def test_each_command_loads_only_its_modules(tmp_path):
     runs = {("blocks", fx("path4.edges")): ["blocks1", "treeset"],
             ("triblocks", fx("k4.edges")): ["blocks1", "blocks2",
                                             "separation", "treeset"],
-            ("planar", fx("k4.edges")): ["leftright", "planar"],
-            ("planar", fx("k5.edges")): ["kuratowski", "leftright",
-                                         "planar"],
+            ("planar", fx("k4.edges")): ["edgeaddition", "planar"],
+            ("planar", fx("k5.edges")): ["edgeaddition", "planar"],
             ("cayley", fx("d3.pres")): ["cayley", "planar"],
             ("cayley", str(trivial)): ["cayley", "planar"],
-            ("cayley", str(z3xz3)): ["cayley", "kuratowski", "leftright",
-                                     "planar"],
+            ("cayley", str(z3xz3)): ["cayley", "edgeaddition", "planar"],
             ("autos", "--help"): []}
     for (cmd, path), extra in runs.items():
         proc = _python(["-c", MODULES_LOADED, cmd, path])

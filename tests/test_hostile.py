@@ -41,12 +41,34 @@ def _random_tree(n, seed):
     return [(rng.randrange(i), i) for i in range(1, n)]
 
 
+def _grid(r, crossed=False):
+    """The r x r grid, with the chords 0 - (n - 1) and (r - 1) - (n - r)
+    joining opposite corners when `crossed`: one nonplanar block."""
+    n = r * r
+    es = [(i * r + j, i * r + j + 1)
+          for i in range(r) for j in range(r - 1)]
+    es += [(i * r + j, (i + 1) * r + j)
+           for i in range(r - 1) for j in range(r)]
+    return es + [(0, n - 1), (r - 1, n - r)] if crossed else es
+
+
 # (name, edges): block-cut trees of about 100,000 nodes, whose sides
-# would take quadratic memory as n-bit masks
+# would take quadratic memory as n-bit masks, and grids of 40,000
+# vertices, which one edge-addition run embeds or refutes
 HOSTS = (("path-51200", lambda: _path(51200)),
-         ("random-tree-60000", lambda: _random_tree(60000, 60000)))
-CASES = [(command, name) for name, _ in HOSTS
+         ("random-tree-60000", lambda: _random_tree(60000, 60000)),
+         ("grid-200", lambda: _grid(200)),
+         ("crossed-grid-200", lambda: _grid(200, crossed=True)))
+CASES = [(command, name) for name in ("path-51200", "random-tree-60000")
          for command in ("blocks", "triblocks")]
+CASES += [("planar", "grid-200"), ("faces", "grid-200"),
+          ("planar", "crossed-grid-200")]
+# what each planarity case's JSON must hold: the grid's 199^2 squares
+# and its outer face, or a refutation with a witness
+GRID_FACES = 199 * 199 + 1
+EXPECTED = {("planar", "grid-200"): {"planar": True, "face_count": GRID_FACES},
+            ("faces", "grid-200"): {"face_count": GRID_FACES},
+            ("planar", "crossed-grid-200"): {"planar": False}}
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +113,13 @@ def test_large_input_answers_under_the_cap(outcomes, command, host):
     assert code in (0, 1, 2), code
     assert seconds < WALL_S
     payload = json.loads(out)
-    if code == 0:
+    if (command, host) in EXPECTED:
+        assert code == 0
+        for key, value in EXPECTED[command, host].items():
+            assert payload[key] == value, key
+        assert payload["faces" if payload.get("planar", True)
+                       else "witness"]
+    elif code == 0:
         assert payload["command"] == command
         assert payload["tree_vertices"]
     else:

@@ -16,14 +16,17 @@ from oracles import (
     brute_automorphisms,
     brute_canonical_face,
     edge_key_facial_walks,
+    edge_order,
     euler_genus,
     face_multiset_uniqueness_check,
     face_size_multiset,
     facial_preservation_check,
     greedy_kuratowski_witness,
     kuratowski_kind,
+    left_right,
     networkx_kuratowski_edges,
     per_vertex_rotation_check,
+    random_maximal_planar_edges,
     reference_embedding_walks,
 )
 from planarblocks import (
@@ -49,8 +52,7 @@ from planarblocks.errors import (
     PreconditionViolated,
 )
 import oracles
-from planarblocks import kuratowski, leftright
-from planarblocks.leftright import left_right
+from planarblocks import edgeaddition
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +278,18 @@ def test_kuratowski_isolation_at_scale(build):
 
 def test_a_disconnected_nonplanar_host_is_refused_before_isolation(
         monkeypatch):
+    # a planar host too is refused before the embedding, with the
+    # witness its rotation's certificate gave
     def unreachable(palm):
-        raise AssertionError("isolation ran on a disconnected host")
-    monkeypatch.setattr(kuratowski, "kuratowski_edges", unreachable)
-    g = g_of("0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4,5-6")
-    with pytest.raises(NotConnected):
-        planarity_test(g)
+        raise AssertionError("the engine ran on a disconnected host")
+    monkeypatch.setattr(edgeaddition, "edge_addition", unreachable)
+    for edges, parts in (
+            ("0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4,5-6",
+             [[0, 1, 2, 3, 4], [5, 6]]),
+            ("0-1,1-2,2-0,3-4", [[0, 1, 2], [3, 4]])):
+        with pytest.raises(NotConnected) as caught:
+            planarity_test(g_of(edges))
+        assert caught.value.witness == parts
 
 
 def test_the_crossed_grid_is_refuted_in_linear_time():
@@ -307,6 +315,15 @@ def small_graphs(draw):
     return Graph(tuple(labels), tuple(es))
 
 
+def _assert_certified_rotation(g, res):
+    """res embeds g, and its rotation passes the oracle's own checks:
+    the per-vertex rotation check, the edge-key face tracer and Euler's
+    formula, with the walks the certificate traced."""
+    assert res.planar
+    assert reference_embedding_walks(g, res.embedding.rotation) == res.walks
+    assert euler_genus(res.embedding) == 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_graphs())
 def test_left_right_agrees_with_networkx(g):
@@ -318,9 +335,11 @@ def test_left_right_agrees_with_networkx(g):
     edges = [(index[u], index[v]) for u, v in g.edges]
     assert (left_right(len(g.vertices), edges) is not None) == ok
     if ok and nx.__version__ == "3.6.1":
-        # disconnected hosts too: each tree's nesting depths count from
-        # its own root, as networkx's heights do
-        order = leftright.edge_order(len(g.vertices), edges)
+        # the reference test keeps the search, tie-breaking and placement
+        # orders of that networkx release, disconnected hosts too: each
+        # tree's nesting depths count from its own root, as networkx's
+        # heights do
+        order = edge_order(len(g.vertices), edges)
         rotation = left_right(len(g.vertices), order, embed=True)
         vs = g.vertices
         assert {vs[v]: [vs[w] for w in around]
@@ -332,15 +351,10 @@ def test_left_right_agrees_with_networkx(g):
     res = planarity_test(g)
     assert res.planar == ok
     if ok:
-        rotation = res.embedding.rotation
-        assert res.walks == edge_key_facial_walks(res.embedding)
+        _assert_certified_rotation(g, res)
         # networkx's own embedding passes the certificate too
         assert certify_embedding(g, cert.get_data()).face_count == \
             res.face_count
-        if nx.__version__ == "3.6.1":
-            # the search, tie-breaking and placement orders of the
-            # networkx release the golden bytes were first recorded with
-            assert rotation == cert.get_data()
     else:
         assert res.witness.edge_set <= g.edge_set
         assert certify_kuratowski(res.witness) == kuratowski_kind(res.witness)
@@ -360,8 +374,6 @@ def _dihedral_cayley_graph(n):
     return cayley_graph(coset_enumerate(pr), pr)
 
 
-@pytest.mark.skipif(nx.__version__ != "3.6.1",
-                    reason="rotations pinned to networkx 3.6.1's orders")
 @pytest.mark.parametrize("build", [
     lambda: grid_graph(10, 10), lambda: grid_graph(30, 30),
     lambda: _chorded_cycle(200), lambda: wheel_graph(12),
@@ -369,9 +381,10 @@ def _dihedral_cayley_graph(n):
     ids=["grid10x10", "grid30x30", "chorded200", "wheel12", "wheel300",
          "D50"])
 def test_left_right_agrees_with_networkx_on_deep_trees(build):
-    # DFS trees hundreds of vertices deep: the orientation numbers
-    # vertices in DFS order, networkx counts heights, and the rotations
-    # must agree all the same
+    # DFS trees hundreds of vertices deep: the reference test's
+    # orientation numbers vertices in DFS order, networkx counts heights,
+    # and the rotations must agree all the same; the engine's rotation
+    # is its own, and passes the oracle's checks
     g = build()
     h = nx.Graph()
     h.add_nodes_from(g.vertices)
@@ -379,7 +392,54 @@ def test_left_right_agrees_with_networkx_on_deep_trees(build):
     ok, cert = nx.check_planarity(h)
     res = planarity_test(g)
     assert ok and res.planar
-    assert res.embedding.rotation == cert.get_data()
+    _assert_certified_rotation(g, res)
+    if nx.__version__ == "3.6.1":
+        n = len(g.vertices)
+        index = {v: i for i, v in enumerate(g.vertices)}
+        order = edge_order(n, [(index[u], index[v]) for u, v in g.edges])
+        vs = g.vertices
+        assert {vs[v]: [vs[w] for w in around] for v, around in enumerate(
+            left_right(n, order, embed=True))} == cert.get_data()
+
+
+@st.composite
+def planarity_corpus(draw):
+    """A crossed grid (`conftest.crossed_grid`), or a random maximal
+    planar graph with one edge added or not, its labels spread out and
+    its vertex and edge tuples in a drawn order."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        g = crossed_grid(draw(st.integers(2, 9)))
+        n, edges = len(g.vertices), list(g.edges)
+    else:
+        n = draw(st.integers(4, 40))
+        edges = random_maximal_planar_edges(rng, n)
+        if draw(st.booleans()):
+            have = set(edges)
+            edges.append(rng.choice([(a, b) for a, b in combinations(
+                range(n), 2) if (a, b) not in have]))
+    labels = rng.sample(range(3 * n), n)
+    es = [edge_key(labels[a], labels[b]) for a, b in edges]
+    rng.shuffle(es)
+    return Graph(tuple(labels), tuple(es))
+
+
+@settings(max_examples=200, deadline=None)
+@given(planarity_corpus())
+def test_engine_reference_and_networkx_agree_on_the_corpus(g):
+    # each rotation certified, each witness a subdivision
+    h = nx.Graph(list(g.edges))
+    ok = nx.check_planarity(h)[0]
+    index = {v: i for i, v in enumerate(g.vertices)}
+    assert (left_right(len(g.vertices), [(index[u], index[v])
+                                         for u, v in g.edges])
+            is not None) == ok
+    res = planarity_test(g)
+    assert res.planar == ok
+    if ok:
+        _assert_certified_rotation(g, res)
+    else:
+        assert certify_kuratowski(res.witness) == kuratowski_kind(res.witness)
 
 
 @settings(max_examples=300, deadline=None)
@@ -553,9 +613,12 @@ def test_deep_searches_stay_iterative():
                      (grid_graph(60, 60), 59 * 59 + 1)):
         res = planarity_test(g)
         assert res.planar and res.face_count == faces
-    # K5 with one edge subdivided into a 5,000-edge path
+    # K5 with one edge subdivided into a 5,000-edge path, refuted by the
+    # engine and by the reference test
     es = [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)]
     es += [(0, 5)] + [(v, v + 1) for v in range(5, 5003)] + [(5003, 1)]
+    res = planarity_test(build_graph(range(5004), es))
+    assert not res.planar and certify_kuratowski(res.witness) == "K5"
     assert left_right(5004, es) is None
 
 
