@@ -16,16 +16,14 @@ _EXPORTS = {
                "surface_presentation"),
     "errors": ("BadExponent", "HingeVertex", "InvariantViolated",
                "MalformedInput", "NotAnAutomorphism", "NotConnected",
-               "NotNested", "Overflow", "PlanarBlocksError",
-               "PreconditionViolated", "TooLarge"),
+               "Overflow", "PlanarBlocksError", "PreconditionViolated",
+               "TooLarge"),
     "graph": ("Graph", "ReducedGraph", "build_graph", "connected_components",
               "cut_vertices", "edge_key", "homeomorphic_reduce",
               "is_connected", "parse_edge_list"),
     "planar": ("PlanarityResult", "RotationSystem", "canonical_face",
                "certify_embedding", "certify_kuratowski", "facial_walks",
                "planarity_test"),
-    "separation": ("Separation", "build_structure_tree",
-                   "separation_complement"),
     "symmetry": ("AutGroup", "QuotientGraph", "automorphism_group",
                  "quotient_graph", "tree_action_check"),
     "treeset": ("NestedFamily", "certify_tree"),

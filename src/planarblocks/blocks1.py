@@ -15,22 +15,21 @@ When c leaves exactly two components, the minimal element on one side
 coincides, as a subgraph, with the complement of the other; the two are
 distinct members on distinct tree edges, the minimal one below its twin.
 As in Dunwoody's "Cutting up graphs" (Combinatorica 1982), the tree
-comes first: the family and its tree are one record
-(`treeset.NestedFamily`), the classes read off the DFS, and each side,
-the regions of a subtree or of all but one, is an interval of the tree's
-preorder, an Euler-tour numbering (Tarjan and Vishkin, SIAM J. Comput.
-1985), not a set.  So the family takes time and memory linear in the
-graph, and no mask index is built.  `certify_block_cut_tree` checks the
-result in one linear pass: the certificate of every structure tree
-(`treeset.certify_tree`), and on top of it what makes the tree a
-block-cut tree.
+comes first: `block_cut_edges` reads the tree's nodes and edges off the
+DFS, and `treeset.family_of_tree` the family, one record with its tree
+(`treeset.NestedFamily`), in which each side, the regions of a subtree
+or of all but one, is an interval of the tree's preorder, an Euler-tour
+numbering (Tarjan and Vishkin, SIAM J. Comput. 1985), not a set.  So
+the family takes time and memory linear in the graph.  The tri-block
+tree (`blocks2`) starts from the same nodes and edges.
+`certify_block_cut_tree` checks the result in one linear pass: the
+certificate of every structure tree (`treeset.certify_tree`), and on
+top of it what makes the tree a block-cut tree.
 """
-
-from itertools import groupby
 
 from .errors import invariant
 from .graph import Graph, _splits, edge_key
-from .treeset import NestedFamily, certify_tree, preorder
+from .treeset import certify_tree, family_of_tree
 
 
 def b1_family(g):
@@ -40,9 +39,20 @@ def b1_family(g):
     minimal side followed by its complement, in the interval form.
     Connected input; a 2-connected graph, an edge or a vertex gives the
     empty family, whose one region is g itself."""
+    return family_of_tree(g, *block_cut_edges(g))
+
+
+def block_cut_edges(g):
+    """(pairs, regions) of the block-cut tree of the connected graph g,
+    as `treeset.family_of_tree` takes them: node c is the cut vertex v
+    at position c and node n + h the block headed by h, each region a
+    graph, and pair (c, n + h, (v,)) joins the cut vertex to a block at
+    it.  At each cut vertex, by least vertex but the cut vertex, come
+    the side toward the root, which holds vertex 0, and then the blocks
+    it tops.  No pair when g has no cut vertex."""
     split = _splits(g)
     if not split:
-        return NestedFamily(g, (), (frozenset(),), (g,))
+        return [], []
     palm, vs, n = g.palm, g.vertices, len(g.vertices)
     order, parent = palm.order, palm.parent
     root = order[0]         # vertex 0, the least
@@ -60,42 +70,16 @@ def b1_family(g):
     edges = {h: [] for h in heads}
     for v, w in zip(palm.tail, palm.head):  # the later end's block
         edges[block[w if parent[w] == v else v]].append(edge_key(vs[v], vs[w]))
-    # each pair's tree edge, as (class of c, class of the block): at c,
-    # by least vertex but c, the side toward the root (it holds vertex
-    # 0), then the blocks c tops; classes are numbered by least member,
-    # as build_structure_tree does
-    number = [-1] * 2 * n   # class of cut c at c, of block h at n + h
-    nodes = []              # class -> c or n + h
-    pairs = []
-    for c in sorted(split):
-        cb = (vs[c],)
-        for h in ([block[c]] if c != root else []) + sorted(
-                split[c], key=least.__getitem__):
-            for x in (c, n + h):
-                if number[x] < 0:
-                    number[x] = len(nodes)
-                    nodes.append(x)
-            pairs.append((number[c], number[n + h], cb))
-    owner = [x for a, b, _ in pairs for x in (a, b)]   # element -> class
-    classes = [frozenset(members) for _, members in groupby(
-        sorted(range(len(owner)), key=owner.__getitem__), owner.__getitem__)]
-    places, up, size = preorder(len(nodes), sorted(
-        (a, b) if a < b else (b, a) for a, b, _ in pairs))
-    pos = [0] * len(nodes)
-    for p, x in enumerate(places):
-        pos[x] = p
-    # the side of the cut's element holds the block's class: the block's
-    # subtree when it lies below the cut, all but the cut's otherwise
-    elements = []
-    for a, b, cb in pairs:
-        y = b if up[b] == a else a
-        lo, hi = pos[y], pos[y] + size[y]
-        elements += ((lo, hi, y == a, cb), (lo, hi, y == b, cb))
-    regions = [Graph((vs[x],), ()) if x < n else
-               Graph(tuple(sorted(map(vs.__getitem__, verts[x - n]))),
-                     tuple(sorted(edges[x - n])))
-               for x in nodes]
-    return NestedFamily(g, elements, classes, regions)
+    regions = [None] * 2 * n
+    for c in split:
+        regions[c] = Graph((vs[c],), ())
+    for h in heads:
+        regions[n + h] = Graph(tuple(sorted(map(vs.__getitem__, verts[h]))),
+                               tuple(sorted(edges[h])))
+    pairs = [(c, n + h, (vs[c],)) for c in sorted(split)
+             for h in ([block[c]] if c != root else [])
+             + sorted(split[c], key=least.__getitem__)]
+    return pairs, regions
 
 
 class BlockCutTree:

@@ -11,174 +11,260 @@ preserves it and no group has to be computed.
 
 Each such separation is, up to complement, one component of the block
 minus a vertex pair, plus the pair, with or without the edge joining
-the pair, read off int masks.  The block's 2-cuts (`graph.two_cuts`,
-one palm forest per skipped vertex) are decided pair by pair: {x, y} is
-crossed exactly when some other 2-cut, apart from it, has its two
-vertices in different components of the block minus {x, y}.  Sides are
-built only at the uncrossed pairs, and each is lifted to the host
-through the block-cut tree, as an OR of the sides of its tree edges
-that hang off the block.  Where a pair leaves two components and is
-joined by an edge, both sides with the edge are kept, so the pair and
-its edge form a bond tree vertex of their own.  A piece of the host
-that meets a block only at a cut vertex of a hinge goes with the sides
-that hold the centre of the block's tree vertices through that cut
-vertex (`_pendant_homes`), so the lifted sides stay nested.  No side
-is checked as it is built: `triblock_tree` certifies the whole tree
-(`treeset.certify_tree`).
+the pair.  The block's 2-cuts (`graph.two_cuts`, one palm forest per
+skipped vertex) are decided pair by pair: {x, y} is crossed exactly
+when some other 2-cut, apart from it, has its two vertices in different
+components of the block minus {x, y}.  As in Dunwoody's construction,
+the tree comes first: the uncrossed pairs give the block's hinge tree
+(`_hinge_tree`), which takes the block's place in the block-cut tree,
+and a piece of the host that meets the block only at a cut vertex hangs
+at the centre of the block's tree vertices that hold that vertex, so
+the sides stay nested.  Where a pair leaves two components and is
+joined by an edge, the pair and its edge form a bond tree vertex of
+their own.  Every side is then an interval of the tree's preorder
+(`treeset`), and none is spelled out or checked as it is built:
+`triblock_tree` certifies the whole tree (`treeset.certify_tree`).
 
 The family and its tree are one record (`treeset.NestedFamily`) that
 holds the reduced host, the tree edges and the cut-point classes; a
 `TriBlockTree` adds the input, its reduction, and each class's kind and
 torso.
 
-Hinge work is done only where a block has a hinge: a block without a
-2-cut builds no mask index, and when no block has one the block-cut
-family of `b1_family` is returned as the whole family.  One `Graph`
-object stands for each distinct graph on the way.  The reduced host is
-the input itself when no vertex is suppressed, and a block that no
-hinge splits is its region, its torso when no virtual edge is added,
-and its witness when no path is; a witness path is searched on the
-host's adjacency within the member side's edge mask (`_side_path`).  A
-graph keeps its palm forest and its 2-cuts (`graph.Graph`), so
-`_classify` reads the 2-cuts the block pass found; only a torso with
-virtual edges, a graph of its own, is searched again.  Every check of
-`torso`, `_classify` and `_check_edge_partition` still runs on every
-torso, and `certify_tree` on every family.
+Hinge work is done only where a block has a hinge: when no block has
+one, the block-cut family is the whole family.  One `Graph` object stands
+for each distinct graph on the way.  The reduced host is the input itself
+when no vertex is suppressed, and a block that no hinge splits is its
+region, its torso when no virtual edge is added, and its witness when no
+path is; a witness path is searched on the host's adjacency within the
+member side, an edge lying in the side where the place of its region
+does (`_side_path`).  A graph keeps its palm forest and its 2-cuts
+(`graph.Graph`), so `_classify` reads the 2-cuts the block pass found;
+only a torso with virtual edges, a graph of its own, is searched again.
+Every check of `torso`, `_classify` and `_check_edge_partition` still
+runs on every torso, and `certify_tree` on every family.
 """
 
 from collections import deque
-from functools import reduce
-from itertools import combinations
-from operator import or_
+from itertools import chain, combinations
 
 from .errors import HingeVertex, invariant
 from .graph import (Graph, edge_key, homeomorphic_reduce, is_connected,
                     is_simple_cycle, is_two_connected, require_connected,
                     two_cuts)
-from .separation import (Separation, build_structure_tree,
-                         separation_complement, side_masks)
-from .treeset import certify_tree
-from .blocks1 import BlockCutTree, b1_family
+from .treeset import certify_tree, family_of_tree
+from .blocks1 import block_cut_edges
 
 
 # ---------------------------------------------------------------------------
 # the canonical hinge family
 
 
-def _uncrossed_sides(z):
-    """The hinge sides of the 2-connected graph z that no hinge
-    separation of z crosses, as (side, complement) pairs sorted by the
-    side's sort key.
+def _hinge_tree(z, cuts):
+    """The tree of the hinge separations of the 2-connected graph z that
+    no hinge separation of z crosses, with the pieces of the host that
+    hang at the vertices `cuts` of z re-hung at their homes, or None
+    when z has no such separation.
 
-    A 2-cut {x, y} is crossed when another 2-cut {u, w}, apart from it,
-    has u and w in different components of z minus {x, y}; then every
-    side at {x, y} crosses a side at {u, w}, and otherwise all are
-    nested.  An uncrossed pair keeps each component plus the pair, and
-    with the pair's edge too when the edge joins it and two components
-    remain; with three or more, the sides with the edge cross.
+    A 2-cut {x, y} (`two_cuts`) is crossed when another 2-cut {u, w},
+    apart from it, has u and w in different components of z minus
+    {x, y}; then every side at {x, y} crosses a side at {u, w}, and
+    otherwise all are nested.  An uncrossed pair keeps each component
+    plus the pair as a side, and with the pair's edge too when the edge
+    joins it and two components remain.  A pair with three or more
+    components, or with two and its edge, is a bond: a node on the pair
+    and its edge between the nodes of its components.
+
+    Rooted at the node holding z's least edge, each tree edge has one
+    side without that edge, its down side, and the node just inside a
+    down side is its region less the down sides below it.  Placed
+    smallest first, a down side takes as children the largest down
+    sides placed so far that hold its interior vertices (a union-find),
+    and a bond's those of its components.  An edge lies in the node of
+    the deeper of the least down sides holding its ends, or in its bond.
+
+    Each tree edge enters where its first side that is one component of
+    z minus a pair does, that side first, the sides sorted by edge count
+    and then sorted edges.  Two sides with equal counts are not nested,
+    so their sorted edges differ first at the least edge of one: z's
+    least edge, else the lesser least edge of their complements, else
+    of the sides.  A piece hanging at v goes to the centre of the nodes
+    that hold v, the side holding the centre being the one with the
+    longer chain of sides at v inside it; a centre on a tree edge is a
+    node on the edge's pair alone, which splits the edge.
+
+    Returns (regions, pairs, homes): each node's region, the tree edges
+    as `treeset.family_of_tree` takes them, in the order their elements
+    enter, and the node each vertex of `cuts` hangs at.
     """
-    cuts = [(pair, comps, {v: i for i, c in enumerate(comps) for v in c})
-            for pair, comps in two_cuts(z)]
-    if not cuts:
-        return []
-    ix = z.index
-    sides = []
-    for pair, comps, label in cuts:
-        if any(label[u] != label[w] for (u, w), _, _ in cuts
-               if u not in pair and w not in pair):
+    found = [(pair, comps, {v: i for i, c in enumerate(comps) for v in c})
+             for pair, comps in two_cuts(z)]
+    kept = [(pair, comps, label) for pair, comps, label in found
+            if not any(label[u] != label[w] for (u, w), _, _ in found
+                       if u not in pair and w not in pair)]
+    if not kept:
+        return None
+    least = z.edges[0]
+    pair_of, inner, kids, size, listed = [], [], [], [], []  # per down side
+    bond = {}           # a bond's edge -> the down side of its node
+
+    def down(pair, vs, below, sides):
+        pair_of.append(pair)
+        inner.append(vs)        # interior vertices, or None for a bond
+        kids.append(below)      # a bond's components, or None
+        size.append(len(vs) if below is None else sum(map(size.__getitem__,
+                                                          below)))
+        listed.append(sides)    # (down side listed, its complement listed)
+        return len(pair_of) - 1
+    for pair, comps, label in kept:
+        x, y = pair
+        joined = z.has_edge(x, y)
+        k = -1 if least == pair else label[
+            least[0] if least[0] not in pair else least[1]]
+        two = len(comps) == 2
+        if two and not joined:
+            down(pair, comps[1 - k], None, (True, True))
             continue
-        bm = ix.vertex_mask(pair)
-        joined = ix.edge_bit.get(pair, 0) if len(comps) == 2 else 0
-        for extra in (0, joined) if joined else (0,):
-            for comp in comps:
-                inner = ix.vertex_mask(comp)
-                s = Separation(z, inner | bm, ix.reach(inner)[1] | extra, bm)
-                sides.append((s, separation_complement(s)))
-    return sorted(sides, key=lambda c: c[0].sort_key())
-
-
-def _pendant_homes(pairs, cuts):
-    """Each kept side of a block with the cut vertices of its hinge whose
-    pendant pieces it takes, then its complement where the two do not
-    lift to complements.
-
-    A pendant piece meets the block only at a cut vertex v and belongs
-    at the centre of the block tree vertices that hold v.  That centre
-    lies on the side of A exactly when the longest chain of sides with v
-    in their hinge is longer strictly inside A than inside A*.  On a tie
-    the centre is the edge of A itself: neither side takes the piece, A
-    and A* lift to two separations, and the two-vertex tree vertex
-    between them holds it.
-    """
-    sides = dict.fromkeys(s for pair in pairs for s in pair)
-    reach = {}      # (side, v) -> longest chain through v strictly inside
+        sides = [down(pair, c, None, (True, two))
+                 for i, c in enumerate(comps) if i != k]
+        # with the root's edge, the bond is the root
+        hub = -1 if k < 0 else down(pair, None, sides, (two, True))
+        if joined:
+            bond[pair] = hub
+    count = len(pair_of)
+    placed = sorted(range(count),
+                    key=lambda d: (size[d], kids[d] is not None))
+    first = {}          # vertex -> least down side holding it inside
+    top = list(range(count))    # toward the largest down side placed above
+    parent = [-1] * count       # -1: the root
+    for d in placed:
+        if kids[d] is not None:
+            for c in kids[d]:
+                parent[c] = top[c] = d
+            continue
+        for u in inner[d]:
+            t = first.setdefault(u, d)
+            while top[t] != t:
+                top[t] = t = top[top[t]]
+            if t != d:
+                parent[t] = top[t] = d
+    # node d + 1 lies just inside down side d, node 0 is the root
+    verts = [set() for _ in range(count + 1)]
+    for u in z.vertices:
+        verts[first.get(u, -1) + 1].add(u)
+    for d, pair in enumerate(pair_of):
+        verts[d + 1].update(pair)
+        verts[parent[d] + 1].update(pair)
+    edges = [[] for _ in verts]
+    cnt = [0] * len(verts)
+    low = [len(z.edges)] * len(verts)   # least edge rank
+    for r, f in enumerate(z.edges):
+        d = bond.get(f)
+        if d is None:
+            a, b = first.get(f[0], -1), first.get(f[1], -1)
+            d = b if a < 0 or b >= 0 and size[b] < size[a] else a
+        edges[d + 1].append(f)
+        cnt[d + 1] += 1
+        low[d + 1] = min(low[d + 1], r)
+    for d in placed:
+        cnt[parent[d] + 1] += cnt[d + 1]
+        low[parent[d] + 1] = min(low[parent[d] + 1], low[d + 1])
+    order = []          # (sort key, down side, its side listed first)
+    for d, sides in enumerate(listed):
+        c, r = cnt[d + 1], low[d + 1]
+        keys = ((c, 1, r), (len(z.edges) - c, 0, -r))
+        order.append(min((keys[s], d, s == 0) for s in (0, 1) if sides[s]))
+    order.sort()
+    # the centre of the nodes holding each hanging vertex
+    at = {}
+    for d, pair in enumerate(pair_of):
+        for v in pair:
+            at.setdefault(v, []).append(d)
+    homes, ties = {}, {}
     for v in cuts:
-        at_v = sorted((s for s in sides if v in s.boundary),
-                      key=lambda s: s.vmask.bit_count() + s.emask.bit_count())
-        for n, s in enumerate(at_v):
-            reach[s, v] = max((1 + reach[t, v] for t in at_v[:n]
-                               if t.subgraph_leq(s)), default=0)
-    for s, sc in pairs:
-        hinge = s.boundary & cuts
-        take = {v for v in hinge if reach[s, v] > reach[sc, v]}
-        give = {v for v in hinge if reach[sc, v] > reach[s, v]}
-        yield s, take
-        if take | give != hinge:
-            yield sc, give
+        if v not in at:
+            homes[v] = first.get(v, -1) + 1
+            continue
+        near = {}
+        for d in at[v]:
+            a, b = d + 1, parent[d] + 1
+            near.setdefault(a, []).append((b, d))
+            near.setdefault(b, []).append((a, d))
+        end, _ = _farthest(near, at[v][0] + 1)
+        other, back = _farthest(near, end)
+        path, via = [other], []
+        while back[path[-1]] is not None:
+            x, d = back[path[-1]]
+            path.append(x)
+            via.append(d)
+        half = len(via) // 2
+        if len(via) % 2:
+            ties.setdefault(via[half], []).append(v)
+        else:
+            homes[v] = path[half]
+    regions = [Graph(tuple(sorted(vs)), tuple(es))
+               for vs, es in zip(verts, edges)]
+    pairs = []
+    for _, d, is_down in order:
+        inside, outside = d + 1, parent[d] + 1
+        if not is_down:
+            inside, outside = outside, inside
+        if d in ties:
+            split = len(regions)
+            regions.append(Graph(pair_of[d], ()))
+            homes.update(dict.fromkeys(ties[d], split))
+            pairs += ((split, inside, pair_of[d]),
+                      (split, outside, pair_of[d]))
+        else:
+            pairs.append((outside, inside, pair_of[d]))
+    return regions, pairs, homes
+
+
+def _farthest(near, start):
+    """The last node a breadth-first search of the tree `near` reaches
+    from start, and the (node, tree edge) each node was reached by."""
+    back = {start: None}
+    queue = [start]
+    for x in queue:
+        for y, d in near[x]:
+            if y not in back:
+                back[y] = (x, d)
+                queue.append(y)
+    return queue[-1], back
 
 
 def _canonical_tree(h):
     """The nested family, tree included, of h's one-boundary family and
     the uncrossed hinge separations of each of its blocks.
 
-    The blocks come off the block-cut tree that `b1_family` reads off
-    its DFS.  Blocks of at most three vertices, cycles and blocks
-    without a 2-cut have none, and when no block has one the block-cut
-    family is the whole family, returned as `b1_family` built it, in
-    the interval form.  Otherwise its sides become masks
-    (`separation.side_masks`), a block vertex hangs the side of its tree
-    edge away from the block, and a block side lifts to the OR of what
-    its interior vertices and the hinge vertices it takes
-    (`_pendant_homes`) hang.
-    Each lifted side enters followed by its complement, unless the side
-    is already present.  A side and its complement lift to complements
-    unless a pendant piece goes with neither.
+    The tree is built as a tree: in the block-cut tree
+    (`blocks1.block_cut_edges`), the node of each block with an
+    uncrossed 2-cut gives way to the block's hinge tree (`_hinge_tree`),
+    and each cut vertex of the block joins the node it hangs at there.
+    Blocks of at most three vertices and cycles have none, and when no
+    block has one the block-cut family is the whole family.  The
+    family is read off the tree in the interval form
+    (`treeset.family_of_tree`): the block-cut elements first, then each
+    block's hinge elements, blocks in the order of their classes.
     """
-    fam = b1_family(h)
-    bct = BlockCutTree(h, fam)
-    split = [(ci, z, sides) for ci, z in bct.block_classes.items()
-             if len(z.vertices) > 3 and not is_simple_cycle(z)
-             for sides in (_uncrossed_sides(z),) if sides]
-    if not split:
-        return fam
-    ix = h.index
-    elements = list(side_masks(fam))
-    cuts = set(bct.cuts)
-    present = set()
-    # a block by its masks: the region of a block left whole
-    known = {(ix.vertex_mask(z.vertices),
-              reduce(or_, map(ix.edge_bit.__getitem__, z.edges), 0)): z
-             for z in bct.block_classes.values()}
-    for ci, z, sides in split:
-        hang = {v: ix.vertex_bit[v] for v in z.vertices}
-        for i in fam.classes[ci]:
-            hang[bct.cut_classes[fam.class_of[i ^ 1]]] |= elements[i].vmask
-        zx = z.index
-        for zsep, take in _pendant_homes(sides, cuts & z.vertex_set):
-            hinge = zsep.key[2]
-            bm = ix.vertex_mask(hinge)
-            inner = reduce(or_, map(hang.__getitem__, (
-                *zx.vertices_of(zsep.vmask & ~zsep.bmask), *take))) & ~bm
-            em = ix.reach(inner)[1]
-            if zsep.emask & zx.edge_bit.get(hinge, 0):
-                em |= ix.edge_bit[hinge]
-            s = Separation(h, inner | bm, em, bm)
-            if s in present:
-                continue
-            sc = separation_complement(s)
-            present.update((s, sc))
-            elements += (s, sc)
-    return build_structure_tree(h, elements, known)
+    pairs, regions = block_cut_edges(h)
+    cuts = {bd[0] for _, _, bd in pairs}
+    if not pairs:
+        regions = [h]
+    home = {}           # (block node, cut vertex) -> node
+    hinge = []
+    for b in (dict.fromkeys(b for _, b, _ in pairs) if pairs else (0,)):
+        z = regions[b]
+        tree = None if len(z.vertices) <= 3 or is_simple_cycle(z) else \
+            _hinge_tree(z, cuts.intersection(z.vertices))
+        if tree is None:
+            continue
+        parts, tree_pairs, homes = tree
+        base = len(regions)
+        regions += parts
+        hinge += [(base + a, base + c, bd) for a, c, bd in tree_pairs]
+        home.update(((b, v), base + x) for v, x in homes.items())
+    pairs = [(c, home.get((b, bd[0]), b), bd) for c, b, bd in pairs]
+    return family_of_tree(h, pairs + hinge, regions)
 
 
 # ---------------------------------------------------------------------------
@@ -190,46 +276,55 @@ def _region_parts(family, ci):
 
     One virtual edge per boundary pair of a hinge member that the region
     does not join, generated by the least member at that pair in
-    sort-key order, so the choice is reproducible.  Pairs are read off
-    the boundaries, so a side is decoded only where two members share a
-    pair.
+    sort-key order (`_sort_key`), so the choice is reproducible.  Pairs
+    are read off the boundaries, so a side is read only where two
+    members share a pair.
     """
     elements = family.elements
     zprime = family.regions[ci]
     zvs = zprime.vertex_set
     at = {}         # boundary pair -> its hinge members
     for i in family.classes[ci]:
-        # a block-cut side, in the interval form, has one boundary vertex
-        pair = () if type(elements[i]) is tuple else elements[i].boundary
-        if len(pair) == 2:
-            at.setdefault(tuple(sorted(pair)), []).append(i)
+        if len(elements[i][3]) == 2:
+            at.setdefault(elements[i][3], []).append(i)
     gens = {}
     for k, members in at.items():
         invariant(zvs.issuperset(k), "hinge must survive into the region")
         if k not in zprime.edge_set:
-            gens[k] = elements[members[0] if len(members) == 1 else min(
-                members, key=lambda i: (elements[i].sort_key(), i & 1))]
+            gens[k] = members[0] if len(members) == 1 else min(
+                members, key=lambda i: (_sort_key(family, i), i & 1))
     virtuals = tuple(sorted(gens))
     z = Graph(zprime.vertices, tuple(sorted(zprime.edges + virtuals))) \
         if virtuals else zprime
     return zprime, z, virtuals, gens
 
 
-def _side_path(side, src, dst):
-    """Shortest src-dst path within a side, or None: a breadth-first
-    search on the host's sorted adjacency that follows only the side's
-    edges, so it finds the path a graph of the side would give
-    (`bfs_path` in `tests/oracles.py`) without building that graph."""
+def _sort_key(family, i):
+    """Element i's side by its edge count, then its sorted edges, then
+    its boundary."""
+    edges = sorted(chain.from_iterable(
+        r.edges for r in family.side_regions(i)))
+    return len(edges), tuple(edges), family.elements[i][3]
+
+
+def _side_path(family, i, src, dst):
+    """Shortest src-dst path within the side of element i, or None: a
+    breadth-first search on the host's sorted adjacency that follows
+    only the side's edges, an edge being in the side when the place of
+    its region is (`NestedFamily.edge_places`), so it finds the path a
+    graph of the side would give (`bfs_path` in `tests/oracles.py`)
+    without building that graph."""
     if src == dst:
         return (src,)
-    host, em = side.host, side.emask
-    bit = host.index.edge_bit
+    host = family.host
+    lo, hi, out, _ = family.elements[i]
+    place = family.edge_places
     prev = {src: None}
     queue = deque([src])
     while queue:
         x = queue.popleft()
         for y in host.neighbors(x):
-            if y in prev or not em & bit[edge_key(x, y)]:
+            if y in prev or (lo <= place[edge_key(x, y)] < hi) == out:
                 continue
             prev[y] = x
             if y == dst:
@@ -273,7 +368,7 @@ def torso(family, v):
     # crosses no other hinge
     paths = {}
     for k in virtuals:
-        path = _side_path(gens[k], k[0], k[1])
+        path = _side_path(family, gens[k], k[0], k[1])
         invariant(path is not None, "member side must connect its hinge")
         paths[k] = path
     interiors = []

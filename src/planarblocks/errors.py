@@ -40,12 +40,6 @@ class PreconditionViolated(PlanarBlocksError):
     kind = "precondition-violated"
 
 
-class NotNested(PlanarBlocksError):
-    """A pair of family elements fails the nesting condition."""
-
-    kind = "not-nested"
-
-
 class HingeVertex(PlanarBlocksError):
     """Torso requested at a tree vertex that is a cut-point class."""
 

@@ -11,19 +11,14 @@ components, its lowpoints the cut vertices, and run once per skipped
 vertex v, the 2-cuts {v, w}: the cut vertices w of g - v, whose split
 subtrees and the rest are the components of g - {v, w} (`two_cuts`).
 
-`Graph.index`, the mask form of vertex and edge sets that the hinge
-layer uses, is built on first use by `separation.GraphIndex`; the rest
-of the package never builds it.
-
 A `Graph` is built once and nothing assigns to it after, so each fact
 about it stays valid once found.  Each is computed on first use and
-kept on the object: its adjacency, its vertex and edge sets, its index,
-its palm forest (`Graph.palm`, whose roots `is_connected`,
-`require_connected` and `is_simple_cycle` count), its components
-(`Graph.components`) and its 2-cuts (`Graph.cut_pairs`, which
-`two_cuts` returns).  The decomposition layers hand the same object on
-wherever a graph does not change, so each fact is found once per
-distinct graph.
+kept on the object: its adjacency, its vertex and edge sets, its palm
+forest (`Graph.palm`, whose roots `is_connected`, `require_connected`
+and `is_simple_cycle` count), its components (`Graph.components`) and
+its 2-cuts (`Graph.cut_pairs`, which `two_cuts` returns).  The
+decomposition layers hand the same object on wherever a graph does not
+change, so each fact is found once per distinct graph.
 """
 
 from collections import deque
@@ -112,13 +107,6 @@ class Graph:
 
     def __contains__(self, v):
         return v in self._adj
-
-    @cached_property
-    def index(self):
-        """Bit positions of the vertices and edges, built on first use by
-        the mask layer (`separation.GraphIndex`)."""
-        from .separation import GraphIndex
-        return GraphIndex(self)
 
 
 def build_graph(vertices, edges):

@@ -194,9 +194,12 @@ def planarity_test(g):
     One edge-addition run over g's palm forest, on the positions of the
     vertices in `g.vertices`, decides; its rotation must pass
     `certify_embedding`'s checks, and its witness, returned as a host
-    subgraph, `certify_kuratowski`.  A disconnected host raises
-    NotConnected before any run.
+    subgraph, `certify_kuratowski`.  A graph with no vertex raises
+    MalformedInput, as `build_graph` does, and a disconnected host
+    NotConnected, before any run.
     """
+    if not g.vertices:
+        raise MalformedInput("graph needs at least one vertex")
     _require_connected(g)
     # imported here: certifying a given rotation, all a planar Cayley
     # graph needs, loads no engine

@@ -8,9 +8,9 @@ point the generators so far do not reach, and never lists the group.
 ``automorphism_group`` uses the base ``g.vertices``; the stabiliser of
 a vertex v is the same search along a base that starts at v, read from
 its second level: a stabiliser chain along another base (Seress,
-*Permutation Group Algorithms*, 2003).  Orbits of
-vertices and edges are closures under the generators, and the tree
-action is checked generator by generator.  Permutations are
+*Permutation Group Algorithms*, 2003).  Orbits of vertices and edges
+are closures under the generators, and the tree action is checked
+generator by generator, on regions and tree edges.  Permutations are
 dicts vertex -> vertex over the host's vertex set.
 """
 
@@ -18,29 +18,10 @@ from collections import Counter
 
 from .errors import DEFAULT_AUT_BOUND, NotAnAutomorphism, TooLarge
 from .graph import edge_key
-from .separation import Separation, side_masks
 
 
 def apply_to_edge(perm, e):
     return edge_key(perm[e[0]], perm[e[1]])
-
-
-def apply_to_separation(a, perm):
-    """Image of a separation under a permutation of the host's vertices,
-    its masks moved bit by bit, or None when the image of one of its
-    edges is not a host edge.  The image is not checked as a separation:
-    an automorphism maps separations to separations."""
-    ix = a.host.index
-    em = 0
-    for e in ix.edges_of(a.emask):
-        bit = ix.edge_bit.get(apply_to_edge(perm, e))
-        if bit is None:
-            return None
-        em |= bit
-
-    def moved(mask):
-        return ix.vertex_mask(map(perm.__getitem__, ix.vertices_of(mask)))
-    return Separation(a.host, moved(a.vmask), em, moved(a.bmask))
 
 
 def _closure(start, perms, image):
@@ -184,69 +165,94 @@ def quotient_graph(g, group):
 
 
 def tree_action_check(family, group):
-    """Check that the group permutes the family, induces tree
-    automorphisms, and that vertex stabilizers fix their torsos.
+    """Check that the group permutes the family, inducing automorphisms
+    of its tree that map each class's region onto the region of its
+    image.
 
-    Everything is checked on the generators, on the family's sides as
-    masks (`separation.side_masks`).  Each generator must map the region
-    of every class onto the region of the image class; as the
-    generators generate the group, every element fixing a class then
-    fixes its region.
+    Each generator is mapped over the regions and the tree edges, and a
+    side is spelled out only for a violation: the image of a class is
+    the class whose region is the image of its region
+    (`_class_images`), and each element must go to the element of its
+    parity on the image of its tree edge, so that the sides, the
+    regions beyond the edges, go to sides, with no two classes going to
+    one.  As the generators generate the group, every element fixing a
+    class then fixes its region.
 
     Returns {"ok": bool, "violations": [...]}; never raises, not even
     for a generator that is a permutation of the host's vertices but no
     automorphism.
     """
+    classes, regions, class_of = family.classes, family.regions, \
+        family.class_of
+    holder = {}     # host edge -> the class whose region holds it
+    bare = {}       # vertices of a region without edges -> its classes
+    for ci, reg in enumerate(regions):
+        if reg.edges:
+            holder.update(dict.fromkeys(reg.edges, ci))
+        else:
+            bare.setdefault(frozenset(reg.vertices), []).append(ci)
+    near = [set() for _ in classes]
+    for a, b in family.edges:
+        near[a].add(b)
+        near[b].add(a)
+    element_of = {(class_of[i], class_of[i ^ 1]): i
+                  for i in range(len(class_of))}
     violations = []
-    elements = side_masks(family)
-    index = {(a, i & 1): i for i, a in enumerate(elements)}
     for gi, perm in enumerate(group.generators):
-        image = {}
-        for i, a in enumerate(elements):
-            j = index.get((apply_to_separation(a, perm), i & 1))
-            if j is None:
+        image = _class_images(regions, holder, bare, near, perm)
+        for i in range(len(class_of)):
+            j = element_of.get((image[class_of[i]], image[class_of[i ^ 1]]))
+            if j is None or (i ^ j) & 1:
+                side = family.side_regions(i)
                 violations.append({
                     "kind": "missing-image",
                     "generator": gi,
                     "element": i,
-                    "image": {"va": sorted(perm[v] for v in a.va),
+                    "image": {"va": sorted({perm[v] for r in side
+                                            for v in r.vertices}),
                               "ea": sorted(apply_to_edge(perm, e)
-                                           for e in a.ea)},
+                                           for r in side for e in r.edges)},
                 })
-                continue
-            image[i] = j
-        if len(image) < len(elements):
-            continue
-        for i in range(len(elements)):
-            if image[i ^ 1] != image[i] ^ 1:
-                violations.append({"kind": "complement-not-respected",
-                                   "generator": gi, "element": i})
-        cmap = {}
-        ok = True
-        for ci, cls in enumerate(family.classes):
-            imgs = {family.class_of[image[i]] for i in cls}
-            if len(imgs) > 1:
-                violations.append({"kind": "class-split",
-                                   "generator": gi, "class": ci})
-                ok = False
-                continue
-            if imgs:
-                cmap[ci] = imgs.pop()
-        for ci, cj in cmap.items():
-            reg, target = family.regions[ci], family.regions[cj]
-            if {perm[v] for v in reg.vertices} != target.vertex_set or \
-                    {apply_to_edge(perm, e) for e in reg.edges} \
-                    != target.edge_set:
-                violations.append({"kind": "stabilizer-moves-torso",
-                                   "generator": gi, "class": ci})
-        if ok and cmap:
-            before = set(family.edges)
-            after = {tuple(sorted((cmap[a], cmap[b]))) for a, b in before
-                     if a in cmap and b in cmap}
-            if before != after:
-                violations.append({"kind": "not-a-tree-automorphism",
-                                   "generator": gi})
+        if len(set(image) - {None}) < len(image) - image.count(None):
+            violations.append({"kind": "not-a-tree-automorphism",
+                               "generator": gi})
     return {"ok": not violations, "violations": violations}
+
+
+def _class_images(regions, holder, bare, near, perm):
+    """The image of each class under perm, or None: the class whose
+    region is the image of its region, found by one of its edges, or
+    for a region without edges, of those on its vertices' images the
+    only one next to the images found of its neighbours."""
+    image = [None] * len(regions)
+    open_ = []      # (class, candidates) left to its neighbours
+    for ci, reg in enumerate(regions):
+        if reg.edges:
+            cj = holder.get(apply_to_edge(perm, reg.edges[0]))
+            if cj is not None and regions[cj].edge_set == {
+                    apply_to_edge(perm, e) for e in reg.edges} \
+                    and regions[cj].vertex_set == {
+                    perm[v] for v in reg.vertices}:
+                image[ci] = cj
+            continue
+        options = bare.get(frozenset(perm[v] for v in reg.vertices), ())
+        if len(options) == 1:
+            image[ci] = options[0]
+        elif options:
+            open_.append((ci, options))
+    while open_:
+        left = []
+        for ci, options in open_:
+            fixed = [image[x] for x in near[ci] if image[x] is not None]
+            fit = [cj for cj in options if near[cj].issuperset(fixed)]
+            if fixed and len(fit) == 1:
+                image[ci] = fit[0]
+            else:
+                left.append((ci, options))
+        if len(left) == len(open_):
+            break
+        open_ = left
+    return image
 
 
 def check_orbit_stabilizer(g, group):

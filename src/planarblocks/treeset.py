@@ -24,27 +24,28 @@ decomposition of the host.
 
 A family and its tree are one record, a `NestedFamily`: its host, its
 elements, its classes with their regions, and the tree edges and cut
-vertices read off them, with no order stored and nothing pointing back
-at the record.  The block-cut tree reads its classes off a lowpoint DFS
-(`blocks1.b1_family`); any other family, such as the combined hinge
-family, goes through `separation.build_structure_tree`, which reads them
-off the containment of the sides.
+vertices read off them, with no order of the elements stored and
+nothing pointing back at the record.  As in Dunwoody's "Cutting up
+graphs" (Combinatorica 1982), the tree comes first: the block-cut tree
+(`blocks1`) and the tri-block tree (`blocks2`) are built as trees, and
+`family_of_tree` reads the family off the tree's edges.
 
-Since the tree comes first, a side is the regions of one subtree or of
-all but one.  In the interval form, which `b1_family` builds in time and
-memory linear in the host, an element is the tuple (lo, hi, out,
-boundary): the regions of the classes at places lo .. hi - 1 of the
-tree's `preorder`, or with `out` of the other classes, and the vertices
-it shares with its complement.  The hinge layer still holds its sides as
-masks (`separation.Separation`).  One certificate, `certify_tree`,
-checks either form in one linear pass over the tree, the regions and the
-boundaries, and recomputes neither the order nor the classes.
+A side is then the regions of one subtree or of all but one.  In the
+interval form, the one form of a side, an element is the tuple
+(lo, hi, out, boundary): the regions of the classes at places
+lo .. hi - 1 of the tree's `preorder` (`NestedFamily.order`), an
+Euler-tour numbering (Tarjan and Vishkin, SIAM J. Comput. 1985), or
+with `out` of the other classes, and the vertices it shares with its
+complement.  So a family takes time and memory linear in its tree and
+its host.  One certificate, `certify_tree`, checks a family in one
+linear pass over the tree, the regions and the boundaries, and
+recomputes neither the order nor the classes.
 """
 
 from collections import Counter
-from functools import reduce
-from itertools import chain, repeat
-from operator import attrgetter, or_
+from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 
 from .errors import invariant
 from .graph import edge_key
@@ -56,7 +57,9 @@ class NestedFamily:
     least member) with their regions, and what is read off them once:
     each element's class, the tree edges as sorted class pairs, and the
     vertex of each cut-point class, whose region is that vertex alone.
-    No order is computed; `certify_tree` checks the tree."""
+    The places of the classes, and of the edges, are read off the tree
+    on first use; no order of the elements is computed, and
+    `certify_tree` checks the tree."""
 
     def __init__(self, host, elements, classes, regions):
         self.host = host
@@ -75,6 +78,26 @@ class NestedFamily:
             ci: reg.vertices[0] for ci, (cls, reg)
             in enumerate(zip(classes, regions))
             if cls and not reg.edges and len(reg.vertices) == 1}
+
+    @cached_property
+    def order(self):
+        """The classes at the places of the tree's `preorder`."""
+        return preorder(self.vertex_count, self.edges)[0]
+
+    @cached_property
+    def edge_places(self):
+        """Each host edge's place: that of the class whose region holds
+        it."""
+        regions = self.regions
+        return {e: p for p, x in enumerate(self.order)
+                for e in regions[x].edges}
+
+    def side_regions(self, i):
+        """The regions of element i's side."""
+        lo, hi, out, _ = self.elements[i]
+        order = self.order
+        return [self.regions[x] for x in
+                (order[:lo] + order[hi:] if out else order[lo:hi])]
 
 
 def preorder(k, edges):
@@ -104,15 +127,55 @@ def preorder(k, edges):
     return order, up, size
 
 
+def family_of_tree(host, pairs, regions):
+    """The nested family of a tree given by its edges, in the interval
+    form.  Pair t = (a, b, boundary) joins the nodes a and b, indices
+    into `regions`: element 2t is the side that holds b, and 2t + 1 the
+    side that holds a.  The nodes become classes numbered by least
+    member, the order of their first appearance in `pairs`; a node in
+    no pair is left out, and with no pair the one region is the host.
+    Nothing is checked (`certify_tree`)."""
+    if not pairs:
+        return NestedFamily(host, (), (frozenset(),), (host,))
+    number = [-1] * len(regions)
+    nodes = []                  # class -> node
+    owner = []                  # element -> class
+    for a, b, _ in pairs:
+        for x in (a, b):
+            if number[x] < 0:
+                number[x] = len(nodes)
+                nodes.append(x)
+            owner.append(number[x])
+    members = [[] for _ in nodes]
+    for i, ci in enumerate(owner):
+        members[ci].append(i)
+    k = len(nodes)
+    places, up, size = preorder(k, sorted(
+        (a, b) if a < b else (b, a) for a, b in zip(owner[::2], owner[1::2])))
+    pos = [0] * k
+    for p, x in enumerate(places):
+        pos[x] = p
+    # the side of element 2t holds b's class: b's subtree when b lies
+    # below a, all but a's otherwise
+    elements = []
+    for t, (_, _, bd) in enumerate(pairs):
+        a, b = owner[2 * t], owner[2 * t + 1]
+        y = b if up[b] == a else a
+        lo, hi = pos[y], pos[y] + size[y]
+        elements += ((lo, hi, y == a, bd), (lo, hi, y == b, bd))
+    return NestedFamily(host, elements, map(frozenset, members),
+                        [regions[x] for x in nodes])
+
+
 def certify_tree(family):
     """Check the structure tree of a family and its regions in one linear
     pass, raising InvariantViolated (also under ``python -O``) at the
     first fault.
 
     1. The tree has one edge per complement pair and is connected.
-    2. Every side is the union of the regions beyond its edge (an
-       interval holds its subtree's places in the `preorder`, a mask is
-       the OR of the regions), and its partner is its exact complement.
+    2. Every side is the union of the regions beyond its edge: an
+       interval holds its subtree's places in the `preorder`, and its
+       partner the other places.
     3. The regions are subgraphs of the host that partition its edges
        and cover its vertices; each holds the ends of its edges; adjacent
        regions meet exactly in their edge's boundary, of one or two
@@ -154,23 +217,11 @@ def certify_tree(family):
         else:
             into[class_of[i]] = i + 1
     # 2: the sides against the subtrees
-    masks = type(elements[0]) is not tuple
-    if masks:
-        ix = host.index
-        rows = _subtree_rows(ix, regions, order, up)
-        n = len(ix.vertices)
     for p, y in enumerate(order[1:], 1):
         j = into[y]
-        side, other = elements[j], elements[j ^ 1]
-        if masks:
-            vm, em, bm = rows[y] & ix.all_vertices, rows[y] >> n, side.bmask
-            same = side.vmask == vm and side.emask == em
-            paired = (other.bmask == bm and other.emask == ix.all_edges & ~em
-                      and other.vmask == ix.all_vertices & ~vm | bm)
-        else:
-            same = side[0] == p and side[1] == p + size[y] and not side[2]
-            paired = other == (p, p + size[y], True, side[3])
-        if not (same and paired):
+        side = elements[j]
+        same = side[0] == p and side[1] == p + size[y] and not side[2]
+        if not (same and elements[j ^ 1] == (p, p + size[y], True, side[3])):
             invariant(same,
                       "side is not the union of the regions beyond its edge",
                       j)
@@ -193,8 +244,7 @@ def certify_tree(family):
               "blocks do not cover the host edges")
     invariant(len(set(held)) == len(vertex_set),
               "blocks do not cover the host vertices")
-    bounds = [elements[j].boundary if masks else elements[j][3]
-              for j in into]
+    bounds = [elements[j][3] for j in into]
     bounds[0] = ()
     kid, sib = [-1] * k, [-1] * k       # first child, next sibling
     for y in reversed(order[1:]):
@@ -233,17 +283,3 @@ def certify_tree(family):
                 invariant(below[y] != 1 and below[0] - below[y] != 1,
                           "hinge separation may not be a single edge",
                           into[y])
-
-
-def _subtree_rows(ix, regions, order, up):
-    """Each class's subtree as one int over the index ix: the OR of the
-    vertex masks of its regions and, shifted past them, of their edge
-    masks."""
-    n, vbit, ebit = len(ix.vertices), ix.vertex_bit, ix.edge_bit
-    # a vertex or edge not in the host adds no bit
-    rows = [reduce(or_, map(vbit.get, reg.vertices, repeat(0)), 0)
-            | reduce(or_, map(ebit.get, reg.edges, repeat(0)), 0) << n
-            for reg in regions]
-    for y in reversed(order[1:]):
-        rows[up[y]] |= rows[y]
-    return rows

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from planarblocks.graph import build_graph
+from planarblocks.graph import build_graph, edge_key
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -41,6 +41,36 @@ def k4_book(pages):
         a, b = 2 + 2 * i, 3 + 2 * i
         es += [(0, a), (0, b), (1, a), (1, b), (a, b)]
     return build_graph(range(2 + 2 * pages), es)
+
+
+def k4_edge_chain(links):
+    """K4s on 2i .. 2i + 3, each sharing an edge with the next."""
+    return build_graph(range(2 * links + 2), sorted(
+        {(2 * i + a, 2 * i + b) for i in range(links)
+         for a in range(4) for b in range(a + 1, 4)}))
+
+
+def k4_w5_chain(links):
+    """K4s and wheels W5 in turn, each glued at its vertex 0 to the last
+    vertex of the one before."""
+    edges, base = [], 0
+    for k in range(links):
+        piece = complete_graph(4) if k % 2 == 0 else wheel_graph(5)
+        edges += [(base + u, base + v) for u, v in piece.edges]
+        base += len(piece.vertices) - 1
+    return build_graph(range(base + 1), edges)
+
+
+def k4_ring(links):
+    """`links` copies of K4 less an edge, each joined by one edge to the
+    next, around a cycle: copy i holds 4i .. 4i + 3, less the edge from
+    4i to 4i + 3, which it joins to 4i + 4."""
+    es = []
+    for i in range(links):
+        a, b, c, d = range(4 * i, 4 * i + 4)
+        es += [(a, b), (a, c), (b, c), (b, d), (c, d),
+               edge_key(d, (d + 1) % (4 * links))]
+    return build_graph(range(4 * links), es)
 
 
 def grid_graph(rows, cols):

@@ -13,14 +13,12 @@ own:
   BFS that skips dropped vertices (`bfs_components`) and the lowpoint DFS
   on vertex names (`lowpoint_dfs`) kept here as references;
 - `b1_family` and `BlockCutTree`, which give the reference hinge family
-  its blocks, and which `one_boundary_family`, `mask_b1_family` and the
-  block-cut tree certificate check;
-- `Separation`, `separation_complement`, `NestedFamily` and
-  `build_structure_tree`, which hold a family and its tree as one
-  record, checked against their set definitions in
-  tests/test_separation.py and tests/test_treeset.py; the oracles of a
-  tree (`verify_tree_correspondence`, `tree_order`, `path_coherent`
-  and the rest) take that record and read its classes and edges;
+  and the mask builder their blocks, and which `one_boundary_family`,
+  `mask_b1_family` and the block-cut tree certificate check;
+- `NestedFamily` and `preorder`, which hold a family and its tree as
+  one record; the oracles of a tree (`verify_tree_correspondence`,
+  `tree_order`, `path_coherent` and the rest) take that record and
+  read its classes and edges;
 - `blocks2._canonical_tree`, only as the family `build_nested_family`
   returns;
 - `planar`'s `facial_walks`, `canonical_face` and `planarity_test`,
@@ -41,9 +39,18 @@ own:
   (`greedy_kuratowski_edges`), which the engine's linear isolation
   replaced.
 
-The package builds its sides straight from masks and leaves them to
-`treeset.certify_tree`.  The sides the tests build by hand go through
-`make_separation` here instead, which checks each condition of a
+The package holds every side in the interval form of `treeset` and
+leaves it to `treeset.certify_tree`.  The mask layer lives here: int
+masks over a graph's sorted vertices and edges (`GraphIndex`,
+`index_of`), `Separation` and `separation_complement`, checked against
+their set definitions in tests/test_separation.py, and
+`build_structure_tree`, which reads the tree of a family of masks off
+the containment of its sides, checked in tests/test_treeset.py.  The
+mask builder of the tri-block family (`mask_canonical_tree`), which
+the package used until its tree was built as a tree, is the reference
+the package's tree is compared against, element by element, with the
+torsos it gave (`mask_torso_parts`).  The sides the tests build by
+hand go through `make_separation`, which checks each condition of a
 separation on its own and names the first that fails; the orbit oracle
 checks every image it makes with it.
 """
@@ -51,10 +58,11 @@ checks every image it makes with it.
 from __future__ import annotations
 
 import argparse
+import weakref
 from collections import deque
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations, permutations
+from functools import cached_property, reduce
+from itertools import combinations, compress, permutations, repeat
 from math import gcd
 from operator import or_
 from types import SimpleNamespace
@@ -67,7 +75,7 @@ from planarblocks.cayley import (GroupTable, check_relators,
 from planarblocks.cli import COMMANDS
 from planarblocks.errors import (DEFAULT_COSET_LIMIT, InvariantViolated,
                                  MalformedInput, NotAnAutomorphism,
-                                 NotConnected, NotNested, Overflow,
+                                 NotConnected, Overflow, PlanarBlocksError,
                                  PreconditionViolated, invariant)
 from planarblocks.graph import (Graph, PalmForest, build_graph,
                                 connected_components, edge_key,
@@ -76,10 +84,402 @@ from planarblocks.graph import (Graph, PalmForest, build_graph,
                                 two_cuts)
 from planarblocks.planar import (canonical_face, facial_walks, planarity_test,
                                  subdivision_kind)
-from planarblocks.separation import (Separation, build_structure_tree,
-                                     separation_complement, set_bits)
-from planarblocks.treeset import NestedFamily
+from planarblocks.treeset import NestedFamily, preorder
 
+
+# ------------------------------------------------------------ the mask layer
+#
+# Separations as int masks, the form the hinge layer held its sides in
+# before the tri-block tree was built as a tree: `GraphIndex` numbers a
+# graph's sorted vertices and edges from 0, so that a set of them is one
+# int, and a `Separation` holds its vertices, edges and boundary as the
+# masks `vmask`, `emask` and `bmask`.  `build_structure_tree` reads the
+# tree of a family of masks off the containment of its sides, and
+# `mask_canonical_tree` is the tri-block family built that way, the
+# reference of `blocks2._canonical_tree`.
+
+class NotNested(PlanarBlocksError):
+    """A pair of family elements fails the nesting condition."""
+
+    kind = "not-nested"
+
+
+def set_bits(mask):
+    """Positions of the set bits of mask, ascending, one step per bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _selected(items, mask):
+    """The items at the set bits of mask, in order, from one scan of its
+    binary digits."""
+    return compress(items, map("1".__eq__, bin(mask)[:1:-1]))
+
+
+def index_of(g):
+    """The `GraphIndex` of the graph g, built once per Graph object and
+    dropped with it."""
+    ix = _INDEXES.get(id(g))
+    if ix is None:
+        ix = _INDEXES[id(g)] = GraphIndex(g)
+        weakref.finalize(g, _INDEXES.pop, id(g), None)
+    return ix
+
+
+_INDEXES = {}       # id of a live Graph -> its GraphIndex
+
+
+class GraphIndex:
+    """Bit i of a vertex mask is vertex i of the sorted vertices, and bit
+    k of an edge mask is edge k of the sorted edges.  `star[i]` holds
+    vertex i's neighbours as a vertex mask and, shifted past the vertex
+    bits, its edges as an edge mask, so one OR over a vertex set gives
+    both its neighbours and the edges at it."""
+
+    __slots__ = ("vertices", "edges", "vertex_bit", "edge_bit", "star",
+                 "all_vertices", "all_edges")
+
+    def __init__(self, g):
+        self.vertices = tuple(sorted(g.vertices))
+        self.edges = tuple(sorted(g.edges))
+        self.vertex_bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        self.edge_bit = {e: 1 << k for k, e in enumerate(self.edges)}
+        n = len(self.vertices)
+        star = dict.fromkeys(self.vertices, 0)
+        for (u, v), bit in self.edge_bit.items():
+            star[u] |= self.vertex_bit[v] | bit << n
+            star[v] |= self.vertex_bit[u] | bit << n
+        self.star = tuple(star.values())
+        self.all_vertices = (1 << n) - 1
+        self.all_edges = (1 << len(self.edges)) - 1
+
+    def vertex_mask(self, vs):
+        """Mask of the vertices in vs, each a host vertex."""
+        return reduce(or_, map(self.vertex_bit.__getitem__, vs), 0)
+
+    def vertices_of(self, mask):
+        return tuple(_selected(self.vertices, mask))
+
+    def edges_of(self, mask):
+        return tuple(_selected(self.edges, mask))
+
+    def reach(self, mask):
+        """(neighbours of, edges at) the vertices of a vertex mask."""
+        star = reduce(or_, _selected(self.star, mask), 0)
+        return star & self.all_vertices, star >> len(self.vertices)
+
+
+class Separation:
+    def __init__(self, host, vmask, emask, bmask):
+        self.host = host
+        self.vmask = vmask
+        self.emask = emask
+        self.bmask = bmask
+
+    def __hash__(self):
+        return hash((self.vmask, self.emask, self.bmask))
+
+    def __eq__(self, other):
+        return isinstance(other, Separation) and self.vmask == other.vmask \
+            and self.emask == other.emask and self.bmask == other.bmask \
+            and (self.host is other.host or self.host == other.host)
+
+    @cached_property
+    def key(self):
+        ix = index_of(self.host)
+        return (ix.vertices_of(self.vmask), ix.edges_of(self.emask),
+                ix.vertices_of(self.bmask))
+
+    @cached_property
+    def va(self):
+        return frozenset(self.key[0])
+
+    @cached_property
+    def ea(self):
+        return frozenset(self.key[1])
+
+    @cached_property
+    def boundary(self):
+        vs = index_of(self.host).vertices
+        return frozenset(vs[i] for i in set_bits(self.bmask))
+
+    def sort_key(self):
+        return (self.emask.bit_count(), self.key[1], self.key[2])
+
+    def subgraph_leq(self, other):
+        return not (self.vmask & ~other.vmask or self.emask & ~other.emask)
+
+
+def separation_complement(a):
+    """A*: the other side across the same boundary, unchecked."""
+    ix = index_of(a.host)
+    return Separation(a.host, ix.all_vertices & ~a.vmask | a.bmask,
+                      ix.all_edges & ~a.emask, a.bmask)
+
+
+def side_masks(family):
+    """The elements of `family` as mask Separations over its host's
+    index: an element in the interval form becomes the OR of the
+    regions at its places, found bottom-up over the tree, and a family
+    already in masks is returned as it is."""
+    elements = family.elements
+    if not elements or type(elements[0]) is not tuple:
+        return elements
+    host, regions = family.host, family.regions
+    ix = index_of(host)
+    order, up, _ = preorder(len(regions), family.edges)
+    rows = _subtree_rows(ix, regions, order, up)
+    n = len(ix.vertices)
+    out = []
+    for lo, _, flip, boundary in elements:
+        bm = ix.vertex_mask(boundary)
+        row = rows[order[lo]]
+        if flip:
+            row = rows[0] & ~row | bm
+        out.append(Separation(host, row & ix.all_vertices, row >> n, bm))
+    return tuple(out)
+
+
+def _subtree_rows(ix, regions, order, up):
+    """Each class's subtree as one int over the index ix: the OR of the
+    vertex masks of its regions and, shifted past them, of their edge
+    masks."""
+    n, vbit, ebit = len(ix.vertices), ix.vertex_bit, ix.edge_bit
+    # a vertex or edge not in the host adds no bit
+    rows = [reduce(or_, map(vbit.get, reg.vertices, repeat(0)), 0)
+            | reduce(or_, map(ebit.get, reg.edges, repeat(0)), 0) << n
+            for reg in regions]
+    for y in reversed(order[1:]):
+        rows[up[y]] |= rows[y]
+    return rows
+
+
+# the structure tree of a family of masks
+
+
+def _regions(host, elements, classes, known):
+    """Each class's region: the intersection of the complements of its
+    members, the whole host for the empty class.  A region whose masks
+    key a graph of `known` is that graph object."""
+    ix = index_of(host)
+    out = []
+    for cls in classes:
+        vm, em = ix.all_vertices, ix.all_edges
+        for i in cls:
+            other = elements[i ^ 1]
+            vm &= other.vmask
+            em &= other.emask
+        out.append(known.get((vm, em))
+                   or Graph(ix.vertices_of(vm), ix.edges_of(em)))
+    return tuple(out)
+
+
+def build_structure_tree(host, elements, known=None):
+    """The family of elements given in complement pairs, with its
+    structure tree read off the containment of its sides.  `known` maps
+    the (vertex mask, edge mask) of a subgraph of the host to a graph
+    already built for it, such as a block, which is then reused as the
+    region with those masks.
+
+    Of each pair the side without host edge 0 points away from the
+    root class.  The sides are placed smallest first, and of two twins
+    the even one first, so each side's parent is the first side placed
+    after it that meets it.  Each edge keeps the first side to hold it,
+    and `top` leads from there to the largest side placed so far above
+    it.  A side meets earlier sides only through those tops, which are
+    disjoint: it takes each as a child, or crosses one it does not hold
+    whole.  Each side becomes a child once and each edge gets its first
+    side once.  class(X) is then X* plus the children of X, and the root
+    class the sides below nothing.
+
+    Sides are compared only through the edges they share, so the
+    elements must be separations: the neighbours and edges of a side's
+    interior lie in it and make up its edges, up to the edge joining a
+    hinge, and each boundary vertex has edges on both sides.  Every
+    vertex of a side then has an edge in it, and the interiors of two
+    sides without a common edge are disjoint.  A crossing of such elements
+    raises NotNested.  Hand-built elements that fail those conditions
+    are outside this contract: a crossing between sides without a
+    common edge goes unchecked.
+    """
+    elements = tuple(elements)
+    n = len(elements)
+    if n % 2:
+        raise MalformedInput("family must list complements in pairs",
+                             witness=n)
+    ix = index_of(host)
+    for i, a in enumerate(elements):
+        if a.host is not host and a.host != host:
+            raise MalformedInput("element lives on another host", witness=i)
+        b = elements[i ^ 1]
+        if (b.bmask != a.bmask or b.emask != ix.all_edges & ~a.emask
+                or b.vmask != ix.all_vertices & ~a.vmask | a.bmask):
+            raise NotNested("paired element is not the complement",
+                            witness={"element": i, "partner": i ^ 1})
+    # k, or k + 1 when element k holds edge 0
+    sides = sorted((k | elements[k].emask & 1 for k in range(0, n, 2)),
+                   key=lambda i: (elements[i].emask.bit_count(),
+                                  elements[i].vmask.bit_count(), i & 1))
+    first = [-1] * len(ix.edges)    # place of the first side holding an edge
+    top = list(range(len(sides)))   # toward the largest side placed above
+    members = [[i ^ 1] for i in sides] + [[]]   # the root's class last
+    taken = 0
+    for p, i in enumerate(sides):
+        s = elements[i]
+        inside = s.emask & taken
+        while inside:
+            c = first[(inside & -inside).bit_length() - 1]
+            while top[c] != c:
+                top[c] = c = top[top[c]]
+            t = elements[sides[c]]
+            # twins are nested only as an even side below an odd one
+            if (t.emask & ~s.emask or t.vmask & ~s.vmask
+                    or t.vmask == s.vmask and t.emask == s.emask
+                    and (i ^ sides[c]) & 1 == 0):
+                raise NotNested("pair fails the nesting condition",
+                                witness={"a": list(t.key), "b": list(s.key)})
+            top[c] = p
+            members[p].append(sides[c])
+            inside &= ~t.emask
+        for k in set_bits(s.emask & ~taken):
+            first[k] = p
+        taken |= s.emask
+    members[-1] = [i for p, i in enumerate(sides) if top[p] == p]
+    # only the root's class of the empty family is empty
+    classes = sorted(map(frozenset, members), key=lambda c: min(c, default=0))
+    return NestedFamily(host, elements, classes,
+                        _regions(host, elements, classes, known or {}))
+
+
+def apply_to_separation(a, perm):
+    """Image of a separation under a permutation of the host's vertices,
+    its masks moved bit by bit, or None when the image of one of its
+    edges is not a host edge.  The image is not checked as a separation:
+    an automorphism maps separations to separations."""
+    ix = index_of(a.host)
+    em = 0
+    for e in ix.edges_of(a.emask):
+        bit = ix.edge_bit.get(edge_key(perm[e[0]], perm[e[1]]))
+        if bit is None:
+            return None
+        em |= bit
+
+    def moved(mask):
+        return ix.vertex_mask(map(perm.__getitem__, ix.vertices_of(mask)))
+    return Separation(a.host, moved(a.vmask), em, moved(a.bmask))
+
+
+def mask_uncrossed_sides(z):
+    """The hinge sides of the 2-connected graph z that no hinge
+    separation of z crosses, as (side, complement) pairs sorted by the
+    side's sort key.
+
+    A 2-cut {x, y} is crossed when another 2-cut {u, w}, apart from it,
+    has u and w in different components of z minus {x, y}; then every
+    side at {x, y} crosses a side at {u, w}, and otherwise all are
+    nested.  An uncrossed pair keeps each component plus the pair, and
+    with the pair's edge too when the edge joins it and two components
+    remain; with three or more, the sides with the edge cross.
+    """
+    cuts = [(pair, comps, {v: i for i, c in enumerate(comps) for v in c})
+            for pair, comps in two_cuts(z)]
+    if not cuts:
+        return []
+    ix = index_of(z)
+    sides = []
+    for pair, comps, label in cuts:
+        if any(label[u] != label[w] for (u, w), _, _ in cuts
+               if u not in pair and w not in pair):
+            continue
+        bm = ix.vertex_mask(pair)
+        joined = ix.edge_bit.get(pair, 0) if len(comps) == 2 else 0
+        for extra in (0, joined) if joined else (0,):
+            for comp in comps:
+                inner = ix.vertex_mask(comp)
+                s = Separation(z, inner | bm, ix.reach(inner)[1] | extra, bm)
+                sides.append((s, separation_complement(s)))
+    return sorted(sides, key=lambda c: c[0].sort_key())
+
+
+def mask_canonical_tree(h):
+    """The nested family, tree included, of h's one-boundary family and
+    the uncrossed hinge separations of each of its blocks.
+
+    The blocks come off the block-cut tree that `b1_family` reads off
+    its DFS.  Blocks of at most three vertices, cycles and blocks
+    without a 2-cut have none, and when no block has one the block-cut
+    family is the whole family, returned as `b1_family` built it, in
+    the interval form.  Otherwise its sides become masks
+    (`side_masks`), a block vertex hangs the side of its tree
+    edge away from the block, and a block side lifts to the OR of what
+    its interior vertices and the hinge vertices it takes
+    (`reference_pendant_homes`) hang.
+    Each lifted side enters followed by its complement, unless the side
+    is already present.  A side and its complement lift to complements
+    unless a pendant piece goes with neither.
+    """
+    fam = b1_family(h)
+    bct = BlockCutTree(h, fam)
+    split = [(ci, z, sides) for ci, z in bct.block_classes.items()
+             if len(z.vertices) > 3 and not is_simple_cycle(z)
+             for sides in (mask_uncrossed_sides(z),) if sides]
+    if not split:
+        return fam
+    ix = index_of(h)
+    elements = list(side_masks(fam))
+    cuts = set(bct.cuts)
+    present = set()
+    # a block by its masks: the region of a block left whole
+    known = {(ix.vertex_mask(z.vertices),
+              reduce(or_, map(ix.edge_bit.__getitem__, z.edges), 0)): z
+             for z in bct.block_classes.values()}
+    for ci, z, sides in split:
+        hang = {v: ix.vertex_bit[v] for v in z.vertices}
+        for i in fam.classes[ci]:
+            hang[bct.cut_classes[fam.class_of[i ^ 1]]] |= elements[i].vmask
+        zx = index_of(z)
+        for zsep, take in reference_pendant_homes(sides, cuts & z.vertex_set):
+            hinge = zsep.key[2]
+            bm = ix.vertex_mask(hinge)
+            inner = reduce(or_, map(hang.__getitem__, (
+                *zx.vertices_of(zsep.vmask & ~zsep.bmask), *take))) & ~bm
+            em = ix.reach(inner)[1]
+            if zsep.emask & zx.edge_bit.get(hinge, 0):
+                em |= ix.edge_bit[hinge]
+            s = Separation(h, inner | bm, em, bm)
+            if s in present:
+                continue
+            sc = separation_complement(s)
+            present.update((s, sc))
+            elements += (s, sc)
+    return build_structure_tree(h, elements, known)
+
+
+
+def mask_torso_parts(family, ci):
+    """(virtual edges, witness paths) of class ci of a family of masks,
+    as the torso of `blocks2` took them from the mask builder: a virtual
+    edge at each pair of a hinge member that the region does not join,
+    generated by the least member there in sort-key order, the even one
+    first, and its path the shortest one on a graph of that member's
+    side (`bfs_path`); a family in the interval form is spelled out."""
+    elements, region = spelled_out(family).elements, family.regions[ci]
+    at = {}
+    for i in family.classes[ci]:
+        if len(elements[i].boundary) == 2:
+            at.setdefault(tuple(sorted(elements[i].boundary)), []).append(i)
+    paths = {}
+    for k in sorted(at):
+        if k not in region.edge_set:
+            side = elements[min(at[k], key=lambda i: (
+                elements[i].sort_key(), i & 1))]
+            paths[k] = bfs_path(Graph(tuple(sorted(side.va)),
+                                      tuple(sorted(side.ea))), *k)
+    return tuple(paths), paths
 
 # ------------------------------------------------- checked separations
 
@@ -125,12 +525,12 @@ def make_separation(host, va, ea, boundary):
     """Build a Separation after checking every defining invariant.
 
     va, ea and boundary are collections of host vertices and edges, or
-    int masks over `host.index`.  That ea lies inside va and the
+    int masks over `index_of(host)`.  That ea lies inside va and the
     interior keeps its edges is one test on the neighbours and edges of
     the interior: they lie in va and make up ea, up to an edge joining
     the boundary.
     """
-    ix = host.index
+    ix = index_of(host)
     vm = _mask(ix, va, vertex_mask, ix.all_vertices,
                "va not a subset of host vertices")
     em = _mask(ix, ea, edge_mask, ix.all_edges,
@@ -192,7 +592,7 @@ def component_side(host, boundary, comps, with_edge=False):
     edges every host edge at a component vertex, and the edge joining a
     two-vertex boundary only when with_edge.
     """
-    ix = host.index
+    ix = index_of(host)
     inner = _mask(ix, [v for c in comps for v in c], vertex_mask,
                   ix.all_vertices, "va not a subset of host vertices")
     em = ix.reach(inner)[1]
@@ -680,8 +1080,10 @@ def verify_tree_correspondence(fam):
     Checks tree shape, the stored classes, and that the family order
     agrees with coherent directed paths in the tree.  The order and the
     classes come from the elements' masks (`MaskOrder`), whichever
-    producer built the tree.
+    producer built the tree; a family in the interval form is spelled
+    out first (`spelled_out`).
     """
+    fam = spelled_out(fam)
     order = MaskOrder(fam.elements)
     violations = []
     n = len(fam.elements)
@@ -989,6 +1391,26 @@ def spelled_out(family):
             family.host, set().union(*(r.vertices for r in chosen)),
             set().union(*(r.edges for r in chosen)), boundary))
     return NestedFamily(family.host, sides, family.classes, family.regions)
+
+
+def interval_form(family):
+    """The family with each element in the interval form of `treeset`,
+    read off its tree: the side of element i holds the class of i ^ 1
+    and not that of i, so it is the subtree of whichever of the two lies
+    below the other in the `preorder`, or all but that subtree.  A family
+    already in the interval form comes back as it is."""
+    elements = family.elements
+    if not elements or isinstance(elements[0], tuple):
+        return family
+    order, up, size = preorder(family.vertex_count, family.edges)
+    pos = {x: p for p, x in enumerate(order)}
+    out = []
+    for i, a in enumerate(elements):
+        here, there = family.class_of[i], family.class_of[i ^ 1]
+        y = there if up[there] == here else here
+        out.append((pos[y], pos[y] + size[y], y == here,
+                    tuple(sorted(a.boundary))))
+    return NestedFamily(family.host, out, family.classes, family.regions)
 
 
 def uncrossed_side_keys(z):

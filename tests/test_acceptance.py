@@ -18,6 +18,7 @@ from oracles import (
     face_multiset_uniqueness_check,
     facial_preservation_check,
     group_closure,
+    interval_form,
     kuratowski_kind,
     lowpoint_blocks,
     nested,
@@ -253,7 +254,7 @@ def test_a8_structure_tree_bijection():
         report = verify_tree_correspondence(fam)
         assert report["ok"], report
         assert report["violations"] == []
-        certify_tree(fam)
+        certify_tree(interval_form(fam))
     print("A8 tree bijection on 100 recursive path families: PASS")
 
 

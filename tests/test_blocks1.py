@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planarblocks import blocks2, cli, separation
+from planarblocks import blocks1, cli
 from planarblocks.blocks1 import (BlockCutTree, b1_family, block_cut_tree,
                                   certify_block_cut_tree)
 from planarblocks.errors import InvariantViolated, NotConnected
@@ -399,25 +399,41 @@ def test_block_cut_tree_and_certificate_scale(host, blocks):
 
 
 def test_blocks_command_computes_no_mask_order(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a tree was built by containment")
-    monkeypatch.setattr(separation, "build_structure_tree", refuse)
-    monkeypatch.setattr(blocks2, "build_structure_tree", refuse)
+    # the family is read off the tree once, in the interval form, and no
+    # order of its sides is computed
+    built = []
+    read = blocks1.family_of_tree
+
+    def counted(host, pairs, regions):
+        built.append(read(host, pairs, regions))
+        return built[-1]
+    monkeypatch.setattr(blocks1, "family_of_tree", counted)
     for name in ("bowtie.edges", "book_k4.edges", "path4.edges"):
+        built.clear()
         code, out = cli.run(["blocks", fixture_path(name), "--format",
                              "json"])
         assert code == 0, out
         assert json.loads(out)["cut_vertices"]
+        (fam,) = built
+        assert all(type(e) is tuple and len(e) == 4 for e in fam.elements)
 
 
-def test_blocks_command_builds_no_mask(monkeypatch, tmp_path):
-    # every side of a block-cut tree is an interval of its preorder, so
-    # the blocks command builds no mask index and no mask side, and its
-    # memory stays linear in the host
-    def refuse(*args):
-        raise AssertionError("a mask was built")
-    monkeypatch.setattr(separation.GraphIndex, "__init__", refuse)
-    monkeypatch.setattr(separation.Separation, "__init__", refuse)
+# runs each command line read from stdin; prints each exit code with
+# whether the output refuses a disconnected host, then the loaded
+# modules named after separations
+SEPARATION_LOADED = """
+import json, sys
+from planarblocks.cli import run
+outs = [run(argv) for argv in json.loads(sys.stdin.read())]
+print(json.dumps([[[code, "not-connected" in out] for code, out in outs],
+                  [m for m in sys.modules if "separation" in m]]))
+"""
+
+
+def test_blocks_command_builds_no_mask(tmp_path):
+    # every side is an interval of its tree's preorder, so the package
+    # has no mask layer: no command loads a separation module, and the
+    # blocks command answers on every host with memory linear in it
     files = sorted(os.path.join(FIXTURES, name) for name in os.listdir(FIXTURES)
                    if name.endswith(".edges"))
     rng = random.Random("no-mask")
@@ -430,7 +446,21 @@ def test_blocks_command_builds_no_mask(monkeypatch, tmp_path):
         files.append(str(tmp_path / ("host%d.edges" % i)))
         with open(files[-1], "w", encoding="utf-8") as fh:
             fh.write(format_edge_list(g))
-    for path in files:
-        for extra in ([], ["--per-component"], ["--reduce"]):
-            code, out = cli.run(["blocks", path, "--format", "json"] + extra)
-            assert code == 0 or "not-connected" in out, (path, extra, out)
+    argvs = [["blocks", path, "--format", "json"] + extra for path in files
+             for extra in ([], ["--per-component"], ["--reduce"])]
+    argvs += [[cmd, fixture_path("book_k4.edges")] for cmd in
+              ("triblocks", "planar", "faces", "autos", "quotient", "check")]
+    argvs.append(["cayley", fixture_path("d3.pres")])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(FIXTURES), os.pardir, "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SEPARATION_LOADED],
+                          input=json.dumps(argvs), capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    outcomes, loaded = json.loads(proc.stdout)
+    assert loaded == []
+    for argv, (code, refused) in zip(argvs, outcomes):
+        assert code == 0 or refused, argv
+    assert sorted({argv[0] for argv in argvs}) == sorted(cli.COMMANDS)

@@ -15,22 +15,20 @@ from hypothesis import assume, given, settings, strategies as st
 from planarblocks import (
     b1_family,
     build_graph,
-    build_structure_tree,
     homeomorphic_reduce,
-    separation_complement,
     torso,
     triblock_tree,
 )
 from planarblocks import blocks2, cli, graph
-from planarblocks.graph import Graph, is_simple_cycle
+from planarblocks.graph import Graph, edge_key, is_simple_cycle
 from planarblocks.blocks2 import (
     KIND_CUT_POINT,
     KIND_CYCLE,
     KIND_THREE_CONNECTED,
     _canonical_tree,
     _region_parts,
-    _uncrossed_sides,
 )
+from planarblocks.treeset import certify_tree
 from planarblocks.errors import (
     HingeVertex,
     InvariantViolated,
@@ -40,16 +38,20 @@ from planarblocks.errors import (
 )
 
 from conftest import (complete_graph, cycle_graph, fixture_path, g_of,
-                      grid_graph, k4_book, wheel_graph)
+                      grid_graph, k4_book, k4_ring, k4_w5_chain,
+                      wheel_graph)
 from oracles import (all_separations, bfs_path, build_nested_family,
-                     chorded_cycle, edge_subset_separations,
-                     enumerate_separations_at, glued_blocks, induced_subgraph,
-                     is_three_connected_by_cutsets,
-                     lowpoint_blocks, make_separation, nested,
-                     random_two_connected_graph, reference_canonical_tree,
-                     reference_lift_torso_separation, separation_fault,
-                     separating_sets, spelled_out, totally_nested_keys,
-                     uncrossed_side_keys, verify_tree_correspondence)
+                     build_structure_tree, chorded_cycle,
+                     edge_subset_separations, enumerate_separations_at,
+                     glued_blocks, induced_subgraph, interval_form,
+                     is_three_connected_by_cutsets, lowpoint_blocks,
+                     make_separation, mask_canonical_tree, mask_torso_parts,
+                     nested, random_two_connected_graph,
+                     reference_canonical_tree,
+                     reference_lift_torso_separation, separation_complement,
+                     separation_fault, separating_sets, spelled_out,
+                     totally_nested_keys, uncrossed_side_keys,
+                     verify_tree_correspondence)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,7 @@ def test_nested_requires_same_host(c6, c6_chord):
 
 def test_build_family_k4e_frozen(k4e):
     fam = build_nested_family(k4e)
-    assert tuple(e.sort_key() for e in fam.elements) == (
+    assert tuple(e.sort_key() for e in spelled_out(fam).elements) == (
         (2, ((0, 2), (1, 2)), (0, 1)),
         (3, ((0, 1), (0, 3), (1, 3)), (0, 1)),
         (2, ((0, 3), (1, 3)), (0, 1)),
@@ -251,8 +253,9 @@ def test_build_family_c5chord(c5_chord):
     # sides at {0, 2} are uncrossed, and the chord becomes a bond between
     # the triangle and the square (Tutte's decomposition)
     fam = build_nested_family(c5_chord)
-    assert sorted(e.key for e in fam.elements) == totally_nested_keys(c5_chord)
-    assert [e.key[1] for e in fam.elements] == [
+    sides = spelled_out(fam).elements
+    assert sorted(e.key for e in sides) == totally_nested_keys(c5_chord)
+    assert [e.key[1] for e in sides] == [
         ((0, 1), (1, 2)),
         ((0, 2), (0, 4), (2, 3), (3, 4)),
         ((0, 1), (0, 2), (1, 2)),
@@ -322,9 +325,9 @@ def test_build_family_theta_keeps_the_spine_sides(twosquares):
     # are uncrossed: a bond on the edge 0-1 between two 4-cycles
     assert len(all_separations(twosquares)) == 12
     fam = build_nested_family(twosquares)
-    assert sorted(e.key for e in fam.elements) == \
-        totally_nested_keys(twosquares)
-    assert {e.boundary for e in fam.elements} == {frozenset({0, 1})}
+    sides = spelled_out(fam).elements
+    assert sorted(e.key for e in sides) == totally_nested_keys(twosquares)
+    assert {e.boundary for e in sides} == {frozenset({0, 1})}
     assert fam.edges == ((0, 1), (0, 2))
     assert torso(fam, 0).z.edges == ((0, 1),)
     for ci, square in ((1, (2, 3)), (2, (4, 5))):
@@ -357,7 +360,8 @@ def _family_keys(g):
     """Sorted element keys of build_nested_family(g), or [] when the host
     is 3-connected by cutsets and so has no hinge family to build."""
     try:
-        return sorted(e.key for e in build_nested_family(g).elements)
+        return sorted(e.key for e in
+                      spelled_out(build_nested_family(g)).elements)
     except PreconditionViolated:
         assert is_three_connected_by_cutsets(g)
         return []
@@ -385,7 +389,7 @@ def test_family_matches_oracle_on_chorded_cycles():
 
 
 def _pair_kind(z, pair, comps, kept):
-    """How _uncrossed_sides treats the 2-cut pair of z, from its kept
+    """How the hinge tree treats the 2-cut pair of z, from its kept
     sides."""
     if pair not in kept:
         return "crossed"
@@ -396,7 +400,9 @@ def _pair_kind(z, pair, comps, kept):
 
 def test_uncrossed_sides_match_set_definition():
     # the per-pair crossing rule against the candidate-by-candidate
-    # definition spelled out on sets
+    # definition spelled out on sets: the hinge tree of a block holds
+    # every uncrossed side, each tree edge entering where its first
+    # listed side does in sort-key order, that side first
     rng = random.Random("uncrossed-masks")
     zs = [chorded_cycle(rng, n=rng.randint(6, 14), chords=rng.randint(1, 6))
           for _ in range(60)]
@@ -409,11 +415,18 @@ def test_uncrossed_sides_match_set_definition():
     zs += [k4_book(p) for p in (3, 4, 5)] + [_k4_chain(4), grid_graph(4, 5)]
     kinds = set()
     for z in zs:
-        sides = _uncrossed_sides(z)
-        assert [(s.key, sc.key) for s, sc in sides] == uncrossed_side_keys(z)
-        for s in (s for pair in sides for s in pair):
+        sides = spelled_out(_canonical_tree(z)).elements
+        listed = uncrossed_side_keys(z)
+        assert sorted(s.key for s in sides) == \
+            sorted({k for pair in listed for k in pair})
+        entered = []
+        for s, sc in listed:
+            if s not in entered and sc not in entered:
+                entered += (s, sc)
+        assert [s.key for s in sides] == entered
+        for s in sides:
             assert separation_fault(z, s.va, s.ea, s.boundary) is None
-        kept = {tuple(sorted(s.boundary)) for s, _ in sides}
+        kept = {tuple(sorted(s.boundary)) for s in sides}
         kinds.update(_pair_kind(z, pair, comps, kept)
                      for pair, comps in separating_sets(z, 2))
     assert kinds == {"crossed", "unjoined", "bond", "joined, 3+ components"}
@@ -490,7 +503,7 @@ def _hang_k4s(g):
 
 
 def _lifted_keys(host):
-    return {e.sort_key() for e in _canonical_tree(host).elements}
+    return {e.sort_key() for e in spelled_out(_canonical_tree(host)).elements}
 
 
 def test_lift_is_identity_on_whole_graph_torso():
@@ -512,7 +525,8 @@ def test_lift_pulls_in_material_behind_the_region():
     host = _k4_chain(4)
     left = make_separation(host, (0, 1, 2, 3),
                            ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)), (2, 3))
-    fam = build_structure_tree(host, (left, separation_complement(left)))
+    fam = interval_form(build_structure_tree(
+        host, (left, separation_complement(left))))
     ci = next(i for i in range(fam.vertex_count)
               if len(torso(fam, i).z.vertices) == 8)
     z = torso(fam, ci).z
@@ -630,6 +644,11 @@ def _hinges_on(t, block):
     ("0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5", (0, 1)),
     # three torsos in a row at the pairs 0-1 and 0-2: the middle one
     ("0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5,0-6,0-7,2-6,2-7,6-7", (0, 1, 2, 3)),
+    # a third page on the pair 0-1 puts a torso on the pair alone there;
+    # the centre is the tree edge from it to the page split at 0-2, so
+    # the K4 hangs at a second torso on the pair, which splits that edge
+    ("0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5,0-11,0-12,1-11,1-12,11-12,"
+     "0-6,0-7,2-6,2-7,6-7", (0, 1)),
 ])
 def test_triblock_pendant_at_a_hinge_vertex(block, home):
     # a K4 hung at vertex 0, which lies in every torso of the block,
@@ -644,6 +663,7 @@ def test_triblock_pendant_at_a_hinge_vertex(block, home):
     around = [b if a == cut else a for a, b in t.family.edges if cut in (a, b)]
     assert sorted(t.torsos[ci].z.vertices for ci in around) \
         == sorted([home, (0, 8, 9, 10)])
+    _same_family(t.family, mask_canonical_tree(host))
 
 
 def test_triblock_tree_on_glued_blocks():
@@ -710,7 +730,7 @@ def test_triblock_k4_chain():
     # between the K4 torsos, as in Tutte's decomposition
     host = _k4_chain(3)
     t = triblock_tree(host)
-    assert sorted(e.key for e in t.family.elements) == \
+    assert sorted(e.key for e in spelled_out(t.family).elements) == \
         totally_nested_keys(host)
     assert t.kinds == {ci: KIND_THREE_CONNECTED for ci in range(5)}
     assert t.family.edges == ((0, 1), (0, 4), (2, 3), (2, 4))
@@ -737,17 +757,6 @@ def test_triblock_edge_partition(book_k4, bowtie_k4s, grid3x3):
         assert sorted(seen) == list(t.family.host.edges)
 
 
-def _k4_w5_chain(links):
-    """K4s and wheels W5 in turn, each glued at its vertex 0 to the last
-    vertex of the one before."""
-    edges, base = [], 0
-    for k in range(links):
-        piece = complete_graph(4) if k % 2 == 0 else wheel_graph(5)
-        edges += [(base + u, base + v) for u, v in piece.edges]
-        base += len(piece.vertices) - 1
-    return build_graph(range(base + 1), edges)
-
-
 @pytest.mark.parametrize("name", ["k4", "k5", "prism", "octahedron", "q3",
                                   "bowtie", "grid3x3", "book_k4",
                                   "k4_w5_chain"])
@@ -756,7 +765,7 @@ def test_triblocks_passes_over_each_graph_once(name, monkeypatch, tmp_path):
     # keeps its palm forest and its 2-cuts, so no search runs twice on it
     if name == "k4_w5_chain":
         path = tmp_path / "k4_w5_chain.edges"
-        path.write_text("".join("%d %d\n" % e for e in _k4_w5_chain(6).edges))
+        path.write_text("".join("%d %d\n" % e for e in k4_w5_chain(6).edges))
     else:
         path = fixture_path(name + ".edges")
     searched = []       # (search, graph), graphs kept so that ids stay unique
@@ -775,9 +784,10 @@ def test_triblocks_passes_over_each_graph_once(name, monkeypatch, tmp_path):
     counted.__set_name__(graph.Graph, "palm")
     monkeypatch.setattr(graph.Graph, "palm", counted)
     blocks = []         # the blocks whose hinge sides are sought
-    uncrossed_sides = blocks2._uncrossed_sides
-    monkeypatch.setattr(blocks2, "_uncrossed_sides",
-                        lambda z: blocks.append(z) or uncrossed_sides(z))
+    hinge_tree = blocks2._hinge_tree
+    monkeypatch.setattr(blocks2, "_hinge_tree",
+                        lambda z, cuts: blocks.append(z)
+                        or hinge_tree(z, cuts))
     trees = []
     build = blocks2.triblock_tree
     monkeypatch.setattr(blocks2, "triblock_tree",
@@ -858,18 +868,25 @@ def glued_trees(draw, first, pieces):
 
 
 def _triblock_tree_counting_builds(g):
-    """triblock_tree(g) and how often it ran build_structure_tree."""
-    calls = []
-    build = blocks2.build_structure_tree
+    """triblock_tree(g), the hinge trees it built and how often it read a
+    family off a tree."""
+    trees, reads = [], []
+    hinge_tree, read = blocks2._hinge_tree, blocks2.family_of_tree
+
+    def built(*args):
+        tree = hinge_tree(*args)
+        if tree is not None:
+            trees.append(tree)
+        return tree
 
     def counted(*args):
-        calls.append(args)
-        return build(*args)
-    blocks2.build_structure_tree = counted
+        reads.append(args)
+        return read(*args)
+    blocks2._hinge_tree, blocks2.family_of_tree = built, counted
     try:
-        return triblock_tree(g), len(calls)
+        return triblock_tree(g), len(trees), len(reads)
     finally:
-        blocks2.build_structure_tree = build
+        blocks2._hinge_tree, blocks2.family_of_tree = hinge_tree, read
 
 
 def _same_family(got, want):
@@ -888,8 +905,8 @@ def test_hinge_free_host_keeps_the_block_cut_family(g):
     # no block of a vertex-glued tree of 3-connected pieces and cycles
     # has a 2-cut, so the block-cut family is the tree, as a structure
     # tree built from its elements reads it
-    t, builds = _triblock_tree_counting_builds(g)
-    assert builds == 0
+    t, trees, reads = _triblock_tree_counting_builds(g)
+    assert (trees, reads) == (0, 1)
     h = t.family.host
     _same_family(t.family, build_structure_tree(
         h, spelled_out(b1_family(h)).elements))
@@ -898,13 +915,85 @@ def test_hinge_free_host_keeps_the_block_cut_family(g):
 @settings(max_examples=40, deadline=None)
 @given(glued_trees(HINGE_PIECES, HINGE_FREE_PIECES + HINGE_PIECES))
 def test_host_with_a_hinge_block_builds_the_combined_tree(g):
-    t, builds = _triblock_tree_counting_builds(g)
-    assert builds == 1
+    t, trees, reads = _triblock_tree_counting_builds(g)
+    assert trees >= 1 and reads == 1
     _same_family(t.family, reference_canonical_tree(t.family.host))
 
 
+@st.composite
+def hinge_hosts(draw):
+    """A K4 book, a K4 edge chain, a ring of K4s less an edge, a chain of
+    K4s and wheels glued at vertices, random 2-connected graphs glued at
+    vertices, or `glued_blocks`; maybe with K4s hung at some vertices and
+    some edges subdivided; under random vertex names."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["book", "chain", "ring", "k4_w5", "glued",
+                                 "glued_blocks"]))
+    size = draw(st.integers(1, 5))
+    if kind == "book":
+        g = k4_book(size)
+    elif kind == "chain":
+        g = _k4_chain(size)
+    elif kind == "ring":
+        g = k4_ring(size + 1)
+    elif kind == "k4_w5":
+        g = k4_w5_chain(size + 1)
+    elif kind == "glued_blocks":
+        g = glued_blocks(rng, pieces=size + 1)
+    else:
+        edges = list(random_two_connected_graph(rng, max_vertices=8).edges)
+        for _ in range(size):
+            n = 1 + max(x for e in edges for x in e)
+            at = rng.choice([x for e in edges for x in e])
+            piece = random_two_connected_graph(rng, max_vertices=7)
+            name = {v: n + v for v in piece.vertices}
+            name[piece.vertices[0]] = at
+            edges += [(name[u], name[v]) for u, v in piece.edges]
+        g = build_graph(sorted({x for e in edges for x in e}), edges)
+    if draw(st.booleans()):
+        edges = list(g.edges)
+        n = max(g.vertices) + 1
+        for v in rng.sample(g.vertices, min(3, len(g.vertices))):
+            k4 = (v, n, n + 1, n + 2)
+            edges += [(x, y) for i, x in enumerate(k4) for y in k4[i + 1:]]
+            n += 3
+        g = build_graph(sorted({x for e in edges for x in e}), edges)
+    if draw(st.booleans()):
+        g = _subdivided(rng, g, draw(st.integers(1, 4)))
+    perm = list(g.vertices)
+    rng.shuffle(perm)
+    name = dict(zip(g.vertices, perm))
+    return build_graph(perm, [(name[u], name[v]) for u, v in g.edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hinge_hosts())
+def test_the_tree_built_as_a_tree_is_the_mask_builders(g):
+    # element by element, in order, with its classes, regions, tree
+    # edges, cut classes and torsos, the tri-block tree is the family
+    # the mask builder reads off the containment of its sides, and its
+    # sides are those of the reference hinge family
+    t = triblock_tree(g)
+    h = t.family.host
+    want = mask_canonical_tree(h)
+    _same_family(t.family, want)
+    assert [e.key for e in spelled_out(t.family).elements] == \
+        [e.key for e in reference_canonical_tree(h).elements]
+    certify_tree(t.family)
+    for ci, to in t.torsos.items():
+        virtuals, paths = mask_torso_parts(want, ci)
+        assert to.virtual_edges == virtuals
+        assert to.witness_paths == paths
+        region = want.regions[ci]
+        walked = {edge_key(x, y) for p in paths.values()
+                  for x, y in zip(p, p[1:])}
+        assert to.witness == Graph(
+            tuple(sorted(set(region.vertices).union(*paths.values()))),
+            tuple(sorted(walked.union(region.edges))))
+
+
 # ---------------------------------------------------------------------------
-# witness paths searched on the host's masks
+# witness paths searched on the host's adjacency
 
 
 def _subdivided(rng, g, k):
@@ -936,12 +1025,13 @@ def test_witness_paths_match_the_side_graph_search():
     searched = 0
     for g in _witness_corpus():
         t = triblock_tree(g)
+        sides = spelled_out(t.family).elements
         for ci, to in t.torsos.items():
             _, _, virtuals, gens = _region_parts(t.family, ci)
             assert tuple(to.witness_paths) == virtuals == to.virtual_edges
             for k in virtuals:
-                side = Graph(tuple(sorted(gens[k].va)),
-                             tuple(sorted(gens[k].ea)))
+                side = Graph(tuple(sorted(sides[gens[k]].va)),
+                             tuple(sorted(sides[gens[k]].ea)))
                 assert to.witness_paths[k] == bfs_path(side, *k), g.edges
                 searched += 1
     assert searched > 1000

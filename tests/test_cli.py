@@ -732,17 +732,18 @@ blocks2.torso = greedy_torso
 runs.append(cli.run(["triblocks", sys.argv[3]]))
 blocks2.torso = torso
 # blocks2: a witness path through its own hinge vertex meets the region
-blocks2._side_path = lambda side, src, dst: (src, src, dst)
+blocks2._side_path = lambda family, i, src, dst: (src, src, dst)
 runs.append(cli.run(["triblocks", sys.argv[3]]))
 # blocks2: a witness path through a vertex the host lacks leaves the host
-blocks2._side_path = lambda side, src, dst: (src, -1, dst)
+blocks2._side_path = lambda family, i, src, dst: (src, -1, dst)
 runs.append(cli.run(["triblocks", sys.argv[3]]))
 # blocks2: a witness path that doubles back on itself through a vertex
 # of its side has a vertex of degree 3 in the witness
-def looping_path(side, src, dst):
-    p = side_path(side, src, dst)
-    y = next(w for w in side.host.neighbors(p[1])
-             if w in side.va and w not in p)
+def looping_path(family, i, src, dst):
+    p = side_path(family, i, src, dst)
+    inside = {v for r in family.side_regions(i) for v in r.vertices}
+    y = next(w for w in family.host.neighbors(p[1])
+             if w in inside and w not in p)
     return p[:2] + (y,) + p[1:]
 blocks2._side_path = looping_path
 runs.append(cli.run(["triblocks", sys.argv[3]]))
@@ -886,8 +887,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
     trivial = tmp_path / "trivial.pres"
     trivial.write_text("gens: a\nrels: a\n")
     runs = {("blocks", fx("path4.edges")): ["blocks1", "treeset"],
-            ("triblocks", fx("k4.edges")): ["blocks1", "blocks2",
-                                            "separation", "treeset"],
+            ("triblocks", fx("k4.edges")): ["blocks1", "blocks2", "treeset"],
             ("planar", fx("k4.edges")): ["edgeaddition", "planar"],
             ("planar", fx("k5.edges")): ["edgeaddition", "planar"],
             ("cayley", fx("d3.pres")): ["cayley", "planar"],

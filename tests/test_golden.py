@@ -24,15 +24,20 @@ import json
 import os
 import pkgutil
 import sys
+import tempfile
 from collections import deque
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 import planarblocks  # noqa: E402
-from conftest import FIXTURES, fixture_path  # noqa: E402
+from conftest import (FIXTURES, complete_graph, fixture_path,  # noqa: E402
+                      grid_graph, k4_book, k4_edge_chain, k4_ring,
+                      k4_w5_chain, wheel_graph)
 from planarblocks.cli import run  # noqa: E402
+from planarblocks.graph import build_graph  # noqa: E402
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli.json")
 EDGE_COMMANDS = ("blocks", "triblocks", "planar", "faces", "autos",
@@ -130,29 +135,94 @@ def test_no_module_level_container_grows_across_runs():
     assert sizes[1] == sizes[0] and sizes[2] == sizes[0]
 
 
-def test_no_command_leaves_cyclic_garbage():
-    # no object of a run points back at its owner, so reference counting
-    # alone frees each run's host graph, palm arrays and masks; the first
-    # run of each command loads its modules first.  Everything alive
-    # before the loop is frozen, so each collection walks only what the
-    # runs made, whatever the tests before this one left on the heap
-    argvs = [argv for argv in command_lines()
-             if argv[argv.index("--format") + 1] == "json"]
-    for command in {argv[0] for argv in argvs}:
-        outcome(next(argv for argv in argvs if argv[0] == command))
-    left = []
-    gc.collect()
-    gc.disable()
-    gc.freeze()
-    try:
-        for argv in argvs:
+def _edge_text(g):
+    return "".join("%d %d\n" % e for e in g.edges)
+
+
+# one command line for each kind of error a command line can meet, with
+# presentations that answer and overflow
+ERROR_RUNS = (
+    ("blocks", "edges", "0 1\n1 1\n", []),                  # malformed
+    ("planar", "edges", "0 1\n2 3\n", []),                  # not connected
+    ("faces", "edges", _edge_text(complete_graph(5)), []),   # precondition
+    ("autos", "edges", _edge_text(k4_book(3)), ["--limit", "3"]),  # too large
+    ("cayley", "pres", "gens: a\nrels: a^100\n", ["--limit", "50"]),
+    ("cayley", "pres", "surface(0, [2,3,7], 0)\n", []),     # infinite
+    ("cayley", "pres", "surface(0, [1,3,3], 0)\n", []),     # bad exponent
+    ("cayley", "pres", "gens: a a\nrels: a\n", []),         # malformed
+    ("cayley", "pres", "gens: a b\nrels: a^4, b^2, (a*b)^2\n", []))
+
+
+@st.composite
+def command_runs(draw):
+    """(command, file suffix, input text, options): every command on a K4
+    book, edge chain or ring, a glued K4/wheel chain, a planar grid or
+    wheel, or a nonplanar K5, K3,3 or crossed grid, under random vertex
+    names, or a presentation that answers, overflows or is refused."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(ERROR_RUNS))
+    size = draw(st.integers(1, 4))
+    g = draw(st.sampled_from([
+        k4_book(size), k4_edge_chain(size), k4_ring(size + 1),
+        k4_w5_chain(size + 1), grid_graph(size + 1, 3),
+        wheel_graph(size + 3), complete_graph(5),
+        build_graph(range(6), [(a, b) for a in range(3)
+                               for b in range(3, 6)]),
+        build_graph(range(9), list(grid_graph(3, 3).edges)
+                    + [(0, 8), (2, 6)])]))
+    names = draw(st.permutations(g.vertices))
+    g = build_graph(names, [(names[u], names[v]) for u, v in g.edges])
+    command = draw(st.sampled_from(EDGE_COMMANDS))
+    options = ["--format", draw(st.sampled_from(("text", "json")))]
+    if command in ("blocks", "triblocks") and draw(st.booleans()):
+        options.append("--per-component")
+    if command in ("autos", "quotient", "check") and draw(st.booleans()):
+        options += ["--limit", str(draw(st.integers(1, 12)))]
+    return command, "edges", _edge_text(g), options
+
+
+@pytest.fixture(scope="module")
+def warm_commands():
+    """Runs every command line of the fixtures once, so each command has
+    loaded its modules before a run is measured."""
+    for argv in command_lines():
+        if argv[argv.index("--format") + 1] == "json":
             outcome(argv)
-            if gc.collect():
-                left.append(" ".join(argv))
-    finally:
-        gc.unfreeze()
-        gc.enable()
-    assert not left, left
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_runs())
+@example(ERROR_RUNS[0])
+@example(ERROR_RUNS[1])
+@example(ERROR_RUNS[2])
+@example(ERROR_RUNS[3])
+@example(ERROR_RUNS[4])
+@example(ERROR_RUNS[5])
+@example(ERROR_RUNS[6])
+@example(ERROR_RUNS[7])
+@example(ERROR_RUNS[8])
+def test_no_command_leaves_cyclic_garbage(warm_commands, command_run):
+    # no object of a run points back at its owner, so reference counting
+    # alone frees each run's host graph, palm arrays, tree records and
+    # sides.  Everything alive before a run is frozen, so the collection
+    # after it walks only what the run made, whatever the tests and
+    # examples before it left on the heap
+    command, suffix, text, options = command_run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input." + suffix)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        gc.collect()
+        gc.disable()
+        gc.freeze()
+        try:
+            code, out = run([command, path] + options)
+            left = gc.collect()
+        finally:
+            gc.unfreeze()
+            gc.enable()
+    assert code in (0, 1, 2), out
+    assert left == 0, (command, options, text)
 
 
 def moved_command_lines():

@@ -1,7 +1,10 @@
 """Rotation systems, face tracing, planarity certificates, and the
 facial symmetry checks."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations
 
@@ -290,6 +293,37 @@ def test_a_disconnected_nonplanar_host_is_refused_before_isolation(
         with pytest.raises(NotConnected) as caught:
             planarity_test(g_of(edges))
         assert caught.value.witness == parts
+
+
+EMPTY_UNDER_O = """
+from planarblocks import Graph, planarity_test
+from planarblocks.errors import MalformedInput
+assert False, "this script must run under -O"
+try:
+    planarity_test(Graph((), ()))
+except MalformedInput as exc:
+    print(exc.kind, exc)
+"""
+
+
+def test_a_graph_without_vertices_is_malformed_input(monkeypatch):
+    # refused as build_graph refuses it, before the engine runs, and not
+    # as an internal fault of the Euler count, also under -O
+    def unreachable(palm):
+        raise AssertionError("the engine ran on an empty host")
+    monkeypatch.setattr(edgeaddition, "edge_addition", unreachable)
+    with pytest.raises(MalformedInput,
+                       match="^graph needs at least one vertex$"):
+        planarity_test(Graph((), ()))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(os.path.dirname(
+            __file__)), "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", EMPTY_UNDER_O],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "malformed-input graph needs at least one vertex\n"
 
 
 def test_the_crossed_grid_is_refuted_in_linear_time():

@@ -6,13 +6,12 @@ import pytest
 from planarblocks.blocks1 import b1_family
 from planarblocks.errors import MalformedInput
 from planarblocks.graph import build_graph, homeomorphic_reduce
-from planarblocks.separation import separation_complement
 
 from conftest import g_of
-from oracles import (glued_blocks, interior, make_separation,
+from oracles import (glued_blocks, index_of, interior, make_separation,
                      pull_back_separation, random_connected_graph,
-                     random_two_connected_graph, separation_fault,
-                     spelled_out)
+                     random_two_connected_graph, separation_complement,
+                     separation_fault, spelled_out)
 
 
 def test_make_separation_basic(k4e):
@@ -80,7 +79,7 @@ def test_stray_vertices_and_edges_rejected(k4e):
 
 
 def test_masks_outside_the_host_rejected(k4e):
-    ix = k4e.index
+    ix = index_of(k4e)
     a = make_separation(k4e, 0b0111, 0b01010, 0b0011)
     assert a.key == ((0, 1, 2), ((0, 2), (1, 2)), (0, 1))
     with pytest.raises(MalformedInput, match="va not a subset"):

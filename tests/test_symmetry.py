@@ -7,21 +7,20 @@ import time
 import pytest
 
 from conftest import complete_graph, cycle_graph, g_of, k4_book, path_graph
-from oracles import (all_separations, brute_automorphisms,
+from oracles import (all_separations, apply_to_separation,
+                     brute_automorphisms, build_structure_tree,
                      element_tree_action_violations, greedy_generators,
-                     group_closure, is_automorphism, is_free,
+                     group_closure, interval_form, is_automorphism, is_free,
                      make_separation, orbit_of_separation,
                      random_connected_graph, spelled_out)
 from planarblocks import (
     automorphism_group,
     b1_family,
-    build_structure_tree,
     quotient_graph,
     tree_action_check,
     triblock_tree,
 )
-from planarblocks.symmetry import (AutGroup, apply_to_separation,
-                                   check_orbit_stabilizer)
+from planarblocks.symmetry import AutGroup, check_orbit_stabilizer
 from planarblocks.errors import TooLarge
 from planarblocks.graph import build_graph, is_two_connected
 
@@ -200,7 +199,8 @@ def test_tree_action_on_triblock_tree(bowtie_k4s):
 def test_tree_action_reports_missing_orbit_members(bowtie):
     fam = b1_family(bowtie)
     # keep only one triangle's entries: the vertex swap now has no image
-    part = build_structure_tree(bowtie, spelled_out(fam).elements[:2])
+    part = interval_form(build_structure_tree(
+        bowtie, spelled_out(fam).elements[:2]))
     rep = tree_action_check(part, automorphism_group(bowtie))
     assert not rep["ok"]
     assert {v["kind"] for v in rep["violations"]} == {"missing-image"}
@@ -226,9 +226,9 @@ def test_tree_action_check_reports_a_non_automorphism():
 
 def _without_pair(fam, i):
     """The family with element i and its complement dropped."""
-    return build_structure_tree(fam.host, [
+    return interval_form(build_structure_tree(fam.host, [
         a for k, a in enumerate(spelled_out(fam).elements)
-        if k >> 1 != i >> 1])
+        if k >> 1 != i >> 1]))
 
 
 def test_tree_action_check_agrees_with_element_oracle(bowtie_k4s):
@@ -254,3 +254,45 @@ def test_tree_action_check_agrees_with_element_oracle(bowtie_k4s):
         invariant += got["ok"]
     # both outcomes are reached
     assert 10 <= invariant <= len(families) - 10, (invariant, len(families))
+
+
+# a K4 hung at vertex 0 of three blocks: two K4 pages on the spine 0-1,
+# with the spine edge (a bond) and without it (one tree edge, which the
+# K4 splits); and three pages without the spine, the first split again
+# at 0-2, so that the K4 splits the tree edge between the spine's bond
+# and the first page: two classes on the pair 0-1 alone, side by side
+PENDANT = ",0-8,0-9,0-10,8-9,8-10,9-10"
+TIED_HOSTS = ("0-1,0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5" + PENDANT,
+              "0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5" + PENDANT,
+              "0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5,0-11,0-12,1-11,1-12,"
+              "11-12,0-6,0-7,2-6,2-7,6-7" + PENDANT)
+
+
+def test_tree_action_check_agrees_on_single_permutations(bowtie_k4s):
+    # each permutation alone, an automorphism or not, maps the family
+    # onto itself exactly when the oracle finds every side's image
+    rng = random.Random("tree-action-permutations")
+    families = []
+    for g in (bowtie_k4s, k4_book(3), *map(g_of, TIED_HOSTS)):
+        fam = triblock_tree(g).family
+        families += [fam, _without_pair(fam, 0), _without_pair(fam, 2)]
+    for _ in range(30):
+        fam = b1_family(random_connected_graph(rng, max_vertices=7))
+        if fam.elements:
+            families.append(fam)
+    outcomes = set()
+    for fam in families:
+        host = fam.host
+        perms = list(automorphism_group(host, 32).generators)
+        for _ in range(4):
+            names = list(host.vertices)
+            rng.shuffle(names)
+            perms.append(dict(zip(host.vertices, names)))
+        if len(perms) > 1:
+            perms.append({v: perms[0][perms[1][v]] for v in host.vertices})
+        for perm in perms:
+            want = element_tree_action_violations(spelled_out(fam), [perm])
+            got = tree_action_check(fam, AutGroup(host, (perm,), 1))
+            assert got["ok"] == (not want), (host.edges, perm, got, want)
+            outcomes.add((got["ok"], is_automorphism(host, perm)))
+    assert outcomes == {(True, True), (False, True), (False, False)}

@@ -9,23 +9,22 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planarblocks import blocks2, cli, separation
+from planarblocks import blocks1, blocks2, cli
 from planarblocks.blocks1 import b1_family
 from planarblocks.blocks2 import triblock_tree
-from planarblocks.errors import InvariantViolated, MalformedInput, NotNested
+from planarblocks.errors import InvariantViolated, MalformedInput
 from planarblocks.graph import Graph, build_graph, is_simple_cycle
-from planarblocks.separation import (Separation, build_structure_tree,
-                                     separation_complement)
 from planarblocks.treeset import NestedFamily, certify_tree
 
 from conftest import cycle_graph, fixture_path, g_of, path_graph
-from oracles import (MaskOrder, all_separations, caterpillar, chorded_cycle,
+from oracles import (MaskOrder, NotNested, Separation, all_separations,
+                     build_structure_tree, caterpillar, chorded_cycle,
                      directed_edge, family_from_sides, family_strict,
-                     glued_blocks, make_separation, mask_family,
+                     glued_blocks, index_of, make_separation, mask_family,
                      pairs_from_sides, path_coherent, random_connected_graph,
                      random_path_family, random_two_connected_graph,
-                     sim_classes, spelled_out, tree_order,
-                     verify_tree_correspondence)
+                     separation_complement, sim_classes, spelled_out,
+                     tree_order, verify_tree_correspondence)
 
 
 def _interval(host, lo, hi, n_edges):
@@ -68,7 +67,7 @@ def _paired(*sides):
     """Each side followed by its complement, from the masks alone."""
     out = []
     for t in sides:
-        ix = t.host.index
+        ix = index_of(t.host)
         out += (t, Separation(t.host, ix.all_vertices & ~t.vmask | t.bmask,
                               ix.all_edges & ~t.emask, t.bmask))
     return out
@@ -386,16 +385,16 @@ def test_every_triblock_tree_is_certified(make, seed):
 
 
 def test_triblocks_computes_the_classes_once(monkeypatch):
-    # one counter behind both names, so a build reached through either
-    # module is counted
+    # the tree is built as a tree, and its family read off it once; the
+    # block-cut family is not read off on the way
     calls = []
-    build = separation.build_structure_tree
+    read = blocks2.family_of_tree
 
-    def counted(host, elements, *known):
-        calls.append(elements)
-        return build(host, elements, *known)
-    monkeypatch.setattr(separation, "build_structure_tree", counted)
-    monkeypatch.setattr(blocks2, "build_structure_tree", counted)
+    def counted(host, pairs, regions):
+        calls.append(pairs)
+        return read(host, pairs, regions)
+    monkeypatch.setattr(blocks1, "family_of_tree", counted)
+    monkeypatch.setattr(blocks2, "family_of_tree", counted)
     code, out = cli.run(["triblocks", fixture_path("book_k4.edges")])
     assert code == 0, out
     assert len(calls) == 1
@@ -405,8 +404,7 @@ def test_triblocks_computes_the_classes_once(monkeypatch):
 HINGE_FAULTS = (
     ("hinge side short",
      "side is not the union of the regions beyond its edge"),
-    ("torsos trade an edge",
-     "side is not the union of the regions beyond its edge"),
+    ("torsos trade an edge", "interior of a side reaches outside it"),
     ("partner", "paired element is not the complement"),
     ("third shared vertex", "adjacent blocks do not meet in their boundary"),
     ("single-edge side", "hinge separation may not be a single edge"),
@@ -415,27 +413,28 @@ HINGE_FAULTS = (
 
 
 def corrupted_hinge_trees():
-    """(fault, family) for each fault of HINGE_FAULTS.  The first four
-    change one thing in the tri-block tree of two K4s sharing the edge
-    0-1: a bond {0, 1} with that edge, the root, and a torso on each
-    side of it.  The fifth is a 4-cycle cut at its edge 0-1 into that
-    edge and the rest, by hand, and the sixth the same pair swapped, so
-    that the side checked is the rest, the host minus one edge.  The
-    last merges the bond's class with the first torso's, so the pair
-    between them joins a class to itself."""
+    """(fault, family) for each fault of HINGE_FAULTS, the sides in the
+    interval form (lo, hi, out, boundary).  The first four change one
+    thing in the tri-block tree of two K4s sharing the edge 0-1: a bond
+    {0, 1} with that edge, the root at place 0, and a torso on each side
+    of it at places 1 and 2.  The fifth is a 4-cycle cut at its edge 0-1
+    into that edge and the rest, by hand, and the sixth the same pair
+    swapped, so that the side checked is the rest, the host minus one
+    edge.  The last merges the bond's class with the first torso's, so
+    the pair between them joins a class to itself."""
     g = g_of("0-1,0-2,0-3,1-2,1-3,2-3,0-4,0-5,1-4,1-5,4-5")
     fam = triblock_tree(g).family
     elements, regions = list(fam.elements), list(fam.regions)
     assert regions[0] == Graph((0, 1), ((0, 1),))
+    assert elements[:2] == [(1, 2, False, (0, 1)), (1, 2, True, (0, 1))]
 
     def rebuilt(elements=elements, regions=regions):
         return NestedFamily(g, elements, fam.classes, regions)
-    a, b = elements[0], elements[1]
-    left = regions[1]                   # the torso on 0, 1, 2, 3
     out = {"hinge side short": rebuilt(
-        [Separation(g, a.vmask & ~(1 << 2), a.emask, a.bmask)]
-        + elements[1:])}
-    # a Graph holds the ends of its edges, so these are plain records
+        [(1, 1, False, (0, 1))] + elements[1:])}
+    # a Graph holds the ends of its edges, so these are plain records;
+    # the intervals follow the tree, not the regions
+    left = regions[1]                   # the torso on 0, 1, 2, 3
     out["torsos trade an edge"] = rebuilt(regions=[
         regions[0],
         SimpleNamespace(vertices=left.vertices,
@@ -443,22 +442,18 @@ def corrupted_hinge_trees():
         SimpleNamespace(vertices=regions[2].vertices,
                         edges=regions[2].edges[:-1] + ((2, 3),))])
     out["partner"] = rebuilt(
-        [a, Separation(g, b.vmask, b.emask & b.emask - 1, b.bmask)]
-        + elements[2:])
+        [elements[0], (1, 2, False, (0, 1))] + elements[2:])
     out["third shared vertex"] = rebuilt(
         regions=[Graph((0, 1, 2), ((0, 1),))] + regions[1:])
     c4 = cycle_graph(4)
-    ix = c4.index
-    edge = ix.edge_bit[(0, 1)]
-    hinge = ix.vertex_bit[0] | ix.vertex_bit[1]
-    lone = Separation(c4, hinge, edge, hinge)
-    rest = Separation(c4, ix.all_vertices, ix.all_edges & ~edge, hinge)
     path = Graph(c4.vertices, tuple(e for e in c4.edges if e != (0, 1)))
+    # the side of element 0 holds class 1 at place 1, element 1 class 0
+    cut = [(1, 2, False, (0, 1)), (1, 2, True, (0, 1))]
     out["single-edge side"] = NestedFamily(
-        c4, (lone, rest), (frozenset({0}), frozenset({1})),
+        c4, cut, (frozenset({0}), frozenset({1})),
         (path, Graph((0, 1), ((0, 1),))))
     out["host minus one edge side"] = NestedFamily(
-        c4, (rest, lone), (frozenset({0}), frozenset({1})),
+        c4, cut, (frozenset({0}), frozenset({1})),
         (Graph((0, 1), ((0, 1),)), path))
     out["pair inside a class"] = NestedFamily(
         g, elements, (fam.classes[0] | fam.classes[1], fam.classes[2]),
