@@ -278,7 +278,8 @@ def _region_parts(family, ci):
     does not join, generated by the least member at that pair in
     sort-key order (`_sort_key`), so the choice is reproducible.  Pairs
     are read off the boundaries, so a side is read only where two
-    members share a pair.
+    members share a pair.  It orders whole sides, pendant pieces
+    included, not the block's sides that order the elements.
     """
     elements = family.elements
     zprime = family.regions[ci]
@@ -292,7 +293,7 @@ def _region_parts(family, ci):
         invariant(zvs.issuperset(k), "hinge must survive into the region")
         if k not in zprime.edge_set:
             gens[k] = members[0] if len(members) == 1 else min(
-                members, key=lambda i: (_sort_key(family, i), i & 1))
+                members, key=lambda i: _sort_key(family, i))
     virtuals = tuple(sorted(gens))
     z = Graph(zprime.vertices, tuple(sorted(zprime.edges + virtuals))) \
         if virtuals else zprime
@@ -300,11 +301,11 @@ def _region_parts(family, ci):
 
 
 def _sort_key(family, i):
-    """Element i's side by its edge count, then its sorted edges, then
-    its boundary."""
-    edges = sorted(chain.from_iterable(
-        r.edges for r in family.side_regions(i)))
-    return len(edges), tuple(edges), family.elements[i][3]
+    """Element i's side by its edge count, then its sorted edges.  The
+    members at one pair have disjoint sides, none without an edge, so
+    sorted edges differ first at the lesser least edge."""
+    edges = [r.edges for r in family.side_regions(i)]
+    return sum(map(len, edges)), min(chain.from_iterable(edges))
 
 
 def _side_path(family, i, src, dst):

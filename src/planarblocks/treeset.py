@@ -33,7 +33,7 @@ graphs" (Combinatorica 1982), the tree comes first: the block-cut tree
 A side is then the regions of one subtree or of all but one.  In the
 interval form, the one form of a side, an element is the tuple
 (lo, hi, out, boundary): the regions of the classes at places
-lo .. hi - 1 of the tree's `preorder` (`NestedFamily.order`), an
+lo .. hi - 1 of the tree's `preorder` (`NestedFamily.tree`), an
 Euler-tour numbering (Tarjan and Vishkin, SIAM J. Comput. 1985), or
 with `out` of the other classes, and the vertices it shares with its
 complement.  So a family takes time and memory linear in its tree and
@@ -57,11 +57,11 @@ class NestedFamily:
     least member) with their regions, and what is read off them once:
     each element's class, the tree edges as sorted class pairs, and the
     vertex of each cut-point class, whose region is that vertex alone.
-    The places of the classes, and of the edges, are read off the tree
-    on first use; no order of the elements is computed, and
-    `certify_tree` checks the tree."""
+    The tree's `preorder`, unless its builder hands it over, and the
+    places of the edges are read off the tree on first use; no order of
+    the elements is computed, and `certify_tree` checks the tree."""
 
-    def __init__(self, host, elements, classes, regions):
+    def __init__(self, host, elements, classes, regions, tree=None):
         self.host = host
         self.elements = tuple(elements)
         self.classes = classes = tuple(classes)
@@ -78,24 +78,26 @@ class NestedFamily:
             ci: reg.vertices[0] for ci, (cls, reg)
             in enumerate(zip(classes, regions))
             if cls and not reg.edges and len(reg.vertices) == 1}
+        if tree is not None:
+            self.tree = tree
 
     @cached_property
-    def order(self):
-        """The classes at the places of the tree's `preorder`."""
-        return preorder(self.vertex_count, self.edges)[0]
+    def tree(self):
+        """The classes in the tree's `preorder`, parents, subtree sizes."""
+        return preorder(self.vertex_count, self.edges)
 
     @cached_property
     def edge_places(self):
         """Each host edge's place: that of the class whose region holds
         it."""
         regions = self.regions
-        return {e: p for p, x in enumerate(self.order)
+        return {e: p for p, x in enumerate(self.tree[0])
                 for e in regions[x].edges}
 
     def side_regions(self, i):
         """The regions of element i's side."""
         lo, hi, out, _ = self.elements[i]
-        order = self.order
+        order = self.tree[0]
         return [self.regions[x] for x in
                 (order[:lo] + order[hi:] if out else order[lo:hi])]
 
@@ -164,7 +166,7 @@ def family_of_tree(host, pairs, regions):
         lo, hi = pos[y], pos[y] + size[y]
         elements += ((lo, hi, y == a, bd), (lo, hi, y == b, bd))
     return NestedFamily(host, elements, map(frozenset, members),
-                        [regions[x] for x in nodes])
+                        [regions[x] for x in nodes], (places, up, size))
 
 
 def certify_tree(family):
@@ -208,7 +210,7 @@ def certify_tree(family):
         return
     # 1: element into[y] of y's parent has its edge into y, and its side
     # is the subtree at y, the places pos[y] .. pos[y] + size[y] - 1
-    order, up, size = preorder(k, family.edges)
+    order, up, size = family.tree
     invariant(len(order) == k, "tree is disconnected")
     into = [0] * k
     for i in range(0, len(elements), 2):

@@ -181,13 +181,38 @@ def command_runs(draw):
     return command, "edges", _edge_text(g), options
 
 
+def json_command_lines():
+    return [argv for argv in command_lines()
+            if argv[argv.index("--format") + 1] == "json"]
+
+
 @pytest.fixture(scope="module")
 def warm_commands():
-    """Runs every command line of the fixtures once, so each command has
-    loaded its modules before a run is measured."""
-    for argv in command_lines():
-        if argv[argv.index("--format") + 1] == "json":
+    """Runs each command once on the fixtures, so that it has loaded its
+    modules before a run is measured."""
+    argvs = json_command_lines()
+    for command in dict.fromkeys(argv[0] for argv in argvs):
+        outcome(next(argv for argv in argvs if argv[0] == command))
+
+
+def test_no_golden_command_line_leaves_cyclic_garbage(warm_commands):
+    # every pinned JSON command line, fixture hosts and presentations
+    # included.  Everything alive before the loop is frozen, so each
+    # collection walks only what the runs made, whatever the tests
+    # before this one left on the heap
+    left = []
+    gc.collect()
+    gc.disable()
+    gc.freeze()
+    try:
+        for argv in json_command_lines():
             outcome(argv)
+            if gc.collect():
+                left.append(" ".join(argv))
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    assert not left, left
 
 
 @settings(max_examples=150, deadline=None)
